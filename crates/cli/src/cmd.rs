@@ -1,11 +1,12 @@
 //! Subcommand implementations for the `ntadoc` CLI.
 
+use std::cmp::Ordering;
 use std::fs;
 use std::path::PathBuf;
 
 use ntadoc::{
     ingest_corpus, Accessor, Engine, EngineConfig, IngestOptions, Persistence, PoolBackend,
-    PoolLayoutConfig, Task, TaskOutput, METRIC_DEVICE_PEAK, METRIC_DRAM_PEAK,
+    PoolLayoutConfig, Task, TaskOutput,
 };
 use ntadoc_grammar::{
     deserialize_compressed, serialize_compressed, Compressed, CorpusBuilder, TokenizerConfig,
@@ -348,7 +349,7 @@ fn run(args: &[String]) -> CmdResult {
         }
     }
     let comp = load_corpus(path)?;
-    let mut engine = Engine::builder(comp.clone())
+    let mut engine = Engine::builder(comp)
         .config(cfg)
         .profile(profile.clone())
         .pool_backend(backend)
@@ -375,17 +376,7 @@ fn run(args: &[String]) -> CmdResult {
     let out = engine.run(task).map_err(|e| e.to_string())?;
     print_output(&out, top);
     let rep = engine.last_report.as_ref().expect("report");
-    eprintln!(
-        "\n[{}] init {:.3} ms + traversal {:.3} ms = {:.3} ms (virtual); \
-         DRAM peak {} KB, {} peak {} KB",
-        profile.name,
-        rep.init_secs() * 1e3,
-        rep.traversal_secs() * 1e3,
-        rep.total_secs() * 1e3,
-        rep.metric_f64(METRIC_DRAM_PEAK).unwrap_or(0.0) as u64 / 1024,
-        profile.name,
-        rep.metric_f64(METRIC_DEVICE_PEAK).unwrap_or(0.0) as u64 / 1024,
-    );
+    eprintln!("\n{}", rep.summary_line());
     if let Some(path) = trace_out {
         fs::write(&path, rep.to_json().pretty())
             .map_err(|e| format!("--trace-out {}: {e}", path.display()))?;
@@ -395,12 +386,28 @@ fn run(args: &[String]) -> CmdResult {
     Ok(())
 }
 
+/// The `top` first rows under `cmp`, in order. Selects before it sorts, so
+/// printing twenty rows of a 49 k-row result does not order all of it.
+/// `cmp` must be total over `rows` (no two rows equal) for the result to be
+/// the prefix a full sort would give.
+fn top_rows<T>(mut rows: Vec<T>, top: usize, cmp: impl Fn(&T, &T) -> Ordering) -> Vec<T> {
+    if top == 0 {
+        return Vec::new();
+    }
+    if top < rows.len() {
+        rows.select_nth_unstable_by(top - 1, &cmp);
+        rows.truncate(top);
+    }
+    rows.sort_unstable_by(&cmp);
+    rows
+}
+
 fn print_output(out: &TaskOutput, top: usize) {
     match out {
         TaskOutput::WordCount(m) => {
-            let mut rows: Vec<_> = m.iter().collect();
-            rows.sort_by(|a, b| b.1.cmp(a.1).then(a.0.cmp(b.0)));
-            for (w, c) in rows.into_iter().take(top) {
+            // Count descending, then the (unique) key: a total order.
+            let rows = top_rows(m.iter().collect(), top, |a, b| b.1.cmp(a.1).then(a.0.cmp(b.0)));
+            for (w, c) in rows {
                 println!("{c:>10}  {w}");
             }
         }
@@ -422,9 +429,8 @@ fn print_output(out: &TaskOutput, top: usize) {
             }
         }
         TaskOutput::SequenceCount(m) => {
-            let mut rows: Vec<_> = m.iter().collect();
-            rows.sort_by(|a, b| b.1.cmp(a.1).then(a.0.cmp(b.0)));
-            for (g, c) in rows.into_iter().take(top) {
+            let rows = top_rows(m.iter().collect(), top, |a, b| b.1.cmp(a.1).then(a.0.cmp(b.0)));
+            for (g, c) in rows {
                 println!("{c:>10}  {}", g.join(" "));
             }
         }
@@ -447,10 +453,8 @@ fn search(args: &[String]) -> CmdResult {
         return Err("search needs at least one word".into());
     }
     let comp = load_corpus(path)?;
-    let mut engine = Engine::builder(comp.clone())
-        .config(EngineConfig::ntadoc())
-        .build()
-        .map_err(|e| e.to_string())?;
+    let mut engine =
+        Engine::builder(comp).config(EngineConfig::ntadoc()).build().map_err(|e| e.to_string())?;
     let out = engine.run(Task::InvertedIndex).map_err(|e| e.to_string())?;
     let index = out.as_inverted_index().expect("inverted index output");
     for w in words {
@@ -661,6 +665,20 @@ mod tests {
         assert_eq!(parse_device("nvm").unwrap().name, "NVM");
         assert_eq!(parse_device("PCM").unwrap().name, "PCM");
         assert!(parse_device("floppy").is_err());
+    }
+
+    #[test]
+    fn top_rows_is_the_prefix_of_a_full_sort() {
+        // 500 distinct rows, many count ties broken by the unique key.
+        let rows: Vec<(String, u64)> =
+            (0..500u64).map(|i| (format!("w{:03}", (i * 7919) % 500), (i * 31) % 17)).collect();
+        let cmp = |a: &&(String, u64), b: &&(String, u64)| b.1.cmp(&a.1).then(a.0.cmp(&b.0));
+        let mut full: Vec<&(String, u64)> = rows.iter().collect();
+        full.sort_by(cmp);
+        for top in [0, 1, 20, 499, 500, 501, usize::MAX] {
+            let got = top_rows(rows.iter().collect(), top, cmp);
+            assert_eq!(got, full[..top.min(full.len())], "top = {top}");
+        }
     }
 
     #[test]

@@ -5,8 +5,6 @@
 //! spells the whole corpus, with file-separator symbols marking file
 //! boundaries.
 
-use std::collections::HashMap;
-
 use crate::dict::Dictionary;
 use crate::symbol::Symbol;
 
@@ -226,26 +224,36 @@ impl Grammar {
         order
     }
 
-    /// Grammar statistics (Table I columns).
+    /// Total symbols across all rule bodies (the compressed size in
+    /// symbols).
+    pub fn total_symbols(&self) -> usize {
+        self.rules.iter().map(|r| r.symbols.len()).sum()
+    }
+
+    /// Grammar statistics (Table I columns). Linear in the grammar: the
+    /// expanded word count is `R0`'s bottom-up expansion length, so nothing
+    /// is decompressed to be counted.
     pub fn stats(&self) -> GrammarStats {
-        let mut vocab = HashMap::new();
-        let mut total = 0usize;
-        for r in &self.rules {
-            total += r.symbols.len();
-            for s in &r.symbols {
-                if s.is_word() {
-                    *vocab.entry(s.payload()).or_insert(0u32) += 1;
-                }
+        // Word ids are dense dictionary indices: a growable bitmap.
+        let mut seen: Vec<bool> = Vec::new();
+        let mut vocabulary = 0usize;
+        for s in self.rules.iter().flat_map(|r| &r.symbols).filter(|s| s.is_word()) {
+            let id = s.payload() as usize;
+            if id >= seen.len() {
+                seen.resize(id + 1, false);
+            }
+            if !seen[id] {
+                seen[id] = true;
+                vocabulary += 1;
             }
         }
         let seps = self.rules[0].symbols.iter().filter(|s| s.is_sep()).count();
-        let expanded = self.expand_tokens().len() as u64;
         GrammarStats {
             rule_count: self.rules.len(),
-            total_symbols: total,
-            vocabulary: vocab.len(),
+            total_symbols: self.total_symbols(),
+            vocabulary,
             files: seps + 1,
-            expanded_words: expanded,
+            expanded_words: self.expansion_lengths()[0],
         }
     }
 

@@ -48,7 +48,7 @@ impl Accessor {
     /// Build the pool on a device with `profile` and prepare the per-file
     /// prefix index. All construction traffic is charged.
     pub fn new(comp: &Compressed, profile: DeviceProfile) -> Result<Accessor> {
-        let capacity = (comp.grammar.stats().total_symbols * 32
+        let capacity = (comp.grammar.total_symbols() * 32
             + comp.dict.text_bytes() * 2
             + (comp.grammar.rule_count() + comp.dict.len()) * 128
             + (1 << 20))

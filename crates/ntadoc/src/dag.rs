@@ -19,6 +19,7 @@
 //! pseudo-random order with line-sized gaps, reproducing what a
 //! general-purpose persistent allocator does to locality (§III-B).
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use ntadoc_grammar::{Compressed, Symbol};
@@ -42,11 +43,24 @@ fn len_u32(what: &'static str, n: usize) -> Result<u32> {
 /// `(id, frequency)` pairs of one pruned bucket (subrules or words).
 pub type FreqPairs = Vec<(u32, u32)>;
 
-/// Per-rule deduplicated view: `(id, freq)` pairs.
+/// Bodies at least this long are deduplicated through an id index; shorter
+/// ones — nearly every rule but `R0` — by scanning the few pairs seen so
+/// far, which is faster than hashing at that size.
+const PRUNE_INDEX_FROM: usize = 48;
+
+/// Per-rule deduplicated view (Algorithm 1): `(id, freq)` pairs of the
+/// subrules and of the words, each in order of first occurrence. One pass,
+/// linear in the body.
 pub fn prune_rule(symbols: &[Symbol]) -> (FreqPairs, FreqPairs) {
     // Buckets, as in Algorithm 1: count subrules and words separately.
-    let mut subs: Vec<(u32, u32)> = Vec::new();
-    let mut words: Vec<(u32, u32)> = Vec::new();
+    let mut subs: FreqPairs = Vec::new();
+    let mut words: FreqPairs = Vec::new();
+    // Raw symbol (kind + id) → its slot in the bucket of its kind.
+    let mut slot_of: HashMap<u32, u32> = HashMap::new();
+    let indexed = symbols.len() >= PRUNE_INDEX_FROM;
+    if indexed {
+        slot_of.reserve(symbols.len());
+    }
     for s in symbols {
         let list = if s.is_rule() {
             &mut subs
@@ -56,8 +70,16 @@ pub fn prune_rule(symbols: &[Symbol]) -> (FreqPairs, FreqPairs) {
             continue; // separators carry no frequency payload
         };
         let id = s.payload();
-        match list.iter_mut().find(|(i, _)| *i == id) {
-            Some((_, f)) => *f += 1,
+        let slot = if indexed {
+            // A body holds fewer than 2^32 symbols (`len_u32` on write).
+            let next = list.len() as u32;
+            let slot = *slot_of.entry(s.raw()).or_insert(next);
+            (slot != next).then_some(slot as usize)
+        } else {
+            list.iter().position(|&(i, _)| i == id)
+        };
+        match slot {
+            Some(at) => list[at].1 += 1,
             None => list.push((id, 1)),
         }
     }

@@ -35,7 +35,7 @@ use std::cell::Cell;
 use std::collections::HashMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use ntadoc_grammar::{deserialize_compressed, serialized_len, Compressed, TokenizerConfig};
 use ntadoc_nstruct::PHashTable;
@@ -57,8 +57,8 @@ use crate::report::{
 };
 use crate::result::{Task, TaskOutput};
 use crate::summation::{
-    head_tail_incremental, head_tail_info, upper_bounds, upper_bounds_incremental, HeadTailInfo,
-    SummationResult,
+    bounds_over, head_tail_incremental, head_tail_over, upper_bounds_incremental, GrammarFacts,
+    HeadTailInfo, SummationResult,
 };
 use crate::Result;
 
@@ -405,8 +405,9 @@ impl EngineBuilder {
             }
             .to_string()
         });
-        let bounds = upper_bounds(&comp.grammar).bounds;
-        let info = head_tail_info(&comp.grammar, 1);
+        let facts = Arc::new(GrammarFacts::derive(&comp.grammar));
+        let bounds = bounds_over(&comp.grammar, &facts.topo).bounds;
+        let info = head_tail_over(&comp.grammar, &facts.topo, 1);
         let plan = CapacityPlan::from_facts(&comp, &bounds, &info);
         // Accounted without materializing the image (it is streamed from
         // disk at init; the engine only needs its size).
@@ -421,6 +422,7 @@ impl EngineBuilder {
             trace,
             image_bytes,
             plan,
+            facts,
             bounds,
             info,
             snapshot,
@@ -450,8 +452,12 @@ pub struct Engine {
     image_bytes: u64,
     /// Host-side grammar statistics used for capacity planning only.
     plan: CapacityPlan,
+    /// Topological order and level split of `comp`'s grammar, derived once
+    /// per snapshot and shared with every session.
+    facts: Arc<GrammarFacts>,
     /// Per-rule expansion upper bounds, kept unclamped so appends can
-    /// re-derive only the dirty rules ([`upper_bounds_incremental`]).
+    /// re-derive only the dirty rules ([`upper_bounds_incremental`]);
+    /// always equal to a full recompute, so sessions take theirs from here.
     bounds: Vec<u64>,
     /// Width-1 head/tail facts, maintained incrementally across appends
     /// for the same reason.
@@ -523,13 +529,12 @@ impl CapacityPlan {
     /// the base build and the incremental append path so both produce
     /// identical plans for identical corpora.
     fn from_facts(comp: &Compressed, bounds: &[u64], info: &HeadTailInfo) -> CapacityPlan {
-        let stats = comp.grammar.stats();
         let vocab = comp.dict.len();
         CapacityPlan {
-            nrules: stats.rule_count,
-            total_symbols: stats.total_symbols,
+            nrules: comp.grammar.rule_count(),
+            total_symbols: comp.grammar.total_symbols(),
             vocab,
-            expanded_words: stats.expanded_words,
+            expanded_words: info.exp_len[0],
             dict_text: comp.dict.text_bytes(),
             sum_bounds: bounds.iter().map(|&b| b.min(vocab as u64)).sum(),
             max_exp_nonroot: info.exp_len.iter().skip(1).copied().max().unwrap_or(0),
@@ -667,6 +672,7 @@ impl Engine {
         let prev = SummationResult { bounds: std::mem::take(&mut self.bounds) };
         self.bounds = upper_bounds_incremental(&comp.grammar, &prev, &outcome.dirty_rules).bounds;
         self.info = head_tail_incremental(&comp.grammar, &self.info, 1, &outcome.dirty_rules);
+        self.facts = Arc::new(GrammarFacts::derive(&comp.grammar));
         self.plan = CapacityPlan::from_facts(&comp, &self.bounds, &self.info);
         self.image_bytes = serialized_len(&comp) as u64;
         self.snapshot = snapshot_fingerprint(&comp);
@@ -681,7 +687,7 @@ impl Engine {
             virtual_ns,
             spans,
             old_fingerprint,
-            snapshot: Snapshot::of(&self.comp),
+            snapshot: Snapshot::stamped(self.snapshot, &self.comp),
         };
         self.append_log.push(report.clone());
         Ok(report)
@@ -987,10 +993,12 @@ impl Engine {
         // The session's snapshot handle pins the corpus identity *and* the
         // pool it is served from; responses hand it out so callers can
         // tell exactly which published state answered them.
-        let snapshot = Arc::new(Snapshot::of(&self.comp).with_pool(backend_dyn.clone()));
-        debug_assert_eq!(snapshot.fingerprint(), self.snapshot);
+        let snapshot =
+            Arc::new(Snapshot::stamped(self.snapshot, &self.comp).with_pool(backend_dyn.clone()));
+        debug_assert_eq!(self.snapshot, snapshot_fingerprint(&self.comp));
         let mut session = Session {
             comp: self.comp.clone(),
+            facts: self.facts.clone(),
             cfg: self.cfg.clone(),
             task,
             dev,
@@ -1003,8 +1011,6 @@ impl Engine {
             scratch_len,
             txlog,
             dag: None,
-            topo: Vec::new(),
-            topo_pos: Vec::new(),
             host_dram: AtomicU64::new(0),
             init_ns: 0,
             trav_ns: AtomicU64::new(0),
@@ -1016,17 +1022,16 @@ impl Engine {
             serve_mode,
             pool_layout,
         };
-        session.init()?;
+        session.init(&self.bounds)?;
         Ok(session)
     }
 }
 
-/// Number of shards in the [`Interner`] (a power of two). Ids carry the
-/// shard index in their low bits, so lookups go straight to the owning
-/// shard without consulting shared state.
+/// Number of id spaces in the [`Interner`] (a power of two). Ids carry
+/// the index of their space in their low bits.
 pub(crate) const INTERN_SHARDS: usize = 16;
 
-/// One shard of the interner: its own map and id list.
+/// One id space of the interner: its own map and id list.
 #[derive(Default)]
 struct InternShard {
     map: HashMap<Vec<u32>, u32>,
@@ -1037,21 +1042,23 @@ struct InternShard {
 /// footprint is ledger-tracked, which is why sequence tasks show the
 /// smallest DRAM savings in §VI-C).
 ///
-/// Sharded and read-mostly: an n-gram hashes (deterministically) to one of
-/// [`INTERN_SHARDS`] independently-locked shards, and `intern` tries a
-/// shared-lock lookup before falling back to the exclusive insert path, so
-/// concurrent workers streaming mostly-repeated n-grams contend on neither
-/// one global mutex nor each other's shards. Ids encode the shard in their
-/// low bits; the *order* ids are assigned within a shard still depends on
-/// scheduling, which is fine because every consumer keys results on the
-/// interned strings, never on id order.
+/// Ids are part of the cost model, not just names: sequence lists are
+/// stored id-sorted, and ranked inverted index materialises its result in
+/// id order through the stateful line cache, so the order ids are assigned
+/// in decides which dictionary lines hit. Every n-gram is therefore
+/// interned on the session's controlling thread, in item order (parallel
+/// cache builders hand their raw n-grams back to the level barrier), which
+/// makes ids — and with them pool bytes and virtual time — independent of
+/// scheduling. An n-gram hashes (deterministically) to one of
+/// [`INTERN_SHARDS`] id spaces and takes the next index there; ids encode
+/// the space in their low bits.
 #[derive(Default)]
 pub(crate) struct Interner {
-    shards: [RwLock<InternShard>; INTERN_SHARDS],
+    shards: Mutex<[InternShard; INTERN_SHARDS]>,
 }
 
 impl Interner {
-    /// Deterministic shard for a gram (FNV-1a over its words).
+    /// Deterministic id space for a gram (FNV-1a over its words).
     fn shard_of(gram: &[u32]) -> usize {
         let h = gram.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &w| {
             (h ^ w as u64).wrapping_mul(0x0000_0100_0000_01b3)
@@ -1059,16 +1066,10 @@ impl Interner {
         (h as usize) & (INTERN_SHARDS - 1)
     }
 
-    /// Intern an n-gram, returning its id and whether it was new. Hits —
-    /// the overwhelmingly common case once the dictionary warms up — take
-    /// only the owning shard's read lock.
+    /// Intern an n-gram, returning its id and whether it was new.
     pub fn intern(&self, gram: &[u32]) -> (u32, bool) {
         let s = Self::shard_of(gram);
-        let shard = &self.shards[s];
-        if let Some(&id) = rw_read(shard).map.get(gram) {
-            return (id, false);
-        }
-        let mut sh = rw_write(shard);
+        let sh = &mut lock(&self.shards)[s];
         if let Some(&id) = sh.map.get(gram) {
             return (id, false);
         }
@@ -1078,30 +1079,21 @@ impl Interner {
         (id, true)
     }
 
-    /// The n-gram behind `id` (owned: the slot lives behind the shard
-    /// lock).
+    /// The n-gram behind `id`.
     pub fn gram(&self, id: u32) -> Vec<u32> {
         let s = (id as usize) & (INTERN_SHARDS - 1);
         let idx = (id >> INTERN_SHARDS.trailing_zeros()) as usize;
-        rw_read(&self.shards[s]).list[idx].clone()
+        lock(&self.shards)[s].list[idx].clone()
     }
-}
-
-/// Shared-lock an interner shard, riding through poisoning (reads never
-/// observe partial state: inserts under the write lock only publish the
-/// map entry after the list push).
-fn rw_read<T>(l: &RwLock<T>) -> std::sync::RwLockReadGuard<'_, T> {
-    l.read().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Exclusively lock an interner shard, riding through poisoning.
-fn rw_write<T>(l: &RwLock<T>) -> std::sync::RwLockWriteGuard<'_, T> {
-    l.write().unwrap_or_else(|e| e.into_inner())
 }
 
 /// A single task run: the device, pools and DAG built by the init phase.
 pub struct Session {
     pub(crate) comp: Arc<Compressed>,
+    /// The engine's grammar facts for `comp`: the topological order the
+    /// traversals walk (its host copy is DRAM-ledgered by init) and the
+    /// dependency levels of the cache builders.
+    pub(crate) facts: Arc<GrammarFacts>,
     pub(crate) cfg: EngineConfig,
     pub(crate) task: Task,
     pub(crate) dev: Arc<SimDevice>,
@@ -1123,10 +1115,6 @@ pub struct Session {
     scratch_len: u64,
     pub(crate) txlog: Option<Arc<Mutex<TxLog>>>,
     pub(crate) dag: Option<DagPool>,
-    /// Rules in topological order (host-resident, DRAM-ledgered).
-    pub(crate) topo: Vec<u32>,
-    /// `topo_pos[r]` = position of rule `r` in `topo`.
-    pub(crate) topo_pos: Vec<u32>,
     /// Running total of host-side DRAM bytes (ledgered).
     host_dram: AtomicU64,
     init_ns: u64,
@@ -1258,15 +1246,18 @@ impl Session {
 
     /// The initialization phase, recorded as the `"init"` span with one
     /// child span per numbered step.
-    fn init(&mut self) -> Result<()> {
+    fn init(&mut self, engine_bounds: &[u64]) -> Result<()> {
         let obs = self.obs.clone();
         let dev = self.dev.clone();
-        obs.span("init", &dev, || self.init_steps(&obs, &dev))?;
+        obs.span("init", &dev, || self.init_steps(&obs, &dev, engine_bounds))?;
         self.init_ns = self.dev.stats().virtual_ns;
         Ok(())
     }
 
-    fn init_steps(&mut self, obs: &Obs, dev: &SimDevice) -> Result<()> {
+    /// Every grammar-derived input comes from the engine (`facts`,
+    /// `engine_bounds`): the steps charge the modeled cost of deriving it
+    /// but walk the grammar only to write it to the device.
+    fn init_steps(&mut self, obs: &Obs, dev: &SimDevice, engine_bounds: &[u64]) -> Result<()> {
         let cost = self.cfg.cost;
         // 0. Open/map the persistent pool (fixed cost; volatile DRAM runs
         // skip it — this is part of why the smallest dataset shows the
@@ -1284,17 +1275,17 @@ impl Session {
             self.note_dram(staging);
         });
         // 2. Parse (host CPU).
-        let total_syms: usize = self.comp.grammar.rules.iter().map(|r| r.symbols.len()).sum();
+        let facts = self.facts.clone();
+        let total_syms = self.comp.grammar.total_symbols();
         obs.span("parse", dev, || self.charge_items(total_syms as u64));
 
-        // 3. Bottom-up summation for container pre-sizing (§IV-C),
-        // parallel per dependency level (see `summation`).
+        // 3. Bottom-up summation for container pre-sizing (§IV-C): the
+        // engine's bounds, clamped to the vocabulary.
         let bounds = if self.cfg.presize {
             obs.span("summation", dev, || {
                 let vocab = self.comp.dict.len() as u64;
-                let b = upper_bounds(&self.comp.grammar);
                 self.charge_items(total_syms as u64);
-                Some(b.bounds.iter().map(|&x| x.min(vocab)).collect::<Vec<u64>>())
+                Some(engine_bounds.iter().map(|&x| x.min(vocab)).collect::<Vec<u64>>())
             })
         } else {
             None
@@ -1304,7 +1295,7 @@ impl Session {
         let info = if self.task.is_sequence() {
             obs.span("head-tail", dev, || {
                 let width = self.cfg.ngram.saturating_sub(1).max(1);
-                let i = head_tail_info(&self.comp.grammar, width);
+                let i = head_tail_over(&self.comp.grammar, &facts.topo, width);
                 self.charge_items(total_syms as u64);
                 Some(i)
             })
@@ -1335,14 +1326,11 @@ impl Session {
             Ok(())
         })?;
 
-        // 6. Host-side topological order (tracked DRAM).
+        // 6. Host-side topological order. Ledgered at 8 B per rule — the
+        // order and its inverse, as the model has always sized it — though
+        // only the order is kept (nothing ever read the inverse).
         obs.span("topo-order", dev, || {
-            self.topo = self.comp.grammar.topo_order();
-            let nrules = self.topo.len();
-            self.topo_pos = vec![0u32; nrules];
-            for (i, &r) in self.topo.iter().enumerate() {
-                self.topo_pos[r as usize] = i as u32;
-            }
+            let nrules = facts.topo.len();
             self.note_dram(nrules as u64 * 8);
             self.charge_items(nrules as u64);
         });
@@ -1870,6 +1858,30 @@ impl TxCounter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::summation::upper_bounds;
+
+    fn files(range: std::ops::Range<usize>) -> Vec<(String, String)> {
+        range
+            .map(|f| {
+                let text: String = (0..90)
+                    .map(|w| format!("p{}w{} ", (f * 5 + w / 4) % 13, w % 4 + (f + w) % 3))
+                    .collect();
+                (format!("f{f}"), text)
+            })
+            .collect()
+    }
+
+    /// Sessions take their bounds from the engine, so the engine's must be
+    /// what `upper_bounds` computes (`tests/init_one_pass.rs` compares the
+    /// pools they write).
+    #[test]
+    fn engine_held_bounds_equal_a_full_recompute() {
+        let mut engine = EngineBuilder::from_files(files(0..5)).build().unwrap();
+        assert_eq!(engine.bounds, upper_bounds(&engine.comp.grammar).bounds, "fresh");
+        engine.append_files(files(5..8)).unwrap();
+        engine.append_files(files(8..9)).unwrap();
+        assert_eq!(engine.bounds, upper_bounds(&engine.comp.grammar).bounds, "after two appends");
+    }
 
     #[test]
     fn backoff_caps_the_exponent_and_saturates() {

@@ -8,13 +8,18 @@
 
 use ntadoc_grammar::Symbol;
 use ntadoc_nstruct::PVec;
-use ntadoc_pmem::{par, PmemError};
+use ntadoc_pmem::{par, with_deferred_charges, PmemError};
 
 use crate::config::Traversal;
 use crate::result::{Task, TaskOutput};
 use crate::Result;
 
 use super::Session;
+
+/// Ledgered DRAM footprint of one interned n-gram of `n` words.
+fn gram_dram(n: usize) -> u64 {
+    n as u64 * 8 + 64
+}
 
 /// One element of the stitched "junction stream" a rule is scanned as.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -143,7 +148,7 @@ impl Session {
             }
         }
         let mut out = Vec::new();
-        for &r in &self.topo {
+        for &r in &self.facts.topo {
             if r == 0 {
                 continue;
             }
@@ -195,28 +200,13 @@ impl Session {
         out
     }
 
-    /// Non-root rules grouped into bottom-up dependency levels: a rule's
-    /// subrules always sit in strictly earlier levels, so the rules of one
-    /// level can be processed concurrently once the previous levels are
-    /// done. Within a level, rules keep their reverse-topological order.
-    pub(crate) fn bottomup_levels(&self) -> Vec<Vec<u32>> {
-        let n = self.topo.len();
-        let mut depth = vec![0u32; n];
-        for &r in self.topo.iter().rev() {
-            let mut d = 0u32;
-            for s in self.comp.grammar.rules[r as usize].subrules() {
-                d = d.max(depth[s as usize] + 1);
-            }
-            depth[r as usize] = d;
-        }
-        let maxd = depth.iter().copied().max().unwrap_or(0) as usize;
-        let mut levels: Vec<Vec<u32>> = vec![Vec::new(); maxd + 1];
-        for &r in self.topo.iter().rev() {
-            if r != 0 {
-                levels[depth[r as usize] as usize].push(r);
-            }
-        }
-        levels
+    /// The engine's bottom-up dependency levels without the root, whose
+    /// list no cache builder stores: a rule's subrules always sit in
+    /// strictly earlier levels, so the rules of one level can be processed
+    /// concurrently once the previous levels are done. Within a level,
+    /// rules keep their reverse-topological order.
+    fn nonroot_levels(&self) -> impl Iterator<Item = Vec<u32>> + '_ {
+        self.facts.levels.iter().map(|level| level.iter().copied().filter(|&r| r != 0).collect())
     }
 
     /// Build per-rule word-list caches bottom-up (the preprocessing the
@@ -236,7 +226,7 @@ impl Session {
     pub(crate) fn build_wordlist_caches(&self) -> Result<()> {
         if self.cfg.pruned {
             let obs = self.obs.clone();
-            for (depth, level) in self.bottomup_levels().into_iter().enumerate() {
+            for (depth, level) in self.nonroot_levels().enumerate() {
                 // One span per dependency level, opened on the controlling
                 // thread; the level's parallel work joins the clock as the
                 // deterministic lane makespan before the span closes.
@@ -262,7 +252,7 @@ impl Session {
             }
             return Ok(());
         }
-        for &r in self.topo.iter().rev() {
+        for &r in self.facts.topo.iter().rev() {
             if r == 0 {
                 continue;
             }
@@ -523,13 +513,13 @@ impl Session {
         Ok(stream)
     }
 
-    /// Slide an `n` window over the stream, yielding the interned id of
-    /// every *junction* n-gram: windows that cross at least two segments
-    /// and contain no marker/separator.
-    fn scan_junction_windows(
+    /// Slide an `n` window over the stream, yielding the words of every
+    /// *junction* n-gram: windows that cross at least two segments and
+    /// contain no marker/separator.
+    fn junction_windows(
         &self,
         stream: &[Item],
-        mut f: impl FnMut(u32) -> Result<()>,
+        mut f: impl FnMut(&[u32]) -> Result<()>,
     ) -> Result<()> {
         let n = self.cfg.ngram;
         if stream.len() < n {
@@ -559,14 +549,27 @@ impl Session {
                 }
             }
             if valid && crosses {
-                let (id, fresh) = self.interner.intern(&words);
-                if fresh {
-                    self.note_dram(words.len() as u64 * 8 + 64);
-                }
-                f(id)?;
+                f(&words)?;
             }
         }
         Ok(())
+    }
+
+    /// [`junction_windows`](Self::junction_windows) yielding interned ids.
+    /// Controlling thread only: ids follow interning order (see
+    /// [`super::Interner`]).
+    fn scan_junction_windows(
+        &self,
+        stream: &[Item],
+        mut f: impl FnMut(u32) -> Result<()>,
+    ) -> Result<()> {
+        self.junction_windows(stream, |words| {
+            let (id, fresh) = self.interner.intern(words);
+            if fresh {
+                self.note_dram(gram_dram(words.len()));
+            }
+            f(id)
+        })
     }
 
     /// Build per-rule *sequence-list* caches (the bottom-up analogue of
@@ -574,31 +577,62 @@ impl Session {
     /// `(n-gram id, count)` table for its expansion.
     ///
     /// The pruned path fans out per dependency level like
-    /// [`build_wordlist_caches`]; n-gram ids come from the shared
-    /// interner, whose assignment order may vary with scheduling, but
-    /// every downstream consumer keys results on the interned *strings*,
-    /// and per-rule costs are id-independent, so outputs and virtual time
-    /// stay deterministic.
+    /// [`build_wordlist_caches`], in two parallel passes around one serial
+    /// step: workers scan each rule's raw junction n-grams, the level
+    /// barrier interns them in item order — nothing else runs there — and
+    /// workers then fetch the subrules' lists and merge, each rule resuming
+    /// its own deferred sink. Ids therefore never depend on scheduling
+    /// (they equal a single worker's), and neither do the id-sorted pool
+    /// bytes or the id-ordered traversal that follow.
     pub(crate) fn build_seqlist_caches(&self) -> Result<()> {
         if self.cfg.pruned {
-            for level in self.bottomup_levels() {
-                let (merged, charges) = par::par_map_timed(&level, |_, &r| -> Result<_> {
+            let n = self.cfg.ngram;
+            for level in self.nonroot_levels() {
+                let (scanned, charges) = par::par_map_timed(&level, |_, &r| -> Result<_> {
                     let body = self.dag()?.body(r);
                     let stream = self.junction_stream(&body)?;
-                    // Junction windows into a small working map, children
-                    // via sorted-list merge.
-                    let mut extra = std::collections::BTreeMap::new();
-                    self.scan_junction_windows(&stream, |id| {
-                        *extra.entry(id).or_insert(0u64) += 1;
+                    // Junction windows, flat: `n` words each.
+                    let mut grams: Vec<u32> = Vec::new();
+                    self.junction_windows(&stream, |words| {
+                        grams.extend_from_slice(words);
                         Ok(())
                     })?;
-                    let mut lists = Vec::new();
-                    for (s, f) in self.subs_of(r)? {
-                        let list = self.dag()?.wordlist(s); // reused as seq list
-                        self.charge_items(list.len() as u64);
-                        lists.push((list, f as u64));
-                    }
-                    Ok(self.merge_counts(lists, extra))
+                    Ok(grams)
+                });
+                // Per rule: its junction n-gram ids and the interner bytes
+                // they added, ledgered by the rule's merge below so that a
+                // single worker's DRAM ledger reads as it always has.
+                let mut interned = Vec::with_capacity(level.len());
+                for grams in scanned {
+                    let mut fresh_bytes = 0u64;
+                    let ids: Vec<u32> = grams?
+                        .chunks_exact(n)
+                        .map(|words| {
+                            let (id, fresh) = self.interner.intern(words);
+                            fresh_bytes += if fresh { gram_dram(n) } else { 0 };
+                            id
+                        })
+                        .collect();
+                    interned.push((ids, fresh_bytes));
+                }
+                let merged = par::par_map(&level, |i, &r| -> Result<_> {
+                    with_deferred_charges(&charges[i], || {
+                        let (ids, fresh_bytes) = &interned[i];
+                        self.note_dram(*fresh_bytes);
+                        // Junction windows into a small working map, children
+                        // via sorted-list merge.
+                        let mut extra = std::collections::BTreeMap::new();
+                        for &id in ids {
+                            *extra.entry(id).or_insert(0u64) += 1;
+                        }
+                        let mut lists = Vec::new();
+                        for (s, f) in self.subs_of(r)? {
+                            let list = self.dag()?.wordlist(s); // reused as seq list
+                            self.charge_items(list.len() as u64);
+                            lists.push((list, f as u64));
+                        }
+                        Ok(self.merge_counts(lists, extra))
+                    })
                 });
                 par::join_deferred(&self.dev, &charges);
                 for (&r, entries) in level.iter().zip(merged) {
@@ -608,7 +642,7 @@ impl Session {
             }
             return Ok(());
         }
-        for &r in self.topo.iter().rev() {
+        for &r in self.facts.topo.iter().rev() {
             if r == 0 {
                 continue;
             }
@@ -647,7 +681,7 @@ impl Session {
             // sequentially, then k-way merged weighted by rule weight —
             // no random NVM probing.
             let mut lists = Vec::new();
-            for &r in &self.topo {
+            for &r in &self.facts.topo {
                 let w = dag.weight(r);
                 self.charge_items(1);
                 if w == 0 {
@@ -669,7 +703,7 @@ impl Session {
         } else {
             // Naive: one growable hash counter takes every update.
             let counter = self.ngram_counter(dag.dict_len() * 2)?;
-            for &r in &self.topo {
+            for &r in &self.facts.topo {
                 let w = dag.weight(r);
                 self.charge_items(1);
                 if w == 0 {

@@ -45,8 +45,14 @@ pub struct Snapshot {
 impl Snapshot {
     /// Mint a handle for `comp` with no pool view yet.
     pub fn of(comp: &Compressed) -> Self {
+        Self::stamped(snapshot_fingerprint(comp), comp)
+    }
+
+    /// [`Snapshot::of`] for a caller that already holds `comp`'s
+    /// fingerprint (an engine computes it once per corpus, not per session).
+    pub(crate) fn stamped(fingerprint: u64, comp: &Compressed) -> Self {
         Snapshot {
-            fingerprint: snapshot_fingerprint(comp),
+            fingerprint,
             files: comp.file_names.len(),
             rules: comp.grammar.rule_count(),
             pool: None,

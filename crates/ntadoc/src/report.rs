@@ -99,6 +99,24 @@ impl RunReport {
         self.traversal_ns() as f64 / 1e9
     }
 
+    /// The one-line summary `ntadoc run` prints on stderr: both phases on
+    /// the virtual clock and the allocation peaks. Everything in it is
+    /// modeled, so it repeats exactly for a corpus and a configuration —
+    /// `tests/init_one_pass.rs` pins it for all six tasks.
+    pub fn summary_line(&self) -> String {
+        format!(
+            "[{}] init {:.3} ms + traversal {:.3} ms = {:.3} ms (virtual); \
+             DRAM peak {} KB, {} peak {} KB",
+            self.device,
+            self.init_secs() * 1e3,
+            self.traversal_secs() * 1e3,
+            self.total_secs() * 1e3,
+            self.metric_f64(METRIC_DRAM_PEAK).unwrap_or(0.0) as u64 / 1024,
+            self.device,
+            self.metric_f64(METRIC_DEVICE_PEAK).unwrap_or(0.0) as u64 / 1024,
+        )
+    }
+
     /// Look up a metric as a float (gauges directly, counters widened).
     pub fn metric_f64(&self, name: &str) -> Option<f64> {
         match self.metrics.get(name)? {

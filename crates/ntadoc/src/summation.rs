@@ -12,9 +12,16 @@
 //!
 //! Head/tail preprocessing computes each rule's expansion length and its
 //! first/last `width` expanded words in one bottom-up pass.
+//!
+//! Both are single passes over a reverse topological order, serial on
+//! purpose: at a few nanoseconds per symbol, fanning each dependency level
+//! out across workers costs more in spawns than it saves (1, 2 and 4
+//! workers on a 2-core host, 3.7 k and 87.8 k rules — numbers in DESIGN.md,
+//! "Init is one pass"; more cores are unverified). An engine derives that
+//! order and the dependency levels once per corpus snapshot
+//! ([`GrammarFacts`]) and every session shares them.
 
-use ntadoc_grammar::Grammar;
-use ntadoc_pmem::par;
+use ntadoc_grammar::{Grammar, Symbol};
 
 /// Output of the bottom-up summation.
 #[derive(Debug, Clone)]
@@ -36,7 +43,11 @@ impl SummationResult {
 /// independent and can be processed concurrently, with levels as barriers.
 /// Within a level, rules keep reverse-topological order.
 pub fn topo_levels(grammar: &Grammar) -> Vec<Vec<u32>> {
-    let order = grammar.topo_order();
+    levels_of(grammar, &grammar.topo_order())
+}
+
+/// [`topo_levels`] over an already computed topological order.
+fn levels_of(grammar: &Grammar, order: &[u32]) -> Vec<Vec<u32>> {
     let n = grammar.rule_count();
     let mut depth = vec![0u32; n];
     for &r in order.iter().rev() {
@@ -54,29 +65,73 @@ pub fn topo_levels(grammar: &Grammar) -> Vec<Vec<u32>> {
     levels
 }
 
-/// Algorithm 2: bottom-up upper-bound summation, level by level (the paper
-/// presents it recursively; grammars from big corpora are deep enough to
-/// warrant the iterative form, and the rules of one level fan out across
-/// workers — each reads only earlier levels' bounds, so the result is
-/// identical for any worker count).
+/// What an engine derives from its grammar once per corpus snapshot and
+/// shares with every session: nothing here touches a device, so a session's
+/// init phase reads these instead of walking the grammar again.
+#[derive(Debug)]
+pub(crate) struct GrammarFacts {
+    /// Rules in topological order, `R0` first (parents before children).
+    pub topo: Vec<u32>,
+    /// [`topo_levels`] of the grammar (`R0` included).
+    pub levels: Vec<Vec<u32>>,
+}
+
+impl GrammarFacts {
+    /// Topological order and level split of `grammar`.
+    pub fn derive(grammar: &Grammar) -> GrammarFacts {
+        let topo = grammar.topo_order();
+        let levels = levels_of(grammar, &topo);
+        GrammarFacts { topo, levels }
+    }
+}
+
+/// Algorithm 2: bottom-up upper-bound summation (the paper presents it
+/// recursively; grammars from big corpora are deep enough to warrant the
+/// iterative form).
 pub fn upper_bounds(grammar: &Grammar) -> SummationResult {
-    let n = grammar.rule_count();
-    let mut bounds = vec![0u64; n];
-    for level in topo_levels(grammar) {
-        // Lines 6-8: sum subrule bounds (per occurrence) plus own
-        // distinct word count.
-        let level_bounds = par::par_map(&level, |_, &r| {
-            let mut l: u64 = 0;
-            for s in grammar.rules[r as usize].subrules() {
-                l += bounds[s as usize];
-            }
-            l + distinct_words(grammar, r) as u64
-        });
-        for (&r, b) in level.iter().zip(level_bounds) {
-            bounds[r as usize] = b;
-        }
+    bounds_over(grammar, &grammar.topo_order())
+}
+
+/// [`upper_bounds`] over an already computed topological order. Lines 6-8
+/// of Algorithm 2 for every rule, children first: sum subrule bounds (per
+/// occurrence) plus the rule's own distinct word count.
+pub(crate) fn bounds_over(grammar: &Grammar, topo: &[u32]) -> SummationResult {
+    let mut bounds = vec![0u64; grammar.rule_count()];
+    let mut distinct = DistinctWords::default();
+    for &r in topo.iter().rev() {
+        let rule = &grammar.rules[r as usize];
+        let subs: u64 = rule.subrules().map(|s| bounds[s as usize]).sum();
+        bounds[r as usize] = subs + distinct.count(&rule.symbols) as u64;
     }
     SummationResult { bounds }
+}
+
+/// Counts the distinct word ids of one rule body after another in time
+/// linear in each body: `seen[w]` holds the number of the last body that
+/// contained word `w`, so nothing is sorted, hashed or cleared in between.
+#[derive(Default)]
+struct DistinctWords {
+    seen: Vec<u32>,
+    body: u32,
+}
+
+impl DistinctWords {
+    /// Distinct word ids appearing directly in `symbols`.
+    fn count(&mut self, symbols: &[Symbol]) -> usize {
+        self.body += 1;
+        let mut distinct = 0;
+        for s in symbols.iter().filter(|s| s.is_word()) {
+            let w = s.payload() as usize;
+            if w >= self.seen.len() {
+                self.seen.resize(w + 1, 0);
+            }
+            if self.seen[w] != self.body {
+                self.seen[w] = self.body;
+                distinct += 1;
+            }
+        }
+        distinct
+    }
 }
 
 /// Bottom-up ordering of the `dirty` rules only: every dirty rule comes
@@ -125,12 +180,11 @@ pub fn upper_bounds_incremental(
 ) -> SummationResult {
     let mut bounds = prev.bounds.clone();
     bounds.resize(grammar.rule_count(), 0);
+    let mut distinct = DistinctWords::default();
     for r in dirty_bottom_up(grammar, dirty) {
-        let mut l: u64 = 0;
-        for s in grammar.rules[r as usize].subrules() {
-            l += bounds[s as usize];
-        }
-        bounds[r as usize] = l + distinct_words(grammar, r) as u64;
+        let rule = &grammar.rules[r as usize];
+        let subs: u64 = rule.subrules().map(|s| bounds[s as usize]).sum();
+        bounds[r as usize] = subs + distinct.count(&rule.symbols) as u64;
     }
     SummationResult { bounds }
 }
@@ -158,19 +212,6 @@ pub fn head_tail_incremental(
         tails[r as usize] = tail;
     }
     HeadTailInfo { exp_len, heads, tails }
-}
-
-/// Distinct word ids appearing directly in rule `r`'s body.
-fn distinct_words(grammar: &Grammar, r: u32) -> usize {
-    let mut words: Vec<u32> = grammar.rules[r as usize]
-        .symbols
-        .iter()
-        .filter(|s| s.is_word())
-        .map(|s| s.payload())
-        .collect();
-    words.sort_unstable();
-    words.dedup();
-    words.len()
 }
 
 /// Per-rule expansion metadata used by sequence tasks.
@@ -209,24 +250,22 @@ impl HeadTailInfo {
 }
 
 /// Compute expansion lengths and head/tail word buffers of width `width`
-/// for every rule, bottom-up (children before parents, one dependency
-/// level at a time; the rules of a level fan out across workers reading
-/// only earlier levels' buffers, so the result is identical for any
-/// worker count).
+/// for every rule, bottom-up (children before parents).
 pub fn head_tail_info(grammar: &Grammar, width: usize) -> HeadTailInfo {
+    head_tail_over(grammar, &grammar.topo_order(), width)
+}
+
+/// [`head_tail_info`] over an already computed topological order.
+pub(crate) fn head_tail_over(grammar: &Grammar, topo: &[u32], width: usize) -> HeadTailInfo {
     let n = grammar.rule_count();
     let mut exp_len = vec![0u64; n];
     let mut heads: Vec<Vec<u32>> = vec![Vec::new(); n];
     let mut tails: Vec<Vec<u32>> = vec![Vec::new(); n];
-    for level in topo_levels(grammar) {
-        let computed = par::par_map(&level, |_, &r| {
-            head_tail_rule(grammar, r, width, &exp_len, &heads, &tails)
-        });
-        for (&r, (len, head, tail)) in level.iter().zip(computed) {
-            exp_len[r as usize] = len;
-            heads[r as usize] = head;
-            tails[r as usize] = tail;
-        }
+    for &r in topo.iter().rev() {
+        let (len, head, tail) = head_tail_rule(grammar, r, width, &exp_len, &heads, &tails);
+        exp_len[r as usize] = len;
+        heads[r as usize] = head;
+        tails[r as usize] = tail;
     }
     HeadTailInfo { exp_len, heads, tails }
 }
@@ -412,6 +451,18 @@ mod tests {
                 assert!(level_of[s as usize] < level_of[r as usize]);
             }
         }
+    }
+
+    #[test]
+    fn distinct_words_are_counted_per_body() {
+        let w = Symbol::word;
+        let mut distinct = DistinctWords::default();
+        let body = [w(3), w(1), w(3), Symbol::file_sep(0), Symbol::rule(1), w(1)];
+        assert_eq!(distinct.count(&body), 2);
+        // The next body starts clean, without anything being cleared.
+        assert_eq!(distinct.count(&[w(3), w(3)]), 1);
+        assert_eq!(distinct.count(&[]), 0);
+        assert_eq!(distinct.count(&[w(9), w(1), w(0)]), 3);
     }
 
     #[test]

@@ -1,0 +1,279 @@
+//! Run set-up is one linear pass over the grammar, and it leaves the model
+//! alone: the id-indexed `prune_rule` equals the quadratic Algorithm 1 it
+//! replaced (pairs *and* order), `Grammar::stats` counts the corpus without
+//! expanding it, sessions built from the engine's maintained bounds write
+//! the pool a full recompute writes, n-gram ids no longer follow the thread
+//! schedule, and the numbers `ntadoc run` prints are pinned.
+
+use proptest::collection::vec;
+use proptest::prelude::*;
+
+use ntadoc::dag::{prune_rule, FreqPairs};
+use ntadoc_pmem::par;
+use ntadoc_repro::{
+    compress_corpus, Compressed, Engine, EngineBuilder, EngineConfig, Grammar, Symbol, Task,
+    TokenizerConfig,
+};
+
+/// Algorithm 1 as the engine ran it before the id index: a linear `find`
+/// per symbol, quadratic in the distinct ids. The reference the one-pass
+/// version has to equal.
+fn prune_rule_reference(symbols: &[Symbol]) -> (FreqPairs, FreqPairs) {
+    let mut subs: FreqPairs = Vec::new();
+    let mut words: FreqPairs = Vec::new();
+    for s in symbols {
+        let list = if s.is_rule() {
+            &mut subs
+        } else if s.is_word() {
+            &mut words
+        } else {
+            continue;
+        };
+        let id = s.payload();
+        match list.iter_mut().find(|(i, _)| *i == id) {
+            Some((_, f)) => *f += 1,
+            None => list.push((id, 1)),
+        }
+    }
+    (subs, words)
+}
+
+/// `(kind, id)` → symbol: rules, words and file separators.
+fn symbol(kind: u8, id: u32) -> Symbol {
+    match kind % 3 {
+        0 => Symbol::rule(id),
+        1 => Symbol::word(id),
+        _ => Symbol::file_sep(id),
+    }
+}
+
+#[test]
+fn prune_rule_equals_the_reference_on_fixed_bodies() {
+    // The paper's "R1 → R2 w3 R4 w4 R3 R2 R4 w4".
+    let paper = vec![
+        Symbol::rule(2),
+        Symbol::word(3),
+        Symbol::rule(4),
+        Symbol::word(4),
+        Symbol::rule(3),
+        Symbol::rule(2),
+        Symbol::rule(4),
+        Symbol::word(4),
+    ];
+    assert_eq!(prune_rule(&paper), (vec![(2, 2), (4, 2), (3, 1)], vec![(3, 1), (4, 2)]));
+    assert_eq!(prune_rule(&paper), prune_rule_reference(&paper));
+
+    let empty: Vec<Symbol> = Vec::new();
+    assert_eq!(prune_rule(&empty), (vec![], vec![]));
+    // Separators only, short and long enough to take the indexed path.
+    for n in [1u32, 7, 500] {
+        let seps: Vec<Symbol> = (0..n).map(Symbol::file_sep).collect();
+        assert_eq!(prune_rule(&seps), (vec![], vec![]), "{n} separators");
+    }
+    // A rule and a word sharing an id stay in separate buckets.
+    let shared: Vec<Symbol> =
+        (0..200u32).flat_map(|i| [Symbol::rule(i % 9), Symbol::word(i % 9)]).collect();
+    assert_eq!(prune_rule(&shared), prune_rule_reference(&shared));
+}
+
+#[test]
+fn prune_rule_equals_the_reference_on_a_root_sized_body() {
+    // 60 k symbols over 6 k distinct ids per kind, Zipf-ish so most ids
+    // repeat: the shape of a real R0.
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    let body: Vec<Symbol> = (0..60_000u32)
+        .map(|_| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            let r = (state >> 33) as u32;
+            let id = (r % 6_000).min(r % 7_919 % 6_000);
+            symbol((r >> 20) as u8, id)
+        })
+        .collect();
+    let (subs, words) = prune_rule(&body);
+    assert!(subs.len() + words.len() >= 5_000, "{} + {} distinct ids", subs.len(), words.len());
+    assert_eq!((subs, words), prune_rule_reference(&body));
+}
+
+/// Arbitrary corpora of small-alphabet words, some files empty.
+fn corpus_strategy() -> impl Strategy<Value = Vec<(String, String)>> {
+    vec(vec(0u32..15, 0..120), 1..4).prop_map(|files| {
+        files
+            .into_iter()
+            .enumerate()
+            .map(|(i, words)| {
+                let text = words.iter().map(|w| format!("w{w}")).collect::<Vec<_>>().join(" ");
+                (format!("f{i}"), text)
+            })
+            .collect()
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Random symbol streams on both sides of the length at which
+    /// `prune_rule` starts indexing.
+    #[test]
+    fn prune_rule_equals_the_reference(stream in vec((0u8..3, 0u32..40), 0..300)) {
+        let body: Vec<Symbol> = stream.into_iter().map(|(k, id)| symbol(k, id)).collect();
+        prop_assert_eq!(prune_rule(&body), prune_rule_reference(&body));
+    }
+
+    /// The expansion length `stats` sums bottom-up is the length of the
+    /// expansion, raw and coarsened.
+    #[test]
+    fn stats_count_the_expansion_without_expanding(
+        files in corpus_strategy(),
+        min_exp in 0u64..20
+    ) {
+        let comp = compress_corpus(&files, &TokenizerConfig::default());
+        for g in [comp.grammar.clone(), comp.grammar.coarsened(min_exp)] {
+            let stats = g.stats();
+            prop_assert_eq!(stats.expanded_words, g.expand_tokens().len() as u64);
+            prop_assert_eq!(stats.total_symbols, g.total_symbols());
+            let distinct: std::collections::HashSet<u32> = g.expand_tokens().into_iter().collect();
+            prop_assert_eq!(stats.vocabulary, distinct.len());
+            prop_assert_eq!(stats.files, files.len());
+        }
+    }
+}
+
+/// A fixed corpus that does not come from `rand`: `files` files of `words`
+/// words drawn from a small phrase library by arithmetic, so phrases recur
+/// within and across files and Sequitur finds a layered grammar.
+fn fixed_corpus(files: usize, words: usize) -> Vec<(String, String)> {
+    (0..files)
+        .map(|f| {
+            let mut text = String::new();
+            let mut w = 0;
+            while w < words {
+                let phrase = (f * 7 + w * 3) % 67;
+                for k in 0..3 + phrase % 4 {
+                    text.push_str(&format!("p{}w{} ", phrase, k));
+                }
+                text.push_str(&format!("u{} ", (f * 31 + w) % 151));
+                w += 4 + phrase % 4;
+            }
+            (format!("doc-{f:03}"), text)
+        })
+        .collect()
+}
+
+fn fixed_compressed(files: usize, words: usize) -> Compressed {
+    compress_corpus(&fixed_corpus(files, words), &TokenizerConfig::default())
+}
+
+#[test]
+fn stats_count_the_expansion_on_fixed_grammars() {
+    // Figure 1: R0 → R1 |0 R1 w6, R1 → R2 w3 w4 R2, R2 → w1 w2.
+    let fig1 = Grammar::new(vec![
+        ntadoc_grammar::Rule {
+            symbols: vec![Symbol::rule(1), Symbol::file_sep(0), Symbol::rule(1), Symbol::word(6)],
+        },
+        ntadoc_grammar::Rule {
+            symbols: vec![Symbol::rule(2), Symbol::word(3), Symbol::word(4), Symbol::rule(2)],
+        },
+        ntadoc_grammar::Rule { symbols: vec![Symbol::word(1), Symbol::word(2)] },
+    ]);
+    let big = fixed_compressed(100, 250).grammar;
+    for g in [fig1, big.coarsened(12), big] {
+        assert_eq!(g.stats().expanded_words, g.expand_tokens().len() as u64);
+    }
+}
+
+/// Init virtual time and every pool byte of a fresh session for `task`.
+fn init_image(engine: &Engine, task: Task) -> (u64, Vec<u8>) {
+    let session = engine.session(task).unwrap();
+    let dev = session.sim_device();
+    (dev.stats().virtual_ns, dev.peek(0, dev.capacity() as usize))
+}
+
+/// Sessions take their §IV-C bounds from the engine, which maintains them
+/// incrementally across appends. An engine built from scratch over the
+/// same corpus recomputes them in full; both must write the same pool
+/// (the bounds are a metadata array in it) at the same virtual cost.
+#[test]
+fn sessions_from_maintained_bounds_write_the_pool_a_recompute_writes() {
+    let files = fixed_corpus(12, 80);
+    let cfg = EngineConfig::ntadoc;
+    let fresh = EngineBuilder::from_files(files[..6].to_vec()).config(cfg()).build().unwrap();
+    let mut appended =
+        EngineBuilder::from_files(files[..6].to_vec()).config(cfg()).build().unwrap();
+    let check = |engine: &Engine, what: &str| {
+        let rebuilt = Engine::builder(engine.compressed().clone()).config(cfg()).build().unwrap();
+        for task in [Task::WordCount, Task::InvertedIndex, Task::RankedInvertedIndex] {
+            assert_eq!(init_image(engine, task), init_image(&rebuilt, task), "{what}: {task}");
+        }
+    };
+    check(&fresh, "fresh");
+    appended.append_files(files[6..9].to_vec()).unwrap();
+    appended.append_files(files[9..].to_vec()).unwrap();
+    check(&appended, "after two appends");
+}
+
+/// N-gram ids are assigned at the level barrier in item order, so the
+/// id-sorted sequence lists in the pool and the id-ordered traversal — and
+/// with it the virtual clock — do not depend on which worker ran what.
+#[test]
+fn ranked_index_is_one_run_for_any_schedule() {
+    let comp = std::sync::Arc::new(fixed_compressed(100, 250));
+    let engine = Engine::builder(comp).config(EngineConfig::ntadoc()).build().unwrap();
+    let run = |threads: usize| {
+        par::with_threads(threads, || {
+            let mut session = engine.session(Task::RankedInvertedIndex).unwrap();
+            let out = session.traverse().unwrap();
+            let dev = session.sim_device();
+            (dev.stats().virtual_ns, dev.peek(0, dev.capacity() as usize), out)
+        })
+    };
+    let base = run(1);
+    for threads in [2, 4] {
+        for round in 0..30 {
+            let (ns, pool, out) = run(threads);
+            assert_eq!(ns, base.0, "virtual time moved at {threads} workers, round {round}");
+            assert!(pool == base.1, "pool bytes moved at {threads} workers, round {round}");
+            assert_eq!(out, base.2);
+        }
+    }
+}
+
+/// What `ntadoc run <task>` prints on stderr, for all six tasks on a fixed
+/// corpus: init and traversal on the virtual clock, DRAM and NVM peaks. A
+/// change that is meant to move only the wall clock must leave every line
+/// as it is; one that moves the model has to say so here.
+#[test]
+fn run_summaries_are_pinned() {
+    let comp = std::sync::Arc::new(fixed_compressed(100, 250));
+    let pinned = [
+        (
+            Task::WordCount,
+            "[NVM] init 2.123 ms + traversal 0.122 ms = 2.245 ms (virtual); DRAM peak 34 KB, NVM peak 74 KB",
+        ),
+        (
+            Task::Sort,
+            "[NVM] init 2.123 ms + traversal 0.171 ms = 2.294 ms (virtual); DRAM peak 34 KB, NVM peak 74 KB",
+        ),
+        (
+            Task::TermVector,
+            "[NVM] init 2.372 ms + traversal 1.014 ms = 3.385 ms (virtual); DRAM peak 35 KB, NVM peak 154 KB",
+        ),
+        (
+            Task::InvertedIndex,
+            "[NVM] init 2.372 ms + traversal 1.123 ms = 3.495 ms (virtual); DRAM peak 35 KB, NVM peak 231 KB",
+        ),
+        (
+            Task::SequenceCount,
+            "[NVM] init 2.146 ms + traversal 0.350 ms = 2.496 ms (virtual); DRAM peak 458 KB, NVM peak 183 KB",
+        ),
+        (
+            Task::RankedInvertedIndex,
+            "[NVM] init 2.768 ms + traversal 1.670 ms = 4.439 ms (virtual); DRAM peak 444 KB, NVM peak 1030 KB",
+        ),
+    ];
+    for (task, line) in pinned {
+        let mut engine =
+            Engine::builder(comp.clone()).config(EngineConfig::ntadoc()).build().unwrap();
+        par::with_threads(1, || engine.run(task)).unwrap();
+        assert_eq!(engine.last_report.as_ref().unwrap().summary_line(), line, "{task}");
+    }
+}

@@ -10,7 +10,7 @@ use std::cell::Cell;
 use ntadoc_pmem::par;
 use ntadoc_repro::{
     compress_corpus, shard_reads_total, Compressed, DaemonConfig, Engine, EngineConfig, Query,
-    QueryDaemon, ServeError, Task, TenantId, TokenizerConfig, TraceSpec,
+    QueryDaemon, ServeError, Task, TenantId, TokenizerConfig, TraceSpec, METRIC_DRAM_PEAK,
 };
 
 // ---------------------------------------------------------------------------
@@ -240,14 +240,25 @@ fn batched_serving_touches_fewer_lines_than_unbatched() {
 fn trace_replay_is_bit_identical_across_worker_counts() {
     let comp = corpus();
     let trace = TraceSpec { queries: 48, ..TraceSpec::default() }.generate();
+    // Engine build, session init and replay all run at `threads` workers.
+    // The DRAM high-water mark is compared on its own: it is the one value
+    // that follows the schedule (transient merge buffers of concurrent
+    // items may overlap; DESIGN.md leaves it out of the guarantee).
     let replay = |threads: usize| {
-        let mut d = daemon_over(&comp, DaemonConfig::default());
-        let outcome = par::with_threads(threads, || d.run_trace(&trace).unwrap());
-        (outcome, d.report())
+        par::with_threads(threads, || {
+            let mut d = daemon_over(&comp, DaemonConfig::default());
+            let outcome = d.run_trace(&trace).unwrap();
+            let mut report = d.report();
+            let peak = report.metric_f64(METRIC_DRAM_PEAK).expect("DRAM peak is reported");
+            report.metrics.remove(METRIC_DRAM_PEAK);
+            (outcome, report, peak)
+        })
     };
-    let (base, base_report) = replay(1);
+    let (base, base_report, serial_peak) = replay(1);
+    // One worker has no schedule: its peak is exact.
+    assert_eq!(replay(1).2, serial_peak, "DRAM peak diverged between 1-thread replays");
     for threads in [2, 8] {
-        let (outcome, report) = replay(threads);
+        let (outcome, report, peak) = replay(threads);
         assert_eq!(outcome.completions.len(), base.completions.len());
         for (a, b) in outcome.completions.iter().zip(&base.completions) {
             assert_eq!(a.query, b.query, "query order diverged at {threads} threads");
@@ -259,6 +270,12 @@ fn trace_replay_is_bit_identical_across_worker_counts() {
             report.to_json().pretty(),
             base_report.to_json().pretty(),
             "serialized report diverged at {threads} threads"
+        );
+        // Concurrent items only ever add to what is resident, and at most
+        // `threads` of them hold their transients at once.
+        assert!(
+            serial_peak <= peak && peak <= serial_peak * threads as f64,
+            "DRAM peak {peak} at {threads} threads outside [{serial_peak}, {threads} x {serial_peak}]"
         );
     }
 }
