@@ -598,19 +598,7 @@ fn fsck(args: &[String]) -> CmdResult {
                     // Deep check: open through the requested device and
                     // compare the file byte-for-byte against the image
                     // the device reconstructed from it.
-                    let p = std::path::Path::new(path);
-                    let opened: ntadoc_pmem::Result<std::sync::Arc<dyn ntadoc_pmem::PoolDevice>> =
-                        (|| {
-                            let dev: std::sync::Arc<dyn ntadoc_pmem::PoolDevice> = match kind {
-                                PoolBackend::File => {
-                                    ntadoc_pmem::FileDevice::open(p, DeviceProfile::nvm_optane())?
-                                }
-                                PoolBackend::Mmap => {
-                                    ntadoc_pmem::MmapDevice::open(p, DeviceProfile::nvm_optane())?
-                                }
-                            };
-                            Ok(dev)
-                        })();
+                    let opened = kind.open(std::path::Path::new(path), DeviceProfile::nvm_optane());
                     match opened.and_then(|d| d.verify_file_matches_device().map(|()| d)) {
                         Ok(_) => println!("  {}: open + byte-verify OK", kind.name()),
                         Err(e) => {

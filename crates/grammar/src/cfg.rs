@@ -29,7 +29,7 @@ impl Rule {
 }
 
 /// Grammar statistics (the columns of the paper's Table I).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GrammarStats {
     /// Total number of rules, `R0` included.
     pub rule_count: usize,

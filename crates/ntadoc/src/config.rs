@@ -1,10 +1,8 @@
 //! Engine configuration: the design knobs of §IV plus the calibrated cost
 //! model for CPU-side work.
 
-use serde::{Deserialize, Serialize};
-
 /// DAG traversal strategy (§VI-E).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Traversal {
     /// Pick per task: bottom-up for file-oriented tasks on many-file
     /// corpora, top-down otherwise.
@@ -17,7 +15,7 @@ pub enum Traversal {
 }
 
 /// Persistence strategy (§IV-E).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Persistence {
     /// No persistence (volatile DRAM runs — original TADOC).
     None,
@@ -31,7 +29,7 @@ pub enum Persistence {
 /// Modeled CPU costs in nanoseconds, charged onto the engine's device
 /// clock so total virtual time includes compute, not just memory traffic.
 /// Values approximate a ~3 GHz core doing hash-and-add work per item.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostModel {
     /// Per token / symbol visited by an analytics loop.
     pub per_item_ns: u64,
@@ -78,7 +76,7 @@ impl CostModel {
 /// paper's design points, so switching them off individually gives the
 /// ablation study, and switching them all off gives the naive
 /// "TADOC-with-an-NVM-allocator" baseline of §III-B.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EngineConfig {
     /// §IV-B pruning: store deduplicated `(id, freq)` subrule/word views
     /// and traverse those instead of raw ordered bodies.

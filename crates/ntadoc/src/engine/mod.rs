@@ -43,7 +43,8 @@ use ntadoc_pmem::obs::MetricValue;
 use ntadoc_pmem::par::{join_deferred, par_map_timed};
 use ntadoc_pmem::{
     AccessStats, AllocLedger, DeviceKind, DeviceProfile, FileDevice, MmapDevice, Obs, PmemBackend,
-    PmemError, PmemPool, PoolDevice, PoolLayout, SimDevice, SpanNode, TxLog,
+    PmemError, PmemPool, PoolDevice, PoolHeader, PoolLayout, SimDevice, SpanNode, TxLog,
+    MAX_POOL_CAPACITY,
 };
 
 use crate::config::{EngineConfig, Persistence, Traversal};
@@ -138,6 +139,13 @@ pub struct EngineBuilder {
     pool_layout: PoolLayoutConfig,
 }
 
+/// Whether a pool that proved too small may be retried at twice
+/// `capacity`: doubling stops where [`MAX_POOL_CAPACITY`] would be passed,
+/// which is also the largest capacity a pool header may declare.
+fn may_double(capacity: usize) -> bool {
+    (capacity as u64) < MAX_POOL_CAPACITY / 2
+}
+
 /// What the builder starts from: an existing compressed corpus, or raw
 /// files to be ingested (serially or chunk-parallel) at `build`.
 enum BuildSource {
@@ -145,11 +153,12 @@ enum BuildSource {
     Files(Vec<(String, String)>),
 }
 
-/// Which durable backend [`Engine::open_pool`] attaches behind the
-/// simulated device. Both write the same pool-file format (magic,
-/// CRC-sealed header, data region) and are interchangeable on reopen and
-/// under `ntadoc fsck`; they differ only in the I/O path used to keep the
-/// file current (`pwrite`+`fsync` vs. a shared memory mapping +`msync`).
+/// Which [`StableStore`](ntadoc_pmem::StableStore) keeps the pool file
+/// current when [`Engine::open_pool`] attaches one behind the simulated
+/// device. Both write the same pool-file format (magic, CRC-sealed
+/// header, data region) and are interchangeable on reopen and under
+/// `ntadoc fsck`; they differ only in that I/O path
+/// (`pwrite`+`fdatasync` vs. a shared memory mapping +`msync`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PoolBackend {
     /// Write-through file I/O ([`FileDevice`]). The default.
@@ -177,6 +186,34 @@ impl PoolBackend {
             PoolBackend::File => "file",
             PoolBackend::Mmap => "mmap",
         }
+    }
+
+    /// Create a fresh pool file at `path` through this backend's store,
+    /// sealing `dag_layout` into its header.
+    pub fn create(
+        self,
+        path: &Path,
+        profile: DeviceProfile,
+        layout: PoolLayout,
+        dag_layout: u16,
+    ) -> Result<Arc<dyn PoolDevice>> {
+        Ok(match self {
+            PoolBackend::File => {
+                FileDevice::create_with_dag_layout(path, profile, layout, dag_layout)?
+            }
+            PoolBackend::Mmap => {
+                MmapDevice::create_with_dag_layout(path, profile, layout, dag_layout)?
+            }
+        })
+    }
+
+    /// Open an existing pool file (written by either backend) through
+    /// this backend's store.
+    pub fn open(self, path: &Path, profile: DeviceProfile) -> Result<Arc<dyn PoolDevice>> {
+        Ok(match self {
+            PoolBackend::File => FileDevice::open(path, profile)?,
+            PoolBackend::Mmap => MmapDevice::open(path, profile)?,
+        })
     }
 }
 
@@ -549,13 +586,6 @@ impl Engine {
         Self::builder_from_source(BuildSource::Corpus(comp.into()))
     }
 
-    /// Renamed alias of [`EngineBuilder::from_files`], kept for one
-    /// release.
-    #[deprecated(since = "0.2.0", note = "renamed to `EngineBuilder::from_files`")]
-    pub fn builder_from_files(files: Vec<(String, String)>) -> EngineBuilder {
-        EngineBuilder::from_files(files)
-    }
-
     fn builder_from_source(source: BuildSource) -> EngineBuilder {
         EngineBuilder {
             source,
@@ -700,7 +730,7 @@ impl Engine {
         let mut capacity = self.estimate_capacity(task);
         loop {
             match self.try_run(task, capacity) {
-                Err(PmemError::PoolExhausted { .. }) if capacity < (1 << 34) => {
+                Err(PmemError::PoolExhausted { .. }) if may_double(capacity) => {
                     capacity *= 2;
                 }
                 other => return other,
@@ -745,7 +775,7 @@ impl Engine {
         let mut capacity = self.estimate_capacity(task);
         loop {
             match self.session_with_capacity(task, capacity, true) {
-                Err(PmemError::PoolExhausted { .. }) if capacity < (1 << 34) => {
+                Err(PmemError::PoolExhausted { .. }) if may_double(capacity) => {
                     capacity *= 2;
                 }
                 Ok(session) => return Ok(ServeSession { session }),
@@ -847,18 +877,18 @@ impl Engine {
     }
 
     fn open_pool_inner(&self, path: &Path, task: Task, serve_mode: bool) -> Result<Session> {
-        if !self.profile.kind.is_persistent() {
-            return Err(PmemError::Unsupported(format!(
-                "file-backed pools require a persistent profile; {} is volatile",
-                self.profile.name
-            )));
-        }
+        // Checked before the stale-pool branch below may delete anything.
+        ntadoc_pmem::poolfile::require_persistent(&self.profile)?;
         if path.exists() {
             // A pool published for a different corpus (e.g. sealed before
             // an append moved the fingerprint) is stale: recover nothing
             // from it and rebuild. Zero means "never published" (crash
-            // before the first persist) and takes the recovery path.
-            let published = ntadoc_pmem::fsck_pool(path).map(|r| r.header.snapshot).unwrap_or(0);
+            // before the first persist) and takes the recovery path, as
+            // does a header that does not read back.
+            let published = std::fs::File::open(path)
+                .map_err(PmemError::from)
+                .and_then(|file| PoolHeader::read(&file))
+                .map_or(0, |header| header.snapshot);
             if published != 0 && published != self.snapshot {
                 let _ = std::fs::remove_file(path);
                 return self.create_pool(path, task, serve_mode);
@@ -873,21 +903,12 @@ impl Engine {
         let mut capacity = self.estimate_capacity(task);
         loop {
             let layout = self.plan_layout(task, capacity);
-            let dag_layout = self.pool_layout.id();
-            let file: Arc<dyn PoolDevice> = match self.pool_backend {
-                PoolBackend::File => FileDevice::create_with_dag_layout(
-                    path,
-                    self.profile.clone(),
-                    layout,
-                    dag_layout,
-                )?,
-                PoolBackend::Mmap => MmapDevice::create_with_dag_layout(
-                    path,
-                    self.profile.clone(),
-                    layout,
-                    dag_layout,
-                )?,
-            };
+            let file = self.pool_backend.create(
+                path,
+                self.profile.clone(),
+                layout,
+                self.pool_layout.id(),
+            )?;
             match self.session_on_device(
                 task,
                 file.twin().clone(),
@@ -896,7 +917,7 @@ impl Engine {
                 serve_mode,
                 Some(file),
             ) {
-                Err(PmemError::PoolExhausted { .. }) if capacity < (1 << 34) => {
+                Err(PmemError::PoolExhausted { .. }) if may_double(capacity) => {
                     // The undersized pool file is abandoned; recreate it
                     // at double capacity (create truncates, but remove
                     // eagerly so a failure between iterations never
@@ -910,10 +931,7 @@ impl Engine {
     }
 
     fn reopen_pool(&self, path: &Path, task: Task, serve_mode: bool) -> Result<Session> {
-        let file: Arc<dyn PoolDevice> = match self.pool_backend {
-            PoolBackend::File => FileDevice::open(path, self.profile.clone())?,
-            PoolBackend::Mmap => MmapDevice::open(path, self.profile.clone())?,
-        };
+        let file = self.pool_backend.open(path, self.profile.clone())?;
         let layout = file.layout();
         // Adopt the layout sealed in the header: the pool is decoded (and,
         // since init deterministically rebuilds it, rewritten) with the

@@ -18,7 +18,6 @@
 
 use ntadoc_pmem::obs::{metrics_from_json, metrics_to_json, MetricValue, MetricsSnapshot};
 use ntadoc_pmem::{AccessStats, Json, SpanNode};
-use serde::Serialize;
 
 use crate::result::Task;
 
@@ -42,7 +41,7 @@ pub const METRIC_SERVE_RATE: &str = "serve.tasks_per_vsec";
 /// tree (Table II's phase breakdown and finer), the metric registry
 /// snapshot (§VI-C space metrics and more), and whole-run device
 /// counters.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct RunReport {
     /// Schema version ([`REPORT_VERSION`]).
     pub version: u32,

@@ -8,9 +8,7 @@
 use std::collections::BTreeMap;
 
 /// The six text-analytics benchmarks.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Task {
     /// Total occurrences of each word across the corpus.
     WordCount,

@@ -10,7 +10,7 @@
 //!
 //! * [`crate::SimDevice`] — the in-memory simulator: full cost model,
 //!   torn-write crash states, fault injection. Every run uses one.
-//! * [`crate::FileDevice`] — a real file on disk, wrapped *around* a
+//! * [`crate::PoolFile`] — a real file on disk, wrapped *around* a
 //!   `SimDevice` twin. All operations forward to the twin (so costs,
 //!   stats, and crash decisions are byte-for-byte identical to a pure
 //!   sim run); a [`crate::DeviceMirror`] hook inside the twin writes

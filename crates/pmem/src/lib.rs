@@ -45,16 +45,16 @@ pub mod cache;
 pub mod device;
 pub mod error;
 pub mod faultsim;
-pub mod filedev;
 pub mod json;
 pub mod ledger;
-pub mod mmapdev;
 pub mod obs;
 pub mod par;
 pub mod persist;
 pub mod pod;
+pub mod poolfile;
 pub mod profile;
 pub mod stats;
+pub mod store;
 
 pub use alloc::PmemPool;
 pub use backend::PmemBackend;
@@ -68,18 +68,18 @@ pub use faultsim::{
     panic_is_injected_crash, run_with_crash_at, sweep_ctx, torn_line_survives, torn_word_survives,
     CrashPoint, CrashRun, Prng, SweepOutcome,
 };
-pub use filedev::{
-    fsck_pool, FileDevice, FsckReport, HostCrashReport, PoolDevice, PoolHeader, PoolLayout,
-    POOL_DATA_AT, POOL_MAGIC, POOL_VERSION,
-};
 pub use json::{Json, JsonError};
 pub use ledger::AllocLedger;
-pub use mmapdev::MmapDevice;
 pub use obs::{MetricRegistry, MetricValue, MetricsSnapshot, Obs, SpanNode};
 pub use persist::{crc64, PhasePersist, TxLog, TxLogInspection};
 pub use pod::Pod;
+pub use poolfile::{
+    fsck_pool, FileDevice, FsckReport, HostCrashReport, MmapDevice, PoolDevice, PoolFile,
+    PoolHeader, PoolLayout, MAX_POOL_CAPACITY, POOL_DATA_AT, POOL_MAGIC, POOL_VERSION,
+};
 pub use profile::{DeviceKind, DeviceProfile};
 pub use stats::AccessStats;
+pub use store::{MmapStore, PwriteStore, StableStore};
 
 /// Convenient result alias for fallible pmem operations.
 pub type Result<T> = std::result::Result<T, PmemError>;

@@ -12,7 +12,7 @@
 //! * [`MetricRegistry`] holds named counters and gauges (allocation
 //!   peaks, cache hit ratio, rehash counts, serve throughput) snapshotted
 //!   into reports;
-//! * [`SpanNode`] / [`MetricValue`] are the serde-stable shapes both end
+//! * [`SpanNode`] / [`MetricValue`] are the schema-stable JSON shapes both end
 //!   up in (`RunReport` v2, the bench `Emitter` schema).
 //!
 //! # Determinism rule
@@ -36,8 +36,6 @@
 
 use std::collections::BTreeMap;
 use std::sync::Mutex;
-
-use serde::{Deserialize, Serialize};
 
 use crate::device::SimDevice;
 use crate::json::Json;
@@ -66,7 +64,7 @@ pub fn labeled(kind: &str, label: impl std::fmt::Display) -> String {
 
 /// One recorded span: a named region of a run with its virtual-time and
 /// device-counter deltas, plus the spans that nested inside it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SpanNode {
     /// Span name ("init", "traversal", "dag-build", …).
     pub name: String,
@@ -76,7 +74,6 @@ pub struct SpanNode {
     /// Device-counter delta over the span (inclusive of children).
     pub stats: AccessStats,
     /// Spans opened while this one was open, in completion order.
-    #[serde(default, skip_serializing_if = "Vec::is_empty")]
     pub children: Vec<SpanNode>,
 }
 
@@ -171,8 +168,7 @@ impl SpanNode {
 }
 
 /// A point-in-time metric value.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-#[serde(tag = "type", content = "value", rename_all = "snake_case")]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum MetricValue {
     /// Monotonic count of events.
     Counter(u64),

@@ -109,10 +109,14 @@ pub struct TxLog {
 }
 
 impl TxLog {
+    /// Smallest log region [`TxLog::new`] accepts: the log header plus one
+    /// empty entry.
+    pub const MIN_CAPACITY: usize = LOG_HEADER as usize + ENTRY_OVERHEAD;
+
     /// Create a transaction log over `[log_base, log_base+log_capacity)`.
     /// The region must not overlap application data.
     pub fn new(dev: Arc<dyn PmemBackend>, log_base: Addr, log_capacity: usize) -> Self {
-        assert!(log_capacity >= LOG_HEADER as usize + ENTRY_OVERHEAD, "log region too small");
+        assert!(log_capacity >= Self::MIN_CAPACITY, "log region too small");
         TxLog {
             dev,
             log_base,

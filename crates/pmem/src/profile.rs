@@ -9,11 +9,9 @@
 //! Absolute values matter less than the *ratios* between devices — those are
 //! what determine the shape of every experiment.
 
-use serde::{Deserialize, Serialize};
-
 /// Broad class of the simulated device. Used by the allocation ledger to
 /// attribute resident bytes (the DRAM space-savings experiment, §VI-C).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DeviceKind {
     /// Volatile DRAM.
     Dram,
@@ -51,7 +49,7 @@ impl std::fmt::Display for DeviceKind {
 }
 
 /// Cost model parameters for one simulated device.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeviceProfile {
     /// Human-readable name used in experiment output.
     pub name: &'static str,

@@ -1,7 +1,5 @@
 //! Access statistics and the virtual clock.
 
-use serde::{Deserialize, Serialize};
-
 use crate::json::Json;
 
 /// Counters accumulated by a [`crate::SimDevice`].
@@ -9,7 +7,7 @@ use crate::json::Json;
 /// `virtual_ns` is the model time: the sum of the costs of every access,
 /// miss, write-back, flush and fence the device has served. Experiments
 /// report differences of snapshots of this value.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AccessStats {
     /// Read operations issued (typed loads and bulk reads each count once).
     pub reads: u64,

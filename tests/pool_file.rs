@@ -11,7 +11,8 @@ use std::path::PathBuf;
 
 use ntadoc_repro::{
     compress_corpus, fsck_pool, panic_is_injected_crash, Compressed, DeviceProfile, Engine,
-    EngineConfig, PmemError, PoolBackend, Task, TokenizerConfig, POOL_DATA_AT,
+    EngineConfig, PmemError, PoolBackend, PoolHeader, PoolLayout, Task, TokenizerConfig,
+    POOL_DATA_AT,
 };
 
 fn corpus() -> Compressed {
@@ -127,15 +128,56 @@ fn reopen_after_torn_commit_rolls_back_and_converges() {
 fn corrupt_headers_are_rejected_not_misread() {
     let pool = tmp_pool("header");
     let _ = std::fs::remove_file(&pool);
-    let eng = engine(EngineConfig::ntadoc());
-    drop(eng.open_pool(&pool, Task::WordCount).unwrap());
+    drop(engine(EngineConfig::ntadoc()).open_pool(&pool, Task::WordCount).unwrap());
+    let clean = std::fs::read(&pool).unwrap();
+    let header = fsck_pool(&pool).unwrap().header;
+    let good = header.layout;
 
-    // Flip one byte inside the sealed header region.
-    let mut bytes = std::fs::read(&pool).unwrap();
-    bytes[12] ^= 0xFF;
-    std::fs::write(&pool, &bytes).unwrap();
-    assert!(eng.open_pool(&pool, Task::WordCount).is_err(), "corrupt header must not open");
-    assert!(fsck_pool(&pool).is_err(), "fsck must reject a corrupt header");
+    // One flipped byte inside the sealed region, then two headers whose
+    // CRC is *valid*: regions that wrap around to "consistent", and a
+    // capacity no allocator could back.
+    let mut flipped = header.to_bytes();
+    flipped[12] ^= 0xFF;
+    let sealed = |layout| PoolHeader { layout, ..header }.to_bytes();
+    let cases = [
+        ("flipped byte", flipped),
+        (
+            "wrapping regions",
+            sealed(PoolLayout {
+                main_len: u64::MAX,
+                scratch_len: 1,
+                log_len: good.capacity,
+                ..good
+            }),
+        ),
+        (
+            "absurd capacity",
+            sealed(PoolLayout {
+                capacity: 1 << 60,
+                main_len: (1 << 60) - good.scratch_len - good.log_len,
+                ..good
+            }),
+        ),
+    ];
+    for (what, head) in cases {
+        let mut bytes = clean.clone();
+        bytes[..head.len()].copy_from_slice(&head);
+        std::fs::write(&pool, &bytes).unwrap();
+        assert!(
+            matches!(fsck_pool(&pool), Err(PmemError::CorruptImage(_))),
+            "{what}: fsck must reject the header"
+        );
+        for backend in [PoolBackend::File, PoolBackend::Mmap] {
+            let opened =
+                engine_on(EngineConfig::ntadoc(), backend).open_pool(&pool, Task::WordCount);
+            assert!(
+                matches!(opened, Err(PmemError::CorruptImage(_))),
+                "{what}: the {} backend must not open the pool",
+                backend.name()
+            );
+        }
+        assert_eq!(std::fs::read(&pool).unwrap(), bytes, "{what}: a refused open wrote the file");
+    }
     let _ = std::fs::remove_file(&pool);
 }
 
@@ -238,6 +280,40 @@ fn pool_files_are_interchangeable_between_backends() {
         );
     }
     let _ = std::fs::remove_file(&pool);
+}
+
+#[test]
+fn verifying_while_another_thread_fences_does_not_deadlock() {
+    // The mirror hooks take the twin's state lock, then the file's; a
+    // verify that held the file's lock while reading the twin would wait
+    // on a fencing thread forever. (What a mid-fence verify *returns* is
+    // not pinned: it is only meaningful at durability points.)
+    for backend in [PoolBackend::File, PoolBackend::Mmap] {
+        let pool = tmp_pool(&format!("lockorder-{}", backend.name()));
+        let layout =
+            PoolLayout { capacity: 1 << 16, main_len: 1 << 16, scratch_len: 0, log_len: 0 };
+        let dev = backend.create(&pool, DeviceProfile::nvm_optane(), layout, 0).unwrap();
+        let (done, finished) = std::sync::mpsc::channel();
+        let verifier = dev.clone();
+        std::thread::spawn(move || {
+            let fencer = verifier.clone();
+            let fencing = std::thread::spawn(move || {
+                for i in 0..4000u64 {
+                    fencer.twin().write_u64((i % 64) * 256, i);
+                    fencer.twin().persist((i % 64) * 256, 8);
+                }
+            });
+            while !fencing.is_finished() {
+                let _ = verifier.verify_file_matches_device();
+            }
+            done.send(()).unwrap();
+        });
+        finished
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .unwrap_or_else(|_| panic!("{backend:?}: verify and fence deadlocked"));
+        dev.verify_file_matches_device().unwrap();
+        let _ = std::fs::remove_file(&pool);
+    }
 }
 
 #[test]

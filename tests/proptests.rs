@@ -354,7 +354,7 @@ proptest! {
         crash_after in 0usize..24,
         seed in 0u64..10000,
     ) {
-        use ntadoc_repro::{FileDevice, PmemBackend, PoolLayout, TxLog};
+        use ntadoc_repro::{FileDevice, PmemBackend, PoolDevice, PoolLayout, TxLog};
         let layout = PoolLayout {
             capacity: 1 << 16,
             main_len: (1 << 16) - 8192,
