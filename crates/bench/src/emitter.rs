@@ -210,6 +210,12 @@ pub fn summary_entry(doc: &Json) -> Json {
     Json::Obj(entry)
 }
 
+/// Experiments whose binaries were deleted. A summary (or a stale
+/// document under `target/experiments/`) written before the deletion
+/// still names them, and the preserving merge below would otherwise carry
+/// their headlines forward forever.
+const RETIRED_EXPERIMENTS: [&str; 1] = ["bufmgr_bench"];
+
 /// Merge experiment entries into the summary file at `path` and return
 /// the written document.
 ///
@@ -218,9 +224,10 @@ pub fn summary_entry(doc: &Json) -> Json {
 /// That preservation is load-bearing for the `report` binary: it only
 /// sees the documents currently under `target/experiments/`, so a
 /// partial re-run (one bench binary, then `report`) must not erase the
-/// headlines of experiments whose documents were cleaned away. A
-/// missing or unreadable existing file starts fresh rather than
-/// failing the run.
+/// headlines of experiments whose documents were cleaned away — except
+/// those of `RETIRED_EXPERIMENTS`, which are dropped whichever side
+/// they come from. A missing or unreadable existing file starts fresh
+/// rather than failing the run.
 pub fn merge_summary_entries(
     path: &Path,
     entries: impl IntoIterator<Item = (String, Json)>,
@@ -236,6 +243,7 @@ pub fn merge_summary_entries(
     for (name, entry) in entries {
         experiments.insert(name, entry);
     }
+    experiments.retain(|name, _| !RETIRED_EXPERIMENTS.contains(&name.as_str()));
     summary.insert("experiments".to_string(), Json::Obj(experiments));
     let doc = Json::Obj(summary);
     std::fs::write(path, doc.pretty()).expect("write bench summary");
@@ -311,7 +319,11 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("BENCH_summary.json");
 
-        // Seed the summary with two experiments' headlines.
+        // A summary left over from before `bufmgr_bench` was deleted...
+        let stale = r#"{"schema_version":1,"experiments":{"bufmgr_bench":{"dram_hit_rate":0.86}}}"#;
+        std::fs::write(&path, stale).unwrap();
+
+        // ...gains two experiments' headlines.
         merge_summary_entries(
             &path,
             [
@@ -332,6 +344,7 @@ mod tests {
 
         let exps = merged.get("experiments").and_then(Json::as_obj).unwrap();
         assert_eq!(exps.len(), 3, "fig6 must survive the partial regeneration");
+        assert!(!exps.contains_key("bufmgr_bench"), "a retired experiment must not resurrect");
         assert_eq!(
             exps["fig5"].get("speedup_geomean").and_then(Json::as_f64),
             Some(2.2),

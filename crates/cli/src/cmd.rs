@@ -21,7 +21,7 @@ pub const USAGE: &str = "usage:
   ntadoc run <task> <corpus.ntdc> [--device nvm|dram|ssd|hdd|reram|pcm]
              [--persistence phase|op] [--naive] [--top N] [--ngram N]
              [--trace-out <report.json>] [--pool <pool.ntdp>] [--backend file|mmap]
-             [--layout fixed|fixed-pad|varint|split|packed]
+             [--layout fixed|varint]
   ntadoc search <corpus.ntdc> <word>...
   ntadoc extract <corpus.ntdc> <file#> <offset> <len>
   ntadoc decompress <corpus.ntdc> [-d <outdir>]
@@ -287,7 +287,7 @@ fn run(args: &[String]) -> CmdResult {
     let mut trace_out: Option<PathBuf> = None;
     let mut pool: Option<PathBuf> = None;
     let mut backend = PoolBackend::File;
-    let mut layout = PoolLayoutConfig::legacy();
+    let mut layout = PoolLayoutConfig::Fixed;
     let mut i = 2;
     while i < args.len() {
         match args[i].as_str() {
@@ -301,9 +301,9 @@ fn run(args: &[String]) -> CmdResult {
                 i += 2;
             }
             "--layout" => {
-                let name =
-                    args.get(i + 1).ok_or("--layout needs fixed|fixed-pad|varint|split|packed")?;
-                layout = PoolLayoutConfig::parse(name).ok_or(format!("bad --layout `{name}`"))?;
+                let name = args.get(i + 1).ok_or("--layout needs fixed|varint")?;
+                layout = PoolLayoutConfig::parse(name)
+                    .ok_or(format!("bad --layout `{name}` (want fixed|varint)"))?;
                 i += 2;
             }
             "--device" => {

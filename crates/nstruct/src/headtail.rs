@@ -9,11 +9,7 @@
 //!
 //! The store is laid out as two dense `u32` matrices (`rules × width`) plus
 //! per-rule lengths, all bump-allocated adjacently so a rule's head and
-//! tail live in the same few media lines. Under the 16-byte-padded layout
-//! ([`HeadTailStore::with_padding`]) each row starts at a 16 B boundary and
-//! is sized in 16 B units, so assembly and traversal can move whole rows
-//! with wide-register copies; [`HeadTailStore::fill_rows`] then writes each
-//! matrix with a single bulk store instead of one write per rule.
+//! tail live in the same few media lines.
 
 use std::sync::Arc;
 
@@ -24,9 +20,6 @@ pub struct HeadTailStore {
     pool: Arc<PmemPool>,
     /// Words kept at each end of each rule (= n − 1 for n-gram tasks).
     width: usize,
-    /// Row stride in `u32`s (= `width`, or `width` rounded up to a 16 B
-    /// multiple under padding).
-    stride: usize,
     rules: usize,
     heads: Addr,
     tails: Addr,
@@ -37,37 +30,12 @@ pub struct HeadTailStore {
 impl HeadTailStore {
     /// Allocate buffers for `rules` rules with `width` words per end.
     pub fn new(pool: Arc<PmemPool>, rules: usize, width: usize) -> Result<Self> {
-        Self::with_padding(pool, rules, width, false)
-    }
-
-    /// Row stride in `u32`s for `width`-word rows: `width` plain, or
-    /// rounded up to a whole number of 16 B units under padding.
-    pub fn stride_words(width: usize, pad16: bool) -> usize {
         let width = width.max(1);
-        if pad16 {
-            (width * 4).div_ceil(16) * 4
-        } else {
-            width
-        }
-    }
-
-    /// Like [`HeadTailStore::new`], optionally padding each row to a 16 B
-    /// boundary (start and size) so wide copies stay inside the
-    /// allocation.
-    pub fn with_padding(
-        pool: Arc<PmemPool>,
-        rules: usize,
-        width: usize,
-        pad16: bool,
-    ) -> Result<Self> {
-        let width = width.max(1);
-        let stride = Self::stride_words(width, pad16);
-        let align = if pad16 { 16 } else { 4 };
-        let heads = pool.alloc(rules * stride * 4, align)?;
-        let tails = pool.alloc(rules * stride * 4, align)?;
+        let heads = pool.alloc(rules * width * 4, 4)?;
+        let tails = pool.alloc(rules * width * 4, 4)?;
         let head_lens = pool.alloc_array(rules, 4)?;
         let tail_lens = pool.alloc_array(rules, 4)?;
-        Ok(HeadTailStore { pool, width, stride, rules, heads, tails, head_lens, tail_lens })
+        Ok(HeadTailStore { pool, width, rules, heads, tails, head_lens, tail_lens })
     }
 
     /// Words kept per end.
@@ -75,9 +43,10 @@ impl HeadTailStore {
         self.width
     }
 
-    /// Row stride in `u32`s (≥ [`HeadTailStore::width`]).
+    /// Row stride in `u32`s: rows are dense, so this is
+    /// [`HeadTailStore::width`].
     pub fn stride(&self) -> usize {
-        self.stride
+        self.width
     }
 
     /// Number of rules the store covers.
@@ -89,7 +58,7 @@ impl HeadTailStore {
     pub fn set_head(&self, r: usize, words: &[u32]) {
         assert!(r < self.rules && words.len() <= self.width);
         let dev = self.pool.dev();
-        dev.write_u32_slice(self.heads + (r * self.stride * 4) as u64, words);
+        dev.write_u32_slice(self.heads + (r * self.width * 4) as u64, words);
         dev.write_u32(self.head_lens + (r * 4) as u64, words.len() as u32);
     }
 
@@ -97,14 +66,14 @@ impl HeadTailStore {
     pub fn set_tail(&self, r: usize, words: &[u32]) {
         assert!(r < self.rules && words.len() <= self.width);
         let dev = self.pool.dev();
-        dev.write_u32_slice(self.tails + (r * self.stride * 4) as u64, words);
+        dev.write_u32_slice(self.tails + (r * self.width * 4) as u64, words);
         dev.write_u32(self.tail_lens + (r * 4) as u64, words.len() as u32);
     }
 
     /// Bulk assembly: write both matrices and both length arrays with one
-    /// device store each. The flats are row-major `rules × stride` (pad
-    /// slots don't-care but must be present); lengths are per-rule word
-    /// counts `≤ width`.
+    /// device store each. The flats are row-major `rules × width` (slots
+    /// past a row's length are don't-care but must be present); lengths are
+    /// per-rule word counts `≤ width`.
     pub fn fill_rows(
         &self,
         heads_flat: &[u32],
@@ -112,8 +81,8 @@ impl HeadTailStore {
         tails_flat: &[u32],
         tail_lens: &[u32],
     ) {
-        assert_eq!(heads_flat.len(), self.rules * self.stride);
-        assert_eq!(tails_flat.len(), self.rules * self.stride);
+        assert_eq!(heads_flat.len(), self.rules * self.width);
+        assert_eq!(tails_flat.len(), self.rules * self.width);
         assert_eq!(head_lens.len(), self.rules);
         assert_eq!(tail_lens.len(), self.rules);
         debug_assert!(head_lens.iter().chain(tail_lens).all(|&l| l as usize <= self.width));
@@ -130,7 +99,7 @@ impl HeadTailStore {
         let dev = self.pool.dev();
         let len = dev.read_u32(self.head_lens + (r * 4) as u64) as usize;
         let mut out = vec![0u32; len];
-        dev.read_u32_slice(self.heads + (r * self.stride * 4) as u64, &mut out);
+        dev.read_u32_slice(self.heads + (r * self.width * 4) as u64, &mut out);
         out
     }
 
@@ -140,7 +109,7 @@ impl HeadTailStore {
         let dev = self.pool.dev();
         let len = dev.read_u32(self.tail_lens + (r * 4) as u64) as usize;
         let mut out = vec![0u32; len];
-        dev.read_u32_slice(self.tails + (r * self.stride * 4) as u64, &mut out);
+        dev.read_u32_slice(self.tails + (r * self.width * 4) as u64, &mut out);
         out
     }
 
@@ -148,15 +117,15 @@ impl HeadTailStore {
     /// (`{label}.capacity_bytes` peak gauge — both matrices plus the two
     /// length arrays). Idempotent: safe to call at every snapshot point.
     pub fn observe(&self, metrics: &ntadoc_pmem::MetricRegistry, label: &str) {
-        let bytes = 2 * self.rules * self.stride * 4 + 2 * self.rules * 4;
+        let bytes = 2 * self.rules * self.width * 4 + 2 * self.rules * 4;
         metrics.gauge_max(&format!("{label}.capacity_bytes"), bytes as f64);
     }
 
     /// Flush + fence the whole store (phase-level persistence).
     pub fn persist(&self) {
         let dev = self.pool.dev();
-        dev.flush(self.heads, self.rules * self.stride * 4);
-        dev.flush(self.tails, self.rules * self.stride * 4);
+        dev.flush(self.heads, self.rules * self.width * 4);
+        dev.flush(self.tails, self.rules * self.width * 4);
         dev.flush(self.head_lens, self.rules * 4);
         dev.flush(self.tail_lens, self.rules * 4);
         dev.fence();
@@ -168,7 +137,6 @@ impl std::fmt::Debug for HeadTailStore {
         f.debug_struct("HeadTailStore")
             .field("rules", &self.rules)
             .field("width", &self.width)
-            .field("stride", &self.stride)
             .finish()
     }
 }
@@ -238,24 +206,6 @@ mod tests {
         s.persist();
         pool.dev().crash();
         assert_eq!(s.head(0), vec![7, 8]);
-    }
-
-    #[test]
-    fn padded_store_rounds_rows_to_16_bytes() {
-        let pool = Arc::new(PmemPool::over_whole(Arc::new(SimDevice::new(
-            DeviceProfile::nvm_optane(),
-            1 << 20,
-        ))));
-        let s = HeadTailStore::with_padding(pool, 3, 3, true).unwrap();
-        assert_eq!(s.stride(), 4); // 3 words → 12 B → one 16 B unit
-        s.set_head(0, &[1, 2, 3]);
-        s.set_head(1, &[4]);
-        s.set_tail(2, &[5, 6]);
-        assert_eq!(s.head(0), vec![1, 2, 3]);
-        assert_eq!(s.head(1), vec![4]);
-        assert_eq!(s.tail(2), vec![5, 6]);
-        assert_eq!(HeadTailStore::stride_words(5, true), 8); // 20 B → 32 B
-        assert_eq!(HeadTailStore::stride_words(5, false), 5);
     }
 
     #[test]

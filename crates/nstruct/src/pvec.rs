@@ -53,27 +53,6 @@ impl<T: Pod> PVec<T> {
         })
     }
 
-    /// Allocate a vector with room for at least `cap` elements, with the
-    /// region start aligned to `align` bytes (a power of two ≥ the element
-    /// size's natural alignment) and the region size rounded up to a whole
-    /// number of `align`-byte units, so wide-register copies can read the
-    /// tail of the region without leaving the allocation. The rounding
-    /// slack is granted as extra capacity.
-    pub fn with_capacity_aligned(pool: Arc<PmemPool>, cap: usize, align: u64) -> Result<Self> {
-        debug_assert!(align.is_power_of_two());
-        let cap = cap.max(1);
-        let bytes = (cap * T::SIZE).div_ceil(align as usize) * align as usize;
-        let base = pool.alloc(bytes, align)?;
-        Ok(PVec {
-            pool,
-            base: Cell::new(base),
-            len: Cell::new(0),
-            cap: Cell::new(bytes / T::SIZE),
-            reconstructions: Cell::new(0),
-            _marker: PhantomData,
-        })
-    }
-
     /// Element count.
     pub fn len(&self) -> usize {
         self.len.get()
@@ -314,20 +293,6 @@ mod tests {
         assert_eq!(v.len(), 51);
         assert_eq!(v.get(0), 7);
         assert_eq!(v.get(50), 49);
-    }
-
-    #[test]
-    fn aligned_ctor_aligns_base_and_rounds_capacity() {
-        let p = pool();
-        p.alloc(3, 1).unwrap(); // knock the bump pointer off alignment
-        let v: PVec<u32> = PVec::with_capacity_aligned(p, 5, 16).unwrap();
-        assert_eq!(v.base_addr() % 16, 0);
-        assert_eq!(v.capacity(), 8); // 20 B rounds to 32 B = 8 u32s
-        for i in 0..8u32 {
-            v.push(i).unwrap();
-        }
-        assert_eq!(v.reconstructions(), 0);
-        assert_eq!(v.to_vec(), (0..8).collect::<Vec<_>>());
     }
 
     #[test]

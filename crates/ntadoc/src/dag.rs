@@ -27,7 +27,7 @@ use ntadoc_nstruct::HeadTailStore;
 use ntadoc_pmem::{Addr, PmemError, PmemPool, SimDevice};
 
 use crate::layout::{
-    decode_pairs, decode_wordlist, encode_pairs, encode_wordlist, IdEncoding, PoolLayoutConfig,
+    decode_pairs, decode_wordlist, encode_pairs, encode_wordlist, PoolLayoutConfig,
 };
 use crate::summation::HeadTailInfo;
 use crate::Result;
@@ -138,9 +138,9 @@ pub struct DagBuildOptions {
     /// `pmemobj_alloc`; N-TADOC's pool management replaces this with bump
     /// allocation.
     pub alloc_overhead_ns: u64,
-    /// Element layout/encoding (id encoding, 16 B padding, line-conscious
-    /// placement). [`PoolLayoutConfig::legacy`] reproduces the pre-layout
-    /// pool byte-for-byte.
+    /// Id encoding of the pruned views and word-list caches.
+    /// [`PoolLayoutConfig::Fixed`] reproduces the pre-layout pool
+    /// byte-for-byte.
     pub layout: PoolLayoutConfig,
 }
 
@@ -152,7 +152,7 @@ impl Default for DagBuildOptions {
             bounds: None,
             head_tail: None,
             alloc_overhead_ns: 0,
-            layout: PoolLayoutConfig::legacy(),
+            layout: PoolLayoutConfig::Fixed,
         }
     }
 }
@@ -200,96 +200,60 @@ impl DagPool {
             v
         };
 
-        #[derive(PartialEq)]
-        enum RulePass {
-            /// Legacy interleave: body and view written together per rule.
-            Both,
-            /// Placement pass 1: bodies (and per-rule scalar metadata).
-            Bodies,
-            /// Placement pass 2: pruned views, co-located back to back.
-            Views,
-        }
-
         let line = dev.profile().line_size;
         let lay = opts.layout;
-        // Layout-aware group allocation: legacy alignment when nothing is
-        // requested, 16 B starts under padding, minimal-line placement
-        // under the placement pass. The pass's contract — no avoidable
-        // line straddle — is asserted inside `alloc_in_lines`.
-        let alloc_group = |len: usize| -> Result<Addr> {
-            let size = lay.group_size(len).max(1);
-            let align = lay.group_align().max(8);
-            if lay.line_pack {
-                pool.alloc_in_lines(size, align, line as u64)
-            } else {
-                pool.alloc(size, align)
+        for &r in &order {
+            let rule = &comp.grammar.rules[r as usize];
+            if !opts.adjacent {
+                // Allocator slop: skip to the next line boundary plus a
+                // pseudo-random gap, destroying adjacency; plus the
+                // per-object cost of the general-purpose persistent
+                // allocator this layout implies.
+                let gap = line + (r as usize * 37) % (2 * line);
+                let _ = pool.alloc(gap, 1)?;
+                dev.charge_ns(2 * opts.alloc_overhead_ns);
             }
-        };
-        // The placement pass segregates the pruned views from the rule
-        // bodies: a pruned traversal reads only the views, so co-locating
-        // consecutive rules' (small) views lets many of them share one
-        // media line instead of each sitting on a line of body data. The
-        // legacy layout keeps the historical body/view interleave.
-        let passes: &[RulePass] =
-            if lay.line_pack { &[RulePass::Bodies, RulePass::Views] } else { &[RulePass::Both] };
-        for pass in passes {
-            for &r in &order {
-                let rule = &comp.grammar.rules[r as usize];
-                if !opts.adjacent && *pass != RulePass::Views {
-                    // Allocator slop: skip to the next line boundary plus a
-                    // pseudo-random gap, destroying adjacency; plus the
-                    // per-object cost of the general-purpose persistent
-                    // allocator this layout implies.
-                    let gap = line + (r as usize * 37) % (2 * line);
-                    let _ = pool.alloc(gap, 1)?;
-                    dev.charge_ns(2 * opts.alloc_overhead_ns);
-                }
-                if *pass != RulePass::Views {
-                    // Ordered body (always present; sequence tasks and the
-                    // R0 file walk need symbol order; fixed-width always —
-                    // tasks index it).
-                    let body_addr = alloc_group(rule.symbols.len().max(1) * 4)?;
-                    let raw: Vec<u32> = rule.symbols.iter().map(|s| s.raw()).collect();
-                    dev.write_u32_slice(body_addr, &raw);
-                    dev.write_u64(meta.body_off + r as u64 * 8, body_addr);
-                    dev.write_u32(
-                        meta.body_len + r as u64 * 4,
-                        len_u32("rule body length", rule.symbols.len())?,
-                    );
-                    // Weight starts at zero; bounds and expansion metadata
-                    // below.
-                    dev.write_u64(meta.weight + r as u64 * 8, 0);
-                }
+            // Ordered body (always present; sequence tasks and the R0 file
+            // walk need symbol order; fixed-width always — tasks index it).
+            let body_addr = pool.alloc(rule.symbols.len().max(1) * 4, 8)?;
+            let raw: Vec<u32> = rule.symbols.iter().map(|s| s.raw()).collect();
+            dev.write_u32_slice(body_addr, &raw);
+            dev.write_u64(meta.body_off + r as u64 * 8, body_addr);
+            dev.write_u32(
+                meta.body_len + r as u64 * 4,
+                len_u32("rule body length", rule.symbols.len())?,
+            );
+            // Weight starts at zero; bounds and expansion metadata below.
+            dev.write_u64(meta.weight + r as u64 * 8, 0);
 
-                // Pruned view (Algorithm 1): subrule half first (weight
-                // propagation reads just that prefix), then the word half,
-                // each encoded per the configured id encoding. The length
-                // table carries element counts for the fixed encoding (byte
-                // lengths are derivable) and encoded byte lengths for the
-                // dense encodings (counts are derivable from the decode).
-                if opts.pruned && *pass != RulePass::Bodies {
-                    let (subs, words) = prune_rule(&rule.symbols);
-                    let mut sub_bytes = Vec::new();
-                    encode_pairs(lay.encoding, &subs, &mut sub_bytes)?;
-                    let word_at = sub_bytes.len();
-                    let mut bytes = sub_bytes;
-                    encode_pairs(lay.encoding, &words, &mut bytes)?;
-                    let addr = alloc_group(bytes.len())?;
-                    dev.write_bytes(addr, &bytes);
-                    dev.write_u64(meta.pruned_off + r as u64 * 8, addr);
-                    let (a, b) = match lay.encoding {
-                        IdEncoding::FixedU32 => (
-                            len_u32("pruned subrule count", subs.len())?,
-                            len_u32("pruned word count", words.len())?,
-                        ),
-                        _ => (
-                            len_u32("pruned subrule bytes", word_at)?,
-                            len_u32("pruned word bytes", bytes.len() - word_at)?,
-                        ),
-                    };
-                    dev.write_u32(meta.nsub + r as u64 * 4, a);
-                    dev.write_u32(meta.nwords + r as u64 * 4, b);
-                }
+            // Pruned view (Algorithm 1): subrule half first (weight
+            // propagation reads just that prefix), then the word half,
+            // each encoded per the pool layout. The length table carries
+            // element counts for the fixed layout (byte lengths are
+            // derivable) and encoded byte lengths for varint (counts are
+            // derivable from the decode).
+            if opts.pruned {
+                let (subs, words) = prune_rule(&rule.symbols);
+                let mut sub_bytes = Vec::new();
+                encode_pairs(lay, &subs, &mut sub_bytes)?;
+                let word_at = sub_bytes.len();
+                let mut bytes = sub_bytes;
+                encode_pairs(lay, &words, &mut bytes)?;
+                let addr = pool.alloc(bytes.len().max(1), 8)?;
+                dev.write_bytes(addr, &bytes);
+                dev.write_u64(meta.pruned_off + r as u64 * 8, addr);
+                let (a, b) = match lay {
+                    PoolLayoutConfig::Fixed => (
+                        len_u32("pruned subrule count", subs.len())?,
+                        len_u32("pruned word count", words.len())?,
+                    ),
+                    PoolLayoutConfig::Varint => (
+                        len_u32("pruned subrule bytes", word_at)?,
+                        len_u32("pruned word bytes", bytes.len() - word_at)?,
+                    ),
+                };
+                dev.write_u32(meta.nsub + r as u64 * 4, a);
+                dev.write_u32(meta.nwords + r as u64 * 4, b);
             }
         }
 
@@ -329,21 +293,13 @@ impl DagPool {
         }
         dev.write_bytes(dict_bytes, &text);
 
-        // Head/tail buffers. Under the padded layout the rows are
-        // 16 B-aligned and both matrices are assembled host-side and
-        // written with one wide store each; the legacy layout keeps the
-        // historical per-rule write pattern (and its charges).
+        // Head/tail buffers.
         let headtail = match (opts.head_tail, info) {
             (Some(width), Some(info)) => {
-                let store = HeadTailStore::with_padding(pool.clone(), nrules, width, lay.pad16)?;
-                if lay.pad16 {
-                    let (hf, hl, tf, tl) = info.flat_rows(store.stride());
-                    store.fill_rows(&hf, &hl, &tf, &tl);
-                } else {
-                    for r in 0..nrules {
-                        store.set_head(r, &info.heads[r]);
-                        store.set_tail(r, &info.tails[r]);
-                    }
+                let store = HeadTailStore::new(pool.clone(), nrules, width)?;
+                for r in 0..nrules {
+                    store.set_head(r, &info.heads[r]);
+                    store.set_tail(r, &info.tails[r]);
                 }
                 Some(store)
             }
@@ -371,8 +327,8 @@ impl DagPool {
     }
 
     /// Charge the modeled host-CPU decode cost for a group of `entries`
-    /// values spanning `bytes` encoded bytes (wide copies under padding,
-    /// serial continuation-bit chains under VBE — see
+    /// values spanning `bytes` encoded bytes (per value when fixed-width,
+    /// a serial continuation-bit chain under VBE — see
     /// [`PoolLayoutConfig::decode_ns`]).
     fn charge_decode(&self, entries: usize, bytes: usize) {
         let ns = self.layout.decode_ns(entries as u64, bytes as u64);
@@ -451,8 +407,8 @@ impl DagPool {
         let off = self.dev.read_u64(self.meta.pruned_off + r as u64 * 8);
         let a = self.dev.read_u32(self.meta.nsub + r as u64 * 4) as usize;
         let b = self.dev.read_u32(self.meta.nwords + r as u64 * 4) as usize;
-        match self.layout.encoding {
-            IdEncoding::FixedU32 => {
+        match self.layout {
+            PoolLayoutConfig::Fixed => {
                 let mut flat = vec![0u32; (a + b) * 2];
                 self.dev.read_u32_slice(off, &mut flat);
                 self.charge_decode(a + b, (a + b) * 8);
@@ -460,7 +416,7 @@ impl DagPool {
                 let words = flat[a * 2..].chunks_exact(2).map(|c| (c[0], c[1])).collect();
                 (subs, words)
             }
-            enc => {
+            enc @ PoolLayoutConfig::Varint => {
                 let mut bytes = vec![0u8; a + b];
                 self.dev.read_bytes(off, &mut bytes);
                 let subs = decode_pairs(enc, &bytes[..a]).expect("pool-resident subrule half");
@@ -478,14 +434,14 @@ impl DagPool {
         assert!(self.has_pruned, "pool built without pruned views");
         let off = self.dev.read_u64(self.meta.pruned_off + r as u64 * 8);
         let a = self.dev.read_u32(self.meta.nsub + r as u64 * 4) as usize;
-        match self.layout.encoding {
-            IdEncoding::FixedU32 => {
+        match self.layout {
+            PoolLayoutConfig::Fixed => {
                 let mut flat = vec![0u32; a * 2];
                 self.dev.read_u32_slice(off, &mut flat);
                 self.charge_decode(a, a * 8);
                 flat.chunks_exact(2).map(|c| (c[0], c[1])).collect()
             }
-            enc => {
+            enc @ PoolLayoutConfig::Varint => {
                 let mut bytes = vec![0u8; a];
                 self.dev.read_bytes(off, &mut bytes);
                 let subs = decode_pairs(enc, &bytes).expect("pool-resident subrule half");
@@ -501,14 +457,14 @@ impl DagPool {
         let off = self.dev.read_u64(self.meta.pruned_off + r as u64 * 8);
         let a = self.dev.read_u32(self.meta.nsub + r as u64 * 4) as usize;
         let b = self.dev.read_u32(self.meta.nwords + r as u64 * 4) as usize;
-        match self.layout.encoding {
-            IdEncoding::FixedU32 => {
+        match self.layout {
+            PoolLayoutConfig::Fixed => {
                 let mut flat = vec![0u32; b * 2];
                 self.dev.read_u32_slice(off + a as u64 * 8, &mut flat);
                 self.charge_decode(b, b * 8);
                 flat.chunks_exact(2).map(|c| (c[0], c[1])).collect()
             }
-            enc => {
+            enc @ PoolLayoutConfig::Varint => {
                 let mut bytes = vec![0u8; b];
                 self.dev.read_bytes(off + a as u64, &mut bytes);
                 let words = decode_pairs(enc, &bytes).expect("pool-resident word half");
@@ -539,23 +495,18 @@ impl DagPool {
     /// Returns the region written so callers can wire persistence to it.
     /// The `wl_len` table records the entry count under the fixed
     /// encoding (12 B packed entries, the legacy form) and the encoded
-    /// byte length under the dense encodings.
+    /// byte length under varint.
     pub fn store_wordlist(&self, r: u32, entries: &[(u32, u64)]) -> Result<(Addr, usize)> {
         let lay = self.layout;
         let mut bytes = Vec::with_capacity(entries.len() * 12);
-        encode_wordlist(lay.encoding, entries, &mut bytes)?;
-        let size = lay.group_size(bytes.len()).max(if lay.pad16 { 16 } else { 12 });
-        let align = lay.group_align();
-        let addr = if lay.line_pack {
-            self.pool.alloc_in_lines(size, align, self.dev.profile().line_size as u64)?
-        } else {
-            self.pool.alloc(size, align)?
-        };
+        encode_wordlist(lay, entries, &mut bytes)?;
+        let size = bytes.len().max(12);
+        let addr = self.pool.alloc(size, 4)?;
         self.dev.write_bytes(addr, &bytes);
         self.dev.write_u64(self.meta.wl_off + r as u64 * 8, addr);
-        let recorded = match lay.encoding {
-            IdEncoding::FixedU32 => len_u32("word-list entry count", entries.len())?,
-            _ => len_u32("word-list byte length", bytes.len())?,
+        let recorded = match lay {
+            PoolLayoutConfig::Fixed => len_u32("word-list entry count", entries.len())?,
+            PoolLayoutConfig::Varint => len_u32("word-list byte length", bytes.len())?,
         };
         self.dev.write_u32(self.meta.wl_len + r as u64 * 4, recorded);
         Ok((addr, bytes.len()))
@@ -568,14 +519,13 @@ impl DagPool {
         if len == 0 {
             return Vec::new();
         }
-        let nbytes = match self.layout.encoding {
-            IdEncoding::FixedU32 => len * 12,
-            _ => len,
+        let nbytes = match self.layout {
+            PoolLayoutConfig::Fixed => len * 12,
+            PoolLayoutConfig::Varint => len,
         };
         let mut bytes = vec![0u8; nbytes];
         self.dev.read_bytes(addr, &mut bytes);
-        let entries =
-            decode_wordlist(self.layout.encoding, &bytes).expect("pool-resident word list");
+        let entries = decode_wordlist(self.layout, &bytes).expect("pool-resident word list");
         self.charge_decode(entries.len() * 2, nbytes);
         entries
     }
@@ -642,7 +592,7 @@ mod tests {
     }
 
     fn build(comp: &Compressed, pruned: bool, adjacent: bool) -> DagPool {
-        build_with_layout(comp, pruned, adjacent, PoolLayoutConfig::legacy())
+        build_with_layout(comp, pruned, adjacent, PoolLayoutConfig::Fixed)
     }
 
     fn build_with_layout(
@@ -784,8 +734,8 @@ mod tests {
     fn every_layout_decodes_identical_views_and_wordlists() {
         let comp = sample();
         let baseline = build(&comp, true, true);
-        for name in ["fixed", "fixed-pad", "varint", "split", "packed"] {
-            let lay = PoolLayoutConfig::parse(name).unwrap();
+        for lay in [PoolLayoutConfig::Fixed, PoolLayoutConfig::Varint] {
+            let name = lay.name();
             let dag = build_with_layout(&comp, true, true, lay);
             for r in 0..comp.grammar.rule_count() as u32 {
                 assert_eq!(dag.pruned_view(r), baseline.pruned_view(r), "{name} rule {r}");
@@ -801,7 +751,7 @@ mod tests {
     }
 
     #[test]
-    fn dense_line_packed_layout_touches_fewer_lines() {
+    fn varint_layout_touches_fewer_lines() {
         // The sample corpus is too small to span lines; synthesize one
         // with enough repeated phrases that pruned views carry real
         // weight against the 256 B line granularity.
@@ -813,20 +763,19 @@ mod tests {
             text.push_str("alpha beta gamma delta ");
         }
         let comp = compress_corpus(&[("big".into(), text)], &TokenizerConfig::default());
-        let fixed = build(&comp, true, true);
-        let packed = build_with_layout(&comp, true, true, PoolLayoutConfig::packed());
-        for d in [&fixed, &packed] {
+        // Cold pruned-view sweep under each layout.
+        let lines = |lay: PoolLayoutConfig| {
+            let d = build_with_layout(&comp, true, true, lay);
             d.persist_all();
             d.dev().crash();
             d.dev().reset_stats();
-        }
-        for r in 0..comp.grammar.rule_count() as u32 {
-            let _ = fixed.pruned_view(r);
-            let _ = packed.pruned_view(r);
-        }
-        let f = fixed.dev().stats().line_misses;
-        let p = packed.dev().stats().line_misses;
-        assert!(p < f, "packed layout should touch fewer lines: packed {p} vs fixed {f}");
+            for r in 0..comp.grammar.rule_count() as u32 {
+                let _ = d.pruned_view(r);
+            }
+            d.dev().stats().line_misses
+        };
+        let (f, v) = (lines(PoolLayoutConfig::Fixed), lines(PoolLayoutConfig::Varint));
+        assert!(v < f, "varint should touch fewer lines: varint {v} vs fixed {f}");
     }
 
     #[test]

@@ -135,7 +135,7 @@ pub struct EngineBuilder {
     append_plan: Option<Vec<usize>>,
     /// Durable backend used by [`Engine::open_pool`].
     pool_backend: PoolBackend,
-    /// Id encoding + placement for the DAG pool ([`PoolLayoutConfig`]).
+    /// Id encoding of the DAG pool ([`PoolLayoutConfig`]).
     pool_layout: PoolLayoutConfig,
 }
 
@@ -255,11 +255,10 @@ impl EngineBuilder {
         self
     }
 
-    /// DAG-pool layout: id encoding (fixed-width / varint / split), 16-byte
-    /// entry padding, and line-conscious placement. Defaults to
-    /// [`PoolLayoutConfig::legacy`] (fixed-width `u32`, no padding, plain
-    /// bump allocation). Every layout produces byte-identical task outputs;
-    /// they differ only in pool bytes and distinct media lines touched.
+    /// DAG-pool layout: fixed-width or varint ids. Defaults to
+    /// [`PoolLayoutConfig::Fixed`]. Both layouts produce byte-identical
+    /// task outputs; they differ only in pool bytes and distinct media
+    /// lines touched.
     /// The choice is sealed into durable pool headers, so a reopened pool
     /// is decoded with the layout it was written with, whatever the
     /// reopening engine was configured for.
@@ -818,12 +817,6 @@ impl Engine {
             // Junction/sequence caches + the global n-gram counter.
             bytes += p.expanded_words * 24 + (1 << 20);
         }
-        if self.pool_layout.pad16 {
-            bytes += p.nrules as u64 * 48; // 16 B group rounding (body + view halves)
-        }
-        if self.pool_layout.line_pack {
-            bytes += p.nrules as u64 * line; // worst-case line-boundary bumps
-        }
         bytes += p.vocab as u64 * 40 + (1 << 20); // result structures
         bytes += self.scratch_bytes(task);
         bytes += LOG_BYTES as u64;
@@ -1194,20 +1187,6 @@ impl Session {
     /// hash tables; reset wholesale on each call).
     pub(crate) fn fresh_scratch(&self) -> Arc<PmemPool> {
         Arc::new(PmemPool::new(self.dev.clone(), self.scratch_base, self.scratch_len))
-    }
-
-    /// Allocate a device-resident result vector under the session's pool
-    /// layout: 16 B-aligned and -padded when the layout enables wide
-    /// copies, the legacy natural alignment otherwise.
-    pub(crate) fn result_pvec<T: ntadoc_pmem::Pod>(
-        &self,
-        cap: usize,
-    ) -> Result<ntadoc_nstruct::PVec<T>> {
-        if self.pool_layout.pad16 {
-            ntadoc_nstruct::PVec::with_capacity_aligned(self.pool.clone(), cap, 16)
-        } else {
-            ntadoc_nstruct::PVec::with_capacity(self.pool.clone(), cap)
-        }
     }
 
     /// Effective traversal strategy for this task (§VI-E's Auto policy:

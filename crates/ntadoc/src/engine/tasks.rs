@@ -433,8 +433,10 @@ impl Session {
     pub(crate) fn task_inverted_index(&self) -> Result<TaskOutput> {
         let tables = self.per_file_word_tables()?;
         // Result pairs live on the device (they are the persisted result).
-        let pairs: PVec<(u32, u32)> =
-            self.result_pvec(tables.iter().map(|t| t.len()).sum::<usize>().max(1))?;
+        let pairs: PVec<(u32, u32)> = PVec::with_capacity(
+            self.pool.clone(),
+            tables.iter().map(|t| t.len()).sum::<usize>().max(1),
+        )?;
         let mut out: std::collections::BTreeMap<String, Vec<String>> =
             std::collections::BTreeMap::new();
         for (fid, mut entries) in tables.into_iter().enumerate() {
@@ -717,7 +719,7 @@ impl Session {
             counter.table.entries().into_iter().map(|(k, v)| (k as u32, v)).collect()
         };
         // Persist the merged result (it is the task output).
-        let result: PVec<(u32, u64)> = self.result_pvec(totals.len().max(1))?;
+        let result: PVec<(u32, u64)> = PVec::with_capacity(self.pool.clone(), totals.len().max(1))?;
         result.extend_from_slice(&totals)?;
         self.op_guard(result.base_addr(), totals.len() * 12)?;
         if self.cfg.persistence != crate::config::Persistence::None {
@@ -739,7 +741,8 @@ impl Session {
         let dag = self.dag()?;
         let segs = self.r0_segments()?;
         // Result triples on the device.
-        let triples: PVec<(u32, (u32, u64))> = self.result_pvec(segs.len().max(16))?;
+        let triples: PVec<(u32, (u32, u64))> =
+            PVec::with_capacity(self.pool.clone(), segs.len().max(16))?;
         let mut acc: std::collections::BTreeMap<u32, Vec<(u32, u64)>> =
             std::collections::BTreeMap::new();
         for (fid, seg) in segs.iter().enumerate() {

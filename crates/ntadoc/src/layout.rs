@@ -1,198 +1,94 @@
-//! DAG-pool element layouts and id encodings (ROADMAP item 4).
+//! DAG-pool layouts (ROADMAP item 4).
 //!
 //! The cost model charges per distinct 256 B media line touched, so the
-//! representation of the per-rule pruned views and word-list caches — not
-//! just their placement — is a first-order term in traversal cost. This
-//! module defines the encoding menu the pool can be built with:
+//! representation of the per-rule pruned views and word-list caches is a
+//! first-order term in traversal cost. This module defines the two layouts
+//! an ablation defends (EXPERIMENTS.md, "Layout ablation"):
 //!
-//! * **fixed-width** (`IdEncoding::FixedU32`): every id/frequency is a
-//!   little-endian `u32`, exactly the legacy layout;
-//! * **varint** (`IdEncoding::Varint`): classic VBE/LEB128 — 7 payload
-//!   bits per byte with an embedded continuation bit. Densest decode
-//!   dependency chain (each byte must be inspected before the next);
-//! * **split** (`IdEncoding::Split`): the continuation bits are hoisted
-//!   out of the data bytes into a per-group control byte (2-bit length
-//!   codes for 4 values, stream-vbyte style), so data bytes carry full
-//!   8-bit payloads and a decoder can reconstruct 4 values from one
-//!   control byte with wide unaligned loads — the layout the
-//!   compression-benchmark results show beating embedded-continuation
-//!   varints by 2–4x on decode.
+//! * **fixed** ([`PoolLayoutConfig::Fixed`], the default): every
+//!   id/frequency is a little-endian `u32`, decode is a copy — wins the
+//!   wall clock;
+//! * **varint** ([`PoolLayoutConfig::Varint`]): classic VBE/LEB128 — 7
+//!   payload bits per byte with an embedded continuation bit — wins lines
+//!   touched and pool bytes, pays a serial per-byte decode.
 //!
-//! Orthogonally, [`PoolLayoutConfig`] can request **16-byte padding**
-//! (entry groups start at 16 B boundaries and regions are sized in 16 B
-//! units, so a `_mm_loadu_si128`-style wide copy can slurp the tail
-//! without reading past the allocation) and the **line-conscious
-//! placement pass** (each rule's elements are placed to span the minimum
-//! number of media lines; see `PmemPool::alloc_in_lines`).
-//!
-//! All encodings decode to identical host-side values: the layout is a
-//! pure representation change, so task outputs are byte-identical across
-//! the whole menu — only the virtual line/time cost moves.
+//! Both decode to identical host-side values: the layout is a pure
+//! representation change, so task outputs are byte-identical across the
+//! two — only the virtual line/time cost moves.
 
 use ntadoc_pmem::{PmemError, Result};
 
-/// How rule-element ids and frequencies are encoded on the pool.
+/// The DAG-pool layout an engine builds (and seals into the pool header):
+/// how the ids and frequencies of pruned views and word-list caches are
+/// encoded on the pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum IdEncoding {
-    /// Fixed-width little-endian `u32`s (the legacy layout).
+pub enum PoolLayoutConfig {
+    /// Fixed-width little-endian `u32`s. Byte-identical to pools written
+    /// before layouts existed.
     #[default]
-    FixedU32,
+    Fixed,
     /// VBE/LEB128 varints with embedded continuation bits.
     Varint,
-    /// Separated continuation bits: 2-bit length codes for groups of 4
-    /// values in a control stream, full 8-bit payload bytes in the data
-    /// stream.
-    Split,
-}
-
-/// The DAG-pool layout an engine builds (and seals into the pool header).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct PoolLayoutConfig {
-    /// Id/frequency encoding for pruned views and word-list caches.
-    pub encoding: IdEncoding,
-    /// Start entry groups at 16 B boundaries and size regions in 16 B
-    /// units, enabling wide-register copies in traversal and head/tail
-    /// assembly.
-    pub pad16: bool,
-    /// Place each rule's elements to span the minimum number of media
-    /// lines (the placement pass; trades ≤ line−1 bytes of one-time slack
-    /// per object against a recurring per-traversal line charge).
-    pub line_pack: bool,
 }
 
 impl PoolLayoutConfig {
-    /// The legacy layout: fixed-width ids, natural alignment, plain bump
-    /// placement. Byte-identical to pools written before layouts existed.
-    pub fn legacy() -> Self {
-        PoolLayoutConfig::default()
-    }
-
-    /// The headline layout: split-encoded ids, line-conscious placement,
-    /// 16 B-padded groups.
-    pub fn packed() -> Self {
-        PoolLayoutConfig { encoding: IdEncoding::Split, pad16: true, line_pack: true }
-    }
-
-    /// Parse a CLI/env spelling. The menu is the ablation axis of
-    /// `layout_bench`: `fixed` (legacy), `fixed-pad`, `varint`, `split`,
-    /// `packed` (= split + pad + line placement).
+    /// Parse a CLI/env spelling: `fixed` (alias `legacy`) or `varint`.
     pub fn parse(s: &str) -> Option<PoolLayoutConfig> {
         match s.trim().to_ascii_lowercase().as_str() {
-            "fixed" | "legacy" => Some(Self::legacy()),
-            "fixed-pad" => Some(PoolLayoutConfig {
-                encoding: IdEncoding::FixedU32,
-                pad16: true,
-                ..Self::legacy()
-            }),
-            "varint" => Some(PoolLayoutConfig { encoding: IdEncoding::Varint, ..Self::legacy() }),
-            "split" => Some(PoolLayoutConfig { encoding: IdEncoding::Split, ..Self::legacy() }),
-            "packed" => Some(Self::packed()),
+            "fixed" | "legacy" => Some(PoolLayoutConfig::Fixed),
+            "varint" => Some(PoolLayoutConfig::Varint),
             _ => None,
         }
     }
 
-    /// The CLI spelling of this configuration (inverse of
-    /// [`parse`](Self::parse) for the named points; synthesized configs
-    /// fall back to the nearest named spelling).
+    /// The CLI spelling of this layout (inverse of [`parse`](Self::parse)).
     pub fn name(&self) -> &'static str {
-        match (self.encoding, self.pad16, self.line_pack) {
-            (IdEncoding::FixedU32, false, _) => "fixed",
-            (IdEncoding::FixedU32, true, _) => "fixed-pad",
-            (IdEncoding::Varint, _, _) => "varint",
-            (IdEncoding::Split, true, true) => "packed",
-            (IdEncoding::Split, _, _) => "split",
+        match self {
+            PoolLayoutConfig::Fixed => "fixed",
+            PoolLayoutConfig::Varint => "varint",
         }
     }
 
-    /// The id sealed into the pool header (`PoolHeader::dag_layout`):
-    /// encoding in bits 0–1, padding in bit 2, placement in bit 3. Id 0
-    /// is the legacy layout, so pre-layout pool files decode correctly.
+    /// The id sealed into the pool header (`PoolHeader::dag_layout`). Id 0
+    /// is the fixed layout, so pre-layout pool files decode correctly.
     pub fn id(&self) -> u16 {
-        let enc = match self.encoding {
-            IdEncoding::FixedU32 => 0u16,
-            IdEncoding::Varint => 1,
-            IdEncoding::Split => 2,
-        };
-        enc | ((self.pad16 as u16) << 2) | ((self.line_pack as u16) << 3)
+        match self {
+            PoolLayoutConfig::Fixed => 0,
+            PoolLayoutConfig::Varint => 1,
+        }
     }
 
-    /// Decode a header id. Unknown bits mean the pool was written by a
-    /// newer layout this build cannot decode — refuse it loudly rather
-    /// than misread the pool.
+    /// Decode a header id. The other ids below 16 name layouts that were
+    /// retired (the split encoding, 16-byte padding, the placement pass);
+    /// anything above means the pool was written by a newer layout this
+    /// build cannot decode. Either way refuse loudly rather than misread
+    /// the pool.
     pub fn from_id(id: u16) -> Result<PoolLayoutConfig> {
-        let encoding = match id & 0b11 {
-            0 => IdEncoding::FixedU32,
-            1 => IdEncoding::Varint,
-            2 => IdEncoding::Split,
-            _ => {
-                return Err(PmemError::CorruptImage(format!(
-                    "pool header declares unknown id encoding {} (layout id {id:#x})",
-                    id & 0b11
-                )))
-            }
-        };
-        if id & !0b1111 != 0 {
-            return Err(PmemError::CorruptImage(format!(
+        match id {
+            0 => Ok(PoolLayoutConfig::Fixed),
+            1 => Ok(PoolLayoutConfig::Varint),
+            2..=15 => Err(PmemError::CorruptImage(format!(
+                "pool was sealed under a retired layout (id {id:#x}); \
+                 rebuild the pool from its corpus"
+            ))),
+            _ => Err(PmemError::CorruptImage(format!(
                 "pool header declares unsupported layout bits {id:#x}"
-            )));
-        }
-        Ok(PoolLayoutConfig { encoding, pad16: id & 0b100 != 0, line_pack: id & 0b1000 != 0 })
-    }
-
-    /// Alignment for entry-group allocations under this layout.
-    pub(crate) fn group_align(&self) -> u64 {
-        if self.pad16 {
-            16
-        } else {
-            4
-        }
-    }
-
-    /// Region size for `len` payload bytes under this layout (rounded up
-    /// to a 16 B multiple when padded, so wide copies stay in bounds).
-    pub(crate) fn group_size(&self, len: usize) -> usize {
-        if self.pad16 {
-            len.div_ceil(16) * 16
-        } else {
-            len
+            ))),
         }
     }
 
     /// Modeled host-CPU cost (ns) of decoding `entries` values spanning
-    /// `bytes` encoded bytes, mirroring the relative decode speeds the
-    /// compression benchmark measured. Fixed-width decodes per value;
-    /// padding halves that via 16 B wide copies; varint pays per byte
-    /// (serial continuation-bit chain); split pays per 4-value group plus
-    /// a small per-byte shuffle term, cut further by padded wide loads.
+    /// `bytes` encoded bytes: fixed-width decodes per value, varint pays
+    /// per byte (serial continuation-bit chain).
     pub(crate) fn decode_ns(&self, entries: u64, bytes: u64) -> u64 {
-        match self.encoding {
-            IdEncoding::FixedU32 => {
-                if self.pad16 {
-                    bytes.div_ceil(16)
-                } else {
-                    entries
-                }
-            }
-            IdEncoding::Varint => 2 * bytes,
-            IdEncoding::Split => {
-                let groups = entries.div_ceil(4);
-                if self.pad16 {
-                    groups + bytes.div_ceil(16)
-                } else {
-                    groups + bytes.div_ceil(8)
-                }
-            }
+        match self {
+            PoolLayoutConfig::Fixed => entries,
+            PoolLayoutConfig::Varint => 2 * bytes,
         }
     }
 }
 
 // ---- value-stream encoders/decoders ------------------------------------
-
-/// Minimal little-endian byte length of `v` (1..=4), the split encoding's
-/// per-value size.
-fn byte_len_u32(v: u32) -> usize {
-    (4 - (v.leading_zeros() as usize) / 8).max(1)
-}
 
 /// Append `v` as a VBE/LEB128 varint.
 fn put_varint(out: &mut Vec<u8>, mut v: u64) {
@@ -216,25 +112,32 @@ fn get_varint(bytes: &[u8], at: &mut usize) -> Result<u64> {
             .get(*at)
             .ok_or_else(|| PmemError::CorruptImage("varint runs past its encoded region".into()))?;
         *at += 1;
-        v |= ((b & 0x7F) as u64) << shift;
+        let payload = (b & 0x7F) as u64;
+        // The tenth byte holds bit 63 only: a larger payload would have
+        // its high bits shifted out and alias a canonical encoding, and an
+        // eleventh byte has no bit left at all.
+        if shift > 63 || (payload << shift) >> shift != payload {
+            return Err(PmemError::CorruptImage("varint exceeds 64 bits".into()));
+        }
+        v |= payload << shift;
         if b & 0x80 == 0 {
             return Ok(v);
         }
         shift += 7;
-        if shift >= 64 {
-            return Err(PmemError::CorruptImage("varint exceeds 64 bits".into()));
-        }
     }
 }
 
 /// Encode a stream of `u64` values under `enc`. The stream is
-/// self-delimiting for `Varint` (values end where the bytes end); `Split`
-/// prefixes a varint count so the control stream's length is known.
-/// `FixedU32` callers must hold values < 2³² (checked) and recover the
+/// self-delimiting for `Varint` (values end where the bytes end);
+/// `Fixed` callers must hold values < 2³² (checked) and recover the
 /// count from the byte length.
-pub(crate) fn encode_values(enc: IdEncoding, values: &[u64], out: &mut Vec<u8>) -> Result<()> {
+pub(crate) fn encode_values(
+    enc: PoolLayoutConfig,
+    values: &[u64],
+    out: &mut Vec<u8>,
+) -> Result<()> {
     match enc {
-        IdEncoding::FixedU32 => {
+        PoolLayoutConfig::Fixed => {
             for &v in values {
                 let v = u32::try_from(v).map_err(|_| PmemError::TooLarge {
                     what: "fixed-width encoded value",
@@ -244,57 +147,20 @@ pub(crate) fn encode_values(enc: IdEncoding, values: &[u64], out: &mut Vec<u8>) 
                 out.extend_from_slice(&v.to_le_bytes());
             }
         }
-        IdEncoding::Varint => {
+        PoolLayoutConfig::Varint => {
             for &v in values {
                 put_varint(out, v);
             }
-        }
-        IdEncoding::Split => {
-            put_varint(out, values.len() as u64);
-            // Control stream: one byte per 4 values, 2-bit codes = byte
-            // length − 1 (values ≥ 2³² spill into the next group slot as
-            // a (code 3, extension code) pair — word ids and counts are
-            // u32 in practice, but u64 counts must round-trip).
-            // To keep the format simple and strictly 4-values-per-byte,
-            // large values are split into low/high u32 halves with a
-            // sentinel: values < 2³² use one slot; larger values use the
-            // escape described in `decode_values`.
-            let mut slots: Vec<u32> = Vec::with_capacity(values.len());
-            for &v in values {
-                if v < SPLIT_ESCAPE as u64 {
-                    slots.push(v as u32);
-                } else {
-                    slots.push(SPLIT_ESCAPE);
-                    slots.push(v as u32);
-                    slots.push((v >> 32) as u32);
-                }
-            }
-            put_varint(out, slots.len() as u64);
-            let mut ctrl = vec![0u8; slots.len().div_ceil(4)];
-            let mut data = Vec::with_capacity(slots.len() * 2);
-            for (i, &s) in slots.iter().enumerate() {
-                let n = byte_len_u32(s);
-                ctrl[i / 4] |= ((n - 1) as u8) << ((i % 4) * 2);
-                data.extend_from_slice(&s.to_le_bytes()[..n]);
-            }
-            out.extend_from_slice(&ctrl);
-            out.extend_from_slice(&data);
         }
     }
     Ok(())
 }
 
-/// The split encoding's escape slot: a slot equal to this value means the
-/// logical value did not fit one `u32` slot and is reconstructed from the
-/// following two slots (low, high). `u32::MAX` itself is representable —
-/// it goes through the escape.
-const SPLIT_ESCAPE: u32 = u32::MAX;
-
-/// Decode a stream written by [`encode_values`]. `FixedU32` derives the
-/// count from the byte length; the other encodings are self-describing.
-pub(crate) fn decode_values(enc: IdEncoding, bytes: &[u8]) -> Result<Vec<u64>> {
+/// Decode a stream written by [`encode_values`]. `Fixed` derives the
+/// count from the byte length; `Varint` is self-delimiting.
+pub(crate) fn decode_values(enc: PoolLayoutConfig, bytes: &[u8]) -> Result<Vec<u64>> {
     match enc {
-        IdEncoding::FixedU32 => {
+        PoolLayoutConfig::Fixed => {
             if !bytes.len().is_multiple_of(4) {
                 return Err(PmemError::CorruptImage(format!(
                     "fixed-width region of {} bytes is not a whole number of u32s",
@@ -306,7 +172,7 @@ pub(crate) fn decode_values(enc: IdEncoding, bytes: &[u8]) -> Result<Vec<u64>> {
                 .map(|c| u32::from_le_bytes(c.try_into().expect("4 bytes")) as u64)
                 .collect())
         }
-        IdEncoding::Varint => {
+        PoolLayoutConfig::Varint => {
             let mut at = 0;
             let mut out = Vec::new();
             while at < bytes.len() {
@@ -314,61 +180,15 @@ pub(crate) fn decode_values(enc: IdEncoding, bytes: &[u8]) -> Result<Vec<u64>> {
             }
             Ok(out)
         }
-        IdEncoding::Split => {
-            let mut at = 0;
-            let logical = get_varint(bytes, &mut at)? as usize;
-            let nslots = get_varint(bytes, &mut at)? as usize;
-            let ctrl_len = nslots.div_ceil(4);
-            let ctrl_end = at + ctrl_len;
-            if ctrl_end > bytes.len() {
-                return Err(PmemError::CorruptImage(
-                    "split control stream runs past its encoded region".into(),
-                ));
-            }
-            let (ctrl, mut data_at) = (&bytes[at..ctrl_end], ctrl_end);
-            let mut slots: Vec<u32> = Vec::with_capacity(nslots);
-            for i in 0..nslots {
-                let n = ((ctrl[i / 4] >> ((i % 4) * 2)) & 0b11) as usize + 1;
-                let end = data_at + n;
-                if end > bytes.len() {
-                    return Err(PmemError::CorruptImage(
-                        "split data stream runs past its encoded region".into(),
-                    ));
-                }
-                let mut le = [0u8; 4];
-                le[..n].copy_from_slice(&bytes[data_at..end]);
-                slots.push(u32::from_le_bytes(le));
-                data_at = end;
-            }
-            let mut out = Vec::with_capacity(logical);
-            let mut i = 0;
-            while i < slots.len() {
-                if slots[i] == SPLIT_ESCAPE {
-                    if i + 2 >= slots.len() {
-                        return Err(PmemError::CorruptImage(
-                            "split escape slot missing its extension".into(),
-                        ));
-                    }
-                    out.push(slots[i + 1] as u64 | ((slots[i + 2] as u64) << 32));
-                    i += 3;
-                } else {
-                    out.push(slots[i] as u64);
-                    i += 1;
-                }
-            }
-            if out.len() != logical {
-                return Err(PmemError::CorruptImage(format!(
-                    "split stream decoded {} values, header declared {logical}",
-                    out.len()
-                )));
-            }
-            Ok(out)
-        }
     }
 }
 
 /// Encode `(id, freq)` pairs (a pruned-view half) under `enc`.
-pub(crate) fn encode_pairs(enc: IdEncoding, pairs: &[(u32, u32)], out: &mut Vec<u8>) -> Result<()> {
+pub(crate) fn encode_pairs(
+    enc: PoolLayoutConfig,
+    pairs: &[(u32, u32)],
+    out: &mut Vec<u8>,
+) -> Result<()> {
     let mut values = Vec::with_capacity(pairs.len() * 2);
     for &(id, f) in pairs {
         values.push(id as u64);
@@ -378,7 +198,7 @@ pub(crate) fn encode_pairs(enc: IdEncoding, pairs: &[(u32, u32)], out: &mut Vec<
 }
 
 /// Decode a pruned-view half written by [`encode_pairs`].
-pub(crate) fn decode_pairs(enc: IdEncoding, bytes: &[u8]) -> Result<Vec<(u32, u32)>> {
+pub(crate) fn decode_pairs(enc: PoolLayoutConfig, bytes: &[u8]) -> Result<Vec<(u32, u32)>> {
     let values = decode_values(enc, bytes)?;
     if values.len() % 2 != 0 {
         return Err(PmemError::CorruptImage(format!(
@@ -400,22 +220,22 @@ pub(crate) fn decode_pairs(enc: IdEncoding, bytes: &[u8]) -> Result<Vec<(u32, u3
 }
 
 /// Encode `(word, count)` word-list entries (counts are `u64`) under
-/// `enc`. The fixed layout is the legacy 12-byte packed form; the dense
-/// encodings interleave varint/split values.
+/// `enc`. The fixed layout is the legacy 12-byte packed form; varint
+/// interleaves word and count varints.
 pub(crate) fn encode_wordlist(
-    enc: IdEncoding,
+    enc: PoolLayoutConfig,
     entries: &[(u32, u64)],
     out: &mut Vec<u8>,
 ) -> Result<()> {
     match enc {
-        IdEncoding::FixedU32 => {
+        PoolLayoutConfig::Fixed => {
             for &(w, c) in entries {
                 out.extend_from_slice(&w.to_le_bytes());
                 out.extend_from_slice(&c.to_le_bytes());
             }
             Ok(())
         }
-        _ => {
+        PoolLayoutConfig::Varint => {
             let mut values = Vec::with_capacity(entries.len() * 2);
             for &(w, c) in entries {
                 values.push(w as u64);
@@ -427,9 +247,9 @@ pub(crate) fn encode_wordlist(
 }
 
 /// Decode a word list written by [`encode_wordlist`].
-pub(crate) fn decode_wordlist(enc: IdEncoding, bytes: &[u8]) -> Result<Vec<(u32, u64)>> {
+pub(crate) fn decode_wordlist(enc: PoolLayoutConfig, bytes: &[u8]) -> Result<Vec<(u32, u64)>> {
     match enc {
-        IdEncoding::FixedU32 => {
+        PoolLayoutConfig::Fixed => {
             if !bytes.len().is_multiple_of(12) {
                 return Err(PmemError::CorruptImage(format!(
                     "word-list region of {} bytes is not a whole number of 12 B entries",
@@ -446,7 +266,7 @@ pub(crate) fn decode_wordlist(enc: IdEncoding, bytes: &[u8]) -> Result<Vec<(u32,
                 })
                 .collect())
         }
-        _ => {
+        PoolLayoutConfig::Varint => {
             let values = decode_values(enc, bytes)?;
             if values.len() % 2 != 0 {
                 return Err(PmemError::CorruptImage(format!(
@@ -471,8 +291,7 @@ pub(crate) fn decode_wordlist(enc: IdEncoding, bytes: &[u8]) -> Result<Vec<(u32,
 mod tests {
     use super::*;
 
-    const ENCODINGS: [IdEncoding; 3] =
-        [IdEncoding::FixedU32, IdEncoding::Varint, IdEncoding::Split];
+    const LAYOUTS: [PoolLayoutConfig; 2] = [PoolLayoutConfig::Fixed, PoolLayoutConfig::Varint];
 
     #[test]
     fn values_round_trip_across_encodings() {
@@ -482,7 +301,7 @@ mod tests {
             vec![1, 127, 128, 255, 256, 1 << 14, (1 << 21) - 1, u32::MAX as u64 - 1],
             (0..100).map(|i| i * 37 % 1024).collect(),
         ];
-        for enc in ENCODINGS {
+        for enc in LAYOUTS {
             for case in &cases {
                 let mut bytes = Vec::new();
                 encode_values(enc, case, &mut bytes).unwrap();
@@ -492,19 +311,17 @@ mod tests {
     }
 
     #[test]
-    fn u64_counts_round_trip_in_dense_encodings() {
+    fn u64_counts_round_trip_in_varint() {
         let case = vec![0u64, u32::MAX as u64, u32::MAX as u64 + 1, 1 << 45, u64::MAX];
-        for enc in [IdEncoding::Varint, IdEncoding::Split] {
-            let mut bytes = Vec::new();
-            encode_values(enc, &case, &mut bytes).unwrap();
-            assert_eq!(decode_values(enc, &bytes).unwrap(), case, "{enc:?}");
-        }
+        let mut bytes = Vec::new();
+        encode_values(PoolLayoutConfig::Varint, &case, &mut bytes).unwrap();
+        assert_eq!(decode_values(PoolLayoutConfig::Varint, &bytes).unwrap(), case);
     }
 
     #[test]
     fn fixed_encoding_rejects_oversized_values() {
         let mut bytes = Vec::new();
-        let err = encode_values(IdEncoding::FixedU32, &[u32::MAX as u64 + 1], &mut bytes);
+        let err = encode_values(PoolLayoutConfig::Fixed, &[u32::MAX as u64 + 1], &mut bytes);
         assert!(matches!(err, Err(PmemError::TooLarge { .. })));
     }
 
@@ -512,7 +329,7 @@ mod tests {
     fn pairs_and_wordlists_round_trip() {
         let pairs = vec![(0u32, 1u32), (300, 2), (u32::MAX, 7), (9, 100_000)];
         let wl = vec![(3u32, 7u64), (9, 1_000_000_000_000), (u32::MAX, u64::MAX)];
-        for enc in ENCODINGS {
+        for enc in LAYOUTS {
             let mut b = Vec::new();
             encode_pairs(enc, &pairs, &mut b).unwrap();
             assert_eq!(decode_pairs(enc, &b).unwrap(), pairs, "{enc:?}");
@@ -523,46 +340,64 @@ mod tests {
     }
 
     #[test]
-    fn dense_encodings_are_denser_on_small_ids() {
+    fn varint_is_denser_on_small_ids() {
         let pairs: Vec<(u32, u32)> = (0..64).map(|i| (i * 3, 1 + i % 4)).collect();
         let mut fixed = Vec::new();
-        encode_pairs(IdEncoding::FixedU32, &pairs, &mut fixed).unwrap();
-        for enc in [IdEncoding::Varint, IdEncoding::Split] {
-            let mut dense = Vec::new();
-            encode_pairs(enc, &pairs, &mut dense).unwrap();
-            assert!(
-                dense.len() * 2 < fixed.len(),
-                "{enc:?}: {} vs fixed {}",
-                dense.len(),
-                fixed.len()
-            );
-        }
+        encode_pairs(PoolLayoutConfig::Fixed, &pairs, &mut fixed).unwrap();
+        let mut dense = Vec::new();
+        encode_pairs(PoolLayoutConfig::Varint, &pairs, &mut dense).unwrap();
+        assert!(dense.len() * 2 < fixed.len(), "{} vs fixed {}", dense.len(), fixed.len());
     }
 
     #[test]
-    fn header_ids_round_trip_and_refuse_unknown_bits() {
-        for name in ["fixed", "fixed-pad", "varint", "split", "packed"] {
-            let cfg = PoolLayoutConfig::parse(name).unwrap();
-            assert_eq!(PoolLayoutConfig::from_id(cfg.id()).unwrap(), cfg, "{name}");
-            assert_eq!(cfg.name(), name);
+    fn header_ids_round_trip_and_refuse_retired_and_unknown_ids() {
+        for (name, id, layout) in
+            [("fixed", 0, PoolLayoutConfig::Fixed), ("varint", 1, PoolLayoutConfig::Varint)]
+        {
+            assert_eq!(PoolLayoutConfig::parse(name), Some(layout));
+            assert_eq!(layout.id(), id, "{name}");
+            assert_eq!(PoolLayoutConfig::from_id(id).unwrap(), layout, "{name}");
+            assert_eq!(layout.name(), name);
         }
-        assert_eq!(PoolLayoutConfig::from_id(0).unwrap(), PoolLayoutConfig::legacy());
-        assert!(PoolLayoutConfig::from_id(0b11).is_err());
-        assert!(PoolLayoutConfig::from_id(1 << 5).is_err());
-        assert!(PoolLayoutConfig::parse("mystery").is_none());
+        assert_eq!(PoolLayoutConfig::parse("legacy"), Some(PoolLayoutConfig::Fixed));
+        assert_eq!(PoolLayoutConfig::default(), PoolLayoutConfig::Fixed);
+        // Every other id PR 10's split/pad/placement bits could spell is
+        // refused as retired, by hex id, with the way out.
+        for id in 2..16u16 {
+            let msg = PoolLayoutConfig::from_id(id).unwrap_err().to_string();
+            assert!(msg.contains("retired layout"), "{id}: {msg}");
+            assert!(msg.contains(&format!("{id:#x}")), "{id}: {msg}");
+            assert!(msg.contains("rebuild the pool"), "{id}: {msg}");
+        }
+        for id in [16u16, 1 << 5, u16::MAX] {
+            let msg = PoolLayoutConfig::from_id(id).unwrap_err().to_string();
+            assert!(msg.contains("unsupported layout bits"), "{id}: {msg}");
+        }
+        for retired in ["fixed-pad", "split", "packed", "varint-pack", "mystery"] {
+            assert!(PoolLayoutConfig::parse(retired).is_none(), "{retired}");
+        }
     }
 
     #[test]
     fn decode_rejects_truncated_streams() {
-        // The last value is multi-byte in both encodings, so dropping one
-        // byte truncates mid-value (a varint stream that loses a *whole*
-        // trailing value is indistinguishable from a shorter stream).
-        for enc in [IdEncoding::Varint, IdEncoding::Split] {
-            let mut bytes = Vec::new();
-            encode_values(enc, &[77, 1 << 20], &mut bytes).unwrap();
-            bytes.pop();
-            assert!(decode_values(enc, &bytes).is_err(), "{enc:?}");
-        }
-        assert!(decode_values(IdEncoding::FixedU32, &[1, 2, 3]).is_err());
+        // The last value is multi-byte, so dropping one byte truncates
+        // mid-value (a varint stream that loses a *whole* trailing value
+        // is indistinguishable from a shorter stream).
+        let mut bytes = Vec::new();
+        encode_values(PoolLayoutConfig::Varint, &[77, 1 << 20], &mut bytes).unwrap();
+        bytes.pop();
+        assert!(decode_values(PoolLayoutConfig::Varint, &bytes).is_err());
+        assert!(decode_values(PoolLayoutConfig::Fixed, &[1, 2, 3]).is_err());
+        // A tenth byte may carry bit 63 only: `FF×9 01` is u64::MAX, and
+        // `FF×9 7F` must not alias it by having its high bits shifted out.
+        let mut max = vec![0xFF; 9];
+        max.push(0x01);
+        assert_eq!(decode_values(PoolLayoutConfig::Varint, &max).unwrap(), vec![u64::MAX]);
+        *max.last_mut().unwrap() = 0x7F;
+        assert!(decode_values(PoolLayoutConfig::Varint, &max).is_err());
+        // ...and an eleventh byte is past 64 bits whatever it holds.
+        let mut long = vec![0xFF; 9];
+        long.extend([0x81, 0x00]);
+        assert!(decode_values(PoolLayoutConfig::Varint, &long).is_err());
     }
 }

@@ -70,7 +70,7 @@ pub use engine::{
     AppendReport, Engine, EngineBuilder, PoolBackend, RetryPolicy, ServeSession, Session,
 };
 pub use ingest::{ingest_append, ingest_corpus, AppendIngest, IngestOptions, IngestReport};
-pub use layout::{IdEncoding, PoolLayoutConfig};
+pub use layout::PoolLayoutConfig;
 pub use query::{snapshot_fingerprint, Query, QueryKey, QueryResponse, Snapshot, TenantId};
 pub use report::{
     RunReport, METRIC_DEVICE_PEAK, METRIC_DRAM_PEAK, METRIC_HIT_RATE, METRIC_MEDIA_RETRIES,

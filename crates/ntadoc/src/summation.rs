@@ -225,30 +225,6 @@ pub struct HeadTailInfo {
     pub tails: Vec<Vec<u32>>,
 }
 
-impl HeadTailInfo {
-    /// Assemble the head/tail buffers into flat row-major matrices of
-    /// `stride` `u32`s per rule (`stride ≥` the widest buffer; pad slots
-    /// zeroed) plus per-rule length arrays — the host-side half of the
-    /// bulk head/tail assembly (`HeadTailStore::fill_rows` writes each
-    /// matrix with one device store). Returns
-    /// `(heads, head_lens, tails, tail_lens)`.
-    pub fn flat_rows(&self, stride: usize) -> (Vec<u32>, Vec<u32>, Vec<u32>, Vec<u32>) {
-        let flatten = |rows: &[Vec<u32>]| {
-            let mut flat = vec![0u32; rows.len() * stride];
-            let mut lens = Vec::with_capacity(rows.len());
-            for (r, row) in rows.iter().enumerate() {
-                assert!(row.len() <= stride, "row {r} wider than stride {stride}");
-                flat[r * stride..r * stride + row.len()].copy_from_slice(row);
-                lens.push(row.len() as u32);
-            }
-            (flat, lens)
-        };
-        let (heads, head_lens) = flatten(&self.heads);
-        let (tails, tail_lens) = flatten(&self.tails);
-        (heads, head_lens, tails, tail_lens)
-    }
-}
-
 /// Compute expansion lengths and head/tail word buffers of width `width`
 /// for every rule, bottom-up (children before parents).
 pub fn head_tail_info(grammar: &Grammar, width: usize) -> HeadTailInfo {

@@ -99,53 +99,6 @@ impl PmemPool {
         self.alloc(n * item_size, (item_size.min(8) as u64).next_power_of_two())
     }
 
-    /// Allocate `size` bytes aligned to `align`, placed so the region
-    /// spans the *minimum* number of `line`-byte media lines
-    /// (`ceil(size/line)`): an object that would straddle a line boundary
-    /// it does not have to is bumped to the next line start instead. The
-    /// media cost model charges per distinct line touched, so a straddle
-    /// double-charges every traversal of the object forever — the line
-    /// pass trades at most `line − 1` bytes of one-time slack against
-    /// that recurring cost. `line` and `align` must be powers of two with
-    /// `align ≤ line`.
-    pub fn alloc_in_lines(&self, size: usize, align: u64, line: u64) -> Result<Addr> {
-        debug_assert!(align.is_power_of_two() && line.is_power_of_two() && align <= line);
-        let min_lines = (size as u64).div_ceil(line).max(1);
-        let mut top = self.top.load(Ordering::Relaxed);
-        loop {
-            let mut aligned = (top + align - 1) & !(align - 1);
-            if size > 0 {
-                let spanned = ((aligned + size as u64 - 1) / line) - (aligned / line) + 1;
-                if spanned > min_lines {
-                    aligned = (aligned + line - 1) & !(line - 1);
-                }
-            }
-            let new_top = aligned + size as u64;
-            if new_top > self.end {
-                return Err(PmemError::PoolExhausted {
-                    requested: size,
-                    available: self.end.saturating_sub(top),
-                });
-            }
-            match self.top.compare_exchange_weak(top, new_top, Ordering::Relaxed, Ordering::Relaxed)
-            {
-                Ok(_) => {
-                    if let Some(ledger) = &self.ledger {
-                        ledger.on_alloc(self.kind(), size as u64);
-                    }
-                    debug_assert!(
-                        size == 0
-                            || ((aligned + size as u64 - 1) / line) - (aligned / line) + 1
-                                == min_lines,
-                        "line-conscious allocation still straddles: {size} bytes at {aligned:#x}"
-                    );
-                    return Ok(aligned);
-                }
-                Err(actual) => top = actual,
-            }
-        }
-    }
-
     /// First byte of the pool.
     pub fn base(&self) -> Addr {
         self.base
@@ -254,26 +207,6 @@ mod tests {
         p.reset();
         assert_eq!(ledger.current(DeviceKind::Nvm), 0);
         assert_eq!(ledger.peak(DeviceKind::Nvm), 200);
-    }
-
-    #[test]
-    fn alloc_in_lines_never_straddles_avoidably() {
-        let p = pool(1 << 16);
-        let line = 256u64;
-        // Park the bump pointer near a boundary, then ask for 24 bytes:
-        // a plain alloc would straddle, the line-conscious one must not.
-        p.alloc(250, 1).unwrap();
-        let a = p.alloc_in_lines(24, 8, line).unwrap();
-        assert_eq!(a / line, (a + 23) / line, "24B object straddles a line");
-        // Larger-than-line objects span exactly ceil(size/line) lines.
-        p.alloc(200, 1).unwrap();
-        let b = p.alloc_in_lines(600, 8, line).unwrap();
-        assert_eq!((b + 599) / line - b / line + 1, 3);
-        // A fit that already avoids the boundary is left where it is
-        // (no gratuitous padding).
-        let before = p.top();
-        let c = p.alloc_in_lines(8, 8, line).unwrap();
-        assert_eq!(c, before);
     }
 
     #[test]

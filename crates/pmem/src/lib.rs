@@ -40,7 +40,6 @@
 
 pub mod alloc;
 pub mod backend;
-pub mod bufmgr;
 pub mod cache;
 pub mod device;
 pub mod error;
@@ -58,7 +57,6 @@ pub mod store;
 
 pub use alloc::PmemPool;
 pub use backend::PmemBackend;
-pub use bufmgr::{BufMgrConfig, BufMgrStats, BufferManager};
 pub use device::{
     with_deferred_charges, Addr, CrashMode, DeferredCharges, DeviceMirror, ReadShardStats,
     SimDevice, CRASH_PANIC, READ_SHARDS,

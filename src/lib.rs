@@ -5,11 +5,11 @@
 
 pub use ntadoc::{
     ingest_append, ingest_corpus, snapshot_fingerprint, AppendIngest, AppendReport, Engine,
-    EngineBuilder, EngineConfig, IdEncoding, IngestOptions, IngestReport, OutputMismatch,
-    Persistence, PoolBackend, PoolLayoutConfig, Query, QueryKey, QueryResponse, RetryPolicy,
-    RunReport, ServeSession, Session, Snapshot, Task, TaskOutput, TenantId, Traversal,
-    UncompressedEngine, UncompressedEngineBuilder, METRIC_DEVICE_PEAK, METRIC_DRAM_PEAK,
-    METRIC_HIT_RATE, METRIC_MEDIA_RETRIES, METRIC_SERVE_RATE, METRIC_SERVE_TASKS, REPORT_VERSION,
+    EngineBuilder, EngineConfig, IngestOptions, IngestReport, OutputMismatch, Persistence,
+    PoolBackend, PoolLayoutConfig, Query, QueryKey, QueryResponse, RetryPolicy, RunReport,
+    ServeSession, Session, Snapshot, Task, TaskOutput, TenantId, Traversal, UncompressedEngine,
+    UncompressedEngineBuilder, METRIC_DEVICE_PEAK, METRIC_DRAM_PEAK, METRIC_HIT_RATE,
+    METRIC_MEDIA_RETRIES, METRIC_SERVE_RATE, METRIC_SERVE_TASKS, REPORT_VERSION,
 };
 pub use ntadoc_datagen::{generate, generate_compressed, DatasetSpec};
 pub use ntadoc_grammar::{
@@ -19,12 +19,11 @@ pub use ntadoc_grammar::{
 };
 pub use ntadoc_pmem::{
     crc64, fsck_pool, panic_is_injected_crash, run_with_crash_at, sweep_ctx, torn_line_survives,
-    torn_word_survives, AllocLedger, BufMgrConfig, BufMgrStats, BufferManager, CrashMode,
-    CrashPoint, CrashRun, DeviceKind, DeviceMirror, DeviceProfile, FileDevice, FsckReport,
-    HostCrashReport, Json, JsonError, MetricRegistry, MetricValue, MetricsSnapshot, MmapDevice,
-    Obs, PhasePersist, PmemBackend, PmemError, PmemPool, PoolDevice, PoolHeader, PoolLayout, Prng,
-    SimDevice, SpanNode, SweepOutcome, TxLog, TxLogInspection, CRASH_PANIC, POOL_DATA_AT,
-    POOL_MAGIC, POOL_VERSION,
+    torn_word_survives, AllocLedger, CrashMode, CrashPoint, CrashRun, DeviceKind, DeviceMirror,
+    DeviceProfile, FileDevice, FsckReport, HostCrashReport, Json, JsonError, MetricRegistry,
+    MetricValue, MetricsSnapshot, MmapDevice, Obs, PhasePersist, PmemBackend, PmemError, PmemPool,
+    PoolDevice, PoolHeader, PoolLayout, Prng, SimDevice, SpanNode, SweepOutcome, TxLog,
+    TxLogInspection, CRASH_PANIC, POOL_DATA_AT, POOL_MAGIC, POOL_VERSION,
 };
 pub use ntadoc_serve::{
     percentile_ns, shard_reads_total, Completion, DaemonConfig, QueryDaemon, Rejection,
