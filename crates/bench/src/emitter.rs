@@ -1,11 +1,12 @@
-//! The single machine-readable emission path for every experiment binary.
+//! The single machine-readable emission path for every experiment.
 //!
-//! Each binary builds one [`Emitter`], records rows / headline numbers /
-//! full [`RunReport`]s against it, and calls [`Emitter::finish`], which
-//! writes `target/experiments/<name>.json` in the versioned document
-//! schema below and folds the headline into `BENCH_summary.json` at the
-//! repository root. The `report` binary re-reads every emitted document,
-//! validates it against the same schema, and fails on any violation.
+//! The driver builds one [`Emitter`] per experiment; the experiment
+//! records rows / headline numbers / full [`RunReport`]s against it, and
+//! the driver calls [`Emitter::finish`], which writes
+//! `target/experiments/<name>.json` in the versioned document schema
+//! below. `ntadoc-bench report` re-reads every emitted document,
+//! validates it against the same schema, fails on any violation, and
+//! folds the headlines into `BENCH_summary.json` at the repository root.
 //!
 //! # Document schema (version 1)
 //!
@@ -13,7 +14,7 @@
 //! {
 //!   "schema_version": 1,
 //!   "experiment": "fig5",
-//!   "meta":     { "scale": 1.0, "threads": 4, "report_version": 2 },
+//!   "meta":     { "scale": 1.0, "cores": 8, "threads": 4, "report_version": 2 },
 //!   "rows":     [ { "dataset": "A", "task": "word count", "speedup": 2.1 } ],
 //!   "headline": { "speedup_geomean": 2.04 },
 //!   "reports":  [ { "label": "ntadoc/word count", "report": { … } } ]
@@ -37,15 +38,13 @@ use std::path::{Path, PathBuf};
 use ntadoc::{RunReport, REPORT_VERSION};
 use ntadoc_pmem::Json;
 
+use crate::Harness;
+
 /// Version of the experiment document written by [`Emitter::finish`].
 pub const SCHEMA_VERSION: u32 = 1;
 
 /// Directory the per-experiment documents land in.
 pub const EXPERIMENTS_DIR: &str = "target/experiments";
-
-/// Repo-root summary file every [`Emitter::finish`] folds its headline
-/// into.
-pub const SUMMARY_PATH: &str = "BENCH_summary.json";
 
 /// Accumulates one experiment's machine-readable output.
 pub struct Emitter {
@@ -58,13 +57,13 @@ pub struct Emitter {
 
 impl Emitter {
     /// Start a document for the experiment `name` (the file stem under
-    /// [`EXPERIMENTS_DIR`]). Captures run metadata: the `NTADOC_SCALE`
-    /// corpus scale, the worker-thread count, and the report version.
-    pub fn new(name: &str) -> Emitter {
-        let scale: f64 =
-            std::env::var("NTADOC_SCALE").ok().and_then(|s| s.parse().ok()).unwrap_or(1.0);
+    /// [`EXPERIMENTS_DIR`]). Captures run metadata: the harness's corpus
+    /// scale and host core count, the worker-thread count, and the report
+    /// version.
+    pub fn new(name: &str, harness: &Harness) -> Emitter {
         let mut meta = BTreeMap::new();
-        meta.insert("scale".to_string(), Json::F64(scale));
+        meta.insert("scale".to_string(), Json::F64(harness.scale()));
+        meta.insert("cores".to_string(), Json::U64(harness.cores() as u64));
         meta.insert("threads".to_string(), Json::U64(ntadoc_pmem::par::thread_count() as u64));
         meta.insert("report_version".to_string(), Json::U64(REPORT_VERSION as u64));
         Emitter {
@@ -123,11 +122,12 @@ impl Emitter {
         ])
     }
 
-    /// Validate, write `target/experiments/<name>.json`, fold the
-    /// headline into `BENCH_summary.json`, and return the document path.
+    /// Validate, write `target/experiments/<name>.json`, and return the
+    /// document path.
     ///
-    /// Panics if the document does not satisfy its own schema — a binary
-    /// must never publish JSON the `report` validator would reject.
+    /// Panics if the document does not satisfy its own schema — an
+    /// experiment must never publish JSON the `report` validator would
+    /// reject.
     pub fn finish(self) -> PathBuf {
         let doc = self.document();
         if let Err(e) = validate_document(&doc) {
@@ -138,7 +138,6 @@ impl Emitter {
         let path = dir.join(format!("{}.json", self.name));
         std::fs::write(&path, doc.pretty()).expect("write experiment json");
         eprintln!("[json] wrote {}", path.display());
-        merge_summary(&self.name, &self.meta, &self.headline);
         path
     }
 }
@@ -184,78 +183,12 @@ pub fn validate_document(doc: &Json) -> Result<(), String> {
     Ok(())
 }
 
-/// Fold one experiment's headline into the repo-root summary file.
-///
-/// The summary is `{ "schema_version": 1, "experiments": { <name>:
-/// { "scale": …, <headline…> } } }`; a missing or unreadable existing
-/// file starts fresh rather than failing the run.
-fn merge_summary(name: &str, meta: &BTreeMap<String, Json>, headline: &BTreeMap<String, Json>) {
-    let mut entry = headline.clone();
-    if let Some(scale) = meta.get("scale") {
-        entry.insert("scale".to_string(), scale.clone());
-    }
-    merge_summary_entries(Path::new(SUMMARY_PATH), [(name.to_string(), Json::Obj(entry))]);
-    eprintln!("[json] updated {SUMMARY_PATH}");
-}
-
-/// The summary entry a validated experiment document contributes: its
-/// headline members plus the run scale. This is the same shape each
-/// binary's [`Emitter::finish`] folds in incrementally, so regenerating
-/// an entry from the document on disk is idempotent.
-pub fn summary_entry(doc: &Json) -> Json {
-    let mut entry = doc.get("headline").and_then(Json::as_obj).cloned().unwrap_or_default();
-    if let Some(scale) = doc.get("meta").and_then(|m| m.get("scale")) {
-        entry.insert("scale".to_string(), scale.clone());
-    }
-    Json::Obj(entry)
-}
-
-/// Experiments whose binaries were deleted. A summary (or a stale
-/// document under `target/experiments/`) written before the deletion
-/// still names them, and the preserving merge below would otherwise carry
-/// their headlines forward forever.
-const RETIRED_EXPERIMENTS: [&str; 1] = ["bufmgr_bench"];
-
-/// Merge experiment entries into the summary file at `path` and return
-/// the written document.
-///
-/// Entries for experiments named in `entries` are replaced; entries
-/// already recorded in the file for experiments *not* named are kept.
-/// That preservation is load-bearing for the `report` binary: it only
-/// sees the documents currently under `target/experiments/`, so a
-/// partial re-run (one bench binary, then `report`) must not erase the
-/// headlines of experiments whose documents were cleaned away — except
-/// those of `RETIRED_EXPERIMENTS`, which are dropped whichever side
-/// they come from. A missing or unreadable existing file starts fresh
-/// rather than failing the run.
-pub fn merge_summary_entries(
-    path: &Path,
-    entries: impl IntoIterator<Item = (String, Json)>,
-) -> Json {
-    let mut summary = std::fs::read_to_string(path)
-        .ok()
-        .and_then(|s| Json::parse(&s).ok())
-        .and_then(|j| j.as_obj().cloned())
-        .unwrap_or_default();
-    summary.insert("schema_version".to_string(), Json::U64(SCHEMA_VERSION as u64));
-    let mut experiments =
-        summary.get("experiments").and_then(Json::as_obj).cloned().unwrap_or_default();
-    for (name, entry) in entries {
-        experiments.insert(name, entry);
-    }
-    experiments.retain(|name, _| !RETIRED_EXPERIMENTS.contains(&name.as_str()));
-    summary.insert("experiments".to_string(), Json::Obj(experiments));
-    let doc = Json::Obj(summary);
-    std::fs::write(path, doc.pretty()).expect("write bench summary");
-    doc
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn doc() -> Emitter {
-        let mut em = Emitter::new("unit");
+        let mut em = Emitter::new("unit", &Harness::at_scale(1.0));
         em.row([("dataset", Json::from("A")), ("speedup", Json::F64(2.0))]);
         em.headline("speedup_geomean", 2.0);
         em.headline_u64("cells", 1);
@@ -308,64 +241,5 @@ mod tests {
         let parsed = Json::parse(&d.pretty()).unwrap();
         assert_eq!(parsed, d);
         assert_eq!(validate_document(&parsed), Ok(()));
-    }
-
-    /// Regression: regenerating the summary from a subset of documents
-    /// (e.g. `report` run after only one bench binary) must keep the
-    /// previously recorded experiments, not rebuild from scratch.
-    #[test]
-    fn partial_regeneration_preserves_existing_experiments() {
-        let dir = std::env::temp_dir().join(format!("ntadoc-summary-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("BENCH_summary.json");
-
-        // A summary left over from before `bufmgr_bench` was deleted...
-        let stale = r#"{"schema_version":1,"experiments":{"bufmgr_bench":{"dram_hit_rate":0.86}}}"#;
-        std::fs::write(&path, stale).unwrap();
-
-        // ...gains two experiments' headlines.
-        merge_summary_entries(
-            &path,
-            [
-                ("fig5".to_string(), Json::object([("speedup_geomean", Json::F64(2.0))])),
-                ("fig6".to_string(), Json::object([("slowdown_geomean", Json::F64(1.5))])),
-            ],
-        );
-
-        // A later partial run re-records only fig5 (new value) plus a
-        // brand-new experiment; fig6's document was not regenerated.
-        let merged = merge_summary_entries(
-            &path,
-            [
-                ("fig5".to_string(), Json::object([("speedup_geomean", Json::F64(2.2))])),
-                ("layout_bench".to_string(), Json::object([("lines_saved", Json::F64(0.2))])),
-            ],
-        );
-
-        let exps = merged.get("experiments").and_then(Json::as_obj).unwrap();
-        assert_eq!(exps.len(), 3, "fig6 must survive the partial regeneration");
-        assert!(!exps.contains_key("bufmgr_bench"), "a retired experiment must not resurrect");
-        assert_eq!(
-            exps["fig5"].get("speedup_geomean").and_then(Json::as_f64),
-            Some(2.2),
-            "re-run experiments take the fresh value"
-        );
-        assert_eq!(exps["fig6"].get("slowdown_geomean").and_then(Json::as_f64), Some(1.5));
-        assert!(exps.contains_key("layout_bench"));
-        assert_eq!(merged.get("schema_version").and_then(Json::as_u64), Some(1));
-
-        // The on-disk file matches what was returned.
-        let reread = Json::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
-        assert_eq!(reread, merged);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn summary_entry_extracts_headline_and_scale() {
-        let mut em = doc();
-        em.meta("scale", Json::F64(0.5));
-        let entry = summary_entry(&em.document());
-        assert_eq!(entry.get("speedup_geomean").and_then(Json::as_f64), Some(2.0));
-        assert_eq!(entry.get("scale").and_then(Json::as_f64), Some(0.5));
     }
 }

@@ -9,15 +9,12 @@
 //! This experiment is not in the paper as a figure; it quantifies the
 //! DESIGN.md design-choice claims individually.
 
+use crate::{geomean, print_matrix, Device, Emitter, Harness};
 use ntadoc::{EngineConfig, Task};
-use ntadoc_bench::{geomean, print_matrix, Device, Emitter, Harness};
 use ntadoc_pmem::Json;
 
-fn main() {
-    let h = Harness::new();
-    let mut em = Emitter::new("ablation");
-    let spec = h.specs().into_iter().find(|s| s.name == "C").expect("dataset C");
-    let comp = h.dataset(&spec);
+pub fn run(h: &Harness, em: &mut Emitter) {
+    let comp = h.dataset(&h.spec("C"));
 
     let variants: Vec<(&str, EngineConfig)> = vec![
         ("full N-TADOC", EngineConfig::ntadoc()),
@@ -56,5 +53,4 @@ fn main() {
         &task_names,
         &rows,
     );
-    em.finish();
 }

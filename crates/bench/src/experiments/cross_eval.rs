@@ -1,15 +1,13 @@
 //! §VI-F cross-evaluation — N-TADOC vs TADOC in the *same* NVM
 //! environment: "N-TADOC on NVM achieves a 5× speedup over TADOC on NVM."
 
+use crate::{Cell, Device, Emitter, Harness};
 use ntadoc::{EngineConfig, Task};
-use ntadoc_bench::{Cell, Device, Emitter, Harness};
 use ntadoc_pmem::Json;
 
-fn main() {
-    let h = Harness::new();
-    let mut em = Emitter::new("cross_eval");
+pub fn run(h: &Harness, em: &mut Emitter) {
     let avg = h.run_and_emit(
-        &mut em,
+        em,
         "§VI-F — N-TADOC speedup over TADOC on NVM",
         "speedup",
         "speedup_geomean",
@@ -28,5 +26,4 @@ fn main() {
         },
     );
     println!("\nmeasured average: {avg:.2}x   (paper: ~5x)");
-    em.finish();
 }

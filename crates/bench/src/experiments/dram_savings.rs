@@ -5,13 +5,11 @@
 //! Paper: average saving 70.7% (A 65.6%, B 70.7%, C 72.2%, D 74.3%);
 //! word count saves the most (79.8%), sequence count the least (60.7%).
 
+use crate::{mean, Device, Emitter, Harness};
 use ntadoc::{EngineConfig, RunReport, Task, METRIC_DRAM_PEAK};
-use ntadoc_bench::{mean, Device, Emitter, Harness};
 use ntadoc_pmem::Json;
 
-fn main() {
-    let h = Harness::new();
-    let mut em = Emitter::new("dram_savings");
+pub fn run(h: &Harness, em: &mut Emitter) {
     let specs = h.specs();
     println!("== §VI-C — DRAM space savings of N-TADOC vs TADOC ==");
     println!(
@@ -59,5 +57,4 @@ fn main() {
     let all: Vec<f64> = per_dataset.iter().flatten().copied().collect();
     println!("\noverall average saving: {:.1}%  (paper: 70.7%)", mean(&all) * 100.0);
     em.headline("saving_mean", mean(&all));
-    em.finish();
 }

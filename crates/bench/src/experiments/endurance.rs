@@ -7,13 +7,11 @@
 //! to NVM per task, N-TADOC vs the uncompressed baseline (both phase-level
 //! persistence).
 
+use crate::{geomean, print_matrix, Device, Emitter, Harness};
 use ntadoc::{EngineConfig, Task};
-use ntadoc_bench::{geomean, print_matrix, Device, Emitter, Harness};
 use ntadoc_pmem::Json;
 
-fn main() {
-    let h = Harness::new();
-    let mut em = Emitter::new("endurance");
+pub fn run(h: &Harness, em: &mut Emitter) {
     let specs = h.specs();
     let names: Vec<&str> = specs.iter().map(|s| s.name).collect();
     let mut rows_wb = Vec::new();
@@ -54,5 +52,4 @@ fn main() {
     em.headline("write_back_reduction_geomean", geomean(&all));
     let all_bytes: Vec<f64> = rows_bytes.iter().flat_map(|(_, v)| v.iter().copied()).collect();
     em.headline("bytes_written_reduction_geomean", geomean(&all_bytes));
-    em.finish();
 }

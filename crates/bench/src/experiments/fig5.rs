@@ -5,8 +5,8 @@
 //! Paper: (a) average 2.04×, (b) average 1.40×; B's file-oriented tasks
 //! (term vector, inverted index) are the moderate cases.
 
+use crate::{Cell, Device, Emitter, Harness};
 use ntadoc::{EngineConfig, Task};
-use ntadoc_bench::{Cell, Device, Emitter, Harness};
 use ntadoc_pmem::Json;
 
 fn panel(
@@ -38,11 +38,9 @@ fn panel(
     )
 }
 
-fn main() {
-    let h = Harness::new();
-    let mut em = Emitter::new("fig5");
-    panel(&h, &mut em, EngineConfig::ntadoc(), "a: phase-level", "speedup_geomean_phase");
-    panel(&h, &mut em, EngineConfig::ntadoc_oplevel(), "b: operation-level", "speedup_geomean_op");
+pub fn run(h: &Harness, em: &mut Emitter) {
+    panel(h, em, EngineConfig::ntadoc(), "a: phase-level", "speedup_geomean_phase");
+    panel(h, em, EngineConfig::ntadoc_oplevel(), "b: operation-level", "speedup_geomean_op");
     println!("\npaper: (a) avg 2.04x, (b) avg 1.40x");
 
     // Within-engine §IV-E trade-off: operation-level must cost more than
@@ -66,5 +64,4 @@ fn main() {
         );
         em.attach_report(&format!("ntadoc/phase-level/{}/word count", spec.name), &nt_p);
     }
-    em.finish();
 }

@@ -6,15 +6,13 @@
 //! average), and the gap narrows as datasets grow — read it off the
 //! matrix's per-dataset geomean row.
 
+use crate::{Cell, Device, Emitter, Harness};
 use ntadoc::{EngineConfig, Task};
-use ntadoc_bench::{Cell, Device, Emitter, Harness};
 use ntadoc_pmem::Json;
 
-fn main() {
-    let h = Harness::new();
-    let mut em = Emitter::new("fig6");
+pub fn run(h: &Harness, em: &mut Emitter) {
     let avg = h.run_and_emit(
-        &mut em,
+        em,
         "Figure 6 — N-TADOC slowdown vs TADOC on DRAM",
         "slowdown",
         "slowdown_geomean",
@@ -33,5 +31,4 @@ fn main() {
         },
     );
     println!("\nmeasured average: {avg:.2}x   (paper: avg 1.59x; word count worst at 2.26x)");
-    em.finish();
 }

@@ -4,19 +4,17 @@
 //!
 //! Paper: average speedup 1.87× over SSD and 2.92× over HDD.
 
+use crate::{Cell, Device, Emitter, Harness};
 use ntadoc::{EngineConfig, Task};
-use ntadoc_bench::{Cell, Device, Emitter, Harness};
 use ntadoc_pmem::Json;
 
-fn main() {
-    let h = Harness::new();
-    let mut em = Emitter::new("fig7");
+pub fn run(h: &Harness, em: &mut Emitter) {
     for (dev, dev_name, paper, key) in [
         (Device::Ssd, "SSD", 1.87, "ssd_speedup_geomean"),
         (Device::Hdd, "HDD", 2.92, "hdd_speedup_geomean"),
     ] {
         h.run_and_emit(
-            &mut em,
+            em,
             &format!(
                 "Figure 7 — N-TADOC NVM speedup over N-TADOC on {dev_name} (paper avg {paper}x)"
             ),
@@ -38,5 +36,4 @@ fn main() {
             },
         );
     }
-    em.finish();
 }

@@ -10,17 +10,15 @@
 //! computes, so the bench asserts byte-identical outputs across both
 //! layouts before publishing anything.
 //!
-//! Headlines (all deterministic virtual/device counters — nothing is
-//! skipped on small runners):
+//! Headlines (all deterministic device counters):
 //! * `<layout>_lines_ratio` — geomean over (dataset, task) cells of that
 //!   layout's traversal line misses relative to the `fixed` baseline,
-//! * `best_lines_ratio` — the winning layout's ratio (CI gates this at
-//!   <= 0.85: at least 15% fewer lines touched per task),
+//! * `best_lines_ratio` — the winning layout's ratio,
 //! * `outputs_identical` — 1.0 once every cell matched the baseline
 //!   output byte for byte.
 
+use crate::{geomean, print_matrix, Emitter, Harness};
 use ntadoc::{Engine, EngineConfig, PoolLayoutConfig, RunReport, Task, TaskOutput};
-use ntadoc_bench::{geomean, print_matrix, Emitter, Harness};
 use ntadoc_grammar::Compressed;
 use ntadoc_pmem::Json;
 
@@ -33,7 +31,7 @@ fn traversal_lines(rep: &RunReport) -> u64 {
         .expect("run report must contain a traversal span")
 }
 
-fn run(comp: &Compressed, layout: PoolLayoutConfig, task: Task) -> (TaskOutput, RunReport) {
+fn run_layout(comp: &Compressed, layout: PoolLayoutConfig, task: Task) -> (TaskOutput, RunReport) {
     let mut engine = Engine::builder(comp.clone())
         .config(EngineConfig::ntadoc())
         .pool_layout(layout)
@@ -43,13 +41,7 @@ fn run(comp: &Compressed, layout: PoolLayoutConfig, task: Task) -> (TaskOutput, 
     (out, engine.last_report.expect("report recorded"))
 }
 
-fn main() {
-    let h = Harness::new();
-    let mut em = Emitter::new("layout_bench");
-    // Device-line counters are deterministic; the no-silent-skip
-    // convention still wants the flag present.
-    em.meta("speedup_check_skipped", Json::Bool(false));
-
+pub fn run(h: &Harness, em: &mut Emitter) {
     let layouts = [PoolLayoutConfig::Fixed, PoolLayoutConfig::Varint];
     let tasks = [Task::WordCount, Task::Sort, Task::TermVector, Task::InvertedIndex];
     let specs = h.specs();
@@ -62,7 +54,7 @@ fn main() {
     for spec in &specs {
         let comp = h.dataset(spec);
         for &task in &tasks {
-            let (out, rep) = run(&comp, baseline, task);
+            let (out, rep) = run_layout(&comp, baseline, task);
             base_lines.push(traversal_lines(&rep));
             base_out.push(out);
         }
@@ -80,7 +72,7 @@ fn main() {
                     // Reuse the baseline pass rather than re-running.
                     (base_out[cell].clone(), None)
                 } else {
-                    let (out, rep) = run(&comp, layout, task);
+                    let (out, rep) = run_layout(&comp, layout, task);
                     (out, Some(rep))
                 };
                 assert_eq!(
@@ -133,5 +125,4 @@ fn main() {
         "\nbest layout: {best_name} touches {:.1}% fewer lines per task than fixed",
         (1.0 - best_ratio) * 100.0
     );
-    em.finish();
 }

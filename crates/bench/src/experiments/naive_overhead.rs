@@ -4,15 +4,13 @@
 //! bodies, scattered PMDK-style allocation, growable containers) vs
 //! original TADOC on DRAM.
 
+use crate::{Cell, Device, Emitter, Harness};
 use ntadoc::{EngineConfig, Task};
-use ntadoc_bench::{Cell, Device, Emitter, Harness};
 use ntadoc_pmem::Json;
 
-fn main() {
-    let h = Harness::new();
-    let mut em = Emitter::new("naive_overhead");
+pub fn run(h: &Harness, em: &mut Emitter) {
     let avg = h.run_and_emit(
-        &mut em,
+        em,
         "§III-B — naive TADOC-on-NVM overhead vs TADOC on DRAM",
         "overhead",
         "overhead_geomean",
@@ -34,5 +32,4 @@ fn main() {
         "\nmeasured average overhead: {avg:.2}x   (paper: 13.37x; the residual gap is\n\
          PMDK-internal bookkeeping our allocator-cost model does not fully include)"
     );
-    em.finish();
 }

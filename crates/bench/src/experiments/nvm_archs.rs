@@ -8,15 +8,12 @@
 //! access granularity (PCM > Optane > ReRAM) because compression avoids
 //! exactly the traffic those devices punish.
 
+use crate::{geomean, Emitter, Harness};
 use ntadoc::{Engine, EngineConfig, Task, UncompressedEngine};
-use ntadoc_bench::{geomean, Emitter, Harness};
 use ntadoc_pmem::{DeviceProfile, Json};
 
-fn main() {
-    let h = Harness::new();
-    let mut em = Emitter::new("nvm_archs");
-    let spec = h.specs().into_iter().find(|s| s.name == "C").expect("dataset C");
-    let comp = h.dataset(&spec);
+pub fn run(h: &Harness, em: &mut Emitter) {
+    let comp = h.dataset(&h.spec("C"));
     let archs = [DeviceProfile::nvm_optane(), DeviceProfile::reram(), DeviceProfile::pcm()];
     println!("== §VI-F — N-TADOC across NVM architectures (dataset C) ==");
     println!(
@@ -64,5 +61,4 @@ fn main() {
             geomean(&speedups),
         );
     }
-    em.finish();
 }

@@ -3,17 +3,14 @@
 //! virtual and wall-clock times, and attaching every N-TADOC report —
 //! span tree included — to the emitted document.
 
+use crate::{Emitter, Harness};
 use ntadoc::{Engine, EngineConfig, Task, UncompressedEngine, METRIC_DRAM_PEAK};
-use ntadoc_bench::Emitter;
-use ntadoc_datagen::{generate_compressed, DatasetSpec};
 use ntadoc_pmem::{DeviceProfile, Json};
 use std::time::Instant;
 
-fn main() {
-    let mut em = Emitter::new("smoke");
-    let spec = DatasetSpec::c().scaled(1.0);
+pub fn run(h: &Harness, em: &mut Emitter) {
     let t0 = Instant::now();
-    let comp = generate_compressed(&spec);
+    let comp = h.dataset(&h.spec("C"));
     let stats = comp.grammar.stats();
     println!(
         "gen+compress: {:?}  rules={} vocab={} words={} files={}",
@@ -83,6 +80,5 @@ fn main() {
         speedups.push(base_rep.total_secs() / nt_rep.total_secs());
         em.attach_report(&format!("ntadoc/{}", task.name()), &nt_rep);
     }
-    em.headline("speedup_vs_baseline_geomean", ntadoc_bench::geomean(&speedups));
-    em.finish();
+    em.headline("speedup_vs_baseline_geomean", crate::geomean(&speedups));
 }

@@ -6,12 +6,10 @@
 //! file-count ordering (B ≫ D > C > A), rule and vocabulary growth with
 //! corpus size — matches.
 
-use ntadoc_bench::{geomean, Emitter, Harness};
+use crate::{geomean, Emitter, Harness};
 use ntadoc_pmem::Json;
 
-fn main() {
-    let h = Harness::new();
-    let mut em = Emitter::new("table1");
+pub fn run(h: &Harness, em: &mut Emitter) {
     println!("Table I — datasets (scale {})", h.scale());
     println!(
         "{:>8} {:>10} {:>12} {:>16} {:>14} {:>12}",
@@ -44,5 +42,4 @@ fn main() {
     println!("\npaper (Table I): A: 1 file / 36,882 rules / 240,552 vocab;");
     println!("                 B: 134,631 / 2,771,880 / 1,864,902;");
     println!("                 C: 4 / 2,095,573 / 6,370,437;  D: 109 / 57,394,616 / 99,239,057");
-    em.finish();
 }

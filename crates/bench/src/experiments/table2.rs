@@ -13,13 +13,11 @@
 //! emitted document: this experiment *is* the observability layer's
 //! breakdown, rendered as the paper's table.
 
+use crate::{geomean, Device, Emitter, Harness};
 use ntadoc::{EngineConfig, Task};
-use ntadoc_bench::{geomean, Device, Emitter, Harness};
 use ntadoc_pmem::Json;
 
-fn main() {
-    let h = Harness::new();
-    let mut em = Emitter::new("table2");
+pub fn run(h: &Harness, em: &mut Emitter) {
     let mut init_all = Vec::new();
     let mut trav_all = Vec::new();
     for spec in h.specs() {
@@ -73,5 +71,4 @@ fn main() {
     println!("\npaper (Table II, s): C word count 2.70/1.36 … ranked inv. index 7.45/19.49;");
     println!("  D word count 225/24 … seq count 1107/308, ranked 1188/545.");
     println!("paper phase speedups: C 1.96x/2.53x, D 1.23x/2.87x (init/traversal)");
-    em.finish();
 }

@@ -9,15 +9,13 @@
 //! at the paper's file counts the extrapolation reaches three orders of
 //! magnitude.
 
+use crate::{geomean, Device, Emitter, Harness};
 use ntadoc::{EngineConfig, Task, Traversal};
-use ntadoc_bench::{geomean, Device, Emitter, Harness};
 use ntadoc_datagen::DatasetSpec;
 use ntadoc_pmem::Json;
 
-fn main() {
-    let h = Harness::new();
-    let mut em = Emitter::new("traversal_opt");
-    let base_files = DatasetSpec::b().scaled(h.scale()).files as f64;
+pub fn run(h: &Harness, em: &mut Emitter) {
+    let base_files = h.spec("B").files as f64;
     println!("== §VI-E — top-down vs bottom-up traversal on dataset B ==");
     println!(
         "{:>8} {:>22} {:>16} {:>16} {:>10}",
@@ -60,5 +58,4 @@ fn main() {
         (134_631.0 / base_files).round()
     );
     em.headline("ratio_geomean", geomean(&ratios));
-    em.finish();
 }

@@ -1,51 +1,60 @@
-//! Shared experiment harness: dataset caching, engine runners, table
-//! printing, and the single machine-readable emission path for the
-//! per-figure/table binaries.
+//! The paper's evaluation as one binary: `ntadoc-bench <experiment>… |
+//! all | list | report [--gate [name…]]`.
 //!
-//! Every binary accepts the corpus scale through the `NTADOC_SCALE`
-//! environment variable (default `1.0`); results are printed in the
-//! paper's table shapes and emitted through [`Emitter`] as versioned
-//! JSON under `target/experiments/`, with headline numbers folded into
-//! `BENCH_summary.json` at the repository root.
+//! Every table and figure is an [`experiments::Experiment`] — a name, a
+//! one-line description and a `fn(&Harness, &mut Emitter)` — in the static
+//! [`experiments::REGISTRY`]. The driver (`main.rs`) builds one [`Harness`]
+//! per invocation, so the experiments named together share its dataset
+//! cache, and one [`Emitter`] per experiment, which it finishes into a
+//! versioned JSON document under `target/experiments/`. [`report`]
+//! validates those documents, renders `REPORT.md`, is the only writer of
+//! `BENCH_summary.json`, and with `--gate` checks them against the one
+//! threshold table, [`gates::GATES`].
 
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use ntadoc::{Engine, EngineConfig, RunReport, Task, UncompressedEngine};
-use ntadoc_datagen::{generate_compressed, DatasetSpec};
+use ntadoc_datagen::{generate, generate_compressed, DatasetSpec};
 use ntadoc_grammar::Compressed;
 use ntadoc_pmem::{DeviceProfile, Json};
 
 mod emitter;
+pub mod experiments;
+pub mod gates;
+pub mod report;
 
-pub use emitter::{
-    merge_summary_entries, summary_entry, validate_document, Emitter, EXPERIMENTS_DIR,
-    SCHEMA_VERSION, SUMMARY_PATH,
-};
+pub use emitter::{validate_document, Emitter, EXPERIMENTS_DIR, SCHEMA_VERSION};
 
-/// Dataset + engine orchestration for one experiment binary.
+/// Corpus scale, host core count and the dataset cache shared by every
+/// experiment of one invocation.
 pub struct Harness {
     scale: f64,
+    cores: usize,
     cache: RefCell<HashMap<String, Arc<Compressed>>>,
 }
 
-impl Default for Harness {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl Harness {
-    /// Read the scale from `NTADOC_SCALE` (default 1.0).
-    pub fn new() -> Self {
-        let scale = std::env::var("NTADOC_SCALE").ok().and_then(|s| s.parse().ok()).unwrap_or(1.0);
-        Harness { scale, cache: RefCell::new(HashMap::new()) }
+    /// The invocation's harness: the corpus scale comes from the
+    /// `NTADOC_SCALE` environment variable (unset means 1.0; anything that
+    /// is not a positive finite number is an error, never a silent 1.0).
+    pub fn from_env() -> Result<Harness, String> {
+        let scale = match std::env::var("NTADOC_SCALE") {
+            Err(std::env::VarError::NotPresent) => 1.0,
+            Err(e) => return Err(format!("NTADOC_SCALE: {e}")),
+            Ok(text) => match text.trim().parse::<f64>() {
+                Ok(v) if v.is_finite() && v > 0.0 => v,
+                _ => return Err(format!("NTADOC_SCALE must be a positive number, got `{text}`")),
+            },
+        };
+        Ok(Harness::at_scale(scale))
     }
 
     /// Harness at an explicit scale (tests).
     pub fn at_scale(scale: f64) -> Self {
-        Harness { scale, cache: RefCell::new(HashMap::new()) }
+        let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+        Harness { scale, cores, cache: RefCell::new(HashMap::new()) }
     }
 
     /// The configured scale factor.
@@ -53,9 +62,28 @@ impl Harness {
         self.scale
     }
 
+    /// Hardware threads of the host; stamped into every document as
+    /// `meta.cores`, which is what the wall-clock gate rows are decided
+    /// from.
+    pub fn cores(&self) -> usize {
+        self.cores
+    }
+
     /// The four dataset specs at the configured scale.
     pub fn specs(&self) -> Vec<DatasetSpec> {
         DatasetSpec::all().into_iter().map(|s| s.scaled(self.scale)).collect()
+    }
+
+    /// One of the paper's corpora (`"A"`..`"D"`) at the configured scale.
+    pub fn spec(&self, name: &str) -> DatasetSpec {
+        self.specs().into_iter().find(|s| s.name == name).expect("corpus is one of A, B, C, D")
+    }
+
+    /// Generate the raw files of `spec` (for experiments that measure the
+    /// build itself; everything else wants [`Harness::dataset`]).
+    pub fn files(&self, spec: &DatasetSpec) -> Vec<(String, String)> {
+        announce(spec);
+        generate(spec)
     }
 
     /// Generate (or fetch cached) compressed corpus for `spec`.
@@ -64,10 +92,7 @@ impl Harness {
         if let Some(c) = self.cache.borrow().get(&key) {
             return c.clone();
         }
-        eprintln!(
-            "[gen] dataset {} ({} files × ~{} words)…",
-            spec.name, spec.files, spec.tokens_per_file
-        );
+        announce(spec);
         let c = Arc::new(generate_compressed(spec));
         self.cache.borrow_mut().insert(key, c.clone());
         c
@@ -143,6 +168,13 @@ impl Harness {
     }
 }
 
+fn announce(spec: &DatasetSpec) {
+    eprintln!(
+        "[gen] dataset {} ({} files × ~{} words)…",
+        spec.name, spec.files, spec.tokens_per_file
+    );
+}
+
 /// One matrix cell produced by a [`Harness::run_and_emit`] closure: the
 /// ratio that lands in the printed table plus any extra row fields.
 pub struct Cell {
@@ -206,11 +238,6 @@ pub fn print_matrix(title: &str, datasets: &[&str], rows: &[(&str, Vec<f64>)]) {
         all.extend_from_slice(c);
     }
     println!("{:>10.2}", geomean(&all));
-}
-
-/// The six tasks with their display order (paper §VI-A).
-pub fn all_tasks() -> [Task; 6] {
-    Task::ALL
 }
 
 #[cfg(test)]

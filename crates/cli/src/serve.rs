@@ -18,7 +18,7 @@
 //! formation is exercised by the `serve_load` harness and the daemon's
 //! trace API, which this command shares all state machinery with.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 
@@ -105,21 +105,20 @@ pub fn serve(args: &[String]) -> CmdResult {
     result
 }
 
+/// Longest request line the daemon buffers. A longer one is answered with
+/// `bad_request` and its remainder is discarded as it streams past.
+const MAX_REQUEST_BYTES: usize = 64 * 1024;
+
 /// Accept-loop: one connection at a time, one request per line. Returns
-/// after a shutdown request. Separated from [`serve`] so tests can drive
+/// only after a shutdown request: an I/O error on one connection (a peer
+/// that vanished before reading its reply, say) drops that connection and
+/// the loop keeps accepting. Separated from [`serve`] so tests can drive
 /// it over a socketpair without spawning a process.
 pub fn serve_loop(listener: &UnixListener, mut daemon: QueryDaemon) -> CmdResult {
     for stream in listener.incoming() {
-        let mut stream = stream.map_err(|e| e.to_string())?;
-        let reader = BufReader::new(stream.try_clone().map_err(|e| e.to_string())?);
-        for line in reader.lines() {
-            let line = line.map_err(|e| e.to_string())?;
-            if line.trim().is_empty() {
-                continue;
-            }
-            let (reply, shutdown) = handle_request(&mut daemon, &line);
-            writeln!(stream, "{}", reply.compact()).map_err(|e| e.to_string())?;
-            if shutdown {
+        match stream.and_then(|s| serve_connection(s, &mut daemon)) {
+            Ok(false) => {}
+            Ok(true) => {
                 eprintln!(
                     "[serve] shutdown after {} batches, cache hit rate {:.3}",
                     daemon.batches_dispatched(),
@@ -127,9 +126,57 @@ pub fn serve_loop(listener: &UnixListener, mut daemon: QueryDaemon) -> CmdResult
                 );
                 return Ok(());
             }
+            Err(e) => eprintln!("[serve] dropped a connection: {e}"),
         }
     }
     Ok(())
+}
+
+/// Answer one connection's requests until it closes; `Ok(true)` means it
+/// asked for shutdown.
+fn serve_connection(stream: UnixStream, daemon: &mut QueryDaemon) -> std::io::Result<bool> {
+    let mut writer = stream.try_clone()?;
+    let mut reader = BufReader::new(stream);
+    let mut line = Vec::new();
+    while let Some(fits) = read_request_line(&mut reader, &mut line)? {
+        let (reply, shutdown) = if !fits {
+            let message = format!("request line exceeds {MAX_REQUEST_BYTES} bytes");
+            (error_reply("bad_request", &message), false)
+        } else {
+            match std::str::from_utf8(&line) {
+                Err(_) => (error_reply("bad_request", "request is not valid UTF-8"), false),
+                Ok(text) if text.trim().is_empty() => continue,
+                Ok(text) => handle_request(daemon, text.trim()),
+            }
+        };
+        writeln!(writer, "{}", reply.compact())?;
+        if shutdown {
+            return Ok(true);
+        }
+    }
+    Ok(false)
+}
+
+/// Read the next `\n`-terminated line into `line`, buffering at most
+/// [`MAX_REQUEST_BYTES`] of it. `None` at end of stream; `Some(false)` for
+/// a line over the cap, which is consumed to its end but not kept.
+fn read_request_line(
+    reader: &mut impl BufRead,
+    line: &mut Vec<u8>,
+) -> std::io::Result<Option<bool>> {
+    let cap = MAX_REQUEST_BYTES as u64 + 1; // the cap plus the newline
+    line.clear();
+    if reader.by_ref().take(cap).read_until(b'\n', line)? == 0 {
+        return Ok(None);
+    }
+    let fits = line.ends_with(b"\n") || line.len() <= MAX_REQUEST_BYTES;
+    let mut at_line_end = fits;
+    while !at_line_end {
+        line.clear();
+        let n = reader.by_ref().take(cap).read_until(b'\n', line)?;
+        at_line_end = n == 0 || line.ends_with(b"\n");
+    }
+    Ok(Some(fits))
 }
 
 /// Decode one request line, execute it, encode the response. The bool is
@@ -357,5 +404,87 @@ mod tests {
         assert_eq!(bye.get("shutdown").and_then(Json::as_bool), Some(true));
         server.join().unwrap().unwrap();
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Run `hostile` against a live `serve_loop`, then require a fresh
+    /// connection to be served and a shutdown request to end the loop
+    /// cleanly: nothing a client does may take the daemon down.
+    fn daemon_survives(name: &str, hostile: impl FnOnce(&Path)) {
+        let dir = std::env::temp_dir().join(format!("ntadoc-serve-{name}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let sock = dir.join("d.sock");
+        let _ = std::fs::remove_file(&sock);
+        let listener = UnixListener::bind(&sock).unwrap();
+        let daemon = test_daemon();
+        let server = std::thread::spawn(move || serve_loop(&listener, daemon));
+
+        hostile(&sock);
+
+        let query = Json::object([("op", Json::from("query")), ("task", Json::from("wordcount"))]);
+        let reply = roundtrip(&sock, &query).expect("the daemon must still answer");
+        assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(true));
+        assert_eq!(reply.get("output").and_then(|o| o.get("to")).and_then(Json::as_u64), Some(3));
+        roundtrip(&sock, &Json::object([("op", Json::from("shutdown"))])).unwrap();
+        server.join().unwrap().expect("only a shutdown request ends the loop");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Send raw bytes, half-close, and return the daemon's one reply line.
+    fn raw_exchange(sock: &Path, bytes: &[u8]) -> Json {
+        let mut stream = UnixStream::connect(sock).unwrap();
+        stream.write_all(bytes).unwrap();
+        stream.shutdown(std::net::Shutdown::Write).unwrap();
+        let mut line = String::new();
+        BufReader::new(stream).read_line(&mut line).unwrap();
+        Json::parse(line.trim()).unwrap()
+    }
+
+    #[test]
+    fn a_non_utf8_request_gets_bad_request_and_the_daemon_lives() {
+        daemon_survives("utf8", |sock| {
+            let reply = raw_exchange(sock, b"\xff\xfe\n");
+            assert_eq!(reply.get("kind").and_then(Json::as_str), Some("bad_request"));
+            assert!(reply.get("error").and_then(Json::as_str).unwrap().contains("UTF-8"));
+        });
+    }
+
+    #[test]
+    fn an_oversized_request_line_gets_bad_request_and_the_daemon_lives() {
+        daemon_survives("oversized", |sock| {
+            // 1 MiB and no newline: answered without being buffered whole.
+            let reply = raw_exchange(sock, &vec![b'a'; 1 << 20]);
+            assert_eq!(reply.get("kind").and_then(Json::as_str), Some("bad_request"));
+            assert!(reply.get("error").and_then(Json::as_str).unwrap().contains("exceeds"));
+            // The request after an oversized line on the same connection
+            // is still served.
+            let mut two = vec![b' '; MAX_REQUEST_BYTES + 1];
+            two.extend_from_slice(b"\n{\"op\":\"reticulate\"}\n");
+            let mut stream = UnixStream::connect(sock).unwrap();
+            stream.write_all(&two).unwrap();
+            let mut reader = BufReader::new(stream);
+            for expect in ["exceeds", "op must be"] {
+                let mut line = String::new();
+                reader.read_line(&mut line).unwrap();
+                assert!(line.contains(expect), "expected `{expect}` in {line}");
+            }
+        });
+    }
+
+    #[test]
+    fn a_client_that_hangs_up_before_its_reply_does_not_stop_the_daemon() {
+        daemon_survives("hangup", |sock| {
+            // Distinct uncached queries, so the daemon is still computing
+            // when the peer disappears and its reply meets a closed socket.
+            for top in 1..=8u64 {
+                let mut stream = UnixStream::connect(sock).unwrap();
+                let req = Json::object([
+                    ("op", Json::from("query")),
+                    ("task", Json::from("sort")),
+                    ("top", Json::U64(top)),
+                ]);
+                writeln!(stream, "{}", req.compact()).unwrap();
+                drop(stream);
+            }
+        });
     }
 }

@@ -36,7 +36,6 @@
 pub mod cfg;
 pub mod dict;
 pub mod merge;
-pub mod repair;
 pub mod sequitur;
 pub mod serialize;
 pub mod symbol;
@@ -49,7 +48,6 @@ pub use merge::{
     append_chunk, build_chunk, build_chunk_at, merge_chunks, plan_chunks, AppendOutcome,
     ChunkGrammar, MergeOptions, Piece,
 };
-pub use repair::repair;
 pub use sequitur::Sequitur;
 pub use serialize::{deserialize_compressed, serialize_compressed, serialized_len};
 pub use symbol::Symbol;
@@ -134,29 +132,6 @@ pub fn compress_corpus(files: &[(String, String)], cfg: &TokenizerConfig) -> Com
         b.add_file(name.clone(), text);
     }
     b.finish()
-}
-
-/// Like [`compress_corpus`] but with the RePair backend (offline greedy
-/// digram replacement) instead of Sequitur. The result feeds the same
-/// engines; the `compressors` bench harness compares the two.
-pub fn compress_corpus_repair(
-    files: &[(String, String)],
-    cfg: &TokenizerConfig,
-    min_freq: usize,
-) -> Compressed {
-    let mut dict = Dictionary::new();
-    let mut stream = Vec::new();
-    let mut file_names = Vec::new();
-    for (fid, (name, text)) in files.iter().enumerate() {
-        if fid > 0 {
-            stream.push(Symbol::file_sep(fid as u32 - 1));
-        }
-        file_names.push(name.clone());
-        for tok in tokenize(text, cfg) {
-            stream.push(Symbol::word(dict.intern(tok)));
-        }
-    }
-    Compressed { grammar: repair::repair(&stream, min_freq), dict, file_names }
 }
 
 /// Like [`compress_corpus`] but via the chunk-parallel construction path,

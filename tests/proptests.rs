@@ -47,37 +47,6 @@ proptest! {
     }
 
     #[test]
-    fn repair_round_trips(words in token_stream()) {
-        let syms: Vec<Symbol> = words.iter().map(|&w| Symbol::word(w)).collect();
-        let g = ntadoc_grammar::repair(&syms, 2);
-        let expanded: Vec<u32> =
-            g.expand_symbols().iter().map(|x| x.payload()).collect();
-        prop_assert_eq!(expanded, words);
-        g.validate().unwrap();
-    }
-
-    #[test]
-    fn engines_agree_on_repair_substrate(files in corpus_strategy()) {
-        let comp = ntadoc_grammar::compress_corpus_repair(
-            &files,
-            &TokenizerConfig::default(),
-            2,
-        );
-        if comp.grammar.stats().expanded_words == 0 {
-            return Ok(());
-        }
-        let mut oracle: BTreeMap<String, u64> = BTreeMap::new();
-        for (_, text) in &files {
-            for w in text.split_whitespace() {
-                *oracle.entry(w.to_string()).or_insert(0) += 1;
-            }
-        }
-        let mut engine = Engine::builder(comp.clone()).config(EngineConfig::ntadoc()).build().unwrap();
-        let out = engine.run(Task::WordCount).unwrap();
-        prop_assert_eq!(out.as_word_counts().unwrap(), &oracle);
-    }
-
-    #[test]
     fn coarsening_preserves_expansion(words in token_stream(), min_exp in 0u64..40) {
         let mut seq = ntadoc_grammar::Sequitur::new();
         for &w in &words {
