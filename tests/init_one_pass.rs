@@ -3,7 +3,8 @@
 //! replaced (pairs *and* order), `Grammar::stats` counts the corpus without
 //! expanding it, sessions built from the engine's maintained bounds write
 //! the pool a full recompute writes, n-gram ids no longer follow the thread
-//! schedule, and the numbers `ntadoc run` prints are pinned.
+//! schedule, and the model's numbers — every engine, task and persistence
+//! strategy, batch and serve — are pinned as exact integers.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -11,8 +12,9 @@ use proptest::prelude::*;
 use ntadoc::dag::{prune_rule, FreqPairs};
 use ntadoc_pmem::par;
 use ntadoc_repro::{
-    compress_corpus, Compressed, Engine, EngineBuilder, EngineConfig, Grammar, Symbol, Task,
-    TokenizerConfig,
+    compress_corpus, Compressed, DeviceProfile, Engine, EngineBuilder, EngineConfig, Grammar,
+    Query, RunReport, Symbol, Task, TenantId, TokenizerConfig, UncompressedEngine,
+    METRIC_DEVICE_PEAK, METRIC_DRAM_PEAK,
 };
 
 /// Algorithm 1 as the engine ran it before the id index: a linear `find`
@@ -237,43 +239,151 @@ fn ranked_index_is_one_run_for_any_schedule() {
     }
 }
 
-/// What `ntadoc run <task>` prints on stderr, for all six tasks on a fixed
-/// corpus: init and traversal on the virtual clock, DRAM and NVM peaks. A
-/// change that is meant to move only the wall clock must leave every line
-/// as it is; one that moves the model has to say so here.
+/// One pinned run: `init_ns()`, `stats.{virtual_ns, reads, writes,
+/// line_misses, write_backs, log_bytes}`, `stats.persist_points()`, DRAM
+/// peak, device peak — what the model produces for a run, as exact
+/// integers.
+type Pin = [u64; 10];
+
+fn pin_of(report: &RunReport) -> Pin {
+    let s = &report.stats;
+    let peak = |name: &str| report.metric_f64(name).unwrap() as u64;
+    [
+        report.init_ns(),
+        s.virtual_ns,
+        s.reads,
+        s.writes,
+        s.line_misses,
+        s.write_backs,
+        s.log_bytes,
+        s.persist_points(),
+        peak(METRIC_DRAM_PEAK),
+        peak(METRIC_DEVICE_PEAK),
+    ]
+}
+
+/// The model, pinned: all six tasks under the four compressed design
+/// points (`ntadoc`, `ntadoc_oplevel` and `naive` on NVM, `tadoc_dram` on
+/// DRAM) and the uncompressed baseline under both persistence strategies,
+/// plus the four servable tasks through `ServeSession::run_queries` (a
+/// fresh serve session per task, then all four as one batch), on a fixed
+/// corpus at one worker.
+#[rustfmt::skip]
+const PINNED: &[(&str, &str, Pin)] = &[
+    ("ntadoc", "word count", [2123281, 2245247, 10258, 7383, 290, 291, 0, 4, 34862, 76163]),
+    ("ntadoc", "sort", [2123281, 2293955, 10258, 7383, 290, 291, 0, 4, 34862, 76163]),
+    ("ntadoc", "term vector", [2371555, 3385105, 8308, 3139, 5079, 615, 0, 4, 36142, 158679]),
+    ("ntadoc", "inverted index", [2371555, 3494886, 34588, 12899, 5384, 921, 0, 6, 36142, 236759]),
+    ("ntadoc", "sequence count", [2146314, 2495835, 61281, 6632, 744, 746, 0, 6, 469656, 188115]),
+    ("ntadoc", "ranked inverted index", [2768407, 4438652, 61584, 4366, 16188, 3752, 0, 6, 455576, 1054903]),
+    ("ntadoc-op", "word count", [2123281, 5849803, 13664, 21000, 375, 4349, 100837, 10250, 34862, 76163]),
+    ("ntadoc-op", "sort", [2123281, 5898511, 13664, 21000, 375, 4349, 100837, 10250, 34862, 76163]),
+    ("ntadoc-op", "term vector", [3466815, 4480365, 8754, 4700, 5084, 2052, 105276, 2234, 36142, 158679]),
+    ("ntadoc-op", "inverted index", [3466815, 4590146, 35034, 14460, 5389, 2358, 105276, 2236, 36142, 236759]),
+    ("ntadoc-op", "sequence count", [2146314, 3615381, 61731, 8207, 986, 2301, 129384, 2256, 469656, 188115]),
+    ("ntadoc-op", "ranked inverted index", [3892087, 6080268, 62230, 6627, 16203, 7176, 498812, 3236, 455576, 1054903]),
+    ("naive", "word count", [3652372, 3841584, 19064, 11121, 464, 465, 0, 4, 34862, 185731]),
+    ("naive", "sort", [3652372, 3890292, 19064, 11121, 464, 465, 0, 4, 34862, 185731]),
+    ("naive", "term vector", [4049990, 5268796, 158045, 116730, 740, 724, 0, 4, 34862, 251111]),
+    ("naive", "inverted index", [4049990, 5378709, 184325, 126490, 1045, 1030, 0, 6, 34862, 329191]),
+    ("naive", "sequence count", [3676503, 4540257, 101011, 43865, 1686, 1687, 0, 6, 455256, 496655]),
+    ("naive", "ranked inverted index", [4322914, 6460605, 315852, 221934, 3962, 3860, 0, 6, 455256, 1147335]),
+    ("tadoc-dram", "word count", [85896, 236660, 15908, 9811, 1395, 0, 0, 0, 95091, 95091]),
+    ("tadoc-dram", "sort", [85896, 285368, 15908, 9811, 1395, 0, 0, 0, 95091, 95091]),
+    ("tadoc-dram", "term vector", [165179, 1182115, 8308, 2915, 8129, 0, 0, 0, 193541, 193541]),
+    ("tadoc-dram", "inverted index", [165179, 1262252, 34588, 12675, 9349, 0, 0, 0, 238551, 238551]),
+    ("tadoc-dram", "sequence count", [107123, 411224, 61281, 6408, 2946, 0, 0, 0, 643371, 643371]),
+    ("tadoc-dram", "ranked inverted index", [288462, 1544181, 61584, 4142, 28961, 0, 0, 0, 1510479, 1510479]),
+    ("uncompressed", "word count", [2178742, 2603392, 93466, 29168, 552, 553, 0, 4, 151548, 141143]),
+    ("uncompressed", "sort", [2178742, 2652100, 93466, 29168, 552, 553, 0, 4, 151548, 141143]),
+    ("uncompressed", "term vector", [2178742, 3545026, 131760, 74933, 433, 417, 0, 4, 151548, 106599]),
+    ("uncompressed", "inverted index", [2178742, 3655319, 158040, 84693, 738, 723, 0, 6, 151548, 184679]),
+    ("uncompressed", "sequence count", [2178742, 3162761, 157742, 57191, 1504, 1505, 0, 4, 453464, 384855]),
+    ("uncompressed", "ranked inverted index", [2178742, 5245108, 202835, 128649, 3822, 3712, 0, 4, 453464, 949799]),
+    ("uncompressed-op", "word count", [2178742, 8919248, 99694, 54068, 646, 7671, 184408, 18736, 151548, 141143]),
+    ("uncompressed-op", "sort", [2178742, 8967956, 99694, 54068, 646, 7671, 184408, 18736, 151548, 141143]),
+    ("uncompressed-op", "term vector", [2178742, 3545026, 131760, 74933, 433, 417, 0, 4, 151548, 106599]),
+    ("uncompressed-op", "inverted index", [2178742, 3655319, 158040, 84693, 738, 723, 0, 6, 151548, 184679]),
+    ("uncompressed-op", "sequence count", [2178742, 58232815, 212161, 274853, 2534, 63708, 1614015, 163317, 453464, 384855]),
+    ("uncompressed-op", "ranked inverted index", [2178742, 5245108, 202835, 128649, 3822, 3712, 0, 4, 453464, 949799]),
+    ("serve", "word count", [2371555, 2981553, 5310, 3139, 6899, 615, 0, 2, 36142, 158679]),
+    ("serve", "sort", [2371555, 3030261, 5310, 3139, 6899, 615, 0, 2, 36142, 158679]),
+    ("serve", "term vector", [2371555, 3742833, 5310, 3139, 6899, 615, 0, 2, 36142, 158679]),
+    ("serve", "inverted index", [2371555, 3742833, 5310, 3139, 6899, 615, 0, 2, 36142, 158679]),
+    ("serve", "batch", [2371555, 3742833, 9051, 3139, 12359, 615, 0, 2, 36142, 158679]),
+];
+
+/// What `ntadoc run <task>` prints on stderr for the paper's system: the
+/// `ntadoc` rows of [`PINNED`] as [`RunReport::summary_line`] words them.
+const SUMMARIES: [&str; 6] = [
+    "[NVM] init 2.123 ms + traversal 0.122 ms = 2.245 ms (virtual); DRAM peak 34 KB, NVM peak 74 KB",
+    "[NVM] init 2.123 ms + traversal 0.171 ms = 2.294 ms (virtual); DRAM peak 34 KB, NVM peak 74 KB",
+    "[NVM] init 2.372 ms + traversal 1.014 ms = 3.385 ms (virtual); DRAM peak 35 KB, NVM peak 154 KB",
+    "[NVM] init 2.372 ms + traversal 1.123 ms = 3.495 ms (virtual); DRAM peak 35 KB, NVM peak 231 KB",
+    "[NVM] init 2.146 ms + traversal 0.350 ms = 2.496 ms (virtual); DRAM peak 458 KB, NVM peak 183 KB",
+    "[NVM] init 2.768 ms + traversal 1.670 ms = 4.439 ms (virtual); DRAM peak 444 KB, NVM peak 1030 KB",
+];
+
+/// A change that is meant to move only the wall clock or the shape of the
+/// code must leave every row of [`PINNED`] as it is; one that moves the
+/// model has to say so there. On a mismatch the test prints the whole
+/// table as this run produced it.
 #[test]
 fn run_summaries_are_pinned() {
     let comp = std::sync::Arc::new(fixed_compressed(100, 250));
-    let pinned = [
-        (
-            Task::WordCount,
-            "[NVM] init 2.123 ms + traversal 0.122 ms = 2.245 ms (virtual); DRAM peak 34 KB, NVM peak 74 KB",
-        ),
-        (
-            Task::Sort,
-            "[NVM] init 2.123 ms + traversal 0.171 ms = 2.294 ms (virtual); DRAM peak 34 KB, NVM peak 74 KB",
-        ),
-        (
-            Task::TermVector,
-            "[NVM] init 2.372 ms + traversal 1.014 ms = 3.385 ms (virtual); DRAM peak 35 KB, NVM peak 154 KB",
-        ),
-        (
-            Task::InvertedIndex,
-            "[NVM] init 2.372 ms + traversal 1.123 ms = 3.495 ms (virtual); DRAM peak 35 KB, NVM peak 231 KB",
-        ),
-        (
-            Task::SequenceCount,
-            "[NVM] init 2.146 ms + traversal 0.350 ms = 2.496 ms (virtual); DRAM peak 458 KB, NVM peak 183 KB",
-        ),
-        (
-            Task::RankedInvertedIndex,
-            "[NVM] init 2.768 ms + traversal 1.670 ms = 4.439 ms (virtual); DRAM peak 444 KB, NVM peak 1030 KB",
-        ),
-    ];
-    for (task, line) in pinned {
-        let mut engine =
-            Engine::builder(comp.clone()).config(EngineConfig::ntadoc()).build().unwrap();
-        par::with_threads(1, || engine.run(task)).unwrap();
-        assert_eq!(engine.last_report.as_ref().unwrap().summary_line(), line, "{task}");
+    let mut rows: Vec<(&str, &str, Pin)> = Vec::new();
+    let mut summaries = Vec::new();
+    par::with_threads(1, || {
+        let compressed = [
+            ("ntadoc", EngineConfig::ntadoc(), DeviceProfile::nvm_optane()),
+            ("ntadoc-op", EngineConfig::ntadoc_oplevel(), DeviceProfile::nvm_optane()),
+            ("naive", EngineConfig::naive(), DeviceProfile::nvm_optane()),
+            ("tadoc-dram", EngineConfig::tadoc_dram(), DeviceProfile::dram()),
+        ];
+        for (name, cfg, profile) in compressed {
+            for task in Task::ALL {
+                let mut engine = Engine::builder(comp.clone())
+                    .config(cfg.clone())
+                    .profile(profile.clone())
+                    .build()
+                    .unwrap();
+                engine.run(task).unwrap();
+                let report = engine.last_report.as_ref().unwrap();
+                rows.push((name, task.name(), pin_of(report)));
+                if name == "ntadoc" {
+                    summaries.push(report.summary_line());
+                }
+            }
+        }
+        let baselines = [
+            ("uncompressed", EngineConfig::ntadoc()),
+            ("uncompressed-op", EngineConfig::ntadoc_oplevel()),
+        ];
+        for (name, cfg) in baselines {
+            for task in Task::ALL {
+                let mut engine =
+                    UncompressedEngine::builder(comp.clone()).config(cfg.clone()).build();
+                engine.run(task).unwrap();
+                rows.push((name, task.name(), pin_of(engine.last_report.as_ref().unwrap())));
+            }
+        }
+        let engine = Engine::builder(comp.clone()).config(EngineConfig::ntadoc()).build().unwrap();
+        let servable = [Task::WordCount, Task::Sort, Task::TermVector, Task::InvertedIndex];
+        for task in servable {
+            let serve = engine.serve().unwrap();
+            serve.run_queries(&[Query::new(TenantId(1), task)]).unwrap();
+            rows.push(("serve", task.name(), pin_of(&serve.report())));
+        }
+        let serve = engine.serve().unwrap();
+        let batch: Vec<Query> =
+            servable.iter().zip(1..).map(|(&task, t)| Query::new(TenantId(t), task)).collect();
+        serve.run_queries(&batch).unwrap();
+        rows.push(("serve", "batch", pin_of(&serve.report())));
+    });
+    if rows != PINNED {
+        let table: String =
+            rows.iter().map(|(e, t, p)| format!("    ({e:?}, {t:?}, {p:?}),\n")).collect();
+        panic!("the model moved; this run's table:\n{table}");
     }
+    assert_eq!(summaries, SUMMARIES);
 }
