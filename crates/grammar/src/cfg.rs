@@ -52,6 +52,10 @@ pub enum GrammarError {
     DanglingRuleRef { rule: u32, referenced: u32 },
     /// Rule reachability contains a cycle (the grammar must be a DAG).
     Cycle { rule: u32 },
+    /// A rule no chain of references from `R0` reaches. Traversals count
+    /// in-degrees over every rule but start from `R0` alone, so a dead
+    /// rule's references would keep live rules from ever draining.
+    UnreachableRule { rule: u32 },
 }
 
 impl std::fmt::Display for GrammarError {
@@ -61,6 +65,9 @@ impl std::fmt::Display for GrammarError {
                 write!(f, "rule {rule} references nonexistent rule {referenced}")
             }
             GrammarError::Cycle { rule } => write!(f, "rule {rule} participates in a cycle"),
+            GrammarError::UnreachableRule { rule } => {
+                write!(f, "rule {rule} is unreachable from the root")
+            }
         }
     }
 }
@@ -86,8 +93,8 @@ impl Grammar {
         self.rules.len()
     }
 
-    /// Check structural invariants: all rule references resolve and the
-    /// rule graph is acyclic.
+    /// Check structural invariants: all rule references resolve, the rule
+    /// graph is acyclic, and every rule is reachable from `R0`.
     pub fn validate(&self) -> Result<(), GrammarError> {
         let n = self.rules.len() as u32;
         for (i, r) in self.rules.iter().enumerate() {
@@ -97,7 +104,8 @@ impl Grammar {
                 }
             }
         }
-        // Iterative three-color DFS for cycle detection.
+        // Iterative three-color DFS from the root: a gray child is a cycle,
+        // a rule still white at the end is unreachable.
         #[derive(Clone, Copy, PartialEq)]
         enum Color {
             White,
@@ -105,12 +113,9 @@ impl Grammar {
             Black,
         }
         let mut color = vec![Color::White; self.rules.len()];
-        for start in 0..self.rules.len() as u32 {
-            if color[start as usize] != Color::White {
-                continue;
-            }
-            let mut stack = vec![(start, 0usize)];
-            color[start as usize] = Color::Gray;
+        if let Some(root) = color.first_mut() {
+            *root = Color::Gray;
+            let mut stack = vec![(0u32, 0usize)];
             while let Some((rule, idx)) = stack.pop() {
                 let body = &self.rules[rule as usize].symbols;
                 let mut i = idx;
@@ -139,7 +144,10 @@ impl Grammar {
                 }
             }
         }
-        Ok(())
+        match color.iter().position(|&c| c == Color::White) {
+            Some(rule) => Err(GrammarError::UnreachableRule { rule: rule as u32 }),
+            None => Ok(()),
+        }
     }
 
     /// Expanded corpus as raw symbols (words and separators, in order).
@@ -416,6 +424,25 @@ mod tests {
             Rule { symbols: vec![Symbol::rule(1)] },
         ]);
         assert!(matches!(g.validate(), Err(GrammarError::Cycle { .. })));
+    }
+
+    /// `R0 → R1 c R1`, `R1 → a b`, dead `R2 → R1 d`: the top-down Kahn walk
+    /// would never drain `R1` (its in-degree counts the dead reference).
+    #[test]
+    fn validate_rejects_a_rule_unreachable_from_the_root() {
+        let g = Grammar::new(vec![
+            Rule { symbols: vec![Symbol::rule(1), Symbol::word(2), Symbol::rule(1)] },
+            Rule { symbols: vec![Symbol::word(0), Symbol::word(1)] },
+            Rule { symbols: vec![Symbol::rule(1), Symbol::word(3)] },
+        ]);
+        assert_eq!(g.validate(), Err(GrammarError::UnreachableRule { rule: 2 }));
+        // A dead cycle is dead first.
+        let g = Grammar::new(vec![
+            Rule { symbols: vec![Symbol::word(0)] },
+            Rule { symbols: vec![Symbol::rule(2)] },
+            Rule { symbols: vec![Symbol::rule(1)] },
+        ]);
+        assert_eq!(g.validate(), Err(GrammarError::UnreachableRule { rule: 1 }));
     }
 
     #[test]

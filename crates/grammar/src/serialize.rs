@@ -26,7 +26,7 @@
 //! length is bounds-checked against the remaining bytes before anything
 //! is allocated, so arbitrary garbage can at worst produce an error.
 
-use crate::cfg::{Grammar, Rule};
+use crate::cfg::{Grammar, GrammarError, Rule};
 use crate::dict::Dictionary;
 use crate::symbol::Symbol;
 use crate::Compressed;
@@ -122,6 +122,10 @@ pub enum ImageError {
     BadChecksum,
     /// A string field was not valid UTF-8.
     BadUtf8,
+    /// The rules parse but are not a grammar an engine can traverse
+    /// ([`Grammar::validate`]): a dangling reference, a cycle, or a rule
+    /// unreachable from the root. A checksum only vouches for the bytes.
+    BadGrammar(GrammarError),
     /// A host-side count or length does not fit its fixed-width `u32`
     /// image field (serialization-time check; deserialization can never
     /// produce this).
@@ -140,6 +144,7 @@ impl std::fmt::Display for ImageError {
             ImageError::Truncated => write!(f, "image truncated"),
             ImageError::BadChecksum => write!(f, "image payload fails checksum"),
             ImageError::BadUtf8 => write!(f, "image contains invalid UTF-8"),
+            ImageError::BadGrammar(e) => write!(f, "image holds an invalid grammar: {e}"),
             ImageError::TooLarge { what, len } => {
                 write!(f, "{what} {len} does not fit its u32 image field (max {})", u32::MAX)
             }
@@ -180,8 +185,9 @@ impl<'a> Reader<'a> {
 }
 
 /// Parse a persistent image back into a [`Compressed`] corpus. Rejects
-/// corruption (checksum mismatch, impossible lengths) with an error —
-/// never panics or over-allocates on untrusted input.
+/// corruption (checksum mismatch, impossible lengths) and well-sealed
+/// images whose rules fail [`Grammar::validate`] with an error — never
+/// panics or over-allocates on untrusted input.
 pub fn deserialize_compressed(bytes: &[u8]) -> Result<Compressed, ImageError> {
     let mut r = Reader { buf: bytes, at: 0 };
     if r.take(8)? != MAGIC {
@@ -220,11 +226,9 @@ pub fn deserialize_compressed(bytes: &[u8]) -> Result<Compressed, ImageError> {
         }
         rule_vec.push(Rule { symbols });
     }
-    Ok(Compressed {
-        grammar: Grammar::new(rule_vec),
-        dict: Dictionary::from_words(dict_words),
-        file_names,
-    })
+    let grammar = Grammar::new(rule_vec);
+    grammar.validate().map_err(ImageError::BadGrammar)?;
+    Ok(Compressed { grammar, dict: Dictionary::from_words(dict_words), file_names })
 }
 
 #[cfg(test)]

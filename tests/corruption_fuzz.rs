@@ -128,6 +128,52 @@ fn truncated_and_garbage_images_never_panic_deserialization() {
     }
 }
 
+/// A well-sealed image is not yet a grammar: `R0 → R1 c R1`, `R1 → a b`
+/// plus a dead `R2 → R1 d` passes the checksum, and before `validate`
+/// rejected unreachable rules every engine counted `{c: 1}` from it — the
+/// top-down Kahn walk never drains `R1`, whose in-degree counts the dead
+/// reference. The same goes for a sealed cycle or dangling reference.
+#[test]
+fn sealed_images_of_invalid_grammars_are_rejected_with_a_typed_error() {
+    use ntadoc_repro::{Dictionary, Grammar, Symbol};
+    let words = || Dictionary::from_words(["a", "b", "c", "d"].map(String::from).to_vec());
+    let rule = |symbols: Vec<Symbol>| ntadoc_grammar::Rule { symbols };
+    let live = vec![
+        rule(vec![Symbol::rule(1), Symbol::word(2), Symbol::rule(1)]),
+        rule(vec![Symbol::word(0), Symbol::word(1)]),
+    ];
+    let seal = |rules: Vec<ntadoc_grammar::Rule>| {
+        let comp = ntadoc_grammar::Compressed {
+            grammar: Grammar::new(rules),
+            dict: words(),
+            file_names: vec!["f".to_string()],
+        };
+        serialize_compressed(&comp).unwrap()
+    };
+    assert!(deserialize_compressed(&seal(live.clone())).is_ok());
+
+    let mut dead = live.clone();
+    dead.push(rule(vec![Symbol::rule(1), Symbol::word(3)]));
+    let mut cyclic = live.clone();
+    cyclic[1].symbols.push(Symbol::rule(0));
+    let mut dangling = live;
+    dangling[1].symbols.push(Symbol::rule(9));
+    for (what, rules) in [("unreachable", dead), ("cycle", cyclic), ("nonexistent", dangling)] {
+        let image = seal(rules);
+        let err = deserialize_compressed(&image).unwrap_err();
+        assert!(
+            matches!(err, ntadoc_grammar::serialize::ImageError::BadGrammar(_))
+                && err.to_string().contains(what),
+            "{what}: {err}"
+        );
+        match Engine::builder_from_image(&image) {
+            Err(PmemError::CorruptImage(msg)) => assert!(msg.contains(what), "{msg}"),
+            Err(e) => panic!("{what}: wrong error class {e}"),
+            Ok(_) => panic!("{what}: invalid grammar accepted"),
+        }
+    }
+}
+
 #[test]
 fn engine_rejects_corrupt_images_with_a_typed_error() {
     let comp = small_corpus();

@@ -58,6 +58,39 @@ proptest! {
         c.validate().unwrap();
     }
 
+    /// `Grammar::validate` rejects rules unreachable from `R0` (a dead
+    /// rule's references would stall the top-down Kahn walk), so no
+    /// in-tree producer may emit one: serial Sequitur, coarsening, the
+    /// chunk merge with and without seam dedup, and the append splice.
+    #[test]
+    fn in_tree_producers_emit_only_reachable_rules(
+        files in corpus_strategy(),
+        min_exp in 0u64..40,
+        split in 0usize..4
+    ) {
+        let cfg = TokenizerConfig::default();
+        let serial = compress_corpus(&files, &cfg);
+        serial.grammar.validate().unwrap();
+        serial.grammar.coarsened(min_exp).validate().unwrap();
+        for chunks in [2usize, 3, 8] {
+            for seam_dedup in [true, false] {
+                let merged = ntadoc_repro::compress_corpus_chunked(
+                    &files, &cfg, chunks, &ntadoc_repro::MergeOptions { seam_dedup });
+                merged.grammar.validate().unwrap();
+                merged.grammar.coarsened(min_exp).validate().unwrap();
+            }
+        }
+        let at = 1 + split % files.len();
+        if at < files.len() {
+            for chunks in [1usize, 3] {
+                let opts = ntadoc_repro::IngestOptions { chunks, ..Default::default() };
+                let (base, _) = ntadoc_repro::ingest_corpus(&files[..at], &opts);
+                let step = ntadoc_repro::ingest_append(&base, &files[at..], &opts);
+                step.comp.grammar.validate().unwrap();
+            }
+        }
+    }
+
     #[test]
     fn summation_bounds_are_sound(words in token_stream()) {
         let mut seq = ntadoc_grammar::Sequitur::new();
