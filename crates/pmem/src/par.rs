@@ -18,24 +18,23 @@
 //!    (accesses use a schedule-independent streaming cost model — see
 //!    [`with_deferred_charges`]);
 //! 2. at the barrier, the per-item costs are assigned in item order to a
-//!    fixed number of *virtual lanes* ([`virtual_lanes`], default 8,
-//!    `NTADOC_VIRTUAL_LANES` to override) — each item goes to the
-//!    currently least-loaded lane — and the clock advances by the
-//!    resulting makespan ([`lanes_makespan`]).
+//!    fixed number of *virtual lanes* ([`DEFAULT_VIRTUAL_LANES`]) — each
+//!    item goes to the currently least-loaded lane — and the clock
+//!    advances by the resulting makespan ([`lanes_makespan`]).
 //!
 //! Per-item costs are deterministic, the lane assignment is deterministic,
 //! so the join is identical for any `RAYON_NUM_THREADS`. The reported time
-//! models the workload running on `virtual_lanes()` parallel memory
-//! channels rather than serializing it.
+//! models the workload running on that many parallel memory channels
+//! rather than serializing it.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::device::{with_deferred_charges, DeferredCharges, SimDevice};
 
-/// Virtual lanes used by the makespan join when `NTADOC_VIRTUAL_LANES` is
-/// not set. Models the parallelism of the simulated hardware, decoupled
-/// from how many OS threads execute the work.
+/// Virtual lanes used by the makespan join. Models the parallelism of the
+/// simulated hardware, decoupled from how many OS threads execute the
+/// work; a constant, because every pinned virtual number depends on it.
 pub const DEFAULT_VIRTUAL_LANES: usize = 8;
 
 thread_local! {
@@ -73,16 +72,6 @@ pub fn thread_count() -> usize {
         }
     }
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-}
-
-/// Virtual lanes for the makespan join (`NTADOC_VIRTUAL_LANES`, default
-/// [`DEFAULT_VIRTUAL_LANES`]).
-pub fn virtual_lanes() -> usize {
-    std::env::var("NTADOC_VIRTUAL_LANES")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(DEFAULT_VIRTUAL_LANES)
 }
 
 /// Map `f` over `items` on [`thread_count`] workers, returning results in
@@ -159,12 +148,13 @@ pub fn join_deferred(dev: &SimDevice, charges: &[DeferredCharges]) {
 }
 
 /// The virtual time a [`par_map_timed`] batch will charge at its barrier:
-/// the [`lanes_makespan`] of the per-item costs over [`virtual_lanes`].
+/// the [`lanes_makespan`] of the per-item costs over
+/// [`DEFAULT_VIRTUAL_LANES`].
 /// Exposed so pipelines can report per-stage parallel cost (e.g. a build
 /// bench's modeled speedup) without double-charging the device.
 pub fn deferred_makespan(charges: &[DeferredCharges]) -> u64 {
     let item_ns: Vec<u64> = charges.iter().map(|c| c.ns()).collect();
-    lanes_makespan(&item_ns, virtual_lanes())
+    lanes_makespan(&item_ns, DEFAULT_VIRTUAL_LANES)
 }
 
 /// Deterministic makespan of `item_ns` over `lanes` virtual lanes: items
