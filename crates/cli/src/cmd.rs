@@ -320,9 +320,9 @@ fn run(args: &[String]) -> CmdResult {
                 i += 2;
             }
             "--naive" => {
-                let persistence = cfg.persistence;
-                cfg = EngineConfig::naive();
-                cfg.persistence = persistence;
+                // Wherever it stands: options given before it survive.
+                let EngineConfig { persistence, ngram, .. } = cfg;
+                cfg = EngineConfig { persistence, ngram, ..EngineConfig::naive() };
                 i += 1;
             }
             "--top" => {
@@ -738,6 +738,41 @@ mod tests {
         .unwrap();
         let restored = fs::read_dir(&decomp).unwrap().count();
         assert_eq!(restored, 2);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    /// `--ngram 0|1` on a sequence task is a typed error (`main` prints it
+    /// and exits 1) raised before init: `--ngram 0` used to panic building
+    /// the sequence-list caches (exit 101), `--ngram 1` to pay a full init
+    /// first. Other tasks never look at `ngram`.
+    #[test]
+    fn sequence_tasks_reject_an_ngram_below_two() {
+        let dir = std::env::temp_dir().join(format!("ntadoc-cli-ngram-{}", std::process::id()));
+        fs::create_dir_all(&dir).unwrap();
+        let text = dir.join("text.txt");
+        // Repeats, so the grammar has non-root rules to build caches for.
+        fs::write(&text, "alpha beta gamma delta ".repeat(12)).unwrap();
+        let image = dir.join("corpus.ntdc").display().to_string();
+        dispatch(&["compress".into(), text.display().to_string(), "-o".into(), image.clone()])
+            .unwrap();
+        assert!(load_corpus(&image).unwrap().grammar.rule_count() > 1);
+        let run = |task: &str, ngram: &str, extra: &[&str]| {
+            let mut args: Vec<String> =
+                ["run", task, &image, "--ngram", ngram].map(String::from).to_vec();
+            args.extend(extra.iter().map(|s| s.to_string()));
+            dispatch(&args)
+        };
+        let pool = dir.join("pool.ntdp").display().to_string();
+        for task in ["sequencecount", "rankedindex"] {
+            for ngram in ["0", "1"] {
+                for extra in [&[][..], &["--naive"], &["--persistence", "op"], &["--pool", &pool]] {
+                    let err = run(task, ngram, extra).unwrap_err();
+                    assert!(err.contains("n >= 2"), "{task} --ngram {ngram} {extra:?}: {err}");
+                }
+            }
+            run(task, "2", &[]).unwrap();
+        }
+        run("wordcount", "0", &[]).unwrap();
         fs::remove_dir_all(&dir).ok();
     }
 

@@ -257,7 +257,7 @@ impl PHashTable {
     /// caller owns transaction begin/commit batching.
     ///
     /// If the insert would trigger a grow while `tx` is active, the call
-    /// fails with [`PmemError::GrowDuringTransaction`] instead of
+    /// fails with [`ntadoc_pmem::PmemError::GrowDuringTransaction`] instead of
     /// reconstructing: none of the rebuild's bulk writes would be in the
     /// undo log, so a crash between grow and commit could not be rolled
     /// back. Commit, call [`reserve_for_insert`](Self::reserve_for_insert),

@@ -8,30 +8,22 @@
 //! full scan. The same persistence strategies as the compressed engines
 //! apply, so Figure 5 compares like with like.
 
-use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use std::sync::Mutex;
 
 use ntadoc_grammar::Compressed;
 use ntadoc_nstruct::PHashTable;
-use ntadoc_pmem::obs::MetricValue;
-use ntadoc_pmem::{
-    Addr, AllocLedger, DeviceKind, DeviceProfile, Obs, PmemError, PmemPool, SimDevice, TxLog,
-};
+use ntadoc_pmem::{Addr, DeviceProfile, PoolLayout};
 
-use crate::config::{EngineConfig, Persistence};
-use crate::engine::{Engine, Interner, TxCounter};
-use crate::report::{
-    RunReport, METRIC_DEVICE_PEAK, METRIC_DRAM_PEAK, METRIC_HIT_RATE, REPORT_VERSION,
-};
+use crate::config::EngineConfig;
+use crate::engine::shape::{self, counts_of, Counts};
+use crate::engine::{with_doubling_capacity, Engine, RunScaffold, LOG_BYTES};
+use crate::report::RunReport;
 use crate::result::{Task, TaskOutput};
 use crate::Result;
 
 /// File separator sentinel in the token stream.
 const SEP: u32 = u32::MAX;
-/// Undo-log region size.
-const LOG_BYTES: usize = 4 << 20;
 /// Operation-level transaction granularity for the scan baseline: one
 /// transaction per I/O block (ranges dedup within it, so hot keys log
 /// once per block).
@@ -48,7 +40,6 @@ pub struct UncompressedEngine {
     /// Token stream including separators (host master copy; written to the
     /// device during init).
     tokens: Vec<u32>,
-    trace: bool,
     /// Report of the most recent run.
     pub last_report: Option<RunReport>,
 }
@@ -58,7 +49,6 @@ pub struct UncompressedEngineBuilder {
     comp: Arc<Compressed>,
     cfg: EngineConfig,
     profile: DeviceProfile,
-    trace: bool,
 }
 
 impl UncompressedEngineBuilder {
@@ -71,13 +61,6 @@ impl UncompressedEngineBuilder {
     /// Set the device profile (default: Optane NVM, the Figure 5 setup).
     pub fn profile(mut self, profile: DeviceProfile) -> Self {
         self.profile = profile;
-        self
-    }
-
-    /// Whether runs record observability spans and metrics (default
-    /// `true`), mirroring [`crate::EngineBuilder::trace`].
-    pub fn trace(mut self, on: bool) -> Self {
-        self.trace = on;
         self
     }
 
@@ -94,7 +77,6 @@ impl UncompressedEngineBuilder {
             profile: self.profile,
             raw_bytes,
             tokens,
-            trace: self.trace,
             last_report: None,
         }
     }
@@ -108,24 +90,16 @@ impl UncompressedEngine {
             comp: comp.into(),
             cfg: EngineConfig::ntadoc(),
             profile: DeviceProfile::nvm_optane(),
-            trace: true,
         }
-    }
-
-    /// Number of word tokens (separators excluded).
-    pub fn token_count(&self) -> usize {
-        self.tokens.iter().filter(|&&t| t != SEP).count()
     }
 
     /// Run one benchmark end to end (init + scan), with capacity retry.
     pub fn run(&mut self, task: Task) -> Result<TaskOutput> {
-        let mut capacity = self.estimate_capacity();
-        loop {
-            match self.try_run(task, capacity) {
-                Err(PmemError::PoolExhausted { .. }) if capacity < (1 << 34) => capacity *= 2,
-                other => return other,
-            }
-        }
+        let (out, report) = with_doubling_capacity(self.estimate_capacity(), |capacity| {
+            self.try_run(task, capacity)
+        })?;
+        self.last_report = Some(report);
+        Ok(out)
     }
 
     fn estimate_capacity(&self) -> usize {
@@ -137,55 +111,57 @@ impl UncompressedEngine {
             + vocab * 48
             + tokens * 24 // n-gram counter head-room
             + (vocab * 136).max(1 << 20) // scratch
-            + LOG_BYTES as u64
+            + LOG_BYTES
             + (1 << 20);
         (bytes * 3 / 2).next_power_of_two().max(1 << 22) as usize
     }
 
-    fn try_run(&mut self, task: Task, capacity: usize) -> Result<TaskOutput> {
-        let ledger = Arc::new(AllocLedger::new());
-        let dev = Arc::new(SimDevice::new(self.profile.clone(), capacity));
+    fn try_run(&self, task: Task, capacity: usize) -> Result<(TaskOutput, RunReport)> {
         let scratch_len = (capacity as u64 / 4).max(1 << 20);
-        let main_len = capacity as u64 - scratch_len - LOG_BYTES as u64;
-        let pool = Arc::new(PmemPool::new(dev.clone(), 0, main_len).with_ledger(ledger.clone()));
-        let scratch_base = main_len;
-        let txlog = match self.cfg.persistence {
-            Persistence::OperationLevel => Some(Arc::new(Mutex::new(TxLog::new(
-                dev.clone(),
-                main_len + scratch_len,
-                LOG_BYTES,
-            )))),
-            _ => None,
+        let layout = PoolLayout {
+            capacity: capacity as u64,
+            main_len: capacity as u64 - scratch_len - LOG_BYTES,
+            scratch_len,
+            log_len: LOG_BYTES,
         };
+        let sc = RunScaffold::new(
+            self.cfg.clone(),
+            task,
+            "uncompressed".into(),
+            &self.profile,
+            layout,
+            None,
+            BASE_TX_BATCH,
+        )?;
+        let (obs, dev, pool) = (&sc.obs, &sc.dev, &sc.pool);
+        let cost = self.cfg.cost;
 
         // ---- initialization phase (recorded as the "init" span) -----
-        let obs = if self.trace { Obs::new() } else { Obs::disabled() };
-        let cost = self.cfg.cost;
-        let (stream, dict_offsets, dict_bytes_addr) =
-            obs.span("init", &dev, || -> Result<(Addr, Addr, Addr)> {
+        let (stream, dict_offsets, dict_bytes) =
+            obs.span("init", dev, || -> Result<(Addr, Addr, Addr)> {
                 if self.profile.kind.is_persistent() {
-                    obs.span("pool-open", &dev, || dev.charge_ns(cost.pool_open_ns));
+                    obs.span("pool-open", dev, || dev.charge_ns(cost.pool_open_ns));
                 }
                 // Dictionary-conversion staging buffer (DRAM for the init
                 // phase).
                 let staging = self.tokens.len() as u64 * 4 * 3 / 2;
-                obs.span("image-stream", &dev, || {
+                obs.span("image-stream", dev, || {
                     dev.charge_ns(cost.disk_read_ns(self.raw_bytes));
                     // Dictionary conversion of the raw text.
-                    dev.charge_ns(self.tokens.len() as u64 * cost.per_item_ns);
-                    ledger.on_alloc(DeviceKind::Dram, staging);
+                    sc.charge_items(self.tokens.len() as u64);
+                    sc.note_dram(staging);
                 });
-                let stream = obs.span("stream-write", &dev, || -> Result<Addr> {
+                let stream = obs.span("stream-write", dev, || -> Result<Addr> {
                     let stream = pool.alloc_array(self.tokens.len().max(1), 4)?;
                     dev.write_u32_slice(stream, &self.tokens);
                     Ok(stream)
                 })?;
                 // Dictionary (offsets + bytes) for result materialisation.
-                let (dict_offsets, dict_bytes_addr) =
-                    obs.span("dict-write", &dev, || -> Result<(Addr, Addr)> {
+                let (dict_offsets, dict_bytes) =
+                    obs.span("dict-write", dev, || -> Result<(Addr, Addr)> {
                         let vocab = self.comp.dict.len();
                         let dict_offsets = pool.alloc_array(vocab + 1, 8)?;
-                        let dict_bytes_addr = pool.alloc(self.comp.dict.text_bytes().max(1), 1)?;
+                        let dict_bytes = pool.alloc(self.comp.dict.text_bytes().max(1), 1)?;
                         let mut at = 0u64;
                         let mut text = Vec::with_capacity(self.comp.dict.text_bytes());
                         for (i, (_, w)) in self.comp.dict.iter().enumerate() {
@@ -194,169 +170,69 @@ impl UncompressedEngine {
                             at += w.len() as u64;
                         }
                         dev.write_u64(dict_offsets + vocab as u64 * 8, at);
-                        dev.write_bytes(dict_bytes_addr, &text);
-                        Ok((dict_offsets, dict_bytes_addr))
+                        dev.write_bytes(dict_bytes, &text);
+                        Ok((dict_offsets, dict_bytes))
                     })?;
-                obs.span("persist", &dev, || {
-                    if self.cfg.persistence != Persistence::None {
+                obs.span("persist", dev, || {
+                    if sc.persists() {
                         pool.persist_used();
                     }
-                    ledger.on_free(DeviceKind::Dram, staging);
+                    sc.drop_dram(staging);
                 });
-                Ok((stream, dict_offsets, dict_bytes_addr))
+                Ok((stream, dict_offsets, dict_bytes))
             })?;
-        let init_ns = dev.stats().virtual_ns;
 
         // ---- scan phase ---------------------------------------------
-        let run = Scan {
-            comp: &self.comp,
-            cfg: &self.cfg,
-            dev: &dev,
-            pool: &pool,
-            scratch_base,
-            scratch_len,
-            txlog: &txlog,
-            stream,
-            n_tokens: self.tokens.len(),
-            dict_offsets,
-            dict_bytes: dict_bytes_addr,
-            interner: Mutex::new(Interner::default()),
-            host_dram: Cell::new(0),
-            ledger: &ledger,
-        };
-        let out = obs.span("traversal", &dev, || -> Result<TaskOutput> {
-            let out = match task {
-                Task::WordCount => run.word_count()?,
-                Task::Sort => run.sort()?,
-                Task::TermVector => run.term_vector()?,
-                Task::InvertedIndex => run.inverted_index()?,
-                Task::SequenceCount => run.sequence_count()?,
-                Task::RankedInvertedIndex => run.ranked_inverted_index()?,
-            };
-            obs.span("writeback", &dev, || -> Result<()> {
-                if let Some(tx) = &txlog {
-                    let mut tx = crate::engine::lock(tx);
-                    if tx.is_active() {
-                        tx.commit()?;
-                    }
+        let scan = Scan { sc: &sc, stream, n_tokens: self.tokens.len(), dict_offsets, dict_bytes };
+        let files = &self.comp.file_names;
+        let word = |id| scan.word_str(id);
+        let out = sc.traversal(|| {
+            Ok(match task {
+                Task::WordCount => shape::word_count(scan.count_all_words()?, word),
+                Task::Sort => shape::sort(&sc, scan.count_all_words()?, word),
+                Task::TermVector => shape::term_vector(&sc, scan.per_file_tables()?, files, word),
+                Task::InvertedIndex => {
+                    shape::inverted_index(&sc, scan.per_file_tables()?, files, word, true)?
                 }
-                if self.cfg.persistence != Persistence::None {
-                    pool.persist_used();
+                Task::SequenceCount => shape::sequence_count(&sc, scan.ngram_counts()?, word),
+                Task::RankedInvertedIndex => {
+                    shape::ranked_index(&sc, scan.ngram_postings()?, files, word)
                 }
-                dev.charge_ns(cost.disk_read_ns(out.approx_bytes()));
-                Ok(())
-            })?;
-            Ok(out)
+            })
         })?;
-
-        let stats = dev.stats();
-        let mut metrics = obs.metrics.snapshot();
-        metrics.insert(
-            METRIC_DRAM_PEAK.to_string(),
-            MetricValue::Gauge(ledger.peak(DeviceKind::Dram) as f64),
-        );
-        metrics.insert(
-            METRIC_DEVICE_PEAK.to_string(),
-            MetricValue::Gauge(ledger.peak(self.profile.kind) as f64),
-        );
-        metrics.insert(METRIC_HIT_RATE.to_string(), MetricValue::Gauge(stats.hit_rate()));
-        let mut spans = obs.tree("run");
-        if !obs.enabled() {
-            // Tracing off: synthesize the two-phase breakdown (mirrors
-            // `Session::report`).
-            spans.children = vec![
-                ntadoc_pmem::SpanNode::leaf(
-                    "init",
-                    ntadoc_pmem::AccessStats { virtual_ns: init_ns, ..Default::default() },
-                ),
-                ntadoc_pmem::SpanNode::leaf(
-                    "traversal",
-                    ntadoc_pmem::AccessStats {
-                        virtual_ns: stats.virtual_ns - init_ns,
-                        ..Default::default()
-                    },
-                ),
-            ];
-        }
-        spans.stats = stats;
-        spans.virtual_ns = stats.virtual_ns;
-        self.last_report = Some(RunReport {
-            version: REPORT_VERSION,
-            task,
-            engine: "uncompressed".into(),
-            device: self.profile.name.to_string(),
-            spans,
-            metrics,
-            stats,
-            wear_top: dev.wear_top(8),
-        });
-        Ok(out)
+        Ok((out, sc.report()))
     }
 }
 
-/// One scan run's shared state.
+/// One scan run: the token stream and dictionary on the scaffold's device.
 struct Scan<'a> {
-    comp: &'a Compressed,
-    cfg: &'a EngineConfig,
-    dev: &'a Arc<SimDevice>,
-    pool: &'a Arc<PmemPool>,
-    scratch_base: Addr,
-    scratch_len: u64,
-    txlog: &'a Option<Arc<Mutex<TxLog>>>,
+    sc: &'a RunScaffold,
     stream: Addr,
     n_tokens: usize,
     dict_offsets: Addr,
     dict_bytes: Addr,
-    interner: Mutex<Interner>,
-    host_dram: Cell<u64>,
-    ledger: &'a Arc<AllocLedger>,
 }
 
 const BLOCK: usize = 4096;
 
-impl<'a> Scan<'a> {
-    fn charge_items(&self, n: u64) {
-        self.dev.charge_ns(n * self.cfg.cost.per_item_ns);
-    }
-
-    fn charge_sort(&self, n: u64) {
-        if n > 1 {
-            let log = 64 - n.leading_zeros() as u64;
-            self.dev.charge_ns(n * log * self.cfg.cost.per_compare_ns);
-        }
-    }
-
-    fn note_dram(&self, bytes: u64) {
-        self.ledger.on_alloc(DeviceKind::Dram, bytes);
-        self.host_dram.set(self.host_dram.get() + bytes);
-    }
-
+impl Scan<'_> {
     fn word_str(&self, id: u32) -> String {
-        let start = self.dev.read_u64(self.dict_offsets + id as u64 * 8);
-        let end = self.dev.read_u64(self.dict_offsets + (id as u64 + 1) * 8);
+        let dev = &self.sc.dev;
+        let start = dev.read_u64(self.dict_offsets + id as u64 * 8);
+        let end = dev.read_u64(self.dict_offsets + (id as u64 + 1) * 8);
         let mut bytes = vec![0u8; (end - start) as usize];
-        self.dev.read_bytes(self.dict_bytes + start, &mut bytes);
+        dev.read_bytes(self.dict_bytes + start, &mut bytes);
         String::from_utf8(bytes).expect("dictionary strings are UTF-8")
     }
 
-    fn fresh_scratch(&self) -> Arc<PmemPool> {
-        Arc::new(PmemPool::new(self.dev.clone(), self.scratch_base, self.scratch_len))
-    }
-
-    /// Standard-library-style growable result counter (the baseline has no
-    /// summation to pre-size from).
-    fn counter(&self) -> Result<TxCounter> {
-        let table = PHashTable::with_expected(self.pool.clone(), 8, false)?;
-        Ok(TxCounter::new(table, self.txlog.clone(), BASE_TX_BATCH))
-    }
-
-    /// Per-file scratch counter. Like the compressed engines' scratch
-    /// tables, per-file intermediates are *not* transactional under
-    /// operation-level persistence: they are recomputed on recovery, not
-    /// persisted (only result structures and cached lists are logged).
-    fn file_counter(&self) -> Result<TxCounter> {
-        let table = PHashTable::with_expected(self.fresh_scratch(), 8, false)?;
-        Ok(TxCounter::new(table, None, BASE_TX_BATCH))
+    /// Standard-library-style growable counter table (the baseline has no
+    /// summation to pre-size from). Per-file intermediates use these bare:
+    /// like the compressed engines' scratch tables they are *not*
+    /// transactional under operation-level persistence — recomputed on
+    /// recovery, not persisted (only result structures are logged).
+    fn table(&self, scratch: bool) -> Result<PHashTable> {
+        let pool = if scratch { self.sc.fresh_scratch() } else { self.sc.pool.clone() };
+        PHashTable::with_expected(pool, 8, false)
     }
 
     /// Visit each token in stream order (bulk block reads).
@@ -365,8 +241,8 @@ impl<'a> Scan<'a> {
         let mut at = 0usize;
         while at < self.n_tokens {
             let n = BLOCK.min(self.n_tokens - at);
-            self.dev.read_u32_slice(self.stream + (at * 4) as u64, &mut buf[..n]);
-            self.charge_items(n as u64);
+            self.sc.dev.read_u32_slice(self.stream + (at * 4) as u64, &mut buf[..n]);
+            self.sc.charge_items(n as u64);
             for &t in &buf[..n] {
                 f(t)?;
             }
@@ -375,96 +251,36 @@ impl<'a> Scan<'a> {
         Ok(())
     }
 
-    // ---- tasks ------------------------------------------------------
+    // ---- id-level results (shaped by `engine::shape`) ----------------
 
-    fn count_all_words(&self) -> Result<Vec<(u32, u64)>> {
-        let counter = self.counter()?;
+    fn count_all_words(&self) -> Result<Counts> {
+        let counter = self.sc.result_counter(8, false)?;
         self.for_each_token(|t| if t == SEP { Ok(()) } else { counter.add(t as u64, 1) })?;
         counter.finish()?;
-        Ok(counter.table.entries().into_iter().map(|(k, v)| (k as u32, v)).collect())
-    }
-
-    fn word_count(&self) -> Result<TaskOutput> {
-        let counts = self.count_all_words()?;
-        let mut out = BTreeMap::new();
-        for (wid, c) in counts {
-            out.insert(self.word_str(wid), c);
-        }
-        Ok(TaskOutput::WordCount(out))
-    }
-
-    fn sort(&self) -> Result<TaskOutput> {
-        let counts = self.count_all_words()?;
-        let mut rows: Vec<(String, u64)> =
-            counts.into_iter().map(|(wid, c)| (self.word_str(wid), c)).collect();
-        self.charge_sort(rows.len() as u64);
-        rows.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        Ok(TaskOutput::Sort(rows))
+        Ok(counts_of(&counter.table))
     }
 
     /// Per-file word tables via one scan.
-    fn per_file_tables(&self) -> Result<Vec<Vec<(u32, u64)>>> {
+    fn per_file_tables(&self) -> Result<Vec<Counts>> {
         let mut out = Vec::new();
-        let mut table = Some(self.file_counter()?);
+        let mut table = self.table(true)?;
         self.for_each_token(|t| {
             if t == SEP {
-                let finished = table.take().expect("active table");
-                finished.finish()?;
-                out.push(
-                    finished.table.entries().into_iter().map(|(k, v)| (k as u32, v)).collect(),
-                );
-                table = Some(self.file_counter()?);
+                out.push(counts_of(&table));
+                table = self.table(true)?;
                 Ok(())
             } else {
-                table.as_ref().expect("active table").add(t as u64, 1)
+                table.add(t as u64, 1)
             }
         })?;
-        let finished = table.take().expect("active table");
-        finished.finish()?;
-        out.push(finished.table.entries().into_iter().map(|(k, v)| (k as u32, v)).collect());
+        out.push(counts_of(&table));
         Ok(out)
     }
 
-    fn term_vector(&self) -> Result<TaskOutput> {
-        let tables = self.per_file_tables()?;
-        let k = self.cfg.top_k;
-        let mut out = Vec::with_capacity(tables.len());
-        for (fid, mut entries) in tables.into_iter().enumerate() {
-            self.charge_sort(entries.len() as u64);
-            entries.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-            entries.truncate(k);
-            let top: Vec<(String, u64)> =
-                entries.into_iter().map(|(w, c)| (self.word_str(w), c)).collect();
-            out.push((self.comp.file_names[fid].clone(), top));
-        }
-        Ok(TaskOutput::TermVector(out))
-    }
-
-    fn inverted_index(&self) -> Result<TaskOutput> {
-        let tables = self.per_file_tables()?;
-        let pairs: ntadoc_nstruct::PVec<(u32, u32)> = ntadoc_nstruct::PVec::with_capacity(
-            self.pool.clone(),
-            tables.iter().map(|t| t.len()).sum::<usize>().max(1),
-        )?;
-        let mut out: BTreeMap<String, Vec<String>> = BTreeMap::new();
-        for (fid, mut entries) in tables.into_iter().enumerate() {
-            entries.sort_unstable_by_key(|e| e.0);
-            self.charge_sort(entries.len() as u64);
-            for (wid, _) in entries {
-                pairs.push((wid, fid as u32))?;
-                out.entry(self.word_str(wid)).or_default().push(self.comp.file_names[fid].clone());
-            }
-        }
-        if self.cfg.persistence != Persistence::None {
-            pairs.persist();
-        }
-        Ok(TaskOutput::InvertedIndex(out))
-    }
-
-    /// Slide an n-window over the stream calling `f(gram_id)` per window;
-    /// windows never cross file separators.
+    /// Slide an n-window over the stream calling `f(gram id, file id)` per
+    /// window; windows never cross file separators.
     fn for_each_ngram(&self, mut f: impl FnMut(u32, usize) -> Result<()>) -> Result<()> {
-        let n = self.cfg.ngram;
+        let n = self.sc.cfg.ngram;
         let mut window: Vec<u32> = Vec::with_capacity(n);
         let mut fid = 0usize;
         self.for_each_token(|t| {
@@ -478,74 +294,37 @@ impl<'a> Scan<'a> {
                 window.remove(0);
             }
             if window.len() == n {
-                let (id, fresh) = crate::engine::lock(&self.interner).intern(&window);
-                if fresh {
-                    self.note_dram(n as u64 * 8 + 64);
-                }
-                f(id, fid)?;
+                f(self.sc.intern(&window), fid)?;
             }
             Ok(())
         })
     }
 
-    fn sequence_count(&self) -> Result<TaskOutput> {
-        assert!(self.cfg.ngram >= 2);
-        let counter = self.counter()?;
+    fn ngram_counts(&self) -> Result<Counts> {
+        let counter = self.sc.result_counter(8, false)?;
         self.for_each_ngram(|id, _| counter.add(id as u64, 1))?;
         counter.finish()?;
-        let interner = crate::engine::lock(&self.interner);
-        let mut out = BTreeMap::new();
-        for (id, c) in counter.table.entries() {
-            let gram: Vec<String> =
-                interner.gram(id as u32).iter().map(|&w| self.word_str(w)).collect();
-            out.insert(gram, c);
-        }
-        Ok(TaskOutput::SequenceCount(out))
+        Ok(counts_of(&counter.table))
     }
 
-    fn ranked_inverted_index(&self) -> Result<TaskOutput> {
-        assert!(self.cfg.ngram >= 2);
-        // Per-file n-gram tables in one scan.
-        let mut per_file: Vec<TxCounter> = Vec::new();
-        // Per-file tables must coexist (one per file), so they live on the
-        // main pool rather than the shared scratch region.
-        // Transient per-file intermediates: not transactional (see
-        // `file_counter`).
-        let new_table = || -> Result<TxCounter> {
-            Ok(TxCounter::new(
-                PHashTable::with_expected(self.pool.clone(), 8, false)?,
-                None,
-                BASE_TX_BATCH,
-            ))
-        };
-        per_file.push(new_table()?);
+    /// Each n-gram's `(file id, count)` postings in file order, from
+    /// per-file n-gram tables filled in one scan. The tables must coexist
+    /// (one per file), so they live on the main pool rather than the
+    /// shared scratch region.
+    fn ngram_postings(&self) -> Result<BTreeMap<u32, Vec<(u32, u64)>>> {
+        let mut per_file = vec![self.table(false)?];
         self.for_each_ngram(|id, fid| {
             while per_file.len() <= fid {
-                per_file.push(new_table()?);
+                per_file.push(self.table(false)?);
             }
             per_file[fid].add(id as u64, 1)
         })?;
-        for t in &per_file {
-            t.finish()?;
-        }
-        let interner = crate::engine::lock(&self.interner);
-        let mut acc: BTreeMap<u32, Vec<(u32, u64)>> = BTreeMap::new();
+        let mut postings: BTreeMap<u32, Vec<(u32, u64)>> = BTreeMap::new();
         for (fid, table) in per_file.iter().enumerate() {
-            for (id, c) in table.table.entries() {
-                acc.entry(id as u32).or_default().push((fid as u32, c));
+            for (id, c) in table.entries() {
+                postings.entry(id as u32).or_default().push((fid as u32, c));
             }
         }
-        let mut out = BTreeMap::new();
-        for (sid, mut files) in acc {
-            self.charge_sort(files.len() as u64);
-            files.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-            let gram: Vec<String> = interner.gram(sid).iter().map(|&w| self.word_str(w)).collect();
-            let ranked: Vec<(String, u64)> = files
-                .into_iter()
-                .map(|(fid, c)| (self.comp.file_names[fid as usize].clone(), c))
-                .collect();
-            out.insert(gram, ranked);
-        }
-        Ok(TaskOutput::RankedInvertedIndex(out))
+        Ok(postings)
     }
 }

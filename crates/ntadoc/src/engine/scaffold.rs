@@ -1,0 +1,259 @@
+//! The run scaffold: everything one measured run stands on, whichever
+//! engine runs it.
+//!
+//! [`RunScaffold::new`] alone builds the device, the main pool with its
+//! allocation ledger, the scratch window, the undo log and the span
+//! recorder; the compressed [`Session`](super::Session) and the
+//! uncompressed scan ([`crate::baseline`]) both sit on one, so "like with
+//! like" (Figures 5/6) is one piece of code rather than two kept in step:
+//! the same modeled CPU charges, the same transactional counters, the
+//! same `"traversal"` → `"writeback"` phase boundary, the same
+//! [`RunReport`] assembly. [`with_doubling_capacity`] is the one retry
+//! loop for a capacity estimate that proved too small.
+
+use std::sync::{Arc, Mutex};
+
+use ntadoc_nstruct::PHashTable;
+use ntadoc_pmem::obs::MetricValue;
+use ntadoc_pmem::{
+    AllocLedger, DeviceKind, DeviceProfile, Obs, PmemBackend, PmemError, PmemPool, PoolDevice,
+    PoolLayout, SimDevice, TxLog, MAX_POOL_CAPACITY,
+};
+
+use super::txcounter::commit_open;
+use super::{Interner, TxCounter};
+use crate::config::{EngineConfig, Persistence};
+use crate::report::{
+    RunReport, METRIC_DEVICE_PEAK, METRIC_DRAM_PEAK, METRIC_HIT_RATE, REPORT_VERSION,
+};
+use crate::result::{Task, TaskOutput};
+use crate::Result;
+
+/// Undo-log region size for operation-level persistence.
+pub(crate) const LOG_BYTES: u64 = 4 << 20;
+
+/// Ledgered DRAM footprint of one interned n-gram of `n` words.
+pub(crate) fn gram_dram(n: usize) -> u64 {
+    n as u64 * 8 + 64
+}
+
+/// Run `attempt` at `capacity`, again at twice that each time it reports
+/// the pool exhausted. Doubling stops where [`MAX_POOL_CAPACITY`] would be
+/// passed, which is also the largest capacity a pool header may declare;
+/// the exhaustion error is then the caller's.
+pub(crate) fn with_doubling_capacity<T>(
+    mut capacity: usize,
+    mut attempt: impl FnMut(usize) -> Result<T>,
+) -> Result<T> {
+    loop {
+        match attempt(capacity) {
+            Err(PmemError::PoolExhausted { .. }) if (capacity as u64) < MAX_POOL_CAPACITY / 2 => {
+                capacity *= 2;
+            }
+            other => return other,
+        }
+    }
+}
+
+/// One run's device, pools, log, ledger and recorder.
+pub(crate) struct RunScaffold {
+    pub cfg: EngineConfig,
+    pub task: Task,
+    /// Engine label stamped into the report.
+    label: String,
+    pub dev: Arc<SimDevice>,
+    /// The storage backend behind the object-safe trait: the pool file
+    /// when one is attached (`dev` is then its twin), `dev` otherwise.
+    pub backend: Arc<dyn PmemBackend>,
+    pub ledger: Arc<AllocLedger>,
+    pub pool: Arc<PmemPool>,
+    scratch_base: u64,
+    scratch_len: u64,
+    pub txlog: Option<Arc<Mutex<TxLog>>>,
+    /// Updates per undo-log transaction of a [`TxCounter`]: the engine's
+    /// "operation".
+    tx_batch: usize,
+    /// Span recorder + metric registry for this run. Spans are opened on
+    /// the run's controlling thread only (see `ntadoc_pmem::obs`).
+    pub obs: Arc<Obs>,
+    pub interner: Interner,
+}
+
+impl RunScaffold {
+    /// Set a run up over `layout`: on the twin of `file` when a durable
+    /// pool is attached, on a fresh simulated device of `layout.capacity`
+    /// bytes otherwise. Rejects what no amount of init could make
+    /// runnable — a sequence task with `ngram < 2` — before anything is
+    /// allocated.
+    pub(crate) fn new(
+        cfg: EngineConfig,
+        task: Task,
+        label: String,
+        profile: &DeviceProfile,
+        layout: PoolLayout,
+        file: Option<&Arc<dyn PoolDevice>>,
+        tx_batch: usize,
+    ) -> Result<RunScaffold> {
+        if task.is_sequence() && cfg.ngram < 2 {
+            return Err(PmemError::Unsupported(format!(
+                "{task} counts n-grams of n >= 2 words, not {}",
+                cfg.ngram
+            )));
+        }
+        let (dev, backend): (Arc<SimDevice>, Arc<dyn PmemBackend>) = match file {
+            Some(file) => (file.twin().clone(), file.clone()),
+            None => {
+                let dev = Arc::new(SimDevice::new(profile.clone(), layout.capacity as usize));
+                (dev.clone(), dev)
+            }
+        };
+        let ledger = Arc::new(AllocLedger::new());
+        let pool =
+            Arc::new(PmemPool::new(dev.clone(), 0, layout.main_len).with_ledger(ledger.clone()));
+        // The log talks to the backend trait: the file device when one is
+        // attached (exercising the same code path recovery uses), the
+        // simulator otherwise. Both charge identically.
+        let txlog = (cfg.persistence == Persistence::OperationLevel).then(|| {
+            Arc::new(Mutex::new(TxLog::new(
+                backend.clone(),
+                layout.log_base(),
+                layout.log_len as usize,
+            )))
+        });
+        Ok(RunScaffold {
+            cfg,
+            task,
+            label,
+            dev,
+            backend,
+            ledger,
+            pool,
+            scratch_base: layout.scratch_base(),
+            scratch_len: layout.scratch_len,
+            txlog,
+            tx_batch,
+            obs: Arc::new(Obs::new()),
+            interner: Interner::default(),
+        })
+    }
+
+    /// Charge modeled CPU work for `n` items.
+    pub(crate) fn charge_items(&self, n: u64) {
+        self.dev.charge_ns(n * self.cfg.cost.per_item_ns);
+    }
+
+    /// Charge modeled CPU work for sorting `n` elements.
+    pub(crate) fn charge_sort(&self, n: u64) {
+        if n > 1 {
+            let log = 64 - n.leading_zeros() as u64;
+            self.dev.charge_ns(n * log * self.cfg.cost.per_compare_ns);
+        }
+    }
+
+    /// Record host-side DRAM allocation (RSS proxy bookkeeping).
+    pub(crate) fn note_dram(&self, bytes: u64) {
+        self.ledger.on_alloc(DeviceKind::Dram, bytes);
+    }
+
+    /// Record host-side DRAM release.
+    pub(crate) fn drop_dram(&self, bytes: u64) {
+        self.ledger.on_free(DeviceKind::Dram, bytes);
+    }
+
+    /// Whether the configured strategy persists anything at all.
+    pub(crate) fn persists(&self) -> bool {
+        self.cfg.persistence != Persistence::None
+    }
+
+    /// A fresh scratch pool over the dedicated scratch region (transient
+    /// hash tables; reset wholesale on each call).
+    pub(crate) fn fresh_scratch(&self) -> Arc<PmemPool> {
+        Arc::new(PmemPool::new(self.dev.clone(), self.scratch_base, self.scratch_len))
+    }
+
+    /// A result counter table on the main pool, wired to the run's
+    /// persistence strategy. `fixed` tables never grow (sound only when
+    /// `expected` is an upper bound).
+    pub(crate) fn result_counter(&self, expected: usize, fixed: bool) -> Result<TxCounter> {
+        let table = PHashTable::with_expected(self.pool.clone(), expected, fixed)?;
+        Ok(TxCounter::new(table, self.txlog.clone(), self.tx_batch))
+    }
+
+    /// A transient counter table in the scratch region (per-rule /
+    /// per-file merges). Scratch tables are never transactional: they are
+    /// recomputed on recovery, not persisted.
+    pub(crate) fn scratch_table(&self, expected: usize, fixed: bool) -> Result<PHashTable> {
+        PHashTable::with_expected(self.fresh_scratch(), expected, fixed)
+    }
+
+    /// Intern an n-gram, ledgering the dictionary bytes a new one adds.
+    /// Controlling thread only: ids follow interning order (see
+    /// [`Interner`]).
+    pub(crate) fn intern(&self, words: &[u32]) -> u32 {
+        let (id, fresh) = self.interner.intern(words);
+        if fresh {
+            self.note_dram(gram_dram(words.len()));
+        }
+        id
+    }
+
+    /// One attempt at the second phase, recorded as a `"traversal"` span:
+    /// `task` computes the output, then the `"writeback"` span closes any
+    /// open operation-level transaction, persists the results at the phase
+    /// boundary and writes them back to disk.
+    pub(crate) fn traversal(
+        &self,
+        task: impl FnOnce() -> Result<TaskOutput>,
+    ) -> Result<TaskOutput> {
+        self.obs.span("traversal", &self.dev, || {
+            let out = task()?;
+            self.obs.span("writeback", &self.dev, || -> Result<()> {
+                commit_open(&self.txlog)?;
+                if self.persists() {
+                    self.pool.persist_used();
+                }
+                self.dev.charge_ns(self.cfg.cost.disk_read_ns(out.approx_bytes()));
+                Ok(())
+            })?;
+            Ok(out)
+        })
+    }
+
+    /// Measurement report for the run so far: the recorded span tree under
+    /// a `"run"` root carrying the whole-run totals (so traffic outside any
+    /// span still shows), and the metric registry plus the report-time
+    /// scalars — allocation peaks, cache hit rate, per-shard read
+    /// contention. Shard totals are sums of per-item deferred counters
+    /// attributed by line index, schedule-independent like the rest;
+    /// optimistic-read retries depend on writer interleaving and are
+    /// deliberately left out.
+    pub(crate) fn report(&self) -> RunReport {
+        let stats = self.dev.stats();
+        let profile = self.dev.profile();
+        let mut metrics = self.obs.metrics.snapshot();
+        let mut gauge = |name: &str, v: f64| metrics.insert(name.into(), MetricValue::Gauge(v));
+        gauge(METRIC_DRAM_PEAK, self.ledger.peak(DeviceKind::Dram) as f64);
+        gauge(METRIC_DEVICE_PEAK, self.ledger.peak(profile.kind) as f64);
+        gauge(METRIC_HIT_RATE, stats.hit_rate());
+        for (i, s) in self.dev.read_shard_stats().iter().enumerate() {
+            metrics.insert(format!("contention.shard{i:02}.reads"), MetricValue::Counter(s.reads));
+            metrics.insert(
+                format!("contention.shard{i:02}.line_misses"),
+                MetricValue::Counter(s.line_misses),
+            );
+        }
+        let mut spans = self.obs.tree("run");
+        spans.stats = stats;
+        spans.virtual_ns = stats.virtual_ns;
+        RunReport {
+            version: REPORT_VERSION,
+            task: self.task,
+            engine: self.label.clone(),
+            device: profile.name.to_string(),
+            spans,
+            metrics,
+            stats,
+            wear_top: self.dev.wear_top(8),
+        }
+    }
+}

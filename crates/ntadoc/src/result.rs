@@ -232,7 +232,7 @@ impl TaskOutput {
         }
     }
 
-    /// Serialize the output as deterministic [`Json`] (the CLI serve
+    /// Serialize the output as deterministic [`ntadoc_pmem::Json`] (the CLI serve
     /// protocol's wire shape). Map-like results become objects keyed by
     /// word (n-grams joined by spaces); list-like results become arrays.
     pub fn to_json(&self) -> ntadoc_pmem::Json {

@@ -19,7 +19,7 @@
 //! workers on a 2-core host, 3.7 k and 87.8 k rules — numbers in DESIGN.md,
 //! "Init is one pass"; more cores are unverified). An engine derives that
 //! order and the dependency levels once per corpus snapshot
-//! ([`GrammarFacts`]) and every session shares them.
+//! (`GrammarFacts`) and every session shares them.
 
 use ntadoc_grammar::{Grammar, Symbol};
 

@@ -291,3 +291,35 @@ fn tiny_files_corpus_works() {
         Engine::builder(comp.clone()).config(cfg_with(EngineConfig::ntadoc())).build().unwrap();
     run_all_tasks("tiny-files", engine, &comp);
 }
+
+/// Sequence tasks count n-grams of at least two words. Both engines turn
+/// `ngram < 2` down with the same typed error before init (the compressed
+/// engine used to panic building sequence-list caches at `ngram = 0`, the
+/// baseline to `assert!`); the other tasks never look at `ngram`.
+#[test]
+fn sequence_tasks_reject_an_ngram_below_two_on_both_engines() {
+    use ntadoc_pmem::PmemError;
+    let comp = corpus();
+    for ngram in [0, 1] {
+        for base in [EngineConfig::ntadoc(), EngineConfig::ntadoc_oplevel(), EngineConfig::naive()]
+        {
+            let cfg = EngineConfig { ngram, ..base };
+            let mut engine = Engine::builder(comp.clone()).config(cfg.clone()).build().unwrap();
+            let mut scan = UncompressedEngine::builder(comp.clone()).config(cfg).build();
+            for task in [Task::SequenceCount, Task::RankedInvertedIndex] {
+                for err in [
+                    engine.run(task).unwrap_err(),
+                    engine.session(task).err().expect("rejected before init"),
+                    scan.run(task).unwrap_err(),
+                ] {
+                    assert!(
+                        matches!(&err, PmemError::Unsupported(m) if m.contains("n >= 2")),
+                        "{task}, ngram {ngram}: {err}"
+                    );
+                }
+            }
+            check(&engine.run(Task::WordCount).unwrap(), &comp, Task::WordCount, "ngram-free");
+            check(&scan.run(Task::WordCount).unwrap(), &comp, Task::WordCount, "ngram-free");
+        }
+    }
+}

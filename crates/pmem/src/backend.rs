@@ -100,8 +100,8 @@ pub trait PmemBackend: Send + Sync {
     /// Zero means "never published".
     fn publish_snapshot(&self, fingerprint: u64) -> Result<()>;
 
-    /// The last fingerprint sealed by [`publish_snapshot`]
-    /// (`Self::publish_snapshot`), or zero if none was.
+    /// The last fingerprint sealed by
+    /// [`publish_snapshot`](Self::publish_snapshot), or zero if none was.
     fn published_snapshot(&self) -> u64;
 
     /// Flush + fence over one range: the minimal durability unit.

@@ -28,11 +28,8 @@
 //!
 //! # Overhead
 //!
-//! A disabled [`Obs`] ([`Obs::disabled`]) records nothing: `span` runs
-//! the closure directly (one branch), and the metric mutators return
-//! immediately. An enabled span costs two stats snapshots (one short
-//! lock each) — negligible next to the work a span brackets, but the
-//! off-switch keeps hot serve paths honest.
+//! A span costs two stats snapshots (one short lock each) — negligible
+//! next to the work a span brackets — so recording is always on.
 
 use std::collections::BTreeMap;
 use std::sync::Mutex;
@@ -243,15 +240,13 @@ pub fn metrics_from_json(v: &Json) -> Result<MetricsSnapshot, String> {
 ///
 /// All mutators are commutative (add, max), so concurrent updates from
 /// parallel workers produce the same snapshot regardless of schedule.
-/// A disabled registry ignores every update.
 #[derive(Debug, Default)]
 pub struct MetricRegistry {
-    disabled: bool,
     values: Mutex<MetricsSnapshot>,
 }
 
 impl MetricRegistry {
-    /// Fresh, empty, recording registry.
+    /// Fresh, empty registry.
     pub fn new() -> Self {
         Self::default()
     }
@@ -260,16 +255,18 @@ impl MetricRegistry {
         self.values.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Add `delta` to the counter `name` (created at zero).
-    pub fn counter_add(&self, name: &str, delta: u64) {
-        if self.disabled {
-            return;
-        }
+    /// Add `delta` to the counter `name` (created at zero); returns the
+    /// counter's new value.
+    pub fn counter_add(&self, name: &str, delta: u64) -> u64 {
         let mut v = self.lock();
         match v.get_mut(name) {
-            Some(MetricValue::Counter(c)) => *c += delta,
+            Some(MetricValue::Counter(c)) => {
+                *c += delta;
+                *c
+            }
             _ => {
                 v.insert(name.to_string(), MetricValue::Counter(delta));
+                delta
             }
         }
     }
@@ -278,9 +275,6 @@ impl MetricRegistry {
     /// observation of an externally tracked monotonic count — safe to
     /// re-observe at every snapshot point without double counting).
     pub fn counter_max(&self, name: &str, value: u64) {
-        if self.disabled {
-            return;
-        }
         let mut v = self.lock();
         match v.get_mut(name) {
             Some(MetricValue::Counter(c)) if *c >= value => {}
@@ -292,17 +286,11 @@ impl MetricRegistry {
 
     /// Set the gauge `name` to `value`.
     pub fn gauge_set(&self, name: &str, value: f64) {
-        if self.disabled {
-            return;
-        }
         self.lock().insert(name.to_string(), MetricValue::Gauge(value));
     }
 
     /// Fold `value` into the gauge `name`, keeping the maximum (peaks).
     pub fn gauge_max(&self, name: &str, value: f64) {
-        if self.disabled {
-            return;
-        }
         let mut v = self.lock();
         match v.get_mut(name) {
             Some(MetricValue::Gauge(g)) if *g >= value => {}
@@ -327,46 +315,19 @@ struct OpenSpan {
 }
 
 /// Per-session observability handle: a span recorder plus a metric
-/// registry. Create one per run with [`Obs::new`], or [`Obs::disabled`]
-/// for zero-overhead opt-out.
-#[derive(Debug)]
+/// registry. Create one per run with [`Obs::new`].
+#[derive(Debug, Default)]
 pub struct Obs {
-    enabled: bool,
     /// Open spans (innermost last) and the completed roots.
     spans: Mutex<(Vec<OpenSpan>, Vec<SpanNode>)>,
     /// Companion metric registry.
     pub metrics: MetricRegistry,
 }
 
-impl Default for Obs {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl Obs {
-    /// A recording handle.
+    /// A fresh handle: no spans, no metrics.
     pub fn new() -> Self {
-        Obs {
-            enabled: true,
-            spans: Mutex::new((Vec::new(), Vec::new())),
-            metrics: MetricRegistry::new(),
-        }
-    }
-
-    /// A handle that records nothing: spans run their closure directly and
-    /// metric updates are ignored.
-    pub fn disabled() -> Self {
-        Obs {
-            enabled: false,
-            spans: Mutex::new((Vec::new(), Vec::new())),
-            metrics: MetricRegistry { disabled: true, values: Mutex::new(BTreeMap::new()) },
-        }
-    }
-
-    /// Whether this handle records spans and metrics.
-    pub fn enabled(&self) -> bool {
-        self.enabled
+        Self::default()
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, (Vec<OpenSpan>, Vec<SpanNode>)> {
@@ -380,9 +341,6 @@ impl Obs {
     /// unwinds — crash-injection harnesses catch panics mid-traversal and
     /// re-enter, so an unbalanced stack would corrupt later spans.
     pub fn span<R>(&self, name: &str, dev: &SimDevice, f: impl FnOnce() -> R) -> R {
-        if !self.enabled {
-            return f();
-        }
         {
             let mut s = self.lock();
             s.0.push(OpenSpan { name: name.to_string(), start: dev.stats(), children: Vec::new() });
@@ -401,43 +359,11 @@ impl Obs {
         f()
     }
 
-    /// Run `f` inside a span named `kind:label` ([`labeled`]): the
-    /// per-tenant (or otherwise dynamically keyed) variant of
-    /// [`Obs::span`]. Same determinism rule: controlling thread only.
-    pub fn span_labeled<R>(
-        &self,
-        kind: &str,
-        label: impl std::fmt::Display,
-        dev: &SimDevice,
-        f: impl FnOnce() -> R,
-    ) -> R {
-        if !self.enabled {
-            return f();
-        }
-        self.span(&labeled(kind, label), dev, f)
-    }
-
-    /// Record an already-measured childless span named `kind:label` at the
-    /// current nesting level — how a serve batch attributes each query's
-    /// deferred device cost to its tenant after the parallel barrier.
-    pub fn record_leaf_labeled(
-        &self,
-        kind: &str,
-        label: impl std::fmt::Display,
-        delta: AccessStats,
-    ) {
-        if !self.enabled {
-            return;
-        }
-        self.record_leaf(&labeled(kind, label), delta);
-    }
-
     /// Record an already-measured childless span at the current nesting
-    /// level (for costs computed outside a closure).
+    /// level (for costs computed outside a closure — how a serve batch
+    /// attributes each query's deferred device cost to its tenant after
+    /// the parallel barrier).
     pub fn record_leaf(&self, name: &str, delta: AccessStats) {
-        if !self.enabled {
-            return;
-        }
         let node = SpanNode::leaf(name, delta);
         let mut s = self.lock();
         match s.0.last_mut() {
@@ -514,20 +440,6 @@ mod tests {
     }
 
     #[test]
-    fn disabled_obs_records_nothing_and_runs_closures() {
-        let dev = dev();
-        let obs = Obs::disabled();
-        let out = obs.span("x", &dev, || {
-            obs.metrics.counter_add("n", 3);
-            obs.metrics.gauge_set("g", 1.0);
-            42
-        });
-        assert_eq!(out, 42);
-        assert_eq!(obs.tree("run").children.len(), 0);
-        assert!(obs.metrics.snapshot().is_empty());
-    }
-
-    #[test]
     fn span_closes_on_unwind() {
         let dev = dev();
         let obs = Obs::new();
@@ -571,22 +483,16 @@ mod tests {
         assert_eq!(labeled("tenant", 7), "tenant:7");
         let dev = dev();
         let obs = Obs::new();
-        obs.span_labeled("tenant", 3, &dev, || {
+        obs.span(&labeled("tenant", 3), &dev, || {
             dev.charge_ns(2);
-            obs.record_leaf_labeled(
-                "query",
-                "wc",
+            obs.record_leaf(
+                &labeled("query", "wc"),
                 AccessStats { virtual_ns: 1, ..Default::default() },
             );
         });
         let tree = obs.tree("run");
         assert_eq!(tree.children[0].name, "tenant:3");
         assert_eq!(tree.children[0].children[0].name, "query:wc");
-        // A disabled handle records neither form.
-        let off = Obs::disabled();
-        off.span_labeled("tenant", 1, &dev, || {});
-        off.record_leaf_labeled("tenant", 1, AccessStats::default());
-        assert!(off.tree("run").children.is_empty());
     }
 
     #[test]
