@@ -28,6 +28,12 @@
 //! device time deterministically (see `ntadoc_pmem::par`). The
 //! multi-tenant front-end (batch formation, admission control, result
 //! caching) lives above this in the `ntadoc-serve` crate.
+//!
+//! One file per type: `builder` (the builder and its enums), `session`,
+//! `serve`, `interner`, `txcounter`; `scaffold` is what every run stands
+//! on and `shape` turns id-level results into [`TaskOutput`] — both shared
+//! with [`crate::baseline`]; `tasks` and `sequence` are the compressed
+//! engines' id-level halves of the six tasks.
 
 mod builder;
 mod interner;

@@ -230,11 +230,12 @@ impl Session {
         // Naive: one growable hash counter takes every update. N-TADOC:
         // per-rule junction lists are written to the pool sequentially,
         // then k-way merged weighted by rule weight — no random NVM probing.
-        let counter = match self.sc.cfg.pruned {
-            true => None,
+        let counter = if self.sc.cfg.pruned {
+            None
+        } else {
             // Always growable: the summation's bounds cover word lists,
             // not n-gram spaces, so a fixed capacity would be unsound.
-            false => Some(self.sc.result_counter(self.sized(dag.dict_len() * 2), false)?),
+            Some(self.sc.result_counter(self.sized(dag.dict_len() * 2), false)?)
         };
         let mut lists = Vec::new();
         for &r in &self.facts.topo {

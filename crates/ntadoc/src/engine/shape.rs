@@ -88,8 +88,9 @@ pub(crate) fn inverted_index(
             out.entry(word(wid)).or_default().push(file_names[fid].clone());
         }
     }
-    if let Some(pairs) = pairs.filter(|_| sc.persists()) {
-        pairs.persist();
+    match pairs {
+        Some(pairs) if sc.persists() => pairs.persist(),
+        _ => {}
     }
     Ok(TaskOutput::InvertedIndex(out))
 }
