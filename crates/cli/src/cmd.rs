@@ -33,7 +33,60 @@ pub const USAGE: &str = "usage:
 
 tasks: wordcount | sort | termvector | invertedindex | sequencecount | rankedindex";
 
-type CmdResult = Result<(), String>;
+/// Why a command failed. Both kinds exit 1; only [`CliError::Usage`] is
+/// followed by the usage text, so a typed run-time message (a missing pool
+/// directory, a checksum failure) is not buried under twenty lines of it.
+#[derive(Debug, PartialEq, Eq)]
+pub enum CliError {
+    /// The arguments were wrong: unknown command or flag, missing operand,
+    /// unparsable value.
+    Usage(String),
+    /// The arguments were fine and the work failed.
+    Failed(String),
+}
+
+impl std::fmt::Display for CliError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let (CliError::Usage(msg) | CliError::Failed(msg)) = self;
+        f.write_str(msg)
+    }
+}
+
+/// An argument error.
+pub(crate) fn usage(msg: impl Into<String>) -> CliError {
+    CliError::Usage(msg.into())
+}
+
+/// A run-time failure, from anything printable.
+pub(crate) fn fail(err: impl std::fmt::Display) -> CliError {
+    CliError::Failed(err.to_string())
+}
+
+pub(crate) type CmdResult = Result<(), CliError>;
+
+/// The operand of the flag at `args[i]`: "`<flag>` needs `<what>`" if the
+/// arguments end there.
+pub(crate) fn operand<'a>(
+    args: &'a [String],
+    i: usize,
+    what: &str,
+) -> Result<&'a String, CliError> {
+    args.get(i + 1).ok_or_else(|| usage(format!("{} needs {what}", args[i])))
+}
+
+/// The numeric operand of the flag at `args[i]`.
+pub(crate) fn number<T: std::str::FromStr>(args: &[String], i: usize) -> Result<T, CliError>
+where
+    T::Err: std::fmt::Display,
+{
+    operand(args, i, "a number")?.parse().map_err(|e| usage(format!("{}: {e}", args[i])))
+}
+
+/// The operand of a `--backend` flag at `args[i]`.
+pub(crate) fn backend_operand(args: &[String], i: usize) -> Result<PoolBackend, CliError> {
+    let name = operand(args, i, "file|mmap")?;
+    PoolBackend::parse(name).ok_or_else(|| usage(format!("bad --backend `{name}`")))
+}
 
 /// Route a raw argument vector to its subcommand.
 pub fn dispatch(args: &[String]) -> CmdResult {
@@ -48,13 +101,13 @@ pub fn dispatch(args: &[String]) -> CmdResult {
         Some("fsck") => fsck(&args[1..]),
         Some("serve") => crate::serve::serve(&args[1..]),
         Some("query") => crate::serve::query(&args[1..]),
-        Some(other) => Err(format!("unknown command `{other}`")),
-        None => Err("no command given".into()),
+        Some(other) => Err(usage(format!("unknown command `{other}`"))),
+        None => Err(usage("no command given")),
     }
 }
 
 /// Parse a task name (several aliases accepted).
-pub fn parse_task(name: &str) -> Result<Task, String> {
+pub fn parse_task(name: &str) -> Result<Task, CliError> {
     match name.to_lowercase().replace(['-', '_'], "").as_str() {
         "wordcount" | "wc" => Ok(Task::WordCount),
         "sort" => Ok(Task::Sort),
@@ -62,12 +115,12 @@ pub fn parse_task(name: &str) -> Result<Task, String> {
         "invertedindex" | "ii" => Ok(Task::InvertedIndex),
         "sequencecount" | "sc" => Ok(Task::SequenceCount),
         "rankedindex" | "rankedinvertedindex" | "rii" => Ok(Task::RankedInvertedIndex),
-        other => Err(format!("unknown task `{other}`")),
+        other => Err(usage(format!("unknown task `{other}`"))),
     }
 }
 
 /// Parse a device name to its profile.
-pub fn parse_device(name: &str) -> Result<DeviceProfile, String> {
+pub fn parse_device(name: &str) -> Result<DeviceProfile, CliError> {
     match name.to_lowercase().as_str() {
         "nvm" | "optane" => Ok(DeviceProfile::nvm_optane()),
         "dram" => Ok(DeviceProfile::dram()),
@@ -75,12 +128,12 @@ pub fn parse_device(name: &str) -> Result<DeviceProfile, String> {
         "pcm" => Ok(DeviceProfile::pcm()),
         "ssd" => Ok(DeviceProfile::ssd_optane(64 << 20)),
         "hdd" => Ok(DeviceProfile::hdd_sas(64 << 20)),
-        other => Err(format!("unknown device `{other}`")),
+        other => Err(usage(format!("unknown device `{other}`"))),
     }
 }
 
 /// Collect input files: plain files directly, directories recursively.
-fn collect_inputs(paths: &[PathBuf]) -> Result<Vec<PathBuf>, String> {
+fn collect_inputs(paths: &[PathBuf]) -> Result<Vec<PathBuf>, CliError> {
     let mut files = Vec::new();
     for p in paths {
         if p.is_file() {
@@ -88,9 +141,10 @@ fn collect_inputs(paths: &[PathBuf]) -> Result<Vec<PathBuf>, String> {
         } else if p.is_dir() {
             let mut stack = vec![p.clone()];
             while let Some(dir) = stack.pop() {
-                let entries = fs::read_dir(&dir).map_err(|e| format!("{}: {e}", dir.display()))?;
+                let entries =
+                    fs::read_dir(&dir).map_err(|e| fail(format!("{}: {e}", dir.display())))?;
                 for entry in entries {
-                    let path = entry.map_err(|e| e.to_string())?.path();
+                    let path = entry.map_err(fail)?.path();
                     if path.is_dir() {
                         stack.push(path);
                     } else {
@@ -99,16 +153,16 @@ fn collect_inputs(paths: &[PathBuf]) -> Result<Vec<PathBuf>, String> {
                 }
             }
         } else {
-            return Err(format!("{}: no such file or directory", p.display()));
+            return Err(fail(format!("{}: no such file or directory", p.display())));
         }
     }
     files.sort();
     Ok(files)
 }
 
-pub(crate) fn load_corpus(path: &str) -> Result<Compressed, String> {
-    let bytes = fs::read(path).map_err(|e| format!("{path}: {e}"))?;
-    deserialize_compressed(&bytes).map_err(|e| format!("{path}: {e}"))
+pub(crate) fn load_corpus(path: &str) -> Result<Compressed, CliError> {
+    let bytes = fs::read(path).map_err(|e| fail(format!("{path}: {e}")))?;
+    deserialize_compressed(&bytes).map_err(|e| fail(format!("{path}: {e}")))
 }
 
 // ---- compress -----------------------------------------------------------
@@ -122,25 +176,17 @@ fn compress(args: &[String]) -> CmdResult {
     while i < args.len() {
         match args[i].as_str() {
             "-o" | "--output" => {
-                out = Some(args.get(i + 1).ok_or("-o needs a path")?.clone());
+                out = Some(operand(args, i, "a path")?.clone());
                 i += 2;
             }
             "--coarsen" => {
-                coarsen = args
-                    .get(i + 1)
-                    .ok_or("--coarsen needs a number")?
-                    .parse()
-                    .map_err(|e| format!("--coarsen: {e}"))?;
+                coarsen = number(args, i)?;
                 i += 2;
             }
             "--ingest-chunks" => {
-                chunks = args
-                    .get(i + 1)
-                    .ok_or("--ingest-chunks needs a number")?
-                    .parse()
-                    .map_err(|e| format!("--ingest-chunks: {e}"))?;
+                chunks = number(args, i)?;
                 if chunks == 0 {
-                    return Err("--ingest-chunks must be ≥ 1".into());
+                    return Err(usage("--ingest-chunks must be ≥ 1"));
                 }
                 i += 2;
             }
@@ -150,9 +196,9 @@ fn compress(args: &[String]) -> CmdResult {
             }
         }
     }
-    let out = out.ok_or("missing -o <corpus.ntdc>")?;
+    let out = out.ok_or_else(|| usage("missing -o <corpus.ntdc>"))?;
     if inputs.is_empty() {
-        return Err("no input files".into());
+        return Err(usage("no input files"));
     }
     let files = collect_inputs(&inputs)?;
     let mut comp;
@@ -163,7 +209,7 @@ fn compress(args: &[String]) -> CmdResult {
         // concurrently and merged through the shared dictionary.
         let mut texts = Vec::with_capacity(files.len());
         for f in &files {
-            let text = fs::read_to_string(f).map_err(|e| format!("{}: {e}", f.display()))?;
+            let text = fs::read_to_string(f).map_err(|e| fail(format!("{}: {e}", f.display())))?;
             raw_bytes += text.len() as u64;
             texts.push((f.display().to_string(), text));
         }
@@ -177,15 +223,15 @@ fn compress(args: &[String]) -> CmdResult {
     } else {
         let mut builder = CorpusBuilder::new(TokenizerConfig::default());
         for f in &files {
-            let text = fs::read_to_string(f).map_err(|e| format!("{}: {e}", f.display()))?;
+            let text = fs::read_to_string(f).map_err(|e| fail(format!("{}: {e}", f.display())))?;
             raw_bytes += text.len() as u64;
             builder.add_file(f.display().to_string(), &text);
         }
         comp = builder.finish();
     }
     comp.grammar = comp.grammar.coarsened(coarsen);
-    let image = serialize_compressed(&comp).map_err(|e| e.to_string())?;
-    fs::write(&out, &image).map_err(|e| format!("{out}: {e}"))?;
+    let image = serialize_compressed(&comp).map_err(fail)?;
+    fs::write(&out, &image).map_err(|e| fail(format!("{out}: {e}")))?;
     let stats = comp.grammar.stats();
     println!(
         "compressed {} files / {} words ({} raw bytes) → {} ({} bytes, {:.1}x in symbols)",
@@ -207,14 +253,14 @@ fn compress(args: &[String]) -> CmdResult {
 /// resummed — no full rebuild. Writes back in place unless `-o` names a
 /// different output, and moves the image's snapshot fingerprint.
 fn append(args: &[String]) -> CmdResult {
-    let corpus_path = args.first().ok_or("append needs a corpus path")?.clone();
+    let corpus_path = args.first().ok_or_else(|| usage("append needs a corpus path"))?.clone();
     let mut inputs = Vec::new();
     let mut out = corpus_path.clone();
     let mut i = 1;
     while i < args.len() {
         match args[i].as_str() {
             "-o" | "--output" => {
-                out = args.get(i + 1).ok_or("-o needs a path")?.clone();
+                out = operand(args, i, "a path")?.clone();
                 i += 2;
             }
             p => {
@@ -224,12 +270,12 @@ fn append(args: &[String]) -> CmdResult {
         }
     }
     if inputs.is_empty() {
-        return Err("append needs at least one input file".into());
+        return Err(usage("append needs at least one input file"));
     }
     let files = collect_inputs(&inputs)?;
     let mut texts = Vec::with_capacity(files.len());
     for f in &files {
-        let text = fs::read_to_string(f).map_err(|e| format!("{}: {e}", f.display()))?;
+        let text = fs::read_to_string(f).map_err(|e| fail(format!("{}: {e}", f.display())))?;
         texts.push((f.display().to_string(), text));
     }
     let comp = load_corpus(&corpus_path)?;
@@ -237,10 +283,10 @@ fn append(args: &[String]) -> CmdResult {
         .config(EngineConfig::ntadoc())
         .label("cli-append")
         .build()
-        .map_err(|e| e.to_string())?;
-    let report = engine.append_files(texts).map_err(|e| e.to_string())?;
-    let image = serialize_compressed(engine.compressed()).map_err(|e| e.to_string())?;
-    fs::write(&out, &image).map_err(|e| format!("{out}: {e}"))?;
+        .map_err(fail)?;
+    let report = engine.append_files(texts).map_err(fail)?;
+    let image = serialize_compressed(engine.compressed()).map_err(fail)?;
+    fs::write(&out, &image).map_err(|e| fail(format!("{out}: {e}")))?;
     println!(
         "appended {} files / {} tokens ({} raw bytes) → {} ({} bytes)",
         report.files_appended,
@@ -263,7 +309,7 @@ fn append(args: &[String]) -> CmdResult {
 // ---- stats ---------------------------------------------------------------
 
 fn stats(args: &[String]) -> CmdResult {
-    let path = args.first().ok_or("stats needs a corpus path")?;
+    let path = args.first().ok_or_else(|| usage("stats needs a corpus path"))?;
     let comp = load_corpus(path)?;
     let s = comp.grammar.stats();
     println!("corpus          {path}");
@@ -279,8 +325,8 @@ fn stats(args: &[String]) -> CmdResult {
 // ---- run -----------------------------------------------------------------
 
 fn run(args: &[String]) -> CmdResult {
-    let task = parse_task(args.first().ok_or("run needs a task")?)?;
-    let path = args.get(1).ok_or("run needs a corpus path")?;
+    let task = parse_task(args.first().ok_or_else(|| usage("run needs a task"))?)?;
+    let path = args.get(1).ok_or_else(|| usage("run needs a corpus path"))?;
     let mut profile = DeviceProfile::nvm_optane();
     let mut cfg = EngineConfig::ntadoc();
     let mut top = 20usize;
@@ -292,22 +338,21 @@ fn run(args: &[String]) -> CmdResult {
     while i < args.len() {
         match args[i].as_str() {
             "--pool" => {
-                pool = Some(PathBuf::from(args.get(i + 1).ok_or("--pool needs a path")?));
+                pool = Some(PathBuf::from(operand(args, i, "a path")?));
                 i += 2;
             }
             "--backend" => {
-                let name = args.get(i + 1).ok_or("--backend needs file|mmap")?;
-                backend = PoolBackend::parse(name).ok_or(format!("bad --backend `{name}`"))?;
+                backend = backend_operand(args, i)?;
                 i += 2;
             }
             "--layout" => {
-                let name = args.get(i + 1).ok_or("--layout needs fixed|varint")?;
+                let name = operand(args, i, "fixed|varint")?;
                 layout = PoolLayoutConfig::parse(name)
-                    .ok_or(format!("bad --layout `{name}` (want fixed|varint)"))?;
+                    .ok_or_else(|| usage(format!("bad --layout `{name}` (want fixed|varint)")))?;
                 i += 2;
             }
             "--device" => {
-                profile = parse_device(args.get(i + 1).ok_or("--device needs a name")?)?;
+                profile = parse_device(operand(args, i, "a name")?)?;
                 i += 2;
             }
             "--persistence" => {
@@ -315,7 +360,7 @@ fn run(args: &[String]) -> CmdResult {
                     Some("phase") => Persistence::PhaseLevel,
                     Some("op") | Some("operation") => Persistence::OperationLevel,
                     Some("none") => Persistence::None,
-                    other => return Err(format!("bad --persistence {other:?}")),
+                    other => return Err(usage(format!("bad --persistence {other:?}"))),
                 };
                 i += 2;
             }
@@ -326,26 +371,18 @@ fn run(args: &[String]) -> CmdResult {
                 i += 1;
             }
             "--top" => {
-                top = args
-                    .get(i + 1)
-                    .ok_or("--top needs a number")?
-                    .parse()
-                    .map_err(|e| format!("--top: {e}"))?;
+                top = number(args, i)?;
                 i += 2;
             }
             "--ngram" => {
-                cfg.ngram = args
-                    .get(i + 1)
-                    .ok_or("--ngram needs a number")?
-                    .parse()
-                    .map_err(|e| format!("--ngram: {e}"))?;
+                cfg.ngram = number(args, i)?;
                 i += 2;
             }
             "--trace-out" => {
-                trace_out = Some(PathBuf::from(args.get(i + 1).ok_or("--trace-out needs a path")?));
+                trace_out = Some(PathBuf::from(operand(args, i, "a path")?));
                 i += 2;
             }
-            other => return Err(format!("unknown option `{other}`")),
+            other => return Err(usage(format!("unknown option `{other}`"))),
         }
     }
     let comp = load_corpus(path)?;
@@ -356,12 +393,12 @@ fn run(args: &[String]) -> CmdResult {
         .pool_layout(layout)
         .label("cli")
         .build()
-        .map_err(|e| e.to_string())?;
+        .map_err(fail)?;
     if let Some(pool) = pool {
         // Durable-pool mode: the session's DAG lives in (and persists to)
         // the pool file, through the chosen backend.
-        let mut session = engine.open_pool(&pool, task).map_err(|e| e.to_string())?;
-        let out = session.traverse().map_err(|e| e.to_string())?;
+        let mut session = engine.open_pool(&pool, task).map_err(fail)?;
+        let out = session.traverse().map_err(fail)?;
         print_output(&out, top);
         let stats = session.sim_device().stats();
         eprintln!(
@@ -373,13 +410,13 @@ fn run(args: &[String]) -> CmdResult {
         );
         return Ok(());
     }
-    let out = engine.run(task).map_err(|e| e.to_string())?;
+    let out = engine.run(task).map_err(fail)?;
     print_output(&out, top);
     let rep = engine.last_report.as_ref().expect("report");
     eprintln!("\n{}", rep.summary_line());
     if let Some(path) = trace_out {
         fs::write(&path, rep.to_json().pretty())
-            .map_err(|e| format!("--trace-out {}: {e}", path.display()))?;
+            .map_err(|e| fail(format!("--trace-out {}: {e}", path.display())))?;
         eprintln!("span tree:\n{}", rep.spans.render());
         eprintln!("[trace] wrote report v{} to {}", rep.version, path.display());
     }
@@ -447,15 +484,14 @@ fn print_output(out: &TaskOutput, top: usize) {
 // ---- search ----------------------------------------------------------------
 
 fn search(args: &[String]) -> CmdResult {
-    let path = args.first().ok_or("search needs a corpus path")?;
+    let path = args.first().ok_or_else(|| usage("search needs a corpus path"))?;
     let words = &args[1..];
     if words.is_empty() {
-        return Err("search needs at least one word".into());
+        return Err(usage("search needs at least one word"));
     }
     let comp = load_corpus(path)?;
-    let mut engine =
-        Engine::builder(comp).config(EngineConfig::ntadoc()).build().map_err(|e| e.to_string())?;
-    let out = engine.run(Task::InvertedIndex).map_err(|e| e.to_string())?;
+    let mut engine = Engine::builder(comp).config(EngineConfig::ntadoc()).build().map_err(fail)?;
+    let out = engine.run(Task::InvertedIndex).map_err(fail)?;
     let index = out.as_inverted_index().expect("inverted index output");
     for w in words {
         let q = w.to_lowercase();
@@ -483,21 +519,27 @@ fn search(args: &[String]) -> CmdResult {
 // ---- extract ---------------------------------------------------------------
 
 fn extract(args: &[String]) -> CmdResult {
-    let path = args.first().ok_or("extract needs a corpus path")?;
-    let fid: usize =
-        args.get(1).ok_or("extract needs a file#")?.parse().map_err(|e| format!("file#: {e}"))?;
-    let offset: u64 = args
-        .get(2)
-        .ok_or("extract needs an offset")?
-        .parse()
-        .map_err(|e| format!("offset: {e}"))?;
-    let len: usize =
-        args.get(3).ok_or("extract needs a length")?.parse().map_err(|e| format!("len: {e}"))?;
+    /// Positional operand `at`, parsed as a number.
+    fn positional<T: std::str::FromStr>(
+        args: &[String],
+        at: usize,
+        what: &str,
+    ) -> Result<T, CliError>
+    where
+        T::Err: std::fmt::Display,
+    {
+        let arg = args.get(at).ok_or_else(|| usage(format!("extract needs {what}")))?;
+        arg.parse().map_err(|e| usage(format!("{what}: {e}")))
+    }
+    let path = args.first().ok_or_else(|| usage("extract needs a corpus path"))?;
+    let fid: usize = positional(args, 1, "a file#")?;
+    let offset: u64 = positional(args, 2, "an offset")?;
+    let len: usize = positional(args, 3, "a length")?;
     let comp = load_corpus(path)?;
     if fid >= comp.file_count() {
-        return Err(format!("file# {fid} out of range ({} files)", comp.file_count()));
+        return Err(fail(format!("file# {fid} out of range ({} files)", comp.file_count())));
     }
-    let accessor = Accessor::new(&comp, DeviceProfile::nvm_optane()).map_err(|e| e.to_string())?;
+    let accessor = Accessor::new(&comp, DeviceProfile::nvm_optane()).map_err(fail)?;
     let words = accessor.extract(fid, offset, len);
     println!("{}", words.join(" "));
     eprintln!(
@@ -513,19 +555,19 @@ fn extract(args: &[String]) -> CmdResult {
 // ---- decompress -------------------------------------------------------------
 
 fn decompress(args: &[String]) -> CmdResult {
-    let path = args.first().ok_or("decompress needs a corpus path")?;
+    let path = args.first().ok_or_else(|| usage("decompress needs a corpus path"))?;
     let mut outdir = PathBuf::from(".");
     if let Some(pos) = args.iter().position(|a| a == "-d") {
-        outdir = PathBuf::from(args.get(pos + 1).ok_or("-d needs a directory")?);
+        outdir = PathBuf::from(operand(args, pos, "a directory")?);
     }
     let comp = load_corpus(path)?;
-    fs::create_dir_all(&outdir).map_err(|e| format!("{}: {e}", outdir.display()))?;
+    fs::create_dir_all(&outdir).map_err(|e| fail(format!("{}: {e}", outdir.display())))?;
     let texts = comp.grammar.expand_text(&comp.dict);
     for (name, text) in comp.file_names.iter().zip(texts) {
         // Flatten the original path into a single file name.
         let flat = name.replace(['/', '\\'], "_");
         let target = outdir.join(flat);
-        fs::write(&target, text).map_err(|e| format!("{}: {e}", target.display()))?;
+        fs::write(&target, text).map_err(|e| fail(format!("{}: {e}", target.display())))?;
     }
     println!("wrote {} files to {}", comp.file_count(), outdir.display());
     Ok(())
@@ -546,8 +588,7 @@ fn fsck(args: &[String]) -> CmdResult {
     while i < args.len() {
         match args[i].as_str() {
             "--backend" => {
-                let name = args.get(i + 1).ok_or("--backend needs file|mmap")?;
-                backend = Some(PoolBackend::parse(name).ok_or(format!("bad --backend `{name}`"))?);
+                backend = Some(backend_operand(args, i)?);
                 i += 2;
             }
             _ => {
@@ -557,7 +598,7 @@ fn fsck(args: &[String]) -> CmdResult {
         }
     }
     if paths.is_empty() {
-        return Err("fsck needs at least one pool path".into());
+        return Err(usage("fsck needs at least one pool path"));
     }
     let mut bad = 0usize;
     for path in paths {
@@ -615,7 +656,7 @@ fn fsck(args: &[String]) -> CmdResult {
         }
     }
     if bad > 0 {
-        return Err(format!("{bad} pool(s) failed fsck"));
+        return Err(fail(format!("{bad} pool(s) failed fsck")));
     }
     Ok(())
 }
@@ -673,6 +714,67 @@ mod tests {
     fn dispatch_rejects_unknown() {
         assert!(dispatch(&["frobnicate".into()]).is_err());
         assert!(dispatch(&[]).is_err());
+    }
+
+    /// `main` prints the usage text after an argument error and only the
+    /// typed message after a run-time failure; both exit 1.
+    #[test]
+    fn argument_errors_and_run_time_failures_are_told_apart() {
+        let dir = std::env::temp_dir().join(format!("ntadoc-cli-errors-{}", std::process::id()));
+        fs::create_dir_all(&dir).unwrap();
+        let text = dir.join("text.txt");
+        fs::write(&text, "alpha beta gamma alpha beta gamma").unwrap();
+        let image = dir.join("corpus.ntdc").display().to_string();
+        dispatch(&["compress".into(), text.display().to_string(), "-o".into(), image.clone()])
+            .unwrap();
+        let run = |args: &[&str]| {
+            dispatch(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>()).unwrap_err()
+        };
+
+        // Unknown command or flag, missing operand, unparsable value.
+        for args in [
+            &["frobnicate"][..],
+            &[],
+            &["run"],
+            &["run", "wordcount"],
+            &["run", "bogus-task", &image],
+            &["run", "wordcount", &image, "--frobnicate"],
+            &["run", "wordcount", &image, "--pool"],
+            &["run", "wordcount", &image, "--top", "many"],
+            &["run", "wordcount", &image, "--device", "floppy"],
+            &["run", "wordcount", &image, "--backend", "tape"],
+            &["run", "wordcount", &image, "--persistence", "sometimes"],
+            &["compress", &image],
+            &["compress", "-o", &image, "--ingest-chunks", "0"],
+            &["extract", &image, "zero", "0", "1"],
+            &["fsck"],
+            &["serve", &image],
+            &["query", "wordcount"],
+        ] {
+            assert!(matches!(run(args), CliError::Usage(_)), "{args:?} is an argument error");
+        }
+        assert_eq!(run(&["run", "wordcount", &image, "--pool"]).to_string(), "--pool needs a path");
+        assert_eq!(run(&["compress", "-o"]).to_string(), "-o needs a path");
+
+        // Well-formed arguments, failing work: the message stands alone.
+        let corrupt = dir.join("corrupt.ntdc").display().to_string();
+        let mut bytes = fs::read(&image).unwrap();
+        let last = bytes.len() - 1;
+        bytes[last] ^= 0x40;
+        fs::write(&corrupt, bytes).unwrap();
+        let missing = dir.join("missing.ntdc").display().to_string();
+        for args in [
+            &["run", "wordcount", &image, "--pool", "/nonexistent/p.ntdp"][..],
+            &["run", "wordcount", &corrupt],
+            &["stats", &missing],
+            &["compress", &missing, "-o", &image],
+            &["extract", &image, "9", "0", "1"],
+            &["fsck", &missing],
+        ] {
+            assert!(matches!(run(args), CliError::Failed(_)), "{args:?} is a run-time failure");
+        }
+        assert!(run(&["run", "wordcount", &corrupt]).to_string().contains("checksum"));
+        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -767,7 +869,10 @@ mod tests {
             for ngram in ["0", "1"] {
                 for extra in [&[][..], &["--naive"], &["--persistence", "op"], &["--pool", &pool]] {
                     let err = run(task, ngram, extra).unwrap_err();
-                    assert!(err.contains("n >= 2"), "{task} --ngram {ngram} {extra:?}: {err}");
+                    assert!(
+                        matches!(&err, CliError::Failed(msg) if msg.contains("n >= 2")),
+                        "{task} --ngram {ngram} {extra:?}: {err:?}"
+                    );
                 }
             }
             run(task, "2", &[]).unwrap();

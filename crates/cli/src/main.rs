@@ -22,10 +22,12 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match cmd::dispatch(&args) {
         Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            eprintln!();
-            eprintln!("{}", cmd::USAGE);
+        Err(err) => {
+            eprintln!("error: {err}");
+            if matches!(err, cmd::CliError::Usage(_)) {
+                eprintln!();
+                eprintln!("{}", cmd::USAGE);
+            }
             ExitCode::FAILURE
         }
     }

@@ -26,9 +26,9 @@ use ntadoc::{Engine, EngineConfig, PoolBackend, Query, TenantId};
 use ntadoc_pmem::Json;
 use ntadoc_serve::{DaemonConfig, QueryDaemon, ServeError};
 
-use crate::cmd::{load_corpus, parse_task};
-
-type CmdResult = Result<(), String>;
+use crate::cmd::{
+    backend_operand, fail, load_corpus, number, operand, parse_task, usage, CliError, CmdResult,
+};
 
 /// `ntadoc serve <corpus.ntdc> --socket <path> [--quota N] [--cache N]
 /// [--max-batch N] [--pool <pool.ntdp>] [--backend file|mmap]`: build the
@@ -46,55 +46,55 @@ pub fn serve(args: &[String]) -> CmdResult {
     while i < args.len() {
         match args[i].as_str() {
             "--socket" => {
-                socket = Some(PathBuf::from(args.get(i + 1).ok_or("--socket needs a path")?));
+                socket = Some(PathBuf::from(operand(args, i, "a path")?));
                 i += 2;
             }
             "--pool" => {
-                pool = Some(PathBuf::from(args.get(i + 1).ok_or("--pool needs a path")?));
+                pool = Some(PathBuf::from(operand(args, i, "a path")?));
                 i += 2;
             }
             "--backend" => {
-                let name = args.get(i + 1).ok_or("--backend needs file|mmap")?;
-                backend = PoolBackend::parse(name).ok_or(format!("bad --backend `{name}`"))?;
+                backend = backend_operand(args, i)?;
                 i += 2;
             }
             "--quota" => {
-                cfg.tenant_quota = parse_num(args.get(i + 1), "--quota")?;
+                cfg.tenant_quota = number(args, i)?;
                 i += 2;
             }
             "--cache" => {
-                cfg.cache_capacity = parse_num(args.get(i + 1), "--cache")?;
+                cfg.cache_capacity = number(args, i)?;
                 i += 2;
             }
             "--max-batch" => {
-                cfg.max_batch = parse_num::<usize>(args.get(i + 1), "--max-batch")?.max(1);
+                cfg.max_batch = number::<usize>(args, i)?.max(1);
                 i += 2;
             }
             p if corpus.is_none() => {
                 corpus = Some(p.to_string());
                 i += 1;
             }
-            other => return Err(format!("unknown option `{other}`")),
+            other => return Err(usage(format!("unknown option `{other}`"))),
         }
     }
-    let corpus = corpus.ok_or("serve needs a corpus path")?;
-    let socket = socket.ok_or("serve needs --socket <path>")?;
+    let corpus = corpus.ok_or_else(|| usage("serve needs a corpus path"))?;
+    let socket = socket.ok_or_else(|| usage("serve needs --socket <path>"))?;
     let comp = load_corpus(&corpus)?;
     let engine = Engine::builder(comp)
         .config(EngineConfig::ntadoc())
         .pool_backend(backend)
         .label("serve")
         .build()
-        .map_err(|e| e.to_string())?;
+        .map_err(fail)?;
     let serve_session = match &pool {
         Some(path) => engine.serve_pool(path),
         None => engine.serve(),
     }
-    .map_err(|e| e.to_string())?;
+    .map_err(fail)?;
     let daemon = QueryDaemon::new(serve_session, cfg);
     // A stale socket file from a previous run would make bind fail.
     let _ = std::fs::remove_file(&socket);
-    let listener = UnixListener::bind(&socket).map_err(|e| format!("{}: {e}", socket.display()))?;
+    let listener =
+        UnixListener::bind(&socket).map_err(|e| fail(format!("{}: {e}", socket.display())))?;
     eprintln!(
         "[serve] corpus {corpus} (snapshot {:#018x}) on {}",
         daemon.snapshot_version(),
@@ -193,7 +193,7 @@ fn handle_request(daemon: &mut QueryDaemon, line: &str) -> (Json, bool) {
         Some("query") => {
             let task = match req.get("task").and_then(Json::as_str).map(parse_task) {
                 Some(Ok(t)) => t,
-                Some(Err(e)) => return (error_reply("bad_request", &e), false),
+                Some(Err(e)) => return (error_reply("bad_request", &e.to_string()), false),
                 None => return (error_reply("bad_request", "query needs a task"), false),
             };
             let tenant = TenantId(req.get("tenant").and_then(Json::as_u64).unwrap_or(0) as u32);
@@ -252,19 +252,19 @@ pub fn query(args: &[String]) -> CmdResult {
     while i < args.len() {
         match args[i].as_str() {
             "--socket" => {
-                socket = Some(PathBuf::from(args.get(i + 1).ok_or("--socket needs a path")?));
+                socket = Some(PathBuf::from(operand(args, i, "a path")?));
                 i += 2;
             }
             "--tenant" => {
-                tenant = parse_num(args.get(i + 1), "--tenant")?;
+                tenant = number(args, i)?;
                 i += 2;
             }
             "--top" => {
-                top = Some(parse_num(args.get(i + 1), "--top")?);
+                top = Some(number(args, i)?);
                 i += 2;
             }
             "--file" => {
-                file = Some(args.get(i + 1).ok_or("--file needs a name")?.clone());
+                file = Some(operand(args, i, "a name")?.clone());
                 i += 2;
             }
             "--shutdown" => {
@@ -275,14 +275,14 @@ pub fn query(args: &[String]) -> CmdResult {
                 task = Some(t.to_string());
                 i += 1;
             }
-            other => return Err(format!("unknown option `{other}`")),
+            other => return Err(usage(format!("unknown option `{other}`"))),
         }
     }
-    let socket = socket.ok_or("query needs --socket <path>")?;
+    let socket = socket.ok_or_else(|| usage("query needs --socket <path>"))?;
     let request = if shutdown {
         Json::object([("op", Json::from("shutdown"))])
     } else {
-        let task = task.ok_or("query needs a task (or --shutdown)")?;
+        let task = task.ok_or_else(|| usage("query needs a task (or --shutdown)"))?;
         parse_task(&task)?; // validate locally for a friendlier error
         let mut pairs = vec![
             ("op", Json::from("query")),
@@ -312,27 +312,20 @@ pub fn query(args: &[String]) -> CmdResult {
         _ => {
             let kind = reply.get("kind").and_then(Json::as_str).unwrap_or("error");
             let msg = reply.get("error").and_then(Json::as_str).unwrap_or("malformed reply");
-            Err(format!("{kind}: {msg}"))
+            Err(fail(format!("{kind}: {msg}")))
         }
     }
 }
 
 /// Send one request line, read one response line.
-fn roundtrip(socket: &Path, request: &Json) -> Result<Json, String> {
+fn roundtrip(socket: &Path, request: &Json) -> Result<Json, CliError> {
     let mut stream =
-        UnixStream::connect(socket).map_err(|e| format!("{}: {e}", socket.display()))?;
-    writeln!(stream, "{}", request.compact()).map_err(|e| e.to_string())?;
+        UnixStream::connect(socket).map_err(|e| fail(format!("{}: {e}", socket.display())))?;
+    writeln!(stream, "{}", request.compact()).map_err(fail)?;
     let mut reader = BufReader::new(stream);
     let mut line = String::new();
-    reader.read_line(&mut line).map_err(|e| e.to_string())?;
-    Json::parse(line.trim()).map_err(|e| format!("malformed reply: {e}"))
-}
-
-fn parse_num<T: std::str::FromStr>(arg: Option<&String>, flag: &str) -> Result<T, String>
-where
-    T::Err: std::fmt::Display,
-{
-    arg.ok_or(format!("{flag} needs a number"))?.parse().map_err(|e| format!("{flag}: {e}"))
+    reader.read_line(&mut line).map_err(fail)?;
+    Json::parse(line.trim()).map_err(|e| fail(format!("malformed reply: {e}")))
 }
 
 #[cfg(test)]

@@ -76,7 +76,13 @@ pub(crate) fn inverted_index(
     } else {
         None
     };
-    let mut out: BTreeMap<String, Vec<String>> = BTreeMap::new();
+    // Postings are gathered per word id — an index, not a descent over
+    // string keys per posting — and the map is bulk-built from the distinct
+    // words at the end (`collect` sorts once). A dictionary id names one
+    // string, so this is the map an insert per posting would have built.
+    // Every posting still looks its word up, in emission order: the lookup
+    // is a charged dictionary read.
+    let mut by_word: Vec<Option<(String, Vec<String>)>> = Vec::new();
     for (fid, mut entries) in tables.into_iter().enumerate() {
         // Deterministic order within a file.
         entries.sort_unstable_by_key(|e| e.0);
@@ -85,19 +91,26 @@ pub(crate) fn inverted_index(
             if let Some(pairs) = &pairs {
                 pairs.push((wid, fid as u32))?;
             }
-            out.entry(word(wid)).or_default().push(file_names[fid].clone());
+            let name = word(wid);
+            if by_word.len() <= wid as usize {
+                by_word.resize_with(wid as usize + 1, || None);
+            }
+            match &mut by_word[wid as usize] {
+                Some((_, files)) => files.push(file_names[fid].clone()),
+                unseen => *unseen = Some((name, vec![file_names[fid].clone()])),
+            }
         }
     }
     match pairs {
         Some(pairs) if sc.persists() => pairs.persist(),
         _ => {}
     }
-    Ok(TaskOutput::InvertedIndex(out))
+    Ok(TaskOutput::InvertedIndex(by_word.into_iter().flatten().collect()))
 }
 
-/// The words of interned n-gram `id`.
-fn gram_words(sc: &RunScaffold, id: u32, word: &impl Fn(u32) -> String) -> Vec<String> {
-    sc.interner.gram(id).iter().map(|&w| word(w)).collect()
+/// The strings of an n-gram's words.
+fn gram_words(gram: &[u32], word: &impl Fn(u32) -> String) -> Vec<String> {
+    gram.iter().map(|&w| word(w)).collect()
 }
 
 /// Sequence count: `(n-gram id, count)` keyed by the n-gram's words.
@@ -106,8 +119,9 @@ pub(crate) fn sequence_count(
     counts: Counts,
     word: impl Fn(u32) -> String,
 ) -> TaskOutput {
+    let grams = sc.interner.grams();
     TaskOutput::SequenceCount(
-        counts.into_iter().map(|(id, c)| (gram_words(sc, id, &word), c)).collect(),
+        counts.into_iter().map(|(id, c)| (gram_words(grams.get(id), &word), c)).collect(),
     )
 }
 
@@ -120,14 +134,18 @@ pub(crate) fn ranked_index(
     file_names: &[String],
     word: impl Fn(u32) -> String,
 ) -> TaskOutput {
-    let mut out = BTreeMap::new();
+    let grams = sc.interner.grams();
+    // Rows in n-gram id order — the order the dictionary is read in — then
+    // one sort and a bulk build (`collect` does both) instead of an insert
+    // per row comparing `Vec<String>` keys down the tree.
+    let mut rows = Vec::with_capacity(postings.len());
     for (sid, mut files) in postings {
         sc.charge_sort(files.len() as u64);
         files.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        let gram = gram_words(sc, sid, &word);
-        let ranked =
+        let gram = gram_words(grams.get(sid), &word);
+        let ranked: Vec<(String, u64)> =
             files.into_iter().map(|(fid, c)| (file_names[fid as usize].clone(), c)).collect();
-        out.insert(gram, ranked);
+        rows.push((gram, ranked));
     }
-    TaskOutput::RankedInvertedIndex(out)
+    TaskOutput::RankedInvertedIndex(rows.into_iter().collect())
 }

@@ -19,14 +19,7 @@ pub enum AccessOutcome {
     },
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Entry {
-    /// Line index, or `EMPTY`.
-    line: u64,
-    dirty: bool,
-    last_used: u64,
-}
-
+/// Tag of an empty slot.
 const EMPTY: u64 = u64::MAX;
 
 /// Number of line shards the cache tallies hit/miss counters for,
@@ -34,9 +27,16 @@ const EMPTY: u64 = u64::MAX;
 pub const CACHE_SHARDS: usize = 16;
 
 /// Set-associative LRU over line indices (not bytes).
+///
+/// Structure of arrays: a set's tags sit side by side, so the hit scan —
+/// the only thing most accesses do — reads `ways` consecutive words.
 #[derive(Debug)]
 pub struct LineCache {
-    entries: Vec<Entry>,
+    /// Line index per slot, or `EMPTY`; set `s` owns `s * ways..(s + 1) * ways`.
+    tags: Vec<u64>,
+    /// `last_used << 1 | dirty` per slot; zero while the slot is empty, so
+    /// an empty slot is always the least recently used of its set.
+    meta: Vec<u64>,
     ways: usize,
     sets: usize,
     tick: u64,
@@ -55,7 +55,8 @@ impl LineCache {
         let sets = (total_lines / ways).next_power_of_two() / 2;
         let sets = sets.max(1);
         LineCache {
-            entries: vec![Entry { line: EMPTY, dirty: false, last_used: 0 }; sets * ways],
+            tags: vec![EMPTY; sets * ways],
+            meta: vec![0; sets * ways],
             ways,
             sets,
             tick: 0,
@@ -63,77 +64,80 @@ impl LineCache {
         }
     }
 
-    fn set_of(&self, line: u64) -> usize {
+    /// The slots of `line`'s set.
+    #[inline]
+    fn set_of(&self, line: u64) -> std::ops::Range<usize> {
         // Multiplicative hash spreads adjacent lines across sets while
         // keeping determinism.
-        ((line.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize) & (self.sets - 1)
+        let set = ((line.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize) & (self.sets - 1);
+        set * self.ways..(set + 1) * self.ways
+    }
+
+    /// The slot holding `line`, if it is resident.
+    #[inline]
+    fn slot_of(&self, line: u64) -> Option<usize> {
+        let set = self.set_of(line);
+        self.tags[set.clone()].iter().position(|&t| t == line).map(|way| set.start + way)
     }
 
     /// Touch `line`, optionally marking it dirty, and report hit/miss.
+    #[inline]
     pub fn access(&mut self, line: u64, write: bool) -> AccessOutcome {
         self.tick += 1;
-        let set = self.set_of(line);
-        let base = set * self.ways;
-        let slots = &mut self.entries[base..base + self.ways];
-
+        let stamp = self.tick << 1;
         let shard = (line as usize) & (CACHE_SHARDS - 1);
 
-        // Hit path.
-        if let Some(e) = slots.iter_mut().find(|e| e.line == line) {
-            e.last_used = self.tick;
-            e.dirty |= write;
+        if let Some(slot) = self.slot_of(line) {
+            self.meta[slot] = stamp | (self.meta[slot] & 1) | write as u64;
             self.shard_tallies[shard].0 += 1;
             return AccessOutcome::Hit;
         }
         self.shard_tallies[shard].1 += 1;
 
-        // Miss: pick an empty slot or the LRU victim.
-        let victim = slots
-            .iter_mut()
-            .min_by_key(|e| if e.line == EMPTY { 0 } else { e.last_used })
-            .expect("ways >= 1");
-        let evicted_dirty = (victim.line != EMPTY && victim.dirty).then_some(victim.line);
-        *victim = Entry { line, dirty: write, last_used: self.tick };
+        // Miss: the first empty slot, else the least recently used one.
+        // Stamps are unique and sit above the dirty bit, so the smallest
+        // `meta` is the oldest stamp; only empty slots (zero) tie, and the
+        // first of them wins.
+        let set = self.set_of(line);
+        let oldest = self.meta[set.clone()].iter().enumerate().min_by_key(|&(_, &m)| m);
+        let victim = set.start + oldest.expect("ways >= 1").0;
+        let evicted_dirty = (self.meta[victim] & 1 != 0).then_some(self.tags[victim]);
+        self.tags[victim] = line;
+        self.meta[victim] = stamp | write as u64;
         AccessOutcome::Miss { evicted_dirty }
     }
 
     /// Clear the dirty bit of `line` if resident; returns whether a
     /// write-back was needed.
     pub fn flush_line(&mut self, line: u64) -> bool {
-        let set = self.set_of(line);
-        let base = set * self.ways;
-        for e in &mut self.entries[base..base + self.ways] {
-            if e.line == line {
-                let was = e.dirty;
-                e.dirty = false;
-                return was;
+        match self.slot_of(line) {
+            Some(slot) => {
+                let was = self.meta[slot] & 1 != 0;
+                self.meta[slot] &= !1;
+                was
             }
+            None => false,
         }
-        false
     }
 
     /// Whether `line` is resident and dirty.
     pub fn is_dirty(&self, line: u64) -> bool {
-        let set = self.set_of(line);
-        let base = set * self.ways;
-        self.entries[base..base + self.ways].iter().any(|e| e.line == line && e.dirty)
+        self.slot_of(line).is_some_and(|slot| self.meta[slot] & 1 != 0)
     }
 
     /// Clear every dirty bit, returning how many lines were written back.
     pub fn flush_all(&mut self) -> u64 {
         let mut n = 0;
-        for e in &mut self.entries {
-            if e.line != EMPTY && e.dirty {
-                e.dirty = false;
-                n += 1;
-            }
+        for m in &mut self.meta {
+            n += *m & 1;
+            *m &= !1;
         }
         n
     }
 
     /// Number of resident lines (for tests and introspection).
     pub fn resident(&self) -> usize {
-        self.entries.iter().filter(|e| e.line != EMPTY).count()
+        self.tags.iter().filter(|&&t| t != EMPTY).count()
     }
 
     /// Total line capacity.
@@ -151,6 +155,101 @@ impl LineCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faultsim::Prng;
+
+    /// The array-of-structs cache this one replaced, kept as the model the
+    /// structure-of-arrays form is held to.
+    struct ReferenceCache {
+        entries: Vec<(u64, bool, u64)>, // (line, dirty, last_used)
+        ways: usize,
+        sets: usize,
+        tick: u64,
+    }
+
+    impl ReferenceCache {
+        fn new(capacity_bytes: usize, line_size: usize, ways: usize) -> Self {
+            let ways = ways.max(1);
+            let total_lines = (capacity_bytes / line_size).max(ways);
+            let sets = ((total_lines / ways).next_power_of_two() / 2).max(1);
+            ReferenceCache { entries: vec![(EMPTY, false, 0); sets * ways], ways, sets, tick: 0 }
+        }
+
+        fn set(&mut self, line: u64) -> &mut [(u64, bool, u64)] {
+            let set = ((line.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize) & (self.sets - 1);
+            &mut self.entries[set * self.ways..(set + 1) * self.ways]
+        }
+
+        fn access(&mut self, line: u64, write: bool) -> AccessOutcome {
+            self.tick += 1;
+            let tick = self.tick;
+            let slots = self.set(line);
+            if let Some(e) = slots.iter_mut().find(|e| e.0 == line) {
+                e.2 = tick;
+                e.1 |= write;
+                return AccessOutcome::Hit;
+            }
+            let victim = slots
+                .iter_mut()
+                .min_by_key(|e| if e.0 == EMPTY { 0 } else { e.2 })
+                .expect("ways >= 1");
+            let evicted_dirty = (victim.0 != EMPTY && victim.1).then_some(victim.0);
+            *victim = (line, write, tick);
+            AccessOutcome::Miss { evicted_dirty }
+        }
+
+        fn flush_line(&mut self, line: u64) -> bool {
+            self.set(line)
+                .iter_mut()
+                .find(|e| e.0 == line)
+                .is_some_and(|e| std::mem::replace(&mut e.1, false))
+        }
+
+        fn flush_all(&mut self) -> u64 {
+            let dirty = self.entries.iter_mut().filter(|e| e.0 != EMPTY && e.1);
+            dirty.map(|e| e.1 = false).count() as u64
+        }
+    }
+
+    /// Seeded `access` / `flush_line` / `flush_all` streams give the same
+    /// outcome sequence — hits, misses and the dirty victim of every
+    /// eviction — from both caches, across geometries.
+    #[test]
+    fn matches_the_reference_model_call_for_call() {
+        let calls: u64 = if cfg!(miri) { 4_000 } else { 400_000 };
+        // (capacity, line size, ways, distinct lines drawn from)
+        for (g, &(cap, line, ways, span)) in [
+            (1 << 16, 256, 4, 700),
+            (2 << 20, 256, 16, 20_000),
+            (256, 256, 1, 5),
+            (4096, 64, 3, 90),
+        ]
+        .iter()
+        .enumerate()
+        {
+            let mut new = LineCache::new(cap, line, ways);
+            let mut old = ReferenceCache::new(cap, line, ways);
+            assert_eq!(new.capacity_lines(), old.sets * old.ways);
+            let mut rng = Prng::new(0xCAC4E + g as u64);
+            for call in 0..calls {
+                // Mostly a hot tenth of the lines, so hits and misses mix.
+                let hot = rng.next_below(4) != 0;
+                let l = rng.next_below(if hot { span / 10 + 1 } else { span });
+                match rng.next_below(64) {
+                    0 => assert_eq!(new.flush_all(), old.flush_all(), "geometry {g} call {call}"),
+                    1..=8 => {
+                        assert_eq!(new.flush_line(l), old.flush_line(l), "geometry {g} call {call}")
+                    }
+                    op => assert_eq!(
+                        new.access(l, op & 1 == 0),
+                        old.access(l, op & 1 == 0),
+                        "geometry {g} call {call}"
+                    ),
+                }
+            }
+            let resident = old.entries.iter().filter(|e| e.0 != EMPTY).count();
+            assert_eq!(new.resident(), resident);
+        }
+    }
 
     #[test]
     fn first_access_misses_second_hits() {

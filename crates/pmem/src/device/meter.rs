@@ -1,0 +1,409 @@
+//! The meter: what each access *costs*.
+//!
+//! Three parts, none of which touches a byte of data:
+//!
+//! * [`LineCosts`] — the profile's per-line charges and `log2(line size)`,
+//!   worked out once when the device is built;
+//! * [`Meter`] — the state behind the device's lock: the [`LineCache`]
+//!   deciding hit or miss, the sequential-stream detectors and the
+//!   [`AccessStats`] they charge;
+//! * the lock-free side — [`DeferredCharges`] sinks for parallel regions
+//!   ([`with_deferred_charges`]) and the device-wide [`SharedCounters`]
+//!   they are merged into, which also take
+//!   [`charge_ns`](super::SimDevice::charge_ns) without the lock.
+
+use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use super::plane::{shard_of, READ_SHARDS};
+use crate::cache::{AccessOutcome, LineCache};
+use crate::profile::DeviceProfile;
+use crate::stats::AccessStats;
+
+/// A profile's charges per line, in virtual nanoseconds, and its line
+/// geometry. Computed once per device: the profile's own accessors divide.
+#[derive(Debug, Clone, Copy)]
+pub(super) struct LineCosts {
+    /// `log2(line size)`.
+    pub line_shift: u32,
+    pub hit: u64,
+    pub read_miss: u64,
+    pub read_seq: u64,
+    pub write_back: u64,
+    pub write_seq: u64,
+    pub fence: u64,
+}
+
+impl LineCosts {
+    /// # Panics
+    /// Panics unless the profile's line size is a power of two (every
+    /// preset's is, and pool headers are rejected otherwise).
+    pub fn of(profile: &DeviceProfile) -> Self {
+        assert!(
+            profile.line_size.is_power_of_two(),
+            "{}: line size {} is not a power of two",
+            profile.name,
+            profile.line_size
+        );
+        LineCosts {
+            line_shift: profile.line_size.trailing_zeros(),
+            hit: profile.hit_ns,
+            read_miss: profile.read_miss_ns(),
+            read_seq: profile.read_seq_ns(),
+            write_back: profile.write_back_ns(),
+            write_seq: profile.write_seq_ns(),
+            fence: profile.fence_ns,
+        }
+    }
+
+    /// Streaming (non-temporal) cost of reading `nlines` consecutive lines:
+    /// the first at full latency, the rest at bandwidth.
+    pub fn stream_read(&self, nlines: u64) -> u64 {
+        self.read_miss + (nlines - 1) * self.read_seq
+    }
+
+    /// Streaming cost of writing `nlines` consecutive lines.
+    pub fn stream_write(&self, nlines: u64) -> u64 {
+        self.write_back + (nlines - 1) * self.write_seq
+    }
+}
+
+/// Marks "no line yet" in the stream detectors: never one below a line.
+const NO_LINE: u64 = u64::MAX - 1;
+
+/// The locked half of the cost model. See the module docs.
+pub(super) struct Meter {
+    costs: LineCosts,
+    pub cache: LineCache,
+    pub stats: AccessStats,
+    /// Last line fetched from media (sequential-access detection: the next
+    /// line streams at bandwidth instead of paying full access latency —
+    /// prefetchers, NVM read-ahead buffers, and HDD head position all
+    /// behave this way).
+    last_miss_line: u64,
+    /// Last line written back (same detection for the write path).
+    last_wb_line: u64,
+}
+
+impl Meter {
+    pub fn new(profile: &DeviceProfile, costs: LineCosts) -> Self {
+        Meter {
+            costs,
+            cache: LineCache::new(profile.cache_bytes, profile.line_size, profile.cache_ways),
+            stats: AccessStats::default(),
+            last_miss_line: NO_LINE,
+            last_wb_line: NO_LINE,
+        }
+    }
+
+    /// Start again from a cold cache (after a crash).
+    pub fn reset_cache(&mut self, profile: &DeviceProfile) {
+        self.cache = LineCache::new(profile.cache_bytes, profile.line_size, profile.cache_ways);
+    }
+
+    /// Reset cache residency after lock poisoning: flush every dirty line
+    /// (charging the write-backs that eviction would have produced) and
+    /// start from a cold cache whose entries are all known-good.
+    pub fn heal(&mut self, profile: &DeviceProfile) {
+        self.stats.write_backs += self.cache.flush_all();
+        self.reset_cache(profile);
+        self.last_miss_line = NO_LINE;
+        self.last_wb_line = NO_LINE;
+    }
+
+    /// Charge one write-back of `line`, at bandwidth when it continues the
+    /// write stream.
+    #[inline]
+    fn write_back(&mut self, line: u64) {
+        self.stats.write_backs += 1;
+        self.stats.virtual_ns += if line == self.last_wb_line.wrapping_add(1) {
+            self.costs.write_seq
+        } else {
+            self.costs.write_back
+        };
+        self.last_wb_line = line;
+    }
+
+    /// Walk lines `first..=last` through the cache, charging each a hit or
+    /// a miss (and the write-back of a dirty victim).
+    #[inline]
+    pub fn touch(&mut self, first: u64, last: u64, write: bool) {
+        for line in first..=last {
+            match self.cache.access(line, write) {
+                AccessOutcome::Hit => {
+                    self.stats.line_hits += 1;
+                    self.stats.virtual_ns += self.costs.hit;
+                }
+                AccessOutcome::Miss { evicted_dirty } => {
+                    self.stats.line_misses += 1;
+                    // Sequential streaming pays bandwidth, not latency.
+                    self.stats.virtual_ns += if line == self.last_miss_line.wrapping_add(1) {
+                        self.costs.read_seq
+                    } else {
+                        self.costs.read_miss
+                    };
+                    self.last_miss_line = line;
+                    if let Some(victim) = evicted_dirty {
+                        // Write-back of the evicted victim costs media time
+                        // but does NOT make the victim durable (no ordering
+                        // guarantee without an explicit flush + fence).
+                        self.write_back(victim);
+                    }
+                }
+            }
+        }
+    }
+
+    /// A parallel-region access of `nlines` lines under the streaming
+    /// (non-temporal) cost model: the first line pays full latency, the
+    /// rest of the access streams at bandwidth, and the line cache is
+    /// bypassed entirely. Cost and cache state therefore do not depend on
+    /// how worker threads interleave. The time goes to the thread's `sink`.
+    pub fn touch_streaming(&mut self, sink: &DeferredCharges, nlines: u64, write: bool) {
+        if write {
+            self.stats.write_backs += nlines;
+            sink.charge(self.costs.stream_write(nlines));
+        } else {
+            self.stats.line_misses += nlines;
+            sink.charge(self.costs.stream_read(nlines));
+        }
+    }
+
+    /// Flush lines `first..=last`: write back the dirty ones.
+    pub fn flush(&mut self, first: u64, last: u64) {
+        self.stats.flushes += 1;
+        for line in first..=last {
+            if self.cache.flush_line(line) {
+                self.write_back(line);
+            }
+        }
+    }
+
+    /// Charge one persistence fence.
+    pub fn fence(&mut self) {
+        self.stats.fences += 1;
+        self.stats.virtual_ns += self.costs.fence;
+    }
+}
+
+thread_local! {
+    /// When set, virtual-time charges and read counters from this thread
+    /// are routed to the pointed-at sink instead of the device's global
+    /// state (see [`with_deferred_charges`]).
+    static DEFERRED_SINK: Cell<*const DeferredCharges> = const { Cell::new(std::ptr::null()) };
+}
+
+/// Per-item accounting sink for a deferred (parallel) region: the item's
+/// virtual-time cost plus per-shard read counters.
+///
+/// A parallel runner allocates one sink per work item (see
+/// [`crate::par::par_map_timed`]). Because each sink is private to its
+/// item, the read hot path performs no shared-memory writes at all — the
+/// counters reach the device's per-shard totals only when the runner
+/// merges them at the batch barrier via
+/// [`SimDevice::absorb_deferred`](super::SimDevice::absorb_deferred),
+/// which is exactly the virtual-clock join point. Stats snapshots taken at
+/// span boundaries therefore see every read the span issued.
+#[derive(Default)]
+pub struct DeferredCharges {
+    ns: AtomicU64,
+    reads: [AtomicU64; READ_SHARDS],
+    bytes_read: [AtomicU64; READ_SHARDS],
+    line_misses: [AtomicU64; READ_SHARDS],
+    retries: [AtomicU64; READ_SHARDS],
+}
+
+impl DeferredCharges {
+    /// A zeroed sink.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The captured virtual-time cost of this item.
+    pub fn ns(&self) -> u64 {
+        self.ns.load(Ordering::Relaxed)
+    }
+
+    /// Total reads captured, summed over shards.
+    pub fn reads(&self) -> u64 {
+        self.reads.iter().map(|c| c.load(Ordering::Relaxed)).sum()
+    }
+
+    /// Total line fetches captured, summed over shards.
+    pub fn line_misses(&self) -> u64 {
+        self.line_misses.iter().map(|c| c.load(Ordering::Relaxed)).sum()
+    }
+
+    /// Add `ns` to the item's cost.
+    pub(super) fn charge(&self, ns: u64) {
+        self.ns.fetch_add(ns, Ordering::Relaxed);
+    }
+
+    /// Record one read of `len` bytes covering `nlines` lines from
+    /// `first_line`, attributing line fetches to the shard of each line.
+    pub(super) fn note_read(&self, first_line: u64, nlines: u64, len: u64, retries: u64) {
+        let s0 = shard_of(first_line);
+        self.reads[s0].fetch_add(1, Ordering::Relaxed);
+        self.bytes_read[s0].fetch_add(len, Ordering::Relaxed);
+        if retries > 0 {
+            self.retries[s0].fetch_add(retries, Ordering::Relaxed);
+        }
+        // Contiguous lines stripe round-robin over the shards: the first
+        // `nlines % READ_SHARDS` shards from `first_line` get one extra.
+        let base = nlines / READ_SHARDS as u64;
+        let rem = nlines % READ_SHARDS as u64;
+        if base == 0 {
+            for k in 0..rem {
+                self.line_misses[shard_of(first_line + k)].fetch_add(1, Ordering::Relaxed);
+            }
+        } else {
+            for k in 0..READ_SHARDS as u64 {
+                let n = base + u64::from(k < rem);
+                self.line_misses[shard_of(first_line + k)].fetch_add(n, Ordering::Relaxed);
+            }
+        }
+    }
+}
+
+/// Run `f` with every virtual-time charge issued by *this thread* routed
+/// into `sink` instead of the global device clock.
+///
+/// This is the device half of the deterministic parallel-time model: a
+/// parallel runner executes each work item inside `with_deferred_charges`
+/// so the item's cost is captured independently of scheduling, then joins
+/// the per-item costs into one clock advance at the barrier (the makespan
+/// over a fixed number of virtual lanes — see [`crate::par`]). While a
+/// sink is installed, accesses are charged under a *streaming* cost model
+/// (first line at full latency, subsequent lines of the same access at
+/// sequential bandwidth) and bypass the line cache, like non-temporal
+/// loads/stores; this keeps both the cost and the cache state independent
+/// of thread interleaving, so the reported virtual time is identical for
+/// any worker count.
+pub fn with_deferred_charges<R>(sink: &DeferredCharges, f: impl FnOnce() -> R) -> R {
+    struct Restore(*const DeferredCharges);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            DEFERRED_SINK.with(|c| c.set(self.0));
+        }
+    }
+    let prev = DEFERRED_SINK.with(|c| c.replace(sink as *const DeferredCharges));
+    let _restore = Restore(prev);
+    f()
+}
+
+/// Run `f` on this thread's deferred sink, if it is inside a
+/// [`with_deferred_charges`] region.
+#[inline]
+pub(super) fn with_sink<R>(f: impl FnOnce(Option<&DeferredCharges>) -> R) -> R {
+    DEFERRED_SINK.with(|c| {
+        let p = c.get();
+        // SAFETY: a non-null pointer was installed by
+        // `with_deferred_charges`, whose sink reference outlives the
+        // closure it runs (and therefore this call); its guard restores
+        // the previous value on exit and on unwind.
+        f(unsafe { p.as_ref() })
+    })
+}
+
+/// Cache-line padded per-shard totals for reads served by the deferred
+/// path.
+#[repr(align(128))]
+#[derive(Default)]
+struct ReadShard {
+    reads: AtomicU64,
+    bytes_read: AtomicU64,
+    line_misses: AtomicU64,
+    retries: AtomicU64,
+}
+
+/// Snapshot of one read shard's counters
+/// ([`SimDevice::read_shard_stats`](super::SimDevice::read_shard_stats)).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct ReadShardStats {
+    /// Read operations whose first covered line mapped to this shard.
+    pub reads: u64,
+    /// Bytes read by those operations.
+    pub bytes_read: u64,
+    /// Line fetches attributed to this shard (each covered line charges
+    /// its own shard).
+    pub line_misses: u64,
+    /// Optimistic-read retries caused by a concurrent writer.
+    pub retries: u64,
+}
+
+/// The device-wide counters that are updated without the state lock and
+/// summed into every [`AccessStats`] snapshot: per-shard totals for reads
+/// served by the deferred path (merged in from per-item
+/// [`DeferredCharges`] sinks at batch barriers), model time charged by
+/// higher layers, and undo-log traffic.
+#[derive(Default)]
+pub(super) struct SharedCounters {
+    read_shards: [ReadShard; READ_SHARDS],
+    charged_ns: AtomicU64,
+    log_bytes: AtomicU64,
+}
+
+impl SharedCounters {
+    /// Charge model time that no access accounts for.
+    pub fn charge_ns(&self, ns: u64) {
+        self.charged_ns.fetch_add(ns, Ordering::Relaxed);
+    }
+
+    /// Account undo-log traffic.
+    pub fn note_log_bytes(&self, n: u64) {
+        self.log_bytes.fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Add these counters into a snapshot of the locked stats (they are
+    /// summed in, never drained).
+    pub fn add_to(&self, stats: &mut AccessStats) {
+        for shard in &self.read_shards {
+            stats.reads += shard.reads.load(Ordering::Relaxed);
+            stats.bytes_read += shard.bytes_read.load(Ordering::Relaxed);
+            stats.line_misses += shard.line_misses.load(Ordering::Relaxed);
+        }
+        stats.virtual_ns += self.charged_ns.load(Ordering::Relaxed);
+        stats.log_bytes += self.log_bytes.load(Ordering::Relaxed);
+    }
+
+    /// Zero every counter.
+    pub fn reset(&self) {
+        for shard in &self.read_shards {
+            shard.reads.store(0, Ordering::Relaxed);
+            shard.bytes_read.store(0, Ordering::Relaxed);
+            shard.line_misses.store(0, Ordering::Relaxed);
+            shard.retries.store(0, Ordering::Relaxed);
+        }
+        self.charged_ns.store(0, Ordering::Relaxed);
+        self.log_bytes.store(0, Ordering::Relaxed);
+    }
+
+    /// Merge one item's deferred read counters into the per-shard totals.
+    pub fn absorb(&self, c: &DeferredCharges) {
+        let add = |total: &AtomicU64, part: &AtomicU64| {
+            let n = part.load(Ordering::Relaxed);
+            if n > 0 {
+                total.fetch_add(n, Ordering::Relaxed);
+            }
+        };
+        for (s, shard) in self.read_shards.iter().enumerate() {
+            add(&shard.reads, &c.reads[s]);
+            add(&shard.bytes_read, &c.bytes_read[s]);
+            add(&shard.line_misses, &c.line_misses[s]);
+            add(&shard.retries, &c.retries[s]);
+        }
+    }
+
+    /// Per-shard totals for reads served by the deferred path.
+    pub fn read_shard_stats(&self) -> Vec<ReadShardStats> {
+        self.read_shards
+            .iter()
+            .map(|s| ReadShardStats {
+                reads: s.reads.load(Ordering::Relaxed),
+                bytes_read: s.bytes_read.load(Ordering::Relaxed),
+                line_misses: s.line_misses.load(Ordering::Relaxed),
+                retries: s.retries.load(Ordering::Relaxed),
+            })
+            .collect()
+    }
+}
