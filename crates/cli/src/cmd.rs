@@ -399,7 +399,7 @@ fn run(args: &[String]) -> CmdResult {
         // the pool file, through the chosen backend.
         let mut session = engine.open_pool(&pool, task).map_err(fail)?;
         let out = session.traverse().map_err(fail)?;
-        print_output(&out, top);
+        print_done(out, top);
         let stats = session.sim_device().stats();
         eprintln!(
             "\n[{}] {:.3} ms (virtual) over pool {} ({} backend)",
@@ -411,7 +411,7 @@ fn run(args: &[String]) -> CmdResult {
         return Ok(());
     }
     let out = engine.run(task).map_err(fail)?;
-    print_output(&out, top);
+    print_done(out, top);
     let rep = engine.last_report.as_ref().expect("report");
     eprintln!("\n{}", rep.summary_line());
     if let Some(path) = trace_out {
@@ -437,6 +437,15 @@ fn top_rows<T>(mut rows: Vec<T>, top: usize, cmp: impl Fn(&T, &T) -> Ordering) -
     }
     rows.sort_unstable_by(&cmp);
     rows
+}
+
+/// Print a run's result and forget it. The process is about to exit:
+/// freeing a result of a few hundred thousand strings, twenty rows of
+/// which were printed, would cost more than printing it did. Only the
+/// output is leaked — sessions, engines and pools still drop (and seal).
+fn print_done(out: TaskOutput, top: usize) {
+    print_output(&out, top);
+    std::mem::forget(out);
 }
 
 fn print_output(out: &TaskOutput, top: usize) {

@@ -15,6 +15,16 @@ use std::sync::Arc;
 
 use ntadoc_pmem::{Addr, PmemPool, Result};
 
+/// A caller-owned buffer [`HeadTailStore::head`] and
+/// [`tail`](HeadTailStore::tail) decode into — the bytes as read and the
+/// words decoded from them — so a scan over many rules allocates neither
+/// per read.
+#[derive(Debug, Default)]
+pub struct WordBuf {
+    bytes: Vec<u8>,
+    words: Vec<u32>,
+}
+
 /// Fixed-width head/tail word store for every rule of a grammar.
 pub struct HeadTailStore {
     pool: Arc<PmemPool>,
@@ -93,24 +103,28 @@ impl HeadTailStore {
         dev.write_u32_slice(self.tail_lens, tail_lens);
     }
 
-    /// Rule `r`'s head words.
-    pub fn head(&self, r: usize) -> Vec<u32> {
-        assert!(r < self.rules);
-        let dev = self.pool.dev();
-        let len = dev.read_u32(self.head_lens + (r * 4) as u64) as usize;
-        let mut out = vec![0u32; len];
-        dev.read_u32_slice(self.heads + (r * self.width * 4) as u64, &mut out);
-        out
+    /// Rule `r`'s head words, decoded into `buf`.
+    pub fn head<'b>(&self, r: usize, buf: &'b mut WordBuf) -> &'b [u32] {
+        self.row(self.head_lens, self.heads, r, buf)
     }
 
-    /// Rule `r`'s tail words.
-    pub fn tail(&self, r: usize) -> Vec<u32> {
+    /// Rule `r`'s tail words, decoded into `buf`.
+    pub fn tail<'b>(&self, r: usize, buf: &'b mut WordBuf) -> &'b [u32] {
+        self.row(self.tail_lens, self.tails, r, buf)
+    }
+
+    /// Row `r` of one matrix: its length, then its words in one read.
+    fn row<'b>(&self, lens: Addr, rows: Addr, r: usize, buf: &'b mut WordBuf) -> &'b [u32] {
         assert!(r < self.rules);
         let dev = self.pool.dev();
-        let len = dev.read_u32(self.tail_lens + (r * 4) as u64) as usize;
-        let mut out = vec![0u32; len];
-        dev.read_u32_slice(self.tails + (r * self.width * 4) as u64, &mut out);
-        out
+        let len = dev.read_u32(lens + (r * 4) as u64) as usize;
+        buf.bytes.resize(len * 4, 0);
+        dev.read_bytes(rows + (r * self.width * 4) as u64, &mut buf.bytes);
+        buf.words.clear();
+        buf.words.extend(
+            buf.bytes.chunks_exact(4).map(|c| u32::from_le_bytes(c.try_into().expect("4 bytes"))),
+        );
+        &buf.words
     }
 
     /// Record this store's footprint into `metrics` under `label`
@@ -146,6 +160,16 @@ mod tests {
     use super::*;
     use ntadoc_pmem::{DeviceProfile, SimDevice};
 
+    impl HeadTailStore {
+        fn head_vec(&self, r: usize) -> Vec<u32> {
+            self.head(r, &mut WordBuf::default()).to_vec()
+        }
+
+        fn tail_vec(&self, r: usize) -> Vec<u32> {
+            self.tail(r, &mut WordBuf::default()).to_vec()
+        }
+    }
+
     fn store(rules: usize, width: usize) -> HeadTailStore {
         let pool = Arc::new(PmemPool::over_whole(Arc::new(SimDevice::new(
             DeviceProfile::nvm_optane(),
@@ -159,22 +183,24 @@ mod tests {
         let s = store(4, 3);
         s.set_head(2, &[10, 11, 12]);
         s.set_tail(2, &[20, 21]);
-        assert_eq!(s.head(2), vec![10, 11, 12]);
-        assert_eq!(s.tail(2), vec![20, 21]);
+        // One buffer for both: a shorter read leaves nothing of the longer.
+        let mut buf = WordBuf::default();
+        assert_eq!(s.head(2, &mut buf), [10, 11, 12]);
+        assert_eq!(s.tail(2, &mut buf), [20, 21]);
     }
 
     #[test]
     fn unset_rules_read_empty() {
         let s = store(4, 3);
-        assert!(s.head(1).is_empty());
-        assert!(s.tail(3).is_empty());
+        assert!(s.head_vec(1).is_empty());
+        assert!(s.tail_vec(3).is_empty());
     }
 
     #[test]
     fn short_rules_store_fewer_words() {
         let s = store(2, 4);
         s.set_head(0, &[5]);
-        assert_eq!(s.head(0), vec![5]);
+        assert_eq!(s.head_vec(0), vec![5]);
     }
 
     #[test]
@@ -183,9 +209,9 @@ mod tests {
         s.set_head(0, &[1, 2]);
         s.set_head(1, &[3, 4]);
         s.set_head(2, &[5, 6]);
-        assert_eq!(s.head(0), vec![1, 2]);
-        assert_eq!(s.head(1), vec![3, 4]);
-        assert_eq!(s.head(2), vec![5, 6]);
+        assert_eq!(s.head_vec(0), vec![1, 2]);
+        assert_eq!(s.head_vec(1), vec![3, 4]);
+        assert_eq!(s.head_vec(2), vec![5, 6]);
     }
 
     #[test]
@@ -205,7 +231,7 @@ mod tests {
         s.set_head(0, &[7, 8]);
         s.persist();
         pool.dev().crash();
-        assert_eq!(s.head(0), vec![7, 8]);
+        assert_eq!(s.head_vec(0), vec![7, 8]);
     }
 
     #[test]
@@ -221,8 +247,8 @@ mod tests {
         let bulk = store(3, 2);
         bulk.fill_rows(&[1, 2, 3, 0, 0, 0], &[2, 1, 0], &[9, 0, 8, 7, 6, 0], &[1, 2, 1]);
         for r in 0..3 {
-            assert_eq!(bulk.head(r), per_rule.head(r), "head {r}");
-            assert_eq!(bulk.tail(r), per_rule.tail(r), "tail {r}");
+            assert_eq!(bulk.head_vec(r), per_rule.head_vec(r), "head {r}");
+            assert_eq!(bulk.tail_vec(r), per_rule.tail_vec(r), "tail {r}");
         }
     }
 }

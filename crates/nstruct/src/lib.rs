@@ -43,7 +43,7 @@ pub mod phash;
 pub mod pqueue;
 pub mod pvec;
 
-pub use headtail::HeadTailStore;
+pub use headtail::{HeadTailStore, WordBuf};
 pub use phash::PHashTable;
 pub use pqueue::PQueue;
 pub use pvec::PVec;

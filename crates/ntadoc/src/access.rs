@@ -15,7 +15,7 @@ use ntadoc_grammar::{Compressed, Symbol};
 use ntadoc_pmem::{AllocLedger, DeviceProfile, PmemPool, SimDevice};
 
 use crate::config::CostModel;
-use crate::dag::{DagBuildOptions, DagPool};
+use crate::dag::{DagBuildOptions, DagPool, PoolBuf};
 use crate::summation::head_tail_info;
 use crate::Result;
 
@@ -71,16 +71,10 @@ impl Accessor {
             },
         )?;
         // Read R0 once (charged) and build per-file prefix sums.
-        let body = dag.body(0);
+        let mut buf = PoolBuf::default();
         let cost = CostModel::default();
-        let mut segments = vec![Vec::new()];
-        for s in body {
-            if s.is_sep() {
-                segments.push(Vec::new());
-            } else {
-                segments.last_mut().expect("non-empty").push(s);
-            }
-        }
+        let segments: Vec<Vec<Symbol>> =
+            dag.body(0, &mut buf).split(|s| s.is_sep()).map(<[Symbol]>::to_vec).collect();
         let mut prefixes = Vec::with_capacity(segments.len());
         for seg in &segments {
             let mut prefix = Vec::with_capacity(seg.len() + 1);
@@ -147,7 +141,8 @@ impl Accessor {
 
     /// Extract words of file `fid` as strings (dictionary reads charged).
     pub fn extract(&self, fid: usize, offset: u64, len: usize) -> Vec<String> {
-        self.extract_ids(fid, offset, len).into_iter().map(|w| self.dag.word_str(w)).collect()
+        let mut words = self.dag.words(false);
+        self.extract_ids(fid, offset, len).into_iter().map(|w| words.get(w).to_owned()).collect()
     }
 
     /// Emit the expansion of `rule` restricted to local word range
@@ -155,10 +150,13 @@ impl Accessor {
     /// Recursion depth equals the DAG depth, which coarsened TADOC
     /// grammars keep small.
     fn descend(&self, rule: u32, from: u64, to: u64, out: &mut Vec<u32>) {
-        let body = self.dag.body(rule);
+        // A buffer per level: the body is still being walked when a child
+        // is entered.
+        let mut buf = PoolBuf::default();
+        let body = self.dag.body(rule, &mut buf);
         self.dev.charge_ns(body.len() as u64 * self.cost.per_item_ns);
         let mut at = 0u64;
-        for s in &body {
+        for s in body {
             if at >= to {
                 break;
             }

@@ -8,7 +8,6 @@
 //! full scan. The same persistence strategies as the compressed engines
 //! apply, so Figure 5 compares like with like.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use ntadoc_grammar::Compressed;
@@ -16,7 +15,8 @@ use ntadoc_nstruct::PHashTable;
 use ntadoc_pmem::{Addr, DeviceProfile, PoolLayout};
 
 use crate::config::EngineConfig;
-use crate::engine::shape::{self, counts_of, Counts};
+use crate::dag::WordReader;
+use crate::engine::shape::{self, counts_of, Counts, Postings};
 use crate::engine::{with_doubling_capacity, Engine, RunScaffold, LOG_BYTES};
 use crate::report::RunReport;
 use crate::result::{Task, TaskOutput};
@@ -183,20 +183,22 @@ impl UncompressedEngine {
             })?;
 
         // ---- scan phase ---------------------------------------------
-        let scan = Scan { sc: &sc, stream, n_tokens: self.tokens.len(), dict_offsets, dict_bytes };
-        let files = &self.comp.file_names;
-        let word = |id| scan.word_str(id);
+        let scan = Scan { sc: &sc, stream, n_tokens: self.tokens.len() };
+        let comp = &*self.comp;
+        let words = || WordReader::per_word(dev, dict_offsets, dict_bytes);
         let out = sc.traversal(|| {
             Ok(match task {
-                Task::WordCount => shape::word_count(scan.count_all_words()?, word),
-                Task::Sort => shape::sort(&sc, scan.count_all_words()?, word),
-                Task::TermVector => shape::term_vector(&sc, scan.per_file_tables()?, files, word),
+                Task::WordCount => shape::word_count(scan.count_all_words()?, words()),
+                Task::Sort => shape::sort(&sc, scan.count_all_words()?, words()),
+                Task::TermVector => shape::term_vector(&sc, scan.per_file_tables()?, comp, words()),
                 Task::InvertedIndex => {
-                    shape::inverted_index(&sc, scan.per_file_tables()?, files, word, true)?
+                    shape::inverted_index(&sc, scan.per_file_tables()?, comp, words(), true)?
                 }
-                Task::SequenceCount => shape::sequence_count(&sc, scan.ngram_counts()?, word),
+                Task::SequenceCount => {
+                    shape::sequence_count(&sc, scan.ngram_counts()?, comp, words())
+                }
                 Task::RankedInvertedIndex => {
-                    shape::ranked_index(&sc, scan.ngram_postings()?, files, word)
+                    shape::ranked_index(&sc, scan.ngram_postings()?, comp, words())
                 }
             })
         })?;
@@ -204,27 +206,16 @@ impl UncompressedEngine {
     }
 }
 
-/// One scan run: the token stream and dictionary on the scaffold's device.
+/// One scan run: the token stream on the scaffold's device.
 struct Scan<'a> {
     sc: &'a RunScaffold,
     stream: Addr,
     n_tokens: usize,
-    dict_offsets: Addr,
-    dict_bytes: Addr,
 }
 
 const BLOCK: usize = 4096;
 
 impl Scan<'_> {
-    fn word_str(&self, id: u32) -> String {
-        let dev = &self.sc.dev;
-        let start = dev.read_u64(self.dict_offsets + id as u64 * 8);
-        let end = dev.read_u64(self.dict_offsets + (id as u64 + 1) * 8);
-        let mut bytes = vec![0u8; (end - start) as usize];
-        dev.read_bytes(self.dict_bytes + start, &mut bytes);
-        String::from_utf8(bytes).expect("dictionary strings are UTF-8")
-    }
-
     /// Standard-library-style growable counter table (the baseline has no
     /// summation to pre-size from). Per-file intermediates use these bare:
     /// like the compressed engines' scratch tables they are *not*
@@ -294,7 +285,7 @@ impl Scan<'_> {
                 window.remove(0);
             }
             if window.len() == n {
-                f(self.sc.intern(&window), fid)?;
+                f(self.sc.intern(&window)?, fid)?;
             }
             Ok(())
         })
@@ -307,11 +298,11 @@ impl Scan<'_> {
         Ok(counts_of(&counter.table))
     }
 
-    /// Each n-gram's `(file id, count)` postings in file order, from
-    /// per-file n-gram tables filled in one scan. The tables must coexist
-    /// (one per file), so they live on the main pool rather than the
-    /// shared scratch region.
-    fn ngram_postings(&self) -> Result<BTreeMap<u32, Vec<(u32, u64)>>> {
+    /// Every `(n-gram id, (file id, count))` posting, file after file,
+    /// from per-file n-gram tables filled in one scan. The tables must
+    /// coexist (one per file), so they live on the main pool rather than
+    /// the shared scratch region.
+    fn ngram_postings(&self) -> Result<Postings> {
         let mut per_file = vec![self.table(false)?];
         self.for_each_ngram(|id, fid| {
             while per_file.len() <= fid {
@@ -319,11 +310,10 @@ impl Scan<'_> {
             }
             per_file[fid].add(id as u64, 1)
         })?;
-        let mut postings: BTreeMap<u32, Vec<(u32, u64)>> = BTreeMap::new();
+        let mut postings = Postings::new();
         for (fid, table) in per_file.iter().enumerate() {
-            for (id, c) in table.entries() {
-                postings.entry(id as u32).or_default().push((fid as u32, c));
-            }
+            postings
+                .extend(table.entries().into_iter().map(|(id, c)| (id as u32, (fid as u32, c))));
         }
         Ok(postings)
     }

@@ -86,6 +86,59 @@ pub fn prune_rule(symbols: &[Symbol]) -> (FreqPairs, FreqPairs) {
     (subs, words)
 }
 
+/// Caller-owned buffers the pool's list reads decode into: the bytes as
+/// they sit on the device and the values decoded from them. A loop over
+/// rules reuses one instead of allocating two vectors per read.
+#[derive(Debug, Default)]
+pub struct PoolBuf {
+    bytes: Vec<u8>,
+    pub(crate) pairs: FreqPairs,
+    pub(crate) counts: Vec<(u32, u64)>,
+    pub(crate) syms: Vec<Symbol>,
+}
+
+impl PoolBuf {
+    /// One device read of `len` bytes at `addr` into the byte buffer.
+    fn fill(&mut self, dev: &SimDevice, addr: Addr, len: usize) {
+        self.bytes.resize(len, 0);
+        dev.read_bytes(addr, &mut self.bytes);
+    }
+}
+
+/// The charged dictionary reader: an offsets array and the word text on
+/// `dev`, each word handed out as a `&str` over the reader's own buffer.
+pub struct WordReader<'a> {
+    dev: &'a SimDevice,
+    offsets: Addr,
+    text: Addr,
+    /// One word's bytes, or the whole text after a bulk read.
+    buf: Vec<u8>,
+    /// Every offset, after a bulk read; empty when words are read singly.
+    bulk: Vec<u64>,
+}
+
+impl<'a> WordReader<'a> {
+    /// A reader that issues two offset loads and one text read per word.
+    pub fn per_word(dev: &'a SimDevice, offsets: Addr, text: Addr) -> Self {
+        WordReader { dev, offsets, text, buf: Vec::new(), bulk: Vec::new() }
+    }
+
+    /// Word `id`'s string.
+    pub fn get(&mut self, id: u32) -> &str {
+        let at = id as usize;
+        let word = if self.bulk.is_empty() {
+            let start = self.dev.read_u64(self.offsets + at as u64 * 8);
+            let end = self.dev.read_u64(self.offsets + (at as u64 + 1) * 8);
+            self.buf.resize((end - start) as usize, 0);
+            self.dev.read_bytes(self.text + start, &mut self.buf);
+            &self.buf[..]
+        } else {
+            &self.buf[self.bulk[at] as usize..self.bulk[at + 1] as usize]
+        };
+        std::str::from_utf8(word).expect("dictionary strings are UTF-8")
+    }
+}
+
 /// Addresses of the metadata arrays (SoA).
 #[derive(Debug, Clone, Copy)]
 struct MetaBases {
@@ -398,89 +451,45 @@ impl DagPool {
         self.dev.read_u64(self.meta.wl_bound + r as u64 * 8)
     }
 
-    /// Pruned `(subrule, freq)` and `(word, freq)` lists of rule `r`.
+    /// One half of rule `r`'s pruned view, decoded into `buf`: the
+    /// `(subrule, freq)` pairs — first in the layout, because weight
+    /// propagation reads just that prefix — or with `words` the
+    /// `(word, freq)` pairs behind them.
     ///
     /// # Panics
     /// Panics if the pool was built without pruned views.
-    pub fn pruned_view(&self, r: u32) -> (FreqPairs, FreqPairs) {
+    pub fn pruned_half<'b>(&self, r: u32, words: bool, buf: &'b mut PoolBuf) -> &'b [(u32, u32)] {
         assert!(self.has_pruned, "pool built without pruned views");
         let off = self.dev.read_u64(self.meta.pruned_off + r as u64 * 8);
         let a = self.dev.read_u32(self.meta.nsub + r as u64 * 4) as usize;
-        let b = self.dev.read_u32(self.meta.nwords + r as u64 * 4) as usize;
-        match self.layout {
-            PoolLayoutConfig::Fixed => {
-                let mut flat = vec![0u32; (a + b) * 2];
-                self.dev.read_u32_slice(off, &mut flat);
-                self.charge_decode(a + b, (a + b) * 8);
-                let subs = flat[..a * 2].chunks_exact(2).map(|c| (c[0], c[1])).collect();
-                let words = flat[a * 2..].chunks_exact(2).map(|c| (c[0], c[1])).collect();
-                (subs, words)
-            }
-            enc @ PoolLayoutConfig::Varint => {
-                let mut bytes = vec![0u8; a + b];
-                self.dev.read_bytes(off, &mut bytes);
-                let subs = decode_pairs(enc, &bytes[..a]).expect("pool-resident subrule half");
-                let words = decode_pairs(enc, &bytes[a..]).expect("pool-resident word half");
-                self.charge_decode(subs.len() + words.len(), a + b);
-                (subs, words)
-            }
-        }
+        let (skip, len) = match words {
+            true => (a, self.dev.read_u32(self.meta.nwords + r as u64 * 4) as usize),
+            false => (0, a),
+        };
+        // The length table counts pairs under the fixed encoding, bytes
+        // under varint.
+        let unit = match self.layout {
+            PoolLayoutConfig::Fixed => 8,
+            PoolLayoutConfig::Varint => 1,
+        };
+        buf.fill(&self.dev, off + (skip * unit) as u64, len * unit);
+        decode_pairs(self.layout, &buf.bytes, &mut buf.pairs).expect("pool-resident pruned view");
+        self.charge_decode(buf.pairs.len(), len * unit);
+        &buf.pairs
     }
 
-    /// Only the `(subrule, freq)` half of rule `r`'s pruned view (weight
-    /// propagation reads just this prefix — the pruned layout puts it
-    /// first for exactly that reason).
-    pub fn pruned_subs(&self, r: u32) -> Vec<(u32, u32)> {
-        assert!(self.has_pruned, "pool built without pruned views");
-        let off = self.dev.read_u64(self.meta.pruned_off + r as u64 * 8);
-        let a = self.dev.read_u32(self.meta.nsub + r as u64 * 4) as usize;
-        match self.layout {
-            PoolLayoutConfig::Fixed => {
-                let mut flat = vec![0u32; a * 2];
-                self.dev.read_u32_slice(off, &mut flat);
-                self.charge_decode(a, a * 8);
-                flat.chunks_exact(2).map(|c| (c[0], c[1])).collect()
-            }
-            enc @ PoolLayoutConfig::Varint => {
-                let mut bytes = vec![0u8; a];
-                self.dev.read_bytes(off, &mut bytes);
-                let subs = decode_pairs(enc, &bytes).expect("pool-resident subrule half");
-                self.charge_decode(subs.len(), a);
-                subs
-            }
-        }
-    }
-
-    /// Only the `(word, freq)` half of rule `r`'s pruned view.
-    pub fn pruned_words(&self, r: u32) -> Vec<(u32, u32)> {
-        assert!(self.has_pruned, "pool built without pruned views");
-        let off = self.dev.read_u64(self.meta.pruned_off + r as u64 * 8);
-        let a = self.dev.read_u32(self.meta.nsub + r as u64 * 4) as usize;
-        let b = self.dev.read_u32(self.meta.nwords + r as u64 * 4) as usize;
-        match self.layout {
-            PoolLayoutConfig::Fixed => {
-                let mut flat = vec![0u32; b * 2];
-                self.dev.read_u32_slice(off + a as u64 * 8, &mut flat);
-                self.charge_decode(b, b * 8);
-                flat.chunks_exact(2).map(|c| (c[0], c[1])).collect()
-            }
-            enc @ PoolLayoutConfig::Varint => {
-                let mut bytes = vec![0u8; b];
-                self.dev.read_bytes(off + a as u64, &mut bytes);
-                let words = decode_pairs(enc, &bytes).expect("pool-resident word half");
-                self.charge_decode(words.len(), b);
-                words
-            }
-        }
-    }
-
-    /// Ordered body symbols of rule `r`.
-    pub fn body(&self, r: u32) -> Vec<Symbol> {
+    /// Ordered body symbols of rule `r`, decoded into `buf`.
+    pub fn body<'b>(&self, r: u32, buf: &'b mut PoolBuf) -> &'b [Symbol] {
         let off = self.dev.read_u64(self.meta.body_off + r as u64 * 8);
         let len = self.dev.read_u32(self.meta.body_len + r as u64 * 4) as usize;
-        let mut raw = vec![0u32; len];
-        self.dev.read_u32_slice(off, &mut raw);
-        raw.into_iter().map(Symbol::from_raw).collect()
+        buf.fill(&self.dev, off, len * 4);
+        buf.syms.clear();
+        buf.syms.extend(
+            buf.bytes
+                .chunks_exact(4)
+                .map(|c| Symbol::from_raw(u32::from_le_bytes(c.try_into().expect("4 bytes")))),
+        );
+        &buf.syms
     }
 
     /// Length of rule `r`'s ordered body.
@@ -512,22 +521,22 @@ impl DagPool {
         Ok((addr, bytes.len()))
     }
 
-    /// Read back rule `r`'s cached word list.
-    pub fn wordlist(&self, r: u32) -> Vec<(u32, u64)> {
+    /// Read back rule `r`'s cached word list, decoded into `buf`.
+    pub fn wordlist<'b>(&self, r: u32, buf: &'b mut PoolBuf) -> &'b [(u32, u64)] {
         let addr = self.dev.read_u64(self.meta.wl_off + r as u64 * 8);
         let len = self.dev.read_u32(self.meta.wl_len + r as u64 * 4) as usize;
-        if len == 0 {
-            return Vec::new();
+        buf.counts.clear();
+        if len > 0 {
+            let nbytes = match self.layout {
+                PoolLayoutConfig::Fixed => len * 12,
+                PoolLayoutConfig::Varint => len,
+            };
+            buf.fill(&self.dev, addr, nbytes);
+            decode_wordlist(self.layout, &buf.bytes, &mut buf.counts)
+                .expect("pool-resident word list");
+            self.charge_decode(buf.counts.len() * 2, nbytes);
         }
-        let nbytes = match self.layout {
-            PoolLayoutConfig::Fixed => len * 12,
-            PoolLayoutConfig::Varint => len,
-        };
-        let mut bytes = vec![0u8; nbytes];
-        self.dev.read_bytes(addr, &mut bytes);
-        let entries = decode_wordlist(self.layout, &bytes).expect("pool-resident word list");
-        self.charge_decode(entries.len() * 2, nbytes);
-        entries
+        &buf.counts
     }
 
     // ---- dictionary ------------------------------------------------------
@@ -537,36 +546,23 @@ impl DagPool {
         self.dict_len
     }
 
-    /// Read word `id`'s string from the device (charged).
-    pub fn word_str(&self, id: u32) -> String {
-        let start = self.dev.read_u64(self.dict_offsets + id as u64 * 8);
-        let end = self.dev.read_u64(self.dict_offsets + (id as u64 + 1) * 8);
-        let mut bytes = vec![0u8; (end - start) as usize];
-        self.dev.read_bytes(self.dict_bytes + start, &mut bytes);
-        String::from_utf8(bytes).expect("dictionary strings are UTF-8")
-    }
-
-    /// Read the entire dictionary in two bulk sequential accesses
-    /// (offsets + text) and decode every word string. Serve-mode tasks use
-    /// this instead of [`word_str`](Self::word_str) per word, which would
-    /// issue thousands of tiny device reads under the shared device lock.
-    pub fn all_word_strs(&self) -> Vec<String> {
-        if self.dict_len == 0 {
-            return Vec::new();
+    /// The dictionary reader. With `bulk` (a serve session) the dictionary
+    /// is fetched up front in two sequential reads, offsets then text, and
+    /// words are slices of that; otherwise each word is read as it is asked
+    /// for — thousands of tiny reads under the shared device lock.
+    pub fn words(&self, bulk: bool) -> WordReader<'_> {
+        let mut reader = WordReader::per_word(&self.dev, self.dict_offsets, self.dict_bytes);
+        if bulk && self.dict_len > 0 {
+            let mut offsets = vec![0u8; (self.dict_len + 1) * 8];
+            self.dev.read_bytes(self.dict_offsets, &mut offsets);
+            reader.bulk = offsets
+                .chunks_exact(8)
+                .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes")))
+                .collect();
+            reader.buf.resize((reader.bulk[self.dict_len] as usize).max(1), 0);
+            self.dev.read_bytes(self.dict_bytes, &mut reader.buf);
         }
-        let mut offsets = vec![0u8; (self.dict_len + 1) * 8];
-        self.dev.read_bytes(self.dict_offsets, &mut offsets);
-        let offsets: Vec<u64> =
-            offsets.chunks_exact(8).map(|c| u64::from_le_bytes(c.try_into().unwrap())).collect();
-        let total = offsets[self.dict_len] as usize;
-        let mut text = vec![0u8; total.max(1)];
-        self.dev.read_bytes(self.dict_bytes, &mut text[..total.max(1)]);
-        (0..self.dict_len)
-            .map(|i| {
-                let (s, e) = (offsets[i] as usize, offsets[i + 1] as usize);
-                String::from_utf8(text[s..e].to_vec()).expect("dictionary strings are UTF-8")
-            })
-            .collect()
+        reader
     }
 
     /// Persist everything allocated so far (end of the init phase under
@@ -589,6 +585,21 @@ mod tests {
             ("b".into(), "x y z w w q x y z".into()),
         ];
         compress_corpus(&files, &TokenizerConfig::default())
+    }
+
+    /// Both halves of rule `r`'s pruned view, as owned lists.
+    fn pruned_view(dag: &DagPool, r: u32) -> (FreqPairs, FreqPairs) {
+        let mut buf = PoolBuf::default();
+        let subs = dag.pruned_half(r, false, &mut buf).to_vec();
+        (subs, dag.pruned_half(r, true, &mut buf).to_vec())
+    }
+
+    fn body(dag: &DagPool, r: u32) -> Vec<Symbol> {
+        dag.body(r, &mut PoolBuf::default()).to_vec()
+    }
+
+    fn wordlist(dag: &DagPool, r: u32) -> Vec<(u32, u64)> {
+        dag.wordlist(r, &mut PoolBuf::default()).to_vec()
     }
 
     fn build(comp: &Compressed, pruned: bool, adjacent: bool) -> DagPool {
@@ -653,7 +664,7 @@ mod tests {
         let comp = sample();
         let dag = build(&comp, true, true);
         for r in 0..comp.grammar.rule_count() as u32 {
-            assert_eq!(dag.body(r), comp.grammar.rules[r as usize].symbols, "rule {r}");
+            assert_eq!(body(&dag, r), comp.grammar.rules[r as usize].symbols, "rule {r}");
         }
     }
 
@@ -663,7 +674,7 @@ mod tests {
         let dag = build(&comp, true, true);
         for r in 0..comp.grammar.rule_count() as u32 {
             let expect = prune_rule(&comp.grammar.rules[r as usize].symbols);
-            assert_eq!(dag.pruned_view(r), expect, "rule {r}");
+            assert_eq!(pruned_view(&dag, r), expect, "rule {r}");
         }
     }
 
@@ -682,8 +693,12 @@ mod tests {
     fn dictionary_reads_back_strings() {
         let comp = sample();
         let dag = build(&comp, true, true);
-        for (id, w) in comp.dict.iter() {
-            assert_eq!(dag.word_str(id), w);
+        // Word by word and from one bulk read, each through one reader.
+        for bulk in [false, true] {
+            let mut words = dag.words(bulk);
+            for (id, w) in comp.dict.iter().chain(comp.dict.iter().take(2)) {
+                assert_eq!(words.get(id), w, "bulk {bulk}");
+            }
         }
     }
 
@@ -693,8 +708,8 @@ mod tests {
         let dag = build(&comp, true, true);
         let entries = vec![(3u32, 7u64), (9, 1_000_000_000_000)];
         dag.store_wordlist(1, &entries).unwrap();
-        assert_eq!(dag.wordlist(1), entries);
-        assert!(dag.wordlist(0).is_empty());
+        assert_eq!(wordlist(&dag, 1), entries);
+        assert!(wordlist(&dag, 0).is_empty());
     }
 
     #[test]
@@ -703,9 +718,10 @@ mod tests {
         let dag = build(&comp, true, true);
         let info = head_tail_info(&comp.grammar, 2);
         let ht = dag.headtail.as_ref().unwrap();
+        let mut buf = ntadoc_nstruct::WordBuf::default();
         for r in 0..comp.grammar.rule_count() {
-            assert_eq!(ht.head(r), info.heads[r], "head {r}");
-            assert_eq!(ht.tail(r), info.tails[r], "tail {r}");
+            assert_eq!(ht.head(r, &mut buf), info.heads[r], "head {r}");
+            assert_eq!(ht.tail(r, &mut buf), info.tails[r], "tail {r}");
         }
     }
 
@@ -722,8 +738,8 @@ mod tests {
             d.dev().reset_stats();
         }
         for r in 0..comp.grammar.rule_count() as u32 {
-            let _ = adj.pruned_view(r);
-            let _ = scat.pruned_view(r);
+            let _ = pruned_view(&adj, r);
+            let _ = pruned_view(&scat, r);
         }
         let a = adj.dev().stats().virtual_ns;
         let s = scat.dev().stats().virtual_ns;
@@ -738,15 +754,13 @@ mod tests {
             let name = lay.name();
             let dag = build_with_layout(&comp, true, true, lay);
             for r in 0..comp.grammar.rule_count() as u32 {
-                assert_eq!(dag.pruned_view(r), baseline.pruned_view(r), "{name} rule {r}");
-                assert_eq!(dag.pruned_subs(r), baseline.pruned_subs(r), "{name} rule {r}");
-                assert_eq!(dag.pruned_words(r), baseline.pruned_words(r), "{name} rule {r}");
-                assert_eq!(dag.body(r), baseline.body(r), "{name} rule {r}");
+                assert_eq!(pruned_view(&dag, r), pruned_view(&baseline, r), "{name} rule {r}");
+                assert_eq!(body(&dag, r), body(&baseline, r), "{name} rule {r}");
             }
             let entries = vec![(3u32, 7u64), (9, 1_000_000_000_000), (u32::MAX, u64::MAX)];
             dag.store_wordlist(1, &entries).unwrap();
-            assert_eq!(dag.wordlist(1), entries, "{name}");
-            assert!(dag.wordlist(0).is_empty(), "{name}");
+            assert_eq!(wordlist(&dag, 1), entries, "{name}");
+            assert!(wordlist(&dag, 0).is_empty(), "{name}");
         }
     }
 
@@ -770,7 +784,7 @@ mod tests {
             d.dev().crash();
             d.dev().reset_stats();
             for r in 0..comp.grammar.rule_count() as u32 {
-                let _ = d.pruned_view(r);
+                let _ = pruned_view(&d, r);
             }
             d.dev().stats().line_misses
         };
@@ -782,7 +796,8 @@ mod tests {
     fn unpruned_pool_panics_on_pruned_access() {
         let comp = sample();
         let dag = build(&comp, false, true);
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| dag.pruned_view(0)));
+        let result =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| pruned_view(&dag, 0)));
         assert!(result.is_err());
     }
 
@@ -790,9 +805,9 @@ mod tests {
     fn persisted_pool_survives_crash() {
         let comp = sample();
         let dag = build(&comp, true, true);
-        let before = dag.body(0);
+        let before = body(&dag, 0);
         dag.persist_all();
         dag.dev().crash();
-        assert_eq!(dag.body(0), before);
+        assert_eq!(body(&dag, 0), before);
     }
 }

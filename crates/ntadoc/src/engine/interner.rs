@@ -2,7 +2,10 @@
 
 use std::sync::{Mutex, MutexGuard};
 
+use ntadoc_pmem::PmemError;
+
 use super::lock;
+use crate::Result;
 
 /// Number of id spaces in the [`Interner`] (a power of two). Ids carry
 /// the index of their space in their low bits.
@@ -10,6 +13,9 @@ pub(crate) const INTERN_SHARDS: usize = 16;
 
 /// Bits of an id that name its space.
 const SPACE_BITS: u32 = INTERN_SHARDS.trailing_zeros();
+
+/// Grams one id space can name: an index has the id's remaining bits.
+const SPACE_GRAMS: u32 = 1 << (u32::BITS - SPACE_BITS);
 
 /// FNV-1a over a gram's words: its low bits choose the id space.
 fn fnv(gram: &[u32]) -> u64 {
@@ -30,10 +36,13 @@ fn table_hash(hash: u64) -> u32 {
 /// arena in place, and an insert copies the words once).
 #[derive(Default)]
 struct InternShard {
-    /// The words of gram `i` are `words[ends[i - 1]..ends[i]]`.
+    /// Index of the space's first gram: zero, except in the test that
+    /// starts a space next to the end of its id range.
+    first: u32,
+    /// Position `i` holds the words `words[ends[i - 1]..ends[i]]`.
     words: Vec<u32>,
     ends: Vec<u32>,
-    /// `(table hash, gram index + 1)` per slot, index zero while empty; a
+    /// `(table hash, gram position + 1)` per slot, zero while empty; a
     /// power of two long and at most three quarters full. A gram probes
     /// linearly from `table hash & (len - 1)`, and only a slot with its
     /// hash is compared against the arena.
@@ -41,9 +50,9 @@ struct InternShard {
 }
 
 impl InternShard {
-    fn gram(&self, idx: usize) -> &[u32] {
-        let start = if idx == 0 { 0 } else { self.ends[idx - 1] as usize };
-        &self.words[start..self.ends[idx] as usize]
+    fn gram(&self, at: usize) -> &[u32] {
+        let start = if at == 0 { 0 } else { self.ends[at - 1] as usize };
+        &self.words[start..self.ends[at] as usize]
     }
 
     /// Double the table and re-seat every entry (by its stored hash).
@@ -60,8 +69,9 @@ impl InternShard {
         }
     }
 
-    /// The index of `gram` in this space, and whether it was new.
-    fn intern(&mut self, hash: u64, gram: &[u32]) -> (u32, bool) {
+    /// The index of `gram` in this space, and whether it was new. A gram the
+    /// space has no index (or `u32` arena offset) left for is refused.
+    fn intern(&mut self, hash: u64, gram: &[u32]) -> Result<(u32, bool)> {
         if (self.ends.len() + 1) * 4 > self.slots.len() * 3 {
             self.grow();
         }
@@ -72,16 +82,21 @@ impl InternShard {
             match self.slots[at] {
                 (_, 0) => break,
                 (t, entry) if t == tag && self.gram(entry as usize - 1) == gram => {
-                    return (entry - 1, false)
+                    return Ok((self.first + (entry - 1), false))
                 }
                 _ => at = (at + 1) & mask,
             }
         }
-        let idx = self.ends.len() as u32;
+        let full = |len, max| PmemError::TooLarge { what: "n-gram id space", len, max };
+        let idx = self.first as u64 + self.ends.len() as u64;
+        if idx >= SPACE_GRAMS as u64 {
+            return Err(full(idx, SPACE_GRAMS as u64 - 1));
+        }
+        let end = (self.words.len() + gram.len()) as u64;
+        self.ends.push(u32::try_from(end).map_err(|_| full(end, u32::MAX as u64))?);
         self.words.extend_from_slice(gram);
-        self.ends.push(u32::try_from(self.words.len()).expect("n-gram arena fits u32 offsets"));
-        self.slots[at] = (tag, idx + 1);
-        (idx, true)
+        self.slots[at] = (tag, self.ends.len() as u32);
+        Ok((idx as u32, true))
     }
 }
 
@@ -105,12 +120,13 @@ pub(crate) struct Interner {
 }
 
 impl Interner {
-    /// Intern an n-gram, returning its id and whether it was new.
-    pub fn intern(&self, gram: &[u32]) -> (u32, bool) {
+    /// Intern an n-gram, returning its id and whether it was new; `TooLarge`
+    /// once its id space is full (a further id would alias an earlier one).
+    pub fn intern(&self, gram: &[u32]) -> Result<(u32, bool)> {
         let hash = fnv(gram);
         let s = (hash as usize) & (INTERN_SHARDS - 1);
-        let (idx, fresh) = lock(&self.shards)[s].intern(hash, gram);
-        ((idx << SPACE_BITS) | s as u32, fresh)
+        let (idx, fresh) = lock(&self.shards)[s].intern(hash, gram)?;
+        Ok(((idx << SPACE_BITS) | s as u32, fresh))
     }
 
     /// Read access to the interned n-grams: one lock for a whole pass over
@@ -126,7 +142,8 @@ pub(crate) struct Grams<'a>(MutexGuard<'a, [InternShard; INTERN_SHARDS]>);
 impl Grams<'_> {
     /// The n-gram behind `id`.
     pub fn get(&self, id: u32) -> &[u32] {
-        self.0[(id as usize) & (INTERN_SHARDS - 1)].gram((id >> SPACE_BITS) as usize)
+        let shard = &self.0[(id as usize) & (INTERN_SHARDS - 1)];
+        shard.gram(((id >> SPACE_BITS) - shard.first) as usize)
     }
 }
 
@@ -151,7 +168,7 @@ mod tests {
             x ^= x >> 7;
             x ^= x << 17;
             let gram: Vec<u32> = (0..2 + x % 3).map(|k| (x >> (8 * k)) as u32 % 23).collect();
-            let (id, fresh) = interner.intern(&gram);
+            let (id, fresh) = interner.intern(&gram).unwrap();
             match seen.get(&gram) {
                 Some(&known) => assert_eq!((id, fresh), (known, false)),
                 None => {
@@ -166,6 +183,51 @@ mod tests {
         let grams = interner.grams();
         for (gram, &id) in &seen {
             assert_eq!(grams.get(id), gram);
+        }
+    }
+
+    /// An id space runs out at 2^28 grams. The index that would follow is
+    /// refused with a typed error — shifted into an id it would drop its
+    /// top bits and alias the space's first gram — and the space still
+    /// answers for what it holds.
+    #[test]
+    fn an_exhausted_id_space_is_a_typed_error_not_an_aliased_id() {
+        let interner = Interner::default();
+        for shard in lock(&interner.shards).iter_mut() {
+            shard.first = SPACE_GRAMS - 2;
+        }
+        let grams: Vec<[u32; 2]> = (0..200).map(|w| [w, w + 1]).collect();
+        let mut taken = [0u32; INTERN_SHARDS];
+        let mut refused = 0;
+        for gram in &grams {
+            let s = (fnv(gram) as usize) & (INTERN_SHARDS - 1);
+            match interner.intern(gram) {
+                Ok((id, fresh)) => {
+                    assert!(fresh && taken[s] < 2, "{gram:?}");
+                    assert_eq!(id, ((SPACE_GRAMS - 2 + taken[s]) << SPACE_BITS) | s as u32);
+                    taken[s] += 1;
+                }
+                Err(PmemError::TooLarge { what: "n-gram id space", len, max }) => {
+                    assert_eq!((taken[s], len, max), (2, 1 << 28, (1 << 28) - 1), "{gram:?}");
+                    refused += 1;
+                }
+                Err(other) => panic!("{gram:?}: {other}"),
+            }
+        }
+        assert!(refused > 100, "{refused} refusals");
+        // Known grams are still found, under their ids; refused ones left
+        // nothing behind.
+        let mut seen = [0u32; INTERN_SHARDS];
+        for gram in &grams {
+            let s = (fnv(gram) as usize) & (INTERN_SHARDS - 1);
+            if seen[s] < 2 {
+                let (id, fresh) = interner.intern(gram).unwrap();
+                assert_eq!((id >> SPACE_BITS, fresh), (SPACE_GRAMS - 2 + seen[s], false));
+                assert_eq!(interner.grams().get(id), gram);
+                seen[s] += 1;
+            } else {
+                assert!(interner.intern(gram).is_err(), "{gram:?}");
+            }
         }
     }
 }

@@ -188,13 +188,13 @@ impl RunScaffold {
 
     /// Intern an n-gram, ledgering the dictionary bytes a new one adds.
     /// Controlling thread only: ids follow interning order (see
-    /// [`Interner`]).
-    pub(crate) fn intern(&self, words: &[u32]) -> u32 {
-        let (id, fresh) = self.interner.intern(words);
+    /// [`Interner`]). Fails once the n-gram's id space is exhausted.
+    pub(crate) fn intern(&self, words: &[u32]) -> Result<u32> {
+        let (id, fresh) = self.interner.intern(words)?;
         if fresh {
             self.note_dram(gram_dram(words.len()));
         }
-        id
+        Ok(id)
     }
 
     /// One attempt at the second phase, recorded as a `"traversal"` span:

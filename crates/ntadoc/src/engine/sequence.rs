@@ -3,20 +3,20 @@
 //! caches, and the id-level results of sequence count and ranked inverted
 //! index.
 
-use std::collections::BTreeMap;
-
 use ntadoc_grammar::Symbol;
-use ntadoc_nstruct::PVec;
+use ntadoc_nstruct::{PVec, WordBuf};
 use ntadoc_pmem::{par, with_deferred_charges, PmemError};
 
 use super::scaffold::gram_dram;
-use super::shape::{counts_of, Counts};
+use super::shape::{counts_of, Counts, Postings};
+use super::tasks::{release_work, tally, with_work, Work};
 use super::Session;
+use crate::dag::PoolBuf;
 use crate::Result;
 
 /// One element of the stitched "junction stream" a rule is scanned as.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Item {
+pub(crate) enum Item {
     /// An expanded word, tagged with the index of the body symbol
     /// (segment) it came from.
     Word { word: u32, seg: u32 },
@@ -28,11 +28,21 @@ enum Item {
     Sep,
 }
 
+/// `ws` as the words of segment `seg`.
+fn words(ws: &[u32], seg: u32) -> impl Iterator<Item = Item> + '_ {
+    ws.iter().map(move |&word| Item::Word { word, seg })
+}
+
 impl Session {
-    /// Stitch a symbol slice into the junction stream: words stay words;
-    /// long subrules contribute head + marker + tail; short subrules are
-    /// reconstructed completely from head/tail.
-    fn junction_stream(&self, syms: &[Symbol]) -> Result<Vec<Item>> {
+    /// Stitch a symbol slice into the junction stream, in `stream`: words
+    /// stay words; long subrules contribute head + marker + tail; short
+    /// subrules are reconstructed completely from head/tail.
+    fn junction_stream(
+        &self,
+        syms: &[Symbol],
+        buf: &mut WordBuf,
+        stream: &mut Vec<Item>,
+    ) -> Result<()> {
         let n = self.sc.cfg.ngram;
         let keep = n - 1;
         let dag = self.dag()?;
@@ -41,7 +51,7 @@ impl Session {
                 "junction scan needs the head/tail buffers a sequence-task init builds".into(),
             )
         })?;
-        let mut stream = Vec::with_capacity(syms.len() * 2);
+        stream.clear();
         for (i, s) in syms.iter().enumerate() {
             let seg = i as u32;
             if s.is_word() {
@@ -54,34 +64,20 @@ impl Session {
                 if len == 0 {
                     continue;
                 }
-                let head = ht.head(c as usize);
-                if len <= 2 * keep as u64 {
-                    // Full reconstruction: head plus the non-overlapping
-                    // suffix of the tail.
-                    for &w in &head {
-                        stream.push(Item::Word { word: w, seg });
-                    }
-                    if len > keep as u64 {
-                        let tail = ht.tail(c as usize);
-                        let skip = (2 * keep as u64 - len) as usize;
-                        for &w in &tail[skip..] {
-                            stream.push(Item::Word { word: w, seg });
-                        }
-                    }
-                } else {
-                    for &w in &head {
-                        stream.push(Item::Word { word: w, seg });
-                    }
+                stream.extend(words(ht.head(c as usize, buf), seg));
+                if len > 2 * keep as u64 {
                     stream.push(Item::Marker);
-                    let tail = ht.tail(c as usize);
-                    for &w in &tail {
-                        stream.push(Item::Word { word: w, seg });
-                    }
+                    stream.extend(words(ht.tail(c as usize, buf), seg));
+                } else if len > keep as u64 {
+                    // Full reconstruction: the head plus the non-overlapping
+                    // suffix of the tail.
+                    let skip = (2 * keep as u64 - len) as usize;
+                    stream.extend(words(&ht.tail(c as usize, buf)[skip..], seg));
                 }
             }
         }
         self.sc.charge_items(stream.len() as u64);
-        Ok(stream)
+        Ok(())
     }
 
     /// Slide an `n` window over the stream, yielding the words of every
@@ -134,17 +130,16 @@ impl Session {
         stream: &[Item],
         mut f: impl FnMut(u32) -> Result<()>,
     ) -> Result<()> {
-        self.junction_windows(stream, |words| f(self.sc.intern(words)))
+        self.junction_windows(stream, |words| f(self.sc.intern(words)?))
     }
 
-    /// The stream's junction n-grams as an id-sorted `(id, count)` map.
-    fn junction_tally(&self, stream: &[Item]) -> Result<BTreeMap<u32, u64>> {
-        let mut tally = BTreeMap::new();
+    /// The ids of the stream's junction n-grams, one per window, in `ids`.
+    fn junction_ids(&self, stream: &[Item], ids: &mut Vec<u32>) -> Result<()> {
+        ids.clear();
         self.scan_junction_windows(stream, |id| {
-            *tally.entry(id).or_insert(0u64) += 1;
+            ids.push(id);
             Ok(())
-        })?;
-        Ok(tally)
+        })
     }
 
     /// Build per-rule *sequence-list* caches (the bottom-up analogue of
@@ -163,45 +158,50 @@ impl Session {
         if self.sc.cfg.pruned {
             let n = self.sc.cfg.ngram;
             for level in self.nonroot_levels() {
-                let (scanned, charges) = par::par_map_timed(&level, |_, &r| -> Result<_> {
-                    let body = self.dag()?.body(r);
-                    let stream = self.junction_stream(&body)?;
-                    // Junction windows, flat: `n` words each.
-                    let mut grams: Vec<u32> = Vec::new();
-                    self.junction_windows(&stream, |words| {
-                        grams.extend_from_slice(words);
-                        Ok(())
-                    })?;
-                    Ok(grams)
+                let (scanned, charges) = par::par_map_timed(&level, |_, &r| {
+                    with_work(|w| {
+                        let body = self.dag()?.body(r, &mut w.view);
+                        self.junction_stream(body, &mut w.ht, &mut w.stream)?;
+                        // Junction windows, flat: `n` words each.
+                        let mut grams: Vec<u32> = Vec::new();
+                        self.junction_windows(&w.stream, |words| {
+                            grams.extend_from_slice(words);
+                            Ok(())
+                        })?;
+                        Ok(grams)
+                    })
                 });
                 // Per rule: its junction n-gram ids and the interner bytes
                 // they added, ledgered by the rule's merge below so that a
                 // single worker's DRAM ledger reads as it always has.
                 let mut interned = Vec::with_capacity(level.len());
                 for grams in scanned {
+                    // Ids overwrite the words they name: window `k` starts
+                    // at `k * n`, at or past slot `k`.
+                    let mut ids = grams?;
                     let mut fresh_bytes = 0u64;
-                    let ids: Vec<u32> = grams?
-                        .chunks_exact(n)
-                        .map(|words| {
-                            let (id, fresh) = self.sc.interner.intern(words);
-                            fresh_bytes += if fresh { gram_dram(n) } else { 0 };
-                            id
-                        })
-                        .collect();
+                    for k in 0..ids.len() / n {
+                        let (id, fresh) = self.sc.interner.intern(&ids[k * n..][..n])?;
+                        fresh_bytes += if fresh { gram_dram(n) } else { 0 };
+                        ids[k] = id;
+                    }
+                    ids.truncate(ids.len() / n);
                     interned.push((ids, fresh_bytes));
                 }
-                let merged = par::par_map(&level, |i, &r| -> Result<_> {
+                let merged = par::par_map(&level, |i, &r| {
                     with_deferred_charges(&charges[i], || {
-                        let (ids, fresh_bytes) = &interned[i];
-                        self.sc.note_dram(*fresh_bytes);
-                        // Junction windows into a small working map, children
-                        // via sorted-list merge.
-                        let mut extra = BTreeMap::new();
-                        for &id in ids {
-                            *extra.entry(id).or_insert(0u64) += 1;
-                        }
-                        // (Word-list storage, reused for sequence lists.)
-                        Ok(self.merge_counts(self.sub_lists(r)?, extra))
+                        with_work(|w| {
+                            let (ids, fresh_bytes) = &interned[i];
+                            self.sc.note_dram(*fresh_bytes);
+                            // Junction windows tallied, children via
+                            // sorted-list merge.
+                            w.ids.clear();
+                            w.ids.extend_from_slice(ids);
+                            w.merge.tally(&mut w.ids);
+                            // (Word-list storage, reused for sequence lists.)
+                            self.add_sub_lists(r, w)?;
+                            Ok(self.merged(&mut w.merge))
+                        })
                     })
                 });
                 par::join_deferred(&self.sc.dev, &charges);
@@ -210,13 +210,15 @@ impl Session {
                     self.op_guard(addr, len)?;
                 }
             }
+            release_work();
             return Ok(());
         }
         // Naive: everything through a growable hash table.
-        self.build_caches_naive(|r| {
-            let stream = self.junction_stream(&self.dag()?.body(r))?;
+        self.build_caches_naive(|r, w| {
+            let body = self.dag()?.body(r, &mut w.view);
+            self.junction_stream(body, &mut w.ht, &mut w.stream)?;
             let table = self.sc.scratch_table(8, false)?;
-            self.scan_junction_windows(&stream, |id| table.add(id as u64, 1))?;
+            self.scan_junction_windows(&w.stream, |id| table.add(id as u64, 1))?;
             Ok(table)
         })
     }
@@ -237,23 +239,26 @@ impl Session {
             // not n-gram spaces, so a fixed capacity would be unsound.
             Some(self.sc.result_counter(self.sized(dag.dict_len() * 2), false)?)
         };
-        let mut lists = Vec::new();
+        let mut w = Work::default();
+        let mut junctions: Counts = Vec::new();
         for &r in &self.facts.topo {
-            let w = dag.weight(r);
+            let weight = dag.weight(r);
             self.sc.charge_items(1);
-            if w == 0 {
+            if weight == 0 {
                 continue;
             }
-            let stream = self.junction_stream(&dag.body(r))?;
+            self.junction_stream(dag.body(r, &mut w.view), &mut w.ht, &mut w.stream)?;
             match &counter {
                 Some(counter) => {
-                    self.scan_junction_windows(&stream, |id| counter.add(id as u64, w))?
+                    self.scan_junction_windows(&w.stream, |id| counter.add(id as u64, weight))?
                 }
                 None => {
-                    let entries: Counts = self.junction_tally(&stream)?.into_iter().collect();
-                    let (addr, len) = dag.store_wordlist(r, &entries)?; // junction list
+                    self.junction_ids(&w.stream, &mut w.ids)?;
+                    junctions.clear();
+                    junctions.extend(tally(&mut w.ids));
+                    let (addr, len) = dag.store_wordlist(r, &junctions)?; // junction list
                     self.op_guard(addr, len)?;
-                    lists.push((dag.wordlist(r), w));
+                    w.merge.list(dag.wordlist(r, &mut w.list), weight);
                 }
             }
         }
@@ -262,7 +267,7 @@ impl Session {
                 counter.finish()?;
                 counts_of(&counter.table)
             }
-            None => self.merge_counts(lists, BTreeMap::new()),
+            None => self.merged(&mut w.merge),
         };
         // Persist the merged result (it is the task output).
         let result: PVec<(u32, u64)> =
@@ -275,43 +280,45 @@ impl Session {
         Ok(totals)
     }
 
-    /// Each n-gram's `(file id, count)` postings in file order: per file,
-    /// its junction n-grams plus the cached sequence lists of its subrules.
-    pub(super) fn ranked_postings(&self) -> Result<BTreeMap<u32, Vec<(u32, u64)>>> {
-        let segs = self.r0_segments()?;
-        // Result triples on the device.
+    /// Every `(n-gram id, (file id, count))` posting, file after file: per
+    /// file, its junction n-grams plus the cached sequence lists of its
+    /// subrules.
+    pub(super) fn ranked_postings(&self) -> Result<Postings> {
+        let (mut r0, mut w) = (PoolBuf::default(), Work::default());
+        let body = self.r0_body(&mut r0)?;
+        let segs = || body.split(|s| s.is_sep());
+        // Result triples on the device, and their host copy.
         let triples: PVec<(u32, (u32, u64))> =
-            PVec::with_capacity(self.sc.pool.clone(), segs.len().max(16))?;
-        let mut acc: BTreeMap<u32, Vec<(u32, u64)>> = BTreeMap::new();
-        for (fid, seg) in segs.iter().enumerate() {
-            let stream = self.junction_stream(seg)?;
+            PVec::with_capacity(self.sc.pool.clone(), segs().count().max(16))?;
+        let mut postings: Postings = Vec::new();
+        for (fid, seg) in segs().enumerate() {
+            self.junction_stream(seg, &mut w.ht, &mut w.stream)?;
             let rules = seg.iter().filter(|s| s.is_rule()).map(|s| s.payload());
-            let entries: Counts = if self.sc.cfg.pruned {
-                let extra = self.junction_tally(&stream)?;
-                let lists = rules.map(|r| Ok((self.cached_list(r)?, 1))).collect::<Result<_>>()?;
-                self.merge_counts(lists, extra)
+            let entries = if self.sc.cfg.pruned {
+                self.junction_ids(&w.stream, &mut w.ids)?;
+                w.merge.tally(&mut w.ids);
+                for r in rules {
+                    w.merge.list(self.cached_list(r, &mut w.list)?, 1);
+                }
+                self.merged(&mut w.merge)
             } else {
                 let table = self.sc.scratch_table(8, false)?;
-                self.scan_junction_windows(&stream, |id| table.add(id as u64, 1))?;
+                self.scan_junction_windows(&w.stream, |id| table.add(id as u64, 1))?;
                 for r in rules {
-                    for (sid, c) in self.cached_list(r)? {
+                    for &(sid, c) in self.cached_list(r, &mut w.list)? {
                         table.add(sid as u64, c)?;
                     }
                 }
                 counts_of(&table)
             };
-            let rows: Vec<(u32, (u32, u64))> =
-                entries.iter().map(|&(sid, c)| (sid, (fid as u32, c))).collect();
-            let before = triples.len();
-            triples.extend_from_slice(&rows)?;
-            self.op_guard(triples.addr_of(before), rows.len() * 16)?;
-            for (sid, c) in entries {
-                acc.entry(sid).or_default().push((fid as u32, c));
-            }
+            let before = postings.len();
+            postings.extend(entries.into_iter().map(|(sid, c)| (sid, (fid as u32, c))));
+            triples.extend_from_slice(&postings[before..])?;
+            self.op_guard(triples.addr_of(before), (postings.len() - before) * 16)?;
         }
         if self.sc.persists() {
             triples.persist();
         }
-        Ok(acc)
+        Ok(postings)
     }
 }

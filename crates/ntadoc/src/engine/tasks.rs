@@ -8,18 +8,113 @@
 //! pattern each design point produces: pruned vs raw bodies, adjacent vs
 //! scattered layout, pre-sized vs growing containers.
 
-use std::collections::BTreeMap;
+use std::cell::RefCell;
 
 use ntadoc_grammar::Symbol;
-use ntadoc_nstruct::PHashTable;
+use ntadoc_nstruct::{PHashTable, WordBuf};
 use ntadoc_pmem::{par, PmemError};
 
+use super::sequence::Item;
 use super::shape::{self, counts_of, Counts};
 use super::Session;
 use crate::config::Traversal;
-use crate::dag::{DagPool, FreqPairs};
+use crate::dag::{PoolBuf, WordReader};
 use crate::result::{Task, TaskOutput};
 use crate::Result;
+
+/// One thread's working memory for the id-level steps: the buffers pool
+/// reads decode into and the merge accumulator, reused from rule to rule.
+/// A serial step makes one and drops it with its result; the parallel
+/// cache builders borrow their worker's ([`with_work`]).
+#[derive(Default)]
+pub(crate) struct Work {
+    /// A rule's own view or body, and a subrule's cached list read meanwhile.
+    pub view: PoolBuf,
+    pub list: PoolBuf,
+    /// The junction scan's head/tail words, stream and n-gram ids (`ids`
+    /// also gathers a file segment's words).
+    pub ht: WordBuf,
+    pub stream: Vec<Item>,
+    pub ids: Vec<u32>,
+    pub merge: Merge,
+}
+
+thread_local! {
+    /// The cache builders' `Work`: an item runs on whichever worker claims it.
+    static WORK: RefCell<Work> = RefCell::default();
+}
+
+/// Run `f` with this thread's [`Work`]; a failed `f` forfeits it, half-done merge and all.
+pub(super) fn with_work<T>(f: impl FnOnce(&mut Work) -> Result<T>) -> Result<T> {
+    let mut work = WORK.take();
+    let out = f(&mut work)?;
+    WORK.set(work);
+    Ok(out)
+}
+
+/// Free the calling thread's [`Work`] (a worker's goes with its thread).
+pub(super) fn release_work() {
+    drop(WORK.take());
+}
+
+/// Id-sorted `(id, occurrences)` of `ids`, which are sorted in place.
+pub(super) fn tally(ids: &mut [u32]) -> impl Iterator<Item = (u32, u64)> + '_ {
+    ids.sort_unstable();
+    ids.chunk_by(|a, b| a == b).map(|run| (run[0], run.len() as u64))
+}
+
+/// The accumulator of [`Session::merged`]: a count per id in an array
+/// indexed by id, plus the ids touched, so a merge sorts its distinct ids
+/// and not its input entries. The array grows to the largest id given — a
+/// dictionary or interned n-gram id — and is all zero between merges.
+#[derive(Default)]
+pub(crate) struct Merge {
+    slots: Vec<u64>,
+    /// Ids added while their slot was zero (twice, if it stayed zero).
+    touched: Vec<u32>,
+    /// Entries and lists taken in: the modeled k-way merge's charge.
+    entries: u64,
+    lists: u64,
+}
+
+impl Merge {
+    /// One input entry.
+    pub fn add(&mut self, id: u32, count: u64) {
+        let at = id as usize;
+        if at >= self.slots.len() {
+            self.slots.resize(at + 1, 0);
+        }
+        if self.slots[at] == 0 {
+            self.touched.push(id);
+        }
+        self.slots[at] += count;
+        self.entries += 1;
+    }
+
+    /// One id-sorted input list, its counts scaled by `mult`.
+    pub fn list(&mut self, list: &[(u32, u64)], mult: u64) {
+        self.lists += 1;
+        for &(id, count) in list {
+            self.add(id, count * mult);
+        }
+    }
+
+    /// Direct contributions: one entry per distinct id of `ids`.
+    pub fn tally(&mut self, ids: &mut [u32]) {
+        for (id, count) in tally(ids) {
+            self.add(id, count);
+        }
+    }
+
+    /// The id-sorted sums; the accumulator is clean again afterwards.
+    fn drain(&mut self) -> Counts {
+        self.touched.sort_unstable();
+        self.touched.dedup();
+        (self.entries, self.lists) = (0, 0);
+        let slots = &mut self.slots;
+        self.touched.drain(..).map(|id| (id, std::mem::take(&mut slots[id as usize]))).collect()
+    }
+}
 
 impl Session {
     /// Compute `task` against the resident DAG pool: this engine's
@@ -35,85 +130,72 @@ impl Session {
                  word lists and are rebuilt per run"
             )));
         }
-        let (sc, files) = (&self.sc, &self.comp.file_names);
+        let (sc, comp) = (&self.sc, &*self.comp);
         // Arguments evaluate left to right: the id-level step runs before
-        // the lookup is made, so a serve session's bulk dictionary read
+        // the reader is made, so a serve session's bulk dictionary read
         // follows its list merges.
-        let word = || self.word_lookup();
+        let words = || -> Result<WordReader<'_>> { Ok(self.dag()?.words(self.serve_mode)) };
+        let persist = !self.serve_mode;
         Ok(match task {
-            Task::WordCount => shape::word_count(self.word_counts()?, word()?),
-            Task::Sort => shape::sort(sc, self.word_counts()?, word()?),
+            Task::WordCount => shape::word_count(self.word_counts()?, words()?),
+            Task::Sort => shape::sort(sc, self.word_counts()?, words()?),
             Task::TermVector => {
-                shape::term_vector(sc, self.per_file_word_tables()?, files, word()?)
+                shape::term_vector(sc, self.per_file_word_tables()?, comp, words()?)
             }
             // The pairs are the persisted result of a run; a served response
             // persists nothing.
-            Task::InvertedIndex => shape::inverted_index(
-                sc,
-                self.per_file_word_tables()?,
-                files,
-                word()?,
-                !self.serve_mode,
-            )?,
-            Task::SequenceCount => shape::sequence_count(sc, self.sequence_counts()?, word()?),
+            Task::InvertedIndex => {
+                shape::inverted_index(sc, self.per_file_word_tables()?, comp, words()?, persist)?
+            }
+            Task::SequenceCount => {
+                shape::sequence_count(sc, self.sequence_counts()?, comp, words()?)
+            }
             Task::RankedInvertedIndex => {
-                shape::ranked_index(sc, self.ranked_postings()?, files, word()?)
+                shape::ranked_index(sc, self.ranked_postings()?, comp, words()?)
             }
         })
     }
 
-    /// This session's word lookup: a dictionary read on the device per
-    /// word, or — serving — an index into the strings of one bulk read.
-    fn word_lookup(&self) -> Result<impl Fn(u32) -> String + '_> {
-        let dag = self.dag()?;
-        let served = self.serve_mode.then(|| dag.all_word_strs());
-        Ok(move |wid: u32| match &served {
-            Some(words) => words[wid as usize].clone(),
-            None => dag.word_str(wid),
-        })
-    }
-
-    /// One half of rule `r`'s view as `(id, freq)`: the `pruned` view when
-    /// pruning is on, otherwise one entry per body symbol of that `kind`
-    /// (the naive access pattern).
-    fn view_of(
-        &self,
-        r: u32,
-        pruned: fn(&DagPool, u32) -> FreqPairs,
-        kind: fn(Symbol) -> bool,
-    ) -> Result<FreqPairs> {
+    /// One half of rule `r`'s view as `(id, freq)`, read into `buf`: the
+    /// pruned half when pruning is on, otherwise one entry per body symbol
+    /// of that kind (the naive access pattern).
+    fn view_of<'b>(&self, r: u32, words: bool, buf: &'b mut PoolBuf) -> Result<&'b [(u32, u32)]> {
         let dag = self.dag()?;
         if self.sc.cfg.pruned {
-            let v = pruned(dag, r);
-            self.sc.charge_items(v.len() as u64);
-            Ok(v)
-        } else {
-            let body = dag.body(r);
-            self.sc.charge_items(body.len() as u64);
-            Ok(body.iter().filter(|&&s| kind(s)).map(|s| (s.payload(), 1)).collect())
+            let view = dag.pruned_half(r, words, buf);
+            self.sc.charge_items(view.len() as u64);
+            return Ok(view);
         }
+        self.sc.charge_items(dag.body(r, buf).len() as u64);
+        let kind = if words { Symbol::is_word } else { Symbol::is_rule };
+        buf.pairs.clear();
+        buf.pairs.extend(buf.syms.iter().filter(|&&s| kind(s)).map(|s| (s.payload(), 1)));
+        Ok(&buf.pairs)
     }
 
     /// Rule `r`'s subrules as `(id, freq)`.
-    pub(crate) fn subs_of(&self, r: u32) -> Result<FreqPairs> {
-        self.view_of(r, DagPool::pruned_subs, Symbol::is_rule)
+    fn subs_of<'b>(&self, r: u32, buf: &'b mut PoolBuf) -> Result<&'b [(u32, u32)]> {
+        self.view_of(r, false, buf)
     }
 
     /// Rule `r`'s words as `(id, freq)`.
-    pub(crate) fn words_of(&self, r: u32) -> Result<FreqPairs> {
-        self.view_of(r, DagPool::pruned_words, Symbol::is_word)
+    fn words_of<'b>(&self, r: u32, buf: &'b mut PoolBuf) -> Result<&'b [(u32, u32)]> {
+        self.view_of(r, true, buf)
     }
 
-    /// The cached lists of rule `r`'s subrules, each with its frequency in
-    /// `r` — the inputs of `r`'s own list merge.
-    pub(crate) fn sub_lists(&self, r: u32) -> Result<Vec<(Counts, u64)>> {
-        self.subs_of(r)?.into_iter().map(|(s, f)| Ok((self.cached_list(s)?, f as u64))).collect()
+    /// Enter the cached lists of rule `r`'s subrules into `w.merge`, each
+    /// scaled by its frequency in `r`: the inputs of `r`'s own list merge.
+    pub(crate) fn add_sub_lists(&self, r: u32, w: &mut Work) -> Result<()> {
+        for &(s, f) in self.subs_of(r, &mut w.view)? {
+            w.merge.list(self.cached_list(s, &mut w.list)?, f as u64);
+        }
+        Ok(())
     }
 
     /// Rule `r`'s cached word (or sequence) list, read sequentially from
-    /// the pool.
-    pub(crate) fn cached_list(&self, r: u32) -> Result<Counts> {
-        let list = self.dag()?.wordlist(r);
+    /// the pool into `buf`.
+    pub(crate) fn cached_list<'b>(&self, r: u32, buf: &'b mut PoolBuf) -> Result<&'b [(u32, u64)]> {
+        let list = self.dag()?.wordlist(r, buf);
         self.sc.charge_items(list.len() as u64);
         Ok(list)
     }
@@ -140,11 +222,12 @@ impl Session {
         dev.write_u32_slice(indeg_at, &indegs);
         let queue = ntadoc_nstruct::PQueue::with_capacity(scratch.clone(), nr)?;
         queue.push(0);
+        let mut subs = PoolBuf::default();
         while let Some(r) = queue.pop() {
             let w = dag.weight(r);
             self.sc.charge_items(1);
             visit(r, w)?;
-            for (s, f) in self.subs_of(r)? {
+            for &(s, f) in self.subs_of(r, &mut subs)? {
                 dag.add_weight(s, w * f as u64);
                 let at = indeg_at + s as u64 * 4;
                 let d = dev.read_u32(at) - f;
@@ -157,29 +240,19 @@ impl Session {
         Ok(())
     }
 
-    /// `R0` split into per-file symbol segments (separators removed).
-    pub(crate) fn r0_segments(&self) -> Result<Vec<Vec<Symbol>>> {
-        let body = self.dag()?.body(0);
+    /// `R0`'s body, read into `buf`. The per-file symbol segments are its
+    /// runs between separators: `split` it on [`Symbol::is_sep`].
+    pub(crate) fn r0_body<'b>(&self, buf: &'b mut PoolBuf) -> Result<&'b [Symbol]> {
+        let body = self.dag()?.body(0, buf);
         self.sc.charge_items(body.len() as u64);
-        let mut segs = vec![Vec::new()];
-        for s in body {
-            if s.is_sep() {
-                segs.push(Vec::new());
-            } else {
-                match segs.last_mut() {
-                    Some(seg) => seg.push(s),
-                    None => segs.push(vec![s]),
-                }
-            }
-        }
-        Ok(segs)
+        Ok(body)
     }
 
     /// Per-file weight propagation over the sub-DAG reachable from `seg`
     /// (the top-down strategy's inner loop — pathological when files are
     /// many, which is the §VI-E measurement). Returns `(rule, weight)`
     /// with weights local to this file.
-    pub(crate) fn local_weights(&self, seg: &[Symbol]) -> Result<Vec<(u32, u64)>> {
+    fn local_weights(&self, seg: &[Symbol], subs: &mut PoolBuf) -> Result<Vec<(u32, u64)>> {
         // Faithful to the paper's top-down file processing: "the program is
         // required to traverse the DAG in order to retrieve the weight of
         // rules for each file" — the *whole* DAG is walked per file, using
@@ -204,44 +277,29 @@ impl Session {
                 continue;
             }
             out.push((r, w));
-            for (s, f) in self.subs_of(r)? {
+            for &(s, f) in self.subs_of(r, subs)? {
                 dag.add_weight(s, w * f as u64);
             }
         }
         Ok(out)
     }
 
-    /// Merge id-sorted `(id, count)` lists (each scaled by a multiplier)
-    /// plus a small map of direct contributions into one id-sorted list.
+    /// Merge what `merge` was given — id-sorted `(id, count)` lists, each
+    /// scaled by a multiplier, plus direct contributions — into one
+    /// id-sorted list.
     ///
     /// This is the N-TADOC accumulation primitive: cached lists are read
     /// *sequentially* from the pool and the merged output is written
     /// *sequentially* back, instead of spraying random probes across an
     /// NVM-resident hash table — the same locality argument as §IV-B. The
-    /// modeled CPU cost is that of a k-way merge.
-    pub(crate) fn merge_counts(
-        &self,
-        lists: Vec<(Counts, u64)>,
-        extra: BTreeMap<u32, u64>,
-    ) -> Counts {
-        // DRAM accounting: the modeled algorithm is a streaming k-way
-        // merge holding one cursor per input list, not the whole
-        // concatenation (which this implementation uses for simplicity).
-        let transient = (lists.len() as u64 + 1) * 64;
+    /// modeled CPU cost and DRAM footprint are a streaming k-way merge's,
+    /// one cursor per input list; the host sums each list as it is read
+    /// into [`Merge`]'s array and sorts the distinct ids — the same list.
+    pub(crate) fn merged(&self, merge: &mut Merge) -> Counts {
+        let transient = (merge.lists + 1) * 64;
         self.sc.note_dram(transient);
-        let mut all: Counts = extra.into_iter().collect();
-        for (list, mult) in lists {
-            all.extend(list.into_iter().map(|(id, c)| (id, c * mult)));
-        }
-        self.sc.charge_items(all.len() as u64 * 2);
-        all.sort_unstable_by_key(|e| e.0);
-        let mut out: Counts = Vec::with_capacity(all.len());
-        for (id, c) in all {
-            match out.last_mut() {
-                Some((last, acc)) if *last == id => *acc += c,
-                _ => out.push((id, c)),
-            }
-        }
+        self.sc.charge_items(merge.entries * 2);
+        let out = merge.drain();
         self.sc.drop_dram(transient);
         out
     }
@@ -277,10 +335,14 @@ impl Session {
                 // thread; the level's parallel work joins the clock as the
                 // deterministic lane makespan before the span closes.
                 obs.span(&format!("wordlist-level-{depth}"), &self.sc.dev, || -> Result<()> {
-                    let (merged, charges) = par::par_map_timed(&level, |_, &r| -> Result<_> {
-                        let extra: BTreeMap<u32, u64> =
-                            self.words_of(r)?.into_iter().map(|(w, f)| (w, f as u64)).collect();
-                        Ok(self.merge_counts(self.sub_lists(r)?, extra))
+                    let (merged, charges) = par::par_map_timed(&level, |_, &r| {
+                        with_work(|w| {
+                            for &(word, f) in self.words_of(r, &mut w.view)? {
+                                w.merge.add(word, f as u64);
+                            }
+                            self.add_sub_lists(r, w)?;
+                            Ok(self.merged(&mut w.merge))
+                        })
                     });
                     par::join_deferred(&self.sc.dev, &charges);
                     for (&r, entries) in level.iter().zip(merged) {
@@ -290,15 +352,16 @@ impl Session {
                     Ok(())
                 })?;
             }
+            release_work();
             return Ok(());
         }
-        self.build_caches_naive(|r| {
+        self.build_caches_naive(|r, w| {
             // Fixed-size from the §IV-C bound when the summation is on.
             let presize = self.sc.cfg.presize;
             let expected = if presize { self.dag()?.wl_bound(r) as usize } else { 8 };
             let table = self.sc.scratch_table(self.sized(expected), presize)?;
-            for (w, f) in self.words_of(r)? {
-                table.add(w as u64, f as u64)?;
+            for &(word, f) in self.words_of(r, &mut w.view)? {
+                table.add(word as u64, f as u64)?;
             }
             Ok(table)
         })
@@ -310,16 +373,17 @@ impl Session {
     /// is stored id-sorted.
     pub(super) fn build_caches_naive(
         &self,
-        seed: impl Fn(u32) -> Result<PHashTable>,
+        seed: impl Fn(u32, &mut Work) -> Result<PHashTable>,
     ) -> Result<()> {
         let metrics = &self.sc.obs.metrics;
+        let mut w = Work::default();
         for &r in self.facts.topo.iter().rev() {
             if r == 0 {
                 continue;
             }
-            let table = seed(r)?;
-            for (s, f) in self.subs_of(r)? {
-                for (id, c) in self.cached_list(s)? {
+            let table = seed(r, &mut w)?;
+            for &(s, f) in self.subs_of(r, &mut w.view)? {
+                for &(id, c) in self.cached_list(s, &mut w.list)? {
                     table.add(id as u64, c * f as u64)?;
                 }
             }
@@ -342,13 +406,17 @@ impl Session {
     /// cached word lists.
     fn word_counts(&self) -> Result<Counts> {
         if self.serve_mode {
-            let lists = self.per_file_word_tables()?.into_iter().map(|t| (t, 1u64)).collect();
-            return Ok(self.merge_counts(lists, BTreeMap::new()));
+            let mut merge = Merge::default();
+            for table in self.per_file_word_tables()? {
+                merge.list(&table, 1);
+            }
+            return Ok(self.merged(&mut merge));
         }
         let dag = self.dag()?;
         let counter = self.sc.result_counter(self.sized(dag.dict_len()), self.sc.cfg.presize)?;
+        let mut words = PoolBuf::default();
         self.traverse_topdown(|r, w| {
-            for (wid, f) in self.words_of(r)? {
+            for &(wid, f) in self.words_of(r, &mut words)? {
                 counter.add(wid as u64, w * f as u64)?;
             }
             Ok(())
@@ -381,23 +449,23 @@ impl Session {
     /// session selected (§VI-E).
     fn per_file_word_tables(&self) -> Result<Vec<Counts>> {
         let strategy = self.strategy();
-        let segs = self.r0_segments()?;
-        let mut out = Vec::with_capacity(segs.len());
-        for seg in &segs {
+        let (mut r0, mut w) = (PoolBuf::default(), Work::default());
+        let mut out = Vec::new();
+        for seg in self.r0_body(&mut r0)?.split(|s| s.is_sep()) {
             if strategy == Traversal::BottomUp && self.sc.cfg.pruned {
                 // N-TADOC bottom-up: merge the cached, id-sorted word
                 // lists of the segment's subrules (sequential pool reads).
-                let mut extra = BTreeMap::new();
-                let mut lists = Vec::new();
+                w.ids.clear();
                 for s in seg {
                     self.sc.charge_items(1);
                     if s.is_word() {
-                        *extra.entry(s.payload()).or_insert(0u64) += 1;
+                        w.ids.push(s.payload());
                     } else if s.is_rule() {
-                        lists.push((self.cached_list(s.payload())?, 1));
+                        w.merge.list(self.cached_list(s.payload(), &mut w.list)?, 1);
                     }
                 }
-                out.push(self.merge_counts(lists, extra));
+                w.merge.tally(&mut w.ids);
+                out.push(self.merged(&mut w.merge));
                 continue;
             }
             let presize = self.sc.cfg.presize;
@@ -411,7 +479,7 @@ impl Session {
                         if s.is_word() {
                             table.add(s.payload() as u64, 1)?;
                         } else if s.is_rule() {
-                            for (wid, c) in self.cached_list(s.payload())? {
+                            for &(wid, c) in self.cached_list(s.payload(), &mut w.list)? {
                                 table.add(wid as u64, c)?;
                             }
                         }
@@ -426,9 +494,9 @@ impl Session {
                             table.add(s.payload() as u64, 1)?;
                         }
                     }
-                    for (r, w) in self.local_weights(seg)? {
-                        for (wid, f) in self.words_of(r)? {
-                            table.add(wid as u64, w * f as u64)?;
+                    for (r, weight) in self.local_weights(seg, &mut w.view)? {
+                        for &(wid, f) in self.words_of(r, &mut w.view)? {
+                            table.add(wid as u64, weight * f as u64)?;
                         }
                     }
                 }
@@ -436,5 +504,116 @@ impl Session {
             out.push(counts_of(&table));
         }
         Ok(out)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::BTreeMap;
+
+    use super::*;
+
+    /// The merge as it was: concatenate the direct contributions (a map,
+    /// so one entry per distinct id) and every scaled list, sort the lot by
+    /// id, and sum runs. Returns the list and the number of entries sorted.
+    fn merge_ref(lists: &[(Counts, u64)], direct: &[u32]) -> (Counts, u64) {
+        let mut extra: BTreeMap<u32, u64> = BTreeMap::new();
+        for &id in direct {
+            *extra.entry(id).or_insert(0) += 1;
+        }
+        let mut all: Counts = extra.into_iter().collect();
+        for (list, mult) in lists {
+            all.extend(list.iter().map(|&(id, c)| (id, c * mult)));
+        }
+        let entries = all.len() as u64;
+        all.sort_unstable_by_key(|e| e.0);
+        let mut out: Counts = Vec::with_capacity(all.len());
+        for (id, c) in all {
+            match out.last_mut() {
+                Some((last, acc)) if *last == id => *acc += c,
+                _ => out.push((id, c)),
+            }
+        }
+        (out, entries)
+    }
+
+    /// One merge's inputs: id-sorted lists with multipliers (0, 1 and
+    /// larger), and direct contributions with repeats.
+    type Case = (Vec<(Counts, u64)>, Vec<u32>);
+
+    fn cases(seed: u64, count: usize) -> Vec<Case> {
+        let mut x = seed;
+        let mut below = move |n: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % n
+        };
+        (0..count)
+            .map(|case| {
+                // Small id ranges collide often; one case in five reaches far.
+                let ids = if case % 5 == 4 { 70_000 } else { 40 };
+                let lists = (0..below(6))
+                    .map(|_| {
+                        let mut list: Counts =
+                            (0..below(30)).map(|_| (below(ids) as u32, 0)).collect();
+                        list.sort_unstable();
+                        list.dedup();
+                        list.iter_mut().for_each(|e| e.1 = below(4));
+                        (list, below(4))
+                    })
+                    .collect();
+                (lists, (0..below(25)).map(|_| below(ids) as u32).collect())
+            })
+            .collect()
+    }
+
+    /// Feed `case` to `merge` the way the id-level steps do, and drain it.
+    fn merge_case(merge: &mut Merge, (lists, direct): &Case) -> (Counts, u64, u64) {
+        merge.tally(&mut direct.clone());
+        for (list, mult) in lists {
+            merge.list(list, *mult);
+        }
+        let charged = (merge.entries, merge.lists);
+        (merge.drain(), charged.0, charged.1)
+    }
+
+    #[test]
+    fn array_merge_equals_concatenate_and_sort_merge_after_merge() {
+        // One accumulator for every case: each must find it clean.
+        let mut merge = Merge::default();
+        for (i, case) in cases(0x2545_F491_4F6C_DD1D, 300).iter().enumerate() {
+            let (expect, entries) = merge_ref(&case.0, &case.1);
+            let got = merge_case(&mut merge, case);
+            assert_eq!(got, (expect, entries, case.0.len() as u64), "case {i}");
+            assert!(merge.touched.is_empty() && merge.slots.iter().all(|&s| s == 0), "case {i}");
+        }
+        // Sized by the largest id seen, never by the id type.
+        assert!((40..=70_000).contains(&merge.slots.len()), "{} slots", merge.slots.len());
+    }
+
+    #[test]
+    fn workers_merge_in_their_own_scratch() {
+        let cases = cases(0x9E37_79B9_7F4A_7C15, 200);
+        for threads in [1, 4] {
+            let got = par::with_threads(threads, || {
+                par::par_map(&cases, |_, case| with_work(|w| Ok(merge_case(&mut w.merge, case).0)))
+            });
+            for (i, (got, case)) in got.into_iter().zip(&cases).enumerate() {
+                assert_eq!(
+                    got.unwrap(),
+                    merge_ref(&case.0, &case.1).0,
+                    "case {i}, {threads} threads"
+                );
+            }
+        }
+        release_work();
+        assert_eq!(with_work(|w| Ok(w.merge.slots.len())).unwrap(), 0, "released with the rest");
+    }
+
+    #[test]
+    fn tally_counts_runs_of_sorted_ids() {
+        assert_eq!(tally(&mut [7, 3, 7, 7, 1, 3]).collect::<Counts>(), [(1, 1), (3, 2), (7, 3)]);
+        assert_eq!(tally(&mut []).count(), 0);
     }
 }

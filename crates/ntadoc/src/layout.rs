@@ -156,9 +156,14 @@ pub(crate) fn encode_values(
     Ok(())
 }
 
-/// Decode a stream written by [`encode_values`]. `Fixed` derives the
-/// count from the byte length; `Varint` is self-delimiting.
-pub(crate) fn decode_values(enc: PoolLayoutConfig, bytes: &[u8]) -> Result<Vec<u64>> {
+/// Hand each value of a stream written by [`encode_values`] to `f`, in
+/// order. `Fixed` derives the count from the byte length; `Varint` is
+/// self-delimiting.
+fn for_each_value(
+    enc: PoolLayoutConfig,
+    bytes: &[u8],
+    mut f: impl FnMut(u64) -> Result<()>,
+) -> Result<()> {
     match enc {
         PoolLayoutConfig::Fixed => {
             if !bytes.len().is_multiple_of(4) {
@@ -167,19 +172,49 @@ pub(crate) fn decode_values(enc: PoolLayoutConfig, bytes: &[u8]) -> Result<Vec<u
                     bytes.len()
                 )));
             }
-            Ok(bytes
+            bytes
                 .chunks_exact(4)
-                .map(|c| u32::from_le_bytes(c.try_into().expect("4 bytes")) as u64)
-                .collect())
+                .try_for_each(|c| f(u32::from_le_bytes(c.try_into().expect("4 bytes")) as u64))
         }
         PoolLayoutConfig::Varint => {
             let mut at = 0;
-            let mut out = Vec::new();
             while at < bytes.len() {
-                out.push(get_varint(bytes, &mut at)?);
+                f(get_varint(bytes, &mut at)?)?;
             }
-            Ok(out)
+            Ok(())
         }
+    }
+}
+
+/// Decode the `(a, b)` pairs of a value stream into `out` (cleared first),
+/// narrowing each `a` to `u32` and each `b` through `second`.
+fn decode_value_pairs<B>(
+    enc: PoolLayoutConfig,
+    bytes: &[u8],
+    what: &str,
+    second: impl Fn(u64) -> Result<B>,
+    out: &mut Vec<(u32, B)>,
+) -> Result<()> {
+    out.clear();
+    let mut first = None;
+    for_each_value(enc, bytes, |v| {
+        match first.take() {
+            None => {
+                first =
+                    Some(u32::try_from(v).map_err(|_| {
+                        PmemError::CorruptImage(format!("{what} id {v} exceeds u32"))
+                    })?)
+            }
+            Some(a) => out.push((a, second(v)?)),
+        }
+        Ok(())
+    })?;
+    match first {
+        None => Ok(()),
+        Some(_) => Err(PmemError::CorruptImage(format!(
+            "{what} region decoded to an odd number of values ({})",
+            out.len() * 2 + 1
+        ))),
     }
 }
 
@@ -197,26 +232,17 @@ pub(crate) fn encode_pairs(
     encode_values(enc, &values, out)
 }
 
-/// Decode a pruned-view half written by [`encode_pairs`].
-pub(crate) fn decode_pairs(enc: PoolLayoutConfig, bytes: &[u8]) -> Result<Vec<(u32, u32)>> {
-    let values = decode_values(enc, bytes)?;
-    if values.len() % 2 != 0 {
-        return Err(PmemError::CorruptImage(format!(
-            "pair region decoded to an odd number of values ({})",
-            values.len()
-        )));
-    }
-    values
-        .chunks_exact(2)
-        .map(|c| {
-            let id = u32::try_from(c[0])
-                .map_err(|_| PmemError::CorruptImage(format!("pair id {} exceeds u32", c[0])))?;
-            let f = u32::try_from(c[1]).map_err(|_| {
-                PmemError::CorruptImage(format!("pair frequency {} exceeds u32", c[1]))
-            })?;
-            Ok((id, f))
-        })
-        .collect()
+/// Decode a pruned-view half written by [`encode_pairs`] into `out`.
+pub(crate) fn decode_pairs(
+    enc: PoolLayoutConfig,
+    bytes: &[u8],
+    out: &mut Vec<(u32, u32)>,
+) -> Result<()> {
+    let freq = |f| {
+        u32::try_from(f)
+            .map_err(|_| PmemError::CorruptImage(format!("pair frequency {f} exceeds u32")))
+    };
+    decode_value_pairs(enc, bytes, "pair", freq, out)
 }
 
 /// Encode `(word, count)` word-list entries (counts are `u64`) under
@@ -246,8 +272,12 @@ pub(crate) fn encode_wordlist(
     }
 }
 
-/// Decode a word list written by [`encode_wordlist`].
-pub(crate) fn decode_wordlist(enc: PoolLayoutConfig, bytes: &[u8]) -> Result<Vec<(u32, u64)>> {
+/// Decode a word list written by [`encode_wordlist`] into `out`.
+pub(crate) fn decode_wordlist(
+    enc: PoolLayoutConfig,
+    bytes: &[u8],
+    out: &mut Vec<(u32, u64)>,
+) -> Result<()> {
     match enc {
         PoolLayoutConfig::Fixed => {
             if !bytes.len().is_multiple_of(12) {
@@ -256,34 +286,16 @@ pub(crate) fn decode_wordlist(enc: PoolLayoutConfig, bytes: &[u8]) -> Result<Vec
                     bytes.len()
                 )));
             }
-            Ok(bytes
-                .chunks_exact(12)
-                .map(|c| {
-                    (
-                        u32::from_le_bytes(c[..4].try_into().expect("4 bytes")),
-                        u64::from_le_bytes(c[4..].try_into().expect("8 bytes")),
-                    )
-                })
-                .collect())
+            out.clear();
+            out.extend(bytes.chunks_exact(12).map(|c| {
+                (
+                    u32::from_le_bytes(c[..4].try_into().expect("4 bytes")),
+                    u64::from_le_bytes(c[4..].try_into().expect("8 bytes")),
+                )
+            }));
+            Ok(())
         }
-        PoolLayoutConfig::Varint => {
-            let values = decode_values(enc, bytes)?;
-            if values.len() % 2 != 0 {
-                return Err(PmemError::CorruptImage(format!(
-                    "word-list region decoded to an odd number of values ({})",
-                    values.len()
-                )));
-            }
-            values
-                .chunks_exact(2)
-                .map(|c| {
-                    let w = u32::try_from(c[0]).map_err(|_| {
-                        PmemError::CorruptImage(format!("word id {} exceeds u32", c[0]))
-                    })?;
-                    Ok((w, c[1]))
-                })
-                .collect()
-        }
+        PoolLayoutConfig::Varint => decode_value_pairs(enc, bytes, "word", Ok, out),
     }
 }
 
@@ -292,6 +304,15 @@ mod tests {
     use super::*;
 
     const LAYOUTS: [PoolLayoutConfig; 2] = [PoolLayoutConfig::Fixed, PoolLayoutConfig::Varint];
+
+    fn decode_values(enc: PoolLayoutConfig, bytes: &[u8]) -> Result<Vec<u64>> {
+        let mut out = Vec::new();
+        for_each_value(enc, bytes, |v| {
+            out.push(v);
+            Ok(())
+        })?;
+        Ok(out)
+    }
 
     #[test]
     fn values_round_trip_across_encodings() {
@@ -330,12 +351,20 @@ mod tests {
         let pairs = vec![(0u32, 1u32), (300, 2), (u32::MAX, 7), (9, 100_000)];
         let wl = vec![(3u32, 7u64), (9, 1_000_000_000_000), (u32::MAX, u64::MAX)];
         for enc in LAYOUTS {
+            // Decoders clear what the buffer held before.
             let mut b = Vec::new();
             encode_pairs(enc, &pairs, &mut b).unwrap();
-            assert_eq!(decode_pairs(enc, &b).unwrap(), pairs, "{enc:?}");
+            let mut got = vec![(7, 7)];
+            decode_pairs(enc, &b, &mut got).unwrap();
+            assert_eq!(got, pairs, "{enc:?}");
+            let mut odd = Vec::new();
+            encode_values(enc, &[1, 2, 3], &mut odd).unwrap();
+            assert!(decode_pairs(enc, &odd, &mut got).is_err(), "{enc:?}: an unpaired id");
             let mut b = Vec::new();
             encode_wordlist(enc, &wl, &mut b).unwrap();
-            assert_eq!(decode_wordlist(enc, &b).unwrap(), wl, "{enc:?}");
+            let mut got = vec![(7, 7)];
+            decode_wordlist(enc, &b, &mut got).unwrap();
+            assert_eq!(got, wl, "{enc:?}");
         }
     }
 

@@ -41,16 +41,17 @@ fn corpus() -> Compressed {
 struct Oracle {
     files: Vec<Vec<String>>, // words per file
     names: Vec<String>,
+    ngram: usize,
 }
 
-fn oracle(comp: &Compressed) -> Oracle {
+fn oracle(comp: &Compressed, ngram: usize) -> Oracle {
     let files = comp
         .grammar
         .expand_files()
         .into_iter()
         .map(|f| f.iter().map(|&w| comp.dict.word(w).to_string()).collect())
         .collect();
-    Oracle { files, names: comp.file_names.clone() }
+    Oracle { files, names: comp.file_names.clone(), ngram }
 }
 
 impl Oracle {
@@ -102,7 +103,7 @@ impl Oracle {
     fn sequence_count(&self) -> BTreeMap<Vec<String>, u64> {
         let mut m = BTreeMap::new();
         for f in &self.files {
-            for win in f.windows(NGRAM) {
+            for win in f.windows(self.ngram) {
                 *m.entry(win.to_vec()).or_insert(0) += 1;
             }
         }
@@ -117,7 +118,7 @@ impl Oracle {
         for f in &self.files {
             let ids: Vec<u32> = f.iter().map(|w| comp.dict.id_of(w).unwrap()).collect();
             let mut m = BTreeMap::new();
-            for win in ids.windows(NGRAM) {
+            for win in ids.windows(self.ngram) {
                 *m.entry(win.to_vec()).or_insert(0u64) += 1;
             }
             per_file.push(m);
@@ -142,7 +143,11 @@ impl Oracle {
 }
 
 fn check(out: &TaskOutput, comp: &Compressed, task: Task, label: &str) {
-    let o = oracle(comp);
+    check_ngram(out, comp, task, label, NGRAM)
+}
+
+fn check_ngram(out: &TaskOutput, comp: &Compressed, task: Task, label: &str, ngram: usize) {
+    let o = oracle(comp, ngram);
     match task {
         Task::WordCount => {
             assert_eq!(out.as_word_counts().unwrap(), &o.word_count(), "{label}: word count")
@@ -290,6 +295,54 @@ fn tiny_files_corpus_works() {
     let engine =
         Engine::builder(comp.clone()).config(cfg_with(EngineConfig::ntadoc())).build().unwrap();
     run_all_tasks("tiny-files", engine, &comp);
+}
+
+/// A corpus of awkward words for the id-domain steps (rank-ordered rows,
+/// flat postings, array merges): words that are prefixes of one another
+/// (`a` < `ab` < `abc`; `[a, bc]` < `[ab, c]` though both spell `abc`),
+/// non-ASCII words (after `z`, multi-byte), n-grams sharing all but their
+/// last word, words first seen in reverse alphabetical order (ids and
+/// alphabetical ranks disagree), an empty file, a file shorter than any
+/// n-gram, and enough repetition for a rule hierarchy. N-TADOC, the naive
+/// port and the uncompressed scan must all give the decompress-and-count
+/// answer, for every task and n.
+#[test]
+fn awkward_words_match_the_oracle_on_every_engine_and_ngram() {
+    let phrases = [
+        "zz z ñandú éa é 日本語 日本 日 abcd abc ab a",
+        "x y a x y ab x y abc x y abcd x y é x y éa",
+        "a bc ab c abc a b c ab cd",
+        "日本 語 日 本語 日本語 é a éa ñandú ñ andú",
+    ];
+    let mut files: Vec<(String, String)> = (0..7)
+        .map(|f| {
+            let text: Vec<&str> =
+                (0..9).map(|i| phrases[(f * 3 + i * i) % phrases.len()]).collect();
+            (format!("f{f}"), text.join(" "))
+        })
+        .collect();
+    files.insert(2, ("empty".into(), String::new()));
+    files.insert(5, ("short".into(), "ab".into()));
+    let comp = compress_corpus(&files, &TokenizerConfig::default());
+    assert!(comp.grammar.rule_count() > 4, "the corpus should compress into rules");
+    for ngram in [2, 3, 4] {
+        let with = |cfg: EngineConfig| EngineConfig { ngram, top_k: TOP_K, ..cfg };
+        let mut ntadoc =
+            Engine::builder(comp.clone()).config(with(EngineConfig::ntadoc())).build().unwrap();
+        let mut naive =
+            Engine::builder(comp.clone()).config(with(EngineConfig::naive())).build().unwrap();
+        let mut scan =
+            UncompressedEngine::builder(comp.clone()).config(with(EngineConfig::ntadoc())).build();
+        for task in Task::ALL {
+            for (label, out) in [
+                ("ntadoc", ntadoc.run(task).unwrap()),
+                ("naive", naive.run(task).unwrap()),
+                ("uncompressed", scan.run(task).unwrap()),
+            ] {
+                check_ngram(&out, &comp, task, &format!("{label}, n = {ngram}"), ngram);
+            }
+        }
+    }
 }
 
 /// Sequence tasks count n-grams of at least two words. Both engines turn

@@ -1,0 +1,117 @@
+//! Allocation budget: how many heap allocations one `Engine::run` makes,
+//! per task, on a seeded corpus at one worker.
+//!
+//! The id-level steps of the engine reuse caller-owned buffers for pool
+//! reads, merge into a per-thread scratch array and hand word strings out
+//! as `&str`; what is left to allocate is the corpus load, the DAG build
+//! and the `TaskOutput` itself. This test pins that, so a `Vec` per pool
+//! read or a `String` per posting cannot come back unnoticed. Counts are
+//! taken on the calling thread only (one worker runs everything there) and
+//! repeat exactly for one corpus; the budgets leave a few per cent of slack
+//! because the corpus comes from `rand`, whose stream differs between
+//! versions. EXPERIMENTS.md ("Where a run's wall time goes, after PR 18")
+//! has the counts before and after the change that introduced the budgets.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use ntadoc_repro::{generate_compressed, DatasetSpec, Engine, EngineConfig, Task};
+
+thread_local! {
+    /// Allocation calls made by this thread (const-initialised, so reading
+    /// it from inside the allocator never allocates).
+    static CALLS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// The system allocator, counting `alloc`, `alloc_zeroed` and `realloc`
+/// calls per thread.
+struct Counting;
+
+fn count() {
+    // `try_with`: the allocator also runs while a thread's locals are
+    // being torn down.
+    let _ = CALLS.try_with(|c| c.set(c.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counter touches no allocator
+// state.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: the caller's obligations are passed through as they are.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: as above.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        // SAFETY: as above.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: as above.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// Allocation calls this thread makes while `f` runs.
+fn calls_during<R>(f: impl FnOnce() -> R) -> (R, u64) {
+    let before = CALLS.with(Cell::get);
+    let out = f();
+    (out, CALLS.with(Cell::get) - before)
+}
+
+/// A 40-file corpus with spec D's phrase structure, small enough for a
+/// debug-mode test.
+fn corpus_spec() -> DatasetSpec {
+    DatasetSpec {
+        files: 40,
+        tokens_per_file: 1_500,
+        core_vocab: 3_000,
+        phrases: 400,
+        ..DatasetSpec::d()
+    }
+}
+
+/// Allocation calls of one `Engine::run(task)`, engine construction and
+/// the drop of the output left out.
+fn run_calls(task: Task) -> u64 {
+    let comp = generate_compressed(&corpus_spec());
+    let mut engine = Engine::builder(comp).config(EngineConfig::ntadoc()).build().unwrap();
+    let (out, calls) = calls_during(|| engine.run(task).unwrap());
+    drop(out);
+    calls
+}
+
+#[test]
+fn a_run_stays_inside_its_allocation_budget() {
+    ntadoc_pmem::par::with_threads(1, || {
+        for (task, budget) in BUDGETS {
+            let calls = run_calls(task);
+            assert_eq!(calls, run_calls(task), "{task}: the count must repeat exactly");
+            println!("{task}: {calls} allocation calls (budget {budget})");
+            assert!(calls <= budget, "{task}: {calls} allocation calls, budget {budget}");
+        }
+    });
+}
+
+/// Pinned per task: the count measured when the budget was set (in the
+/// comment; the parent commit's beside it), plus 5 %.
+const BUDGETS: [(Task, u64); 6] = [
+    (Task::WordCount, 7_500),            //  7 079, was   9 784
+    (Task::Sort, 7_400),                 //  6 993, was   9 698
+    (Task::TermVector, 7_500),           //  7 069, was  25 479
+    (Task::InvertedIndex, 21_000),       // 19 994, was  47 131
+    (Task::SequenceCount, 41_000),       // 38 975, was  68 781
+    (Task::RankedInvertedIndex, 78_800), // 74 988, was 127 408
+];
