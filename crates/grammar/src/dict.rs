@@ -7,6 +7,10 @@
 use std::collections::HashMap;
 
 /// Insertion-ordered word interner.
+///
+/// Words are text from outside the program, so the map keeps the standard
+/// library's keyed hasher; the crate's own hash (`digram::mix`) is for the
+/// digram tables, whose keys are ids the program assigned.
 #[derive(Debug, Clone, Default)]
 pub struct Dictionary {
     by_id: Vec<String>,
@@ -20,13 +24,16 @@ impl Dictionary {
     }
 
     /// Intern `word`, returning its id (existing or freshly assigned).
-    pub fn intern(&mut self, word: String) -> u32 {
-        if let Some(&id) = self.by_word.get(&word) {
+    /// Takes anything that reads as a `&str` and allocates only when the
+    /// word is new.
+    pub fn intern(&mut self, word: impl AsRef<str>) -> u32 {
+        let word = word.as_ref();
+        if let Some(&id) = self.by_word.get(word) {
             return id;
         }
         let id = self.by_id.len() as u32;
-        self.by_id.push(word.clone());
-        self.by_word.insert(word, id);
+        self.by_id.push(word.to_string());
+        self.by_word.insert(word.to_string(), id);
         id
     }
 
@@ -77,9 +84,9 @@ mod tests {
     #[test]
     fn intern_is_idempotent() {
         let mut d = Dictionary::new();
-        let a = d.intern("alpha".into());
-        let b = d.intern("beta".into());
-        let a2 = d.intern("alpha".into());
+        let a = d.intern("alpha");
+        let b = d.intern("beta");
+        let a2 = d.intern("alpha");
         assert_eq!(a, a2);
         assert_ne!(a, b);
         assert_eq!(d.len(), 2);
@@ -89,7 +96,7 @@ mod tests {
     fn ids_are_dense_and_ordered() {
         let mut d = Dictionary::new();
         for (i, w) in ["x", "y", "z"].iter().enumerate() {
-            assert_eq!(d.intern(w.to_string()), i as u32);
+            assert_eq!(d.intern(w), i as u32);
         }
         assert_eq!(d.word(1), "y");
     }
@@ -97,7 +104,7 @@ mod tests {
     #[test]
     fn id_of_does_not_intern() {
         let mut d = Dictionary::new();
-        d.intern("known".into());
+        d.intern("known");
         assert_eq!(d.id_of("known"), Some(0));
         assert_eq!(d.id_of("unknown"), None);
         assert_eq!(d.len(), 1);
@@ -106,8 +113,8 @@ mod tests {
     #[test]
     fn from_words_round_trips() {
         let mut d = Dictionary::new();
-        d.intern("a".into());
-        d.intern("b".into());
+        d.intern("a");
+        d.intern("b");
         let rebuilt = Dictionary::from_words(d.by_id.clone());
         assert_eq!(rebuilt.id_of("b"), Some(1));
         assert_eq!(rebuilt.len(), 2);
@@ -116,8 +123,8 @@ mod tests {
     #[test]
     fn iter_yields_in_id_order() {
         let mut d = Dictionary::new();
-        d.intern("p".into());
-        d.intern("q".into());
+        d.intern("p");
+        d.intern("q");
         let pairs: Vec<_> = d.iter().collect();
         assert_eq!(pairs, vec![(0, "p"), (1, "q")]);
     }
@@ -125,8 +132,8 @@ mod tests {
     #[test]
     fn text_bytes_sums_lengths() {
         let mut d = Dictionary::new();
-        d.intern("ab".into());
-        d.intern("cde".into());
+        d.intern("ab");
+        d.intern("cde");
         assert_eq!(d.text_bytes(), 5);
     }
 }

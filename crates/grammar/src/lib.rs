@@ -10,7 +10,8 @@
 //! This crate provides everything up to and including the compressed
 //! representation:
 //!
-//! * [`tokenize`]: word extraction from raw text,
+//! * [`Tokens`] / [`tokenize`]: word extraction from raw text (borrowed, or
+//!   collected into `String`s),
 //! * [`Dictionary`]: word ⇄ id mapping,
 //! * [`Symbol`]: the packed symbol encoding (word / rule / file separator),
 //! * [`sequitur`]: linear-time grammar inference with digram uniqueness and
@@ -35,6 +36,7 @@
 
 pub mod cfg;
 pub mod dict;
+mod digram;
 pub mod merge;
 pub mod sequitur;
 pub mod serialize;
@@ -45,13 +47,13 @@ pub use cfg::{Grammar, GrammarStats, Rule};
 // (CorpusBuilder is defined below in this module.)
 pub use dict::Dictionary;
 pub use merge::{
-    append_chunk, build_chunk, build_chunk_at, merge_chunks, plan_chunks, AppendOutcome,
-    ChunkGrammar, MergeOptions, Piece,
+    append_chunk, build_chunk, build_chunk_at, build_chunk_of_files, merge_chunks, plan_chunks,
+    AppendOutcome, ChunkGrammar, MergeOptions, Piece,
 };
 pub use sequitur::Sequitur;
 pub use serialize::{deserialize_compressed, serialize_compressed, serialized_len};
 pub use symbol::Symbol;
-pub use tokenizer::{tokenize, TokenizerConfig};
+pub use tokenizer::{tokenize, TokenizerConfig, Tokens};
 
 /// A compressed corpus: the grammar plus the dictionary it refers to.
 #[derive(Debug, Clone)]
@@ -99,7 +101,8 @@ impl CorpusBuilder {
             self.seq.push(Symbol::file_sep(self.file_names.len() as u32 - 1));
         }
         self.file_names.push(name.into());
-        for tok in tokenize(text, &self.cfg) {
+        let mut tokens = Tokens::new(text, &self.cfg);
+        while let Some(tok) = tokens.next_token() {
             self.seq.push(Symbol::word(self.dict.intern(tok)));
         }
     }
@@ -135,7 +138,7 @@ pub fn compress_corpus(files: &[(String, String)], cfg: &TokenizerConfig) -> Com
 }
 
 /// Like [`compress_corpus`] but via the chunk-parallel construction path,
-/// executed serially: tokenize, split into `chunks` deterministic spans,
+/// executed serially: count tokens, split into `chunks` deterministic spans,
 /// compress each span independently, and merge the sub-grammars
 /// ([`merge_chunks`]). With `chunks == 1` the output is byte-identical to
 /// [`compress_corpus`]; the `ntadoc` ingest pipeline runs the same stage
@@ -146,11 +149,10 @@ pub fn compress_corpus_chunked(
     chunks: usize,
     opts: &merge::MergeOptions,
 ) -> Compressed {
-    let toks: Vec<Vec<String>> = files.iter().map(|(_, text)| tokenize(text, cfg)).collect();
-    let counts: Vec<usize> = toks.iter().map(|t| t.len()).collect();
+    let counts: Vec<usize> = files.iter().map(|(_, text)| Tokens::new(text, cfg).count()).collect();
     let plan = merge::plan_chunks(&counts, chunks);
     let built: Vec<merge::ChunkGrammar> =
-        plan.iter().map(|pieces| merge::build_chunk(&toks, pieces)).collect();
+        plan.iter().map(|pieces| merge::build_chunk_of_files(files, cfg, pieces, 0)).collect();
     let (grammar, dict) = merge::merge_chunks(&built, opts);
     Compressed { grammar, dict, file_names: files.iter().map(|(n, _)| n.clone()).collect() }
 }

@@ -22,12 +22,12 @@
 //! single-chunk build reproduces the serial [`crate::compress_corpus`]
 //! grammar byte for byte.
 
-use std::collections::HashMap;
-
 use crate::cfg::{Grammar, Rule};
 use crate::dict::Dictionary;
+use crate::digram::{digram_key, KeyMap};
 use crate::sequitur::Sequitur;
 use crate::symbol::Symbol;
+use crate::tokenizer::{TokenizerConfig, Tokens};
 
 /// A contiguous run of tokens from one file, assigned to one chunk.
 ///
@@ -86,11 +86,41 @@ pub struct ChunkGrammar {
     pub dict: Dictionary,
 }
 
-/// Compress one chunk: feed its pieces through Sequitur, interning words
-/// into a fresh chunk-local dictionary. A piece that begins a file (other
-/// than file 0) first emits the file's leading separator symbol, so
-/// splicing the chunk top-rules reproduces the serial separator layout.
-pub fn build_chunk(file_tokens: &[Vec<String>], pieces: &[Piece]) -> ChunkGrammar {
+/// One chunk under construction: Sequitur over the chunk's span, interning
+/// into a fresh chunk-local dictionary.
+struct ChunkBuilder {
+    dict: Dictionary,
+    seq: Sequitur,
+}
+
+impl ChunkBuilder {
+    fn new() -> Self {
+        ChunkBuilder { dict: Dictionary::new(), seq: Sequitur::new() }
+    }
+
+    /// Start `piece`, whose file sits at global index `file_base +
+    /// piece.file`. A piece that begins a file (other than the corpus's
+    /// first) first emits the file's leading separator symbol, so splicing
+    /// the chunk top-rules reproduces the serial separator layout.
+    fn begin(&mut self, piece: &Piece, file_base: usize) {
+        let global = file_base + piece.file;
+        if piece.start == 0 && global > 0 {
+            self.seq.push(Symbol::file_sep(global as u32 - 1));
+        }
+    }
+
+    fn word(&mut self, word: &str) {
+        self.seq.push(Symbol::word(self.dict.intern(word)));
+    }
+
+    fn finish(self) -> ChunkGrammar {
+        ChunkGrammar { grammar: self.seq.into_grammar(), dict: self.dict }
+    }
+}
+
+/// Compress one chunk of already tokenized files: feed its pieces through
+/// Sequitur, interning words into a fresh chunk-local dictionary.
+pub fn build_chunk<T: AsRef<str>>(file_tokens: &[Vec<T>], pieces: &[Piece]) -> ChunkGrammar {
     build_chunk_at(file_tokens, pieces, 0)
 }
 
@@ -99,23 +129,42 @@ pub fn build_chunk(file_tokens: &[Vec<String>], pieces: &[Piece]) -> ChunkGramma
 /// the *new* files of a corpus that already has `file_base` files. Every
 /// appended file (including the first, which follows an existing file)
 /// gets its leading separator.
-pub fn build_chunk_at(
-    file_tokens: &[Vec<String>],
+pub fn build_chunk_at<T: AsRef<str>>(
+    file_tokens: &[Vec<T>],
     pieces: &[Piece],
     file_base: usize,
 ) -> ChunkGrammar {
-    let mut dict = Dictionary::new();
-    let mut seq = Sequitur::new();
+    let mut chunk = ChunkBuilder::new();
     for p in pieces {
-        let global = file_base + p.file;
-        if p.start == 0 && global > 0 {
-            seq.push(Symbol::file_sep(global as u32 - 1));
-        }
+        chunk.begin(p, file_base);
         for tok in &file_tokens[p.file][p.start..p.end] {
-            seq.push(Symbol::word(dict.intern(tok.clone())));
+            chunk.word(tok.as_ref());
         }
     }
-    ChunkGrammar { grammar: seq.into_grammar(), dict }
+    chunk.finish()
+}
+
+/// [`build_chunk_at`] reading the tokens straight from the `(name, text)`
+/// files, as [`Tokens`] lends them: no token is stored. `pieces` must come
+/// from a plan over these files' token counts under `cfg`.
+pub fn build_chunk_of_files(
+    files: &[(String, String)],
+    cfg: &TokenizerConfig,
+    pieces: &[Piece],
+    file_base: usize,
+) -> ChunkGrammar {
+    let mut chunk = ChunkBuilder::new();
+    for p in pieces {
+        chunk.begin(p, file_base);
+        let mut tokens = Tokens::new(&files[p.file].1, cfg);
+        for at in 0..p.end {
+            let tok = tokens.next_token().expect("the plan counted this file's tokens");
+            if at >= p.start {
+                chunk.word(tok);
+            }
+        }
+    }
+    chunk.finish()
 }
 
 /// Knobs for [`merge_chunks`].
@@ -143,10 +192,8 @@ pub fn merge_chunks(chunks: &[ChunkGrammar], opts: &MergeOptions) -> (Grammar, D
     let mut dict = Dictionary::new();
     // Chunk-local id → shared id. Chunks tile the stream in order, so the
     // shared dictionary ends up in global first-occurrence order.
-    let word_maps: Vec<Vec<u32>> = chunks
-        .iter()
-        .map(|c| c.dict.iter().map(|(_, w)| dict.intern(w.to_string())).collect())
-        .collect();
+    let word_maps: Vec<Vec<u32>> =
+        chunks.iter().map(|c| c.dict.iter().map(|(_, w)| dict.intern(w)).collect()).collect();
 
     let mut rules: Vec<Rule> = vec![Rule { symbols: Vec::new() }]; // R0, filled below
     let mut root: Vec<Symbol> = Vec::new();
@@ -229,7 +276,7 @@ pub fn append_chunk(
     opts: &MergeOptions,
 ) -> AppendOutcome {
     let words_before = dict.len();
-    let word_map: Vec<u32> = chunk.dict.iter().map(|(_, w)| dict.intern(w.to_string())).collect();
+    let word_map: Vec<u32> = chunk.dict.iter().map(|(_, w)| dict.intern(w)).collect();
 
     // Chunk-local rule `i` (i ≥ 1) lands at global `offset + i - 1`,
     // exactly as in `merge_chunks`.
@@ -268,29 +315,29 @@ pub fn append_chunk(
     // repeats among what is left.
     let mut reused_rules: Vec<u32> = Vec::new();
     if opts.seam_dedup {
-        let mut by_digram: HashMap<(Symbol, Symbol), u32> = HashMap::new();
+        let mut by_digram: KeyMap<u32> = KeyMap::default();
         for (id, r) in grammar.rules.iter().enumerate().skip(1) {
             if let [a, b] = r.symbols[..] {
                 if !a.is_sep() && !b.is_sep() {
-                    by_digram.entry((a, b)).or_insert(id as u32);
+                    by_digram.entry(digram_key(a, b)).or_insert(id as u32);
                 }
             }
         }
         if !by_digram.is_empty() {
+            // Chunk-minted rules (id ≥ offset) are already in the new/dirty
+            // sets; only genuinely pre-existing rules are recorded as reused.
+            let mut reused = vec![false; offset as usize];
             let mut body = std::mem::take(&mut grammar.rules[0].symbols);
+            let mut out = Vec::with_capacity(body.len());
             loop {
-                let mut out = Vec::with_capacity(body.len());
                 let mut changed = false;
                 let mut i = 0;
                 while i < body.len() {
                     if i + 1 < body.len() {
-                        if let Some(&id) = by_digram.get(&(body[i], body[i + 1])) {
+                        if let Some(&id) = by_digram.get(&digram_key(body[i], body[i + 1])) {
                             out.push(Symbol::rule(id));
-                            // Chunk-minted rules (id ≥ offset) are already
-                            // in the new/dirty sets; only record genuinely
-                            // pre-existing rules as reused.
-                            if id < offset && !reused_rules.contains(&id) {
-                                reused_rules.push(id);
+                            if id < offset {
+                                reused[id as usize] = true;
                             }
                             changed = true;
                             i += 2;
@@ -300,14 +347,15 @@ pub fn append_chunk(
                     out.push(body[i]);
                     i += 1;
                 }
-                body = out;
+                std::mem::swap(&mut body, &mut out);
+                out.clear();
                 if !changed {
                     break;
                 }
             }
             grammar.rules[0].symbols = body;
+            reused_rules = (0..offset).filter(|&id| reused[id as usize]).collect();
         }
-        reused_rules.sort_unstable();
 
         // Seam dedup over the whole root: the previous root had its
         // repeats folded already, so any surviving repeat involves the
@@ -334,25 +382,24 @@ pub fn append_chunk(
     }
 }
 
-/// Non-overlapping, left-to-right digram counts of `body` ("aaa" is one
-/// occurrence of "aa", not two), with each digram's first position.
-/// Digrams touching a file separator are never counted.
-fn digram_counts(body: &[Symbol]) -> HashMap<(Symbol, Symbol), (u32, usize)> {
-    let mut counts: HashMap<(Symbol, Symbol), (u32, usize)> = HashMap::new();
-    let mut claimed: HashMap<(Symbol, Symbol), usize> = HashMap::new();
-    for i in 0..body.len().saturating_sub(1) {
-        let dg = (body[i], body[i + 1]);
-        if dg.0.is_sep() || dg.1.is_sep() {
-            continue;
-        }
-        if claimed.get(&dg).is_some_and(|&end| end > i) {
-            continue;
-        }
-        claimed.insert(dg, i + 2);
-        counts.entry(dg).or_insert((0, i)).0 += 1;
-    }
-    counts
+/// What one seam-dedup round knows about one digram of the root.
+#[derive(Clone, Copy)]
+struct Tally {
+    /// Non-overlapping, left-to-right occurrences ("aaa" is one occurrence
+    /// of "aa", not two).
+    count: u32,
+    /// One past the last counted occurrence: an occurrence starting before
+    /// it overlaps that one and is not counted.
+    counted_end: usize,
+    /// Occurrences the claim sweep took.
+    claims: u32,
+    /// The rule replacing the digram this round, once it has won one.
+    fresh: Option<Symbol>,
 }
+
+/// Marks a position whose digram touches a file separator (or the last
+/// position, which starts no digram): never counted, never folded.
+const NO_TALLY: u32 = u32::MAX;
 
 /// Fold repeated digrams in the merged root body into fresh rules.
 ///
@@ -361,7 +408,8 @@ fn digram_counts(body: &[Symbol]) -> HashMap<(Symbol, Symbol), (u32, usize)> {
 /// round (1) counts non-overlapping digram occurrences, (2) walks the
 /// body left to right claiming occurrences of every digram that repeats,
 /// and (3) replaces each digram that still holds ≥ 2 claimed (mutually
-/// non-overlapping) occurrences with a fresh rule of body `[a, b]`.
+/// non-overlapping) occurrences with a fresh rule of body `[a, b]`,
+/// numbering the fresh rules by first claimed position.
 /// Digrams whose claims collided (a shared middle symbol went to an
 /// earlier digram) are left for the next round; if a round replaces
 /// nothing while a repeat survives, the round falls back to replacing
@@ -371,81 +419,112 @@ fn digram_counts(body: &[Symbol]) -> HashMap<(Symbol, Symbol), (u32, usize)> {
 /// Digrams touching a file separator are never folded, preserving the
 /// separators-stay-in-R0 invariant. Every choice is a pure left-to-right
 /// function of the body, so the pass is schedule-independent.
+///
+/// Only a few per cent of a root's digrams repeat, so a round is built to
+/// be cheap for the rest: one hash probe per position (digram → index into
+/// `tallies`, remembered per position in `tally_at`), after which the claim
+/// sweep and the rewrite read arrays; the map and every buffer are reused
+/// from round to round.
 fn dedup_root_digrams(mut body: Vec<Symbol>, first_free: u32) -> (Vec<Symbol>, Vec<Rule>) {
     let mut extra = Vec::new();
     let mut next = first_free;
+    let mut index: KeyMap<u32> = KeyMap::default();
+    let mut tallies: Vec<Tally> = Vec::new();
+    let mut tally_at: Vec<u32> = Vec::new();
+    let mut claimed: Vec<(u32, usize)> = Vec::new();
+    let mut out: Vec<Symbol> = Vec::with_capacity(body.len());
     loop {
-        let counts = digram_counts(&body);
-        if !counts.values().any(|&(n, _)| n >= 2) {
+        // (1) Count.
+        index.clear();
+        tallies.clear();
+        tally_at.clear();
+        tally_at.resize(body.len(), NO_TALLY);
+        let mut repeating = 0usize;
+        for (i, pair) in body.windows(2).enumerate() {
+            if pair[0].is_sep() || pair[1].is_sep() {
+                continue;
+            }
+            let t = *index.entry(digram_key(pair[0], pair[1])).or_insert_with(|| {
+                tallies.push(Tally { count: 0, counted_end: 0, claims: 0, fresh: None });
+                tallies.len() as u32 - 1
+            });
+            tally_at[i] = t;
+            let tally = &mut tallies[t as usize];
+            if tally.counted_end > i {
+                continue;
+            }
+            tally.counted_end = i + 2;
+            tally.count += 1;
+            repeating += usize::from(tally.count == 2);
+        }
+        if repeating == 0 {
             break;
         }
 
-        // Claim sweep: left to right, each repeating digram occurrence
-        // claims its two positions unless an earlier claim took them.
-        let mut occs: HashMap<(Symbol, Symbol), Vec<usize>> = HashMap::new();
+        // (2) Claim sweep: left to right, each occurrence of a repeating
+        // digram claims its two positions unless an earlier claim took
+        // them.
+        claimed.clear();
         let mut i = 0;
         while i + 1 < body.len() {
-            let dg = (body[i], body[i + 1]);
-            if counts.get(&dg).is_some_and(|&(n, _)| n >= 2) {
-                occs.entry(dg).or_default().push(i);
+            let t = tally_at[i];
+            if t != NO_TALLY && tallies[t as usize].count >= 2 {
+                tallies[t as usize].claims += 1;
+                claimed.push((t, i));
                 i += 2;
             } else {
                 i += 1;
             }
         }
 
-        // Replace every digram that kept ≥ 2 claims, numbering fresh
-        // rules by first claimed position (a pure function of the body).
-        let mut winners: Vec<(&(Symbol, Symbol), &Vec<usize>)> =
-            occs.iter().filter(|(_, pos)| pos.len() >= 2).collect();
-        winners.sort_by_key(|(_, pos)| pos[0]);
-
-        let mut fresh_at: HashMap<usize, Symbol> = HashMap::new();
-        if winners.is_empty() {
+        // (3) Replace every digram that kept ≥ 2 claims. `claimed` is in
+        // position order, so a winner's first claim is met first and the
+        // fresh rules come out numbered by first claimed position.
+        out.clear();
+        let minted_before = extra.len();
+        let mut copied = 0;
+        for &(t, at) in &claimed {
+            let tally = &mut tallies[t as usize];
+            if tally.claims < 2 {
+                continue;
+            }
+            let fresh = *tally.fresh.get_or_insert_with(|| {
+                extra.push(Rule { symbols: vec![body[at], body[at + 1]] });
+                next += 1;
+                Symbol::rule(next - 1)
+            });
+            out.extend_from_slice(&body[copied..at]);
+            out.push(fresh);
+            copied = at + 2;
+        }
+        if extra.len() == minted_before {
             // Collisions starved every repeat below two claims: fall back
-            // to the unblockable single-best replacement for this round.
-            // (Distinct digrams cannot share a first position, so the
-            // choice is unique and hash-order-independent.)
-            let (&dg, _) = counts
-                .iter()
-                .filter(|&(_, &(n, _))| n >= 2)
-                .max_by_key(|&(_, &(n, first))| (n, std::cmp::Reverse(first)))
-                .expect("a repeat survives when the batch is empty");
+            // to the unblockable single-best replacement for this round —
+            // the most frequent digram, the earliest such (the first
+            // position whose digram has the top count; distinct digrams
+            // cannot share a position, so the choice is unique).
+            let top = tallies.iter().map(|t| t.count).max().expect("a repeat survives");
+            let first = (0..body.len())
+                .find(|&i| tally_at[i] != NO_TALLY && tallies[tally_at[i] as usize].count == top)
+                .expect("the top count belongs to a position");
+            let dg = (body[first], body[first + 1]);
             let fresh = Symbol::rule(next);
             next += 1;
             extra.push(Rule { symbols: vec![dg.0, dg.1] });
             let mut i = 0;
-            while i + 1 < body.len() {
-                if (body[i], body[i + 1]) == dg {
-                    fresh_at.insert(i, fresh);
+            while i < body.len() {
+                if i + 1 < body.len() && (body[i], body[i + 1]) == dg {
+                    out.push(fresh);
                     i += 2;
                 } else {
+                    out.push(body[i]);
                     i += 1;
                 }
             }
         } else {
-            for (&dg, pos) in winners {
-                let fresh = Symbol::rule(next);
-                next += 1;
-                extra.push(Rule { symbols: vec![dg.0, dg.1] });
-                for &p in pos {
-                    fresh_at.insert(p, fresh);
-                }
-            }
+            out.extend_from_slice(&body[copied..]);
         }
-
-        let mut out = Vec::with_capacity(body.len());
-        let mut i = 0;
-        while i < body.len() {
-            if let Some(&fresh) = fresh_at.get(&i) {
-                out.push(fresh);
-                i += 2;
-            } else {
-                out.push(body[i]);
-                i += 1;
-            }
-        }
-        body = out;
+        std::mem::swap(&mut body, &mut out);
     }
     (body, extra)
 }
@@ -453,7 +532,7 @@ fn dedup_root_digrams(mut body: Vec<Symbol>, first_free: u32) -> (Vec<Symbol>, V
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tokenizer::{tokenize, TokenizerConfig};
+    use crate::tokenizer::tokenize;
     use crate::{compress_corpus, compress_corpus_chunked};
 
     fn corpus() -> Vec<(String, String)> {

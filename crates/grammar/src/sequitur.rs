@@ -11,48 +11,13 @@
 //!
 //! Rule bodies are circular doubly-linked lists threaded through a guard
 //! node, stored in a slab (`Vec`) so the whole structure is cache-friendly
-//! and free of per-node allocations.
-
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+//! and free of per-node allocations. Digram uniqueness is enforced through
+//! the crate's `DigramIndex`, an open-addressed table of node ids that
+//! reads its keys back from the slab.
 
 use crate::cfg::{Grammar, Rule};
+use crate::digram::{digram_key, DigramIndex, NodeId, NIL};
 use crate::symbol::Symbol;
-
-type NodeId = u32;
-const NIL: NodeId = u32::MAX;
-
-/// Minimal FxHash-style hasher for the digram index; the default SipHash
-/// costs ~2x on the million-digram workloads the datasets produce.
-#[derive(Default)]
-pub struct FxHasher(u64);
-
-impl Hasher for FxHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u8(b);
-        }
-    }
-    #[inline]
-    fn write_u8(&mut self, b: u8) {
-        self.0 = (self.0.rotate_left(5) ^ b as u64).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-    #[inline]
-    fn write_u64(&mut self, n: u64) {
-        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-    #[inline]
-    fn write_u32(&mut self, n: u32) {
-        self.write_u64(n as u64);
-    }
-}
-
-type DigramMap = HashMap<u64, NodeId, BuildHasherDefault<FxHasher>>;
 
 #[derive(Debug, Clone, Copy)]
 struct Node {
@@ -75,15 +40,20 @@ struct RuleSlot {
 pub struct Sequitur {
     nodes: Vec<Node>,
     free: Vec<NodeId>,
-    digrams: DigramMap,
+    /// Digram → the node starting its one indexed occurrence. An entry is
+    /// removed before its node is freed or relinked (the index reads keys
+    /// back from `nodes`).
+    digrams: DigramIndex,
     rules: Vec<RuleSlot>,
     /// Symbols pushed so far (original length, for stats).
     pushed: u64,
 }
 
+/// The key of the digram starting at node `n`, for [`DigramIndex`].
 #[inline]
-fn digram_key(a: Symbol, b: Symbol) -> u64 {
-    ((a.raw() as u64) << 32) | b.raw() as u64
+fn key_at(nodes: &[Node], n: NodeId) -> u64 {
+    let node = nodes[n as usize];
+    digram_key(node.sym, nodes[node.next as usize].sym)
 }
 
 impl Default for Sequitur {
@@ -98,7 +68,7 @@ impl Sequitur {
         let mut s = Sequitur {
             nodes: Vec::new(),
             free: Vec::new(),
-            digrams: DigramMap::default(),
+            digrams: DigramIndex::new(),
             rules: Vec::new(),
             pushed: 0,
         };
@@ -159,16 +129,11 @@ impl Sequitur {
     }
 
     /// Remove the index entry for the digram starting at `first`, if the
-    /// entry points at `first`.
+    /// entry points at `first`. Neither `first` nor its successor may be a
+    /// guard.
     fn remove_entry(&mut self, first: NodeId) {
-        let second = self.next(first);
-        if self.is_guard(first) || self.is_guard(second) {
-            return;
-        }
-        let key = digram_key(self.sym(first), self.sym(second));
-        if self.digrams.get(&key) == Some(&first) {
-            self.digrams.remove(&key);
-        }
+        let nodes = &self.nodes;
+        self.digrams.remove_if(key_at(nodes, first), first, |n| key_at(nodes, n));
     }
 
     fn dec_ref(&mut self, s: Symbol) {
@@ -194,26 +159,22 @@ impl Sequitur {
         self.inc_ref(sym);
         self.link(last, n);
         self.link(n, guard);
+        // `R0` holds no guard but its own, so `last` and `n` are a digram.
         if last != guard {
             self.check_digram(last);
         }
     }
 
-    /// Examine the digram starting at `d1`; substitute if it repeats.
-    /// Returns `true` if a substitution removed `d1`.
+    /// Examine the digram starting at `d1` — neither `d1` nor its successor
+    /// may be a guard — and substitute if it repeats. Returns `true` if a
+    /// substitution removed `d1`.
     fn check_digram(&mut self, d1: NodeId) -> bool {
         let d2 = self.next(d1);
-        if self.is_guard(d1) || self.is_guard(d2) {
-            return false;
-        }
-        let key = digram_key(self.sym(d1), self.sym(d2));
-        match self.digrams.get(&key) {
-            None => {
-                self.digrams.insert(key, d1);
-                false
-            }
-            Some(&m) if m == d1 => false,
-            Some(&m) => {
+        let nodes = &self.nodes;
+        match self.digrams.get_or_insert(key_at(nodes, d1), d1, |n| key_at(nodes, n)) {
+            None => false,
+            Some(m) if m == d1 => false,
+            Some(m) => {
                 // Overlapping occurrences (e.g. "aaa") must not match.
                 if self.next(m) == d1 || self.next(d2) == m {
                     return false;
@@ -248,10 +209,11 @@ impl Sequitur {
             // Substituting the old occurrence first cannot cascade: the
             // seam digrams contain the brand-new rule symbol, which occurs
             // nowhere else yet.
+            self.remove_entry(m);
             self.substitute(m, rule_idx);
             self.substitute(d1, rule_idx);
-            let key = digram_key(a, b);
-            self.digrams.insert(key, n1);
+            let nodes = &self.nodes;
+            self.digrams.insert(digram_key(a, b), n1, |n| key_at(nodes, n));
         }
         // Rule-utility check: a rule inside the (re)used body whose count
         // fell to one now has its sole occurrence in that body — inline it.
@@ -280,17 +242,19 @@ impl Sequitur {
     }
 
     /// Replace the digram starting at `first` with a reference to
-    /// `rule_idx`.
+    /// `rule_idx`. The digram's own index entry is the caller's business:
+    /// a new occurrence (`d1`) never had one — the index holds the
+    /// occurrence it matched — and `match_digrams` removes the old one's.
     fn substitute(&mut self, first: NodeId, rule_idx: u32) {
         let second = self.next(first);
         let p = self.prev(first);
         let n = self.next(second);
+        let (p_is_guard, n_is_guard) = (self.is_guard(p), self.is_guard(n));
         // Drop index entries that mention the vanishing nodes.
-        if !self.is_guard(p) {
+        if !p_is_guard {
             self.remove_entry(p);
         }
-        self.remove_entry(first);
-        if !self.is_guard(n) {
+        if !n_is_guard {
             self.remove_entry(second);
         }
         let a = self.sym(first);
@@ -306,8 +270,8 @@ impl Sequitur {
         self.link(m, n);
         // Restore digram uniqueness at the seams (original Sequitur order:
         // check the left seam; only if it did not substitute, the right).
-        let replaced = if !self.is_guard(p) { self.check_digram(p) } else { false };
-        if !replaced {
+        let replaced = !p_is_guard && self.check_digram(p);
+        if !replaced && !n_is_guard {
             self.check_digram(m);
         }
     }
@@ -322,10 +286,11 @@ impl Sequitur {
         debug_assert_ne!(first, guard, "cannot expand an empty rule");
         let left = self.prev(b);
         let right = self.next(b);
-        if !self.is_guard(left) {
+        let (left_is_guard, right_is_guard) = (self.is_guard(left), self.is_guard(right));
+        if !left_is_guard {
             self.remove_entry(left);
         }
-        if !self.is_guard(right) {
+        if !right_is_guard {
             self.remove_entry(b);
         }
         let bsym = self.sym(b);
@@ -341,13 +306,13 @@ impl Sequitur {
         // anchors stay valid; a missed match here only costs a little
         // compression, never correctness (this mirrors the reference
         // implementation).
-        if !self.is_guard(right) {
-            let key = digram_key(self.sym(last), self.sym(right));
-            self.digrams.entry(key).or_insert(last);
+        if !right_is_guard {
+            let nodes = &self.nodes;
+            self.digrams.get_or_insert(key_at(nodes, last), last, |n| key_at(nodes, n));
         }
         // Left seam: full check (may cascade, but only to the left of the
         // spliced body).
-        if !self.is_guard(left) {
+        if !left_is_guard {
             self.check_digram(left);
         }
     }
@@ -518,17 +483,40 @@ mod tests {
         assert_eq!(seps, 3);
     }
 
-    #[test]
-    fn long_zipf_like_stream_round_trips() {
-        // Pseudo-random but deterministic stream with heavy reuse.
+    /// Pseudo-random but deterministic stream with heavy reuse.
+    fn long_zipf_like_stream() -> Vec<u32> {
         let mut x = 0x12345678u64;
-        let words: Vec<u32> = (0..20_000)
+        (0..20_000)
             .map(|_| {
                 x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
                 ((x >> 33) % 50) as u32
             })
-            .collect();
-        round_trip(&words);
+            .collect()
+    }
+
+    #[test]
+    fn long_zipf_like_stream_round_trips() {
+        round_trip(&long_zipf_like_stream());
+    }
+
+    #[test]
+    fn digram_index_stays_consistent_and_probes_stay_short() {
+        let mut s = Sequitur::new();
+        for (i, &w) in long_zipf_like_stream().iter().enumerate() {
+            s.push(Symbol::word(w));
+            if i % 997 == 0 {
+                s.digrams.assert_consistent(|n| key_at(&s.nodes, n));
+            }
+        }
+        s.digrams.assert_consistent(|n| key_at(&s.nodes, n));
+        // A hash that buckets by one symbol of the digram makes every
+        // digram sharing that symbol probe from the same slot; with both
+        // symbols in the bucket bits a look-up ends within two slots on
+        // average at this load.
+        let (probes, ops) = (s.digrams.probes.get(), s.digrams.ops.get());
+        println!("{probes} probes in {ops} index operations");
+        assert!(ops > 40_000, "the stream must exercise the index");
+        assert!(probes < 2 * ops, "{probes} probes in {ops} operations");
     }
 
     #[test]

@@ -37,18 +37,64 @@ pub const MAGIC: [u8; 8] = *b"NTADOC2\0";
 /// Bytes before the payload: magic + crc + paylen.
 const HEADER_LEN: usize = 24;
 
-/// CRC-64 (ECMA-182, reflected), matching `ntadoc_pmem::crc64`. Duplicated
-/// here because the grammar crate is device-independent by design.
-fn crc64(bytes: &[u8]) -> u64 {
-    const POLY: u64 = 0xC96C_5795_D787_0F42;
-    let mut crc = !0u64;
-    for &b in bytes {
-        crc ^= b as u64;
-        for _ in 0..8 {
-            crc = if crc & 1 == 1 { (crc >> 1) ^ POLY } else { crc >> 1 };
+/// CRC-64/XZ (ECMA-182, reflected), the same function as
+/// `ntadoc_pmem::crc64`. Duplicated here because the grammar crate is
+/// device-independent by design; a workspace test holds the two copies to
+/// each other.
+pub fn crc64(bytes: &[u8]) -> u64 {
+    !crc64_update(!0, bytes)
+}
+
+/// The CRC-64/XZ polynomial (ECMA-182), reflected.
+const CRC64_POLY: u64 = 0xC96C_5795_D787_0F42;
+
+/// Slice-by-8 tables: `CRC64_TABLES[0]` is the byte-at-a-time table;
+/// `CRC64_TABLES[k][b]` is the CRC of byte `b` followed by `k` zero bytes.
+const CRC64_TABLES: [[u64; 256]; 8] = {
+    let mut t = [[0u64; 256]; 8];
+    let mut b = 0;
+    while b < 256 {
+        let mut crc = b as u64;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = if crc & 1 == 1 { (crc >> 1) ^ CRC64_POLY } else { crc >> 1 };
+            bit += 1;
         }
+        t[0][b] = crc;
+        b += 1;
     }
-    !crc
+    let mut k = 1;
+    while k < 8 {
+        let mut b = 0;
+        while b < 256 {
+            let prev = t[k - 1][b];
+            t[k][b] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            b += 1;
+        }
+        k += 1;
+    }
+    t
+};
+
+/// Feed `bytes` into a running (pre-inverted) CRC, eight bytes per step.
+fn crc64_update(mut crc: u64, bytes: &[u8]) -> u64 {
+    let t = &CRC64_TABLES;
+    let mut words = bytes.chunks_exact(8);
+    for word in &mut words {
+        let x = crc ^ u64::from_le_bytes(word.try_into().expect("chunks_exact(8)"));
+        crc = t[7][(x & 0xFF) as usize]
+            ^ t[6][(x >> 8 & 0xFF) as usize]
+            ^ t[5][(x >> 16 & 0xFF) as usize]
+            ^ t[4][(x >> 24 & 0xFF) as usize]
+            ^ t[3][(x >> 32 & 0xFF) as usize]
+            ^ t[2][(x >> 40 & 0xFF) as usize]
+            ^ t[1][(x >> 48 & 0xFF) as usize]
+            ^ t[0][(x >> 56) as usize];
+    }
+    for &b in words.remainder() {
+        crc = t[0][((crc ^ b as u64) & 0xFF) as usize] ^ (crc >> 8);
+    }
+    crc
 }
 
 fn put_u32(out: &mut Vec<u8>, v: u32) {
@@ -242,6 +288,31 @@ mod tests {
             ("b.txt".into(), "the cat sat on the mat once more".into()),
         ];
         compress_corpus(&files, &TokenizerConfig::default())
+    }
+
+    /// The definition, one bit at a time.
+    fn crc64_bitwise(bytes: &[u8]) -> u64 {
+        let mut crc = !0u64;
+        for &b in bytes {
+            crc ^= b as u64;
+            for _ in 0..8 {
+                crc = if crc & 1 == 1 { (crc >> 1) ^ CRC64_POLY } else { crc >> 1 };
+            }
+        }
+        !crc
+    }
+
+    #[test]
+    fn crc64_tables_compute_crc64_xz() {
+        assert_eq!(crc64(b""), 0);
+        assert_eq!(crc64(b"123456789"), 0x995D_C9BB_DF19_39FA, "the CRC-64/XZ check value");
+        // Every length around the eight-byte step, at every alignment.
+        let data: Vec<u8> = (0..97u32).map(|i| (i * 151 + 13) as u8).collect();
+        for start in 0..9 {
+            for end in start..data.len() {
+                assert_eq!(crc64(&data[start..end]), crc64_bitwise(&data[start..end]));
+            }
+        }
     }
 
     #[test]

@@ -22,9 +22,9 @@
 //! leaf per chunk, all folded into the report returned alongside the
 //! compressed corpus.
 
-use ntadoc_grammar::{merge, tokenize, Compressed, TokenizerConfig};
+use ntadoc_grammar::{merge, Compressed, TokenizerConfig, Tokens};
 use ntadoc_pmem::obs::SpanNode;
-use ntadoc_pmem::{par, AccessStats, DeviceProfile, Obs, SimDevice};
+use ntadoc_pmem::{par, AccessStats, DeferredCharges, DeviceProfile, Obs, SimDevice};
 
 /// Host-work cost model for ingest (ns per unit, schedule-independent).
 const TOKENIZE_NS_PER_BYTE: u64 = 1;
@@ -84,6 +84,41 @@ impl IngestReport {
     }
 }
 
+/// The tokenize stage of both pipelines: every file's token count, fanned
+/// out over worker threads and charged per byte. Only the counts are kept
+/// — the chunk plan needs nothing else — and the chunk stage reads the
+/// tokens again, borrowed from the text, as it interns them
+/// ([`merge::build_chunk_of_files`]); a second scan costs less than holding
+/// a `String` per token between the stages did. The model charges one
+/// tokenization, here.
+fn token_counts(dev: &SimDevice, files: &[(String, String)], opts: &IngestOptions) -> Vec<usize> {
+    let (counts, charges) = par::par_map_timed(files, |_, (_, text)| {
+        let n = Tokens::new(text, &opts.tokenizer).count();
+        dev.charge_ns(text.len() as u64 * TOKENIZE_NS_PER_BYTE);
+        n
+    });
+    par::join_deferred(dev, &charges);
+    counts
+}
+
+/// The chunk stage of both pipelines: every planned chunk compressed on a
+/// worker, charged per token. `file_base` is the global index of
+/// `files[0]` (non-zero on the append path).
+fn build_chunks(
+    dev: &SimDevice,
+    files: &[(String, String)],
+    opts: &IngestOptions,
+    plan: &[Vec<merge::Piece>],
+    file_base: usize,
+) -> (Vec<merge::ChunkGrammar>, Vec<DeferredCharges>) {
+    par::par_map_timed(plan, |_, pieces| {
+        let tokens: u64 = pieces.iter().map(|p| (p.end - p.start) as u64).sum();
+        let cg = merge::build_chunk_of_files(files, &opts.tokenizer, pieces, file_base);
+        dev.charge_ns(tokens * SEQUITUR_NS_PER_TOKEN);
+        cg
+    })
+}
+
 /// Compress `files` through the chunk-parallel pipeline.
 ///
 /// The three stages:
@@ -91,7 +126,7 @@ impl IngestReport {
 /// 1. **tokenize** — per-file, fanned out over worker threads;
 /// 2. **chunk** — [`merge::plan_chunks`] splits the token stream into
 ///    `opts.chunks` near-equal spans, each compressed independently by
-///    [`merge::build_chunk`] on a worker;
+///    [`merge::build_chunk_of_files`] on a worker;
 /// 3. **merge** — [`merge::merge_chunks`] re-interns chunk dictionaries
 ///    (ids land in global first-occurrence order, identical to a serial
 ///    build), offsets rule ids, splices chunk top-rules into one root,
@@ -113,24 +148,9 @@ pub fn ingest_corpus(
     let mut chunk_ns: Vec<u64> = Vec::new();
 
     let comp = obs.span("ingest", &dev, || {
-        let toks: Vec<Vec<String>> = obs.span("ingest.tokenize", &dev, || {
-            let (toks, charges) = par::par_map_timed(files, |_, (_, text)| {
-                let t = tokenize(text, &opts.tokenizer);
-                dev.charge_ns(text.len() as u64 * TOKENIZE_NS_PER_BYTE);
-                t
-            });
-            par::join_deferred(&dev, &charges);
-            toks
-        });
-
-        let counts: Vec<usize> = toks.iter().map(|t| t.len()).collect();
+        let counts = obs.span("ingest.tokenize", &dev, || token_counts(&dev, files, opts));
         let plan = merge::plan_chunks(&counts, opts.chunks);
-        let (built, charges) = par::par_map_timed(&plan, |_, pieces| {
-            let tokens: u64 = pieces.iter().map(|p| (p.end - p.start) as u64).sum();
-            let cg = merge::build_chunk(&toks, pieces);
-            dev.charge_ns(tokens * SEQUITUR_NS_PER_TOKEN);
-            cg
-        });
+        let (built, charges) = build_chunks(&dev, files, opts, &plan, 0);
         // Chunk spans are recorded post-join from the captured sinks: the
         // chunks ran concurrently, so they appear as pre-measured leaves
         // rather than nested (serialized) spans.
@@ -216,28 +236,13 @@ pub fn ingest_append(
     let appended_bytes: u64 = files.iter().map(|(_, t)| t.len() as u64).sum();
 
     let (comp, outcome, dirty_symbols) = obs.span("append", &dev, || {
-        let toks: Vec<Vec<String>> = obs.span("append.tokenize", &dev, || {
-            let (toks, charges) = par::par_map_timed(files, |_, (_, text)| {
-                let t = tokenize(text, &opts.tokenizer);
-                dev.charge_ns(text.len() as u64 * TOKENIZE_NS_PER_BYTE);
-                t
-            });
-            par::join_deferred(&dev, &charges);
-            toks
-        });
-
-        let counts: Vec<usize> = toks.iter().map(|t| t.len()).collect();
+        let counts = obs.span("append.tokenize", &dev, || token_counts(&dev, files, opts));
         appended_tokens = counts.iter().map(|&c| c as u64).sum();
         // One chunk spanning every appended file, at global file indices
         // past the existing corpus.
         let plan = merge::plan_chunks(&counts, 1);
         let file_base = base.file_names.len();
-        let (built, charges) = par::par_map_timed(&plan, |_, pieces| {
-            let tokens: u64 = pieces.iter().map(|p| (p.end - p.start) as u64).sum();
-            let cg = merge::build_chunk_at(&toks, pieces, file_base);
-            dev.charge_ns(tokens * SEQUITUR_NS_PER_TOKEN);
-            cg
-        });
+        let (built, charges) = build_chunks(&dev, files, opts, &plan, file_base);
         let delta = AccessStats { virtual_ns: charges[0].ns(), ..AccessStats::default() };
         obs.record_leaf("append.chunk0", delta);
         par::join_deferred(&dev, &charges);

@@ -1,5 +1,6 @@
 //! Allocation budget: how many heap allocations one `Engine::run` makes,
-//! per task, on a seeded corpus at one worker.
+//! per task, and one ingest of the same corpus, on a seeded corpus at one
+//! worker.
 //!
 //! The id-level steps of the engine reuse caller-owned buffers for pool
 //! reads, merge into a per-thread scratch array and hand word strings out
@@ -11,11 +12,21 @@
 //! because the corpus comes from `rand`, whose stream differs between
 //! versions. EXPERIMENTS.md ("Where a run's wall time goes, after PR 18")
 //! has the counts before and after the change that introduced the budgets.
+//!
+//! Ingest reads its tokens borrowed from the text and interns them by
+//! `&str`, so it allocates for words, rules and files and for nothing per
+//! token; its budget is stated in those units (EXPERIMENTS.md "Where
+//! ingest's wall time goes (PR 19)" has the counts). These are deterministic
+//! guards that run on a one-core host, where every wall-clock gate is
+//! skipped.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use ntadoc_repro::{generate_compressed, DatasetSpec, Engine, EngineConfig, Task};
+use ntadoc_repro::{
+    compress_corpus, generate, generate_compressed, ingest_corpus, Compressed, DatasetSpec, Engine,
+    EngineConfig, IngestOptions, Task, TokenizerConfig,
+};
 
 thread_local! {
     /// Allocation calls made by this thread (const-initialised, so reading
@@ -115,3 +126,37 @@ const BUDGETS: [(Task, u64); 6] = [
     (Task::SequenceCount, 41_000),       // 38 975, was  68 781
     (Task::RankedInvertedIndex, 78_800), // 74 988, was 127 408
 ];
+
+/// What an ingest may allocate for: a dictionary entry per distinct word, a
+/// body per rule, a name per file — never something per token.
+fn ingest_units(comp: &Compressed) -> u64 {
+    (comp.dict.len() + comp.grammar.rule_count() + comp.file_names.len()) as u64
+}
+
+#[test]
+fn ingest_allocates_per_word_rule_and_file_not_per_token() {
+    ntadoc_pmem::par::with_threads(1, || {
+        let files = generate(&corpus_spec());
+        let cfg = TokenizerConfig::default();
+        let tokens: u64 = files.iter().map(|(_, t)| t.split_whitespace().count() as u64).sum();
+
+        let (serial, serial_calls) = calls_during(|| compress_corpus(&files, &cfg));
+        let chunked_opts = IngestOptions { chunks: 2, ..IngestOptions::default() };
+        let ((chunked, _), chunked_calls) = calls_during(|| ingest_corpus(&files, &chunked_opts));
+        let rows = [
+            ("compress_corpus", ingest_units(&serial), serial_calls, 3),
+            ("2-chunk ingest_corpus", ingest_units(&chunked), chunked_calls, 6),
+        ];
+        for (what, units, calls, _) in rows {
+            println!("{what}: {calls} allocation calls for {tokens} tokens, {units} units");
+        }
+        for (what, units, calls, per_unit) in rows {
+            assert!(
+                calls <= per_unit * units,
+                "{what}: {calls} allocation calls, budget {per_unit} x {units} \
+                 (words + rules + files)"
+            );
+            assert!(calls < tokens / 2, "{what}: {calls} allocation calls for {tokens} tokens");
+        }
+    });
+}

@@ -238,13 +238,29 @@ fn every_ingest_route_builds_its_golden_image() {
 fn the_corpora_have_the_shapes_they_are_named_for() {
     let zipf = serial(&zipf_corpus());
     let words: Vec<&str> = zipf.dict.iter().map(|(_, w)| w).collect();
-    for w in ["école", "i̇stanbul", "οδος", "σίσυφος", "straße", "ǆemal", "state-of-the-art"] {
+    for w in ["école", "i̇stanbul", "οδος", "σίσυφος", "straße", "ǆemal", "state-of-the-art"]
+    {
         assert!(words.contains(&w), "{w} missing from the dictionary");
     }
     assert!(zipf.grammar.rule_count() > 500, "phrases must repeat");
     assert!(tiny_files_corpus().iter().any(|(_, t)| t.is_empty()));
     let empties = serial(&empties_corpus());
     assert_eq!(empties.grammar.expand_files().iter().filter(|f| f.is_empty()).count(), 5);
+}
+
+/// `ntadoc-grammar` seals images with its own copy of CRC-64 and
+/// `ntadoc-pmem` seals pools and log entries with another; they are one
+/// function.
+#[test]
+fn the_two_crc64_copies_agree() {
+    let mut rng = Lcg(0xC4C);
+    for len in (0..70).chain([255, 256, 257, 4096, 65_537]) {
+        let buf: Vec<u8> = (0..len).map(|_| rng.next() as u8).collect();
+        assert_eq!(ntadoc_grammar::serialize::crc64(&buf), crc64(&buf), "{len} bytes");
+    }
+    // And the CRC in an image's header is the pool crate's CRC of its payload.
+    let image = serialize_compressed(&serial(&empties_corpus())).unwrap();
+    assert_eq!(image[8..16], crc64(&image[24..]).to_le_bytes());
 }
 
 /// `(corpus, route, crc64 of the serialized image, snapshot fingerprint)`.
