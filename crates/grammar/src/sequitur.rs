@@ -19,6 +19,12 @@ use crate::cfg::{Grammar, Rule};
 use crate::digram::{digram_key, DigramIndex, NodeId, NIL};
 use crate::symbol::Symbol;
 
+/// Tag of a guard node's symbol: both kind bits set, which no grammar
+/// symbol has. The guard of rule `i` carries `GUARD_TAG | i`, so whether a
+/// node is a guard is read off the node itself — no look-up in `rules` —
+/// and a guard can never be mistaken for an occurrence of its rule.
+const GUARD_TAG: u32 = 0b11 << 30;
+
 #[derive(Debug, Clone, Copy)]
 struct Node {
     sym: Symbol,
@@ -96,7 +102,7 @@ impl Sequitur {
     /// Create a rule slot with a fresh guard node; returns the rule index.
     fn new_rule_slot(&mut self) -> u32 {
         let idx = self.rules.len() as u32;
-        let guard = self.alloc_node(Symbol::rule(idx));
+        let guard = self.alloc_node(Symbol::from_raw(GUARD_TAG | idx));
         self.nodes[guard as usize].prev = guard;
         self.nodes[guard as usize].next = guard;
         self.rules.push(RuleSlot { guard, refs: 0 });
@@ -116,11 +122,9 @@ impl Sequitur {
         self.nodes[n as usize].prev
     }
 
-    /// A node is a guard iff it is the guard of the rule its symbol names.
     #[inline]
     fn is_guard(&self, n: NodeId) -> bool {
-        let s = self.sym(n);
-        s.is_rule() && self.rules[s.payload() as usize].guard == n
+        self.sym(n).raw() >= GUARD_TAG
     }
 
     fn link(&mut self, a: NodeId, b: NodeId) {
@@ -191,7 +195,7 @@ impl Sequitur {
         if self.is_guard(self.prev(m)) && self.is_guard(self.next(self.next(m))) {
             // The indexed occurrence is a complete rule body: reuse it.
             let guard = self.prev(m);
-            rule_idx = self.sym(guard).payload();
+            rule_idx = self.sym(guard).raw() & !GUARD_TAG;
             self.substitute(d1, rule_idx);
         } else {
             // Create a fresh rule whose body copies the digram.
@@ -227,7 +231,7 @@ impl Sequitur {
         }
         let first = self.next(guard);
         let fs = self.sym(first);
-        if fs.is_rule() && self.rules[fs.payload() as usize].refs == 1 {
+        if !self.is_guard(first) && fs.is_rule() && self.rules[fs.payload() as usize].refs == 1 {
             self.expand(first);
         }
         let guard = self.rules[rule_idx as usize].guard;

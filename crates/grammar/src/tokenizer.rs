@@ -89,13 +89,14 @@ impl<'t> Tokens<'t> {
 }
 
 /// Split `text` into word tokens according to `cfg`, each an owned
-/// `String`. Ingest reads [`Tokens`] directly; this collects them for
-/// callers that want a vector.
+/// `String`. Ingest reads [`Tokens`] directly; this collects the same
+/// tokens for callers that want a vector (an owned token is folded as it is
+/// copied, in one pass).
 pub fn tokenize(text: &str, cfg: &TokenizerConfig) -> Vec<String> {
     let mut tokens = Tokens::new(text, cfg);
     let mut out = Vec::new();
-    while let Some(token) = tokens.next_token() {
-        out.push(token.to_string());
+    while let Some(token) = tokens.next_raw() {
+        out.push(if cfg.lowercase { token.to_lowercase() } else { token.to_string() });
     }
     out
 }
@@ -157,6 +158,12 @@ mod tests {
                 .map(|t| if cfg.lowercase { t.to_lowercase() } else { t.to_string() })
                 .collect();
             assert_eq!(tokenize(text, &cfg), want, "{cfg:?}");
+            let mut tokens = Tokens::new(text, &cfg);
+            let mut lent = Vec::new();
+            while let Some(token) = tokens.next_token() {
+                lent.push(token.to_string());
+            }
+            assert_eq!(lent, want, "{cfg:?}");
             assert_eq!(Tokens::new(text, &cfg).count(), want.len(), "{cfg:?}");
         }
     }
