@@ -108,15 +108,7 @@ pub fn dispatch(args: &[String]) -> CmdResult {
 
 /// Parse a task name (several aliases accepted).
 pub fn parse_task(name: &str) -> Result<Task, CliError> {
-    match name.to_lowercase().replace(['-', '_'], "").as_str() {
-        "wordcount" | "wc" => Ok(Task::WordCount),
-        "sort" => Ok(Task::Sort),
-        "termvector" | "tv" => Ok(Task::TermVector),
-        "invertedindex" | "ii" => Ok(Task::InvertedIndex),
-        "sequencecount" | "sc" => Ok(Task::SequenceCount),
-        "rankedindex" | "rankedinvertedindex" | "rii" => Ok(Task::RankedInvertedIndex),
-        other => Err(usage(format!("unknown task `{other}`"))),
-    }
+    name.parse().map_err(|e: ntadoc::UnknownTask| usage(e.to_string()))
 }
 
 /// Parse a device name to its profile.

@@ -2,29 +2,42 @@
 //! socket.
 //!
 //! The wire protocol is line-delimited JSON, one request and one response
-//! per line:
+//! per line; a reply's members are in sorted order:
 //!
 //! ```text
 //! → {"op":"query","task":"wordcount","tenant":3,"top":10}
-//! ← {"ok":true,"cache_hit":false,"snapshot":…,"task":"word count","output":{…}}
+//! ← {"cache_hit":false,"ok":true,"output":{…},"snapshot":…,"task":"word count","tenant":3}
+//! → {"op":"stats"}
+//! ← {"batches_dispatched":…,"cache_entries":…,"cache_hits":…,"cache_misses":…,
+//!    "memoized_bytes":…,"memoized_entries":…,"ok":true,"queue_depth":…,"snapshot":…}
 //! → {"op":"shutdown"}
 //! ← {"ok":true,"shutdown":true}
 //! ```
 //!
-//! Admission rejections come back typed (`"kind":"quota_exceeded"` /
-//! `"queue_full"`), never as dropped connections. The socket front-end
-//! serves interactively (each request dispatches immediately, batch of
-//! one, through the shared snapshot-keyed cache); cross-tenant batch
-//! formation is exercised by the `serve_load` harness and the daemon's
-//! trace API, which this command shares all state machinery with.
+//! `tenant` (default 0), `top` and `file` are optional; one that is present
+//! with the wrong type or out of range is refused by name (`"kind":
+//! "bad_request"`), and admission rejections come back typed
+//! (`"quota_exceeded"` / `"queue_full"`), never as dropped connections.
+//! `stats` reads what the daemon keeps anyway: cache lookups that hit and
+//! missed, entries resident, how many of them hold their `output` encoded
+//! (the first hit on an entry encodes it, later hits copy the bytes) and in
+//! how many bytes, batches dispatched, queries admitted and not yet
+//! dispatched, and the fingerprint of the snapshot being served.
+//!
+//! This file is the socket: the protocol itself — request decoding, the
+//! reply writer — is [`ntadoc_serve::WireServer`]. The front-end serves
+//! interactively (each request dispatches immediately, batch of one,
+//! through the shared snapshot-keyed cache); cross-tenant batch formation
+//! is exercised by the `serve_load` harness and the daemon's trace API,
+//! which this command shares all state machinery with.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 
-use ntadoc::{Engine, EngineConfig, PoolBackend, Query, TenantId};
+use ntadoc::{Engine, EngineConfig, PoolBackend};
 use ntadoc_pmem::Json;
-use ntadoc_serve::{DaemonConfig, QueryDaemon, ServeError};
+use ntadoc_serve::{DaemonConfig, QueryDaemon, WireServer};
 
 use crate::cmd::{
     backend_operand, fail, load_corpus, number, operand, parse_task, usage, CliError, CmdResult,
@@ -105,20 +118,20 @@ pub fn serve(args: &[String]) -> CmdResult {
     result
 }
 
-/// Longest request line the daemon buffers. A longer one is answered with
-/// `bad_request` and its remainder is discarded as it streams past.
-const MAX_REQUEST_BYTES: usize = 64 * 1024;
-
-/// Accept-loop: one connection at a time, one request per line. Returns
-/// only after a shutdown request: an I/O error on one connection (a peer
-/// that vanished before reading its reply, say) drops that connection and
-/// the loop keeps accepting. Separated from [`serve`] so tests can drive
-/// it over a socketpair without spawning a process.
-pub fn serve_loop(listener: &UnixListener, mut daemon: QueryDaemon) -> CmdResult {
+/// Accept-loop: one connection at a time, one request per line, every
+/// connection through the same [`WireServer`] and so the same line and
+/// reply buffers. Returns only after a shutdown request: an I/O error on
+/// one connection (a peer that vanished before reading its reply, say)
+/// drops that connection and the loop keeps accepting. Separated from
+/// [`serve`] so tests can drive it without spawning a process.
+pub fn serve_loop(listener: &UnixListener, daemon: QueryDaemon) -> CmdResult {
+    let mut server = WireServer::new(daemon);
     for stream in listener.incoming() {
-        match stream.and_then(|s| serve_connection(s, &mut daemon)) {
+        // `&UnixStream` both reads and writes: no second descriptor.
+        match stream.and_then(|s| server.serve_connection(&s)) {
             Ok(false) => {}
             Ok(true) => {
+                let daemon = server.daemon();
                 eprintln!(
                     "[serve] shutdown after {} batches, cache hit rate {:.3}",
                     daemon.batches_dispatched(),
@@ -130,112 +143,6 @@ pub fn serve_loop(listener: &UnixListener, mut daemon: QueryDaemon) -> CmdResult
         }
     }
     Ok(())
-}
-
-/// Answer one connection's requests until it closes; `Ok(true)` means it
-/// asked for shutdown.
-fn serve_connection(stream: UnixStream, daemon: &mut QueryDaemon) -> std::io::Result<bool> {
-    let mut writer = stream.try_clone()?;
-    let mut reader = BufReader::new(stream);
-    let mut line = Vec::new();
-    while let Some(fits) = read_request_line(&mut reader, &mut line)? {
-        let (reply, shutdown) = if !fits {
-            let message = format!("request line exceeds {MAX_REQUEST_BYTES} bytes");
-            (error_reply("bad_request", &message), false)
-        } else {
-            match std::str::from_utf8(&line) {
-                Err(_) => (error_reply("bad_request", "request is not valid UTF-8"), false),
-                Ok(text) if text.trim().is_empty() => continue,
-                Ok(text) => handle_request(daemon, text.trim()),
-            }
-        };
-        writeln!(writer, "{}", reply.compact())?;
-        if shutdown {
-            return Ok(true);
-        }
-    }
-    Ok(false)
-}
-
-/// Read the next `\n`-terminated line into `line`, buffering at most
-/// [`MAX_REQUEST_BYTES`] of it. `None` at end of stream; `Some(false)` for
-/// a line over the cap, which is consumed to its end but not kept.
-fn read_request_line(
-    reader: &mut impl BufRead,
-    line: &mut Vec<u8>,
-) -> std::io::Result<Option<bool>> {
-    let cap = MAX_REQUEST_BYTES as u64 + 1; // the cap plus the newline
-    line.clear();
-    if reader.by_ref().take(cap).read_until(b'\n', line)? == 0 {
-        return Ok(None);
-    }
-    let fits = line.ends_with(b"\n") || line.len() <= MAX_REQUEST_BYTES;
-    let mut at_line_end = fits;
-    while !at_line_end {
-        line.clear();
-        let n = reader.by_ref().take(cap).read_until(b'\n', line)?;
-        at_line_end = n == 0 || line.ends_with(b"\n");
-    }
-    Ok(Some(fits))
-}
-
-/// Decode one request line, execute it, encode the response. The bool is
-/// the shutdown flag.
-fn handle_request(daemon: &mut QueryDaemon, line: &str) -> (Json, bool) {
-    let req = match Json::parse(line) {
-        Ok(j) => j,
-        Err(e) => return (error_reply("bad_request", &format!("unparseable request: {e}")), false),
-    };
-    match req.get("op").and_then(Json::as_str) {
-        Some("shutdown") => {
-            (Json::object([("ok", Json::Bool(true)), ("shutdown", Json::Bool(true))]), true)
-        }
-        Some("query") => {
-            let task = match req.get("task").and_then(Json::as_str).map(parse_task) {
-                Some(Ok(t)) => t,
-                Some(Err(e)) => return (error_reply("bad_request", &e.to_string()), false),
-                None => return (error_reply("bad_request", "query needs a task"), false),
-            };
-            let tenant = TenantId(req.get("tenant").and_then(Json::as_u64).unwrap_or(0) as u32);
-            let mut query = Query::new(tenant, task);
-            if let Some(k) = req.get("top").and_then(Json::as_u64) {
-                query = query.top_k(k as usize);
-            }
-            if let Some(f) = req.get("file").and_then(Json::as_str) {
-                query = query.file_filter(f);
-            }
-            match daemon.execute(query) {
-                Ok(resp) => (
-                    Json::object([
-                        ("ok", Json::Bool(true)),
-                        ("cache_hit", Json::Bool(resp.cache_hit)),
-                        ("snapshot", Json::U64(resp.snapshot.fingerprint())),
-                        ("tenant", Json::U64(resp.tenant.0 as u64)),
-                        ("task", Json::from(resp.task.to_string())),
-                        ("output", resp.output().to_json()),
-                    ]),
-                    false,
-                ),
-                Err(e) => {
-                    let kind = match &e {
-                        ServeError::QuotaExceeded { .. } => "quota_exceeded",
-                        ServeError::QueueFull { .. } => "queue_full",
-                        ServeError::Engine(_) => "engine",
-                    };
-                    (error_reply(kind, &e.to_string()), false)
-                }
-            }
-        }
-        _ => (error_reply("bad_request", "op must be \"query\" or \"shutdown\""), false),
-    }
-}
-
-fn error_reply(kind: &str, message: &str) -> Json {
-    Json::object([
-        ("ok", Json::Bool(false)),
-        ("kind", Json::from(kind)),
-        ("error", Json::from(message)),
-    ])
 }
 
 /// `ntadoc query --socket <path> <task> [--tenant N] [--top K] [--file F]`
@@ -342,35 +249,6 @@ mod tests {
     }
 
     #[test]
-    fn handle_request_serves_and_caches() {
-        let mut d = test_daemon();
-        let (cold, stop) =
-            handle_request(&mut d, r#"{"op":"query","task":"wordcount","tenant":1,"top":3}"#);
-        assert!(!stop);
-        assert_eq!(cold.get("ok").and_then(Json::as_bool), Some(true));
-        assert_eq!(cold.get("cache_hit").and_then(Json::as_bool), Some(false));
-        let counts = cold.get("output").unwrap();
-        assert_eq!(counts.get("to").and_then(Json::as_u64), Some(3));
-
-        let (warm, _) =
-            handle_request(&mut d, r#"{"op":"query","task":"wordcount","tenant":2,"top":3}"#);
-        assert_eq!(warm.get("cache_hit").and_then(Json::as_bool), Some(true));
-        assert_eq!(warm.get("output").unwrap(), counts, "hit must be byte-identical");
-    }
-
-    #[test]
-    fn handle_request_rejects_garbage_and_unknown_ops() {
-        let mut d = test_daemon();
-        let (bad, stop) = handle_request(&mut d, "{not json");
-        assert!(!stop);
-        assert_eq!(bad.get("ok").and_then(Json::as_bool), Some(false));
-        let (unknown, _) = handle_request(&mut d, r#"{"op":"reticulate"}"#);
-        assert_eq!(unknown.get("kind").and_then(Json::as_str), Some("bad_request"));
-        let (no_task, _) = handle_request(&mut d, r#"{"op":"query"}"#);
-        assert_eq!(no_task.get("kind").and_then(Json::as_str), Some("bad_request"));
-    }
-
-    #[test]
     fn socket_round_trip_and_shutdown() {
         let dir = std::env::temp_dir().join(format!("ntadoc-serve-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
@@ -450,7 +328,7 @@ mod tests {
             assert!(reply.get("error").and_then(Json::as_str).unwrap().contains("exceeds"));
             // The request after an oversized line on the same connection
             // is still served.
-            let mut two = vec![b' '; MAX_REQUEST_BYTES + 1];
+            let mut two = vec![b' '; ntadoc_serve::MAX_REQUEST_BYTES + 1];
             two.extend_from_slice(b"\n{\"op\":\"reticulate\"}\n");
             let mut stream = UnixStream::connect(sock).unwrap();
             stream.write_all(&two).unwrap();

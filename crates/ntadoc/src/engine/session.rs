@@ -294,13 +294,7 @@ impl Session {
     /// `query`'s response from this session: its shaped output, stamped
     /// with the snapshot that answered it.
     pub(super) fn respond(&self, query: &Query, out: TaskOutput) -> QueryResponse {
-        QueryResponse {
-            tenant: query.tenant,
-            task: query.task,
-            output: Arc::new(out),
-            cache_hit: false,
-            snapshot: self.snapshot.clone(),
-        }
+        QueryResponse::computed(query.tenant, query.task, Arc::new(out), self.snapshot.clone())
     }
 
     /// The graph-traversal phase, one attempt, recorded as a

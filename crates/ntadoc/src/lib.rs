@@ -71,12 +71,14 @@ pub use engine::{
 };
 pub use ingest::{ingest_append, ingest_corpus, AppendIngest, IngestOptions, IngestReport};
 pub use layout::PoolLayoutConfig;
-pub use query::{snapshot_fingerprint, Query, QueryKey, QueryResponse, Snapshot, TenantId};
+pub use query::{
+    snapshot_fingerprint, CachedOutput, Query, QueryKey, QueryResponse, Snapshot, TenantId,
+};
 pub use report::{
     RunReport, METRIC_DEVICE_PEAK, METRIC_DRAM_PEAK, METRIC_HIT_RATE, METRIC_MEDIA_RETRIES,
     METRIC_SERVE_RATE, METRIC_SERVE_TASKS, REPORT_VERSION,
 };
-pub use result::{OutputMismatch, Task, TaskOutput};
+pub use result::{OutputMismatch, Task, TaskOutput, UnknownTask};
 pub use summation::{
     head_tail_incremental, head_tail_info, topo_levels, upper_bounds, upper_bounds_incremental,
     SummationResult,

@@ -14,7 +14,7 @@
 //! the same corpus agree on it; any corpus change moves it.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use ntadoc_grammar::Compressed;
 use ntadoc_pmem::PmemBackend;
@@ -268,8 +268,49 @@ fn top_by_count<K: Ord + Clone>(m: BTreeMap<K, u64>, k: usize) -> BTreeMap<K, u6
     rows.into_iter().collect()
 }
 
+/// What a result cache keeps for one answer: the output and, once a hit
+/// on it has been sent, the output's wire encoding.
+///
+/// The encoding is made the first time it is asked for and never when the
+/// entry is made: most entries of a cache under churn are evicted without
+/// ever being hit, and an encoding is about as large as the output it is
+/// made from. A hit is then a lookup and a copy of these bytes.
+#[derive(Debug)]
+pub struct CachedOutput {
+    output: Arc<TaskOutput>,
+    encoded: OnceLock<String>,
+}
+
+impl CachedOutput {
+    /// An entry for `output`, not encoded yet.
+    pub fn new(output: Arc<TaskOutput>) -> Self {
+        CachedOutput { output, encoded: OnceLock::new() }
+    }
+
+    /// The output.
+    pub fn output(&self) -> &Arc<TaskOutput> {
+        &self.output
+    }
+
+    /// [`TaskOutput::write_json`] of the output, encoded by the first call
+    /// and shared by every later one.
+    pub fn encoded(&self) -> &str {
+        self.encoded.get_or_init(|| {
+            let mut text = String::new();
+            self.output.write_json(&mut text);
+            text.shrink_to_fit();
+            text
+        })
+    }
+
+    /// Bytes of the encoding if it has been made.
+    pub fn encoded_len(&self) -> Option<usize> {
+        self.encoded.get().map(String::len)
+    }
+}
+
 /// The answer to one [`Query`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct QueryResponse {
     /// The tenant the query belonged to.
     pub tenant: TenantId,
@@ -284,9 +325,47 @@ pub struct QueryResponse {
     /// The snapshot the answer is valid for. Shared: every response of a
     /// batch references the same handle.
     pub snapshot: Arc<Snapshot>,
+    /// The cache entry a hit came from, for its encoding. Private so that
+    /// it can only ever belong to `output`.
+    cached: Option<Arc<CachedOutput>>,
 }
 
+/// Two responses are equal when they say the same thing; whether either
+/// carries a cache entry, encoded or not, takes no part.
+impl PartialEq for QueryResponse {
+    fn eq(&self, other: &Self) -> bool {
+        self.tenant == other.tenant
+            && self.task == other.task
+            && self.output == other.output
+            && self.cache_hit == other.cache_hit
+            && self.snapshot == other.snapshot
+    }
+}
+
+impl Eq for QueryResponse {}
+
 impl QueryResponse {
+    /// The answer a traversal just produced.
+    pub fn computed(
+        tenant: TenantId,
+        task: Task,
+        output: Arc<TaskOutput>,
+        snapshot: Arc<Snapshot>,
+    ) -> Self {
+        QueryResponse { tenant, task, output, cache_hit: false, snapshot, cached: None }
+    }
+
+    /// The answer a result cache held.
+    pub fn from_cache(
+        tenant: TenantId,
+        task: Task,
+        cached: Arc<CachedOutput>,
+        snapshot: Arc<Snapshot>,
+    ) -> Self {
+        let output = cached.output.clone();
+        QueryResponse { tenant, task, output, cache_hit: true, snapshot, cached: Some(cached) }
+    }
+
     /// Borrow the output.
     pub fn output(&self) -> &TaskOutput {
         &self.output
@@ -296,6 +375,13 @@ impl QueryResponse {
     /// with a cache or with other tenants in the batch).
     pub fn into_output(self) -> TaskOutput {
         Arc::try_unwrap(self.output).unwrap_or_else(|arc| (*arc).clone())
+    }
+
+    /// The output's wire encoding as its cache entry keeps it
+    /// ([`CachedOutput::encoded`]); `None` for an answer no cache holds,
+    /// which its sender encodes for itself and keeps nothing of.
+    pub fn encoded_output(&self) -> Option<&str> {
+        self.cached.as_deref().map(CachedOutput::encoded)
     }
 }
 

@@ -64,6 +64,38 @@ impl Task {
     }
 }
 
+/// A spelling that names none of the six tasks, as normalized for the
+/// lookup ([`Task`]'s `FromStr`).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct UnknownTask(pub String);
+
+impl std::fmt::Display for UnknownTask {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "unknown task `{}`", self.0)
+    }
+}
+
+impl std::error::Error for UnknownTask {}
+
+/// The spellings the command line and the serve protocol accept: the
+/// task's name in any case with `-` and `_` ignored, or its initials.
+impl std::str::FromStr for Task {
+    type Err = UnknownTask;
+
+    fn from_str(name: &str) -> Result<Task, UnknownTask> {
+        let name = name.to_lowercase().replace(['-', '_'], "");
+        match name.as_str() {
+            "wordcount" | "wc" => Ok(Task::WordCount),
+            "sort" => Ok(Task::Sort),
+            "termvector" | "tv" => Ok(Task::TermVector),
+            "invertedindex" | "ii" => Ok(Task::InvertedIndex),
+            "sequencecount" | "sc" => Ok(Task::SequenceCount),
+            "rankedindex" | "rankedinvertedindex" | "rii" => Ok(Task::RankedInvertedIndex),
+            _ => Err(UnknownTask(name)),
+        }
+    }
+}
+
 impl std::fmt::Display for Task {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.name())
@@ -232,9 +264,12 @@ impl TaskOutput {
         }
     }
 
-    /// Serialize the output as deterministic [`ntadoc_pmem::Json`] (the CLI serve
-    /// protocol's wire shape). Map-like results become objects keyed by
-    /// word (n-grams joined by spaces); list-like results become arrays.
+    /// The output as a deterministic [`ntadoc_pmem::Json`] tree, in the
+    /// serve protocol's wire shape: map-like results become objects keyed
+    /// by word (n-grams joined by spaces), list-like results become arrays.
+    /// The daemon writes replies with [`write_json`](Self::write_json);
+    /// this is the form a comparison reads (the benchmark's oracle, the
+    /// tests), and what `write_json` falls back on.
     pub fn to_json(&self) -> ntadoc_pmem::Json {
         use ntadoc_pmem::Json;
         fn pairs(ws: &[(String, u64)]) -> Json {
@@ -267,6 +302,110 @@ impl TaskOutput {
             }
             TaskOutput::RankedInvertedIndex(m) => {
                 Json::object(m.iter().map(|(g, fs)| (g.join(" "), pairs(fs))))
+            }
+        }
+    }
+
+    /// Append the output's wire encoding to `out`: exactly the bytes of
+    /// `self.to_json().compact()`, written in one pass over the result with
+    /// no [`ntadoc_pmem::Json`] tree in between. What a serve reply carries;
+    /// [`to_json`](Self::to_json) is the reference it is tested against.
+    pub fn write_json(&self, out: &mut String) {
+        use ntadoc_pmem::json::{write_str, write_u64};
+        /// `open`, the items separated by commas, `close`.
+        fn seq<T>(
+            out: &mut String,
+            (open, close): (char, char),
+            items: impl IntoIterator<Item = T>,
+            mut item: impl FnMut(&mut String, T),
+        ) {
+            out.push(open);
+            for (i, it) in items.into_iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                item(out, it);
+            }
+            out.push(close);
+        }
+        fn member(out: &mut String, key: &str) {
+            write_str(out, key);
+            out.push(':');
+        }
+        fn pairs(out: &mut String, ws: &[(String, u64)]) {
+            seq(out, ('[', ']'), ws, |out, (w, c)| {
+                out.push('[');
+                write_str(out, w);
+                out.push(',');
+                write_u64(out, *c);
+                out.push(']');
+            });
+        }
+        /// An object keyed by the grams joined with spaces. The map is in
+        /// gram order and an object in key order; the two differ only when
+        /// a word holds a space or a control character (a forged image can
+        /// make one), and then two grams can also join to one key, of which
+        /// the tree keeps the last. `false` as soon as a key fails to sort
+        /// after the one before it; `out` is then to be discarded.
+        fn grams<V>(
+            out: &mut String,
+            m: &BTreeMap<Vec<String>, V>,
+            mut value: impl FnMut(&mut String, &V),
+        ) -> bool {
+            let (mut key, mut prev) = (String::new(), String::new());
+            out.push('{');
+            for (i, (gram, v)) in m.iter().enumerate() {
+                key.clear();
+                for (j, w) in gram.iter().enumerate() {
+                    if j > 0 {
+                        key.push(' ');
+                    }
+                    key.push_str(w);
+                }
+                if i > 0 {
+                    if key <= prev {
+                        return false;
+                    }
+                    out.push(',');
+                }
+                member(out, &key);
+                value(out, v);
+                std::mem::swap(&mut key, &mut prev);
+            }
+            out.push('}');
+            true
+        }
+        let start = out.len();
+        let tree_instead = |out: &mut String| {
+            out.truncate(start);
+            out.push_str(&self.to_json().compact());
+        };
+        match self {
+            TaskOutput::WordCount(m) => seq(out, ('{', '}'), m, |out, (w, c)| {
+                member(out, w);
+                write_u64(out, *c);
+            }),
+            TaskOutput::Sort(v) => pairs(out, v),
+            TaskOutput::TermVector(v) => seq(out, ('[', ']'), v, |out, (f, ws)| {
+                out.push_str("{\"file\":");
+                write_str(out, f);
+                out.push_str(",\"terms\":");
+                pairs(out, ws);
+                out.push('}');
+            }),
+            TaskOutput::InvertedIndex(m) => seq(out, ('{', '}'), m, |out, (w, fs)| {
+                member(out, w);
+                seq(out, ('[', ']'), fs, |out, f| write_str(out, f));
+            }),
+            TaskOutput::SequenceCount(m) => {
+                if !grams(out, m, |out, c| write_u64(out, *c)) {
+                    tree_instead(out);
+                }
+            }
+            TaskOutput::RankedInvertedIndex(m) => {
+                if !grams(out, m, |out, fs| pairs(out, fs)) {
+                    tree_instead(out);
+                }
             }
         }
     }
@@ -353,6 +492,103 @@ mod tests {
         assert!(j.find("\"a\"").unwrap() < j.find("\"b\"").unwrap());
         let sort = TaskOutput::Sort(vec![("x".into(), 9)]).to_json().pretty();
         assert!(sort.contains('9'));
+    }
+
+    /// Words that stress the encoder: every escape, controls that sort
+    /// below the space a gram is joined with, non-ASCII, the empty word,
+    /// and words holding the joiner itself.
+    const HOSTILE: [&str; 16] = [
+        "", " ", "a", "b", "a b", "a\tb", "\"", "\\", "\n", "\r", "\u{1}", "\u{1f}", "\u{7f}", "é",
+        "日本", "z\"\\z",
+    ];
+
+    /// splitmix64, for outputs that are generated but the same every run;
+    /// `tidy` draws words a tokenizer could have produced, whose grams the
+    /// one-pass writer takes in stride.
+    struct Draw(u64, bool);
+
+    impl Draw {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) % n as u64) as usize
+        }
+        fn word(&mut self) -> String {
+            let pool = if self.1 { &["a", "ab", "b", "c!", "é"][..] } else { &HOSTILE[..] };
+            pool[self.below(pool.len())].to_string()
+        }
+        fn count(&mut self) -> u64 {
+            [0, 1, 7, 1 << 40, u64::MAX][self.below(5)]
+        }
+        fn words(&mut self, max: usize) -> Vec<String> {
+            (0..self.below(max + 1)).map(|_| self.word()).collect()
+        }
+        fn pairs(&mut self, max: usize) -> Vec<(String, u64)> {
+            (0..self.below(max + 1)).map(|_| (self.word(), self.count())).collect()
+        }
+    }
+
+    /// One generated output of each shape; `rows` 0 gives the empty ones.
+    fn generated(d: &mut Draw, rows: usize) -> [TaskOutput; 6] {
+        [
+            TaskOutput::WordCount((0..rows).map(|_| (d.word(), d.count())).collect()),
+            TaskOutput::Sort(d.pairs(rows)),
+            TaskOutput::TermVector((0..rows).map(|_| (d.word(), d.pairs(3))).collect()),
+            TaskOutput::InvertedIndex((0..rows).map(|_| (d.word(), d.words(3))).collect()),
+            TaskOutput::SequenceCount((0..rows).map(|_| (d.words(3), d.count())).collect()),
+            TaskOutput::RankedInvertedIndex((0..rows).map(|_| (d.words(3), d.pairs(3))).collect()),
+        ]
+    }
+
+    fn assert_writes_the_tree_bytes(out: &TaskOutput) {
+        let mut got = String::from("output:");
+        out.write_json(&mut got);
+        assert_eq!(got, format!("output:{}", out.to_json().compact()), "{out:?}");
+    }
+
+    #[test]
+    fn write_json_is_the_compact_tree_byte_for_byte() {
+        for tidy in [false, true] {
+            let mut d = Draw(21, tidy);
+            for rows in [0, 1, 2, 5, 12, 40] {
+                for _ in 0..20 {
+                    generated(&mut d, rows).iter().for_each(assert_writes_the_tree_bytes);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn gram_keys_that_collide_or_reorder_come_out_as_the_tree_has_them() {
+        let gram = |ws: &[&str]| ws.iter().map(|w| w.to_string()).collect::<Vec<_>>();
+        // ["a","b"] sorts before ["a b"] and both join to "a b": the tree
+        // keeps the later one. ["a","z"] sorts before ["a\t"], but "a\t"
+        // sorts before "a z". An empty gram joins to the empty key.
+        let keys =
+            [gram(&["a", "b"]), gram(&["a b"]), gram(&["a", "z"]), gram(&["a\t"]), gram(&[])];
+        let counts: BTreeMap<_, _> = keys.iter().cloned().zip(1u64..).collect();
+        let out = TaskOutput::SequenceCount(counts);
+        assert_eq!(out.to_json().compact(), r#"{"":5,"a\t":4,"a b":2,"a z":3}"#);
+        assert_writes_the_tree_bytes(&out);
+        let postings = keys.iter().cloned().zip(1u64..).map(|(g, c)| (g, vec![("f".into(), c)]));
+        assert_writes_the_tree_bytes(&TaskOutput::RankedInvertedIndex(postings.collect()));
+        // In order and distinct: the one-pass writer's own bytes.
+        let tidy = [gram(&["a", "b"]), gram(&["a", "c"]), gram(&["b"])];
+        let out = TaskOutput::SequenceCount(tidy.iter().cloned().zip(1u64..).collect());
+        let mut got = String::new();
+        out.write_json(&mut got);
+        assert_eq!(got, r#"{"a b":1,"a c":2,"b":3}"#);
+    }
+
+    #[test]
+    fn task_spellings_parse_and_a_wrong_one_is_named() {
+        assert_eq!("wordcount".parse(), Ok(Task::WordCount));
+        assert_eq!("ranked-index".parse(), Ok(Task::RankedInvertedIndex));
+        assert_eq!("SEQUENCE_COUNT".parse(), Ok(Task::SequenceCount));
+        let err = "Word-Cloud".parse::<Task>().unwrap_err();
+        assert_eq!(err.to_string(), "unknown task `wordcloud`");
     }
 
     #[test]

@@ -175,9 +175,9 @@ impl Json {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::U64(n) => out.push_str(&n.to_string()),
+            Json::U64(n) => write_u64(out, *n),
             Json::F64(n) => out.push_str(&fmt_f64(*n)),
-            Json::Str(s) => write_escaped(out, s),
+            Json::Str(s) => write_str(out, s),
             Json::Arr(items) => {
                 if items.is_empty() {
                     out.push_str("[]");
@@ -205,7 +205,7 @@ impl Json {
                         out.push(',');
                     }
                     newline_indent(out, depth + 1, pretty);
-                    write_escaped(out, k);
+                    write_str(out, k);
                     out.push(':');
                     if pretty {
                         out.push(' ');
@@ -256,20 +256,54 @@ fn newline_indent(out: &mut String, depth: usize, pretty: bool) {
     }
 }
 
-fn write_escaped(out: &mut String, s: &str) {
+/// Append `s` as a JSON string literal, quotes included: the writer every
+/// encoder in the workspace shares, so a value written without a [`Json`]
+/// tree has the bytes [`Json::compact`] would give it. `"`, `\` and the
+/// controls below U+0020 are escaped (`\n`, `\t` and `\r` by name, the rest
+/// as `\u00xx`); everything between two escapes is copied as one run.
+pub fn write_str(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    // Start of the run not copied yet. Every byte that ends a run is
+    // ASCII, so both ends of a run are character boundaries.
+    let mut clean = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        out.push_str(&s[clean..i]);
+        clean = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\t' => out.push_str("\\t"),
+            b'\r' => out.push_str("\\r"),
+            _ => {
+                out.push_str("\\u00");
+                out.push(HEX[(b >> 4) as usize] as char);
+                out.push(HEX[(b & 0xf) as usize] as char);
+            }
         }
     }
+    out.push_str(&s[clean..]);
     out.push('"');
+}
+
+/// Append `n` in decimal, as [`Json::U64`] is written, without the
+/// `String` that `n.to_string()` allocates.
+pub fn write_u64(out: &mut String, mut n: u64) {
+    let mut digits = [0u8; 20]; // u64::MAX has twenty
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
 }
 
 struct Parser<'a> {
@@ -529,6 +563,59 @@ mod tests {
         assert_eq!(v.get("n").unwrap().as_str(), None);
         assert_eq!(v.get("missing"), None);
         assert_eq!(Json::F64(1.5).as_u64(), None);
+    }
+
+    /// The writer `write_str` replaced, one `char` at a time: the reference
+    /// for its bytes.
+    fn write_str_by_char(out: &mut String, s: &str) {
+        out.push('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\t' => out.push_str("\\t"),
+                '\r' => out.push_str("\\r"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+    }
+
+    #[test]
+    fn write_str_copies_runs_to_the_bytes_of_the_char_by_char_writer() {
+        let controls: String = (0u8..0x20).map(char::from).collect();
+        let cases = [
+            "",
+            "plain",
+            "\"",
+            "\\",
+            "\"\"\\\\",
+            "ends in a quote\"",
+            "\"starts with one",
+            "tab\there, newline\nthere, return\rthere",
+            "\u{7f} is not escaped, \u{80} neither",
+            "naïve café — 日本語 🦀",
+            "é\"é\\é\né",
+            controls.as_str(),
+        ];
+        for s in cases {
+            let (mut got, mut want) = (String::from("x"), String::from("x"));
+            write_str(&mut got, s);
+            write_str_by_char(&mut want, s);
+            assert_eq!(got, want, "{s:?}");
+            assert_eq!(Json::parse(&got[1..]).unwrap(), Json::Str(s.to_string()));
+        }
+    }
+
+    #[test]
+    fn write_u64_matches_to_string() {
+        for n in [0, 1, 9, 10, 99, 100, 12345, u32::MAX as u64, 1 << 53, u64::MAX - 1, u64::MAX] {
+            let mut got = String::from("n=");
+            write_u64(&mut got, n);
+            assert_eq!(got, format!("n={n}"));
+        }
     }
 
     #[test]

@@ -8,9 +8,11 @@
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
-use ntadoc::{QueryKey, TaskOutput};
+use ntadoc::{CachedOutput, QueryKey, TaskOutput};
 
-/// FIFO-evicting map from `(snapshot, query key)` to a shared task output.
+/// FIFO-evicting map from `(snapshot, query key)` to a shared task output
+/// and, once the entry has been hit and sent, that output's encoding
+/// ([`CachedOutput`]).
 ///
 /// FIFO rather than LRU keeps eviction order a pure function of the insert
 /// sequence — one less source of replay divergence, and the hot-entry reuse
@@ -24,7 +26,7 @@ use ntadoc::{QueryKey, TaskOutput};
 #[derive(Debug, Default)]
 pub struct ResultCache {
     capacity: usize,
-    entries: HashMap<u64, HashMap<QueryKey, Arc<TaskOutput>>>,
+    entries: HashMap<u64, HashMap<QueryKey, Arc<CachedOutput>>>,
     order: VecDeque<(u64, QueryKey)>,
     resident: usize,
     hits: u64,
@@ -40,7 +42,7 @@ impl ResultCache {
 
     /// Look up a query under a snapshot, counting the hit or miss. Borrows
     /// the key — no allocation on either outcome.
-    pub fn get(&mut self, snapshot: u64, key: &QueryKey) -> Option<Arc<TaskOutput>> {
+    pub fn get(&mut self, snapshot: u64, key: &QueryKey) -> Option<Arc<CachedOutput>> {
         let found = self.entries.get(&snapshot).and_then(|m| m.get(key)).cloned();
         match found {
             Some(out) => {
@@ -54,13 +56,14 @@ impl ResultCache {
         }
     }
 
-    /// Insert an output, evicting the oldest entry when at capacity.
+    /// Insert an output, not encoded, evicting the oldest entry when at
+    /// capacity.
     pub fn insert(&mut self, snapshot: u64, key: QueryKey, out: Arc<TaskOutput>) {
         if self.capacity == 0 {
             return;
         }
         let lane = self.entries.entry(snapshot).or_default();
-        if lane.insert(key.clone(), out).is_some() {
+        if lane.insert(key.clone(), Arc::new(CachedOutput::new(out))).is_some() {
             return; // refreshed in place; insertion order unchanged
         }
         self.resident += 1;
@@ -102,6 +105,13 @@ impl ResultCache {
     /// True when nothing is cached.
     pub fn is_empty(&self) -> bool {
         self.resident == 0
+    }
+
+    /// `(entries, bytes)` of the encodings resident entries hold: one per
+    /// entry that was hit and sent, none for an entry that never was.
+    pub fn memoized(&self) -> (usize, usize) {
+        let lens = self.entries.values().flat_map(HashMap::values).filter_map(|e| e.encoded_len());
+        lens.fold((0, 0), |(n, bytes), len| (n + 1, bytes + len))
     }
 
     /// Lifetime (hits, misses) counters.
@@ -186,6 +196,21 @@ mod tests {
         c.retain_snapshots(&[3]);
         assert_eq!(c.len(), 1);
         assert!(!c.is_empty());
+    }
+
+    #[test]
+    fn an_encoding_is_made_by_the_first_ask_and_leaves_with_its_entry() {
+        let mut c = ResultCache::new(1);
+        c.insert(1, key(Task::WordCount, None), out("a", 1));
+        assert_eq!(c.memoized(), (0, 0), "an insert encodes nothing");
+        let hit = c.get(1, &key(Task::WordCount, None)).unwrap();
+        assert_eq!(c.memoized(), (0, 0), "nor does a lookup");
+        assert_eq!(hit.encoded(), r#"{"a":1}"#);
+        assert_eq!(c.memoized(), (1, 7));
+        let again = c.get(1, &key(Task::WordCount, None)).unwrap();
+        assert!(std::ptr::eq(hit.encoded(), again.encoded()), "one encoding per entry");
+        c.insert(1, key(Task::Sort, None), out("b", 2)); // evicts it
+        assert_eq!(c.memoized(), (0, 0));
     }
 
     #[test]

@@ -191,6 +191,12 @@ impl QueryDaemon {
         self.cache.counters()
     }
 
+    /// The result cache, for its counters (entries resident, encodings
+    /// held).
+    pub fn cache(&self) -> &ResultCache {
+        &self.cache
+    }
+
     /// Fraction of lookups answered from cache.
     pub fn cache_hit_rate(&self) -> f64 {
         self.cache.hit_rate()
@@ -406,14 +412,13 @@ impl QueryDaemon {
         let mut miss_groups: BTreeMap<ntadoc::QueryKey, Vec<usize>> = BTreeMap::new();
         for (i, p) in taken.iter().enumerate() {
             let key = p.query.key();
-            if let Some(out) = self.cache.get(fp, &key) {
-                responses[i] = Some(QueryResponse {
-                    tenant: p.query.tenant,
-                    task: p.query.task,
-                    output: out,
-                    cache_hit: true,
-                    snapshot: snapshot.clone(),
-                });
+            if let Some(cached) = self.cache.get(fp, &key) {
+                responses[i] = Some(QueryResponse::from_cache(
+                    p.query.tenant,
+                    p.query.task,
+                    cached,
+                    snapshot.clone(),
+                ));
             } else {
                 miss_groups.entry(key).or_default().push(i);
             }
@@ -427,13 +432,12 @@ impl QueryDaemon {
             for ((key, idxs), resp) in miss_groups.into_iter().zip(served) {
                 self.cache.insert(fp, key, resp.output.clone());
                 for i in idxs {
-                    responses[i] = Some(QueryResponse {
-                        tenant: taken[i].query.tenant,
-                        task: resp.task,
-                        output: resp.output.clone(),
-                        cache_hit: false,
-                        snapshot: snapshot.clone(),
-                    });
+                    responses[i] = Some(QueryResponse::computed(
+                        taken[i].query.tenant,
+                        resp.task,
+                        resp.output.clone(),
+                        snapshot.clone(),
+                    ));
                 }
             }
         }
@@ -468,12 +472,12 @@ impl QueryDaemon {
 
 /// Per-tenant served-queries counter name, e.g. `serve.tenant:3.served`.
 fn served_metric(tenant: TenantId) -> String {
-    format!("{}.served", labeled("serve.tenant", tenant))
+    labeled("serve.tenant", format_args!("{tenant}.served"))
 }
 
 /// Per-tenant rejected-queries counter name, e.g. `serve.tenant:3.rejected`.
 fn rejected_metric(tenant: TenantId) -> String {
-    format!("{}.rejected", labeled("serve.tenant", tenant))
+    labeled("serve.tenant", format_args!("{tenant}.rejected"))
 }
 
 #[cfg(test)]

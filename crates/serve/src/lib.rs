@@ -7,16 +7,20 @@
 //! across tenants, and answered from a snapshot-keyed result cache when an
 //! identical query already ran — a cache hit touches **zero** device lines.
 //!
-//! Three layers:
+//! Four layers:
 //!
 //! * [`ResultCache`] — `(snapshot_version, QueryKey) → Arc<TaskOutput>`
-//!   with FIFO eviction. Keyed on the grammar fingerprint, so installing a
+//!   with FIFO eviction, plus the output's encoding once a hit on the entry
+//!   has been sent. Keyed on the grammar fingerprint, so installing a
 //!   re-compressed corpus invalidates every stale entry structurally.
 //! * [`QueryDaemon`] — the event loop. [`QueryDaemon::run_trace`] replays an
 //!   arrival trace deterministically in virtual time (identical trace ⇒
 //!   bit-identical responses and latencies for any worker count);
 //!   [`QueryDaemon::execute`] serves one query interactively (the CLI path).
 //! * [`TraceSpec`] — seeded open-loop workload generator for benches/tests.
+//! * [`WireServer`] — the daemon behind `ntadoc serve`'s line protocol:
+//!   request lines decoded and checked, reply lines written without a JSON
+//!   tree, over any stream that reads and writes.
 //!
 //! The event loop is hand-rolled and synchronous: "async" here means
 //! *arrivals interleave in virtual time*, which a discrete-event loop models
@@ -43,10 +47,12 @@
 mod cache;
 mod daemon;
 mod trace;
+mod wire;
 
 pub use cache::ResultCache;
 pub use daemon::{Completion, QueryDaemon, Rejection, TraceOutcome};
 pub use trace::{percentile_ns, TraceEvent, TraceSpec};
+pub use wire::{WireServer, MAX_REQUEST_BYTES};
 
 use ntadoc::{RunReport, TenantId};
 use ntadoc_pmem::PmemError;

@@ -27,5 +27,5 @@ pub use ntadoc_pmem::{
 };
 pub use ntadoc_serve::{
     percentile_ns, shard_reads_total, Completion, DaemonConfig, QueryDaemon, Rejection,
-    ResultCache, ServeError, TraceEvent, TraceOutcome, TraceSpec,
+    ResultCache, ServeError, TraceEvent, TraceOutcome, TraceSpec, WireServer,
 };

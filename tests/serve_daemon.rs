@@ -1,16 +1,20 @@
 //! Cross-crate integration tests for the multi-tenant serve daemon:
 //! cache correctness (byte-identical hits, zero device-line reads,
-//! snapshot invalidation), admission control (typed rejections, quota
+//! snapshot invalidation), the flat cost of a hit in allocations — inside
+//! the daemon and out through the reply writer — admission control (typed rejections, quota
 //! release), batching amortization (fewer total lines touched than
 //! unbatched serving), and trace determinism across worker counts.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::io::{Read, Write};
+use std::os::unix::net::UnixStream;
 
 use ntadoc_pmem::par;
 use ntadoc_repro::{
-    compress_corpus, shard_reads_total, Compressed, DaemonConfig, Engine, EngineConfig, Query,
-    QueryDaemon, ServeError, Task, TenantId, TokenizerConfig, TraceSpec, METRIC_DRAM_PEAK,
+    compress_corpus, shard_reads_total, Compressed, DaemonConfig, Engine, EngineConfig, Json,
+    Query, QueryDaemon, ServeError, Task, TenantId, TokenizerConfig, TraceSpec, WireServer,
+    METRIC_DRAM_PEAK,
 };
 
 // ---------------------------------------------------------------------------
@@ -108,6 +112,91 @@ fn cache_hits_stay_on_a_flat_allocation_budget() {
     assert_eq!(second, first, "per-hit allocations must not grow between batches");
     let per_hit = first as f64 / 64.0;
     assert!(per_hit <= 16.0, "cache hits allocate too much: {per_hit:.1} allocations per hit");
+}
+
+/// One connection over a socketpair. A client thread sends `requests` and
+/// then reads every reply; the server's end is served on this thread, so
+/// the allocations counted are the serving side's and nothing else's.
+/// Returns the parsed replies and that count.
+fn wire_exchange(server: &mut WireServer, requests: &[&str]) -> (Vec<Json>, u64) {
+    let (ours, mut theirs) = UnixStream::pair().unwrap();
+    let sends: String = requests.iter().map(|r| format!("{r}\n")).collect();
+    let client = std::thread::spawn(move || {
+        theirs.write_all(sends.as_bytes()).unwrap();
+        theirs.shutdown(std::net::Shutdown::Write).unwrap();
+        let mut replies = String::new();
+        theirs.read_to_string(&mut replies).unwrap();
+        replies
+    });
+    let before = thread_allocs();
+    let shutdown = server.serve_connection(&ours).unwrap();
+    let allocs = thread_allocs() - before;
+    assert!(!shutdown);
+    drop(ours); // the client's end of stream
+    let replies = client.join().unwrap();
+    (replies.lines().map(|line| Json::parse(line).unwrap()).collect(), allocs)
+}
+
+/// The daemon's own counters, asked for on the wire.
+fn wire_stats<const N: usize>(server: &mut WireServer, names: [&str; N]) -> [u64; N] {
+    let (replies, _) = wire_exchange(server, &[r#"{"op":"stats"}"#]);
+    names.map(|name| replies[0].get(name).and_then(Json::as_u64).expect(name))
+}
+
+#[test]
+fn a_hit_through_the_reply_writer_costs_the_same_whatever_its_rows() {
+    // 2 000 distinct words: the full word count has 2 000 rows (≈ 22 KB
+    // encoded, sent from where the cache keeps it), `top` 10 has ten
+    // (copied behind the reply's first members). Built as a tree, the full
+    // reply cost an allocation per row and more.
+    const ROWS: usize = 2000;
+    let words: Vec<String> = (0..ROWS).map(|i| format!("w{i:04}")).collect();
+    let comp = compress_corpus(&[("wide".into(), words.join(" "))], &TokenizerConfig::default());
+    let mut server = WireServer::new(daemon_over(&comp, DaemonConfig::default()));
+    let full = r#"{"op":"query","task":"wordcount","tenant":1}"#;
+    let top = r#"{"op":"query","task":"wordcount","tenant":1,"top":10}"#;
+
+    // Each key's miss, then the hit that encodes it.
+    let (warming, _) = wire_exchange(&mut server, &[full, full, top, top]);
+    let rows = |reply: &Json| reply.get("output").and_then(Json::as_obj).unwrap().len();
+    assert_eq!((rows(&warming[1]), rows(&warming[3])), (ROWS, 10));
+    let hits = |server: &mut WireServer, request: &str| {
+        let (replies, allocs) = wire_exchange(server, &[request; 64]);
+        assert!(replies.iter().all(|r| r.get("cache_hit").and_then(Json::as_bool) == Some(true)));
+        allocs
+    };
+    // Warm every lazily-grown structure, then hold both keys to a budget.
+    hits(&mut server, full);
+    let (full_allocs, top_allocs) = (hits(&mut server, full), hits(&mut server, top));
+    assert_eq!(hits(&mut server, full), full_allocs, "allocations per hit grew between batches");
+    let (per_full, per_top) = (full_allocs as f64 / 64.0, top_allocs as f64 / 64.0);
+    assert!(
+        (per_full - per_top).abs() <= 2.0,
+        "a hit's allocations follow its rows: {per_full:.1} for {ROWS} rows, {per_top:.1} for 10"
+    );
+    assert!(per_full <= 24.0, "a hit allocates too much: {per_full:.1} calls, request to reply");
+
+    // However many hits followed, each key hit was encoded exactly once.
+    let counters = ["cache_hits", "cache_misses", "memoized_entries", "cache_entries"];
+    assert_eq!(wire_stats(&mut server, counters), [2 + 4 * 64, 2, 2, 2]);
+    let [memoized] = wire_stats(&mut server, ["memoized_bytes"]);
+    let encoded = |reply: &Json| reply.get("output").unwrap().compact().len() as u64;
+    assert_eq!(memoized, encoded(&warming[1]) + encoded(&warming[3]));
+}
+
+#[test]
+fn a_cold_run_of_distinct_misses_memoizes_nothing() {
+    let comp = corpus();
+    let mut server = WireServer::new(daemon_over(&comp, DaemonConfig::default()));
+    let requests: Vec<String> =
+        (1..=40).map(|k| format!(r#"{{"op":"query","task":"sort","top":{k}}}"#)).collect();
+    let (replies, _) =
+        wire_exchange(&mut server, &requests.iter().map(String::as_str).collect::<Vec<_>>());
+    assert_eq!(replies.len(), 40);
+    assert!(replies.iter().all(|r| r.get("cache_hit").and_then(Json::as_bool) == Some(false)));
+    let counters =
+        ["cache_misses", "cache_hits", "cache_entries", "memoized_entries", "memoized_bytes"];
+    assert_eq!(wire_stats(&mut server, counters), [40, 0, 40, 0, 0]);
 }
 
 #[test]
