@@ -6,7 +6,7 @@ use std::path::PathBuf;
 
 use ntadoc::{
     ingest_corpus, Accessor, Engine, EngineConfig, IngestOptions, Persistence, PoolBackend,
-    PoolLayoutConfig, Task, TaskOutput,
+    PoolLayoutConfig, RunReport, Task, TaskOutput,
 };
 use ntadoc_grammar::{
     deserialize_compressed, serialize_compressed, Compressed, CorpusBuilder, TokenizerConfig,
@@ -19,7 +19,7 @@ pub const USAGE: &str = "usage:
   ntadoc append <corpus.ntdc> <file|dir>... [-o <out.ntdc>]
   ntadoc stats <corpus.ntdc>
   ntadoc run <task> <corpus.ntdc> [--device nvm|dram|ssd|hdd|reram|pcm]
-             [--persistence phase|op] [--naive] [--top N] [--ngram N]
+             [--persistence phase|op|none] [--naive] [--top N] [--ngram N]
              [--trace-out <report.json>] [--pool <pool.ntdp>] [--backend file|mmap]
              [--layout fixed|varint]
   ntadoc search <corpus.ntdc> <word>...
@@ -400,18 +400,23 @@ fn run(args: &[String]) -> CmdResult {
             pool.display(),
             backend.name(),
         );
-        return Ok(());
+        return write_trace(trace_out, &session.report());
     }
     let out = engine.run(task).map_err(fail)?;
     print_done(out, top);
     let rep = engine.last_report.as_ref().expect("report");
     eprintln!("\n{}", rep.summary_line());
-    if let Some(path) = trace_out {
-        fs::write(&path, rep.to_json().pretty())
-            .map_err(|e| fail(format!("--trace-out {}: {e}", path.display())))?;
-        eprintln!("span tree:\n{}", rep.spans.render());
-        eprintln!("[trace] wrote report v{} to {}", rep.version, path.display());
-    }
+    write_trace(trace_out, rep)
+}
+
+/// `--trace-out`: the run's report as JSON at `path`, its span tree on
+/// stderr. Without the flag, nothing.
+fn write_trace(path: Option<PathBuf>, rep: &RunReport) -> CmdResult {
+    let Some(path) = path else { return Ok(()) };
+    fs::write(&path, rep.to_json().pretty())
+        .map_err(|e| fail(format!("--trace-out {}: {e}", path.display())))?;
+    eprintln!("span tree:\n{}", rep.spans.render());
+    eprintln!("[trace] wrote report v{} to {}", rep.version, path.display());
     Ok(())
 }
 
@@ -775,6 +780,43 @@ mod tests {
             assert!(matches!(run(args), CliError::Failed(_)), "{args:?} is a run-time failure");
         }
         assert!(run(&["run", "wordcount", &corrupt]).to_string().contains("checksum"));
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    /// `--trace-out` writes the report whether the run was in memory or
+    /// over a pool file (created, then reopened), and `none` is a
+    /// persistence the usage text owns up to.
+    #[test]
+    fn trace_out_is_written_with_and_without_a_pool() {
+        let dir = std::env::temp_dir().join(format!("ntadoc-cli-trace-{}", std::process::id()));
+        fs::create_dir_all(&dir).unwrap();
+        let text = dir.join("text.txt");
+        fs::write(&text, "alpha beta gamma alpha beta gamma delta").unwrap();
+        let path = |name: &str| dir.join(name).display().to_string();
+        let (image, pool) = (path("corpus.ntdc"), path("pool.ntdp"));
+        let run = |args: &[&str]| dispatch(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>());
+        run(&["compress", &text.display().to_string(), "-o", &image]).unwrap();
+
+        for (name, extra) in [
+            ("memory.json", &[][..]),
+            ("created.json", &["--pool", &pool]),
+            ("reopened.json", &["--pool", &pool, "--backend", "mmap"]),
+            ("unpersisted.json", &["--persistence", "none"]),
+        ] {
+            let report = path(name);
+            let mut args = vec!["run", "wordcount", &image, "--trace-out", &report];
+            args.extend_from_slice(extra);
+            run(&args).unwrap();
+            let written = fs::read_to_string(&report).unwrap_or_else(|e| panic!("{name}: {e}"));
+            let rep = RunReport::from_json(&ntadoc_pmem::Json::parse(&written).unwrap())
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert_eq!(rep.task, Task::WordCount, "{name}");
+            assert!(rep.total_ns() > 0, "{name}");
+        }
+        let unwritable = path("no-such-dir/report.json");
+        let err = run(&["run", "wordcount", &image, "--pool", &pool, "--trace-out", &unwritable]);
+        assert!(matches!(err, Err(CliError::Failed(m)) if m.starts_with("--trace-out ")));
+        assert!(USAGE.contains("--persistence phase|op|none"));
         fs::remove_dir_all(&dir).ok();
     }
 

@@ -9,7 +9,7 @@
 //! ```
 //!
 //! `run` options: `--device nvm|dram|ssd|hdd|reram|pcm`,
-//! `--persistence phase|op`, `--naive`, `--top N`, `--ngram N`,
+//! `--persistence phase|op|none`, `--naive`, `--top N`, `--ngram N`,
 //! `--trace-out <report.json>` (write the versioned run report — span
 //! tree, metric snapshot, access stats — as JSON).
 

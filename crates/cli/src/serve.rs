@@ -320,6 +320,18 @@ mod tests {
     }
 
     #[test]
+    fn a_deeply_nested_request_gets_bad_request_and_the_daemon_lives() {
+        daemon_survives("nested", |sock| {
+            // Fits the line cap; parsed by recursion, it overflowed the stack.
+            let mut line = vec![b'['; 60_000];
+            line.push(b'\n');
+            let reply = raw_exchange(sock, &line);
+            assert_eq!(reply.get("kind").and_then(Json::as_str), Some("bad_request"));
+            assert!(reply.get("error").and_then(Json::as_str).unwrap().contains("nesting"));
+        });
+    }
+
+    #[test]
     fn an_oversized_request_line_gets_bad_request_and_the_daemon_lives() {
         daemon_survives("oversized", |sock| {
             // 1 MiB and no newline: answered without being buffered whole.

@@ -17,8 +17,7 @@
 //! recur across files (grammar rules emerge), rare/novel words keep the
 //! vocabulary growing with corpus size, as in Table I.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use ntadoc_pmem::Prng;
 
 pub mod words;
 
@@ -141,8 +140,8 @@ impl Zipf {
     }
 
     /// Draw a rank in `0..n` (0 = most frequent).
-    pub fn sample(&self, rng: &mut impl Rng) -> usize {
-        let u: f64 = rng.gen();
+    pub fn sample(&self, rng: &mut Prng) -> usize {
+        let u = rng.unit();
         match self.cdf.binary_search_by(|p| p.partial_cmp(&u).unwrap()) {
             Ok(i) | Err(i) => i.min(self.cdf.len() - 1),
         }
@@ -152,14 +151,14 @@ impl Zipf {
 /// Generate the corpus: `(file name, contents)` pairs, deterministic in
 /// the spec.
 pub fn generate(spec: &DatasetSpec) -> Vec<(String, String)> {
-    let mut rng = StdRng::seed_from_u64(spec.seed);
+    let mut rng = Prng::new(spec.seed);
     let word_zipf = Zipf::new(spec.core_vocab, 1.05);
     let phrase_zipf = Zipf::new(spec.phrases, 1.25);
 
     // Phrase library: 3-9 Zipfian core words each.
     let phrases: Vec<Vec<usize>> = (0..spec.phrases)
         .map(|_| {
-            let len = rng.gen_range(4..=14);
+            let len = rng.range(4, 14);
             (0..len).map(|_| word_zipf.sample(&mut rng)).collect()
         })
         .collect();
@@ -170,7 +169,7 @@ pub fn generate(spec: &DatasetSpec) -> Vec<(String, String)> {
         let mut text = String::with_capacity(spec.tokens_per_file * 7);
         let mut tokens = 0usize;
         // Mild per-file length variation (±25%).
-        let target = spec.tokens_per_file * rng.gen_range(75..=125) / 100;
+        let target = spec.tokens_per_file * rng.range(75, 125) as usize / 100;
         while tokens < target.max(1) {
             let phrase = &phrases[phrase_zipf.sample(&mut rng)];
             for &w in phrase {
@@ -178,7 +177,7 @@ pub fn generate(spec: &DatasetSpec) -> Vec<(String, String)> {
                 text.push(' ');
                 tokens += 1;
             }
-            if rng.gen_bool(spec.novel_rate) {
+            if rng.chance(spec.novel_rate) {
                 // Novel words grow the vocabulary with corpus size.
                 text.push_str(&format!("nv{novel_counter}q "));
                 novel_counter += 1;
@@ -245,7 +244,7 @@ mod tests {
     #[test]
     fn zipf_prefers_low_ranks() {
         let z = Zipf::new(1000, 1.05);
-        let mut rng = StdRng::seed_from_u64(7);
+        let mut rng = Prng::new(7);
         let mut low = 0;
         let n = 10_000;
         for _ in 0..n {
@@ -260,7 +259,7 @@ mod tests {
     #[test]
     fn zipf_covers_the_range() {
         let z = Zipf::new(5, 1.0);
-        let mut rng = StdRng::seed_from_u64(3);
+        let mut rng = Prng::new(3);
         let mut seen = [false; 5];
         for _ in 0..1000 {
             seen[z.sample(&mut rng)] = true;

@@ -263,8 +263,7 @@ impl DigramIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::collection::vec;
-    use proptest::prelude::*;
+    use ntadoc_pmem::{for_each_case, Prng};
     use std::collections::HashSet;
 
     /// Index `keys` and count the distinct home buckets they start from.
@@ -280,16 +279,8 @@ mod tests {
     #[test]
     fn both_symbols_reach_the_bucket_bits() {
         // What uniformly random keys do: 4 096 draws of a splitmix64 stream.
-        let mut x = 0x1234_5678_9ABC_DEF0u64;
-        let random: Vec<u64> = (0..4096)
-            .map(|_| {
-                x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-                let mut z = x;
-                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-                z ^ (z >> 31)
-            })
-            .collect();
+        let mut rng = Prng::new(0x1234_5678_9ABC_DEF0);
+        let random: Vec<u64> = (0..4096).map(|_| rng.next_u64()).collect();
         let random = distinct_homes(&random);
         for fixed in [Symbol::word(7), Symbol::rule(7), Symbol::word(40_000)] {
             let first_varies: Vec<u64> =
@@ -324,7 +315,7 @@ mod tests {
     /// One step of the model test. Keys are drawn from a small space so
     /// that operations meet; a node is made for every (re-)insertion, as
     /// Sequitur's nodes are.
-    #[derive(Debug, Clone)]
+    #[derive(Debug, Clone, Copy)]
     enum Op {
         GetOrInsert(u64),
         Insert(u64),
@@ -335,30 +326,31 @@ mod tests {
         Get(u64),
     }
 
-    fn op_strategy() -> impl Strategy<Value = Op> {
-        (0u8..8, 0u64..600, 0usize..4).prop_map(|(kind, k, n)| {
-            // Keys that differ in one symbol only, like real digrams.
-            let key = if k % 2 == 0 { (k / 2) << 32 | 9 } else { 9 << 32 | (k / 2) };
-            match kind {
-                0..=2 => Op::GetOrInsert(key),
-                3 => Op::Insert(key),
-                4..=6 => Op::RemoveIf(key, n),
-                _ => Op::Get(key),
-            }
-        })
+    fn op(rng: &mut Prng) -> Op {
+        let (kind, k, n) = (rng.next_below(8), rng.next_below(600), rng.next_below(4) as usize);
+        // Keys that differ in one symbol only, like real digrams.
+        let key = if k % 2 == 0 { (k / 2) << 32 | 9 } else { 9 << 32 | (k / 2) };
+        match kind {
+            0..=2 => Op::GetOrInsert(key),
+            3 => Op::Insert(key),
+            4..=6 => Op::RemoveIf(key, n),
+            _ => Op::Get(key),
+        }
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
-
-        #[test]
-        fn index_agrees_with_a_hash_map(ops in vec(op_strategy(), 0..3000)) {
+    #[test]
+    fn index_agrees_with_a_hash_map() {
+        let ops = |rng: &mut Prng| {
+            let len = rng.next_below(3000);
+            (0..len).map(|_| op(rng)).collect::<Vec<Op>>()
+        };
+        for_each_case("index_agrees_with_a_hash_map", 0xD16A_0001, 64, ops, |ops| {
             let mut index = DigramIndex::new();
             let mut model: HashMap<u64, NodeId> = HashMap::new();
             // Node id → its key; key → every node made for it.
             let mut keys: Vec<u64> = Vec::new();
             let mut made: HashMap<u64, Vec<NodeId>> = HashMap::new();
-            for op in ops {
+            for &op in ops {
                 match op {
                     Op::GetOrInsert(key) | Op::Insert(key) => {
                         let node = keys.len() as NodeId;
@@ -370,7 +362,7 @@ mod tests {
                             model.insert(key, node);
                         } else {
                             let got = index.get_or_insert(key, node, key_of);
-                            prop_assert_eq!(got, model.get(&key).copied());
+                            assert_eq!(got, model.get(&key).copied());
                             model.entry(key).or_insert(node);
                         }
                     }
@@ -383,18 +375,15 @@ mod tests {
                         }
                     }
                     Op::Get(key) => {
-                        prop_assert_eq!(
-                            index.get(key, |n| keys[n as usize]),
-                            model.get(&key).copied()
-                        );
+                        assert_eq!(index.get(key, |n| keys[n as usize]), model.get(&key).copied());
                     }
                 }
             }
             index.assert_consistent(|n| keys[n as usize]);
-            prop_assert_eq!(index.len, model.len());
+            assert_eq!(index.len, model.len());
             for (&key, &node) in &model {
-                prop_assert_eq!(index.get(key, |n| keys[n as usize]), Some(node));
+                assert_eq!(index.get(key, |n| keys[n as usize]), Some(node));
             }
-        }
+        });
     }
 }

@@ -443,6 +443,7 @@ impl TaskOutput {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ntadoc_pmem::Prng;
 
     #[test]
     fn all_lists_six_tasks() {
@@ -502,18 +503,14 @@ mod tests {
         "日本", "z\"\\z",
     ];
 
-    /// splitmix64, for outputs that are generated but the same every run;
-    /// `tidy` draws words a tokenizer could have produced, whose grams the
-    /// one-pass writer takes in stride.
-    struct Draw(u64, bool);
+    /// Outputs that are generated but the same every run; `tidy` draws
+    /// words a tokenizer could have produced, whose grams the one-pass
+    /// writer takes in stride.
+    struct Draw(Prng, bool);
 
     impl Draw {
         fn below(&mut self, n: usize) -> usize {
-            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = self.0;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            ((z ^ (z >> 31)) % n as u64) as usize
+            self.0.next_below(n as u64) as usize
         }
         fn word(&mut self) -> String {
             let pool = if self.1 { &["a", "ab", "b", "c!", "é"][..] } else { &HOSTILE[..] };
@@ -551,7 +548,7 @@ mod tests {
     #[test]
     fn write_json_is_the_compact_tree_byte_for_byte() {
         for tidy in [false, true] {
-            let mut d = Draw(21, tidy);
+            let mut d = Draw(Prng::new(21), tidy);
             for rows in [0, 1, 2, 5, 12, 40] {
                 for _ in 0..20 {
                     generated(&mut d, rows).iter().for_each(assert_writes_the_tree_bytes);

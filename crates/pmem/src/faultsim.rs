@@ -54,6 +54,28 @@ impl Prng {
         debug_assert!(bound > 0);
         self.next_u64() % bound
     }
+
+    /// Uniform value in `lo..=hi` from one draw; `lo <= hi`.
+    pub fn range(&mut self, lo: u64, hi: u64) -> u64 {
+        debug_assert!(lo <= hi);
+        let draw = self.next_u64();
+        // `lo..=hi` covering every `u64` has a span of 2^64, which wraps to 0.
+        match (hi - lo).wrapping_add(1) {
+            0 => draw,
+            span => lo + draw % span,
+        }
+    }
+
+    /// Uniform `f64` in `[0, 1)`: the top 53 bits of one draw.
+    pub fn unit(&mut self) -> f64 {
+        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
+    }
+
+    /// True with probability `p`, defined as `unit() < p`: one draw
+    /// whatever `p` is.
+    pub fn chance(&mut self, p: f64) -> bool {
+        self.unit() < p
+    }
 }
 
 /// The torn-crash survival decision for one media line, shared between
@@ -84,6 +106,38 @@ pub fn torn_word_survives(rng: &mut Prng) -> bool {
 /// sweep panic/assert message.
 pub fn sweep_ctx(label: &str, seed: u64, point: u64) -> String {
     format!("{label} [torn seed {seed}, point {point}; replay with NTADOC_SWEEP_SEEDS={seed}]")
+}
+
+/// A property as a seeded loop: `check` runs on `cases` inputs, case `n`'s
+/// drawn by `generate` from `Prng::new(seed ^ n)`. When `check` panics, the
+/// case number and the input's `Debug` are printed after the assertion's
+/// own message, so a failure is replayed by generating that one input
+/// again; nothing is shrunk and nothing is saved between runs.
+pub fn for_each_case<T: std::fmt::Debug>(
+    property: &str,
+    seed: u64,
+    cases: u64,
+    mut generate: impl FnMut(&mut Prng) -> T,
+    mut check: impl FnMut(&T),
+) {
+    /// Says which input was being checked when a panic drops it.
+    struct Checking<'a, T: std::fmt::Debug>(&'a str, u64, u64, &'a T);
+    impl<T: std::fmt::Debug> Drop for Checking<'_, T> {
+        fn drop(&mut self) {
+            if std::thread::panicking() {
+                let Checking(property, seed, case, input) = self;
+                eprintln!(
+                    "property `{property}` failed at case {case}, \
+                     drawn from Prng::new({seed:#x} ^ {case}); input: {input:?}"
+                );
+            }
+        }
+    }
+    for case in 0..cases {
+        let input = generate(&mut Prng::new(seed ^ case));
+        let _checking = Checking(property, seed, case, &input);
+        check(&input);
+    }
 }
 
 /// Where in a workload's operation stream to inject the crash.
@@ -202,6 +256,31 @@ mod tests {
         for _ in 0..1000 {
             assert!(p.next_below(17) < 17);
         }
+    }
+
+    #[test]
+    fn range_unit_and_chance_are_one_draw_each_with_the_documented_meaning() {
+        let unit_of = |draw: u64| (draw >> 11) as f64 / (1u64 << 53) as f64;
+        let (mut p, mut q) = (Prng::new(5), Prng::new(5));
+        for _ in 0..1000 {
+            assert_eq!(p.range(3, 9), 3 + q.next_u64() % 7);
+            let unit = p.unit();
+            assert_eq!(unit, unit_of(q.next_u64()));
+            assert!((0.0..1.0).contains(&unit));
+            assert_eq!(p.chance(0.3), unit_of(q.next_u64()) < 0.3);
+        }
+        assert_eq!(p.range(0, u64::MAX), q.next_u64());
+        assert_eq!(p.range(4, 4), 4);
+        assert!(!p.chance(0.0) && p.chance(1.0));
+        assert_eq!(unit_of(u64::MAX), 1.0 - f64::EPSILON / 2.0);
+    }
+
+    #[test]
+    fn for_each_case_draws_case_n_from_seed_xor_n() {
+        let mut seen = Vec::new();
+        for_each_case("draws", 0xABC, 4, |rng| rng.next_u64(), |&x| seen.push(x));
+        let expect: Vec<u64> = (0..4).map(|n| Prng::new(0xABC ^ n).next_u64()).collect();
+        assert_eq!(seen, expect);
     }
 
     #[test]

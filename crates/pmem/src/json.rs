@@ -35,6 +35,16 @@ pub enum Json {
     Obj(BTreeMap<String, Json>),
 }
 
+/// Deepest nesting of arrays and objects [`Json::parse`] accepts; a document
+/// with more containers open at once is refused with a [`JsonError`] at the
+/// bracket that opens the one too many. The parser recurses once per open
+/// container and its input may come from a socket, so the depth it can be
+/// driven to has to be a constant. The deepest document this workspace
+/// writes is `serve_load`'s experiment document, 12 containers down where it
+/// embeds a `RunReport` (itself 7: report, span tree, `children` arrays);
+/// 128 leaves tenfold headroom and is a few kilobytes of stack.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parse failure: what went wrong and the byte offset it happened at.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JsonError {
@@ -219,9 +229,9 @@ impl Json {
     }
 
     /// Parse a complete JSON document (trailing whitespace allowed,
-    /// trailing garbage rejected).
+    /// trailing garbage rejected, nesting up to [`MAX_DEPTH`]).
     pub fn parse(input: &str) -> Result<Json, JsonError> {
-        let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
+        let mut p = Parser { bytes: input.as_bytes(), pos: 0, depth: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -309,6 +319,8 @@ pub fn write_u64(out: &mut String, mut n: u64) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Containers open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -346,8 +358,8 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Json, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -356,6 +368,20 @@ impl<'a> Parser<'a> {
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    /// Parse the container at `pos`, one level further down.
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let v = container(self);
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<Json, JsonError> {
@@ -485,7 +511,13 @@ impl<'a> Parser<'a> {
                 return Ok(Json::U64(n));
             }
         }
-        text.parse::<f64>().map(Json::F64).map_err(|_| self.err("invalid number"))
+        match text.parse::<f64>() {
+            // A literal too large for `f64` parses to infinity, which the
+            // writer can only spell `null`.
+            Ok(n) if n.is_finite() => Ok(Json::F64(n)),
+            Ok(_) => Err(self.err("number out of range")),
+            Err(_) => Err(self.err("invalid number")),
+        }
     }
 }
 
@@ -553,6 +585,55 @@ mod tests {
             let err = Json::parse(bad).unwrap_err();
             assert!(!err.msg.is_empty(), "{bad} should fail");
         }
+    }
+
+    /// `depth` containers inside one another around a `1`: `opens[i % len]`
+    /// opens level `i`.
+    fn nest(depth: usize, opens: &[&str]) -> String {
+        let level = |i: usize| opens[i % opens.len()];
+        let mut doc: String = (0..depth).map(level).collect();
+        doc.push('1');
+        for i in (0..depth).rev() {
+            doc.push(if level(i) == "[" { ']' } else { '}' });
+        }
+        doc
+    }
+
+    #[test]
+    fn nesting_is_accepted_up_to_the_bound_and_refused_one_past_it() {
+        for opens in [&["["][..], &["{\"k\":"], &["[", "{\"k\":"], &["{\"k\":", "["]] {
+            let at_bound = nest(MAX_DEPTH, opens);
+            let tree = Json::parse(&at_bound).unwrap_or_else(|e| panic!("{opens:?}: {e}"));
+            assert_eq!(tree.compact(), at_bound);
+            let past = nest(MAX_DEPTH + 1, opens);
+            let err = Json::parse(&past).unwrap_err();
+            assert!(err.msg.contains("128 levels"), "{opens:?}: {err}");
+            // The offset is the bracket that opens level 129.
+            let last_open = past.rfind(['[', '{']).unwrap();
+            assert_eq!(err.at, last_open, "{opens:?}");
+        }
+        // Depth counts containers open at once, not containers in all.
+        let wide = format!("[{}]", vec![nest(MAX_DEPTH - 1, &["["]); 3].join(","));
+        assert!(Json::parse(&wide).is_ok());
+    }
+
+    #[test]
+    fn hostile_nesting_is_an_error_not_a_stack_overflow() {
+        // What a 64 KB request line can hold.
+        for doc in ["[".repeat(60_000), "{\"a\":".repeat(10_000), "[{\"a\":".repeat(9_000)] {
+            let err = Json::parse(&doc).unwrap_err();
+            assert!(err.msg.contains("nesting deeper"), "{err}");
+        }
+    }
+
+    #[test]
+    fn numbers_too_large_for_f64_are_refused() {
+        for bad in ["1e999", "-1e999", "[1e400]"] {
+            assert_eq!(Json::parse(bad).unwrap_err().msg, "number out of range", "{bad}");
+        }
+        // Twenty digits overflow `u64` and become the nearest float.
+        assert_eq!(Json::parse("99999999999999999999").unwrap(), Json::F64(1e20));
+        assert_eq!(Json::parse("18446744073709551615").unwrap(), Json::U64(u64::MAX));
     }
 
     #[test]

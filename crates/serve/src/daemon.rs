@@ -428,7 +428,17 @@ impl QueryDaemon {
         if !miss_groups.is_empty() {
             let uniq: Vec<Query> =
                 miss_groups.values().map(|idxs| taken[idxs[0]].query.clone()).collect();
-            let served = lane.serve.run_queries(&uniq)?;
+            let served = match lane.serve.run_queries(&uniq) {
+                Ok(served) => served,
+                Err(e) => {
+                    // The batch ends here without completions, and so do
+                    // its admissions: a refused query must not hold its
+                    // tenant's quota for ever.
+                    let ended = taken.iter().map(|p| Reverse((start_ns, p.query.tenant.0)));
+                    self.releases.extend(ended);
+                    return Err(e.into());
+                }
+            };
             for ((key, idxs), resp) in miss_groups.into_iter().zip(served) {
                 self.cache.insert(fp, key, resp.output.clone());
                 for i in idxs {
@@ -541,6 +551,18 @@ mod tests {
         assert_eq!(done.len(), 3);
         let after = done.iter().map(|c| c.done_ns).max().unwrap();
         d.submit(after + 1, Query::new(t, Task::InvertedIndex)).unwrap();
+    }
+
+    #[test]
+    fn a_query_the_engine_refuses_gives_its_quota_slot_back() {
+        let mut d = daemon(DaemonConfig { tenant_quota: 2, ..DaemonConfig::default() });
+        let t = TenantId(1);
+        // A file filter on a corpus-global task: admitted, then refused.
+        for _ in 0..5 {
+            let refused = d.execute(Query::new(t, Task::Sort).file_filter("a"));
+            assert!(matches!(refused, Err(ServeError::Engine(_))), "{refused:?}");
+        }
+        d.execute(Query::new(t, Task::Sort)).expect("the tenant's quota is free again");
     }
 
     #[test]

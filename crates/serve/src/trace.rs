@@ -5,8 +5,7 @@
 //! which the daemon then replays deterministically in virtual time.
 
 use ntadoc::{Query, Task, TenantId};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use ntadoc_pmem::Prng;
 
 /// One arrival: a typed query hitting the daemon at a virtual timestamp.
 #[derive(Debug, Clone)]
@@ -44,7 +43,7 @@ impl Default for TraceSpec {
 impl TraceSpec {
     /// Generate the arrival trace (sorted by `at_ns` by construction).
     pub fn generate(&self) -> Vec<TraceEvent> {
-        let mut rng = StdRng::seed_from_u64(self.seed);
+        let mut rng = Prng::new(self.seed);
         // Hot set: the queries tenants keep re-asking. Restricted to the
         // servable read-only tasks.
         let hot: Vec<(Task, Option<usize>)> = vec![
@@ -59,10 +58,10 @@ impl TraceSpec {
         let mut at_ns: u64 = 0;
         let mut events = Vec::with_capacity(self.queries);
         for _ in 0..self.queries {
-            at_ns = at_ns.saturating_add(rng.gen_range(0..=self.mean_gap_ns.saturating_mul(2)));
-            let tenant = TenantId(rng.gen_range(0..=tenant_max));
-            let query = if rng.gen_range(1..=100) <= self.hot_percent {
-                let (task, top_k) = hot[rng.gen_range(0..=hot.len() - 1)];
+            at_ns = at_ns.saturating_add(rng.range(0, self.mean_gap_ns.saturating_mul(2)));
+            let tenant = TenantId(rng.range(0, tenant_max.into()) as u32);
+            let query = if rng.range(1, 100) <= self.hot_percent.into() {
+                let (task, top_k) = hot[rng.next_below(hot.len() as u64) as usize];
                 let q = Query::new(tenant, task);
                 match top_k {
                     Some(k) => q.top_k(k),
@@ -70,8 +69,8 @@ impl TraceSpec {
                 }
             } else {
                 // Cold queries vary top-k so most miss the cache.
-                let task = cold[rng.gen_range(0..=cold.len() - 1)];
-                Query::new(tenant, task).top_k(rng.gen_range(1..=64))
+                let task = cold[rng.next_below(cold.len() as u64) as usize];
+                Query::new(tenant, task).top_k(rng.range(1, 64) as usize)
             };
             events.push(TraceEvent { at_ns, query });
         }

@@ -8,10 +8,11 @@
 //! and the `TaskOutput` itself. This test pins that, so a `Vec` per pool
 //! read or a `String` per posting cannot come back unnoticed. Counts are
 //! taken on the calling thread only (one worker runs everything there) and
-//! repeat exactly for one corpus; the budgets leave a few per cent of slack
-//! because the corpus comes from `rand`, whose stream differs between
-//! versions. EXPERIMENTS.md ("Where a run's wall time goes, after PR 18")
-//! has the counts before and after the change that introduced the budgets.
+//! repeat exactly for one corpus — and the corpus is one sequence of bytes
+//! on every host (`generated_corpora_and_the_default_trace_are_pinned`
+//! below), so the budgets are the counts. EXPERIMENTS.md ("Where a run's
+//! wall time goes, after PR 18") has the counts before and after the
+//! change that introduced the budgets.
 //!
 //! Ingest reads its tokens borrowed from the text and interns them by
 //! `&str`, so it allocates for words, rules and files and for nothing per
@@ -24,8 +25,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use ntadoc_repro::{
-    compress_corpus, generate, generate_compressed, ingest_corpus, Compressed, DatasetSpec, Engine,
-    EngineConfig, IngestOptions, Task, TokenizerConfig,
+    compress_corpus, crc64, generate, generate_compressed, ingest_corpus, Compressed, DatasetSpec,
+    Engine, EngineConfig, IngestOptions, Task, TokenizerConfig, TraceSpec,
 };
 
 thread_local! {
@@ -107,24 +108,24 @@ fn run_calls(task: Task) -> u64 {
 #[test]
 fn a_run_stays_inside_its_allocation_budget() {
     ntadoc_pmem::par::with_threads(1, || {
-        for (task, budget) in BUDGETS {
+        let measured = BUDGETS.map(|(task, _)| {
             let calls = run_calls(task);
             assert_eq!(calls, run_calls(task), "{task}: the count must repeat exactly");
-            println!("{task}: {calls} allocation calls (budget {budget})");
-            assert!(calls <= budget, "{task}: {calls} allocation calls, budget {budget}");
-        }
+            (task, calls)
+        });
+        assert_eq!(measured, BUDGETS, "allocation calls per run moved");
     });
 }
 
-/// Pinned per task: the count measured when the budget was set (in the
-/// comment; the parent commit's beside it), plus 5 %.
+/// Pinned per task: the count itself. One that falls is good news and a
+/// new pin; one that rises has to say what it bought.
 const BUDGETS: [(Task, u64); 6] = [
-    (Task::WordCount, 7_500),            //  7 079, was   9 784
-    (Task::Sort, 7_400),                 //  6 993, was   9 698
-    (Task::TermVector, 7_500),           //  7 069, was  25 479
-    (Task::InvertedIndex, 21_000),       // 19 994, was  47 131
-    (Task::SequenceCount, 41_000),       // 38 975, was  68 781
-    (Task::RankedInvertedIndex, 78_800), // 74 988, was 127 408
+    (Task::WordCount, 7_079),
+    (Task::Sort, 6_993),
+    (Task::TermVector, 7_069),
+    (Task::InvertedIndex, 19_994),
+    (Task::SequenceCount, 38_975),
+    (Task::RankedInvertedIndex, 74_988),
 ];
 
 /// What an ingest may allocate for: a dictionary entry per distinct word, a
@@ -159,4 +160,47 @@ fn ingest_allocates_per_word_rule_and_file_not_per_token() {
             assert!(calls < tokens / 2, "{what}: {calls} allocation calls for {tokens} tokens");
         }
     });
+}
+
+/// CRC-64 of a corpus as one byte stream: each file's name and text, each
+/// followed by a NUL (which no generated name or word holds).
+fn corpus_crc(files: &[(String, String)]) -> u64 {
+    let mut bytes = Vec::new();
+    for (name, text) in files {
+        for part in [name, text] {
+            bytes.extend_from_slice(part.as_bytes());
+            bytes.push(0);
+        }
+    }
+    crc64(&bytes)
+}
+
+/// Every table in EXPERIMENTS.md is a function of `ntadoc-datagen`'s
+/// corpora and `serve_load`'s of the default trace; both draw from
+/// `ntadoc_pmem::Prng` and from nothing else, so they are the same bytes on
+/// every host. A change to the generator, to one of its draws or to a preset
+/// moves a pin here instead of silently moving every table.
+#[test]
+fn generated_corpora_and_the_default_trace_are_pinned() {
+    const PINNED: [(&str, u64); 5] = [
+        ("A", 0xa4b9_936d_927c_d2f2),
+        ("B", 0x6e58_445a_4a9e_5300),
+        ("C", 0x1181_b363_7f5b_f948),
+        ("D", 0xf3da_7559_ff20_8c1b),
+        ("default trace", 0x7c7a_1cb4_a514_9967),
+    ];
+    let mut measured: Vec<(&str, u64)> = DatasetSpec::all()
+        .into_iter()
+        .map(|spec| (spec.name, corpus_crc(&generate(&spec.scaled(0.05)))))
+        .collect();
+    let trace: String = TraceSpec::default()
+        .generate()
+        .iter()
+        .map(|e| {
+            let q = &e.query;
+            format!("{} {} {} {:?} {:?}\n", e.at_ns, q.tenant, q.task, q.top_k, q.file_filter)
+        })
+        .collect();
+    measured.push(("default trace", crc64(trace.as_bytes())));
+    assert_eq!(measured, PINNED, "as hex: {measured:#x?}");
 }

@@ -6,9 +6,9 @@
 //! old snapshot; and file pools published under a superseded fingerprint
 //! are recreated on open.
 
-use proptest::collection::vec;
-use proptest::prelude::*;
+mod common;
 
+use common::{check_corpora, CorpusShape};
 use ntadoc_pmem::par;
 use ntadoc_repro::{
     compress_corpus, fsck_pool, Engine, EngineBuilder, EngineConfig, PmemError, Query, Task,
@@ -17,18 +17,7 @@ use ntadoc_repro::{
 
 /// Arbitrary corpora: 2–6 files of small-alphabet words (some empty), so
 /// appends splice empty files, seam repeats, and fresh vocabulary.
-fn corpus_strategy() -> impl Strategy<Value = Vec<(String, String)>> {
-    vec(vec(0u32..18, 0..120), 2..6).prop_map(|files| {
-        files
-            .into_iter()
-            .enumerate()
-            .map(|(i, words)| {
-                let text = words.iter().map(|w| format!("w{w}")).collect::<Vec<_>>().join(" ");
-                (format!("f{i}"), text)
-            })
-            .collect()
-    })
-}
+const CORPORA: CorpusShape = CorpusShape { files: 2..6, alphabet: 18, words: 0..120 };
 
 /// Deterministically partition `n` files into non-empty groups from a seed.
 fn plan_from_seed(n: usize, mut seed: u64) -> Vec<usize> {
@@ -65,59 +54,63 @@ fn dict_words(e: &Engine) -> Vec<String> {
     e.compressed().dict.iter().map(|(_, w)| w.to_string()).collect()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
+/// The tentpole determinism bar, fails-if-broken: one-at-a-time
+/// appends ≡ a planned chunked build, byte for byte.
+#[test]
+fn appends_one_at_a_time_match_the_planned_build() {
+    check_corpora(
+        "appends_one_at_a_time_match_the_planned_build",
+        0xA99E_0D01,
+        16,
+        CORPORA,
+        |rng| rng.next_below(10_000),
+        |files, &seed| {
+            let plan = plan_from_seed(files.len(), seed);
+            let live = build_by_appends(files, &plan);
+            let planned = EngineBuilder::from_files(files.clone())
+                .append_plan(plan.clone())
+                .config(EngineConfig::ntadoc())
+                .build()
+                .unwrap();
 
-    /// The tentpole determinism bar, fails-if-broken: one-at-a-time
-    /// appends ≡ a planned chunked build, byte for byte.
-    #[test]
-    fn appends_one_at_a_time_match_the_planned_build(
-        files in corpus_strategy(),
-        seed in 0u64..10_000
-    ) {
-        let plan = plan_from_seed(files.len(), seed);
-        let live = build_by_appends(&files, &plan);
-        let planned = EngineBuilder::from_files(files.clone())
-            .append_plan(plan.clone())
-            .config(EngineConfig::ntadoc())
-            .build()
-            .unwrap();
+            assert_eq!(
+                &live.compressed().grammar,
+                &planned.compressed().grammar,
+                "grammar diverged for plan {:?}",
+                &plan
+            );
+            assert_eq!(dict_words(&live), dict_words(&planned));
+            assert_eq!(live.snapshot_version(), planned.snapshot_version());
+            assert_eq!(live.ingest_total_ns(), planned.ingest_total_ns());
+            assert_eq!(live.append_log().len(), planned.append_log().len());
+            for (a, b) in live.append_log().iter().zip(planned.append_log()) {
+                assert_eq!(a.virtual_ns, b.virtual_ns);
+                assert_eq!(a.new_rules, b.new_rules);
+                assert_eq!(a.new_words, b.new_words);
+                assert_eq!(a.snapshot.fingerprint(), b.snapshot.fingerprint());
+            }
 
-        prop_assert_eq!(&live.compressed().grammar, &planned.compressed().grammar,
-            "grammar diverged for plan {:?}", &plan);
-        prop_assert_eq!(dict_words(&live), dict_words(&planned));
-        prop_assert_eq!(live.snapshot_version(), planned.snapshot_version());
-        prop_assert_eq!(live.ingest_total_ns(), planned.ingest_total_ns());
-        prop_assert_eq!(live.append_log().len(), planned.append_log().len());
-        for (a, b) in live.append_log().iter().zip(planned.append_log()) {
-            prop_assert_eq!(a.virtual_ns, b.virtual_ns);
-            prop_assert_eq!(a.new_rules, b.new_rules);
-            prop_assert_eq!(a.new_words, b.new_words);
-            prop_assert_eq!(a.snapshot.fingerprint(), b.snapshot.fingerprint());
-        }
+            // The appended corpus expands to exactly the input files, so the
+            // incremental path loses nothing a full rebuild would keep.
+            let full = compress_corpus(files, &TokenizerConfig::default());
+            assert_eq!(live.compressed().grammar.expand_files(), full.grammar.expand_files());
 
-        // The appended corpus expands to exactly the input files, so the
-        // incremental path loses nothing a full rebuild would keep.
-        let full = compress_corpus(&files, &TokenizerConfig::default());
-        prop_assert_eq!(
-            live.compressed().grammar.expand_files(),
-            full.grammar.expand_files()
-        );
-
-        // Pool images are bit-identical: same capacity, same bytes, same
-        // published fingerprint, same init cost.
-        let sa = live.serve().unwrap();
-        let sb = planned.serve().unwrap();
-        let (da, db) = (sa.sim_device(), sb.sim_device());
-        prop_assert_eq!(da.capacity(), db.capacity());
-        prop_assert_eq!(
-            da.peek(0, da.capacity() as usize),
-            db.peek(0, db.capacity() as usize),
-            "pool bytes diverged for plan {:?}", &plan
-        );
-        prop_assert_eq!(da.stats().virtual_ns, db.stats().virtual_ns);
-        prop_assert_eq!(da.published_snapshot(), db.published_snapshot());
-    }
+            // Pool images are bit-identical: same capacity, same bytes, same
+            // published fingerprint, same init cost.
+            let sa = live.serve().unwrap();
+            let sb = planned.serve().unwrap();
+            let (da, db) = (sa.sim_device(), sb.sim_device());
+            assert_eq!(da.capacity(), db.capacity());
+            assert_eq!(
+                da.peek(0, da.capacity() as usize),
+                db.peek(0, db.capacity() as usize),
+                "pool bytes diverged for plan {:?}",
+                &plan
+            );
+            assert_eq!(da.stats().virtual_ns, db.stats().virtual_ns);
+            assert_eq!(da.published_snapshot(), db.published_snapshot());
+        },
+    );
 }
 
 #[test]

@@ -1,6 +1,6 @@
 //! Golden images of the ingest routes.
 //!
-//! Three `rand`-free corpora — a Zipf-ish stream of phrases with
+//! Three corpora made here by an LCG — a Zipf-ish stream of phrases with
 //! mixed-case, punctuated and non-ASCII tokens, a corpus of many tiny
 //! files, and one with empty files — are built through every route the
 //! program has: the serial [`CorpusBuilder`], [`ingest_corpus`] at 2, 3 and

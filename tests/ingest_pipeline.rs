@@ -4,10 +4,11 @@
 //! outputs, virtual time is worker-count-independent, and the summation's
 //! upper bounds stay sound over the merged rule shapes.
 
+mod common;
+
 use std::collections::HashSet;
 
-use proptest::collection::vec;
-use proptest::prelude::*;
+use common::{check_corpora, CorpusShape};
 
 use ntadoc::{ingest_corpus, upper_bounds, IngestOptions};
 use ntadoc_pmem::par;
@@ -18,18 +19,9 @@ use ntadoc_repro::{
 
 /// Arbitrary corpora: 1–5 files of small-alphabet words (some empty), so
 /// chunk boundaries land mid-file, on file edges, and past tiny files.
-fn corpus_strategy() -> impl Strategy<Value = Vec<(String, String)>> {
-    vec(vec(0u32..18, 0..160), 1..5).prop_map(|files| {
-        files
-            .into_iter()
-            .enumerate()
-            .map(|(i, words)| {
-                let text = words.iter().map(|w| format!("w{w}")).collect::<Vec<_>>().join(" ");
-                (format!("f{i}"), text)
-            })
-            .collect()
-    })
-}
+const CORPORA: CorpusShape = CorpusShape { files: 1..5, alphabet: 18, words: 0..160 };
+
+const CASES: u64 = 24;
 
 /// Distinct word ids in each rule's expansion (the true word-list
 /// lengths the summation bounds must dominate).
@@ -50,87 +42,123 @@ fn actual_word_lists(g: &Grammar) -> Vec<u64> {
     sets.into_iter().map(|s| s.len() as u64).collect()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    #[test]
-    fn chunked_grammars_preserve_the_corpus(files in corpus_strategy()) {
-        let cfg = TokenizerConfig::default();
-        let serial = compress_corpus(&files, &cfg);
-        for w in [1usize, 2, 4, 8] {
-            let chunked = compress_corpus_chunked(&files, &cfg, w, &MergeOptions::default());
-            chunked.grammar.validate().unwrap();
-            prop_assert_eq!(
-                chunked.grammar.expand_text(&chunked.dict),
-                serial.grammar.expand_text(&serial.dict),
-                "w={}", w
-            );
-            prop_assert_eq!(
-                chunked.dict.iter().collect::<Vec<_>>(),
-                serial.dict.iter().collect::<Vec<_>>(),
-                "w={}", w
-            );
-        }
-    }
-
-    #[test]
-    fn chunked_task_outputs_match_serial(files in corpus_strategy()) {
-        // Engines only make sense over non-empty corpora.
-        if files.iter().all(|(_, t)| t.is_empty()) {
-            return Ok(());
-        }
-        let serial = {
-            let comp = compress_corpus(&files, &TokenizerConfig::default());
-            let mut e = Engine::builder(comp).config(EngineConfig::ntadoc()).build().unwrap();
-            (e.run(Task::WordCount).unwrap(), e.run(Task::TermVector).unwrap())
-        };
-        for w in [1usize, 2, 4, 8] {
-            let mut e = EngineBuilder::from_files(files.clone())
-                .ingest_chunks(w)
-                .config(EngineConfig::ntadoc())
-                .build()
-                .unwrap();
-            prop_assert_eq!(e.run(Task::WordCount).unwrap(), serial.0.clone(), "w={}", w);
-            prop_assert_eq!(e.run(Task::TermVector).unwrap(), serial.1.clone(), "w={}", w);
-        }
-    }
-
-    #[test]
-    fn ingest_virtual_time_is_worker_count_independent(files in corpus_strategy()) {
-        for w in [2usize, 8] {
-            let opts = IngestOptions { chunks: w, ..IngestOptions::default() };
-            let run = |threads: usize| {
-                par::with_threads(threads, || {
-                    let (comp, r) = ingest_corpus(&files, &opts);
-                    (comp.grammar, r.virtual_ns, r.chunk_ns)
-                })
-            };
-            let base = run(1);
-            prop_assert_eq!(run(4), base.clone(), "w={} at 4 threads", w);
-            prop_assert_eq!(run(8), base, "w={} at 8 threads", w);
-        }
-    }
-
-    #[test]
-    fn summation_bounds_stay_sound_over_merged_grammars(files in corpus_strategy()) {
-        let cfg = TokenizerConfig::default();
-        let serial = compress_corpus(&files, &cfg);
-        let serial_actual = actual_word_lists(&serial.grammar);
-        for w in [1usize, 2, 4, 8] {
-            let chunked = compress_corpus_chunked(&files, &cfg, w, &MergeOptions::default());
-            let bounds = upper_bounds(&chunked.grammar).bounds;
-            let actual = actual_word_lists(&chunked.grammar);
-            for (r, (&b, &a)) in bounds.iter().zip(actual.iter()).enumerate() {
-                prop_assert!(b >= a, "w={} rule {}: bound {} under-estimates {}", w, r, b, a);
+#[test]
+fn chunked_grammars_preserve_the_corpus() {
+    check_corpora(
+        "chunked_grammars_preserve_the_corpus",
+        0x1291_0001,
+        CASES,
+        CORPORA,
+        |_| (),
+        |files, ()| {
+            let cfg = TokenizerConfig::default();
+            let serial = compress_corpus(files, &cfg);
+            for w in [1usize, 2, 4, 8] {
+                let chunked = compress_corpus_chunked(files, &cfg, w, &MergeOptions::default());
+                chunked.grammar.validate().unwrap();
+                assert_eq!(
+                    chunked.grammar.expand_text(&chunked.dict),
+                    serial.grammar.expand_text(&serial.dict),
+                    "w={}",
+                    w
+                );
+                assert_eq!(
+                    chunked.dict.iter().collect::<Vec<_>>(),
+                    serial.dict.iter().collect::<Vec<_>>(),
+                    "w={}",
+                    w
+                );
             }
-            // The root's word list is the corpus vocabulary — the same
-            // list the serial build's root carries — so the merged bound
-            // still upper-bounds the serial build's word-list length.
-            prop_assert!(
-                bounds[0] >= serial_actual[0],
-                "w={}: root bound {} under-estimates serial root list {}",
-                w, bounds[0], serial_actual[0]
-            );
-        }
-    }
+        },
+    );
+}
+
+#[test]
+fn chunked_task_outputs_match_serial() {
+    check_corpora(
+        "chunked_task_outputs_match_serial",
+        0x1291_0002,
+        CASES,
+        CORPORA,
+        |_| (),
+        |files, ()| {
+            // Engines only make sense over non-empty corpora.
+            if files.iter().all(|(_, t)| t.is_empty()) {
+                return;
+            }
+            let serial = {
+                let comp = compress_corpus(files, &TokenizerConfig::default());
+                let mut e = Engine::builder(comp).config(EngineConfig::ntadoc()).build().unwrap();
+                (e.run(Task::WordCount).unwrap(), e.run(Task::TermVector).unwrap())
+            };
+            for w in [1usize, 2, 4, 8] {
+                let mut e = EngineBuilder::from_files(files.clone())
+                    .ingest_chunks(w)
+                    .config(EngineConfig::ntadoc())
+                    .build()
+                    .unwrap();
+                assert_eq!(e.run(Task::WordCount).unwrap(), serial.0.clone(), "w={}", w);
+                assert_eq!(e.run(Task::TermVector).unwrap(), serial.1.clone(), "w={}", w);
+            }
+        },
+    );
+}
+
+#[test]
+fn ingest_virtual_time_is_worker_count_independent() {
+    check_corpora(
+        "ingest_virtual_time_is_worker_count_independent",
+        0x1291_0003,
+        CASES,
+        CORPORA,
+        |_| (),
+        |files, ()| {
+            for w in [2usize, 8] {
+                let opts = IngestOptions { chunks: w, ..IngestOptions::default() };
+                let run = |threads: usize| {
+                    par::with_threads(threads, || {
+                        let (comp, r) = ingest_corpus(files, &opts);
+                        (comp.grammar, r.virtual_ns, r.chunk_ns)
+                    })
+                };
+                let base = run(1);
+                assert_eq!(run(4), base.clone(), "w={} at 4 threads", w);
+                assert_eq!(run(8), base, "w={} at 8 threads", w);
+            }
+        },
+    );
+}
+
+#[test]
+fn summation_bounds_stay_sound_over_merged_grammars() {
+    check_corpora(
+        "summation_bounds_stay_sound_over_merged_grammars",
+        0x1291_0004,
+        CASES,
+        CORPORA,
+        |_| (),
+        |files, ()| {
+            let cfg = TokenizerConfig::default();
+            let serial = compress_corpus(files, &cfg);
+            let serial_actual = actual_word_lists(&serial.grammar);
+            for w in [1usize, 2, 4, 8] {
+                let chunked = compress_corpus_chunked(files, &cfg, w, &MergeOptions::default());
+                let bounds = upper_bounds(&chunked.grammar).bounds;
+                let actual = actual_word_lists(&chunked.grammar);
+                for (r, (&b, &a)) in bounds.iter().zip(actual.iter()).enumerate() {
+                    assert!(b >= a, "w={} rule {}: bound {} under-estimates {}", w, r, b, a);
+                }
+                // The root's word list is the corpus vocabulary — the same
+                // list the serial build's root carries — so the merged bound
+                // still upper-bounds the serial build's word-list length.
+                assert!(
+                    bounds[0] >= serial_actual[0],
+                    "w={}: root bound {} under-estimates serial root list {}",
+                    w,
+                    bounds[0],
+                    serial_actual[0]
+                );
+            }
+        },
+    );
 }

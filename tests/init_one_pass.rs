@@ -6,14 +6,14 @@
 //! schedule, and the model's numbers — every engine, task and persistence
 //! strategy, batch and serve — are pinned as exact integers.
 
-use proptest::collection::vec;
-use proptest::prelude::*;
+mod common;
 
+use common::{check_corpora, vec_of, CorpusShape};
 use ntadoc::dag::{prune_rule, FreqPairs};
 use ntadoc_pmem::par;
 use ntadoc_repro::{
-    compress_corpus, Compressed, DeviceProfile, Engine, EngineBuilder, EngineConfig, Grammar,
-    Query, RunReport, Symbol, Task, TenantId, TokenizerConfig, UncompressedEngine,
+    compress_corpus, for_each_case, Compressed, DeviceProfile, Engine, EngineBuilder, EngineConfig,
+    Grammar, Query, RunReport, Symbol, Task, TenantId, TokenizerConfig, UncompressedEngine,
     METRIC_DEVICE_PEAK, METRIC_DRAM_PEAK,
 };
 
@@ -97,50 +97,52 @@ fn prune_rule_equals_the_reference_on_a_root_sized_body() {
 }
 
 /// Arbitrary corpora of small-alphabet words, some files empty.
-fn corpus_strategy() -> impl Strategy<Value = Vec<(String, String)>> {
-    vec(vec(0u32..15, 0..120), 1..4).prop_map(|files| {
-        files
-            .into_iter()
-            .enumerate()
-            .map(|(i, words)| {
-                let text = words.iter().map(|w| format!("w{w}")).collect::<Vec<_>>().join(" ");
-                (format!("f{i}"), text)
-            })
-            .collect()
-    })
+const CORPORA: CorpusShape = CorpusShape { files: 1..4, alphabet: 15, words: 0..120 };
+
+const CASES: u64 = 64;
+
+/// Random symbol streams on both sides of the length at which
+/// `prune_rule` starts indexing.
+#[test]
+fn prune_rule_equals_the_reference() {
+    for_each_case(
+        "prune_rule_equals_the_reference",
+        0x1417_0001,
+        CASES,
+        |rng| vec_of(rng, 0..300, |rng| (rng.next_below(3) as u8, rng.next_below(40) as u32)),
+        |stream| {
+            let body: Vec<Symbol> = stream.iter().map(|&(k, id)| symbol(k, id)).collect();
+            assert_eq!(prune_rule(&body), prune_rule_reference(&body));
+        },
+    );
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Random symbol streams on both sides of the length at which
-    /// `prune_rule` starts indexing.
-    #[test]
-    fn prune_rule_equals_the_reference(stream in vec((0u8..3, 0u32..40), 0..300)) {
-        let body: Vec<Symbol> = stream.into_iter().map(|(k, id)| symbol(k, id)).collect();
-        prop_assert_eq!(prune_rule(&body), prune_rule_reference(&body));
-    }
-
-    /// The expansion length `stats` sums bottom-up is the length of the
-    /// expansion, raw and coarsened.
-    #[test]
-    fn stats_count_the_expansion_without_expanding(
-        files in corpus_strategy(),
-        min_exp in 0u64..20
-    ) {
-        let comp = compress_corpus(&files, &TokenizerConfig::default());
-        for g in [comp.grammar.clone(), comp.grammar.coarsened(min_exp)] {
-            let stats = g.stats();
-            prop_assert_eq!(stats.expanded_words, g.expand_tokens().len() as u64);
-            prop_assert_eq!(stats.total_symbols, g.total_symbols());
-            let distinct: std::collections::HashSet<u32> = g.expand_tokens().into_iter().collect();
-            prop_assert_eq!(stats.vocabulary, distinct.len());
-            prop_assert_eq!(stats.files, files.len());
-        }
-    }
+/// The expansion length `stats` sums bottom-up is the length of the
+/// expansion, raw and coarsened.
+#[test]
+fn stats_count_the_expansion_without_expanding() {
+    check_corpora(
+        "stats_count_the_expansion_without_expanding",
+        0x1417_0002,
+        CASES,
+        CORPORA,
+        |rng| rng.next_below(20),
+        |files, &min_exp| {
+            let comp = compress_corpus(files, &TokenizerConfig::default());
+            for g in [comp.grammar.clone(), comp.grammar.coarsened(min_exp)] {
+                let stats = g.stats();
+                assert_eq!(stats.expanded_words, g.expand_tokens().len() as u64);
+                assert_eq!(stats.total_symbols, g.total_symbols());
+                let distinct: std::collections::HashSet<u32> =
+                    g.expand_tokens().into_iter().collect();
+                assert_eq!(stats.vocabulary, distinct.len());
+                assert_eq!(stats.files, files.len());
+            }
+        },
+    );
 }
 
-/// A fixed corpus that does not come from `rand`: `files` files of `words`
+/// A fixed corpus: `files` files of `words`
 /// words drawn from a small phrase library by arithmetic, so phrases recur
 /// within and across files and Sequitur finds a layered grammar.
 fn fixed_corpus(files: usize, words: usize) -> Vec<(String, String)> {

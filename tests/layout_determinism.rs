@@ -6,16 +6,16 @@
 //! on-media layout regardless of the engine's configured one, and an
 //! unknown or retired layout id refuses to open instead of misdecoding.
 
+mod common;
+
 use std::path::PathBuf;
 
+use common::{check_corpora, CorpusShape};
 use ntadoc_pmem::par;
 use ntadoc_repro::{
     compress_corpus, crc64, Compressed, DeviceProfile, Engine, FileDevice, PoolLayout,
     PoolLayoutConfig, Task, TaskOutput, TokenizerConfig,
 };
-
-use proptest::collection::vec;
-use proptest::prelude::*;
 
 /// The layouts that survived the ablation (EXPERIMENTS.md).
 const LAYOUT_NAMES: [&str; 2] = ["fixed", "varint"];
@@ -235,45 +235,36 @@ fn surviving_layouts_cost_and_write_what_they_did_before_the_cull() {
     }
 }
 
-/// Arbitrary corpora: 1-3 files of small-alphabet words (the shape that
+/// Arbitrary corpora: 1-2 files of small-alphabet words (the shape that
 /// makes grammars share rules and the pruned views non-trivial).
-fn corpus_strategy() -> impl Strategy<Value = Vec<(String, String)>> {
-    vec(vec(0u32..15, 1..120), 1..3).prop_map(|files| {
-        files
-            .into_iter()
-            .enumerate()
-            .map(|(i, words)| {
-                let text = words.iter().map(|w| format!("w{w}")).collect::<Vec<_>>().join(" ");
-                (format!("f{i}"), text)
-            })
-            .collect()
-    })
-}
+const CORPORA: CorpusShape = CorpusShape { files: 1..3, alphabet: 15, words: 1..120 };
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// Property form of the contract: for arbitrary corpora, the varint
-    /// layout agrees with the fixed layout on every servable task shape,
-    /// and parallelism does not perturb either.
-    #[test]
-    fn arbitrary_corpora_are_layout_invariant(files in corpus_strategy()) {
-        let comp = compress_corpus(&files, &TokenizerConfig::default());
-        if comp.grammar.rule_count() == 0 {
-            return Ok(());
-        }
-        for task in [Task::WordCount, Task::InvertedIndex, Task::SequenceCount] {
-            let (base_out, _) = run_with(&comp, PoolLayoutConfig::Fixed, task, 1);
-            for layout in layouts() {
-                let (out, ns1) = run_with(&comp, layout, task, 1);
-                prop_assert_eq!(
-                    &out, &base_out,
-                    "{} output diverged under {}", task, layout.name()
-                );
-                let (out4, ns4) = run_with(&comp, layout, task, 4);
-                prop_assert_eq!(&out4, &base_out);
-                prop_assert_eq!(ns1, ns4, "{} virtual time diverged under {}", task, layout.name());
+/// Property form of the contract: for arbitrary corpora, the varint
+/// layout agrees with the fixed layout on every servable task shape,
+/// and parallelism does not perturb either.
+#[test]
+fn arbitrary_corpora_are_layout_invariant() {
+    check_corpora(
+        "arbitrary_corpora_are_layout_invariant",
+        0x1A70_0707,
+        12,
+        CORPORA,
+        |_| (),
+        |files, ()| {
+            let comp = compress_corpus(files, &TokenizerConfig::default());
+            if comp.grammar.rule_count() == 0 {
+                return;
             }
-        }
-    }
+            for task in [Task::WordCount, Task::InvertedIndex, Task::SequenceCount] {
+                let (base_out, _) = run_with(&comp, PoolLayoutConfig::Fixed, task, 1);
+                for layout in layouts() {
+                    let (out, ns1) = run_with(&comp, layout, task, 1);
+                    assert_eq!(&out, &base_out, "{} output diverged under {}", task, layout.name());
+                    let (out4, ns4) = run_with(&comp, layout, task, 4);
+                    assert_eq!(&out4, &base_out);
+                    assert_eq!(ns1, ns4, "{} virtual time diverged under {}", task, layout.name());
+                }
+            }
+        },
+    );
 }
