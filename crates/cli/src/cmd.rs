@@ -1,12 +1,12 @@
 //! Subcommand implementations for the `ntadoc` CLI.
 
-use std::cmp::Ordering;
 use std::fs;
+use std::io::{self, Write};
 use std::path::PathBuf;
 
 use ntadoc::{
     ingest_corpus, Accessor, Engine, EngineConfig, IngestOptions, Persistence, PoolBackend,
-    PoolLayoutConfig, RunReport, Task, TaskOutput,
+    PoolLayoutConfig, RunReport, Task, TaskRows,
 };
 use ntadoc_grammar::{
     deserialize_compressed, serialize_compressed, Compressed, CorpusBuilder, TokenizerConfig,
@@ -390,8 +390,8 @@ fn run(args: &[String]) -> CmdResult {
         // Durable-pool mode: the session's DAG lives in (and persists to)
         // the pool file, through the chosen backend.
         let mut session = engine.open_pool(&pool, task).map_err(fail)?;
-        let out = session.traverse().map_err(fail)?;
-        print_done(out, top);
+        let out = session.traverse_rows().map_err(fail)?;
+        print_rows(&out, top)?;
         let stats = session.sim_device().stats();
         eprintln!(
             "\n[{}] {:.3} ms (virtual) over pool {} ({} backend)",
@@ -402,8 +402,8 @@ fn run(args: &[String]) -> CmdResult {
         );
         return write_trace(trace_out, &session.report());
     }
-    let out = engine.run(task).map_err(fail)?;
-    print_done(out, top);
+    let out = engine.run_rows(task).map_err(fail)?;
+    print_rows(&out, top)?;
     let rep = engine.last_report.as_ref().expect("report");
     eprintln!("\n{}", rep.summary_line());
     write_trace(trace_out, rep)
@@ -420,71 +420,74 @@ fn write_trace(path: Option<PathBuf>, rep: &RunReport) -> CmdResult {
     Ok(())
 }
 
-/// The `top` first rows under `cmp`, in order. Selects before it sorts, so
-/// printing twenty rows of a 49 k-row result does not order all of it.
-/// `cmp` must be total over `rows` (no two rows equal) for the result to be
-/// the prefix a full sort would give.
-fn top_rows<T>(mut rows: Vec<T>, top: usize, cmp: impl Fn(&T, &T) -> Ordering) -> Vec<T> {
-    if top == 0 {
-        return Vec::new();
-    }
-    if top < rows.len() {
-        rows.select_nth_unstable_by(top - 1, &cmp);
-        rows.truncate(top);
-    }
-    rows.sort_unstable_by(&cmp);
-    rows
+/// Print the first `top` rows of a run's result to stdout.
+fn print_rows(rows: &TaskRows, top: usize) -> CmdResult {
+    let mut out = io::stdout().lock();
+    write_rows(&mut out, rows, top).and_then(|()| out.flush()).map_err(fail)
 }
 
-/// Print a run's result and forget it. The process is about to exit:
-/// freeing a result of a few hundred thousand strings, twenty rows of
-/// which were printed, would cost more than printing it did. Only the
-/// output is leaked — sessions, engines and pools still drop (and seal).
-fn print_done(out: TaskOutput, top: usize) {
-    print_output(&out, top);
-    std::mem::forget(out);
-}
-
-fn print_output(out: &TaskOutput, top: usize) {
-    match out {
-        TaskOutput::WordCount(m) => {
-            // Count descending, then the (unique) key: a total order.
-            let rows = top_rows(m.iter().collect(), top, |a, b| b.1.cmp(a.1).then(a.0.cmp(b.0)));
-            for (w, c) in rows {
-                println!("{c:>10}  {w}");
+/// A run's result as `ntadoc run` shows it: `top` rows, counts by count
+/// descending (then key), everything else in the result's own order; a term
+/// vector's five and a ranked index's three first items per row. Words and
+/// file names are looked up as they are written.
+fn write_rows(out: &mut impl Write, rows: &TaskRows, top: usize) -> io::Result<()> {
+    /// The row's list as `name<open>count<close>`, a space between two.
+    fn listed(
+        out: &mut impl Write,
+        row: ntadoc::Row<'_>,
+        first: usize,
+        (open, close): (&str, &str),
+    ) -> io::Result<()> {
+        for (i, (name, count)) in row.pairs().take(first).enumerate() {
+            let space = if i > 0 { " " } else { "" };
+            write!(out, "{space}{name}{open}{count}{close}")?;
+        }
+        writeln!(out)
+    }
+    /// The key's words, a space between two.
+    fn key(out: &mut impl Write, row: ntadoc::Row<'_>) -> io::Result<()> {
+        for (i, word) in row.key().enumerate() {
+            write!(out, "{}{word}", if i > 0 { " " } else { "" })?;
+        }
+        Ok(())
+    }
+    match rows.task() {
+        Task::WordCount | Task::SequenceCount => {
+            for at in rows.top_by_count(top) {
+                let row = rows.row(at as usize);
+                write!(out, "{:>10}  ", row.count())?;
+                key(out, row)?;
+                writeln!(out)?;
             }
         }
-        TaskOutput::Sort(rows) => {
-            for (w, c) in rows.iter().take(top) {
-                println!("{w}  {c}");
+        Task::Sort => {
+            for row in rows.rows().take(top) {
+                key(out, row)?;
+                writeln!(out, "  {}", row.count())?;
             }
         }
-        TaskOutput::TermVector(files) => {
-            for (f, words) in files.iter().take(top) {
-                let sig: Vec<String> =
-                    words.iter().take(5).map(|(w, c)| format!("{w}:{c}")).collect();
-                println!("{f}: {}", sig.join(" "));
+        Task::TermVector => {
+            for row in rows.rows().take(top) {
+                key(out, row)?;
+                out.write_all(b": ")?;
+                listed(out, row, 5, (":", ""))?;
             }
         }
-        TaskOutput::InvertedIndex(m) => {
-            for (w, files) in m.iter().take(top) {
-                println!("{w}: {} file(s)", files.len());
+        Task::InvertedIndex => {
+            for row in rows.rows().take(top) {
+                key(out, row)?;
+                writeln!(out, ": {} file(s)", row.names().len())?;
             }
         }
-        TaskOutput::SequenceCount(m) => {
-            let rows = top_rows(m.iter().collect(), top, |a, b| b.1.cmp(a.1).then(a.0.cmp(b.0)));
-            for (g, c) in rows {
-                println!("{c:>10}  {}", g.join(" "));
-            }
-        }
-        TaskOutput::RankedInvertedIndex(m) => {
-            for (g, files) in m.iter().take(top) {
-                let ranked: Vec<String> =
-                    files.iter().take(3).map(|(f, c)| format!("{f}({c})")).collect();
-                println!("{}: {}", g.join(" "), ranked.join(" "));
+        Task::RankedInvertedIndex => {
+            for row in rows.rows().take(top) {
+                key(out, row)?;
+                out.write_all(b": ")?;
+                listed(out, row, 3, ("(", ")"))?;
             }
         }
     }
+    Ok(())
 }
 
 // ---- search ----------------------------------------------------------------
@@ -684,6 +687,10 @@ pub fn compress_texts(files: &[(String, String)], coarsen: u64) -> Vec<u8> {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
+    use ntadoc::TaskOutput;
+
     use super::*;
 
     #[test]
@@ -702,17 +709,92 @@ mod tests {
         assert!(parse_device("floppy").is_err());
     }
 
+    /// The printer as it was while results were strings: the reference
+    /// [`write_rows`] is held to.
+    fn print_output(out: &TaskOutput, top: usize) -> String {
+        use std::fmt::Write;
+        fn by_count<K: Ord>(m: &BTreeMap<K, u64>, top: usize) -> Vec<(&K, &u64)> {
+            let mut rows: Vec<_> = m.iter().collect();
+            rows.sort_by(|a, b| b.1.cmp(a.1).then(a.0.cmp(b.0)));
+            rows.truncate(top);
+            rows
+        }
+        let mut text = String::new();
+        match out {
+            TaskOutput::WordCount(m) => {
+                for (w, c) in by_count(m, top) {
+                    writeln!(text, "{c:>10}  {w}").unwrap();
+                }
+            }
+            TaskOutput::Sort(rows) => {
+                for (w, c) in rows.iter().take(top) {
+                    writeln!(text, "{w}  {c}").unwrap();
+                }
+            }
+            TaskOutput::TermVector(files) => {
+                for (f, words) in files.iter().take(top) {
+                    let sig: Vec<String> =
+                        words.iter().take(5).map(|(w, c)| format!("{w}:{c}")).collect();
+                    writeln!(text, "{f}: {}", sig.join(" ")).unwrap();
+                }
+            }
+            TaskOutput::InvertedIndex(m) => {
+                for (w, files) in m.iter().take(top) {
+                    writeln!(text, "{w}: {} file(s)", files.len()).unwrap();
+                }
+            }
+            TaskOutput::SequenceCount(m) => {
+                for (g, c) in by_count(m, top) {
+                    writeln!(text, "{c:>10}  {}", g.join(" ")).unwrap();
+                }
+            }
+            TaskOutput::RankedInvertedIndex(m) => {
+                for (g, files) in m.iter().take(top) {
+                    let ranked: Vec<String> =
+                        files.iter().take(3).map(|(f, c)| format!("{f}({c})")).collect();
+                    writeln!(text, "{}: {}", g.join(" "), ranked.join(" ")).unwrap();
+                }
+            }
+        }
+        text
+    }
+
     #[test]
-    fn top_rows_is_the_prefix_of_a_full_sort() {
-        // 500 distinct rows, many count ties broken by the unique key.
-        let rows: Vec<(String, u64)> =
-            (0..500u64).map(|i| (format!("w{:03}", (i * 7919) % 500), (i * 31) % 17)).collect();
-        let cmp = |a: &&(String, u64), b: &&(String, u64)| b.1.cmp(&a.1).then(a.0.cmp(&b.0));
-        let mut full: Vec<&(String, u64)> = rows.iter().collect();
-        full.sort_by(cmp);
-        for top in [0, 1, 20, 499, 500, 501, usize::MAX] {
-            let got = top_rows(rows.iter().collect(), top, cmp);
-            assert_eq!(got, full[..top.min(full.len())], "top = {top}");
+    fn rows_print_the_bytes_their_strings_printed() {
+        // Eight files of overlapping phrases (one empty, so counts tie and
+        // lists differ in length); then the same with a dictionary only a
+        // forged image holds: "a" twice, and words with spaces and a tab.
+        let files: Vec<(String, String)> = (0..8usize)
+            .map(|f| {
+                let words = (0..f * 7).map(|w| format!("w{}", (w * (f + 1) + w / 3) % 11));
+                (format!("file{f}"), words.collect::<Vec<_>>().join(" "))
+            })
+            .collect();
+        let tidy = deserialize_compressed(&compress_texts(&files, 4)).unwrap();
+        let mut forged = tidy.clone();
+        let hostile = ["a b", "a", "b", "a\tb", "a", "é x"];
+        let word = |id: usize| hostile.get(id).map_or(format!("w{id}"), |w| w.to_string());
+        forged.dict =
+            ntadoc_grammar::Dictionary::from_words((0..tidy.dict.len()).map(word).collect());
+
+        for comp in [tidy, forged] {
+            let comp = std::sync::Arc::new(comp);
+            let runs = [EngineConfig::ntadoc(), EngineConfig::naive()].map(|cfg| {
+                let cfg = EngineConfig { ngram: 2, ..cfg };
+                let mut engine = Engine::builder(comp.clone()).config(cfg).build().unwrap();
+                Task::ALL.map(|task| engine.run_rows(task).unwrap())
+            });
+            let mut baseline = ntadoc::UncompressedEngine::builder(comp.clone()).build();
+            let scans = Task::ALL.map(|task| baseline.run_rows(task).unwrap());
+            for rows in runs.iter().flatten().chain(&scans) {
+                let strings = rows.clone().into_strings();
+                for top in [0, 1, 3, 20, usize::MAX] {
+                    let mut printed = Vec::new();
+                    write_rows(&mut printed, rows, top).unwrap();
+                    let printed = String::from_utf8(printed).unwrap();
+                    assert_eq!(printed, print_output(&strings, top), "{}, top {top}", rows.task());
+                }
+            }
         }
     }
 

@@ -8,8 +8,9 @@
 //! → {"op":"query","task":"wordcount","tenant":3,"top":10}
 //! ← {"cache_hit":false,"ok":true,"output":{…},"snapshot":…,"task":"word count","tenant":3}
 //! → {"op":"stats"}
-//! ← {"batches_dispatched":…,"cache_entries":…,"cache_hits":…,"cache_misses":…,
-//!    "memoized_bytes":…,"memoized_entries":…,"ok":true,"queue_depth":…,"snapshot":…}
+//! ← {"batches_dispatched":…,"cache_bytes":…,"cache_entries":…,"cache_hits":…,
+//!    "cache_misses":…,"memoized_bytes":…,"memoized_entries":…,"ok":true,
+//!    "queue_depth":…,"snapshot":…}
 //! → {"op":"shutdown"}
 //! ← {"ok":true,"shutdown":true}
 //! ```
@@ -19,9 +20,11 @@
 //! "bad_request"`), and admission rejections come back typed
 //! (`"quota_exceeded"` / `"queue_full"`), never as dropped connections.
 //! `stats` reads what the daemon keeps anyway: cache lookups that hit and
-//! missed, entries resident, how many of them hold their `output` encoded
-//! (the first hit on an entry encodes it, later hits copy the bytes) and in
-//! how many bytes, batches dispatched, queries admitted and not yet
+//! missed, entries resident and the heap bytes of their results
+//! (`cache_bytes`: dictionary and file ids, four bytes each, and counts —
+//! a cached result holds no string), how many entries hold their `output`
+//! encoded (the first hit on an entry encodes it, later hits copy the
+//! bytes) and in how many bytes, batches dispatched, queries admitted and not yet
 //! dispatched, and the fingerprint of the snapshot being served.
 //!
 //! This file is the socket: the protocol itself — request decoding, the

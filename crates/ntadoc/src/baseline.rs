@@ -19,7 +19,7 @@ use crate::dag::WordReader;
 use crate::engine::shape::{self, counts_of, Counts, Postings};
 use crate::engine::{with_doubling_capacity, Engine, RunScaffold, LOG_BYTES};
 use crate::report::RunReport;
-use crate::result::{Task, TaskOutput};
+use crate::result::{Task, TaskOutput, TaskRows};
 use crate::Result;
 
 /// File separator sentinel in the token stream.
@@ -94,7 +94,13 @@ impl UncompressedEngine {
     }
 
     /// Run one benchmark end to end (init + scan), with capacity retry.
+    /// The string form of [`run_rows`](Self::run_rows).
     pub fn run(&mut self, task: Task) -> Result<TaskOutput> {
+        self.run_rows(task).map(TaskRows::into_strings)
+    }
+
+    /// [`run`](Self::run), the result left in the id domain.
+    pub fn run_rows(&mut self, task: Task) -> Result<TaskRows> {
         let (out, report) = with_doubling_capacity(self.estimate_capacity(), |capacity| {
             self.try_run(task, capacity)
         })?;
@@ -116,7 +122,7 @@ impl UncompressedEngine {
         (bytes * 3 / 2).next_power_of_two().max(1 << 22) as usize
     }
 
-    fn try_run(&self, task: Task, capacity: usize) -> Result<(TaskOutput, RunReport)> {
+    fn try_run(&self, task: Task, capacity: usize) -> Result<(TaskRows, RunReport)> {
         let scratch_len = (capacity as u64 / 4).max(1 << 20);
         let layout = PoolLayout {
             capacity: capacity as u64,
@@ -184,13 +190,15 @@ impl UncompressedEngine {
 
         // ---- scan phase ---------------------------------------------
         let scan = Scan { sc: &sc, stream, n_tokens: self.tokens.len() };
-        let comp = &*self.comp;
+        let comp = &self.comp;
         let words = || WordReader::per_word(dev, dict_offsets, dict_bytes);
         let out = sc.traversal(|| {
             Ok(match task {
-                Task::WordCount => shape::word_count(scan.count_all_words()?, words()),
-                Task::Sort => shape::sort(&sc, scan.count_all_words()?, words()),
-                Task::TermVector => shape::term_vector(&sc, scan.per_file_tables()?, comp, words()),
+                Task::WordCount => shape::word_count(&sc, scan.count_all_words()?, comp, words()),
+                Task::Sort => shape::sort(&sc, scan.count_all_words()?, comp, words()),
+                Task::TermVector => {
+                    shape::term_vector(&sc, scan.per_file_tables()?, comp, words())?
+                }
                 Task::InvertedIndex => {
                     shape::inverted_index(&sc, scan.per_file_tables()?, comp, words(), true)?
                 }
@@ -198,7 +206,7 @@ impl UncompressedEngine {
                     shape::sequence_count(&sc, scan.ngram_counts()?, comp, words())
                 }
                 Task::RankedInvertedIndex => {
-                    shape::ranked_index(&sc, scan.ngram_postings()?, comp, words())
+                    shape::ranked_index(&sc, scan.ngram_postings()?, comp, words())?
                 }
             })
         })?;

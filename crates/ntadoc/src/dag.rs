@@ -125,17 +125,27 @@ impl<'a> WordReader<'a> {
 
     /// Word `id`'s string.
     pub fn get(&mut self, id: u32) -> &str {
+        let word = self.fetch(id);
+        std::str::from_utf8(&self.buf[word]).expect("dictionary strings are UTF-8")
+    }
+
+    /// The device reads of [`get`](Self::get) without the string: what a
+    /// result that keeps ids owes the model for each word it names.
+    pub fn touch(&mut self, id: u32) {
+        self.fetch(id);
+    }
+
+    /// Read word `id` unless a bulk read already has; where it is in `buf`.
+    fn fetch(&mut self, id: u32) -> std::ops::Range<usize> {
         let at = id as usize;
-        let word = if self.bulk.is_empty() {
-            let start = self.dev.read_u64(self.offsets + at as u64 * 8);
-            let end = self.dev.read_u64(self.offsets + (at as u64 + 1) * 8);
-            self.buf.resize((end - start) as usize, 0);
-            self.dev.read_bytes(self.text + start, &mut self.buf);
-            &self.buf[..]
-        } else {
-            &self.buf[self.bulk[at] as usize..self.bulk[at + 1] as usize]
-        };
-        std::str::from_utf8(word).expect("dictionary strings are UTF-8")
+        if !self.bulk.is_empty() {
+            return self.bulk[at] as usize..self.bulk[at + 1] as usize;
+        }
+        let start = self.dev.read_u64(self.offsets + at as u64 * 8);
+        let end = self.dev.read_u64(self.offsets + (at as u64 + 1) * 8);
+        self.buf.resize((end - start) as usize, 0);
+        self.dev.read_bytes(self.text + start, &mut self.buf);
+        0..self.buf.len()
     }
 }
 

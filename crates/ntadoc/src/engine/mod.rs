@@ -31,7 +31,7 @@
 //!
 //! One file per type: `builder` (the builder and its enums), `session`,
 //! `serve`, `interner`, `txcounter`; `scaffold` is what every run stands
-//! on and `shape` turns id-level results into [`TaskOutput`] — both shared
+//! on and `shape` turns id-level results into [`TaskRows`] — both shared
 //! with [`crate::baseline`]; `tasks` and `sequence` are the compressed
 //! engines' id-level halves of the six tasks.
 
@@ -65,7 +65,7 @@ use crate::ingest::{ingest_append, AppendIngest, IngestOptions, IngestReport};
 use crate::layout::PoolLayoutConfig;
 use crate::query::{snapshot_fingerprint, Query, Snapshot, TenantId};
 use crate::report::RunReport;
-use crate::result::{Task, TaskOutput};
+use crate::result::{Task, TaskOutput, TaskRows};
 use crate::summation::{
     head_tail_incremental, upper_bounds_incremental, GrammarFacts, HeadTailInfo, SummationResult,
 };
@@ -300,12 +300,18 @@ impl Engine {
 
     /// Run one benchmark end to end under the engine's [`RetryPolicy`];
     /// retries with a doubled device if the initial capacity estimate was
-    /// too small.
+    /// too small. The string form of [`run_rows`](Self::run_rows).
     pub fn run(&mut self, task: Task) -> Result<TaskOutput> {
+        self.run_rows(task).map(TaskRows::into_strings)
+    }
+
+    /// [`run`](Self::run), the result left in the id domain: what a caller
+    /// that prints or encodes it wants.
+    pub fn run_rows(&mut self, task: Task) -> Result<TaskRows> {
         let (out, report) = with_doubling_capacity(self.estimate_capacity(task), |capacity| {
             let mut session = self.sim_session(task, capacity, false)?;
             let out = session.run_query(&Query::new(TenantId::default(), task))?;
-            Ok((out.into_output(), session.report()))
+            Ok((Arc::unwrap_or_clone(out.into_rows()), session.report()))
         })?;
         self.last_report = Some(report);
         Ok(out)

@@ -11,8 +11,9 @@
 //! [`RunReport`] assembly. [`with_doubling_capacity`] is the one retry
 //! loop for a capacity estimate that proved too small.
 
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
+use ntadoc_grammar::Dictionary;
 use ntadoc_nstruct::PHashTable;
 use ntadoc_pmem::obs::MetricValue;
 use ntadoc_pmem::{
@@ -21,12 +22,12 @@ use ntadoc_pmem::{
 };
 
 use super::txcounter::commit_open;
-use super::{Interner, TxCounter};
+use super::{shape, Interner, TxCounter};
 use crate::config::{EngineConfig, Persistence};
 use crate::report::{
     RunReport, METRIC_DEVICE_PEAK, METRIC_DRAM_PEAK, METRIC_HIT_RATE, REPORT_VERSION,
 };
-use crate::result::{Task, TaskOutput};
+use crate::result::{Task, TaskRows};
 use crate::Result;
 
 /// Undo-log region size for operation-level persistence.
@@ -77,6 +78,9 @@ pub(crate) struct RunScaffold {
     /// the run's controlling thread only (see `ntadoc_pmem::obs`).
     pub obs: Arc<Obs>,
     pub interner: Interner,
+    /// Each dictionary id's alphabetical rank, worked out by the first
+    /// shaper that orders rows by word and shared by every later one.
+    ranks: OnceLock<Vec<u32>>,
 }
 
 impl RunScaffold {
@@ -134,6 +138,7 @@ impl RunScaffold {
             tx_batch,
             obs: Arc::new(Obs::new()),
             interner: Interner::default(),
+            ranks: OnceLock::new(),
         })
     }
 
@@ -197,14 +202,17 @@ impl RunScaffold {
         Ok(id)
     }
 
+    /// The alphabetical rank of each id of `dict`, the run's dictionary
+    /// ([`shape::ranks`]).
+    pub(crate) fn ranks(&self, dict: &Dictionary) -> &[u32] {
+        self.ranks.get_or_init(|| shape::ranks(dict))
+    }
+
     /// One attempt at the second phase, recorded as a `"traversal"` span:
     /// `task` computes the output, then the `"writeback"` span closes any
     /// open operation-level transaction, persists the results at the phase
     /// boundary and writes them back to disk.
-    pub(crate) fn traversal(
-        &self,
-        task: impl FnOnce() -> Result<TaskOutput>,
-    ) -> Result<TaskOutput> {
+    pub(crate) fn traversal(&self, task: impl FnOnce() -> Result<TaskRows>) -> Result<TaskRows> {
         self.obs.span("traversal", &self.dev, || {
             let out = task()?;
             self.obs.span("writeback", &self.dev, || -> Result<()> {

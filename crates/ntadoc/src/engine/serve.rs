@@ -9,7 +9,7 @@ use ntadoc_pmem::{AccessStats, Obs, PmemBackend, SimDevice};
 use super::Session;
 use crate::query::{Query, QueryResponse, Snapshot};
 use crate::report::{RunReport, METRIC_SERVE_RATE, METRIC_SERVE_TASKS};
-use crate::result::TaskOutput;
+use crate::result::TaskRows;
 use crate::Result;
 
 /// A build-once/serve-many session: the init phase has run, the DAG pool
@@ -43,9 +43,9 @@ impl ServeSession {
         }
         let s = &self.session;
         let (obs, dev) = (&s.sc.obs, &s.sc.dev);
-        let out = obs.span("serve-batch", dev, || -> Result<Vec<TaskOutput>> {
+        let out = obs.span("serve-batch", dev, || -> Result<Vec<TaskRows>> {
             let (results, charges) =
-                par_map_timed(queries, |_, q| s.run_task(q.task).map(|o| q.key().apply(o)));
+                par_map_timed(queries, |_, q| s.run_task(q.task).map(|o| q.key().shape(o)));
             // Barrier: merge each task's deferred read counters and join
             // the clock before the span closes, so the span's stats delta
             // covers every read this batch issued.

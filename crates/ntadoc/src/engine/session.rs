@@ -11,7 +11,7 @@ use crate::dag::{DagBuildOptions, DagPool};
 use crate::layout::PoolLayoutConfig;
 use crate::query::{snapshot_fingerprint, Query, QueryResponse, Snapshot};
 use crate::report::{RunReport, METRIC_MEDIA_RETRIES};
-use crate::result::{Task, TaskOutput};
+use crate::result::{Task, TaskOutput, TaskRows};
 use crate::summation::{head_tail_over, GrammarFacts};
 use crate::Result;
 
@@ -254,7 +254,7 @@ impl Session {
     /// the engine's [`RetryPolicy`]: the unified entry point for an
     /// initialized session. The query's task must be the task this
     /// session was initialized for; result shaping (`top_k`,
-    /// `file_filter`) is applied host-side after the traversal.
+    /// `file_filter`) is applied host-side after the traversal, on ids.
     pub fn run_query(&mut self, query: &Query) -> Result<QueryResponse> {
         query.validate()?;
         if query.task != self.sc.task {
@@ -270,7 +270,7 @@ impl Session {
         };
         let mut attempts = 0u32;
         let out = loop {
-            match self.traverse() {
+            match self.traverse_rows() {
                 Err(PmemError::MediaError { .. }) if attempts < max => {
                     // Phase re-run: a successful rewrite re-programs the
                     // faulted cells, so result regions heal; a fault
@@ -288,21 +288,26 @@ impl Session {
                 other => break other?,
             }
         };
-        Ok(self.respond(query, query.key().apply(out)))
+        Ok(self.respond(query, query.key().shape(out)))
     }
 
-    /// `query`'s response from this session: its shaped output, stamped
-    /// with the snapshot that answered it.
-    pub(super) fn respond(&self, query: &Query, out: TaskOutput) -> QueryResponse {
-        QueryResponse::computed(query.tenant, query.task, Arc::new(out), self.snapshot.clone())
+    /// `query`'s response from this session: its shaped rows, stamped with
+    /// the snapshot that answered it.
+    pub(super) fn respond(&self, query: &Query, rows: TaskRows) -> QueryResponse {
+        QueryResponse::computed(query.tenant, query.task, Arc::new(rows), self.snapshot.clone())
     }
 
     /// The graph-traversal phase, one attempt, recorded as a
     /// `"traversal"` span (each retry records its own). Re-runnable: under
     /// phase-level persistence, a crash during traversal recovers by
     /// calling this again on the persisted pool.
-    pub fn traverse(&mut self) -> Result<TaskOutput> {
+    pub fn traverse_rows(&mut self) -> Result<TaskRows> {
         self.sc.traversal(|| self.run_task(self.sc.task))
+    }
+
+    /// [`traverse_rows`](Self::traverse_rows), the result as strings.
+    pub fn traverse(&mut self) -> Result<TaskOutput> {
+        self.traverse_rows().map(TaskRows::into_strings)
     }
 
     /// Measurement report for this session (after `run_query`/`traverse`).

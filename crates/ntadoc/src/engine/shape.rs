@@ -1,4 +1,4 @@
-//! The one task back-end: id-level results → [`TaskOutput`].
+//! The one task back-end: id-level results → [`TaskRows`].
 //!
 //! Every engine computes a task in two steps. The first is its own —
 //! a DAG traversal, a merge over cached word lists, a scan of the token
@@ -6,18 +6,22 @@
 //! tables, `(n-gram, count)` lists, `(n-gram, file, count)` postings. The
 //! second is the same for all of them and lives here, one function per
 //! task: order, rank and cut the id-level result, charge the modeled sort,
-//! and materialise strings through the caller's [`WordReader`] — copied
-//! only where the output keeps them; n-gram rows are ordered by integer
-//! rank ([`ranks`]), not by the strings just built. Batch, serve and the
-//! uncompressed baseline therefore shape results with the same code in the
-//! same device-access order.
+//! read every word the result names through the caller's [`WordReader`] —
+//! the model pays for a dictionary read per word written, in the order the
+//! words are produced — and lay the ids out as [`TaskRows`]. Rows keyed by
+//! words are ordered by integer rank ([`ranks`], once per run scaffold);
+//! no string is built. Batch, serve and the uncompressed baseline therefore
+//! shape results with the same code in the same device-access order.
+
+use std::sync::Arc;
 
 use ntadoc_grammar::{Compressed, Dictionary};
 use ntadoc_nstruct::{PHashTable, PVec};
+use ntadoc_pmem::PmemError;
 
 use super::RunScaffold;
 use crate::dag::WordReader;
-use crate::result::TaskOutput;
+use crate::result::{Task, TaskRows};
 use crate::Result;
 
 /// An id-level result: `(word or n-gram id, count)` pairs.
@@ -31,18 +35,67 @@ pub(crate) fn counts_of(table: &PHashTable) -> Counts {
     table.entries().into_iter().map(|(k, v)| (k as u32, v)).collect()
 }
 
-/// Word count: the counts keyed by word string.
-pub(crate) fn word_count(counts: Counts, mut words: WordReader) -> TaskOutput {
-    TaskOutput::WordCount(counts.into_iter().map(|(w, c)| (words.get(w).to_owned(), c)).collect())
+/// `len` items as a list end in [`TaskRows`], which counts them in `u32`.
+fn end_of(len: usize) -> Result<u32> {
+    u32::try_from(len).map_err(|_| PmemError::TooLarge {
+        what: "result items",
+        len: len as u64,
+        max: u32::MAX as u64,
+    })
 }
 
-/// Sort: materialise the strings, then sort alphabetically.
-pub(crate) fn sort(sc: &RunScaffold, counts: Counts, mut words: WordReader) -> TaskOutput {
-    let mut rows: Vec<(String, u64)> =
-        counts.into_iter().map(|(w, c)| (words.get(w).to_owned(), c)).collect();
+/// Of neighbours `same` calls equal, keep the last: what collecting the
+/// rows into a map does with equal keys.
+fn keep_last<T: Copy>(rows: &mut Vec<T>, same: impl Fn(&T, &T) -> bool) {
+    rows.dedup_by(|later, kept| {
+        let equal = same(later, kept);
+        if equal {
+            *kept = *later;
+        }
+        equal
+    });
+}
+
+/// Rows keyed by one word, in word order. Word count is a map: of two ids
+/// that name one string — a forged image can hold such — it has the later
+/// row; sort is a list and has both.
+fn by_word(
+    sc: &RunScaffold,
+    task: Task,
+    mut counts: Counts,
+    comp: &Arc<Compressed>,
+    mut words: WordReader,
+) -> TaskRows {
+    counts.iter().for_each(|&(w, _)| words.touch(w));
+    let rank = sc.ranks(&comp.dict);
+    counts.sort_by_key(|&(w, _)| rank[w as usize]);
+    if task == Task::WordCount {
+        keep_last(&mut counts, |a, b| rank[a.0 as usize] == rank[b.0 as usize]);
+    }
+    let (keys, counts) = counts.into_iter().unzip();
+    TaskRows::new(task, comp.clone(), 1, keys, Vec::new(), Vec::new(), counts)
+}
+
+/// Word count: the counts keyed by word.
+pub(crate) fn word_count(
+    sc: &RunScaffold,
+    counts: Counts,
+    comp: &Arc<Compressed>,
+    words: WordReader,
+) -> TaskRows {
+    by_word(sc, Task::WordCount, counts, comp, words)
+}
+
+/// Sort: every `(word, count)` in alphabetical order.
+pub(crate) fn sort(
+    sc: &RunScaffold,
+    counts: Counts,
+    comp: &Arc<Compressed>,
+    words: WordReader,
+) -> TaskRows {
+    let rows = by_word(sc, Task::Sort, counts, comp, words);
     sc.charge_sort(rows.len() as u64);
-    rows.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-    TaskOutput::Sort(rows)
+    rows
 }
 
 /// Term vector: each file's `top_k` words, count descending with the
@@ -50,18 +103,23 @@ pub(crate) fn sort(sc: &RunScaffold, counts: Counts, mut words: WordReader) -> T
 pub(crate) fn term_vector(
     sc: &RunScaffold,
     tables: Vec<Counts>,
-    comp: &Compressed,
+    comp: &Arc<Compressed>,
     mut words: WordReader,
-) -> TaskOutput {
-    let mut out = Vec::with_capacity(tables.len());
-    for (fid, mut entries) in tables.into_iter().enumerate() {
+) -> Result<TaskRows> {
+    let (mut ends, mut items, mut counts) = (Vec::with_capacity(tables.len()), vec![], vec![]);
+    for mut entries in tables {
         sc.charge_sort(entries.len() as u64);
         entries.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         entries.truncate(sc.cfg.top_k);
-        let top = entries.into_iter().map(|(w, c)| (words.get(w).to_owned(), c)).collect();
-        out.push((comp.file_names[fid].clone(), top));
+        for (w, c) in entries {
+            words.touch(w);
+            items.push(w);
+            counts.push(c);
+        }
+        ends.push(end_of(items.len())?);
     }
-    TaskOutput::TermVector(out)
+    let files = (0..ends.len() as u32).collect();
+    Ok(TaskRows::new(Task::TermVector, comp.clone(), 1, files, ends, items, counts))
 }
 
 /// Inverted index: word → the files containing it, in file order. With
@@ -70,55 +128,70 @@ pub(crate) fn term_vector(
 /// (a run's result); without, nothing is written (a served response).
 pub(crate) fn inverted_index(
     sc: &RunScaffold,
-    tables: Vec<Counts>,
-    comp: &Compressed,
+    mut tables: Vec<Counts>,
+    comp: &Arc<Compressed>,
     mut words: WordReader,
     persist_pairs: bool,
-) -> Result<TaskOutput> {
+) -> Result<TaskRows> {
     let pairs: Option<PVec<(u32, u32)>> = if persist_pairs {
         let total = tables.iter().map(|t| t.len()).sum::<usize>();
         Some(PVec::with_capacity(sc.pool.clone(), total.max(1))?)
     } else {
         None
     };
-    // Postings are gathered per word id — an index, not a descent over
-    // string keys per posting — and the map is bulk-built from the distinct
-    // words at the end (`collect` sorts once). A dictionary id names one
-    // string, so this is the map an insert per posting would have built.
-    // Every posting still looks its word up, in emission order: the lookup
-    // is a charged dictionary read. Only a word's first copies the name.
-    let mut by_word: Vec<Option<(String, Vec<String>)>> = Vec::new();
-    for (fid, mut entries) in tables.into_iter().enumerate() {
+    // Every posting looks its word up, in emission order: the lookup is a
+    // charged dictionary read. Meanwhile the postings are counted per word.
+    let mut postings = vec![0u32; comp.dict.len()];
+    for (fid, entries) in tables.iter_mut().enumerate() {
         // Deterministic order within a file.
         entries.sort_unstable_by_key(|e| e.0);
         sc.charge_sort(entries.len() as u64);
-        for (wid, _) in entries {
+        for &(wid, _) in entries.iter() {
             if let Some(pairs) = &pairs {
                 pairs.push((wid, fid as u32))?;
             }
-            let name = words.get(wid);
-            if by_word.len() <= wid as usize {
-                by_word.resize_with(wid as usize + 1, || None);
-            }
-            // (A list starts at one element: half the words are in one file.)
-            match &mut by_word[wid as usize] {
-                Some((_, files)) => files.push(comp.file_names[fid].clone()),
-                unseen => *unseen = Some((name.to_owned(), vec![comp.file_names[fid].clone()])),
-            }
+            words.touch(wid);
+            postings[wid as usize] += 1;
         }
     }
     match pairs {
         Some(pairs) if sc.persists() => pairs.persist(),
         _ => {}
     }
-    Ok(TaskOutput::InvertedIndex(by_word.into_iter().flatten().collect()))
+    // The words that occur, in word order; of two ids naming one string the
+    // later, as a map built in id order keeps it.
+    let rank = sc.ranks(&comp.dict);
+    let mut keys: Vec<u32> =
+        (0..postings.len() as u32).filter(|&w| postings[w as usize] > 0).collect();
+    keys.sort_by_key(|&w| rank[w as usize]);
+    keep_last(&mut keys, |&a, &b| rank[a as usize] == rank[b as usize]);
+    // Each kept word's list is filled file after file from where it starts.
+    let mut cursor = vec![u32::MAX; postings.len()];
+    let mut ends = Vec::with_capacity(keys.len());
+    let mut total = 0;
+    for &w in &keys {
+        cursor[w as usize] = total as u32; // the end before, which fitted
+        total += postings[w as usize] as usize;
+        ends.push(end_of(total)?);
+    }
+    let mut items = vec![0u32; total];
+    for (fid, entries) in tables.iter().enumerate() {
+        for &(wid, _) in entries {
+            let at = &mut cursor[wid as usize];
+            if *at != u32::MAX {
+                items[*at as usize] = fid as u32;
+                *at += 1;
+            }
+        }
+    }
+    Ok(TaskRows::new(Task::InvertedIndex, comp.clone(), 1, keys, ends, items, Vec::new()))
 }
 
 /// Each dictionary id's alphabetical rank. Ids order like their strings —
 /// distinct ids name distinct strings, and the equal strings only a forged
 /// image can hold share a rank — so rows keyed by words sort by rank
 /// tuples exactly as they would by the words themselves.
-fn ranks(dict: &Dictionary) -> Vec<u32> {
+pub(super) fn ranks(dict: &Dictionary) -> Vec<u32> {
     let mut ids: Vec<u32> = (0..dict.len() as u32).collect();
     ids.sort_unstable_by_key(|&id| dict.word(id));
     let mut rank = vec![0u32; ids.len()];
@@ -129,51 +202,52 @@ fn ranks(dict: &Dictionary) -> Vec<u32> {
     rank
 }
 
-/// `len` rows keyed by n-gram id → the rows keyed by the n-grams' words,
-/// in key order. The dictionary is read row by row in the order given,
-/// once per word of each n-gram; the rows are then ordered by rank tuple,
-/// so the map a caller collects them into is bulk-built: its sort finds them
-/// sorted, and a later row still replaces an earlier one with the same words.
-fn keyed_by_gram<V>(
+/// Rows keyed by n-gram id → the order to lay them out in, keyed by the
+/// n-grams' words. The dictionary is read row by row as `ids` yields them,
+/// once per word of each n-gram. The answer lists row numbers by rank tuple
+/// — the order of a map keyed by the words — and, of rows whose n-grams
+/// read the same, holds the last.
+fn gram_order(
     sc: &RunScaffold,
-    len: usize,
-    rows: impl Iterator<Item = (u32, V)>,
+    ids: impl Iterator<Item = u32>,
     dict: &Dictionary,
     mut words: WordReader,
-) -> Vec<(Vec<String>, V)> {
-    let (n, rank, grams) = (sc.cfg.ngram, ranks(dict), sc.interner.grams());
-    let mut keys: Vec<u32> = Vec::with_capacity(len * n);
-    let mut keyed: Vec<(Vec<String>, V)> = Vec::with_capacity(len);
-    for (id, value) in rows {
-        let gram = grams.get(id);
-        keys.extend(gram.iter().map(|&w| rank[w as usize]));
-        keyed.push((gram.iter().map(|&w| words.get(w).to_owned()).collect(), value));
-    }
-    let key = |row: u32| &keys[row as usize * n..][..n];
-    let mut order: Vec<u32> = (0..keyed.len() as u32).collect();
-    order.sort_by(|&a, &b| key(a).cmp(key(b)));
-    // Permute in place (the map is then built out of this one vector): slot
-    // `at` takes row `order[at]`, found where earlier swaps have left it.
-    for at in 0..order.len() {
-        let mut from = order[at] as usize;
-        while from < at {
-            from = order[from] as usize;
+) -> Vec<u32> {
+    let (n, rank, grams) = (sc.cfg.ngram, sc.ranks(dict), sc.interner.grams());
+    let mut ranked: Vec<u32> = Vec::with_capacity(ids.size_hint().0 * n);
+    for id in ids {
+        for &w in grams.get(id) {
+            words.touch(w);
+            ranked.push(rank[w as usize]);
         }
-        order[at] = from as u32;
-        keyed.swap(at, from);
     }
-    keyed
+    let key = |row: u32| &ranked[row as usize * n..][..n];
+    let mut order: Vec<u32> = (0..(ranked.len() / n) as u32).collect();
+    order.sort_by(|&a, &b| key(a).cmp(key(b)));
+    keep_last(&mut order, |&a, &b| key(a) == key(b));
+    order
+}
+
+/// The words of the n-grams `ids` names, back to back: the `keys` arena.
+fn gram_keys(sc: &RunScaffold, ids: impl ExactSizeIterator<Item = u32>) -> Vec<u32> {
+    let grams = sc.interner.grams();
+    let mut keys = Vec::with_capacity(ids.len() * sc.cfg.ngram);
+    ids.for_each(|id| keys.extend_from_slice(grams.get(id)));
+    keys
 }
 
 /// Sequence count: `(n-gram id, count)` keyed by the n-gram's words.
 pub(crate) fn sequence_count(
     sc: &RunScaffold,
     counts: Counts,
-    comp: &Compressed,
+    comp: &Arc<Compressed>,
     words: WordReader,
-) -> TaskOutput {
-    let rows = keyed_by_gram(sc, counts.len(), counts.into_iter(), &comp.dict, words);
-    TaskOutput::SequenceCount(rows.into_iter().collect())
+) -> TaskRows {
+    let order = gram_order(sc, counts.iter().map(|c| c.0), &comp.dict, words);
+    let row = |&at: &u32| counts[at as usize];
+    let keys = gram_keys(sc, order.iter().map(|at| row(at).0));
+    let counts = order.iter().map(|at| row(at).1).collect();
+    TaskRows::new(Task::SequenceCount, comp.clone(), sc.cfg.ngram, keys, vec![], vec![], counts)
 }
 
 /// Ranked inverted index: n-gram → `(file, count)`, count descending with
@@ -181,30 +255,38 @@ pub(crate) fn sequence_count(
 pub(crate) fn ranked_index(
     sc: &RunScaffold,
     mut postings: Postings,
-    comp: &Compressed,
+    comp: &Arc<Compressed>,
     words: WordReader,
-) -> TaskOutput {
-    // One sort, n-gram ids descending: n-grams are taken in id order — the
-    // order the dictionary is read in — as groups off the vector's end, and
-    // the vector gives its memory back to the growing result as it shrinks.
-    postings.sort_unstable_by_key(|&(sid, _)| std::cmp::Reverse(sid));
-    let ngrams = postings.chunk_by(|a, b| a.0 == b.0).count();
-    let groups = std::iter::from_fn(|| {
-        let sid = postings.last()?.0;
-        let start = postings.iter().rposition(|p| p.0 != sid).map_or(0, |at| at + 1);
-        let files = &mut postings[start..];
-        sc.charge_sort(files.len() as u64);
-        files.sort_unstable_by(|(_, a), (_, b)| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        let name = |fid: u32| comp.file_names[fid as usize].clone();
-        let ranked: Vec<(String, u64)> = files.iter().map(|&(_, (f, c))| (name(f), c)).collect();
-        postings.truncate(start);
-        if postings.len() < postings.capacity() / 2 {
-            postings.shrink_to_fit();
-        }
-        Some((sid, ranked))
+) -> Result<TaskRows> {
+    // Every list end below is at most this one.
+    end_of(postings.len())?;
+    // One sort by n-gram id: n-grams are taken in id order — the order the
+    // dictionary is read in — each a run of the vector, ranked in place as
+    // `gram_order` comes to it.
+    postings.sort_unstable_by_key(|&(sid, _)| sid);
+    let mut groups: Vec<(u32, u32)> = Vec::new(); // (n-gram id, where its run ends)
+    let ids = postings.chunk_by_mut(|a, b| a.0 == b.0).map(|run| {
+        sc.charge_sort(run.len() as u64);
+        run.sort_unstable_by(|(_, a), (_, b)| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        let start = groups.last().map_or(0, |g| g.1);
+        groups.push((run[0].0, start + run.len() as u32));
+        run[0].0
     });
-    let rows = keyed_by_gram(sc, ngrams, groups, &comp.dict, words);
-    TaskOutput::RankedInvertedIndex(rows.into_iter().collect())
+    let order = gram_order(sc, ids, &comp.dict, words);
+    let keys = gram_keys(sc, order.iter().map(|&at| groups[at as usize].0));
+    let mut ends = Vec::with_capacity(order.len());
+    let (mut items, mut counts) =
+        (Vec::with_capacity(postings.len()), Vec::with_capacity(postings.len()));
+    for &at in &order {
+        let from = if at == 0 { 0 } else { groups[at as usize - 1].1 as usize };
+        for &(_, (file, count)) in &postings[from..groups[at as usize].1 as usize] {
+            items.push(file);
+            counts.push(count);
+        }
+        ends.push(items.len() as u32);
+    }
+    let n = sc.cfg.ngram;
+    Ok(TaskRows::new(Task::RankedInvertedIndex, comp.clone(), n, keys, ends, items, counts))
 }
 
 #[cfg(test)]
@@ -217,7 +299,7 @@ mod tests {
     use super::*;
     use crate::config::EngineConfig;
     use crate::engine::LOG_BYTES;
-    use crate::result::Task;
+    use crate::result::TaskOutput;
 
     /// Words that are prefixes of one another and non-ASCII words, first
     /// seen in reverse alphabetical order (ids and ranks disagree).
@@ -238,14 +320,14 @@ mod tests {
 
     /// A corpus whose dictionary is `WORDS` in that order — plus, with
     /// `forged`, a second id for `ab`, as only a forged image can hold.
-    fn corpus(forged: bool) -> Compressed {
+    fn corpus(forged: bool) -> Arc<Compressed> {
         let files: Vec<_> = (0..FILES).map(|f| (format!("file{f}"), WORDS.join(" "))).collect();
         let mut comp = compress_corpus(&files, &TokenizerConfig::default());
         if forged {
             let words = WORDS.iter().chain(&["ab"]).map(|w| w.to_string()).collect();
             comp.dict = Dictionary::from_words(words);
         }
-        comp
+        Arc::new(comp)
     }
 
     /// A scaffold for `n`-grams with `dict` laid out on its device as the
@@ -317,24 +399,26 @@ mod tests {
         TaskOutput::RankedInvertedIndex(out)
     }
 
+    /// Postings inserted one by one under their word id, the map then built
+    /// in id order: of two ids that read alike it keeps the later's files.
     fn inverted_index_ref(tables: &[Counts], comp: &Compressed) -> TaskOutput {
-        let mut out: BTreeMap<String, Vec<String>> = BTreeMap::new();
+        let mut by_id: BTreeMap<u32, Vec<String>> = BTreeMap::new();
         for (fid, table) in tables.iter().enumerate() {
             let mut entries = table.clone();
             entries.sort_unstable_by_key(|e| e.0);
             for (wid, _) in entries {
-                let files = out.entry(comp.dict.word(wid).to_owned()).or_default();
-                files.push(comp.file_names[fid].clone());
+                by_id.entry(wid).or_default().push(comp.file_names[fid].clone());
             }
         }
-        TaskOutput::InvertedIndex(out)
+        let named = by_id.into_iter().map(|(wid, files)| (comp.dict.word(wid).to_owned(), files));
+        TaskOutput::InvertedIndex(named.collect())
     }
 
     #[test]
     fn ranks_order_ids_like_their_strings() {
         for forged in [false, true] {
-            let dict = corpus(forged).dict;
-            let rank = ranks(&dict);
+            let dict = &corpus(forged).dict;
+            let rank = ranks(dict);
             for (a, x) in dict.iter() {
                 for (b, y) in dict.iter() {
                     assert_eq!(rank[a as usize].cmp(&rank[b as usize]), x.cmp(y), "{x} vs {y}");
@@ -356,12 +440,8 @@ mod tests {
             // Counts in interning order, which is not id order.
             let counts: Counts = ids.iter().map(|&id| (id, 1 + rng.below(5))).collect();
             let expect = sequence_count_ref(&sc, &counts, &comp);
-            // The map is bulk-built only from rows that come in key order.
-            let words = reader(&sc, &comp.dict);
-            let rows = keyed_by_gram(&sc, 0, counts.iter().copied(), &comp.dict, words);
-            assert!(rows.is_sorted_by(|a, b| a.0 <= b.0), "round {round}: {rows:?}");
             let got = sequence_count(&sc, counts, &comp, reader(&sc, &comp.dict));
-            assert_eq!(got, expect, "round {round}: n = {n}, forged {forged}");
+            assert_eq!(got.into_strings(), expect, "round {round}: n = {n}, forged {forged}");
 
             // Postings file after file; files 1 and 4 are empty, counts tie.
             let mut postings = Postings::new();
@@ -373,8 +453,8 @@ mod tests {
                 }
             }
             let expect = ranked_index_ref(&sc, &postings, &comp);
-            let got = ranked_index(&sc, postings, &comp, reader(&sc, &comp.dict));
-            assert_eq!(got, expect, "round {round}: n = {n}, forged {forged}");
+            let got = ranked_index(&sc, postings, &comp, reader(&sc, &comp.dict)).unwrap();
+            assert_eq!(got.into_strings(), expect, "round {round}: n = {n}, forged {forged}");
         }
     }
 
@@ -383,20 +463,21 @@ mod tests {
         let (sc, comp) = (scaffold(3), corpus(false));
         let words = || reader(&sc, &comp.dict);
         let empty = TaskOutput::SequenceCount(BTreeMap::new());
-        assert_eq!(sequence_count(&sc, Counts::new(), &comp, words()), empty);
+        assert_eq!(sequence_count(&sc, Counts::new(), &comp, words()).into_strings(), empty);
         let empty = TaskOutput::RankedInvertedIndex(BTreeMap::new());
-        assert_eq!(ranked_index(&sc, Postings::new(), &comp, words()), empty);
+        let got = ranked_index(&sc, Postings::new(), &comp, words()).unwrap();
+        assert_eq!(got.into_strings(), empty);
     }
 
     #[test]
     fn inverted_index_equals_an_insert_per_posting() {
         let mut rng = Rng(0xD1B5_4A32_D192_ED03);
-        let (sc, comp) = (scaffold(2), corpus(false));
         for round in 0..20 {
+            let (sc, comp) = (scaffold(2), corpus(round % 4 == 3));
             // Unsorted tables, some empty.
             let mut tables = vec![Counts::new(); FILES as usize];
             for (fid, table) in tables.iter_mut().enumerate() {
-                for w in (0..WORDS.len() as u32).rev() {
+                for w in (0..comp.dict.len() as u32).rev() {
                     if rng.below(4) > fid as u64 % 3 {
                         table.push((w, 1 + rng.below(9)));
                     }
@@ -404,7 +485,31 @@ mod tests {
             }
             let expect = inverted_index_ref(&tables, &comp);
             let got = inverted_index(&sc, tables, &comp, reader(&sc, &comp.dict), round % 2 == 0);
-            assert_eq!(got.unwrap(), expect, "round {round}");
+            assert_eq!(got.unwrap().into_strings(), expect, "round {round}");
+        }
+    }
+
+    #[test]
+    fn word_keyed_shapers_equal_a_collect_of_their_strings() {
+        let mut rng = Rng(0x94D0_49BB_1331_11EB);
+        for round in 0..20 {
+            let (sc, comp) = (scaffold(2), corpus(round % 2 == 1));
+            // Every word once, in neither id nor word order.
+            let mut counts: Counts =
+                (0..comp.dict.len() as u32).map(|w| (w, 1 + rng.below(9))).collect();
+            counts.rotate_left(rng.below(14) as usize);
+            counts.swap(0, 1 + rng.below(13) as usize);
+            let named = || counts.iter().map(|&(w, c)| (comp.dict.word(w).to_owned(), c));
+            // A map keeps the later of two rows that read alike; a list
+            // keeps both, in the order they came.
+            let expect = TaskOutput::WordCount(named().collect());
+            let words = || reader(&sc, &comp.dict);
+            let got = word_count(&sc, counts.clone(), &comp, words());
+            assert_eq!(got.into_strings(), expect, "round {round}");
+            let mut rows: Vec<(String, u64)> = named().collect();
+            rows.sort_by(|a, b| a.0.cmp(&b.0));
+            let got = sort(&sc, counts.clone(), &comp, words());
+            assert_eq!(got.into_strings(), TaskOutput::Sort(rows), "round {round}");
         }
     }
 }

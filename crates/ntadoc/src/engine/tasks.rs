@@ -1,7 +1,7 @@
 //! The compressed engines' half of every task: shared traversal
 //! machinery, the word-list caches, and the id-level word and per-file
 //! counts. Sequence tasks are in [`super::sequence`]; turning id-level
-//! results into a [`TaskOutput`] is [`super::shape`]'s job.
+//! results into [`TaskRows`] is [`super::shape`]'s job.
 //!
 //! Every loop here reads rule data **from the device** (never from the
 //! host-side grammar), so the virtual clock sees exactly the access
@@ -19,7 +19,7 @@ use super::shape::{self, counts_of, Counts};
 use super::Session;
 use crate::config::Traversal;
 use crate::dag::{PoolBuf, WordReader};
-use crate::result::{Task, TaskOutput};
+use crate::result::{Task, TaskRows};
 use crate::Result;
 
 /// One thread's working memory for the id-level steps: the buffers pool
@@ -123,24 +123,24 @@ impl Session {
     /// caches, word strings come from one bulk dictionary read, and no
     /// device state is mutated (no weight propagation, no result
     /// structures), so any number of served tasks run concurrently.
-    pub(crate) fn run_task(&self, task: Task) -> Result<TaskOutput> {
+    pub(crate) fn run_task(&self, task: Task) -> Result<TaskRows> {
         if self.serve_mode && task.is_sequence() {
             return Err(PmemError::Unsupported(format!(
                 "task '{task}' is not servable: sequence-list caches share storage with \
                  word lists and are rebuilt per run"
             )));
         }
-        let (sc, comp) = (&self.sc, &*self.comp);
+        let (sc, comp) = (&self.sc, &self.comp);
         // Arguments evaluate left to right: the id-level step runs before
         // the reader is made, so a serve session's bulk dictionary read
         // follows its list merges.
         let words = || -> Result<WordReader<'_>> { Ok(self.dag()?.words(self.serve_mode)) };
         let persist = !self.serve_mode;
         Ok(match task {
-            Task::WordCount => shape::word_count(self.word_counts()?, words()?),
-            Task::Sort => shape::sort(sc, self.word_counts()?, words()?),
+            Task::WordCount => shape::word_count(sc, self.word_counts()?, comp, words()?),
+            Task::Sort => shape::sort(sc, self.word_counts()?, comp, words()?),
             Task::TermVector => {
-                shape::term_vector(sc, self.per_file_word_tables()?, comp, words()?)
+                shape::term_vector(sc, self.per_file_word_tables()?, comp, words()?)?
             }
             // The pairs are the persisted result of a run; a served response
             // persists nothing.
@@ -151,7 +151,7 @@ impl Session {
                 shape::sequence_count(sc, self.sequence_counts()?, comp, words()?)
             }
             Task::RankedInvertedIndex => {
-                shape::ranked_index(sc, self.ranked_postings()?, comp, words()?)
+                shape::ranked_index(sc, self.ranked_postings()?, comp, words()?)?
             }
         })
     }

@@ -78,7 +78,7 @@ pub use report::{
     RunReport, METRIC_DEVICE_PEAK, METRIC_DRAM_PEAK, METRIC_HIT_RATE, METRIC_MEDIA_RETRIES,
     METRIC_SERVE_RATE, METRIC_SERVE_TASKS, REPORT_VERSION,
 };
-pub use result::{OutputMismatch, Task, TaskOutput, UnknownTask};
+pub use result::{OutputMismatch, Row, Task, TaskOutput, TaskRows, UnknownTask};
 pub use summation::{
     head_tail_incremental, head_tail_info, topo_levels, upper_bounds, upper_bounds_incremental,
     SummationResult,

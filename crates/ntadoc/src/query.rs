@@ -6,7 +6,7 @@
 //! the canonical identity of the *answer* — everything that determines
 //! the bytes of the output except the grammar snapshot — so a result
 //! cache keyed by `(snapshot version, QueryKey)` is sound: same snapshot,
-//! same key ⇒ byte-identical [`TaskOutput`].
+//! same key ⇒ byte-identical [`TaskRows`].
 //!
 //! The snapshot version itself is [`snapshot_fingerprint`]: a
 //! deterministic FNV-1a over the compressed corpus (dictionary text, rule
@@ -19,7 +19,7 @@ use std::sync::{Arc, OnceLock};
 use ntadoc_grammar::Compressed;
 use ntadoc_pmem::PmemBackend;
 
-use crate::result::{Task, TaskOutput};
+use crate::result::{Task, TaskOutput, TaskRows};
 
 /// First-class handle to one published grammar snapshot: the corpus
 /// fingerprint plus the pool view serving it.
@@ -142,7 +142,7 @@ pub struct Query {
     /// indistinguishable from a filter that matched everything).
     pub file_filter: Option<String>,
     /// Truncate the result to the top `k` rows (per-task semantics — see
-    /// [`QueryKey::apply`]).
+    /// [`QueryKey::shape`]).
     pub top_k: Option<usize>,
 }
 
@@ -197,7 +197,9 @@ pub struct QueryKey {
 }
 
 impl QueryKey {
-    /// Shape a raw task output according to this key's parameters.
+    /// Shape a task's full result according to this key's parameters, in
+    /// the id domain: no string is built or compared except the file names
+    /// a filter is matched against, once each.
     ///
     /// Per-task semantics:
     /// * `file_filter` (file-oriented tasks only): term-vector rows whose
@@ -209,53 +211,48 @@ impl QueryKey {
     ///   `k` rows (it is defined as alphabetical order); term vectors and
     ///   both inverted indexes truncate each row's inner list to `k`.
     ///
-    /// A key with no parameters returns the output unchanged (no clone).
-    pub fn apply(&self, out: TaskOutput) -> TaskOutput {
-        let out = match &self.file_filter {
-            None => out,
-            Some(needle) => match out {
-                TaskOutput::TermVector(rows) => TaskOutput::TermVector(
-                    rows.into_iter().filter(|(f, _)| f.contains(needle.as_str())).collect(),
-                ),
-                TaskOutput::InvertedIndex(m) => TaskOutput::InvertedIndex(
-                    m.into_iter()
-                        .map(|(w, fs)| {
-                            (w, fs.into_iter().filter(|f| f.contains(needle.as_str())).collect())
-                        })
-                        .filter(|(_, fs): &(String, Vec<String>)| !fs.is_empty())
-                        .collect(),
-                ),
-                TaskOutput::RankedInvertedIndex(m) => TaskOutput::RankedInvertedIndex(
-                    m.into_iter()
-                        .map(|(g, fs)| {
-                            (
-                                g,
-                                fs.into_iter()
-                                    .filter(|(f, _)| f.contains(needle.as_str()))
-                                    .collect::<Vec<_>>(),
-                            )
-                        })
-                        .filter(|(_, fs)| !fs.is_empty())
-                        .collect(),
-                ),
-                other => other,
-            },
-        };
-        let Some(k) = self.top_k else { return out };
-        match out {
-            TaskOutput::WordCount(m) => TaskOutput::WordCount(top_by_count(m, k)),
-            TaskOutput::Sort(rows) => TaskOutput::Sort(rows.into_iter().take(k).collect()),
-            TaskOutput::TermVector(rows) => TaskOutput::TermVector(
-                rows.into_iter().map(|(f, ws)| (f, ws.into_iter().take(k).collect())).collect(),
-            ),
-            TaskOutput::InvertedIndex(m) => TaskOutput::InvertedIndex(
-                m.into_iter().map(|(w, fs)| (w, fs.into_iter().take(k).collect())).collect(),
-            ),
-            TaskOutput::SequenceCount(m) => TaskOutput::SequenceCount(top_by_count(m, k)),
-            TaskOutput::RankedInvertedIndex(m) => TaskOutput::RankedInvertedIndex(
-                m.into_iter().map(|(g, fs)| (g, fs.into_iter().take(k).collect())).collect(),
-            ),
+    /// A key with no parameters returns the rows untouched.
+    pub fn shape(&self, mut rows: TaskRows) -> TaskRows {
+        if let Some(needle) = &self.file_filter {
+            rows.keep_files(needle);
         }
+        if let Some(k) = self.top_k {
+            rows.keep_top(k);
+        }
+        rows
+    }
+
+    /// [`shape`](Self::shape) over the string form, with the same
+    /// semantics. Nothing in the engine or the daemon calls it: it is the
+    /// reference `shape` is tested against (`tests/rows_equivalence.rs`) and
+    /// what the benchmark's oracle shapes its expected outputs with, as
+    /// [`TaskOutput::to_json`] is the reference of the reply writer.
+    pub fn apply(&self, mut out: TaskOutput) -> TaskOutput {
+        if let Some(needle) = self.file_filter.as_deref() {
+            match &mut out {
+                TaskOutput::TermVector(rows) => rows.retain(|(f, _)| f.contains(needle)),
+                TaskOutput::InvertedIndex(m) => m.retain(|_, fs| {
+                    fs.retain(|f| f.contains(needle));
+                    !fs.is_empty()
+                }),
+                TaskOutput::RankedInvertedIndex(m) => m.retain(|_, fs| {
+                    fs.retain(|(f, _)| f.contains(needle));
+                    !fs.is_empty()
+                }),
+                TaskOutput::WordCount(_) | TaskOutput::Sort(_) | TaskOutput::SequenceCount(_) => {}
+            }
+        }
+        if let Some(k) = self.top_k {
+            match &mut out {
+                TaskOutput::WordCount(m) => *m = top_by_count(std::mem::take(m), k),
+                TaskOutput::Sort(rows) => rows.truncate(k),
+                TaskOutput::TermVector(rows) => rows.iter_mut().for_each(|(_, ws)| ws.truncate(k)),
+                TaskOutput::InvertedIndex(m) => m.values_mut().for_each(|fs| fs.truncate(k)),
+                TaskOutput::SequenceCount(m) => *m = top_by_count(std::mem::take(m), k),
+                TaskOutput::RankedInvertedIndex(m) => m.values_mut().for_each(|fs| fs.truncate(k)),
+            }
+        }
+        out
     }
 }
 
@@ -268,36 +265,36 @@ fn top_by_count<K: Ord + Clone>(m: BTreeMap<K, u64>, k: usize) -> BTreeMap<K, u6
     rows.into_iter().collect()
 }
 
-/// What a result cache keeps for one answer: the output and, once a hit
-/// on it has been sent, the output's wire encoding.
+/// What a result cache keeps for one answer: the rows and, once a hit on
+/// them has been sent, their wire encoding.
 ///
 /// The encoding is made the first time it is asked for and never when the
 /// entry is made: most entries of a cache under churn are evicted without
-/// ever being hit, and an encoding is about as large as the output it is
-/// made from. A hit is then a lookup and a copy of these bytes.
+/// ever being hit, and an encoding is several times the size of the rows it
+/// is made from. A hit is then a lookup and a copy of these bytes.
 #[derive(Debug)]
 pub struct CachedOutput {
-    output: Arc<TaskOutput>,
+    rows: Arc<TaskRows>,
     encoded: OnceLock<String>,
 }
 
 impl CachedOutput {
-    /// An entry for `output`, not encoded yet.
-    pub fn new(output: Arc<TaskOutput>) -> Self {
-        CachedOutput { output, encoded: OnceLock::new() }
+    /// An entry for `rows`, not encoded yet.
+    pub fn new(rows: Arc<TaskRows>) -> Self {
+        CachedOutput { rows, encoded: OnceLock::new() }
     }
 
-    /// The output.
-    pub fn output(&self) -> &Arc<TaskOutput> {
-        &self.output
+    /// The rows.
+    pub fn rows(&self) -> &Arc<TaskRows> {
+        &self.rows
     }
 
-    /// [`TaskOutput::write_json`] of the output, encoded by the first call
-    /// and shared by every later one.
+    /// [`TaskRows::write_json`] of the rows, encoded by the first call and
+    /// shared by every later one.
     pub fn encoded(&self) -> &str {
         self.encoded.get_or_init(|| {
             let mut text = String::new();
-            self.output.write_json(&mut text);
+            self.rows.write_json(&mut text);
             text.shrink_to_fit();
             text
         })
@@ -316,27 +313,30 @@ pub struct QueryResponse {
     pub tenant: TenantId,
     /// The task that produced the output.
     pub task: Task,
-    /// The (possibly shaped) task output. Shared: a cache hit hands every
-    /// tenant the same `Arc` without re-materializing the result.
-    pub output: Arc<TaskOutput>,
     /// Whether this answer came from a result cache (zero device-line
     /// reads) rather than a DAG traversal.
     pub cache_hit: bool,
     /// The snapshot the answer is valid for. Shared: every response of a
     /// batch references the same handle.
     pub snapshot: Arc<Snapshot>,
+    /// The (possibly shaped) result. Shared: a cache hit hands every
+    /// tenant the same `Arc` without re-materializing it.
+    rows: Arc<TaskRows>,
+    /// The string form of `rows`, built by the first [`output`](Self::output)
+    /// and by nothing else, so it cannot say anything `rows` does not.
+    strings: OnceLock<TaskOutput>,
     /// The cache entry a hit came from, for its encoding. Private so that
-    /// it can only ever belong to `output`.
+    /// it can only ever belong to `rows`.
     cached: Option<Arc<CachedOutput>>,
 }
 
 /// Two responses are equal when they say the same thing; whether either
-/// carries a cache entry, encoded or not, takes no part.
+/// carries a cache entry or has built its strings takes no part.
 impl PartialEq for QueryResponse {
     fn eq(&self, other: &Self) -> bool {
         self.tenant == other.tenant
             && self.task == other.task
-            && self.output == other.output
+            && self.rows == other.rows
             && self.cache_hit == other.cache_hit
             && self.snapshot == other.snapshot
     }
@@ -349,10 +349,11 @@ impl QueryResponse {
     pub fn computed(
         tenant: TenantId,
         task: Task,
-        output: Arc<TaskOutput>,
+        rows: Arc<TaskRows>,
         snapshot: Arc<Snapshot>,
     ) -> Self {
-        QueryResponse { tenant, task, output, cache_hit: false, snapshot, cached: None }
+        let strings = OnceLock::new();
+        QueryResponse { tenant, task, cache_hit: false, snapshot, rows, strings, cached: None }
     }
 
     /// The answer a result cache held.
@@ -362,22 +363,35 @@ impl QueryResponse {
         cached: Arc<CachedOutput>,
         snapshot: Arc<Snapshot>,
     ) -> Self {
-        let output = cached.output.clone();
-        QueryResponse { tenant, task, output, cache_hit: true, snapshot, cached: Some(cached) }
+        let (rows, strings) = (cached.rows.clone(), OnceLock::new());
+        let cached = Some(cached);
+        QueryResponse { tenant, task, cache_hit: true, snapshot, rows, strings, cached }
     }
 
-    /// Borrow the output.
+    /// The result, in the id domain: what replies are written from.
+    pub fn rows(&self) -> &Arc<TaskRows> {
+        &self.rows
+    }
+
+    /// Take the result, still in the id domain.
+    pub fn into_rows(self) -> Arc<TaskRows> {
+        self.rows
+    }
+
+    /// Borrow the result's string form, which the first call builds
+    /// ([`TaskRows::into_strings`]). For callers that compare results; a
+    /// reply never needs it.
     pub fn output(&self) -> &TaskOutput {
-        &self.output
+        self.strings.get_or_init(|| TaskRows::clone(&self.rows).into_strings())
     }
 
-    /// Take the output by value (clones only when the result is shared
-    /// with a cache or with other tenants in the batch).
+    /// Take the result's string form by value.
     pub fn into_output(self) -> TaskOutput {
-        Arc::try_unwrap(self.output).unwrap_or_else(|arc| (*arc).clone())
+        let rows = self.rows;
+        self.strings.into_inner().unwrap_or_else(|| Arc::unwrap_or_clone(rows).into_strings())
     }
 
-    /// The output's wire encoding as its cache entry keeps it
+    /// The result's wire encoding as its cache entry keeps it
     /// ([`CachedOutput::encoded`]); `None` for an answer no cache holds,
     /// which its sender encodes for itself and keeps nothing of.
     pub fn encoded_output(&self) -> Option<&str> {

@@ -8,11 +8,11 @@
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
-use ntadoc::{CachedOutput, QueryKey, TaskOutput};
+use ntadoc::{CachedOutput, QueryKey, TaskRows};
 
-/// FIFO-evicting map from `(snapshot, query key)` to a shared task output
-/// and, once the entry has been hit and sent, that output's encoding
-/// ([`CachedOutput`]).
+/// FIFO-evicting map from `(snapshot, query key)` to a shared result, held
+/// as id rows, and, once the entry has been hit and sent, that result's
+/// encoding ([`CachedOutput`]).
 ///
 /// FIFO rather than LRU keeps eviction order a pure function of the insert
 /// sequence — one less source of replay divergence, and the hot-entry reuse
@@ -56,14 +56,14 @@ impl ResultCache {
         }
     }
 
-    /// Insert an output, not encoded, evicting the oldest entry when at
+    /// Insert a result, not encoded, evicting the oldest entry when at
     /// capacity.
-    pub fn insert(&mut self, snapshot: u64, key: QueryKey, out: Arc<TaskOutput>) {
+    pub fn insert(&mut self, snapshot: u64, key: QueryKey, rows: Arc<TaskRows>) {
         if self.capacity == 0 {
             return;
         }
         let lane = self.entries.entry(snapshot).or_default();
-        if lane.insert(key.clone(), Arc::new(CachedOutput::new(out))).is_some() {
+        if lane.insert(key.clone(), Arc::new(CachedOutput::new(rows))).is_some() {
             return; // refreshed in place; insertion order unchanged
         }
         self.resident += 1;
@@ -107,6 +107,12 @@ impl ResultCache {
         self.resident == 0
     }
 
+    /// Heap bytes of the resident entries' rows ([`TaskRows::heap_bytes`]);
+    /// their encodings are counted by [`memoized`](Self::memoized).
+    pub fn bytes(&self) -> usize {
+        self.entries.values().flat_map(HashMap::values).map(|e| e.rows().heap_bytes()).sum()
+    }
+
     /// `(entries, bytes)` of the encodings resident entries hold: one per
     /// entry that was hit and sent, none for an entry that never was.
     pub fn memoized(&self) -> (usize, usize) {
@@ -133,7 +139,8 @@ impl ResultCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ntadoc::{Query, Task, TenantId};
+    use ntadoc::{Engine, Query, Task, TenantId};
+    use ntadoc_grammar::{compress_corpus, TokenizerConfig};
 
     fn key(task: Task, k: Option<usize>) -> QueryKey {
         let q = Query::new(TenantId(0), task);
@@ -143,10 +150,12 @@ mod tests {
         }
     }
 
-    fn out(word: &str, n: u64) -> Arc<TaskOutput> {
-        let mut m = std::collections::BTreeMap::new();
-        m.insert(word.to_string(), n);
-        Arc::new(TaskOutput::WordCount(m))
+    /// The word count `{word: n}`, as an engine's rows.
+    fn out(word: &str, n: usize) -> Arc<TaskRows> {
+        let files = [("f".to_string(), vec![word; n].join(" "))];
+        let comp = compress_corpus(&files, &TokenizerConfig::default());
+        let mut engine = Engine::builder(comp).build().unwrap();
+        Arc::new(engine.run_rows(Task::WordCount).unwrap())
     }
 
     #[test]
@@ -203,12 +212,14 @@ mod tests {
         let mut c = ResultCache::new(1);
         c.insert(1, key(Task::WordCount, None), out("a", 1));
         assert_eq!(c.memoized(), (0, 0), "an insert encodes nothing");
+        assert_eq!(c.bytes(), 4 + 8, "one key and one count");
         let hit = c.get(1, &key(Task::WordCount, None)).unwrap();
         assert_eq!(c.memoized(), (0, 0), "nor does a lookup");
         assert_eq!(hit.encoded(), r#"{"a":1}"#);
         assert_eq!(c.memoized(), (1, 7));
         let again = c.get(1, &key(Task::WordCount, None)).unwrap();
         assert!(std::ptr::eq(hit.encoded(), again.encoded()), "one encoding per entry");
+        assert_eq!(c.bytes(), 4 + 8, "the encoding is not the rows'");
         c.insert(1, key(Task::Sort, None), out("b", 2)); // evicts it
         assert_eq!(c.memoized(), (0, 0));
     }

@@ -440,12 +440,12 @@ impl QueryDaemon {
                 }
             };
             for ((key, idxs), resp) in miss_groups.into_iter().zip(served) {
-                self.cache.insert(fp, key, resp.output.clone());
+                self.cache.insert(fp, key, resp.rows().clone());
                 for i in idxs {
                     responses[i] = Some(QueryResponse::computed(
                         taken[i].query.tenant,
                         resp.task,
-                        resp.output.clone(),
+                        resp.rows().clone(),
                         snapshot.clone(),
                     ));
                 }
@@ -595,9 +595,9 @@ mod tests {
         d.flush(&mut done).unwrap();
         assert_eq!(done.len(), 4);
         // One traversal served all four tenants: every response shares the
-        // same Arc'd output.
-        let first = &done[0].response.output;
-        assert!(done.iter().all(|c| std::sync::Arc::ptr_eq(&c.response.output, first)));
+        // same Arc'd rows.
+        let first = done[0].response.rows();
+        assert!(done.iter().all(|c| std::sync::Arc::ptr_eq(c.response.rows(), first)));
         assert_eq!(d.batches_dispatched(), 1);
     }
 

@@ -9,9 +9,9 @@
 //!
 //! Four layers:
 //!
-//! * [`ResultCache`] — `(snapshot_version, QueryKey) → Arc<TaskOutput>`
-//!   with FIFO eviction, plus the output's encoding once a hit on the entry
-//!   has been sent. Keyed on the grammar fingerprint, so installing a
+//! * [`ResultCache`] — `(snapshot_version, QueryKey) → Arc<TaskRows>`
+//!   (dictionary ids, never strings) with FIFO eviction, plus the result's
+//!   encoding once a hit on the entry has been sent. Keyed on the grammar fingerprint, so installing a
 //!   re-compressed corpus invalidates every stale entry structurally.
 //! * [`QueryDaemon`] — the event loop. [`QueryDaemon::run_trace`] replays an
 //!   arrival trace deterministically in virtual time (identical trace ⇒

@@ -16,8 +16,9 @@
 //! an object. A served reply is the one line that is not made from a tree:
 //! its six members — `cache_hit`, `ok`, `output`, `snapshot`, `task`,
 //! `tenant` — are written straight into the outgoing bytes, `output` by
-//! [`TaskOutput::write_json`](ntadoc::TaskOutput::write_json) for a miss
-//! and from the cache entry's encoding for a hit
+//! [`TaskRows::write_json`](ntadoc::TaskRows::write_json) for a miss — words
+//! and file names looked up as they are written, no string form of the
+//! result in between — and from the cache entry's encoding for a hit
 //! ([`QueryResponse::encoded_output`]), which the first hit on an entry
 //! makes and every later one copies. `tenant` and `cache_hit` differ between
 //! askers and sit outside it.
@@ -282,6 +283,7 @@ fn stats_reply(daemon: &QueryDaemon) -> Json {
         ("cache_hits", Json::U64(hits)),
         ("cache_misses", Json::U64(misses)),
         ("cache_entries", Json::from(daemon.cache().len())),
+        ("cache_bytes", Json::from(daemon.cache().bytes())),
         ("memoized_entries", Json::from(memoized_entries)),
         ("memoized_bytes", Json::from(memoized_bytes)),
         ("batches_dispatched", Json::U64(daemon.batches_dispatched())),
@@ -314,7 +316,7 @@ fn send_served(
             None
         }
         None => {
-            resp.output().write_json(reply);
+            resp.rows().write_json(reply);
             None
         }
     };

@@ -291,6 +291,7 @@ fn stats_reads_the_daemon_as_it_stands() {
     };
     let all = [
         "batches_dispatched",
+        "cache_bytes",
         "cache_entries",
         "cache_hits",
         "cache_misses",
@@ -308,11 +309,14 @@ fn stats_reads_the_daemon_as_it_stands() {
     ask(&mut s, sort);
     ask(&mut s, r#"{"op":"query","task":"wordcount"}"#);
     let after_misses = all.map(|name| stat(&mut s, name));
-    assert_eq!(after_misses, [2, 2, 0, 2, 0, 0, 0]);
+    // A word id and a count per row: one row of sort, the corpus's twelve
+    // words of word count. Hits add an encoding, which is counted apart.
+    let rows = (1 + 12) * (4 + 8);
+    assert_eq!(after_misses, [2, rows, 2, 0, 2, 0, 0, 0]);
     ask(&mut s, sort);
     ask(&mut s, sort);
     let after_hits = all.map(|name| stat(&mut s, name));
-    assert_eq!(after_hits, [4, 2, 2, 2, encoded, 1, 0]);
+    assert_eq!(after_hits, [4, rows, 2, 2, 2, encoded, 1, 0]);
 }
 
 #[test]

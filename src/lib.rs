@@ -6,10 +6,10 @@
 pub use ntadoc::{
     ingest_append, ingest_corpus, snapshot_fingerprint, AppendIngest, AppendReport, Engine,
     EngineBuilder, EngineConfig, IngestOptions, IngestReport, OutputMismatch, Persistence,
-    PoolBackend, PoolLayoutConfig, Query, QueryKey, QueryResponse, RetryPolicy, RunReport,
-    ServeSession, Session, Snapshot, Task, TaskOutput, TenantId, Traversal, UncompressedEngine,
-    UncompressedEngineBuilder, METRIC_DEVICE_PEAK, METRIC_DRAM_PEAK, METRIC_HIT_RATE,
-    METRIC_MEDIA_RETRIES, METRIC_SERVE_RATE, METRIC_SERVE_TASKS, REPORT_VERSION,
+    PoolBackend, PoolLayoutConfig, Query, QueryKey, QueryResponse, RetryPolicy, Row, RunReport,
+    ServeSession, Session, Snapshot, Task, TaskOutput, TaskRows, TenantId, Traversal,
+    UncompressedEngine, UncompressedEngineBuilder, METRIC_DEVICE_PEAK, METRIC_DRAM_PEAK,
+    METRIC_HIT_RATE, METRIC_MEDIA_RETRIES, METRIC_SERVE_RATE, METRIC_SERVE_TASKS, REPORT_VERSION,
 };
 pub use ntadoc_datagen::{generate, generate_compressed, DatasetSpec};
 pub use ntadoc_grammar::{

@@ -3,16 +3,17 @@
 //! worker.
 //!
 //! The id-level steps of the engine reuse caller-owned buffers for pool
-//! reads, merge into a per-thread scratch array and hand word strings out
-//! as `&str`; what is left to allocate is the corpus load, the DAG build
-//! and the `TaskOutput` itself. This test pins that, so a `Vec` per pool
+//! reads, merge into a per-thread scratch array and lay the result out as
+//! ids in four flat arenas (`TaskRows`); what is left to allocate is the
+//! corpus load and the DAG build. This test pins that, so a `Vec` per pool
 //! read or a `String` per posting cannot come back unnoticed. Counts are
 //! taken on the calling thread only (one worker runs everything there) and
 //! repeat exactly for one corpus — and the corpus is one sequence of bytes
 //! on every host (`generated_corpora_and_the_default_trace_are_pinned`
 //! below), so the budgets are the counts. EXPERIMENTS.md ("Where a run's
 //! wall time goes, after PR 18") has the counts before and after the
-//! change that introduced the budgets.
+//! change that introduced the budgets, and "Ids until the wire (PR 23)"
+//! those of the change that took the strings out of the result.
 //!
 //! Ingest reads its tokens borrowed from the text and interns them by
 //! `&str`, so it allocates for words, rules and files and for nothing per
@@ -95,12 +96,12 @@ fn corpus_spec() -> DatasetSpec {
     }
 }
 
-/// Allocation calls of one `Engine::run(task)`, engine construction and
-/// the drop of the output left out.
+/// Allocation calls of one `Engine::run_rows(task)`, engine construction
+/// and the drop of the result left out.
 fn run_calls(task: Task) -> u64 {
     let comp = generate_compressed(&corpus_spec());
     let mut engine = Engine::builder(comp).config(EngineConfig::ntadoc()).build().unwrap();
-    let (out, calls) = calls_during(|| engine.run(task).unwrap());
+    let (out, calls) = calls_during(|| engine.run_rows(task).unwrap());
     drop(out);
     calls
 }
@@ -108,24 +109,37 @@ fn run_calls(task: Task) -> u64 {
 #[test]
 fn a_run_stays_inside_its_allocation_budget() {
     ntadoc_pmem::par::with_threads(1, || {
-        let measured = BUDGETS.map(|(task, _)| {
+        for (task, as_strings, pinned) in BUDGETS {
             let calls = run_calls(task);
             assert_eq!(calls, run_calls(task), "{task}: the count must repeat exactly");
-            (task, calls)
-        });
-        assert_eq!(measured, BUDGETS, "allocation calls per run moved");
+            assert_eq!(
+                calls, pinned,
+                "{task}: allocation calls per run moved ({as_strings} as strings → {pinned} \
+                 pinned → {calls} now)"
+            );
+            // What keeping results as ids had to buy: the three tasks whose
+            // results were the largest trees at most half of what they
+            // were, the rest no more.
+            let halves = matches!(
+                task,
+                Task::InvertedIndex | Task::SequenceCount | Task::RankedInvertedIndex
+            );
+            assert!(pinned <= if halves { as_strings / 2 } else { as_strings }, "{task}");
+        }
     });
 }
 
-/// Pinned per task: the count itself. One that falls is good news and a
+/// Per task: the count when a run built its result as strings (PR 18's pin,
+/// `Engine::run` then), and the pin — the count itself, now that a run's
+/// result stays ids (`Engine::run_rows`). One that falls is good news and a
 /// new pin; one that rises has to say what it bought.
-const BUDGETS: [(Task, u64); 6] = [
-    (Task::WordCount, 7_079),
-    (Task::Sort, 6_993),
-    (Task::TermVector, 7_069),
-    (Task::InvertedIndex, 19_994),
-    (Task::SequenceCount, 38_975),
-    (Task::RankedInvertedIndex, 74_988),
+const BUDGETS: [(Task, u64, u64); 6] = [
+    (Task::WordCount, 7_079, 6_083),
+    (Task::Sort, 6_993, 6_083),
+    (Task::TermVector, 7_069, 6_608),
+    (Task::InvertedIndex, 19_994, 6_608),
+    (Task::SequenceCount, 38_975, 11_323),
+    (Task::RankedInvertedIndex, 74_988, 14_307),
 ];
 
 /// What an ingest may allocate for: a dictionary entry per distinct word, a

@@ -192,7 +192,8 @@ fn sessions_opened_before_an_append_keep_serving_the_old_snapshot() {
     let after_append = old_serve.run_queries(&q).unwrap();
     let delta = old_serve.sim_device().stats().checked_since(&stats_before).unwrap();
     assert_eq!(
-        before_append[0].output, after_append[0].output,
+        before_append[0].output(),
+        after_append[0].output(),
         "old session must not see the append"
     );
     assert!(delta.reads > 0, "the pinned session reads its own old pool");
@@ -201,8 +202,8 @@ fn sessions_opened_before_an_append_keep_serving_the_old_snapshot() {
     let new_serve = engine.serve().unwrap();
     assert_eq!(new_serve.snapshot_version(), engine.snapshot_version());
     let fresh = new_serve.run_queries(&q).unwrap();
-    assert_ne!(before_append[0].output, fresh[0].output, "the new words must be visible");
-    assert!(fresh[0].output.as_word_counts().unwrap().contains_key("epsilon"));
+    assert_ne!(before_append[0].output(), fresh[0].output(), "the new words must be visible");
+    assert!(fresh[0].output().as_word_counts().unwrap().contains_key("epsilon"));
 }
 
 #[test]

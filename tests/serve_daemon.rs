@@ -1,7 +1,8 @@
 //! Cross-crate integration tests for the multi-tenant serve daemon:
 //! cache correctness (byte-identical hits, zero device-line reads,
 //! snapshot invalidation), the flat cost of a hit in allocations — inside
-//! the daemon and out through the reply writer — admission control (typed rejections, quota
+//! the daemon and out through the reply writer — what a cached result costs
+//! in bytes, admission control (typed rejections, quota
 //! release), batching amortization (fewer total lines touched than
 //! unbatched serving), and trace determinism across worker counts.
 
@@ -13,8 +14,8 @@ use std::os::unix::net::UnixStream;
 use ntadoc_pmem::par;
 use ntadoc_repro::{
     compress_corpus, shard_reads_total, Compressed, DaemonConfig, Engine, EngineConfig, Json,
-    Query, QueryDaemon, ServeError, Task, TenantId, TokenizerConfig, TraceSpec, WireServer,
-    METRIC_DRAM_PEAK,
+    Query, QueryDaemon, ServeError, Task, TaskRows, TenantId, TokenizerConfig, TraceSpec,
+    WireServer, METRIC_DRAM_PEAK,
 };
 
 // ---------------------------------------------------------------------------
@@ -24,6 +25,13 @@ use ntadoc_repro::{
 
 std::thread_local! {
     static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes this thread has allocated and not freed (as asked for; what
+    /// the allocator rounds up to is not counted).
+    static THREAD_LIVE: Cell<i64> = const { Cell::new(0) };
+}
+
+fn live(delta: i64) {
+    let _ = THREAD_LIVE.try_with(|c| c.set(c.get() + delta));
 }
 
 struct CountingAlloc;
@@ -33,15 +41,18 @@ struct CountingAlloc;
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let _ = THREAD_ALLOCS.try_with(|c| c.set(c.get() + 1));
+        live(layout.size() as i64);
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        live(-(layout.size() as i64));
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         let _ = THREAD_ALLOCS.try_with(|c| c.set(c.get() + 1));
+        live(new_size as i64 - layout.size() as i64);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -182,6 +193,36 @@ fn a_hit_through_the_reply_writer_costs_the_same_whatever_its_rows() {
     let [memoized] = wire_stats(&mut server, ["memoized_bytes"]);
     let encoded = |reply: &Json| reply.get("output").unwrap().compact().len() as u64;
     assert_eq!(memoized, encoded(&warming[1]) + encoded(&warming[3]));
+}
+
+#[test]
+fn cached_results_are_ids_an_eighth_the_size_of_their_strings() {
+    // A full cache of inverted indexes, the largest servable result: 64
+    // keys, `top` 1 to 64 (three files, so all but two hold every posting).
+    let comp = corpus();
+    let mut d = daemon_over(&comp, DaemonConfig { cache_capacity: 64, ..DaemonConfig::default() });
+    let rows: Vec<_> = (1..=64)
+        .map(|k| d.execute(Query::new(TenantId(0), Task::InvertedIndex).top_k(k)).unwrap())
+        .map(|resp| resp.into_rows())
+        .collect();
+    assert_eq!(d.cache().len(), 64);
+    let cached = d.cache().bytes();
+    assert_eq!(cached, rows.iter().map(|r| r.heap_bytes()).sum::<usize>(), "the entries' rows");
+    assert_eq!(d.cache().memoized(), (0, 0), "and no encoding: nothing was hit");
+
+    // The same 64 results as the strings a cache entry used to be.
+    let before = THREAD_LIVE.with(Cell::get);
+    let strings: Vec<_> = rows.iter().map(|r| TaskRows::clone(r).into_strings()).collect();
+    let as_strings = (THREAD_LIVE.with(Cell::get) - before) as usize;
+    assert_eq!(strings.len(), 64);
+    assert!(
+        cached * 8 < as_strings,
+        "64 cached inverted indexes hold {cached} bytes as ids, {as_strings} as strings"
+    );
+
+    // A live daemon says so itself.
+    let mut server = WireServer::new(d);
+    assert_eq!(wire_stats(&mut server, ["cache_entries", "cache_bytes"]), [64, cached as u64]);
 }
 
 #[test]
@@ -381,8 +422,8 @@ fn drained_batches_read_the_old_pool_and_stay_byte_identical() {
     let expect = {
         let mut r = daemon_over(&comp, DaemonConfig::default());
         (
-            r.execute(Query::new(TenantId(0), Task::WordCount)).unwrap().output.clone(),
-            r.execute(Query::new(TenantId(1), Task::Sort)).unwrap().output.clone(),
+            r.execute(Query::new(TenantId(0), Task::WordCount)).unwrap().into_output(),
+            r.execute(Query::new(TenantId(1), Task::Sort)).unwrap().into_output(),
         )
     };
 
@@ -418,8 +459,8 @@ fn drained_batches_read_the_old_pool_and_stay_byte_identical() {
     // byte-identical to what the old snapshot always answered.
     assert_eq!(done[0].response.snapshot.fingerprint(), old_fp);
     assert_eq!(done[1].response.snapshot.fingerprint(), old_fp);
-    assert_eq!(done[0].response.output, expect.0);
-    assert_eq!(done[1].response.output, expect.1);
+    assert_eq!(*done[0].response.output(), expect.0);
+    assert_eq!(*done[1].response.output(), expect.1);
     assert_eq!(done[2].response.snapshot.fingerprint(), d.snapshot_version());
 
     // And they were served from the old pool: the old device did the
