@@ -82,6 +82,21 @@ where
     operand(args, i, "a number")?.parse().map_err(|e| usage(format!("{}: {e}", args[i])))
 }
 
+/// Largest `--ngram` and `--ingest-chunks`: both size what a run allocates
+/// (head and tail words per rule, a grammar per chunk), so a mistyped one is
+/// an argument error and not a failed allocation.
+const MAX_SIZING_OPERAND: usize = 4096;
+
+/// The operand of the flag at `args[i]`, a number up to
+/// [`MAX_SIZING_OPERAND`].
+fn sizing_number(args: &[String], i: usize) -> Result<usize, CliError> {
+    let n = number(args, i)?;
+    if n > MAX_SIZING_OPERAND {
+        return Err(usage(format!("{} must be at most {MAX_SIZING_OPERAND}", args[i])));
+    }
+    Ok(n)
+}
+
 /// The operand of a `--backend` flag at `args[i]`.
 pub(crate) fn backend_operand(args: &[String], i: usize) -> Result<PoolBackend, CliError> {
     let name = operand(args, i, "file|mmap")?;
@@ -176,7 +191,7 @@ fn compress(args: &[String]) -> CmdResult {
                 i += 2;
             }
             "--ingest-chunks" => {
-                chunks = number(args, i)?;
+                chunks = sizing_number(args, i)?;
                 if chunks == 0 {
                     return Err(usage("--ingest-chunks must be ≥ 1"));
                 }
@@ -348,11 +363,11 @@ fn run(args: &[String]) -> CmdResult {
                 i += 2;
             }
             "--persistence" => {
-                cfg.persistence = match args.get(i + 1).map(String::as_str) {
-                    Some("phase") => Persistence::PhaseLevel,
-                    Some("op") | Some("operation") => Persistence::OperationLevel,
-                    Some("none") => Persistence::None,
-                    other => return Err(usage(format!("bad --persistence {other:?}"))),
+                cfg.persistence = match operand(args, i, "phase|op|none")?.as_str() {
+                    "phase" => Persistence::PhaseLevel,
+                    "op" | "operation" => Persistence::OperationLevel,
+                    "none" => Persistence::None,
+                    other => return Err(usage(format!("bad --persistence `{other}`"))),
                 };
                 i += 2;
             }
@@ -367,7 +382,7 @@ fn run(args: &[String]) -> CmdResult {
                 i += 2;
             }
             "--ngram" => {
-                cfg.ngram = number(args, i)?;
+                cfg.ngram = sizing_number(args, i)?;
                 i += 2;
             }
             "--trace-out" => {
@@ -500,29 +515,59 @@ fn search(args: &[String]) -> CmdResult {
     }
     let comp = load_corpus(path)?;
     let mut engine = Engine::builder(comp).config(EngineConfig::ntadoc()).build().map_err(fail)?;
-    let out = engine.run(Task::InvertedIndex).map_err(fail)?;
-    let index = out.as_inverted_index().expect("inverted index output");
-    for w in words {
-        let q = w.to_lowercase();
-        match index.get(&q) {
-            Some(files) => {
-                println!("{q}: {} file(s)", files.len());
-                for f in files.iter().take(10) {
-                    println!("  {f}");
-                }
-                if files.len() > 10 {
-                    println!("  … and {} more", files.len() - 10);
-                }
-            }
-            None => println!("{q}: not found"),
-        }
-    }
+    let index = engine.run_rows(Task::InvertedIndex).map_err(fail)?;
+    let mut hits = String::new();
+    write_hits(&mut hits, &index, words).map_err(fail)?;
+    print!("{hits}");
     let rep = engine.last_report.as_ref().expect("report");
     eprintln!(
         "[NVM] index built directly on compressed data in {:.3} ms (virtual)",
         rep.total_secs() * 1e3
     );
     Ok(())
+}
+
+/// What `ntadoc search` prints for `words`, each lower-cased and looked up
+/// in the inverted index `index`: its file count and first ten files, or
+/// `not found`.
+fn write_hits(
+    out: &mut impl std::fmt::Write,
+    index: &TaskRows,
+    words: &[String],
+) -> std::fmt::Result {
+    for w in words {
+        let q = w.to_lowercase();
+        let Some(row) = find_word(index, &q) else {
+            writeln!(out, "{q}: not found")?;
+            continue;
+        };
+        let files = row.names();
+        let more = files.len().saturating_sub(10);
+        writeln!(out, "{q}: {} file(s)", files.len())?;
+        for f in files.take(10) {
+            writeln!(out, "  {f}")?;
+        }
+        if more > 0 {
+            writeln!(out, "  … and {more} more")?;
+        }
+    }
+    Ok(())
+}
+
+/// The row of a word-keyed result whose key is `word`: a binary search, the
+/// rows being in key order with no key twice.
+fn find_word<'a>(rows: &'a TaskRows, word: &str) -> Option<ntadoc::Row<'a>> {
+    let key = |at: usize| rows.row(at).key().next().expect("a key has an id");
+    let (mut lo, mut hi) = (0, rows.len());
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        match key(mid).cmp(word) {
+            std::cmp::Ordering::Less => lo = mid + 1,
+            std::cmp::Ordering::Greater => hi = mid,
+            std::cmp::Ordering::Equal => return Some(rows.row(mid)),
+        }
+    }
+    None
 }
 
 // ---- extract ---------------------------------------------------------------
@@ -570,16 +615,32 @@ fn decompress(args: &[String]) -> CmdResult {
         outdir = PathBuf::from(operand(args, pos, "a directory")?);
     }
     let comp = load_corpus(path)?;
+    let flat = flat_names(&comp.file_names)?;
     fs::create_dir_all(&outdir).map_err(|e| fail(format!("{}: {e}", outdir.display())))?;
     let texts = comp.grammar.expand_text(&comp.dict);
-    for (name, text) in comp.file_names.iter().zip(texts) {
-        // Flatten the original path into a single file name.
-        let flat = name.replace(['/', '\\'], "_");
+    for (flat, text) in flat.iter().zip(texts) {
         let target = outdir.join(flat);
         fs::write(&target, text).map_err(|e| fail(format!("{}: {e}", target.display())))?;
     }
     println!("wrote {} files to {}", comp.file_count(), outdir.display());
     Ok(())
+}
+
+/// Each corpus file's original path flattened into a single file name. Two
+/// files that flatten to one name would overwrite each other: that is an
+/// error naming both, raised before anything is written.
+fn flat_names(names: &[String]) -> Result<Vec<String>, CliError> {
+    let flat: Vec<String> = names.iter().map(|name| name.replace(['/', '\\'], "_")).collect();
+    let mut seen = std::collections::HashMap::with_capacity(flat.len());
+    for (at, target) in flat.iter().enumerate() {
+        if let Some(first) = seen.insert(target.as_str(), at) {
+            return Err(fail(format!(
+                "`{}` and `{}` would both be written to `{target}`",
+                names[first], names[at]
+            )));
+        }
+    }
+    Ok(flat)
 }
 
 // ---- fsck -------------------------------------------------------------------
@@ -832,8 +893,12 @@ mod tests {
             &["run", "wordcount", &image, "--device", "floppy"],
             &["run", "wordcount", &image, "--backend", "tape"],
             &["run", "wordcount", &image, "--persistence", "sometimes"],
+            &["run", "wordcount", &image, "--persistence"],
+            &["serve", &image, "--socket", "unbound.sock", "--max-batch", "0"],
             &["compress", &image],
             &["compress", "-o", &image, "--ingest-chunks", "0"],
+            &["compress", "-o", &image, "--ingest-chunks", "4294967296"],
+            &["run", "sequencecount", &image, "--ngram", "18446744073709551615"],
             &["extract", &image, "zero", "0", "1"],
             &["fsck"],
             &["serve", &image],
@@ -843,6 +908,10 @@ mod tests {
         }
         assert_eq!(run(&["run", "wordcount", &image, "--pool"]).to_string(), "--pool needs a path");
         assert_eq!(run(&["compress", "-o"]).to_string(), "-o needs a path");
+        assert_eq!(
+            run(&["run", "wordcount", &image, "--persistence"]).to_string(),
+            "--persistence needs phase|op|none"
+        );
 
         // Well-formed arguments, failing work: the message stands alone.
         let corrupt = dir.join("corrupt.ntdc").display().to_string();
@@ -900,6 +969,187 @@ mod tests {
         assert!(matches!(err, Err(CliError::Failed(m)) if m.starts_with("--trace-out ")));
         assert!(USAGE.contains("--persistence phase|op|none"));
         fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Arbitrary argument vectors — subcommands and flags out of [`USAGE`],
+    /// numbers that overflow, names of nothing, and paths to a real image, a
+    /// torn one, text, garbage and nothing at all — come back from
+    /// [`dispatch`] as `Ok` or a typed error; a panic fails the case. Where
+    /// the usage text calls a flag's operand a path it is one inside the
+    /// case's own directory, so a command that succeeds writes there.
+    #[test]
+    fn hostile_argument_vectors_are_typed_errors_not_panics() {
+        use ntadoc_pmem::Prng;
+        const TASKS: [&str; 7] =
+            ["wordcount", "sort", "tv", "invertedindex", "sequencecount", "rii", "wordcloud"];
+        const NUMBERS: [&str; 9] =
+            ["0", "1", "2", "7", "-3", "many", "4294967296", "18446744073709551615", "1e400"];
+        const WORDS: [&str; 14] = [
+            "phase", "op", "none", "nvm", "floppy", "file", "mmap", "fixed", "varint", "", "é",
+            "-", "--", "a\0b",
+        ];
+        // Each usage entry's subcommand and `(flag, the word after it)`: a
+        // `<path>`, a one-letter number, or something else.
+        let usage: Vec<(&str, Vec<(&str, &str)>)> = USAGE
+            .split("\n  ntadoc ")
+            .skip(1)
+            .map(|entry| {
+                let words: Vec<&str> =
+                    entry.split_whitespace().map(|w| w.trim_matches(['[', ']'])).collect();
+                let flags = words.windows(2).filter(|pair| pair[0].starts_with('-'));
+                (words[0], flags.map(|pair| (pair[0], pair[1])).collect())
+            })
+            .collect();
+        let all_flags: Vec<(&str, &str)> = usage.iter().flat_map(|(_, f)| f.clone()).collect();
+        assert!(usage.contains(&("decompress", vec![("-d", "<outdir>")])));
+        assert!(all_flags.contains(&("--max-batch", "N")));
+
+        fn pick<T: Clone>(rng: &mut Prng, pool: &[T]) -> T {
+            pool[rng.next_below(pool.len() as u64) as usize].clone()
+        }
+        let root = std::env::temp_dir().join(format!("ntadoc-cli-hostile-{}", std::process::id()));
+        let image = compress_texts(
+            &[("d/a".into(), "x y x y z".into()), ("b".into(), "x y z z".into())],
+            4,
+        );
+        let names = [&TASKS[..], &WORDS[..]].concat();
+        let mut case = 0;
+        let generate = |rng: &mut Prng| {
+            case += 1;
+            let dir = root.join(format!("case{case}"));
+            let path = |name: &str| dir.join(name).display().to_string();
+            let (sub, own_flags) = match rng.chance(0.9) {
+                true => pick(rng, &usage),
+                false => (pick(rng, &["", "frobnicate", "RUN", "--top"]), Vec::new()),
+            };
+            // Never a corpus `serve` could load: it would bind its socket
+            // and wait for a shutdown request nobody sends.
+            let corpus = if sub == "serve" { "torn.ntdc" } else { "real.ntdc" };
+            let files = [corpus, "torn.ntdc", "text.txt", "junk.ntdp", "none/p", "new", "."];
+            let mut args = vec![sub.to_string()];
+            if rng.chance(0.6) {
+                // The operands the subcommand wants, before the noise.
+                match sub {
+                    "run" => args.extend([pick(rng, &TASKS).to_string(), path(corpus)]),
+                    "compress" => args.push(path("text.txt")),
+                    "fsck" => args.push(path("junk.ntdp")),
+                    "query" => {}
+                    "extract" => {
+                        args.push(path(corpus));
+                        args.extend([(); 3].map(|()| pick(rng, &NUMBERS).to_string()));
+                    }
+                    _ => args.push(path(corpus)),
+                }
+            }
+            for _ in 0..rng.next_below(4) {
+                let own = !own_flags.is_empty() && rng.chance(0.7);
+                let (flag, takes) = pick(rng, if own { &own_flags } else { &all_flags });
+                let mut kind = rng.next_below(3);
+                if rng.chance(0.75) {
+                    args.push(flag.to_string());
+                    if takes.starts_with('<') {
+                        args.push(path(pick(rng, &files)));
+                        continue;
+                    }
+                    if takes.len() == 1 && rng.chance(0.7) {
+                        kind = 1;
+                    }
+                }
+                if rng.chance(0.75) {
+                    args.push(match kind {
+                        0 => path(pick(rng, &files)),
+                        1 => pick(rng, &NUMBERS).to_string(),
+                        _ => pick(rng, &names).to_string(),
+                    });
+                }
+            }
+            if sub == "decompress" {
+                // It writes to the working directory unless told otherwise.
+                args.extend(["-d".to_string(), path("out")]);
+            }
+            (dir, args)
+        };
+        ntadoc_pmem::for_each_case(
+            "hostile_argument_vectors_are_typed_errors_not_panics",
+            0x24_0001,
+            512,
+            generate,
+            |(dir, args)| {
+                fs::create_dir_all(dir).unwrap();
+                fs::write(dir.join("real.ntdc"), &image).unwrap();
+                fs::write(dir.join("torn.ntdc"), &image[..image.len() / 2]).unwrap();
+                fs::write(dir.join("text.txt"), "alpha beta alpha\n").unwrap();
+                fs::write(dir.join("junk.ntdp"), b"definitely not a pool header").unwrap();
+                if let Err(CliError::Usage(msg) | CliError::Failed(msg)) = dispatch(args) {
+                    assert!(!msg.is_empty(), "{args:?}");
+                }
+                fs::remove_dir_all(dir).unwrap();
+            },
+        );
+        fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn decompress_refuses_names_that_flatten_to_one_target() {
+        let dir = std::env::temp_dir().join(format!("ntadoc-cli-flatten-{}", std::process::id()));
+        fs::create_dir_all(&dir).unwrap();
+        let names = ["x/a_b.txt", "x/a/b.txt", "y.txt"];
+        let files: Vec<(String, String)> =
+            names.iter().map(|name| (name.to_string(), format!("text of {name}"))).collect();
+        let path = |name: &str| dir.join(name).display().to_string();
+        let out = dir.join("out");
+
+        fs::write(path("collide.ntdc"), compress_texts(&files, 4)).unwrap();
+        let args = ["decompress".into(), path("collide.ntdc"), "-d".into(), path("out")];
+        let err = dispatch(&args).unwrap_err();
+        let CliError::Failed(msg) = &err else { panic!("{err:?}") };
+        assert!(msg.contains("`x/a_b.txt`") && msg.contains("`x/a/b.txt`"), "{msg}");
+        assert!(msg.contains("`x_a_b.txt`"), "{msg}");
+        assert!(!out.exists(), "a refused decompress writes nothing");
+
+        // Apart, the same names land where they always have.
+        fs::write(path("apart.ntdc"), compress_texts(&files[1..], 4)).unwrap();
+        dispatch(&["decompress".into(), path("apart.ntdc"), "-d".into(), path("out")]).unwrap();
+        assert_eq!(fs::read_to_string(out.join("x_a_b.txt")).unwrap(), "text of x/a/b.txt");
+        assert_eq!(fs::read_dir(&out).unwrap().count(), 2);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    /// `search` finds its words in the id rows, as the string-keyed index
+    /// of the whole vocabulary used to: present, absent, mixed case, a word
+    /// in more than ten files, the first and the last key.
+    #[test]
+    fn search_hits_are_what_the_string_index_printed() {
+        let mut files: Vec<(String, String)> =
+            (0..12).map(|f| (format!("f{f}"), format!("common only{f} zz"))).collect();
+        files.push(("last".into(), "aa Rare zz".into()));
+        let comp = deserialize_compressed(&compress_texts(&files, 4)).unwrap();
+        let mut engine = Engine::builder(comp).build().unwrap();
+        let rows = engine.run_rows(Task::InvertedIndex).unwrap();
+        let strings = rows.clone().into_strings();
+        let index = strings.as_inverted_index().unwrap();
+
+        let words = ["common", "COMMON", "rare", "Rare", "aa", "zz", "only7", "", "a", "zzz", "é"];
+        let words: Vec<String> = words.iter().map(|w| w.to_string()).collect();
+        let mut expect = String::new();
+        for w in &words {
+            let q = w.to_lowercase();
+            match index.get(&q) {
+                Some(files) => {
+                    expect += &format!("{q}: {} file(s)\n", files.len());
+                    files.iter().take(10).for_each(|f| expect += &format!("  {f}\n"));
+                    if files.len() > 10 {
+                        expect += &format!("  … and {} more\n", files.len() - 10);
+                    }
+                }
+                None => expect += &format!("{q}: not found\n"),
+            }
+        }
+        let mut hits = String::new();
+        write_hits(&mut hits, &rows, &words).unwrap();
+        assert_eq!(hits, expect);
+        assert!(expect.contains("common: 12 file(s)") && expect.contains("… and 2 more"));
+        assert!(expect.contains("rare: 1 file(s)\n  last\n") && expect.contains("zzz: not found"));
     }
 
     #[test]

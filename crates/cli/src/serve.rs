@@ -82,7 +82,10 @@ pub fn serve(args: &[String]) -> CmdResult {
                 i += 2;
             }
             "--max-batch" => {
-                cfg.max_batch = number::<usize>(args, i)?.max(1);
+                cfg.max_batch = number(args, i)?;
+                if cfg.max_batch == 0 {
+                    return Err(usage("--max-batch must be ≥ 1"));
+                }
                 i += 2;
             }
             p if corpus.is_none() => {

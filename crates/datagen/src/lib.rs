@@ -110,11 +110,6 @@ impl DatasetSpec {
         }
         self
     }
-
-    /// Total words the corpus will contain (approximately).
-    pub fn approx_tokens(&self) -> usize {
-        self.files * self.tokens_per_file
-    }
 }
 
 /// Exact Zipf(s≈1) sampler over `0..n` via a cumulative table.

@@ -49,10 +49,6 @@ pub struct EngineBuilder {
     retry: RetryPolicy,
     /// Parallel ingest chunks for a raw-file source.
     chunks: usize,
-    /// Optional streaming plan for a raw-file source: group sizes whose
-    /// first entry is ingested as the base corpus and every later entry
-    /// is folded through [`Engine::append_files`].
-    append_plan: Option<Vec<usize>>,
     /// Durable backend used by [`Engine::open_pool`].
     pool_backend: PoolBackend,
     /// Id encoding of the DAG pool ([`PoolLayoutConfig`]).
@@ -150,7 +146,6 @@ impl EngineBuilder {
             label: None,
             retry: RetryPolicy::Fail,
             chunks: 1,
-            append_plan: None,
             pool_backend: PoolBackend::default(),
             pool_layout: PoolLayoutConfig::default(),
         }
@@ -216,22 +211,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Streaming-corpus plan for a raw-file source: the files are split
-    /// into groups of the given sizes; the first group is ingested as the
-    /// base corpus and each later group is folded through the exact
-    /// [`Engine::append_files`] code path. The resulting engine is
-    /// byte-equivalent (grammar, dictionary, pool image, virtual time) to
-    /// building the base and issuing the same appends live — this is the
-    /// reference fold the append determinism tests compare against.
-    ///
-    /// Sizes must be non-zero and sum to the number of files; `build`
-    /// fails otherwise, and when the source is an already-compressed
-    /// corpus.
-    pub fn append_plan(mut self, groups: Vec<usize>) -> Self {
-        self.append_plan = Some(groups);
-        self
-    }
-
     /// Engine configuration. Defaults to [`EngineConfig::ntadoc`].
     pub fn config(mut self, cfg: EngineConfig) -> Self {
         self.cfg = cfg;
@@ -265,57 +244,17 @@ impl EngineBuilder {
     }
 
     /// Finish construction. Runs the ingest pipeline first when the
-    /// builder started from raw files ([`EngineBuilder::from_files`]),
-    /// then folds any [`EngineBuilder::append_plan`] groups through
-    /// [`Engine::append_files`]. Fails on an empty corpus.
+    /// builder started from raw files ([`EngineBuilder::from_files`]).
+    /// Fails on an empty corpus.
     pub fn build(self) -> Result<Engine> {
-        let EngineBuilder {
-            source,
-            cfg,
-            profile,
-            label,
-            retry,
-            chunks,
-            append_plan,
-            pool_backend,
-            pool_layout,
-        } = self;
-        let (comp, ingest_report, deferred) = match source {
-            BuildSource::Corpus(comp) => {
-                if append_plan.is_some() {
-                    return Err(PmemError::Unsupported(
-                        "append_plan needs a raw-file source; the corpus is already built".into(),
-                    ));
-                }
-                (comp, None, Vec::new())
-            }
-            BuildSource::Files(mut files) => {
-                // With an append plan, only the first group is the base
-                // build; later groups are replayed through the live
-                // append path below, after the engine exists.
-                let mut deferred: Vec<Vec<(String, String)>> = Vec::new();
-                if let Some(plan) = append_plan {
-                    if plan.is_empty()
-                        || plan.contains(&0)
-                        || plan.iter().sum::<usize>() != files.len()
-                    {
-                        return Err(PmemError::Unsupported(format!(
-                            "append_plan groups must be non-empty and sum to the file count \
-                             ({} files, plan {:?})",
-                            files.len(),
-                            plan
-                        )));
-                    }
-                    let mut rest = files.split_off(plan[0]);
-                    for &n in &plan[1..] {
-                        let tail = rest.split_off(n);
-                        deferred.push(rest);
-                        rest = tail;
-                    }
-                }
+        let EngineBuilder { source, cfg, profile, label, retry, chunks, pool_backend, pool_layout } =
+            self;
+        let (comp, ingest_report) = match source {
+            BuildSource::Corpus(comp) => (comp, None),
+            BuildSource::Files(files) => {
                 let (comp, report) =
                     ingest_corpus(&files, &IngestOptions { chunks, ..Default::default() });
-                (Arc::new(comp), Some(report), deferred)
+                (Arc::new(comp), Some(report))
             }
         };
         if comp.file_names.is_empty() {
@@ -357,7 +296,7 @@ impl EngineBuilder {
         // disk at init; the engine only needs its size).
         let image_bytes = serialized_len(&comp) as u64;
         let snapshot = snapshot_fingerprint(&comp);
-        let mut engine = Engine {
+        Ok(Engine {
             comp,
             cfg,
             profile,
@@ -374,10 +313,6 @@ impl EngineBuilder {
             pool_backend,
             pool_layout,
             last_report: None,
-        };
-        for group in deferred {
-            engine.append_files(group)?;
-        }
-        Ok(engine)
+        })
     }
 }

@@ -252,10 +252,6 @@ impl Engine {
     /// The delta is tokenized and seam-deduplicated with the default
     /// [`IngestOptions`], like every corpus an [`EngineBuilder`] ingests; a
     /// corpus built with other options appends through [`ingest_append`].
-    ///
-    /// Appending files one group at a time is byte-equivalent — grammar,
-    /// dictionary, pool image, virtual time — to a single
-    /// [`EngineBuilder::append_plan`] build with the same grouping.
     pub fn append_files(&mut self, files: Vec<(String, String)>) -> Result<AppendReport> {
         if files.is_empty() {
             return Err(PmemError::Unsupported("append_files needs at least one file".into()));

@@ -88,11 +88,10 @@ impl Session {
             file.as_ref(),
             TX_BATCH,
         )?;
-        // The session's snapshot handle pins the corpus identity *and* the
-        // pool it is served from; responses hand it out so callers can
-        // tell exactly which published state answered them.
-        let snapshot =
-            Snapshot::stamped(engine.snapshot, &engine.comp).with_pool(sc.backend.clone());
+        // The session's snapshot handle pins the corpus identity; responses
+        // hand it out so callers can tell exactly which published state
+        // answered them.
+        let snapshot = Snapshot::stamped(engine.snapshot, &engine.comp);
         debug_assert_eq!(engine.snapshot, snapshot_fingerprint(&engine.comp));
         let mut session = Session {
             sc,

@@ -41,16 +41,13 @@ pub struct IngestOptions {
     /// Number of deterministic input chunks (`1` = serial build,
     /// byte-identical to [`ntadoc_grammar::compress_corpus`]).
     pub chunks: usize,
-    /// Fold digrams repeated across chunk seams in the merged root
-    /// (ignored for single-chunk builds). Default `true`.
-    pub seam_dedup: bool,
     /// Tokenizer configuration.
     pub tokenizer: TokenizerConfig,
 }
 
 impl Default for IngestOptions {
     fn default() -> Self {
-        IngestOptions { chunks: 1, seam_dedup: true, tokenizer: TokenizerConfig::default() }
+        IngestOptions { chunks: 1, tokenizer: TokenizerConfig::default() }
     }
 }
 
@@ -130,7 +127,7 @@ fn build_chunks(
 /// 3. **merge** — [`merge::merge_chunks`] re-interns chunk dictionaries
 ///    (ids land in global first-occurrence order, identical to a serial
 ///    build), offsets rule ids, splices chunk top-rules into one root,
-///    and optionally folds seam digrams.
+///    and folds seam digrams.
 ///
 /// The output grammar and dictionary are pure functions of `files` and
 /// `opts` — identical for any worker count — and with `opts.chunks == 1`
@@ -168,8 +165,7 @@ pub fn ingest_corpus(
                 .map(|r| r.symbols.len() as u64)
                 .sum();
             let words: u64 = built.iter().map(|c| c.dict.len() as u64).sum();
-            let (grammar, dict) =
-                merge::merge_chunks(&built, &merge::MergeOptions { seam_dedup: opts.seam_dedup });
+            let (grammar, dict) = merge::merge_chunks(&built, &merge::MergeOptions::default());
             dev.charge_ns(spliced * MERGE_NS_PER_SYMBOL + words * INTERN_NS_PER_WORD);
             Compressed { grammar, dict, file_names: files.iter().map(|(n, _)| n.clone()).collect() }
         })
@@ -221,7 +217,7 @@ pub struct AppendIngest {
 /// rules) is charged — the whole step's cost scales with the *delta*, not
 /// the corpus, which is exactly what a full rebuild cannot do.
 ///
-/// Pure function of `(base, files, opts.tokenizer, opts.seam_dedup)`:
+/// Pure function of `(base, files, opts.tokenizer)`:
 /// both the grown corpus and `virtual_ns` are bit-identical for any
 /// `RAYON_NUM_THREADS`, so a fold of appends is replayable byte for byte.
 pub fn ingest_append(
@@ -257,7 +253,7 @@ pub fn ingest_append(
                 &mut grammar,
                 &mut dict,
                 chunk,
-                &merge::MergeOptions { seam_dedup: opts.seam_dedup },
+                &merge::MergeOptions::default(),
             );
             dev.charge_ns(spliced * MERGE_NS_PER_SYMBOL + words * INTERN_NS_PER_WORD);
             let mut file_names = base.file_names.clone();

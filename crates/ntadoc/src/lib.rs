@@ -80,8 +80,7 @@ pub use report::{
 };
 pub use result::{OutputMismatch, Row, Task, TaskOutput, TaskRows, UnknownTask};
 pub use summation::{
-    head_tail_incremental, head_tail_info, topo_levels, upper_bounds, upper_bounds_incremental,
-    SummationResult,
+    head_tail_incremental, head_tail_info, upper_bounds, upper_bounds_incremental, SummationResult,
 };
 
 /// Crate-level result alias; all fallible paths surface `ntadoc-pmem`

@@ -17,12 +17,11 @@ use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
 
 use ntadoc_grammar::Compressed;
-use ntadoc_pmem::PmemBackend;
 
 use crate::result::{Task, TaskOutput, TaskRows};
 
 /// First-class handle to one published grammar snapshot: the corpus
-/// fingerprint plus the pool view serving it.
+/// fingerprint and its size.
 ///
 /// A `Snapshot` is minted when a session opens over a pool
 /// ([`crate::Engine::serve`]) or when an append publishes a grown corpus
@@ -30,39 +29,20 @@ use crate::result::{Task, TaskOutput, TaskRows};
 /// can always tell *which* corpus state produced an answer, and caches can
 /// key on [`Snapshot::fingerprint`]. Identity (equality, hashing,
 /// ordering) is the fingerprint alone — two handles over the same corpus
-/// compare equal even when they view different pools (e.g. the Sim and
-/// File backends of one corpus).
+/// compare equal whatever pools serve them (e.g. the Sim and File
+/// backends of one corpus).
 #[derive(Clone)]
 pub struct Snapshot {
     fingerprint: u64,
     files: usize,
     rules: usize,
-    /// The pool the snapshot's sessions read from; `None` for a handle
-    /// minted before any pool exists (an engine without a session).
-    pool: Option<Arc<dyn PmemBackend>>,
 }
 
 impl Snapshot {
-    /// Mint a handle for `comp` with no pool view yet.
-    pub fn of(comp: &Compressed) -> Self {
-        Self::stamped(snapshot_fingerprint(comp), comp)
-    }
-
-    /// [`Snapshot::of`] for a caller that already holds `comp`'s
-    /// fingerprint (an engine computes it once per corpus, not per session).
+    /// Mint a handle for `comp`, whose fingerprint the caller already holds
+    /// (an engine computes it once per corpus, not per session).
     pub(crate) fn stamped(fingerprint: u64, comp: &Compressed) -> Self {
-        Snapshot {
-            fingerprint,
-            files: comp.file_names.len(),
-            rules: comp.grammar.rule_count(),
-            pool: None,
-        }
-    }
-
-    /// Attach the pool backend this snapshot is served from.
-    pub fn with_pool(mut self, pool: Arc<dyn PmemBackend>) -> Self {
-        self.pool = Some(pool);
-        self
+        Snapshot { fingerprint, files: comp.file_names.len(), rules: comp.grammar.rule_count() }
     }
 
     /// The deterministic corpus fingerprint ([`snapshot_fingerprint`]).
@@ -78,11 +58,6 @@ impl Snapshot {
     /// Rules in the snapshot's grammar.
     pub fn rules(&self) -> usize {
         self.rules
-    }
-
-    /// The pool view serving this snapshot, when one exists.
-    pub fn pool(&self) -> Option<&Arc<dyn PmemBackend>> {
-        self.pool.as_ref()
     }
 }
 
@@ -106,7 +81,6 @@ impl std::fmt::Debug for Snapshot {
             .field("fingerprint", &format_args!("{:016x}", self.fingerprint))
             .field("files", &self.files)
             .field("rules", &self.rules)
-            .field("pool", &self.pool.is_some())
             .finish()
     }
 }

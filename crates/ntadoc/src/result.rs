@@ -114,9 +114,6 @@ impl std::fmt::Display for Task {
 /// `(file, top-k (word, count))` rows of a term-vector result.
 pub type FileTermVectors = [(String, Vec<(String, u64)>)];
 
-/// Owned `(file, top-k (word, count))` rows of a term-vector result.
-pub type FileTermVectorsVec = Vec<(String, Vec<(String, u64)>)>;
-
 /// Error returned by [`TaskOutput`]'s typed accessors when the output
 /// belongs to a different task than the accessor asked for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -173,8 +170,6 @@ impl TaskOutput {
         OutputMismatch { expected, got: self.task() }
     }
 
-    // ---- by-ref accessors (`as_*`) --------------------------------------
-
     /// Borrow as word counts; a descriptive [`OutputMismatch`] otherwise.
     pub fn as_word_counts(&self) -> Result<&BTreeMap<String, u64>, OutputMismatch> {
         match self {
@@ -223,62 +218,12 @@ impl TaskOutput {
         }
     }
 
-    // ---- by-value accessors (`into_*`) ----------------------------------
-
-    /// Take the word counts by value.
-    pub fn into_word_counts(self) -> Result<BTreeMap<String, u64>, OutputMismatch> {
-        match self {
-            TaskOutput::WordCount(m) => Ok(m),
-            other => Err(other.mismatch(Task::WordCount)),
-        }
-    }
-
-    /// Take the sorted counts by value.
-    pub fn into_sorted(self) -> Result<Vec<(String, u64)>, OutputMismatch> {
-        match self {
-            TaskOutput::Sort(v) => Ok(v),
-            other => Err(other.mismatch(Task::Sort)),
-        }
-    }
-
-    /// Take the term vectors by value.
-    pub fn into_term_vectors(self) -> Result<FileTermVectorsVec, OutputMismatch> {
-        match self {
-            TaskOutput::TermVector(v) => Ok(v),
-            other => Err(other.mismatch(Task::TermVector)),
-        }
-    }
-
-    /// Take the inverted index by value.
-    pub fn into_inverted_index(self) -> Result<BTreeMap<String, Vec<String>>, OutputMismatch> {
-        match self {
-            TaskOutput::InvertedIndex(m) => Ok(m),
-            other => Err(other.mismatch(Task::InvertedIndex)),
-        }
-    }
-
-    /// Take the sequence counts by value.
-    pub fn into_sequence_counts(self) -> Result<BTreeMap<Vec<String>, u64>, OutputMismatch> {
-        match self {
-            TaskOutput::SequenceCount(m) => Ok(m),
-            other => Err(other.mismatch(Task::SequenceCount)),
-        }
-    }
-
-    /// Take the ranked inverted index by value.
-    pub fn into_ranked_inverted_index(self) -> Result<RankedPostings, OutputMismatch> {
-        match self {
-            TaskOutput::RankedInvertedIndex(m) => Ok(m),
-            other => Err(other.mismatch(Task::RankedInvertedIndex)),
-        }
-    }
-
     /// The output as a deterministic [`ntadoc_pmem::Json`] tree, in the
     /// serve protocol's wire shape: map-like results become objects keyed
     /// by word (n-grams joined by spaces), list-like results become arrays.
-    /// The daemon writes replies with [`write_json`](Self::write_json);
-    /// this is the form a comparison reads (the benchmark's oracle, the
-    /// tests), and what `write_json` falls back on.
+    /// The daemon writes replies with [`TaskRows::write_json`]; this is
+    /// the form a comparison reads (the benchmark's oracle, the tests), and
+    /// what that writer falls back on.
     pub fn to_json(&self) -> ntadoc_pmem::Json {
         use ntadoc_pmem::Json;
         fn pairs(ws: &[(String, u64)]) -> Json {
@@ -314,82 +259,9 @@ impl TaskOutput {
             }
         }
     }
-
-    /// Append the output's wire encoding to `out`: exactly the bytes of
-    /// `self.to_json().compact()`, written in one pass over the result with
-    /// no [`ntadoc_pmem::Json`] tree in between. A serve reply is written
-    /// from the rows ([`TaskRows::write_json`]); this is the string form's
-    /// writer, which that one is tested against, as this one is against
-    /// [`to_json`](Self::to_json).
-    pub fn write_json(&self, out: &mut String) {
-        fn named(ws: &[(String, u64)]) -> impl Iterator<Item = (&str, u64)> {
-            ws.iter().map(|(w, c)| (w.as_str(), *c))
-        }
-        fn join<V>(key: &mut String, (gram, _): &(&Vec<String>, &V)) {
-            join_words(key, gram.iter().map(String::as_str));
-        }
-        let start = out.len();
-        let tree_instead = |out: &mut String| {
-            out.truncate(start);
-            out.push_str(&self.to_json().compact());
-        };
-        match self {
-            TaskOutput::WordCount(m) => seq(out, ('{', '}'), m, |out, (w, c)| {
-                member(out, w);
-                write_u64(out, *c);
-            }),
-            TaskOutput::Sort(v) => pairs(out, named(v)),
-            TaskOutput::TermVector(v) => {
-                seq(out, ('[', ']'), v, |out, (f, ws)| file_terms(out, f, named(ws)))
-            }
-            TaskOutput::InvertedIndex(m) => seq(out, ('{', '}'), m, |out, (w, fs)| {
-                member(out, w);
-                seq(out, ('[', ']'), fs, |out, f| write_str(out, f));
-            }),
-            TaskOutput::SequenceCount(m) => {
-                if !grams(out, m, join, |out, (_, c)| write_u64(out, **c)) {
-                    tree_instead(out);
-                }
-            }
-            TaskOutput::RankedInvertedIndex(m) => {
-                if !grams(out, m, join, |out, (_, fs)| pairs(out, named(fs))) {
-                    tree_instead(out);
-                }
-            }
-        }
-    }
-
-    /// Approximate size of the result in bytes when written back to disk
-    /// (used to charge result-output I/O).
-    pub fn approx_bytes(&self) -> u64 {
-        match self {
-            TaskOutput::WordCount(m) => m.keys().map(|w| w.len() as u64 + 8).sum(),
-            TaskOutput::Sort(v) => v.iter().map(|(w, _)| w.len() as u64 + 8).sum(),
-            TaskOutput::TermVector(v) => v
-                .iter()
-                .map(|(f, ws)| {
-                    f.len() as u64 + ws.iter().map(|(w, _)| w.len() as u64 + 8).sum::<u64>()
-                })
-                .sum(),
-            TaskOutput::InvertedIndex(m) => m
-                .iter()
-                .map(|(w, fs)| w.len() as u64 + fs.iter().map(|f| f.len() as u64).sum::<u64>())
-                .sum(),
-            TaskOutput::SequenceCount(m) => {
-                m.keys().map(|g| g.iter().map(|w| w.len() as u64 + 1).sum::<u64>() + 8).sum()
-            }
-            TaskOutput::RankedInvertedIndex(m) => m
-                .iter()
-                .map(|(g, fs)| {
-                    g.iter().map(|w| w.len() as u64 + 1).sum::<u64>()
-                        + fs.iter().map(|(f, _)| f.len() as u64 + 8).sum::<u64>()
-                })
-                .sum(),
-        }
-    }
 }
 
-// ---- the wire encoding's pieces, shared by both forms' writers -------------
+// ---- the wire encoding's pieces --------------------------------------------
 
 /// `open`, the items separated by commas, `close`.
 fn seq<T>(
@@ -597,8 +469,9 @@ impl TaskRows {
             + self.counts.capacity() * 8
     }
 
-    /// [`TaskOutput::approx_bytes`] of the string form, from the lengths of
-    /// the strings it would hold.
+    /// Approximate size of the result in bytes when written back to disk
+    /// (used to charge result-output I/O): the lengths of the strings it
+    /// reads as, plus a separator per n-gram word and eight bytes per count.
     pub fn approx_bytes(&self) -> u64 {
         fn text<'a>(names: impl Iterator<Item = &'a str>, beside_each: u64) -> u64 {
             names.map(|name| name.len() as u64 + beside_each).sum()
@@ -615,9 +488,10 @@ impl TaskRows {
             .sum()
     }
 
-    /// Append the wire encoding to `out`: byte for byte what
-    /// [`TaskOutput::write_json`] appends for the string form, words and
-    /// file names looked up as they are written.
+    /// Append the wire encoding to `out`: exactly the bytes of
+    /// `self.clone().into_strings().to_json().compact()`, written in one
+    /// pass over the rows with no [`ntadoc_pmem::Json`] tree in between,
+    /// words and file names looked up as they are written.
     pub fn write_json(&self, out: &mut String) {
         fn key_of<'a>(row: Row<'a>) -> &'a str {
             row.key().next().expect("a key has an id")
@@ -900,7 +774,6 @@ impl std::fmt::Debug for TaskRows {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ntadoc_pmem::Prng;
 
     #[test]
     fn all_lists_six_tasks() {
@@ -930,17 +803,6 @@ mod tests {
     }
 
     #[test]
-    fn by_ref_and_by_value_accessors_agree() {
-        let mut m = BTreeMap::new();
-        m.insert("w".to_string(), 3u64);
-        let out = TaskOutput::WordCount(m.clone());
-        assert_eq!(out.as_word_counts().unwrap(), &m);
-        assert_eq!(out.clone().into_word_counts().unwrap(), m);
-        let err = out.into_sorted().unwrap_err();
-        assert_eq!(err, OutputMismatch { expected: Task::Sort, got: Task::WordCount });
-    }
-
-    #[test]
     fn output_json_is_deterministic() {
         let mut m = BTreeMap::new();
         m.insert("b".to_string(), 2u64);
@@ -950,90 +812,6 @@ mod tests {
         assert!(j.find("\"a\"").unwrap() < j.find("\"b\"").unwrap());
         let sort = TaskOutput::Sort(vec![("x".into(), 9)]).to_json().pretty();
         assert!(sort.contains('9'));
-    }
-
-    /// Words that stress the encoder: every escape, controls that sort
-    /// below the space a gram is joined with, non-ASCII, the empty word,
-    /// and words holding the joiner itself.
-    const HOSTILE: [&str; 16] = [
-        "", " ", "a", "b", "a b", "a\tb", "\"", "\\", "\n", "\r", "\u{1}", "\u{1f}", "\u{7f}", "é",
-        "日本", "z\"\\z",
-    ];
-
-    /// Outputs that are generated but the same every run; `tidy` draws
-    /// words a tokenizer could have produced, whose grams the one-pass
-    /// writer takes in stride.
-    struct Draw(Prng, bool);
-
-    impl Draw {
-        fn below(&mut self, n: usize) -> usize {
-            self.0.next_below(n as u64) as usize
-        }
-        fn word(&mut self) -> String {
-            let pool = if self.1 { &["a", "ab", "b", "c!", "é"][..] } else { &HOSTILE[..] };
-            pool[self.below(pool.len())].to_string()
-        }
-        fn count(&mut self) -> u64 {
-            [0, 1, 7, 1 << 40, u64::MAX][self.below(5)]
-        }
-        fn words(&mut self, max: usize) -> Vec<String> {
-            (0..self.below(max + 1)).map(|_| self.word()).collect()
-        }
-        fn pairs(&mut self, max: usize) -> Vec<(String, u64)> {
-            (0..self.below(max + 1)).map(|_| (self.word(), self.count())).collect()
-        }
-    }
-
-    /// One generated output of each shape; `rows` 0 gives the empty ones.
-    fn generated(d: &mut Draw, rows: usize) -> [TaskOutput; 6] {
-        [
-            TaskOutput::WordCount((0..rows).map(|_| (d.word(), d.count())).collect()),
-            TaskOutput::Sort(d.pairs(rows)),
-            TaskOutput::TermVector((0..rows).map(|_| (d.word(), d.pairs(3))).collect()),
-            TaskOutput::InvertedIndex((0..rows).map(|_| (d.word(), d.words(3))).collect()),
-            TaskOutput::SequenceCount((0..rows).map(|_| (d.words(3), d.count())).collect()),
-            TaskOutput::RankedInvertedIndex((0..rows).map(|_| (d.words(3), d.pairs(3))).collect()),
-        ]
-    }
-
-    fn assert_writes_the_tree_bytes(out: &TaskOutput) {
-        let mut got = String::from("output:");
-        out.write_json(&mut got);
-        assert_eq!(got, format!("output:{}", out.to_json().compact()), "{out:?}");
-    }
-
-    #[test]
-    fn write_json_is_the_compact_tree_byte_for_byte() {
-        for tidy in [false, true] {
-            let mut d = Draw(Prng::new(21), tidy);
-            for rows in [0, 1, 2, 5, 12, 40] {
-                for _ in 0..20 {
-                    generated(&mut d, rows).iter().for_each(assert_writes_the_tree_bytes);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn gram_keys_that_collide_or_reorder_come_out_as_the_tree_has_them() {
-        let gram = |ws: &[&str]| ws.iter().map(|w| w.to_string()).collect::<Vec<_>>();
-        // ["a","b"] sorts before ["a b"] and both join to "a b": the tree
-        // keeps the later one. ["a","z"] sorts before ["a\t"], but "a\t"
-        // sorts before "a z". An empty gram joins to the empty key.
-        let keys =
-            [gram(&["a", "b"]), gram(&["a b"]), gram(&["a", "z"]), gram(&["a\t"]), gram(&[])];
-        let counts: BTreeMap<_, _> = keys.iter().cloned().zip(1u64..).collect();
-        let out = TaskOutput::SequenceCount(counts);
-        assert_eq!(out.to_json().compact(), r#"{"":5,"a\t":4,"a b":2,"a z":3}"#);
-        assert_writes_the_tree_bytes(&out);
-        let postings = keys.iter().cloned().zip(1u64..).map(|(g, c)| (g, vec![("f".into(), c)]));
-        assert_writes_the_tree_bytes(&TaskOutput::RankedInvertedIndex(postings.collect()));
-        // In order and distinct: the one-pass writer's own bytes.
-        let tidy = [gram(&["a", "b"]), gram(&["a", "c"]), gram(&["b"])];
-        let out = TaskOutput::SequenceCount(tidy.iter().cloned().zip(1u64..).collect());
-        let mut got = String::new();
-        out.write_json(&mut got);
-        assert_eq!(got, r#"{"a b":1,"a c":2,"b":3}"#);
     }
 
     #[test]
@@ -1063,8 +841,9 @@ mod tests {
 
     #[test]
     fn approx_bytes_counts_strings() {
-        let mut m = BTreeMap::new();
-        m.insert("abc".to_string(), 5u64);
-        assert_eq!(TaskOutput::WordCount(m).approx_bytes(), 11);
+        let files = [("f".to_string(), "abc".to_string())];
+        let comp = Arc::new(ntadoc_grammar::compress_corpus(&files, &Default::default()));
+        let rows = TaskRows::new(Task::WordCount, comp, 1, vec![0], vec![], vec![], vec![5]);
+        assert_eq!(rows.approx_bytes(), 11);
     }
 }

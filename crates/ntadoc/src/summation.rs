@@ -30,23 +30,12 @@ pub struct SummationResult {
     pub bounds: Vec<u64>,
 }
 
-impl SummationResult {
-    /// The largest per-rule bound (sizes the scratch region).
-    pub fn max_bound(&self) -> u64 {
-        self.bounds.iter().copied().max().unwrap_or(0)
-    }
-}
-
 /// Rules grouped into bottom-up dependency levels: level 0 holds leaf
 /// rules; a rule sits one level above its deepest subrule. Every rule's
 /// subrules live in strictly earlier levels, so the rules of one level are
 /// independent and can be processed concurrently, with levels as barriers.
-/// Within a level, rules keep reverse-topological order.
-pub fn topo_levels(grammar: &Grammar) -> Vec<Vec<u32>> {
-    levels_of(grammar, &grammar.topo_order())
-}
-
-/// [`topo_levels`] over an already computed topological order.
+/// Within a level, rules keep reverse-topological order (`order` is the
+/// grammar's topological order, computed once by the caller).
 fn levels_of(grammar: &Grammar, order: &[u32]) -> Vec<Vec<u32>> {
     let n = grammar.rule_count();
     let mut depth = vec![0u32; n];
@@ -72,7 +61,7 @@ fn levels_of(grammar: &Grammar, order: &[u32]) -> Vec<Vec<u32>> {
 pub(crate) struct GrammarFacts {
     /// Rules in topological order, `R0` first (parents before children).
     pub topo: Vec<u32>,
-    /// [`topo_levels`] of the grammar (`R0` included).
+    /// `levels_of` the grammar (`R0` included).
     pub levels: Vec<Vec<u32>>,
 }
 
@@ -371,12 +360,6 @@ mod tests {
     }
 
     #[test]
-    fn max_bound_is_max() {
-        let b = upper_bounds(&fig1());
-        assert_eq!(b.max_bound(), b.bounds[0]);
-    }
-
-    #[test]
     fn head_tail_matches_expansion() {
         let g = fig1();
         let info = head_tail_info(&g, 2);
@@ -413,7 +396,7 @@ mod tests {
     #[test]
     fn topo_levels_put_children_strictly_earlier() {
         let g = fig1();
-        let levels = topo_levels(&g);
+        let levels = levels_of(&g, &g.topo_order());
         let mut level_of = vec![0usize; g.rule_count()];
         for (d, level) in levels.iter().enumerate() {
             for &r in level {

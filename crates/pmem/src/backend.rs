@@ -1,10 +1,11 @@
 //! The storage-backend trait behind every pool.
 //!
 //! [`PmemBackend`] is the lean interface the persistence machinery
-//! ([`crate::TxLog`], [`crate::PhasePersist`], the engine's pool init and
-//! recovery path) needs from a device: line-granular byte access,
-//! flush/fence ordering, the virtual-clock cost hooks, and the crash /
-//! fault-injection controls the sweep harnesses drive.
+//! ([`crate::TxLog`], the engine's pool init and recovery path) needs from
+//! a device: line-granular byte access, flush/fence ordering and the
+//! virtual-clock cost hooks. Crashes and fault trips are not part of it:
+//! sweeps and tests arm them on the [`crate::SimDevice`] they hold (a pool
+//! file's twin).
 //!
 //! Two implementations exist:
 //!
@@ -26,9 +27,8 @@ use crate::device::{Addr, SimDevice};
 use crate::stats::AccessStats;
 use crate::Result;
 
-/// Line-granular persistent storage with explicit flush/fence ordering
-/// and injectable crash semantics. See the module docs for the contract
-/// and the two implementations.
+/// Line-granular persistent storage with explicit flush/fence ordering.
+/// See the module docs for the contract and the two implementations.
 ///
 /// Provided helpers (`persist`, `read_u64`, …) are built on the required
 /// byte methods; the panicking variants panic with the error's `Display`
@@ -75,24 +75,6 @@ pub trait PmemBackend: Send + Sync {
     /// Account undo-log bytes for the write-amplification ledger.
     /// Backends without a ledger may ignore this.
     fn note_log_bytes(&self, _n: u64) {}
-
-    /// Power failure now: unfenced state is lost (pre-images restored).
-    fn crash(&self);
-
-    /// Power failure now under the torn-write model: flushed-but-unfenced
-    /// lines independently survive or revert (seeded coin flips via
-    /// [`crate::faultsim::torn_line_survives`]), and an interrupted store
-    /// tears at 8-byte granularity.
-    fn crash_torn(&self, seed: u64);
-
-    /// Arm a crash after `n` more write operations.
-    fn trip_after_writes(&self, n: u64);
-
-    /// Arm a crash after `n` more persist points (flushes + fences).
-    fn trip_after_persists(&self, n: u64);
-
-    /// Disarm any pending trip.
-    fn clear_trip(&self);
 
     /// Seal which corpus snapshot this pool now serves: record the
     /// fingerprint durably (the pool header for file-backed devices) so a
@@ -186,26 +168,6 @@ impl PmemBackend for SimDevice {
         SimDevice::note_log_bytes(self, n)
     }
 
-    fn crash(&self) {
-        SimDevice::crash(self)
-    }
-
-    fn crash_torn(&self, seed: u64) {
-        SimDevice::crash_torn(self, seed)
-    }
-
-    fn trip_after_writes(&self, n: u64) {
-        SimDevice::trip_after_writes(self, n)
-    }
-
-    fn trip_after_persists(&self, n: u64) {
-        SimDevice::trip_after_persists(self, n)
-    }
-
-    fn clear_trip(&self) {
-        SimDevice::clear_trip(self)
-    }
-
     fn publish_snapshot(&self, fingerprint: u64) -> Result<()> {
         SimDevice::publish_snapshot(self, fingerprint);
         Ok(())
@@ -243,17 +205,6 @@ mod tests {
         assert_eq!(b.read_u64(256), 0xDEAD_BEEF_CAFE_F00D);
         b.persist(64, 13);
         assert!(b.stats().persist_points() > 0);
-    }
-
-    #[test]
-    fn trait_crash_controls_match_inherent_behavior() {
-        let d = dev();
-        let b: Arc<dyn PmemBackend> = d.clone();
-        b.write_u64(0, 7);
-        b.persist(0, 8);
-        b.write_u64(0, 99); // durable value still 7
-        b.crash();
-        assert_eq!(d.read_u64(0), 7);
     }
 
     #[test]

@@ -22,10 +22,6 @@ pub enum AccessOutcome {
 /// Tag of an empty slot.
 const EMPTY: u64 = u64::MAX;
 
-/// Number of line shards the cache tallies hit/miss counters for,
-/// mirroring [`crate::device::READ_SHARDS`]: shard = `line & 15`.
-pub const CACHE_SHARDS: usize = 16;
-
 /// Set-associative LRU over line indices (not bytes).
 ///
 /// Structure of arrays: a set's tags sit side by side, so the hit scan —
@@ -40,9 +36,6 @@ pub struct LineCache {
     ways: usize,
     sets: usize,
     tick: u64,
-    /// Per-shard `(hits, misses)` tallies keyed by `line & (CACHE_SHARDS-1)`,
-    /// exposed for contention analysis ([`Self::shard_hits_misses`]).
-    shard_tallies: [(u64, u64); CACHE_SHARDS],
 }
 
 impl LineCache {
@@ -60,7 +53,6 @@ impl LineCache {
             ways,
             sets,
             tick: 0,
-            shard_tallies: [(0, 0); CACHE_SHARDS],
         }
     }
 
@@ -85,14 +77,11 @@ impl LineCache {
     pub fn access(&mut self, line: u64, write: bool) -> AccessOutcome {
         self.tick += 1;
         let stamp = self.tick << 1;
-        let shard = (line as usize) & (CACHE_SHARDS - 1);
 
         if let Some(slot) = self.slot_of(line) {
             self.meta[slot] = stamp | (self.meta[slot] & 1) | write as u64;
-            self.shard_tallies[shard].0 += 1;
             return AccessOutcome::Hit;
         }
-        self.shard_tallies[shard].1 += 1;
 
         // Miss: the first empty slot, else the least recently used one.
         // Stamps are unique and sit above the dirty bit, so the smallest
@@ -120,11 +109,6 @@ impl LineCache {
         }
     }
 
-    /// Whether `line` is resident and dirty.
-    pub fn is_dirty(&self, line: u64) -> bool {
-        self.slot_of(line).is_some_and(|slot| self.meta[slot] & 1 != 0)
-    }
-
     /// Clear every dirty bit, returning how many lines were written back.
     pub fn flush_all(&mut self) -> u64 {
         let mut n = 0;
@@ -143,12 +127,6 @@ impl LineCache {
     /// Total line capacity.
     pub fn capacity_lines(&self) -> usize {
         self.sets * self.ways
-    }
-
-    /// Per-shard `(hits, misses)` since construction, keyed by
-    /// `line & (CACHE_SHARDS - 1)`.
-    pub fn shard_hits_misses(&self) -> Vec<(u64, u64)> {
-        self.shard_tallies.to_vec()
     }
 }
 
@@ -262,9 +240,7 @@ mod tests {
     fn write_marks_dirty_and_flush_clears() {
         let mut c = LineCache::new(1 << 16, 256, 4);
         c.access(3, true);
-        assert!(c.is_dirty(3));
         assert!(c.flush_line(3));
-        assert!(!c.is_dirty(3));
         assert!(!c.flush_line(3)); // already clean
     }
 

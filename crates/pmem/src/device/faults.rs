@@ -16,6 +16,10 @@ use crate::Result;
 /// distinguish scheduled crashes from real bugs.
 pub const CRASH_PANIC: &str = "injected device fault";
 
+/// Retries a write spends on transient media faults (attempts beyond the
+/// first) before giving up with [`PmemError::MediaError`].
+const WRITE_RETRY_LIMIT: u32 = 3;
+
 /// A media fault injected on a specific line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum MediaFault {
@@ -56,22 +60,13 @@ pub(super) struct Faults {
     trip_persists: Option<u64>,
     /// Injected per-line media faults.
     media: HashMap<u64, MediaFault>,
-    /// Bounded retry budget for transient write faults (attempts beyond
-    /// the first).
-    retry_limit: u32,
     /// Per-line write counts (endurance analysis); `None` = not tracked.
     wear: Option<HashMap<u64, u64>>,
 }
 
 impl Faults {
     pub fn new() -> Self {
-        Faults {
-            trip_writes: None,
-            trip_persists: None,
-            media: HashMap::new(),
-            retry_limit: 3,
-            wear: None,
-        }
+        Faults { trip_writes: None, trip_persists: None, media: HashMap::new(), wear: None }
     }
 
     /// Whether this store is the one an armed write trip fires on.
@@ -134,7 +129,6 @@ impl SimDevice {
         if !inner.faults.any_media() {
             return Ok(());
         }
-        let retry_limit = inner.faults.retry_limit;
         let mut attempts = 0u32;
         for line in first..=last {
             let mut retries_here = 0u64;
@@ -143,7 +137,7 @@ impl SimDevice {
             if let Some(MediaFault::TransientWrite { remaining }) =
                 inner.faults.media.get_mut(&line)
             {
-                while *remaining > 0 && attempts < retry_limit {
+                while *remaining > 0 && attempts < WRITE_RETRY_LIMIT {
                     *remaining -= 1;
                     attempts += 1;
                     retries_here += 1;
@@ -236,12 +230,6 @@ impl SimDevice {
         let mut inner = self.lock();
         inner.faults.media.clear();
         self.sync_fault_flag(&inner.faults);
-    }
-
-    /// Bound the number of retries a write spends on transient media
-    /// faults before giving up with [`PmemError::MediaError`].
-    pub fn set_retry_limit(&self, retries: u32) {
-        self.lock().faults.retry_limit = retries;
     }
 
     /// Start counting per-line write operations (endurance analysis).

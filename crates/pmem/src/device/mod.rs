@@ -205,11 +205,6 @@ impl SimDevice {
         assert!(self.mirror.set(mirror).is_ok(), "a device mirror is already attached");
     }
 
-    /// Whether a durable-image mirror is attached.
-    pub fn has_mirror(&self) -> bool {
-        self.mirror.get().is_some()
-    }
-
     /// Record which corpus-snapshot fingerprint this device now serves.
     /// Pure metadata: no bytes move and no virtual time is charged (the
     /// file-backed device overrides the trait method to also seal its
@@ -254,11 +249,6 @@ impl SimDevice {
         }
     }
 
-    /// Number of line shards on the read path.
-    pub fn read_shard_count(&self) -> usize {
-        READ_SHARDS
-    }
-
     /// Per-shard totals for reads served by the deferred path.
     pub fn read_shard_stats(&self) -> Vec<ReadShardStats> {
         self.shared.read_shard_stats()
@@ -273,11 +263,6 @@ impl SimDevice {
     /// Times the state lock was healed after poisoning.
     pub fn poison_heals(&self) -> u64 {
         self.poison_heals.load(Ordering::Relaxed)
-    }
-
-    /// Per-shard `(hits, misses)` of the front cache's cost model.
-    pub fn cache_shard_stats(&self) -> Vec<(u64, u64)> {
-        self.read_lock().meter.cache.shard_hits_misses()
     }
 
     /// Charge extra model time, e.g. CPU work modeled by higher layers.

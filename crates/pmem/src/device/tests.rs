@@ -369,14 +369,13 @@ fn transient_write_fault_absorbed_by_retry_budget() {
 #[test]
 fn transient_write_fault_beyond_budget_errors() {
     let d = nvm(4096);
-    d.set_retry_limit(2);
     d.inject_transient_write_fault(0, 10);
     match d.try_write_bytes(0, &[1, 2, 3, 4]) {
         Err(PmemError::MediaError { addr: 0 }) => {}
         other => panic!("expected MediaError, got {other:?}"),
     }
-    assert_eq!(d.stats().media_retries, 2);
-    // The remaining fault count was consumed by the retries; two more
+    assert_eq!(d.stats().media_retries, 3, "the budget is three retries");
+    // The remaining fault count was consumed by the retries; more
     // failed attempts and the line heals.
     d.clear_faults();
     d.write_u32(0, 3);

@@ -69,7 +69,7 @@ pub use faultsim::{
 pub use json::{Json, JsonError};
 pub use ledger::AllocLedger;
 pub use obs::{MetricRegistry, MetricValue, MetricsSnapshot, Obs, SpanNode};
-pub use persist::{crc64, PhasePersist, TxLog, TxLogInspection};
+pub use persist::{crc64, TxLog, TxLogInspection};
 pub use pod::Pod;
 pub use poolfile::{
     fsck_pool, FileDevice, FsckReport, HostCrashReport, MmapDevice, PoolDevice, PoolFile,

@@ -7,11 +7,12 @@
 //!   [`TxLog::recover`] rolls the data back from the log. The extra log
 //!   traffic is real device traffic, so write amplification shows up in the
 //!   virtual clock exactly as the paper reports (Figure 5(b) vs 5(a)).
-//! * **Phase-level** ([`PhasePersist`]) mirrors `libpmem`: data is written
-//!   with plain stores and flushed wholesale at the end of each N-TADOC
-//!   phase. Cheap during normal execution; on a crash the current phase's
-//!   output is discarded and the phase re-runs from the previous
-//!   checkpoint.
+//! * **Phase-level** mirrors `libpmem` and needs no type here: data is
+//!   written with plain stores and the engine flushes the pool wholesale
+//!   and fences once at the end of each N-TADOC phase
+//!   ([`PmemBackend::persist`]). Cheap during normal execution; on a crash
+//!   the current phase's output is discarded and the phase re-runs from
+//!   the previous checkpoint.
 //!
 //! # Corruption safety
 //!
@@ -406,60 +407,6 @@ impl TxLogInspection {
     }
 }
 
-/// Phase-level persistence: plain stores during a phase, wholesale flush at
-/// the phase boundary.
-pub struct PhasePersist {
-    dev: Arc<dyn PmemBackend>,
-    /// Regions registered for end-of-phase flushing.
-    regions: Vec<(Addr, usize)>,
-}
-
-impl PhasePersist {
-    /// New phase-level persister for `dev`.
-    pub fn new(dev: Arc<dyn PmemBackend>) -> Self {
-        PhasePersist { dev, regions: Vec::new() }
-    }
-
-    /// Register a region written during the current phase.
-    pub fn track(&mut self, addr: Addr, len: usize) {
-        if len > 0 {
-            self.regions.push((addr, len));
-        }
-    }
-
-    /// Number of regions tracked so far in the current phase.
-    pub fn tracked(&self) -> usize {
-        self.regions.len()
-    }
-
-    /// End the phase: coalesce the tracked regions (duplicates, overlaps
-    /// and adjacent ranges merge into one), flush each merged region, and
-    /// fence once. Engines tracking a region per operation would otherwise
-    /// issue thousands of redundant flushes over the same lines.
-    pub fn phase_end(&mut self) {
-        for (addr, len) in Self::coalesce(&mut self.regions) {
-            self.dev.flush(addr, len);
-        }
-        self.dev.fence();
-        self.regions.clear();
-    }
-
-    /// Sort + merge: consumes `regions`' order, returns disjoint,
-    /// non-adjacent `(addr, len)` ranges covering the same bytes.
-    fn coalesce(regions: &mut [(Addr, usize)]) -> Vec<(Addr, usize)> {
-        regions.sort_unstable();
-        let mut merged: Vec<(Addr, u64)> = Vec::new(); // (start, end)
-        for &(addr, len) in regions.iter() {
-            let end = addr + len as u64;
-            match merged.last_mut() {
-                Some((_, tail)) if addr <= *tail => *tail = (*tail).max(end),
-                _ => merged.push((addr, end)),
-            }
-        }
-        merged.into_iter().map(|(start, end)| (start, (end - start) as usize)).collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -557,36 +504,12 @@ mod tests {
         let tx_ns = d_tx.stats().virtual_ns;
 
         let d_ph = dev();
-        let mut ph = PhasePersist::new(d_ph.clone());
         for i in 0..100u64 {
             d_ph.write_u64(i * 8, i);
         }
-        ph.track(0, 800);
-        ph.phase_end();
+        d_ph.persist(0, 800);
         let ph_ns = d_ph.stats().virtual_ns;
         assert!(tx_ns > ph_ns * 2, "tx {tx_ns} should cost >2x phase {ph_ns}");
-    }
-
-    #[test]
-    fn phase_persist_makes_data_durable() {
-        let d = dev();
-        let mut ph = PhasePersist::new(d.clone());
-        d.write_u64(128, 5);
-        ph.track(128, 8);
-        ph.phase_end();
-        d.crash();
-        assert_eq!(d.read_u64(128), 5);
-    }
-
-    #[test]
-    fn phase_crash_before_phase_end_loses_phase_data() {
-        let d = dev();
-        let mut ph = PhasePersist::new(d.clone());
-        d.write_u64(128, 5);
-        ph.track(128, 8);
-        // no phase_end
-        d.crash();
-        assert_eq!(d.read_u64(128), 0);
     }
 
     #[test]
@@ -629,52 +552,6 @@ mod tests {
         let d = dev();
         let mut tx = TxLog::new(d, LOG_AT, 4096);
         assert!(!tx.recover().unwrap());
-    }
-
-    #[test]
-    fn phase_end_coalesces_duplicate_and_adjacent_ranges() {
-        // 100 tracks of the same range plus 10 adjacent ones must collapse
-        // into a single flush — the stats counter proves it.
-        let d = dev();
-        let mut ph = PhasePersist::new(d.clone());
-        for _ in 0..100 {
-            ph.track(4096, 256);
-        }
-        for i in 0..10u64 {
-            ph.track(4096 + 256 + i * 64, 64); // adjacent chain
-        }
-        assert_eq!(ph.tracked(), 110);
-        let before = d.stats();
-        ph.phase_end();
-        let delta = d.stats().since(&before);
-        assert_eq!(delta.flushes, 1, "110 tracked regions must coalesce to one flush");
-        assert_eq!(delta.fences, 1);
-    }
-
-    #[test]
-    fn phase_end_keeps_disjoint_ranges_separate() {
-        let d = dev();
-        let mut ph = PhasePersist::new(d.clone());
-        ph.track(0, 64);
-        ph.track(8192, 64); // a gap — must not be bridged
-        let before = d.stats();
-        ph.phase_end();
-        assert_eq!(d.stats().since(&before).flushes, 2);
-    }
-
-    #[test]
-    fn coalesced_phase_end_is_still_durable() {
-        let d = dev();
-        let mut ph = PhasePersist::new(d.clone());
-        d.write_u64(128, 5);
-        d.write_u64(136, 6);
-        ph.track(128, 8);
-        ph.track(128, 8); // duplicate
-        ph.track(136, 8); // adjacent
-        ph.phase_end();
-        d.crash();
-        assert_eq!(d.read_u64(128), 5);
-        assert_eq!(d.read_u64(136), 6);
     }
 
     #[test]

@@ -29,11 +29,10 @@
 //! into a shared mapping, `msync` barriers). Both write the same format,
 //! so `fsck` and either device open a pool the other wrote.
 //!
-//! By default the file is **not** synced on each fence: the crash model
-//! injects failures *above* the OS (the process keeps running and rereads
-//! the file it just wrote), so page-cache durability is not what the
-//! harness tests. [`PoolFile::create_with_fsync`] opts into a real sync
-//! per fence for measuring that cost. Seal fences and
+//! The file is **not** synced on a plain fence: the crash model injects
+//! failures *above* the OS (the process keeps running and rereads the
+//! file it just wrote), so page-cache durability is not what the harness
+//! tests. Seal fences and
 //! [`publish_snapshot`](PmemBackend::publish_snapshot) always sync.
 //!
 //! # File layout
@@ -261,9 +260,9 @@ pub struct HostCrashReport {
 /// the *previous durable bytes* of its range: on a simulated host crash
 /// (power loss above the page cache) each such range independently keeps
 /// the new bytes or reverts to the pre-image, exactly as the OS may or
-/// may not have written the dirty page out. Any sync — per-fence
-/// (`fsync_each_fence`), a seal fence, or `publish_snapshot` — empties
-/// the tracking: synced writes can no longer be lost.
+/// may not have written the dirty page out. Any sync — a seal fence or
+/// `publish_snapshot` — empties the tracking: synced writes can no longer
+/// be lost.
 ///
 /// Mirror hooks run under the twin's state lock and cannot return errors;
 /// an I/O failure here means the backing file is gone mid-run, which is
@@ -276,7 +275,6 @@ struct Durable<S> {
     /// the seeded RNG in a deterministic (offset) order.
     unsynced: BTreeMap<u64, Vec<u8>>,
     line_size: u64,
-    fsync_each_fence: bool,
 }
 
 /// Lock order everywhere: the twin's state lock (if held) first, this one
@@ -312,12 +310,12 @@ impl<S: StableStore> Durable<S> {
         }
     }
 
-    /// Write lines through; a seal, or the per-fence policy, then syncs.
+    /// Write lines through; a seal then syncs.
     fn write_lines(&mut self, lines: &[(u64, Vec<u8>)], seal: bool) {
         for (line, bytes) in lines {
             self.write_tracked(POOL_DATA_AT + line * self.line_size, bytes);
         }
-        if seal || self.fsync_each_fence {
+        if seal {
             self.sync();
         }
     }
@@ -351,16 +349,15 @@ impl<S: StableStore> DeviceMirror for Mutex<Durable<S>> {
 
     fn on_seal(&self, lines: &[(u64, Vec<u8>)]) {
         // Seal fences carry recovery-critical state (header seals, TxLog
-        // commit records): sync unconditionally, regardless of the
-        // per-fence policy, and even with no lines of their own — the
-        // barrier must also cover earlier fenced-but-unsynced writes.
+        // commit records): sync unconditionally, even with no lines of
+        // their own — the barrier must also cover earlier
+        // fenced-but-unsynced writes.
         lock(self).write_lines(lines, true);
     }
 
     fn on_crash(&self, lines: &[(u64, Vec<u8>)]) {
-        // The crash already resolved what survived; always push the torn
-        // image out (and sync it if syncing at all) so the on-disk state
-        // is exactly the post-crash state.
+        // The crash already resolved what survived; push the torn image
+        // out so the on-disk state is exactly the post-crash state.
         lock(self).write_lines(lines, false);
     }
 
@@ -440,7 +437,7 @@ impl<S: StableStore> PoolFile<S> {
     /// and return the device over it. The twin starts zeroed, matching
     /// the sparse data region.
     pub fn create(path: &Path, profile: DeviceProfile, layout: PoolLayout) -> Result<Arc<Self>> {
-        Self::create_inner(path, profile, layout, 0, false)
+        Self::create_with_dag_layout(path, profile, layout, 0)
     }
 
     /// [`create`](Self::create) with a DAG-layout id sealed into the
@@ -450,26 +447,6 @@ impl<S: StableStore> PoolFile<S> {
         profile: DeviceProfile,
         layout: PoolLayout,
         dag_layout: u16,
-    ) -> Result<Arc<Self>> {
-        Self::create_inner(path, profile, layout, dag_layout, false)
-    }
-
-    /// [`create`](Self::create), but sync the file on every fence — real
-    /// OS durability at real OS cost.
-    pub fn create_with_fsync(
-        path: &Path,
-        profile: DeviceProfile,
-        layout: PoolLayout,
-    ) -> Result<Arc<Self>> {
-        Self::create_inner(path, profile, layout, 0, true)
-    }
-
-    fn create_inner(
-        path: &Path,
-        profile: DeviceProfile,
-        layout: PoolLayout,
-        dag_layout: u16,
-        fsync_each_fence: bool,
     ) -> Result<Arc<Self>> {
         require_persistent(&profile)?;
         // Never write a header `open` would refuse to read back.
@@ -484,7 +461,7 @@ impl<S: StableStore> PoolFile<S> {
         file.sync_all()?;
         let store = S::attach(file, POOL_DATA_AT + layout.capacity)?;
         let twin = Arc::new(SimDevice::new(profile, layout.capacity as usize));
-        Ok(Self::assemble(path, header, twin, store, fsync_each_fence))
+        Ok(Self::assemble(path, header, twin, store))
     }
 
     /// Open an existing pool file (whichever store wrote it): validate
@@ -500,23 +477,16 @@ impl<S: StableStore> PoolFile<S> {
         let twin = load_twin(&store, &header, profile)?;
         // A reopened pool resumes at the snapshot its header sealed.
         twin.publish_snapshot(header.snapshot);
-        Ok(Self::assemble(path, header, twin, store, false))
+        Ok(Self::assemble(path, header, twin, store))
     }
 
     /// Attach the mirror — only now, so that loading the image into the
     /// twin was not echoed back into the file.
-    fn assemble(
-        path: &Path,
-        header: PoolHeader,
-        twin: Arc<SimDevice>,
-        store: S,
-        fsync_each_fence: bool,
-    ) -> Arc<Self> {
+    fn assemble(path: &Path, header: PoolHeader, twin: Arc<SimDevice>, store: S) -> Arc<Self> {
         let durable = Arc::new(Mutex::new(Durable {
             store,
             unsynced: BTreeMap::new(),
             line_size: header.line_size as u64,
-            fsync_each_fence,
         }));
         twin.attach_mirror(durable.clone());
         Arc::new(PoolFile { twin, path: path.to_path_buf(), header, durable })
@@ -530,9 +500,9 @@ impl PoolFile<MmapStore> {
     }
 }
 
-/// Everything forwards to the twin: costs, stats, crash decisions, and
-/// trip arming are identical to a pure-sim run by construction, which is
-/// what makes the sim/file/mmap cross-check meaningful.
+/// Everything forwards to the twin: costs and stats are identical to a
+/// pure-sim run by construction, which is what makes the sim/file/mmap
+/// cross-check meaningful. Crashes are armed on [`PoolDevice::twin`].
 impl<S: StableStore> PmemBackend for PoolFile<S> {
     fn capacity(&self) -> u64 {
         self.twin.capacity()
@@ -570,26 +540,6 @@ impl<S: StableStore> PmemBackend for PoolFile<S> {
         // pub(crate) on the twin; forwarded so log amplification ledgers
         // stay identical across backends.
         SimDevice::note_log_bytes(&self.twin, n)
-    }
-
-    fn crash(&self) {
-        self.twin.crash()
-    }
-
-    fn crash_torn(&self, seed: u64) {
-        self.twin.crash_torn(seed)
-    }
-
-    fn trip_after_writes(&self, n: u64) {
-        self.twin.trip_after_writes(n)
-    }
-
-    fn trip_after_persists(&self, n: u64) {
-        self.twin.trip_after_persists(n)
-    }
-
-    fn clear_trip(&self) {
-        self.twin.clear_trip()
     }
 
     /// Publishing seals the fingerprint into the on-disk pool header (a
@@ -647,8 +597,8 @@ pub trait PoolDevice: PmemBackend {
     fn verify_file_matches_device(&self) -> Result<()>;
 
     /// Number of written-but-unsynced file ranges a host crash could
-    /// still lose. Zero right after any seal fence, sync-per-fence
-    /// fence, or [`publish_snapshot`](PmemBackend::publish_snapshot).
+    /// still lose. Zero right after any seal fence or
+    /// [`publish_snapshot`](PmemBackend::publish_snapshot).
     fn unsynced_ranges(&self) -> usize;
 
     /// Simulate a **host** crash (power loss above the OS): every write
@@ -821,7 +771,6 @@ mod tests {
         publish_snapshot_seals_the_header_and_hardens_prior_writes,
         refused_creates_leave_no_file,
         host_crash_loses_plain_fences_but_never_sealed_ones,
-        sync_per_fence_leaves_nothing_for_a_host_crash,
         host_crash_coin_flips_are_seed_deterministic,
     );
 
@@ -886,7 +835,7 @@ mod tests {
         tx.log_range(0, 8).unwrap();
         dev.twin().write_u64(0, 2);
         dev.twin().persist(0, 8);
-        dev.crash_torn(7);
+        dev.twin().crash_torn(7);
         let report = fsck_pool(&path).unwrap();
         assert!(report.recoverable());
         assert!(report.log.needs_rollback(), "active tx must be visible in the file");
@@ -984,23 +933,6 @@ mod tests {
         assert_eq!(dev.twin().read_u64(0), 11, "the seal barrier hardened the earlier fence");
         assert_eq!(dev.twin().read_u64(256), 22, "sealed write survives the host crash");
         assert_eq!(dev.twin().read_u64(512), 0, "unsynced fenced write is lost");
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    fn sync_per_fence_leaves_nothing_for_a_host_crash<S: StableStore>() {
-        let path = tmp("hostcrash-sync");
-        let dev = PoolFile::<S>::create_with_fsync(&path, nvm(), small_layout()).unwrap();
-        for i in 0..4u64 {
-            dev.twin().write_u64(i * 256, i + 1);
-            dev.twin().persist(i * 256, 8);
-        }
-        assert_eq!(dev.unsynced_ranges(), 0);
-        assert_eq!(dev.host_crash(42), HostCrashReport::default());
-        drop(dev);
-        let dev = PoolFile::<S>::open(&path, nvm()).unwrap();
-        for i in 0..4u64 {
-            assert_eq!(dev.twin().read_u64(i * 256), i + 1);
-        }
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -24,12 +24,6 @@ pub enum DeviceKind {
 }
 
 impl DeviceKind {
-    /// Whether loads/stores can target arbitrary byte offsets without paying
-    /// a full block I/O.
-    pub fn is_byte_addressable(self) -> bool {
-        matches!(self, DeviceKind::Dram | DeviceKind::Nvm)
-    }
-
     /// Whether data survives a crash once flushed.
     pub fn is_persistent(self) -> bool {
         !matches!(self, DeviceKind::Dram)
@@ -222,14 +216,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn kinds_classify_addressability() {
-        assert!(DeviceKind::Dram.is_byte_addressable());
-        assert!(DeviceKind::Nvm.is_byte_addressable());
-        assert!(!DeviceKind::Ssd.is_byte_addressable());
-        assert!(!DeviceKind::Hdd.is_byte_addressable());
-    }
-
-    #[test]
     fn kinds_classify_persistence() {
         assert!(!DeviceKind::Dram.is_persistent());
         assert!(DeviceKind::Nvm.is_persistent());
@@ -268,10 +254,9 @@ mod tests {
     }
 
     #[test]
-    fn alternative_nvm_architectures_are_persistent_and_byte_addressable() {
+    fn alternative_nvm_architectures_are_persistent_nvm() {
         for p in [DeviceProfile::reram(), DeviceProfile::pcm()] {
             assert_eq!(p.kind, DeviceKind::Nvm, "{}", p.name);
-            assert!(p.kind.is_byte_addressable());
             assert!(p.kind.is_persistent());
         }
     }

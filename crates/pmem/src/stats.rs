@@ -155,11 +155,6 @@ impl AccessStats {
         self.line_hits as f64 / total as f64
     }
 
-    /// Model time in seconds.
-    pub fn virtual_secs(&self) -> f64 {
-        self.virtual_ns as f64 / 1e9
-    }
-
     /// Number of persistence-ordering points reached so far: every flush
     /// and every fence is a distinct point a crash-sweep harness can
     /// schedule a failure at (see [`crate::faultsim`]).
@@ -255,11 +250,5 @@ mod tests {
         let bad = Json::object([("writes", Json::Str("x".into()))]);
         assert!(AccessStats::from_json(&bad).unwrap_err().contains("writes"));
         assert!(AccessStats::from_json(&Json::Null).is_err());
-    }
-
-    #[test]
-    fn virtual_secs_scales() {
-        let s = AccessStats { virtual_ns: 2_500_000_000, ..Default::default() };
-        assert!((s.virtual_secs() - 2.5).abs() < 1e-12);
     }
 }

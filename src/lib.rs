@@ -21,10 +21,9 @@ pub use ntadoc_pmem::{
     crc64, for_each_case, fsck_pool, panic_is_injected_crash, run_with_crash_at, sweep_ctx,
     torn_line_survives, torn_word_survives, AllocLedger, CrashMode, CrashPoint, CrashRun,
     DeviceKind, DeviceMirror, DeviceProfile, FileDevice, FsckReport, HostCrashReport, Json,
-    JsonError, MetricRegistry, MetricValue, MetricsSnapshot, MmapDevice, Obs, PhasePersist,
-    PmemBackend, PmemError, PmemPool, PoolDevice, PoolHeader, PoolLayout, Prng, SimDevice,
-    SpanNode, SweepOutcome, TxLog, TxLogInspection, CRASH_PANIC, POOL_DATA_AT, POOL_MAGIC,
-    POOL_VERSION,
+    JsonError, MetricRegistry, MetricValue, MetricsSnapshot, MmapDevice, Obs, PmemBackend,
+    PmemError, PmemPool, PoolDevice, PoolHeader, PoolLayout, Prng, SimDevice, SpanNode,
+    SweepOutcome, TxLog, TxLogInspection, CRASH_PANIC, POOL_DATA_AT, POOL_MAGIC, POOL_VERSION,
 };
 pub use ntadoc_serve::{
     percentile_ns, shard_reads_total, Completion, DaemonConfig, QueryDaemon, Rejection,

@@ -1,14 +1,14 @@
 //! The streaming-corpus contract: appending files one group at a time
-//! through `Engine::append_files` is byte-equivalent — grammar,
-//! dictionary, snapshot fingerprint, pool image, virtual time — to a
-//! single `EngineBuilder::append_plan` build with the same grouping, for
-//! any worker count; sessions opened before an append keep serving the
-//! old snapshot; and file pools published under a superseded fingerprint
-//! are recreated on open.
+//! through `Engine::append_files` gives the same bytes — snapshot
+//! fingerprint, pool image, virtual time — for any worker count (and, in
+//! `ingest_golden.rs`, the pinned images), loses nothing a full rebuild
+//! would keep, and answers like one; sessions opened before an append keep
+//! serving the old snapshot; and file pools published under a superseded
+//! fingerprint are recreated on open.
 
 mod common;
 
-use common::{check_corpora, CorpusShape};
+use common::{build_by_appends, check_corpora, CorpusShape};
 use ntadoc_pmem::par;
 use ntadoc_repro::{
     compress_corpus, fsck_pool, Engine, EngineBuilder, EngineConfig, PmemError, Query, Task,
@@ -30,87 +30,6 @@ fn plan_from_seed(n: usize, mut seed: u64) -> Vec<usize> {
         left -= take;
     }
     plan
-}
-
-/// Build by live appends: first group as the base, later groups through
-/// `Engine::append_files`.
-fn build_by_appends(files: &[(String, String)], plan: &[usize]) -> Engine {
-    let mut groups = files.to_vec();
-    let mut engine = {
-        let rest = groups.split_off(plan[0]);
-        let e = EngineBuilder::from_files(groups).config(EngineConfig::ntadoc()).build().unwrap();
-        groups = rest;
-        e
-    };
-    for &n in &plan[1..] {
-        let rest = groups.split_off(n);
-        engine.append_files(groups).unwrap();
-        groups = rest;
-    }
-    engine
-}
-
-fn dict_words(e: &Engine) -> Vec<String> {
-    e.compressed().dict.iter().map(|(_, w)| w.to_string()).collect()
-}
-
-/// The tentpole determinism bar, fails-if-broken: one-at-a-time
-/// appends ≡ a planned chunked build, byte for byte.
-#[test]
-fn appends_one_at_a_time_match_the_planned_build() {
-    check_corpora(
-        "appends_one_at_a_time_match_the_planned_build",
-        0xA99E_0D01,
-        16,
-        CORPORA,
-        |rng| rng.next_below(10_000),
-        |files, &seed| {
-            let plan = plan_from_seed(files.len(), seed);
-            let live = build_by_appends(files, &plan);
-            let planned = EngineBuilder::from_files(files.clone())
-                .append_plan(plan.clone())
-                .config(EngineConfig::ntadoc())
-                .build()
-                .unwrap();
-
-            assert_eq!(
-                &live.compressed().grammar,
-                &planned.compressed().grammar,
-                "grammar diverged for plan {:?}",
-                &plan
-            );
-            assert_eq!(dict_words(&live), dict_words(&planned));
-            assert_eq!(live.snapshot_version(), planned.snapshot_version());
-            assert_eq!(live.ingest_total_ns(), planned.ingest_total_ns());
-            assert_eq!(live.append_log().len(), planned.append_log().len());
-            for (a, b) in live.append_log().iter().zip(planned.append_log()) {
-                assert_eq!(a.virtual_ns, b.virtual_ns);
-                assert_eq!(a.new_rules, b.new_rules);
-                assert_eq!(a.new_words, b.new_words);
-                assert_eq!(a.snapshot.fingerprint(), b.snapshot.fingerprint());
-            }
-
-            // The appended corpus expands to exactly the input files, so the
-            // incremental path loses nothing a full rebuild would keep.
-            let full = compress_corpus(files, &TokenizerConfig::default());
-            assert_eq!(live.compressed().grammar.expand_files(), full.grammar.expand_files());
-
-            // Pool images are bit-identical: same capacity, same bytes, same
-            // published fingerprint, same init cost.
-            let sa = live.serve().unwrap();
-            let sb = planned.serve().unwrap();
-            let (da, db) = (sa.sim_device(), sb.sim_device());
-            assert_eq!(da.capacity(), db.capacity());
-            assert_eq!(
-                da.peek(0, da.capacity() as usize),
-                db.peek(0, db.capacity() as usize),
-                "pool bytes diverged for plan {:?}",
-                &plan
-            );
-            assert_eq!(da.stats().virtual_ns, db.stats().virtual_ns);
-            assert_eq!(da.published_snapshot(), db.published_snapshot());
-        },
-    );
 }
 
 #[test]
@@ -163,6 +82,28 @@ fn appended_engines_answer_like_full_rebuilds() {
             "{task} diverged between append path and full rebuild"
         );
     }
+
+    // Over arbitrary corpora and plans the appended corpus expands to
+    // exactly the input files: the incremental path loses nothing a full
+    // rebuild would keep.
+    check_corpora(
+        "appended_engines_answer_like_full_rebuilds",
+        0xA99E_0D01,
+        16,
+        CORPORA,
+        |rng| rng.next_below(10_000),
+        |files, &seed| {
+            let plan = plan_from_seed(files.len(), seed);
+            let live = build_by_appends(files, &plan);
+            let full = compress_corpus(files, &TokenizerConfig::default());
+            assert_eq!(live.append_log().len(), plan.len() - 1, "plan {plan:?}");
+            assert_eq!(
+                live.compressed().grammar.expand_files(),
+                full.grammar.expand_files(),
+                "plan {plan:?}"
+            );
+        },
+    );
 }
 
 #[test]
@@ -246,24 +187,6 @@ fn stale_published_pools_are_recreated_on_open() {
 fn append_misuse_is_rejected_with_typed_errors() {
     let files = vec![("a".to_string(), "one two three".to_string())];
     let mut engine =
-        EngineBuilder::from_files(files.clone()).config(EngineConfig::ntadoc()).build().unwrap();
+        EngineBuilder::from_files(files).config(EngineConfig::ntadoc()).build().unwrap();
     assert!(matches!(engine.append_files(Vec::new()), Err(PmemError::Unsupported(_))));
-
-    // A plan over an already-compressed corpus has nothing to replay.
-    let comp = compress_corpus(&files, &TokenizerConfig::default());
-    assert!(matches!(
-        Engine::builder(comp).append_plan(vec![1]).build(),
-        Err(PmemError::Unsupported(_))
-    ));
-
-    // Plans must be non-empty groups summing to the file count.
-    for bad in [vec![], vec![0, 1], vec![2], vec![1, 1]] {
-        assert!(
-            matches!(
-                EngineBuilder::from_files(files.clone()).append_plan(bad.clone()).build(),
-                Err(PmemError::Unsupported(_))
-            ),
-            "plan {bad:?} must be rejected"
-        );
-    }
 }

@@ -1,13 +1,16 @@
-//! What the property suites share: the one generator of small corpora,
-//! and the two inputs proptest had shrunk and saved while these suites
-//! still ran under it. Every corpus-taking property goes through
-//! [`check_corpora`], so each sees both saved inputs before its seeded
-//! cases.
+//! What the suites share: the one generator of small corpora, the two
+//! inputs proptest had shrunk and saved while these suites still ran under
+//! it, and the build-by-appends route. Every corpus-taking property goes
+//! through [`check_corpora`], so each sees both saved inputs before its
+//! seeded cases.
+
+// Each suite uses its own part of this module.
+#![allow(dead_code)]
 
 use std::fmt::Debug;
 use std::ops::Range;
 
-use ntadoc_repro::{for_each_case, Prng};
+use ntadoc_repro::{for_each_case, Engine, EngineBuilder, EngineConfig, Prng};
 
 /// `(file name, text)` pairs, as `compress_corpus` takes them.
 pub type Files = Vec<(String, String)>;
@@ -45,6 +48,20 @@ pub fn corpus(rng: &mut Prng, shape: &CorpusShape) -> Files {
 
 fn named(texts: impl IntoIterator<Item = impl Into<String>>) -> Files {
     texts.into_iter().enumerate().map(|(i, text)| (format!("f{i}"), text.into())).collect()
+}
+
+/// Build by live appends: the first `plan[0]` files as the base corpus,
+/// each later group of `plan` through `Engine::append_files`.
+pub fn build_by_appends(files: &[(String, String)], plan: &[usize]) -> Engine {
+    let (base, mut rest) = files.split_at(plan[0]);
+    let mut engine =
+        EngineBuilder::from_files(base.to_vec()).config(EngineConfig::ntadoc()).build().unwrap();
+    for &n in &plan[1..] {
+        let (group, tail) = rest.split_at(n);
+        engine.append_files(group.to_vec()).unwrap();
+        rest = tail;
+    }
+    engine
 }
 
 /// The inputs `tests/proptests.proptest-regressions` held (which property

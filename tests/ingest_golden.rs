@@ -4,7 +4,7 @@
 //! mixed-case, punctuated and non-ASCII tokens, a corpus of many tiny
 //! files, and one with empty files — are built through every route the
 //! program has: the serial [`CorpusBuilder`], [`ingest_corpus`] at 2, 3 and
-//! 8 chunks, and two [`EngineBuilder::append_plan`] folds. Each build pins
+//! 8 chunks, and two folds of `Engine::append_files`. Each build pins
 //! the CRC-64 of its serialized image and its [`snapshot_fingerprint`], at
 //! one worker and at four. The values were computed before the host side of
 //! ingest (digram index, seam-dedup rounds, tokenizer, dictionary) was
@@ -12,11 +12,14 @@
 //! one of them. On a mismatch the test prints the table as this run
 //! produced it.
 
+mod common;
+
+use common::build_by_appends;
 use ntadoc_grammar::CorpusBuilder;
 use ntadoc_pmem::par;
 use ntadoc_repro::{
-    crc64, ingest_corpus, serialize_compressed, snapshot_fingerprint, Compressed, EngineBuilder,
-    EngineConfig, IngestOptions, TokenizerConfig,
+    crc64, ingest_corpus, serialize_compressed, snapshot_fingerprint, Compressed, IngestOptions,
+    TokenizerConfig,
 };
 
 /// The in-test generator: a 64-bit LCG, high bits out.
@@ -183,13 +186,8 @@ fn chunked(files: &[(String, String)], chunks: usize) -> Compressed {
     ingest_corpus(files, &IngestOptions { chunks, ..IngestOptions::default() }).0
 }
 
-fn appended(files: &[(String, String)], plan: Vec<usize>) -> Compressed {
-    let engine = EngineBuilder::from_files(files.to_vec())
-        .append_plan(plan)
-        .config(EngineConfig::ntadoc())
-        .build()
-        .unwrap();
-    (**engine.compressed()).clone()
+fn appended(files: &[(String, String)], plan: &[usize]) -> Compressed {
+    (**build_by_appends(files, plan).compressed()).clone()
 }
 
 /// Every route over `files`, in the order `GOLDEN` lists them.
@@ -200,8 +198,8 @@ fn routes(files: &[(String, String)]) -> Vec<(&'static str, Compressed)> {
         ("chunks2", chunked(files, 2)),
         ("chunks3", chunked(files, 3)),
         ("chunks8", chunked(files, 8)),
-        ("append-halves", appended(files, vec![n / 2, n - n / 2])),
-        ("append-1-third-rest", appended(files, vec![1, n / 3, n - n / 3 - 1])),
+        ("append-halves", appended(files, &[n / 2, n - n / 2])),
+        ("append-1-third-rest", appended(files, &[1, n / 3, n - n / 3 - 1])),
     ]
 }
 

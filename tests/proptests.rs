@@ -494,8 +494,8 @@ fn txlog_recovery_round_trips_identically_on_both_backends() {
                     break;
                 }
             }
-            sim.crash_torn(seed);
-            file.crash_torn(seed);
+            sim_dev.crash_torn(seed);
+            file_dev.twin().crash_torn(seed);
             // The torn on-disk bytes must match the file's twin exactly…
             file_dev.verify_file_matches_device().unwrap();
             // …and both backends must have torn identically.
