@@ -36,14 +36,17 @@ impl ServeSession {
     /// job (`ntadoc-serve`), which sits above this and calls in with the
     /// already-deduplicated miss set. After the parallel barrier each
     /// query's deferred device cost is recorded as a per-tenant leaf span
-    /// (`tenant:<id>`) under the batch span.
+    /// (`tenant:<id>`) under the batch span. Consecutive batches fold into
+    /// one `serve-batch` root with one leaf per tenant
+    /// ([`Obs::folded_span`]), so a long-lived session's span tree stays
+    /// the size of its tenant set.
     pub fn run_queries(&self, queries: &[Query]) -> Result<Vec<QueryResponse>> {
         for q in queries {
             q.validate()?;
         }
         let s = &self.session;
         let (obs, dev) = (&s.sc.obs, &s.sc.dev);
-        let out = obs.span("serve-batch", dev, || -> Result<Vec<TaskRows>> {
+        let out = obs.folded_span("serve-batch", dev, || -> Result<Vec<TaskRows>> {
             let (results, charges) =
                 par_map_timed(queries, |_, q| s.run_task(q.task).map(|o| q.key().shape(o)));
             // Barrier: merge each task's deferred read counters and join
@@ -81,8 +84,8 @@ impl ServeSession {
         self.session.report()
     }
 
-    /// The snapshot handle this serve session answers for: corpus
-    /// fingerprint plus the backing pool view — see [`Session::snapshot`].
+    /// The snapshot handle this serve session answers for: the corpus
+    /// fingerprint every response is stamped with.
     pub fn snapshot(&self) -> &Arc<Snapshot> {
         self.session.snapshot()
     }

@@ -51,8 +51,8 @@ pub struct Session {
     /// scaffold's device is always its twin, so consumers need no
     /// indirection.
     pool_file: Option<Arc<dyn PoolDevice>>,
-    /// Snapshot handle for the corpus this session serves: fingerprint
-    /// plus a view of the backing pool. Shared into every response.
+    /// Snapshot handle for the corpus this session serves: its
+    /// fingerprint. Shared into every response.
     snapshot: Arc<Snapshot>,
     pub(crate) dag: Option<DagPool>,
     /// The virtual clock when init finished.
@@ -322,8 +322,8 @@ impl Session {
     /// The session's storage backend behind the object-safe
     /// [`PmemBackend`] trait: the file device when this session came from
     /// [`Engine::open_pool`], the simulator otherwise. The one accessor
-    /// that suffices for everything on the trait (stats, crash/trip
-    /// injection, capacity, raw reads).
+    /// that suffices for everything on the trait (stats, capacity, raw
+    /// reads); crashes and trips are armed on [`sim_device`](Self::sim_device).
     pub fn backend(&self) -> &Arc<dyn PmemBackend> {
         &self.sc.backend
     }
@@ -344,9 +344,8 @@ impl Session {
         self.pool_file.as_ref()
     }
 
-    /// The snapshot handle this session serves: corpus fingerprint plus
-    /// the backing pool view. Every response of this session references
-    /// the same handle.
+    /// The snapshot handle this session serves: the corpus fingerprint.
+    /// Every response of this session references the same handle.
     pub fn snapshot(&self) -> &Arc<Snapshot> {
         &self.snapshot
     }

@@ -305,12 +305,23 @@ impl Session {
     }
 
     /// The engine's bottom-up dependency levels without the root, whose
-    /// list no cache builder stores: a rule's subrules always sit in
+    /// list no cache builder stores (a served word count or sort builds it
+    /// per request instead): a rule's subrules always sit in
     /// strictly earlier levels, so the rules of one level can be processed
     /// concurrently once the previous levels are done. Within a level,
     /// rules keep their reverse-topological order.
     pub(super) fn nonroot_levels(&self) -> impl Iterator<Item = Vec<u32>> + '_ {
         self.facts.levels.iter().map(|level| level.iter().copied().filter(|&r| r != 0).collect())
+    }
+
+    /// Rule `r`'s full `(word, count)` list: its own words plus its
+    /// subrules' cached lists, each scaled by its frequency in `r`'s view.
+    fn rule_list(&self, r: u32, w: &mut Work) -> Result<Counts> {
+        for &(word, f) in self.words_of(r, &mut w.view)? {
+            w.merge.add(word, f as u64);
+        }
+        self.add_sub_lists(r, w)?;
+        Ok(self.merged(&mut w.merge))
     }
 
     /// Build per-rule word-list caches bottom-up (the preprocessing the
@@ -335,15 +346,8 @@ impl Session {
                 // thread; the level's parallel work joins the clock as the
                 // deterministic lane makespan before the span closes.
                 obs.span(&format!("wordlist-level-{depth}"), &self.sc.dev, || -> Result<()> {
-                    let (merged, charges) = par::par_map_timed(&level, |_, &r| {
-                        with_work(|w| {
-                            for &(word, f) in self.words_of(r, &mut w.view)? {
-                                w.merge.add(word, f as u64);
-                            }
-                            self.add_sub_lists(r, w)?;
-                            Ok(self.merged(&mut w.merge))
-                        })
-                    });
+                    let (merged, charges) =
+                        par::par_map_timed(&level, |_, &r| with_work(|w| self.rule_list(r, w)));
                     par::join_deferred(&self.sc.dev, &charges);
                     for (&r, entries) in level.iter().zip(merged) {
                         let (addr, len) = self.dag()?.store_wordlist(r, &entries?)?;
@@ -402,15 +406,13 @@ impl Session {
     /// Corpus-wide `(word, count)`, the id-level result of word count and
     /// sort. Batch: fused into the queue-driven traversal (one pass over
     /// each pruned view covers both weight propagation and word counting).
-    /// Serve: the read-only bottom-up path, merging every file segment's
-    /// cached word lists.
+    /// Serve: the read-only bottom-up path, which builds `R0`'s list as the
+    /// cache builder builds every other rule's — from `R0`'s view, so each
+    /// distinct subrule's cached list is read once, however many files
+    /// reference it.
     fn word_counts(&self) -> Result<Counts> {
         if self.serve_mode {
-            let mut merge = Merge::default();
-            for table in self.per_file_word_tables()? {
-                merge.list(&table, 1);
-            }
-            return Ok(self.merged(&mut merge));
+            return self.rule_list(0, &mut Work::default());
         }
         let dag = self.dag()?;
         let counter = self.sc.result_counter(self.sized(dag.dict_len()), self.sc.cfg.presize)?;
@@ -456,8 +458,8 @@ impl Session {
                 // N-TADOC bottom-up: merge the cached, id-sorted word
                 // lists of the segment's subrules (sequential pool reads).
                 w.ids.clear();
+                self.sc.charge_items(seg.len() as u64);
                 for s in seg {
-                    self.sc.charge_items(1);
                     if s.is_word() {
                         w.ids.push(s.payload());
                     } else if s.is_rule() {

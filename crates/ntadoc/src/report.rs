@@ -52,8 +52,8 @@ pub struct RunReport {
     /// Device the run targeted ("NVM", "DRAM", "SSD", "HDD").
     pub device: String,
     /// Span tree rooted at `"run"`; children are the phases ("init" with
-    /// its sub-steps, one "traversal" per attempt, one "serve-batch" per
-    /// batch).
+    /// its sub-steps, one "traversal" per attempt, and one "serve-batch"
+    /// that consecutive serve batches fold into, with a leaf per tenant).
     pub spans: SpanNode,
     /// Metric registry snapshot at report time.
     pub metrics: MetricsSnapshot,

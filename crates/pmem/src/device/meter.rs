@@ -13,7 +13,7 @@
 //!   [`charge_ns`](super::SimDevice::charge_ns) without the lock.
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use super::plane::{shard_of, READ_SHARDS};
 use crate::cache::{AccessOutcome, LineCache};
@@ -204,8 +204,18 @@ thread_local! {
 /// [`SimDevice::absorb_deferred`](super::SimDevice::absorb_deferred),
 /// which is exactly the virtual-clock join point. Stats snapshots taken at
 /// span boundaries therefore see every read the span issued.
+///
+/// A sink has one writer at a time: only the thread that installed it
+/// ([`with_deferred_charges`]) charges it, so its counters are bumped with
+/// a plain load and store, not a locked read-modify-write. Installing one
+/// sink on two threads at once would lose counts, and panics instead;
+/// installing it again once the first installation has returned — on any
+/// thread, as a cache builder's second pass after its barrier does — is
+/// how a sink is meant to be resumed.
 #[derive(Default)]
 pub struct DeferredCharges {
+    /// Set while some thread has the sink installed.
+    installed: AtomicBool,
     ns: AtomicU64,
     reads: [AtomicU64; READ_SHARDS],
     bytes_read: [AtomicU64; READ_SHARDS],
@@ -236,17 +246,17 @@ impl DeferredCharges {
 
     /// Add `ns` to the item's cost.
     pub(super) fn charge(&self, ns: u64) {
-        self.ns.fetch_add(ns, Ordering::Relaxed);
+        bump(&self.ns, ns);
     }
 
     /// Record one read of `len` bytes covering `nlines` lines from
     /// `first_line`, attributing line fetches to the shard of each line.
     pub(super) fn note_read(&self, first_line: u64, nlines: u64, len: u64, retries: u64) {
         let s0 = shard_of(first_line);
-        self.reads[s0].fetch_add(1, Ordering::Relaxed);
-        self.bytes_read[s0].fetch_add(len, Ordering::Relaxed);
+        bump(&self.reads[s0], 1);
+        bump(&self.bytes_read[s0], len);
         if retries > 0 {
-            self.retries[s0].fetch_add(retries, Ordering::Relaxed);
+            bump(&self.retries[s0], retries);
         }
         // Contiguous lines stripe round-robin over the shards: the first
         // `nlines % READ_SHARDS` shards from `first_line` get one extra.
@@ -254,15 +264,22 @@ impl DeferredCharges {
         let rem = nlines % READ_SHARDS as u64;
         if base == 0 {
             for k in 0..rem {
-                self.line_misses[shard_of(first_line + k)].fetch_add(1, Ordering::Relaxed);
+                bump(&self.line_misses[shard_of(first_line + k)], 1);
             }
         } else {
             for k in 0..READ_SHARDS as u64 {
                 let n = base + u64::from(k < rem);
-                self.line_misses[shard_of(first_line + k)].fetch_add(n, Ordering::Relaxed);
+                bump(&self.line_misses[shard_of(first_line + k)], n);
             }
         }
     }
+}
+
+/// Add `n` to a counter of a [`DeferredCharges`] sink, whose one writer is
+/// the thread that has it installed.
+#[inline]
+fn bump(counter: &AtomicU64, n: u64) {
+    counter.store(counter.load(Ordering::Relaxed) + n, Ordering::Relaxed);
 }
 
 /// Run `f` with every virtual-time charge issued by *this thread* routed
@@ -279,15 +296,27 @@ impl DeferredCharges {
 /// loads/stores; this keeps both the cost and the cache state independent
 /// of thread interleaving, so the reported virtual time is identical for
 /// any worker count.
+///
+/// # Panics
+/// Panics if `sink` is installed already, on this thread or another: a
+/// sink has one writer at a time (see [`DeferredCharges`]).
 pub fn with_deferred_charges<R>(sink: &DeferredCharges, f: impl FnOnce() -> R) -> R {
-    struct Restore(*const DeferredCharges);
-    impl Drop for Restore {
+    struct Restore<'a> {
+        prev: *const DeferredCharges,
+        sink: &'a DeferredCharges,
+    }
+    impl Drop for Restore<'_> {
         fn drop(&mut self) {
-            DEFERRED_SINK.with(|c| c.set(self.0));
+            DEFERRED_SINK.with(|c| c.set(self.prev));
+            self.sink.installed.store(false, Ordering::Release);
         }
     }
+    assert!(
+        !sink.installed.swap(true, Ordering::Acquire),
+        "a deferred-charge sink is installed twice at once"
+    );
     let prev = DEFERRED_SINK.with(|c| c.replace(sink as *const DeferredCharges));
-    let _restore = Restore(prev);
+    let _restore = Restore { prev, sink };
     f()
 }
 

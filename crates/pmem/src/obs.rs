@@ -80,6 +80,20 @@ impl SpanNode {
         SpanNode { name: name.into(), virtual_ns: stats.virtual_ns, stats, children: Vec::new() }
     }
 
+    /// Fold `other` into this span: its totals are added to this span's,
+    /// and each of its children is folded into this span's child of the
+    /// same name, or appended when there is none.
+    fn absorb(&mut self, other: SpanNode) {
+        self.virtual_ns += other.virtual_ns;
+        self.stats.accumulate(&other.stats);
+        for child in other.children {
+            match self.children.iter_mut().find(|c| c.name == child.name) {
+                Some(same) => same.absorb(child),
+                None => self.children.push(child),
+            }
+        }
+    }
+
     /// Depth-first search for the first span named `name` (including
     /// `self`).
     pub fn find(&self, name: &str) -> Option<&SpanNode> {
@@ -310,6 +324,8 @@ impl MetricRegistry {
 #[derive(Debug)]
 struct OpenSpan {
     name: String,
+    /// Opened by [`Obs::folded_span`].
+    fold: bool,
     start: AccessStats,
     children: Vec<SpanNode>,
 }
@@ -341,9 +357,25 @@ impl Obs {
     /// unwinds — crash-injection harnesses catch panics mid-traversal and
     /// re-enter, so an unbalanced stack would corrupt later spans.
     pub fn span<R>(&self, name: &str, dev: &SimDevice, f: impl FnOnce() -> R) -> R {
+        self.open(name, false, dev, f)
+    }
+
+    /// [`span`](Self::span) for a region a long-lived session repeats
+    /// without bound (a serve batch): closed as a root right after a root
+    /// of the same name, it is folded into that root instead of kept: the
+    /// totals add up, and so do its children's, matched by name. The tree
+    /// then grows with the distinct names recorded, not with the batches
+    /// served, and every total and [`SpanNode::child_ns`] reads as it would
+    /// over the unfolded roots.
+    pub fn folded_span<R>(&self, name: &str, dev: &SimDevice, f: impl FnOnce() -> R) -> R {
+        self.open(name, true, dev, f)
+    }
+
+    fn open<R>(&self, name: &str, fold: bool, dev: &SimDevice, f: impl FnOnce() -> R) -> R {
         {
             let mut s = self.lock();
-            s.0.push(OpenSpan { name: name.to_string(), start: dev.stats(), children: Vec::new() });
+            let start = dev.stats();
+            s.0.push(OpenSpan { name: name.to_string(), fold, start, children: Vec::new() });
         }
         // Close-on-drop so injected-crash unwinds keep the stack balanced.
         struct Closer<'a> {
@@ -384,9 +416,11 @@ impl Obs {
             stats: delta,
             children: open.children,
         };
-        match s.0.last_mut() {
-            Some(parent) => parent.children.push(node),
-            None => s.1.push(node),
+        let (stack, roots) = &mut *s;
+        match (stack.last_mut(), roots.last_mut()) {
+            (Some(parent), _) => parent.children.push(node),
+            (None, Some(last)) if open.fold && last.name == node.name => last.absorb(node),
+            (None, _) => roots.push(node),
         }
     }
 
@@ -505,6 +539,44 @@ mod tests {
         let tree = obs.tree("run");
         assert_eq!(tree.children[0].children[0].name, "pre-measured");
         assert_eq!(tree.children[0].children[0].virtual_ns, 9);
+    }
+
+    #[test]
+    fn folded_spans_sum_into_one_root_per_run_of_batches() {
+        let dev = dev();
+        let obs = Obs::new();
+        let batch = |tenants: &[(u32, u64)]| {
+            obs.folded_span("batch", &dev, || {
+                for &(t, ns) in tenants {
+                    dev.charge_ns(ns);
+                    let leaf = AccessStats { virtual_ns: ns, reads: 1, ..Default::default() };
+                    obs.record_leaf(&labeled("tenant", t), leaf);
+                }
+            })
+        };
+        obs.span("init", &dev, || dev.charge_ns(5));
+        batch(&[(1, 10), (2, 20)]);
+        batch(&[(2, 3), (3, 4)]);
+        batch(&[(1, 100)]);
+        let tree = obs.tree("run");
+        let names: Vec<&str> = tree.children.iter().map(|c| c.name.as_str()).collect();
+        assert_eq!(names, ["init", "batch"]);
+        let folded = &tree.children[1];
+        assert_eq!((folded.virtual_ns, folded.stats.virtual_ns), (137, 137));
+        let leaves: Vec<(&str, u64, u64)> = folded
+            .children
+            .iter()
+            .map(|c| (c.name.as_str(), c.virtual_ns, c.stats.reads))
+            .collect();
+        assert_eq!(leaves, [("tenant:1", 110, 2), ("tenant:2", 23, 2), ("tenant:3", 4, 1)]);
+        assert_eq!(tree.virtual_ns, 142);
+        // A root of another name in between starts a new run; a plain span
+        // of the folded name is never folded.
+        obs.span("other", &dev, || ());
+        batch(&[(1, 1)]);
+        obs.span("batch", &dev, || ());
+        let names: Vec<String> = obs.tree("run").children.into_iter().map(|c| c.name).collect();
+        assert_eq!(names, ["init", "batch", "other", "batch", "batch"]);
     }
 
     #[test]

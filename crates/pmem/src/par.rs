@@ -176,9 +176,14 @@ mod tests {
     use crate::device::SimDevice;
     use crate::profile::DeviceProfile;
 
+    /// Items per test: Miri interprets every access, so it gets a few.
+    fn items(native: u64) -> Vec<u64> {
+        (0..if cfg!(miri) { native.min(8) } else { native }).collect()
+    }
+
     #[test]
     fn par_map_preserves_order() {
-        let items: Vec<u64> = (0..1000).collect();
+        let items = items(1000);
         for threads in [1, 2, 8] {
             let out = with_threads(threads, || par_map(&items, |_, &x| x * 2));
             assert_eq!(out, items.iter().map(|x| x * 2).collect::<Vec<_>>());
@@ -188,7 +193,7 @@ mod tests {
     #[test]
     fn par_map_timed_costs_independent_of_workers() {
         let dev = SimDevice::new(DeviceProfile::nvm_optane(), 1 << 20);
-        let items: Vec<u64> = (0..64).collect();
+        let items = items(64);
         let run = |threads: usize| {
             with_threads(threads, || {
                 let (_, charges) = par_map_timed(&items, |_, &i| {
@@ -203,6 +208,74 @@ mod tests {
         assert_eq!(one, run(2));
         assert_eq!(one, run(8));
         assert!(one.iter().all(|&ns| ns > 0));
+    }
+
+    /// Every item's sink holds exactly that item's reads, line fetches and
+    /// model time — the same as when the items run one after another on
+    /// this thread, each in a sink of its own — and the barrier merges the
+    /// same totals, bytes included, for any worker count.
+    #[test]
+    fn timed_items_are_charged_their_own_accesses_at_any_worker_count() {
+        let items = items(48);
+        // Item `i`: `i % 5 + 1` reads of `i % 9 + 1` lines each, at spread
+        // addresses, and `i` ns of model time.
+        let work = |dev: &SimDevice, i: u64| {
+            let mut buf = vec![0u8; 64 * (i as usize % 9 + 1)];
+            for k in 0..i % 5 + 1 {
+                dev.read_bytes((i * 7 + k * 3) % 200 * 4096 + k * 64, &mut buf);
+            }
+            dev.charge_ns(i);
+        };
+        let own = |c: &DeferredCharges| (c.ns(), c.reads(), c.line_misses());
+        let totals = |dev: &SimDevice| {
+            let s = dev.stats();
+            (s.virtual_ns, s.reads, s.bytes_read, s.line_misses)
+        };
+        let serial_dev = SimDevice::new(DeviceProfile::nvm_optane(), 1 << 20);
+        let serial: Vec<DeferredCharges> = items
+            .iter()
+            .map(|&i| {
+                let sink = DeferredCharges::new();
+                with_deferred_charges(&sink, || work(&serial_dev, i));
+                sink
+            })
+            .collect();
+        join_deferred(&serial_dev, &serial);
+        let expect: Vec<_> = serial.iter().map(own).collect();
+        for (&i, &(ns, reads, _)) in items.iter().zip(&expect) {
+            assert_eq!(reads, i % 5 + 1, "item {i}");
+            assert!(ns > i, "item {i}: {ns} ns");
+        }
+        for threads in [1, 4] {
+            let dev = SimDevice::new(DeviceProfile::nvm_optane(), 1 << 20);
+            let (_, charges) =
+                with_threads(threads, || par_map_timed(&items, |_, &i| work(&dev, i)));
+            assert_eq!(charges.iter().map(own).collect::<Vec<_>>(), expect, "{threads} workers");
+            join_deferred(&dev, &charges);
+            assert_eq!(totals(&dev), totals(&serial_dev), "{threads} workers");
+        }
+    }
+
+    /// A sink has one writer at a time: installing it while it is installed
+    /// panics, and installing it again after a barrier resumes it.
+    #[test]
+    fn a_sink_is_installed_once_at_a_time() {
+        let dev = SimDevice::new(DeviceProfile::nvm_optane(), 1 << 20);
+        let items = items(16);
+        let (_, charges) = with_threads(2, || par_map_timed(&items, |_, _| dev.charge_ns(1)));
+        // Resumed after the barrier, on whichever worker takes the item.
+        with_threads(2, || {
+            par_map(&items, |i, _| with_deferred_charges(&charges[i], || dev.charge_ns(2)))
+        });
+        assert!(charges.iter().all(|c| c.ns() == 3));
+        let nested = std::panic::catch_unwind(|| {
+            with_deferred_charges(&charges[0], || with_deferred_charges(&charges[0], || ()))
+        });
+        assert!(nested.is_err(), "a sink installed twice at once must panic");
+        // The unwound installation released the sink.
+        with_deferred_charges(&charges[0], || dev.charge_ns(4));
+        assert_eq!(charges[0].ns(), 7);
+        assert_eq!(dev.stats().virtual_ns, 0, "all of it deferred");
     }
 
     #[test]

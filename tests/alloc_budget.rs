@@ -15,6 +15,9 @@
 //! change that introduced the budgets, and "Ids until the wire (PR 23)"
 //! those of the change that took the strings out of the result.
 //!
+//! A serving daemon is held to its heap rather than its calls: after
+//! set-up, what it keeps live must not grow with the requests it answers.
+//!
 //! Ingest reads its tokens borrowed from the text and interns them by
 //! `&str`, so it allocates for words, rules and files and for nothing per
 //! token; its budget is stated in those units (EXPERIMENTS.md "Where
@@ -26,24 +29,33 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use ntadoc_repro::{
-    compress_corpus, crc64, generate, generate_compressed, ingest_corpus, Compressed, DatasetSpec,
-    Engine, EngineConfig, IngestOptions, Task, TokenizerConfig, TraceSpec,
+    compress_corpus, crc64, generate, generate_compressed, ingest_corpus, Compressed, DaemonConfig,
+    DatasetSpec, Engine, EngineConfig, IngestOptions, Query, QueryDaemon, SpanNode, Task, TenantId,
+    TokenizerConfig, TraceSpec,
 };
 
 thread_local! {
     /// Allocation calls made by this thread (const-initialised, so reading
     /// it from inside the allocator never allocates).
     static CALLS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes this thread allocated less the bytes it freed.
+    static LIVE: Cell<i64> = const { Cell::new(0) };
 }
 
 /// The system allocator, counting `alloc`, `alloc_zeroed` and `realloc`
-/// calls per thread.
+/// calls and live bytes per thread.
 struct Counting;
 
-fn count() {
+/// One allocation call that changed this thread's live bytes by `bytes`.
+fn count(bytes: i64) {
     // `try_with`: the allocator also runs while a thread's locals are
     // being torn down.
     let _ = CALLS.try_with(|c| c.set(c.get() + 1));
+    live(bytes);
+}
+
+fn live(bytes: i64) {
+    let _ = LIVE.try_with(|c| c.set(c.get() + bytes));
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
@@ -51,24 +63,25 @@ fn count() {
 // state.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size() as i64);
         // SAFETY: the caller's obligations are passed through as they are.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size() as i64);
         // SAFETY: as above.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
+        count(new_size as i64 - layout.size() as i64);
         // SAFETY: as above.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        live(-(layout.size() as i64));
         // SAFETY: as above.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -141,6 +154,44 @@ const BUDGETS: [(Task, u64, u64); 6] = [
     (Task::SequenceCount, 38_975, 11_323),
     (Task::RankedInvertedIndex, 74_988, 14_307),
 ];
+
+/// Four tenants, each asking for one of the servable tasks.
+const TENANTS: u32 = 4;
+
+/// A daemon answers misses for as long as it runs, so what it keeps per
+/// request must be nothing: the bytes live on this thread after 2 048
+/// misses are those after 256, give or take one serve-batch span with a
+/// leaf per tenant. Until consecutive batch spans were folded into one,
+/// every batch kept its span and a leaf for the life of the process.
+#[test]
+fn a_serving_daemon_keeps_nothing_per_request() {
+    ntadoc_pmem::par::with_threads(1, || {
+        let spec = DatasetSpec { files: 8, tokens_per_file: 200, ..corpus_spec() };
+        let engine = Engine::builder(generate_compressed(&spec)).build().unwrap();
+        let cfg = DaemonConfig { cache_capacity: 0, ..DaemonConfig::default() };
+        let mut daemon = QueryDaemon::new(engine.serve().unwrap(), cfg);
+        let tasks = [Task::WordCount, Task::Sort, Task::TermVector, Task::InvertedIndex];
+        let mut served = 0u32;
+        let mut serve_until = |n: u32| {
+            for i in served..n {
+                let t = i % TENANTS;
+                let query = Query::new(TenantId(t), tasks[t as usize]).top_k(1 + i as usize % 7);
+                assert!(!daemon.execute(query).unwrap().cache_hit);
+            }
+            served = n;
+            LIVE.with(Cell::get)
+        };
+        let early = serve_until(256);
+        let late = serve_until(2_048);
+        let node = std::mem::size_of::<SpanNode>() as i64;
+        let one_folded_node = node * (1 + TENANTS as i64) + 64;
+        assert!(
+            late - early <= one_folded_node,
+            "{early} live bytes after 256 misses, {late} after 2 048 (one folded span: \
+             {one_folded_node})"
+        );
+    });
+}
 
 /// What an ingest may allocate for: a dictionary entry per distinct word, a
 /// body per rule, a name per file — never something per token.

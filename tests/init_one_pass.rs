@@ -308,11 +308,11 @@ const PINNED: &[(&str, &str, Pin)] = &[
     ("uncompressed-op", "inverted index", [2178742, 3655319, 158040, 84693, 738, 723, 0, 6, 151548, 184679]),
     ("uncompressed-op", "sequence count", [2178742, 58232815, 212161, 274853, 2534, 63708, 1614015, 163317, 453464, 384855]),
     ("uncompressed-op", "ranked inverted index", [2178742, 5245108, 202835, 128649, 3822, 3712, 0, 4, 453464, 949799]),
-    ("serve", "word count", [2371555, 2981553, 5310, 3139, 6899, 615, 0, 2, 36142, 158679]),
-    ("serve", "sort", [2371555, 3030261, 5310, 3139, 6899, 615, 0, 2, 36142, 158679]),
+    ("serve", "word count", [2371555, 2696546, 4741, 3139, 6178, 615, 0, 2, 36142, 158679]),
+    ("serve", "sort", [2371555, 2745254, 4741, 3139, 6178, 615, 0, 2, 36142, 158679]),
     ("serve", "term vector", [2371555, 3742833, 5310, 3139, 6899, 615, 0, 2, 36142, 158679]),
     ("serve", "inverted index", [2371555, 3742833, 5310, 3139, 6899, 615, 0, 2, 36142, 158679]),
-    ("serve", "batch", [2371555, 3742833, 9051, 3139, 12359, 615, 0, 2, 36142, 158679]),
+    ("serve", "batch", [2371555, 3742833, 7913, 3139, 10917, 615, 0, 2, 36142, 158679]),
 ];
 
 /// What `ntadoc run <task>` prints on stderr for the paper's system: the

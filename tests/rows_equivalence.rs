@@ -9,15 +9,18 @@
 //! naive configuration, the uncompressed baseline and a serve session, over
 //! the shared corpus generator, the two saved inputs, and dictionaries no
 //! tokenizer produces: two ids for one word, words holding the space
-//! n-grams are joined with, controls, quotes.
+//! n-grams are joined with, controls, quotes. Served corpus-wide counts are
+//! built from the root rule's own view, so corpora shaped at the root get
+//! their own check against the decompress-and-count baseline.
 
 mod common;
 
 use std::sync::Arc;
 
 use common::{check_corpora, CorpusShape, Files};
+use ntadoc_pmem::{par, PmemError};
 use ntadoc_repro::{
-    compress_corpus, Compressed, Dictionary, Engine, EngineConfig, Query, QueryKey, Task,
+    compress_corpus, Compressed, Dictionary, Engine, EngineConfig, Query, QueryKey, Symbol, Task,
     TaskOutput, TaskRows, TenantId, TokenizerConfig, UncompressedEngine,
 };
 
@@ -182,4 +185,96 @@ fn forged_words_reach_the_cases_they_are_for() {
         strings.as_sequence_counts().unwrap().keys().map(|gram| gram.join(" ")).collect();
     assert!(!keys.is_sorted(), "{keys:?}");
     check_result(grams, "sequence count");
+}
+
+/// Files `f0`, `f1`, … holding `texts`, compressed.
+fn corpus<S: AsRef<str>>(texts: &[S]) -> Compressed {
+    let files: Files =
+        texts.iter().enumerate().map(|(i, t)| (format!("f{i}"), t.as_ref().to_string())).collect();
+    compress_corpus(&files, &TokenizerConfig::default())
+}
+
+/// The root's body cut into file segments.
+fn segments(comp: &Compressed) -> Vec<Vec<Symbol>> {
+    comp.grammar.rules[0].symbols.split(|s| s.is_sep()).map(<[_]>::to_vec).collect()
+}
+
+/// Served word count, sort, term vector and inverted index equal the
+/// decompress-and-count baseline under every `top` key, and the two
+/// file-oriented tasks under every `file` key too; the two corpus-wide
+/// tasks refuse a `file` key.
+fn check_served_against_baseline(comp: Compressed, what: &str) {
+    let comp = Arc::new(comp);
+    for threads in [1, 4] {
+        par::with_threads(threads, || {
+            let mut baseline = UncompressedEngine::builder(comp.clone()).build();
+            let serve = Engine::builder(comp.clone()).build().unwrap().serve().unwrap();
+            for task in [Task::WordCount, Task::Sort, Task::TermVector, Task::InvertedIndex] {
+                let expect = baseline.run_rows(task).unwrap();
+                let (queries, refused): (Vec<Query>, Vec<Query>) = keys(task)
+                    .into_iter()
+                    .map(|QueryKey { task, file_filter, top_k }| Query {
+                        tenant: TenantId(0),
+                        task,
+                        file_filter,
+                        top_k,
+                    })
+                    .partition(|q| q.file_filter.is_none() || task.is_file_oriented());
+                assert_eq!(refused.is_empty(), task.is_file_oriented(), "{what}: {task}");
+                for q in refused {
+                    let err = serve.run_queries(std::slice::from_ref(&q)).unwrap_err();
+                    assert!(matches!(err, PmemError::Unsupported(_)), "{what}: {task}: {err}");
+                }
+                let served = serve.run_queries(&queries).unwrap();
+                for (q, resp) in queries.iter().zip(served) {
+                    let at = format!(
+                        "{what}, {threads} workers, served {task}, top {:?}, file {:?}",
+                        q.top_k, q.file_filter
+                    );
+                    let want = q.key().shape(expect.clone());
+                    assert_eq!(**resp.rows(), want, "{at}");
+                }
+            }
+        });
+    }
+}
+
+#[test]
+fn served_counts_equal_the_baseline_on_corpora_shaped_at_the_root() {
+    let phrase = "the quick brown fox jumps over";
+    // Every file holds the phrase, so one rule is referenced from every
+    // file segment of the root.
+    let shared = corpus(&(0..6).map(|i| format!("{phrase} u{i} {phrase}")).collect::<Vec<_>>());
+    let segs = segments(&shared);
+    assert_eq!(segs.len(), 6);
+    let in_every = (1..shared.grammar.rule_count() as u32)
+        .any(|r| segs.iter().all(|seg| seg.contains(&Symbol::rule(r))));
+    assert!(in_every, "no rule is referenced from every file");
+
+    // Two files of repeated phrases; two whose words occur once in the
+    // corpus, so their segments hold words and no rule.
+    let mixed = corpus(&["a b c d a b c d", "x0 x1 x2 x3", "a b c d e", "y0 y1"]);
+    let segs = segments(&mixed);
+    assert!(segs[1].iter().all(|s| s.is_word()) && segs[3].iter().all(|s| s.is_word()));
+    assert!(segs[0].iter().any(|s| s.is_rule()));
+
+    // Eight words, a phrase in every file: forged, they are the eight
+    // hostile words and no duplicate, which would leave it to the engine
+    // which of two ids that read alike a shaped map keeps.
+    let eight = corpus(
+        &(0..6).map(|i| format!("w0 w1 w2 w3 w{} w0 w1 w2 w3", 4 + i % 4)).collect::<Vec<_>>(),
+    );
+    assert_eq!(eight.dict.len(), HOSTILE.len());
+
+    let cases = [
+        ("a rule in every file", shared),
+        ("files without rules", mixed),
+        ("one file", corpus(&["a b a b c a b c d a b"])),
+        ("empty files", corpus(&["", "p q r p q r", "", "", "p q r s", ""])),
+        ("only empty files", corpus(&["", ""])),
+        ("a forged dictionary", forged(eight)),
+    ];
+    for (what, comp) in cases {
+        check_served_against_baseline(comp, what);
+    }
 }
