@@ -18,7 +18,6 @@ mod naive_overhead;
 mod nvm_archs;
 mod serve_bench;
 mod serve_load;
-mod smoke;
 mod table1;
 mod table2;
 mod traversal_opt;
@@ -57,7 +56,6 @@ pub const REGISTRY: &[Experiment] = &[
     exp("ablation", "the three §IV design points switched off one at a time (C)", ablation::run),
     exp("nvm_archs", "§VI-F vision: Optane vs ReRAM vs PCM (C)", nvm_archs::run),
     exp("endurance", "§I/§VII: NVM write-backs and bytes written vs baseline", endurance::run),
-    exp("smoke", "all six tasks on C across the four engines, both clocks", smoke::run),
     exp("serve_bench", "build-once/serve-many throughput at 1/2/4/8 workers", serve_bench::run),
     exp("build_bench", "chunk-parallel build at 1/2/4/8 workers, W=8 chunks", build_bench::run),
     exp("append_bench", "streaming append vs full rebuild at 10/25/50% growth", append_bench::run),
@@ -103,6 +101,35 @@ mod tests {
             assert!(
                 REGISTRY[..i].iter().all(|earlier| earlier.name != e.name),
                 "experiment `{}` is registered twice",
+                e.name
+            );
+        }
+    }
+
+    /// Every experiment is either judged by a `GATES` row or one of the
+    /// paper's tables, figures and sections that publish unjudged numbers:
+    /// a harness that is neither cannot be registered unnoticed.
+    #[test]
+    fn every_experiment_is_gated_or_a_paper_experiment() {
+        const PAPER: [&str; 12] = [
+            "table1",
+            "fig5",
+            "fig6",
+            "fig7",
+            "table2",
+            "dram_savings",
+            "traversal_opt",
+            "naive_overhead",
+            "cross_eval",
+            "ablation",
+            "nvm_archs",
+            "endurance",
+        ];
+        for e in REGISTRY {
+            let gated = crate::gates::GATES.iter().any(|g| g.experiment == e.name);
+            assert!(
+                gated || PAPER.contains(&e.name),
+                "experiment `{}` has no GATES row and is not a paper experiment",
                 e.name
             );
         }

@@ -49,7 +49,7 @@ use std::path::Path;
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use ntadoc_grammar::{deserialize_compressed, serialized_len, Compressed};
-use ntadoc_pmem::{DeviceProfile, PmemBackend, PmemError, PoolHeader, PoolLayout, SpanNode, TxLog};
+use ntadoc_pmem::{DeviceProfile, PmemError, PoolHeader, PoolLayout, SpanNode, TxLog};
 
 pub use builder::{EngineBuilder, PoolBackend, RetryPolicy};
 pub use serve::ServeSession;
@@ -315,7 +315,7 @@ impl Engine {
 
     /// Run only the initialization phase, returning the live [`Session`].
     /// [`Session::run_query`] then runs the traversal phase under the
-    /// engine's retry policy (crash tests drive [`Session::traverse`] and
+    /// engine's retry policy (crash tests drive [`Session::crash_at`] and
     /// [`Session::recover`] directly instead).
     pub fn session(&self, task: Task) -> Result<Session> {
         self.sim_session(task, self.estimate_capacity(task), false)
@@ -490,8 +490,8 @@ impl Engine {
         // they survived on disk. The rollback's writes fence through the
         // mirror, so the file stays in sync with what recovery decided.
         if self.cfg.persistence == Persistence::OperationLevel {
-            let backend: Arc<dyn PmemBackend> = file.clone();
-            let mut tx = TxLog::new(backend, layout.log_base(), layout.log_len as usize);
+            let mut tx =
+                TxLog::new(file.twin().clone(), layout.log_base(), layout.log_len as usize);
             tx.recover()?;
         }
         Session::open(self, task, layout, pool_layout, serve_mode, Some(file))

@@ -17,8 +17,8 @@ use ntadoc_grammar::Dictionary;
 use ntadoc_nstruct::PHashTable;
 use ntadoc_pmem::obs::MetricValue;
 use ntadoc_pmem::{
-    AllocLedger, DeviceKind, DeviceProfile, Obs, PmemBackend, PmemError, PmemPool, PoolDevice,
-    PoolLayout, SimDevice, TxLog, MAX_POOL_CAPACITY,
+    AllocLedger, DeviceKind, DeviceProfile, Obs, PmemError, PmemPool, PoolDevice, PoolLayout,
+    SimDevice, TxLog, MAX_POOL_CAPACITY,
 };
 
 use super::txcounter::commit_open;
@@ -62,10 +62,9 @@ pub(crate) struct RunScaffold {
     pub task: Task,
     /// Engine label stamped into the report.
     label: String,
+    /// The device: a pool file's twin when one is attached (its mirror
+    /// writes the durable image through), a fresh simulator otherwise.
     pub dev: Arc<SimDevice>,
-    /// The storage backend behind the object-safe trait: the pool file
-    /// when one is attached (`dev` is then its twin), `dev` otherwise.
-    pub backend: Arc<dyn PmemBackend>,
     pub ledger: Arc<AllocLedger>,
     pub pool: Arc<PmemPool>,
     scratch_base: u64,
@@ -104,22 +103,16 @@ impl RunScaffold {
                 cfg.ngram
             )));
         }
-        let (dev, backend): (Arc<SimDevice>, Arc<dyn PmemBackend>) = match file {
-            Some(file) => (file.twin().clone(), file.clone()),
-            None => {
-                let dev = Arc::new(SimDevice::new(profile.clone(), layout.capacity as usize));
-                (dev.clone(), dev)
-            }
+        let dev = match file {
+            Some(file) => file.twin().clone(),
+            None => Arc::new(SimDevice::new(profile.clone(), layout.capacity as usize)),
         };
         let ledger = Arc::new(AllocLedger::new());
         let pool =
             Arc::new(PmemPool::new(dev.clone(), 0, layout.main_len).with_ledger(ledger.clone()));
-        // The log talks to the backend trait: the file device when one is
-        // attached (exercising the same code path recovery uses), the
-        // simulator otherwise. Both charge identically.
         let txlog = (cfg.persistence == Persistence::OperationLevel).then(|| {
             Arc::new(Mutex::new(TxLog::new(
-                backend.clone(),
+                dev.clone(),
                 layout.log_base(),
                 layout.log_len as usize,
             )))
@@ -129,7 +122,6 @@ impl RunScaffold {
             task,
             label,
             dev,
-            backend,
             ledger,
             pool,
             scratch_base: layout.scratch_base(),

@@ -4,7 +4,7 @@ use std::sync::Arc;
 
 use ntadoc_pmem::obs::labeled;
 use ntadoc_pmem::par::{join_deferred, par_map_timed};
-use ntadoc_pmem::{AccessStats, Obs, PmemBackend, SimDevice};
+use ntadoc_pmem::{AccessStats, Obs, SimDevice};
 
 use super::Session;
 use crate::query::{Query, QueryResponse, Snapshot};
@@ -95,11 +95,6 @@ impl ServeSession {
     /// pairs with each [`Query::key`].
     pub fn snapshot_version(&self) -> u64 {
         self.session.snapshot_version()
-    }
-
-    /// The storage backend behind the object-safe [`PmemBackend`] trait.
-    pub fn backend(&self) -> &Arc<dyn PmemBackend> {
-        self.session.backend()
     }
 
     /// The simulator twin (stats inspection, fault injection in tests and

@@ -3,7 +3,9 @@
 use std::sync::Arc;
 
 use ntadoc_grammar::Compressed;
-use ntadoc_pmem::{Obs, PmemBackend, PmemError, PoolDevice, PoolLayout, SimDevice};
+use ntadoc_pmem::{
+    run_with_crash_at, CrashPoint, CrashRun, Obs, PmemError, PoolDevice, PoolLayout, SimDevice,
+};
 
 use super::{lock, Engine, RetryPolicy, RunScaffold};
 use crate::config::Traversal;
@@ -243,7 +245,7 @@ impl Session {
             if self.sc.persists() {
                 self.dag()?.persist_all();
             }
-            self.sc.backend.publish_snapshot(self.snapshot.fingerprint())?;
+            dev.publish_snapshot(self.snapshot.fingerprint());
             self.sc.drop_dram(staging);
             Ok(())
         })
@@ -319,20 +321,13 @@ impl Session {
         self.sc.task
     }
 
-    /// The session's storage backend behind the object-safe
-    /// [`PmemBackend`] trait: the file device when this session came from
-    /// [`Engine::open_pool`], the simulator otherwise. The one accessor
-    /// that suffices for everything on the trait (stats, capacity, raw
-    /// reads); crashes and trips are armed on [`sim_device`](Self::sim_device).
-    pub fn backend(&self) -> &Arc<dyn PmemBackend> {
-        &self.sc.backend
-    }
-
-    /// The simulator twin (always present — for file-backed sessions it
-    /// is the pool file's cost-model twin: same stats, same crash
-    /// behavior). This is deliberately *not* on the [`PmemBackend`]
-    /// trait: it carries the simulator-only instrumentation surface
-    /// (shard stats, fault injection, wear tracking, crash modes).
+    /// The session's one device handle: the simulator, or for sessions
+    /// from [`Engine::open_pool`] the pool file's twin (same stats, same
+    /// crash behavior; its mirror keeps the file current and seals
+    /// published snapshots into the header). Besides the
+    /// [`PmemBackend`](ntadoc_pmem::PmemBackend) surface it carries the
+    /// simulator-only instrumentation (shard stats, fault injection, wear
+    /// tracking, crash modes).
     pub fn sim_device(&self) -> &Arc<SimDevice> {
         &self.sc.dev
     }
@@ -368,6 +363,35 @@ impl Session {
     /// interrupted store lands as an arbitrary subset of its 8-byte words.
     pub fn crash_torn(&self, seed: u64) {
         self.sc.dev.crash_torn(seed);
+    }
+
+    /// The one crash step of every crash test and sweep: run
+    /// [`traverse_rows`](Self::traverse_rows) under [`run_with_crash_at`]
+    /// with `point` armed on the device. `Ok(Some(rows))`: the run finished
+    /// first. `Ok(None)`: the crash fired, the device is torn with
+    /// `tear_seed`, and a pool file's torn bytes matched the twin (else an
+    /// error); [`recover`](Self::recover) and re-run, or reopen the pool.
+    /// An engine error is returned as it is; a foreign panic propagates.
+    pub fn crash_at(&mut self, point: CrashPoint, tear_seed: u64) -> Result<Option<TaskRows>> {
+        let dev = self.sc.dev.clone();
+        let mut finished = None;
+        let run = run_with_crash_at(
+            point,
+            |point| match point {
+                CrashPoint::Persist(n) => dev.trip_after_persists(n),
+                CrashPoint::Write(n) => dev.trip_after_writes(n),
+            },
+            || dev.clear_trip(),
+            || finished = Some(self.traverse_rows()),
+        );
+        if run == CrashRun::Completed {
+            return finished.expect("a completed run returned").map(Some);
+        }
+        self.crash_torn(tear_seed);
+        if let Some(file) = &self.pool_file {
+            file.verify_file_matches_device()?;
+        }
+        Ok(None)
     }
 
     /// Post-crash recovery: roll back any in-flight operation-level
@@ -425,6 +449,57 @@ impl Session {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ntadoc_grammar::{compress_corpus, TokenizerConfig};
+    use ntadoc_pmem::DeviceMirror;
+
+    use crate::EngineConfig;
+
+    /// A WordCount session on a small corpus, retries off.
+    fn session(cfg: EngineConfig) -> Session {
+        let files = vec![
+            ("a".to_string(), "one two three one two four".repeat(20)),
+            ("b".to_string(), "two five six two".repeat(20)),
+        ];
+        let comp = compress_corpus(&files, &TokenizerConfig::default());
+        let engine = Engine::builder(comp).config(cfg).retry(RetryPolicy::Fail).build().unwrap();
+        engine.session(Task::WordCount).unwrap()
+    }
+
+    /// Armed past the end of any traversal here: it never fires.
+    const FAR: CrashPoint = CrashPoint::Persist(1 << 40);
+
+    #[test]
+    fn crash_at_returns_an_engine_error_rather_than_counting_it_a_crash() {
+        // Operation-level counters undo-log each result slot before
+        // writing it, reading its pre-image through the fallible path:
+        // make the lines past what init allocated unreadable.
+        let mut session = session(EngineConfig::ntadoc_oplevel());
+        let (dev, pool) = (session.sim_device().clone(), session.sc.pool.clone());
+        let line = dev.profile().line_size;
+        let free = pool.base() + pool.used();
+        for addr in (free..free + (64 << 10)).step_by(line) {
+            dev.inject_read_fault(addr);
+        }
+        let got = session.crash_at(FAR, 7);
+        assert!(matches!(got, Err(PmemError::MediaError { .. })), "{got:?}");
+    }
+
+    #[test]
+    #[should_panic(expected = "a genuine bug")]
+    fn crash_at_propagates_a_panic_that_is_not_the_injected_crash() {
+        /// A mirror that fails the first fence it sees.
+        struct Buggy;
+        impl DeviceMirror for Buggy {
+            fn on_fence(&self, _: &[(u64, Vec<u8>)]) {
+                panic!("a genuine bug");
+            }
+            fn on_crash(&self, _: &[(u64, Vec<u8>)]) {}
+            fn on_poke(&self, _: u64, _: &[u8]) {}
+        }
+        let mut session = session(EngineConfig::ntadoc());
+        session.sim_device().attach_mirror(Arc::new(Buggy));
+        let _ = session.crash_at(FAR, 7);
+    }
 
     #[test]
     fn backoff_caps_the_exponent_and_saturates() {

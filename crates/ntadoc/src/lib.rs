@@ -62,6 +62,7 @@ pub mod query;
 pub mod report;
 pub mod result;
 pub mod summation;
+pub mod sweep;
 
 pub use access::Accessor;
 pub use baseline::{UncompressedEngine, UncompressedEngineBuilder};

@@ -34,7 +34,7 @@ pub enum CrashMode {
 /// a power failure right now. A mirror attached via
 /// [`SimDevice::attach_mirror`] is invoked at exactly the three events
 /// where the durable image changes, with the post-event contents of every
-/// affected line:
+/// affected line, and when a snapshot is published:
 ///
 /// * [`on_fence`](DeviceMirror::on_fence) — a persistence fence landed;
 ///   the flushed-pending lines' *current* contents became durable,
@@ -42,15 +42,17 @@ pub enum CrashMode {
 ///   resolved every undurable line to its crash outcome, including torn
 ///   8-byte words of an interrupted store,
 /// * [`on_poke`](DeviceMirror::on_poke) — a debug store made `bytes`
-///   durable directly.
+///   durable directly,
+/// * [`on_publish`](DeviceMirror::on_publish) — a snapshot fingerprint
+///   was published ([`SimDevice::publish_snapshot`]); no line changes.
 ///
 /// Flushes need no hook: a flush without a fence changes nothing durable
 /// (its effect surfaces either at the fence or in the crash outcome).
-/// Hooks run while the device's state lock is held, so implementations
-/// must not call back into the device; the file-backed backend only
-/// writes the reported lines through to its pool file, which is what
-/// keeps the on-disk bytes equal to the durable image at every instant —
-/// including after a crash genuinely tore them.
+/// Hooks (all but `on_publish`) run while the device's state lock is
+/// held, so implementations must not call back into the device; the
+/// file-backed backend only writes the reported lines through to its pool
+/// file, which is what keeps the on-disk bytes equal to the durable image
+/// at every instant — including after a crash genuinely tore them.
 pub trait DeviceMirror: Send + Sync {
     /// `lines` just became durable with the given contents (one entry per
     /// distinct media line, ascending line index).
@@ -72,6 +74,10 @@ pub trait DeviceMirror: Send + Sync {
     fn on_crash(&self, lines: &[(u64, Vec<u8>)]);
     /// A debug poke made `bytes` durable at `addr`.
     fn on_poke(&self, addr: Addr, bytes: &[u8]);
+    /// `fingerprint` was published. Mirrors that keep it on stable
+    /// storage (a pool file's header) seal and sync it before returning.
+    /// Default: nothing to keep.
+    fn on_publish(&self, _fingerprint: u64) {}
 }
 
 /// Pre-images of the lines modified since they were last made durable.

@@ -111,7 +111,8 @@ pub struct SimDevice {
     /// the serve layer, outside the cost model.
     published: AtomicU64,
     /// Durable-image observer (the file-backed backend). Set at most once,
-    /// only for persistent profiles; hooks fire under the state lock.
+    /// only for persistent profiles; hooks other than `on_publish` fire
+    /// under the state lock.
     mirror: OnceLock<Arc<dyn DeviceMirror>>,
 }
 
@@ -206,10 +207,13 @@ impl SimDevice {
     }
 
     /// Record which corpus-snapshot fingerprint this device now serves.
-    /// Pure metadata: no bytes move and no virtual time is charged (the
-    /// file-backed device overrides the trait method to also seal its
-    /// pool header).
+    /// Pure metadata: no bytes move and no virtual time is charged. An
+    /// attached mirror is told first ([`DeviceMirror::on_publish`]): a
+    /// pool file seals the fingerprint into its header.
     pub fn publish_snapshot(&self, fingerprint: u64) {
+        if let Some(mirror) = self.mirror.get() {
+            mirror.on_publish(fingerprint);
+        }
         self.published.store(fingerprint, Ordering::Release);
     }
 

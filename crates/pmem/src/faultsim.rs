@@ -11,17 +11,8 @@
 //!   point (flush/fence boundary) or a raw write operation,
 //! * [`run_with_crash_at`] — run a workload with a crash armed at a given
 //!   point, catching the injected panic and reporting whether the crash
-//!   actually fired,
-//! * [`SweepOutcome`] — aggregate bookkeeping for a whole sweep.
-//!
-//! The intended shape of a sweep (see `tests/crash_sweep.rs` at the
-//! workspace root for the real thing):
-//!
-//! 1. run the workload once with no faults armed and record
-//!    [`crate::AccessStats::persist_points`] (and/or `writes`),
-//! 2. for every point `k` in that range, re-run with a crash armed at `k`
-//!    under the torn-write model,
-//! 3. recover, then assert the result equals the crash-free run.
+//!   actually fired (the engine's `Session::crash_at` runs every crash
+//!   through it, and its `sweep` module is the sweep).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -207,30 +198,6 @@ pub fn panic_is_injected_crash(payload: &(dyn std::any::Any + Send)) -> bool {
     msg.contains(CRASH_PANIC)
 }
 
-/// Aggregate results of a sweep, for reporting and assertions.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SweepOutcome {
-    /// Crash points where the crash fired and recovery converged.
-    pub converged: u64,
-    /// Crash points where the workload finished before the armed point.
-    pub completed_early: u64,
-}
-
-impl SweepOutcome {
-    /// Record one [`CrashRun`] whose recovery was verified by the caller.
-    pub fn record(&mut self, run: CrashRun) {
-        match run {
-            CrashRun::Crashed => self.converged += 1,
-            CrashRun::Completed => self.completed_early += 1,
-        }
-    }
-
-    /// Total points examined.
-    pub fn total(&self) -> u64 {
-        self.converged + self.completed_early
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -329,16 +296,5 @@ mod tests {
         assert!(msg.contains("seed 7"), "{msg}");
         assert!(msg.contains("NTADOC_SWEEP_SEEDS=7"), "{msg}");
         assert!(msg.contains("point 12"), "{msg}");
-    }
-
-    #[test]
-    fn sweep_outcome_tallies() {
-        let mut s = SweepOutcome::default();
-        s.record(CrashRun::Crashed);
-        s.record(CrashRun::Crashed);
-        s.record(CrashRun::Completed);
-        assert_eq!(s.converged, 2);
-        assert_eq!(s.completed_early, 1);
-        assert_eq!(s.total(), 3);
     }
 }

@@ -16,7 +16,9 @@
 //!   lines revert, flushed-but-unfenced lines survive or revert per the
 //!   seeded coin, and the interrupted store lands as an arbitrary subset
 //!   of its 8-byte words;
-//! * **poke** — debug writes pass straight through.
+//! * **poke** — debug writes pass straight through;
+//! * **publish** — a published snapshot fingerprint is sealed into the
+//!   header, and the file synced.
 //!
 //! Unfenced stores therefore never reach the file at all — they live only
 //! in the twin, exactly as dirty cache lines live only in the CPU cache
@@ -274,7 +276,8 @@ struct Durable<S> {
     /// unsynced overwrite. `BTreeMap` so host-crash coin flips consume
     /// the seeded RNG in a deterministic (offset) order.
     unsynced: BTreeMap<u64, Vec<u8>>,
-    line_size: u64,
+    /// The header as created or opened; a publish rewrites its snapshot.
+    header: PoolHeader,
 }
 
 /// Lock order everywhere: the twin's state lock (if held) first, this one
@@ -313,7 +316,7 @@ impl<S: StableStore> Durable<S> {
     /// Write lines through; a seal then syncs.
     fn write_lines(&mut self, lines: &[(u64, Vec<u8>)], seal: bool) {
         for (line, bytes) in lines {
-            self.write_tracked(POOL_DATA_AT + line * self.line_size, bytes);
+            self.write_tracked(POOL_DATA_AT + line * u64::from(self.header.line_size), bytes);
         }
         if seal {
             self.sync();
@@ -363,6 +366,19 @@ impl<S: StableStore> DeviceMirror for Mutex<Durable<S>> {
 
     fn on_poke(&self, addr: Addr, bytes: &[u8]) {
         lock(self).write_tracked(POOL_DATA_AT + addr, bytes);
+    }
+
+    /// Seal the fingerprint into the on-disk header (a single 64-byte
+    /// rewrite below the data region, so the twin address space is
+    /// untouched) and sync. The sync also hardens every earlier
+    /// fenced-but-unsynced data write: a published pool is host-crash
+    /// consistent as a whole, not just its header.
+    fn on_publish(&self, fingerprint: u64) {
+        let mut durable = lock(self);
+        durable.header.snapshot = fingerprint;
+        let bytes = durable.header.to_bytes();
+        durable.write_tracked(0, &bytes);
+        durable.sync();
     }
 }
 
@@ -483,11 +499,7 @@ impl<S: StableStore> PoolFile<S> {
     /// Attach the mirror — only now, so that loading the image into the
     /// twin was not echoed back into the file.
     fn assemble(path: &Path, header: PoolHeader, twin: Arc<SimDevice>, store: S) -> Arc<Self> {
-        let durable = Arc::new(Mutex::new(Durable {
-            store,
-            unsynced: BTreeMap::new(),
-            line_size: header.line_size as u64,
-        }));
+        let durable = Arc::new(Mutex::new(Durable { store, unsynced: BTreeMap::new(), header }));
         twin.attach_mirror(durable.clone());
         Arc::new(PoolFile { twin, path: path.to_path_buf(), header, durable })
     }
@@ -542,19 +554,9 @@ impl<S: StableStore> PmemBackend for PoolFile<S> {
         SimDevice::note_log_bytes(&self.twin, n)
     }
 
-    /// Publishing seals the fingerprint into the on-disk pool header (a
-    /// single 64-byte rewrite-and-sync, below the data region so the twin
-    /// address space is untouched) and mirrors it into the twin. The sync
-    /// goes through the shared store, so it also hardens every earlier
-    /// fenced-but-unsynced data write — a published pool is host-crash
-    /// consistent as a whole, not just its header.
+    /// The twin's mirror seals the fingerprint into the pool header
+    /// ([`DeviceMirror::on_publish`]).
     fn publish_snapshot(&self, fingerprint: u64) -> Result<()> {
-        let mut header = self.header;
-        header.snapshot = fingerprint;
-        let mut durable = lock(&self.durable);
-        durable.write_tracked(0, &header.to_bytes());
-        durable.sync();
-        drop(durable);
         self.twin.publish_snapshot(fingerprint);
         Ok(())
     }
@@ -638,6 +640,9 @@ impl<S: StableStore> PoolDevice for PoolFile<S> {
         let file = PwriteStore::attach(File::open(&self.path)?, 0)?;
         for_each_chunk(&file, self.header.layout.capacity, |at, disk| {
             let mem = self.twin.peek(at, disk.len());
+            if disk == mem.as_slice() {
+                return Ok(());
+            }
             match disk.iter().zip(&mem).position(|(a, b)| a != b) {
                 None => Ok(()),
                 Some(off) => Err(PmemError::CorruptImage(format!(

@@ -3,6 +3,7 @@
 //! single import root. Library users should depend on the individual
 //! crates (`ntadoc`, `ntadoc-grammar`, `ntadoc-pmem`, …) directly.
 
+pub use ntadoc::sweep;
 pub use ntadoc::{
     ingest_append, ingest_corpus, snapshot_fingerprint, AppendIngest, AppendReport, Engine,
     EngineBuilder, EngineConfig, IngestOptions, IngestReport, OutputMismatch, Persistence,
@@ -18,12 +19,12 @@ pub use ntadoc_grammar::{
     Compressed, Dictionary, Grammar, MergeOptions, Symbol, TokenizerConfig,
 };
 pub use ntadoc_pmem::{
-    crc64, for_each_case, fsck_pool, panic_is_injected_crash, run_with_crash_at, sweep_ctx,
-    torn_line_survives, torn_word_survives, AllocLedger, CrashMode, CrashPoint, CrashRun,
-    DeviceKind, DeviceMirror, DeviceProfile, FileDevice, FsckReport, HostCrashReport, Json,
-    JsonError, MetricRegistry, MetricValue, MetricsSnapshot, MmapDevice, Obs, PmemBackend,
-    PmemError, PmemPool, PoolDevice, PoolHeader, PoolLayout, Prng, SimDevice, SpanNode,
-    SweepOutcome, TxLog, TxLogInspection, CRASH_PANIC, POOL_DATA_AT, POOL_MAGIC, POOL_VERSION,
+    crc64, for_each_case, fsck_pool, sweep_ctx, torn_line_survives, torn_word_survives,
+    AllocLedger, CrashMode, CrashPoint, DeviceKind, DeviceMirror, DeviceProfile, FileDevice,
+    FsckReport, HostCrashReport, Json, JsonError, MetricRegistry, MetricValue, MetricsSnapshot,
+    MmapDevice, Obs, PmemBackend, PmemError, PmemPool, PoolDevice, PoolHeader, PoolLayout, Prng,
+    SimDevice, SpanNode, TxLog, TxLogInspection, CRASH_PANIC, POOL_DATA_AT, POOL_MAGIC,
+    POOL_VERSION,
 };
 pub use ntadoc_serve::{
     percentile_ns, shard_reads_total, Completion, DaemonConfig, QueryDaemon, Rejection,

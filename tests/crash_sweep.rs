@@ -1,96 +1,26 @@
-//! Exhaustive crash-point sweep (ALICE-style crash-state enumeration).
+//! Exhaustive crash-point sweep (ALICE-style crash-state enumeration):
+//! crash at *every* persist point (flush or fence) a traversal issues, and
+//! at random raw-write points that also tear the interrupted store, under
+//! the torn-write model; recover; and assert the result converges to the
+//! crash-free run, for both §IV-E persistence strategies. The sweeps are
+//! `ntadoc::sweep::CrashSweep`; every crash goes through `Session::crash_at`.
 //!
-//! The recovery tests elsewhere crash at a handful of hand-picked points;
-//! this harness enumerates *every* persistence-ordering point a workload
-//! issues (each flush and each fence), crashes there under the torn-write
-//! model, recovers, and asserts the result converges to the crash-free
-//! run — for both §IV-E persistence strategies. A second sweep crashes at
-//! random raw-write points, which additionally tears the interrupted
-//! store at 8-byte granularity.
-//!
-//! Seeds default to `[1, 7, 42]` and can be overridden with
-//! `NTADOC_SWEEP_SEEDS=3,5,8` (the CI crash-sweep job pins one seed per
-//! matrix entry). `NTADOC_SWEEP_STRIDE=n` sweeps every n-th point for a
-//! cheaper smoke pass; the default sweeps all of them.
-//! `NTADOC_SWEEP_BACKEND=sim|file|mmap|all` selects whether crash states
-//! are enumerated on the in-memory simulator, on a real file-backed pool
-//! (where the torn bytes land on disk), on a memory-mapped pool, or on
-//! all of them (the default). In the default all-backend mode the
-//! file/mmap passes sample every 8th point to keep the suite's
-//! debug-build runtime close to the sim-only cost; an *explicit*
-//! `NTADOC_SWEEP_BACKEND` honors `NTADOC_SWEEP_STRIDE` verbatim, which is
-//! how the CI matrix sweeps the durable backends at every persist point.
-//!
-//! On top of the torn-write model, the host-crash sweep additionally
-//! drops non-fsync'd writes (everything since the last `sync_data`/
-//! `msync`) before reopening — the power-failure model where the page
-//! cache dies with the host. Seal points (header seals,
-//! `publish_snapshot`, TxLog entry/commit records) are always fsync'd, so
-//! recovery must converge from the surviving bytes alone.
+//! `NTADOC_SWEEP_SEEDS` (default `1,7,42`) and
+//! `NTADOC_SWEEP_BACKEND=sim|file|mmap|all` are read by `SweepKnobs`. A
+//! chosen backend is swept at every persist point; left unset, all three
+//! are, and the file and mmap passes sample every 8th point.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
+use ntadoc_repro::sweep::{CrashSweep, Stride, SweepBackend, SweepKnobs};
 use ntadoc_repro::{
-    compress_corpus, panic_is_injected_crash, sweep_ctx, Compressed, Engine, EngineBuilder,
-    EngineConfig, PoolBackend, Prng, Session, SweepOutcome, Task, TaskOutput, TokenizerConfig,
+    compress_corpus, fsck_pool, sweep_ctx, Compressed, CrashPoint, Engine, EngineBuilder,
+    EngineConfig, FsckReport, Session, Task, TaskRows, TokenizerConfig,
 };
-
-/// Which storage backend a sweep enumerates crash states on.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum Backend {
-    /// In-memory simulator only.
-    Sim,
-    /// Real file-backed pool: the injected crash tears bytes on disk.
-    File,
-    /// Memory-mapped pool file: stores land in the mapping, fences msync.
-    Mmap,
-}
-
-impl Backend {
-    /// The engine-level backend selector for durable variants.
-    fn pool_backend(self) -> PoolBackend {
-        match self {
-            Backend::Sim | Backend::File => PoolBackend::File,
-            Backend::Mmap => PoolBackend::Mmap,
-        }
-    }
-}
-
-fn sweep_backends() -> Vec<Backend> {
-    match std::env::var("NTADOC_SWEEP_BACKEND").as_deref() {
-        Ok("sim") => vec![Backend::Sim],
-        Ok("file") => vec![Backend::File],
-        Ok("mmap") => vec![Backend::Mmap],
-        _ => vec![Backend::Sim, Backend::File, Backend::Mmap],
-    }
-}
 
 /// Fresh per-process pool path; callers remove it when done.
 fn tmp_pool(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("ntadoc-sweep-{}-{name}.ntdp", std::process::id()))
-}
-
-/// An engine whose `open_pool` attaches the chosen backend.
-fn engine_on(comp: &Compressed, cfg: &EngineConfig, backend: Backend) -> Engine {
-    Engine::builder(comp.clone())
-        .config(cfg.clone())
-        .pool_backend(backend.pool_backend())
-        .build()
-        .unwrap()
-}
-
-/// Open a session on the chosen backend (durable pools are recreated).
-/// The engine must have been built with the matching
-/// [`EngineBuilder::pool_backend`] (see [`engine_on`]).
-fn session_on(engine: &Engine, task: Task, backend: Backend, pool: &PathBuf) -> Session {
-    match backend {
-        Backend::Sim => engine.session(task).unwrap(),
-        Backend::File | Backend::Mmap => {
-            let _ = std::fs::remove_file(pool);
-            engine.open_pool(pool, task).unwrap()
-        }
-    }
 }
 
 fn corpus() -> Compressed {
@@ -101,136 +31,80 @@ fn corpus() -> Compressed {
     compress_corpus(&files, &TokenizerConfig::default())
 }
 
-fn sweep_seeds() -> Vec<u64> {
-    let parsed: Vec<u64> = std::env::var("NTADOC_SWEEP_SEEDS")
-        .map(|s| s.split(',').filter_map(|t| t.trim().parse().ok()).collect())
-        .unwrap_or_default();
-    // An unset or unparseable override must not silently sweep nothing.
-    if parsed.is_empty() {
-        vec![1, 7, 42]
-    } else {
-        parsed
+/// Each persistence strategy, labelled `{prefix}-phase` or `{prefix}-op`,
+/// with the rows and persist points of a crash-free run on the simulator.
+fn strategies(comp: &Compressed, prefix: &str) -> [(EngineConfig, String, TaskRows, u64); 2] {
+    let levels = [(EngineConfig::ntadoc(), "phase"), (EngineConfig::ntadoc_oplevel(), "op")];
+    levels.map(|(cfg, level)| {
+        let (_, mut session) = SweepBackend::Sim.open(comp, &cfg, Path::new("")).unwrap();
+        let before = session.sim_device().stats();
+        let rows = session.traverse_rows().unwrap();
+        let total = session.sim_device().stats().since(&before).persist_points();
+        (cfg, format!("{prefix}-{level}"), rows, total)
+    })
+}
+
+/// fsck the pool a crashed session left at `pool`, then reopen it from
+/// nothing but those bytes and check the re-run converges to `clean`.
+fn reopen_converges(engine: &Engine, pool: &Path, clean: &TaskRows, ctx: &str) -> FsckReport {
+    let fsck = fsck_pool(pool).unwrap_or_else(|e| panic!("{ctx}: fsck rejected: {e}"));
+    assert!(fsck.recoverable(), "{ctx}: left an unrecoverable pool");
+    let mut reopened = engine
+        .open_pool(pool, Task::WordCount)
+        .unwrap_or_else(|e| panic!("{ctx}: reopen failed: {e}"));
+    let rows = reopened.traverse_rows().unwrap_or_else(|e| panic!("{ctx}: re-run failed: {e}"));
+    assert_eq!(rows, *clean, "{ctx}: reopened pool diverged");
+    fsck
+}
+
+/// Run `sweep` and assert that every point converged and that a crash
+/// fired under every seed.
+fn assert_sweep_converges(sweep: CrashSweep) {
+    let report = sweep.run().unwrap_or_else(|e| panic!("{e}"));
+    for r in &report.records {
+        let (CrashPoint::Persist(n) | CrashPoint::Write(n)) = r.point;
+        let ctx = sweep_ctx(&format!("{} {:?}", sweep.label, r.point), r.seed, n);
+        assert!(r.converged, "{ctx}: diverged on {:?} (fired: {})", sweep.backend, r.fired);
+    }
+    for &seed in sweep.seeds {
+        let fired = report.records.iter().any(|r| r.seed == seed && r.fired);
+        assert!(fired, "{} [{:?}]: seed {seed}: no crash fired", sweep.label, sweep.backend);
     }
 }
 
-fn sweep_stride() -> u64 {
-    std::env::var("NTADOC_SWEEP_STRIDE")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(1)
-}
-
-/// Count the persist points (flushes + fences) one traversal issues.
-fn count_traversal_persist_points(comp: &Compressed, cfg: &EngineConfig, task: Task) -> u64 {
-    let engine = Engine::builder(comp.clone()).config(cfg.clone()).build().unwrap();
-    let mut session = engine.session(task).unwrap();
-    let before = session.sim_device().stats();
-    session.traverse().unwrap();
-    session.sim_device().stats().since(&before).persist_points()
-}
-
-/// Crash at the `point`-th traversal persist point under a torn model,
-/// recover, re-traverse, and return the converged output (None if the
-/// workload finished before the armed point fired). On the file backend
-/// the torn bytes land in the pool file, and the durable on-disk image is
-/// asserted byte-identical to the simulator twin before recovery runs.
-#[allow(clippy::too_many_arguments)]
-fn crash_recover_at_persist_point(
-    comp: &Compressed,
-    cfg: &EngineConfig,
-    task: Task,
-    point: u64,
-    seed: u64,
-    label: &str,
-    backend: Backend,
-    pool: &PathBuf,
-) -> Option<TaskOutput> {
-    let ctx = sweep_ctx(label, seed, point);
-    let engine = engine_on(comp, cfg, backend);
-    let mut session = session_on(&engine, task, backend, pool);
-    session.sim_device().trip_after_persists(point);
-    let attempt = catch_unwind(AssertUnwindSafe(|| session.traverse()));
-    session.sim_device().clear_trip();
-    match attempt {
-        Ok(Ok(_)) => return None, // finished before the armed point
-        Ok(Err(e)) => panic!("{ctx}: unexpected engine error {e}"),
-        Err(payload) => {
-            assert!(panic_is_injected_crash(&*payload), "{ctx}: a non-injected panic escaped");
-        }
-    }
-    session.crash_torn(seed ^ point);
-    if let Some(file) = session.pool_file() {
-        file.verify_file_matches_device()
-            .unwrap_or_else(|e| panic!("{ctx}: torn on-disk image diverged from the twin: {e}"));
-    }
-    session.recover().unwrap_or_else(|e| panic!("{ctx}: recovery failed: {e}"));
-    Some(session.traverse().unwrap_or_else(|e| panic!("{ctx}: re-run failed: {e}")))
-}
-
-/// The full sweep for one persistence strategy.
-fn sweep_strategy(cfg: &EngineConfig, label: &str) {
-    sweep_strategy_over(&corpus(), cfg, label);
-}
-
-/// The full sweep for one persistence strategy over a given corpus, on
-/// every backend `NTADOC_SWEEP_BACKEND` selects.
+/// Every persist point under one persistence strategy, on every backend
+/// `NTADOC_SWEEP_BACKEND` selects, recovering in place.
 fn sweep_strategy_over(comp: &Compressed, cfg: &EngineConfig, label: &str) {
-    let comp = comp.clone();
-    let task = Task::WordCount;
-    let mut clean_engine = Engine::builder(comp.clone()).config(cfg.clone()).build().unwrap();
-    let clean = clean_engine.run(task).unwrap();
-
-    let total = count_traversal_persist_points(&comp, cfg, task);
-    assert!(total > 0, "{label}: traversal must issue persist points");
-    let stride = sweep_stride();
-    let backend_explicit = std::env::var("NTADOC_SWEEP_BACKEND").is_ok();
-    for backend in sweep_backends() {
-        // Durable sessions replay the whole trace per point against a
-        // real file; in the implicit all-backend mode, sample those
-        // passes.
-        let stride = match backend {
-            Backend::File | Backend::Mmap if !backend_explicit => stride * 8,
-            _ => stride,
-        };
-        let pool = tmp_pool(label);
-        for seed in sweep_seeds() {
-            let mut outcome = SweepOutcome::default();
-            let mut point = 0;
-            while point < total {
-                match crash_recover_at_persist_point(
-                    &comp, cfg, task, point, seed, label, backend, &pool,
-                ) {
-                    Some(out) => {
-                        assert_eq!(
-                            out,
-                            clean,
-                            "{}: diverged after recovery on {backend:?}",
-                            sweep_ctx(label, seed, point)
-                        );
-                        outcome.converged += 1;
-                    }
-                    None => outcome.completed_early += 1,
-                }
-                point += stride;
-            }
-            assert!(
-                outcome.converged > 0,
-                "{label} [{backend:?}]: seed {seed}: no crash actually fired across {total} points"
-            );
-        }
-        let _ = std::fs::remove_file(&pool);
+    let knobs = SweepKnobs::from_env().unwrap();
+    let pool_dir = tmp_pool(label).with_extension("d");
+    std::fs::create_dir_all(&pool_dir).unwrap();
+    for backend in knobs.backends {
+        // Durable sessions replay the whole trace per point against a real
+        // file; with no backend chosen, sample those passes.
+        let every = if backend != SweepBackend::Sim && !knobs.backend_chosen { 8 } else { 1 };
+        assert_sweep_converges(CrashSweep {
+            label,
+            comp,
+            cfg,
+            backend,
+            pool_dir: &pool_dir,
+            seeds: &knobs.seeds,
+            persist: Some(Stride::Every(every)),
+            mid_write: 0,
+            reopen: false,
+        });
     }
+    let _ = std::fs::remove_dir_all(&pool_dir);
 }
 
 #[test]
 fn every_persist_point_converges_phase_level() {
-    sweep_strategy(&EngineConfig::ntadoc(), "phase-level");
+    sweep_strategy_over(&corpus(), &EngineConfig::ntadoc(), "phase-level");
 }
 
 #[test]
 fn every_persist_point_converges_operation_level() {
-    sweep_strategy(&EngineConfig::ntadoc_oplevel(), "operation-level");
+    sweep_strategy_over(&corpus(), &EngineConfig::ntadoc_oplevel(), "operation-level");
 }
 
 #[test]
@@ -283,50 +157,19 @@ fn random_mid_write_crash_points_converge_with_torn_stores() {
     // Persist points never interrupt a store; raw write points do, and the
     // torn model then applies an arbitrary subset of the store's 8-byte
     // words. Sample write points across the whole traversal.
-    let comp = corpus();
-    let task = Task::WordCount;
-    for cfg in [EngineConfig::ntadoc(), EngineConfig::ntadoc_oplevel()] {
-        let mut clean_engine = Engine::builder(comp.clone()).config(cfg.clone()).build().unwrap();
-        let clean = clean_engine.run(task).unwrap();
-        // Count the traversal's write operations once.
-        let engine = Engine::builder(comp.clone()).config(cfg.clone()).build().unwrap();
-        let mut session = engine.session(task).unwrap();
-        let before = session.sim_device().stats();
-        session.traverse().unwrap();
-        let writes = session.sim_device().stats().since(&before).writes;
-        assert!(writes > 0);
-
-        for seed in sweep_seeds() {
-            let mut rng = Prng::new(seed);
-            let mut fired = 0u32;
-            for _ in 0..40 {
-                let trip = rng.next_below(writes);
-                let engine = Engine::builder(comp.clone()).config(cfg.clone()).build().unwrap();
-                let mut session = engine.session(task).unwrap();
-                session.sim_device().trip_after_writes(trip);
-                let attempt = catch_unwind(AssertUnwindSafe(|| session.traverse()));
-                session.sim_device().clear_trip();
-                let ctx = sweep_ctx("mid-write", seed, trip);
-                match attempt {
-                    Ok(Ok(out)) => {
-                        assert_eq!(out, clean, "{ctx}: completed run differs");
-                        continue;
-                    }
-                    Ok(Err(e)) => panic!("{ctx}: unexpected engine error {e}"),
-                    Err(payload) => assert!(
-                        panic_is_injected_crash(&*payload),
-                        "{ctx}: a non-injected panic escaped"
-                    ),
-                }
-                fired += 1;
-                session.crash_torn(seed.wrapping_add(trip));
-                session.recover().unwrap_or_else(|e| panic!("{ctx}: recovery failed: {e}"));
-                let recovered =
-                    session.traverse().unwrap_or_else(|e| panic!("{ctx}: re-run failed: {e}"));
-                assert_eq!(recovered, clean, "{ctx}: diverged");
-            }
-            assert!(fired > 0, "seed {seed}: no mid-write crash fired");
-        }
+    let (comp, seeds) = (corpus(), SweepKnobs::from_env().unwrap().seeds);
+    for (cfg, label, _, _) in strategies(&comp, "mid-write") {
+        assert_sweep_converges(CrashSweep {
+            label: &label,
+            comp: &comp,
+            cfg: &cfg,
+            backend: SweepBackend::Sim,
+            pool_dir: &std::env::temp_dir(),
+            seeds: &seeds,
+            persist: None,
+            mid_write: 40,
+            reopen: false,
+        });
     }
 }
 
@@ -337,37 +180,25 @@ fn repeated_crashes_at_the_same_point_still_converge() {
     // recover again, and still converge. This catches recovery paths
     // that only work from a "clean crash" state.
     let comp = corpus();
-    for cfg in [EngineConfig::ntadoc(), EngineConfig::ntadoc_oplevel()] {
-        let mut clean_engine = Engine::builder(comp.clone()).config(cfg.clone()).build().unwrap();
-        let clean = clean_engine.run(Task::WordCount).unwrap();
-        let total = count_traversal_persist_points(&comp, &cfg, Task::WordCount);
+    for (cfg, _, clean, total) in strategies(&comp, "repeated") {
         // A handful of points spread across the stream is enough here; the
         // exhaustive single-crash sweep above covers every point.
         for point in [0, total / 4, total / 2, total - 1] {
-            let engine = Engine::builder(comp.clone()).config(cfg.clone()).build().unwrap();
-            let mut session = engine.session(Task::WordCount).unwrap();
+            let (_, mut session) = SweepBackend::Sim.open(&comp, &cfg, Path::new("")).unwrap();
             let mut crashes = 0u32;
             for round in 0..2u64 {
                 let torn_seed = 0xBAD5EED ^ point ^ (round << 32);
                 let ctx = sweep_ctx("repeated-crash", torn_seed, point);
-                session.sim_device().trip_after_persists(point);
-                let attempt = catch_unwind(AssertUnwindSafe(|| session.traverse()));
-                session.sim_device().clear_trip();
-                match attempt {
-                    Ok(Ok(_)) => break, // finished before the point this round
-                    Ok(Err(e)) => panic!("{ctx} round {round}: {e}"),
-                    Err(payload) => assert!(
-                        panic_is_injected_crash(&*payload),
-                        "{ctx} round {round}: a non-injected panic escaped"
-                    ),
+                match session.crash_at(CrashPoint::Persist(point), torn_seed) {
+                    Ok(Some(_)) => break, // finished before the point this round
+                    Ok(None) => crashes += 1,
+                    Err(e) => panic!("{ctx} round {round}: {e}"),
                 }
-                crashes += 1;
-                session.crash_torn(torn_seed);
                 session.recover().unwrap_or_else(|e| panic!("{ctx} round {round}: {e}"));
             }
             assert!(crashes > 0, "point {point}: no crash fired");
             assert_eq!(
-                session.traverse().unwrap(),
+                session.traverse_rows().unwrap(),
                 clean,
                 "point {point}: diverged after {crashes} crash(es)"
             );
@@ -375,163 +206,84 @@ fn repeated_crashes_at_the_same_point_still_converge() {
     }
 }
 
-/// Compare two devices' full durable content byte-for-byte.
-fn assert_planes_identical(
-    sim: &ntadoc_repro::SimDevice,
-    twin: &ntadoc_repro::SimDevice,
-    ctx: &str,
-) {
-    assert_eq!(sim.capacity(), twin.capacity(), "{ctx}: pool capacities differ");
-    let cap = sim.capacity();
-    let chunk = 1usize << 20;
-    let mut at = 0u64;
-    while at < cap {
-        let len = chunk.min((cap - at) as usize);
-        assert_eq!(
-            sim.peek(at, len),
-            twin.peek(at, len),
-            "{ctx}: pool contents diverge in [{at}, {})",
-            at + len as u64
-        );
-        at += len as u64;
-    }
+/// Whether all three backends saw the same.
+fn same<T: PartialEq>(xs: &[T; 3]) -> bool {
+    xs[0] == xs[1] && xs[1] == xs[2]
 }
 
 /// The cross-backend identity check the durable backends are designed
 /// around: the same logical trace on the in-memory simulator, on a
 /// file-backed pool, and on a memory-mapped pool must crash identically
 /// (same trip firing), tear identically (the durable post-crash pools are
-/// byte-identical, and the *on-disk* bytes match them), recover to the
-/// same output, and charge the same virtual time at every stage. A final
-/// reopen from nothing but the torn file must also converge, on both
-/// durable backends.
+/// byte-identical, and `crash_at` checks the *on-disk* bytes match them),
+/// recover to the same output, and charge the same virtual time at every
+/// stage. A final reopen from nothing but the torn file must also
+/// converge, on both durable backends.
 #[test]
 fn sim_file_and_mmap_backends_agree_at_every_crash_point() {
+    use SweepBackend::{File, Mmap, Sim};
     let comp = corpus();
-    let task = Task::WordCount;
-    for (cfg, label) in
-        [(EngineConfig::ntadoc(), "xcheck-phase"), (EngineConfig::ntadoc_oplevel(), "xcheck-op")]
-    {
-        let mut clean_engine = Engine::builder(comp.clone()).config(cfg.clone()).build().unwrap();
-        let clean = clean_engine.run(task).unwrap();
-        let total = count_traversal_persist_points(&comp, &cfg, task);
+    let seed = SweepKnobs::from_env().unwrap().seeds[0];
+    for (cfg, label, clean, total) in strategies(&comp, "xcheck") {
         assert!(total > 0, "{label}: traversal must issue persist points");
-        let pool_file = tmp_pool(&format!("{label}-file"));
-        let pool_mmap = tmp_pool(&format!("{label}-mmap"));
-        let seed = sweep_seeds()[0];
+        let (file_pool, mmap_pool) =
+            (tmp_pool(&format!("{label}-file")), tmp_pool(&format!("{label}-mmap")));
+        let targets = [(Sim, Path::new("")), (File, &file_pool), (Mmap, &mmap_pool)];
         // A handful of points spread across the stream; the exhaustive
         // per-backend sweeps above cover every point.
         for point in [0, total / 3, total / 2, total - 1] {
-            let ctx = sweep_ctx(label, seed, point);
-            let mut sim =
-                session_on(&engine_on(&comp, &cfg, Backend::Sim), task, Backend::Sim, &pool_file);
-            let mut file =
-                session_on(&engine_on(&comp, &cfg, Backend::File), task, Backend::File, &pool_file);
-            let mut mmap =
-                session_on(&engine_on(&comp, &cfg, Backend::Mmap), task, Backend::Mmap, &pool_mmap);
-
-            let mut fired = [false; 3];
-            for (i, s) in [&mut sim, &mut file, &mut mmap].into_iter().enumerate() {
-                s.sim_device().trip_after_persists(point);
-                let attempt = catch_unwind(AssertUnwindSafe(|| s.traverse()));
-                s.sim_device().clear_trip();
-                match attempt {
-                    Ok(Ok(_)) => {}
-                    Ok(Err(e)) => panic!("{ctx}: unexpected engine error {e}"),
-                    Err(payload) => {
-                        assert!(
-                            panic_is_injected_crash(&*payload),
-                            "{ctx}: a non-injected panic escaped"
-                        );
-                        fired[i] = true;
-                    }
-                }
-            }
-            assert!(
-                fired[0] == fired[1] && fired[1] == fired[2],
-                "{ctx}: backends disagree on whether a crash fired ({fired:?})"
-            );
-            let ns = sim.sim_device().stats().virtual_ns;
-            assert_eq!(
-                ns,
-                file.sim_device().stats().virtual_ns,
-                "{ctx}: sim/file virtual clocks diverge before the crash"
-            );
-            assert_eq!(
-                ns,
-                mmap.sim_device().stats().virtual_ns,
-                "{ctx}: sim/mmap virtual clocks diverge before the crash"
-            );
+            let ctx = sweep_ctx(&label, seed, point);
+            let crash = CrashPoint::Persist(point);
+            let mut sessions =
+                targets.map(|(backend, pool)| backend.open(&comp, &cfg, pool).unwrap().1);
+            let fired = sessions.each_mut().map(|s| {
+                s.crash_at(crash, seed ^ point).unwrap_or_else(|e| panic!("{ctx}: {e}")).is_none()
+            });
+            assert!(same(&fired), "{ctx}: backends disagree on whether a crash fired ({fired:?})");
+            let clock = |s: &Session| s.sim_device().stats().virtual_ns;
+            let ns = sessions.each_ref().map(clock);
+            assert!(same(&ns), "{ctx}: virtual clocks diverge ({ns:?})");
             if !fired[0] {
                 continue;
             }
-
-            // Identical torn decisions → byte-identical durable pools,
-            // and the real files carry exactly those bytes.
-            sim.crash_torn(seed ^ point);
-            file.crash_torn(seed ^ point);
-            mmap.crash_torn(seed ^ point);
-            assert_planes_identical(sim.sim_device(), file.sim_device(), &ctx);
-            assert_planes_identical(sim.sim_device(), mmap.sim_device(), &ctx);
-            for (s, which) in [(&file, "file"), (&mmap, "mmap")] {
-                s.pool_file()
-                    .expect("durable session")
-                    .verify_file_matches_device()
-                    .unwrap_or_else(|e| {
-                        panic!("{ctx}: {which} on-disk bytes diverged from the twin: {e}")
-                    });
+            // Identical torn decisions → byte-identical durable pools.
+            let caps = sessions.each_ref().map(|s| s.sim_device().capacity());
+            assert!(same(&caps), "{ctx}: pool capacities differ ({caps:?})");
+            for at in (0..caps[0]).step_by(1 << 20) {
+                let len = (1 << 20).min(caps[0] - at) as usize;
+                let bytes = sessions.each_ref().map(|s| s.sim_device().peek(at, len));
+                assert!(same(&bytes), "{ctx}: torn pools differ in the MiB at {at:#x}");
             }
 
             // Identical recovery outcome and cost.
-            let mut outs = Vec::new();
-            for (s, which) in [(&mut sim, "sim"), (&mut file, "file"), (&mut mmap, "mmap")] {
-                s.recover().unwrap_or_else(|e| panic!("{ctx}: {which} recovery failed: {e}"));
-                outs.push(s.traverse().unwrap_or_else(|e| panic!("{ctx}: {which} re-run: {e}")));
-                assert_eq!(outs.last().unwrap(), &clean, "{ctx}: {which} recovery diverged");
+            for (s, (backend, _)) in sessions.iter_mut().zip(targets) {
+                s.recover().unwrap_or_else(|e| panic!("{ctx}: {backend:?} recovery failed: {e}"));
+                let rows = s.traverse_rows().unwrap_or_else(|e| panic!("{ctx}: {backend:?}: {e}"));
+                assert_eq!(rows, clean, "{ctx}: {backend:?} recovery diverged");
             }
-            let ns = sim.sim_device().stats().virtual_ns;
-            assert_eq!(
-                ns,
-                file.sim_device().stats().virtual_ns,
-                "{ctx}: sim/file virtual clocks diverge after recovery"
-            );
-            assert_eq!(
-                ns,
-                mmap.sim_device().stats().virtual_ns,
-                "{ctx}: sim/mmap virtual clocks diverge after recovery"
-            );
-            drop(file);
-            drop(mmap);
+            let ns = sessions.each_ref().map(clock);
+            assert!(same(&ns), "{ctx}: recovery clocks diverge ({ns:?})");
+            drop(sessions);
 
             // Recovery from nothing but the torn on-disk bytes: recreate
             // the crash state, drop the session, reopen, and converge —
             // on both durable backends.
-            for (backend, pool) in [(Backend::File, &pool_file), (Backend::Mmap, &pool_mmap)] {
-                let engine = engine_on(&comp, &cfg, backend);
-                let mut doomed = session_on(&engine, task, backend, pool);
-                doomed.sim_device().trip_after_persists(point);
-                let attempt = catch_unwind(AssertUnwindSafe(|| doomed.traverse()));
-                doomed.sim_device().clear_trip();
-                assert!(
-                    attempt.is_err(),
-                    "{ctx}: crash did not refire on a fresh {backend:?} session"
-                );
-                doomed.crash_torn(seed ^ point);
+            for (backend, pool) in &targets[1..] {
+                let ctx = format!("{ctx} [{backend:?}]");
+                let (engine, mut doomed) = backend.open(&comp, &cfg, pool).unwrap();
+                let refired = doomed.crash_at(crash, seed ^ point);
+                assert!(refired.unwrap().is_none(), "{ctx}: crash did not refire");
                 drop(doomed);
-                let mut reopened = engine
-                    .open_pool(pool, task)
-                    .unwrap_or_else(|e| panic!("{ctx}: {backend:?} reopen-recovery failed: {e}"));
+                let mut reopened = engine.open_pool(pool, Task::WordCount).unwrap();
                 assert_eq!(
-                    reopened
-                        .traverse()
-                        .unwrap_or_else(|e| { panic!("{ctx}: {backend:?} reopened re-run: {e}") }),
+                    reopened.traverse_rows().unwrap(),
                     clean,
-                    "{ctx}: reopened {backend:?} pool diverged"
+                    "{ctx}: reopened pool diverged"
                 );
             }
         }
-        let _ = std::fs::remove_file(&pool_file);
-        let _ = std::fs::remove_file(&pool_mmap);
+        let _ = std::fs::remove_file(&file_pool);
+        let _ = std::fs::remove_file(&mmap_pool);
     }
 }
 
@@ -544,62 +296,25 @@ fn sim_file_and_mmap_backends_agree_at_every_crash_point() {
 #[test]
 fn host_crash_at_sampled_points_converges_on_both_durable_backends() {
     let comp = corpus();
-    let task = Task::WordCount;
-    let seed = sweep_seeds()[0];
-    for (cfg, label) in [
-        (EngineConfig::ntadoc(), "host-crash-phase"),
-        (EngineConfig::ntadoc_oplevel(), "host-crash-op"),
-    ] {
-        let mut clean_engine = Engine::builder(comp.clone()).config(cfg.clone()).build().unwrap();
-        let clean = clean_engine.run(task).unwrap();
-        let total = count_traversal_persist_points(&comp, &cfg, task);
-        for backend in [Backend::File, Backend::Mmap] {
+    let seed = SweepKnobs::from_env().unwrap().seeds[0];
+    for (cfg, label, clean, total) in strategies(&comp, "host-crash") {
+        for backend in [SweepBackend::File, SweepBackend::Mmap] {
             let pool = tmp_pool(&format!("{label}-{backend:?}"));
             let mut fired = 0u32;
             for point in [0, total / 3, total / 2, total - 1] {
-                let ctx = sweep_ctx(label, seed, point);
-                let engine = engine_on(&comp, &cfg, backend);
-                let mut session = session_on(&engine, task, backend, &pool);
-                session.sim_device().trip_after_persists(point);
-                let attempt = catch_unwind(AssertUnwindSafe(|| session.traverse()));
-                session.sim_device().clear_trip();
-                match attempt {
-                    Ok(Ok(_)) => continue,
-                    Ok(Err(e)) => panic!("{ctx}: unexpected engine error {e}"),
-                    Err(payload) => assert!(
-                        panic_is_injected_crash(&*payload),
-                        "{ctx}: a non-injected panic escaped"
-                    ),
+                let ctx = format!("{} [{backend:?}]", sweep_ctx(&label, seed, point));
+                let (engine, mut session) = backend.open(&comp, &cfg, &pool).unwrap();
+                match session.crash_at(CrashPoint::Persist(point), seed ^ point) {
+                    Ok(Some(_)) => continue,
+                    Ok(None) => fired += 1,
+                    Err(e) => panic!("{ctx}: {e}"),
                 }
-                fired += 1;
-                session.crash_torn(seed ^ point);
                 // The host dies too: unsynced file ranges revert to their
                 // last-synced bytes (seeded coin flip per range).
                 let report = session.pool_file().expect("durable session").host_crash(seed ^ point);
                 drop(session);
-                // The surviving file must still be a recoverable pool…
-                let fsck = ntadoc_repro::fsck_pool(&pool)
-                    .unwrap_or_else(|e| panic!("{ctx} [{backend:?}]: fsck rejected: {e}"));
-                assert!(
-                    fsck.recoverable(),
-                    "{ctx} [{backend:?}]: host crash (kept {}, lost {}) left an unrecoverable pool",
-                    report.kept,
-                    report.lost
-                );
-                // …and reopening from nothing but those bytes converges.
-                let engine = engine_on(&comp, &cfg, backend);
-                let mut reopened = engine.open_pool(&pool, task).unwrap_or_else(|e| {
-                    panic!("{ctx} [{backend:?}]: reopen after host crash failed: {e}")
-                });
-                assert_eq!(
-                    reopened.traverse().unwrap_or_else(|e| {
-                        panic!("{ctx} [{backend:?}]: re-run after host crash: {e}")
-                    }),
-                    clean,
-                    "{ctx} [{backend:?}]: diverged after host crash (kept {}, lost {})",
-                    report.kept,
-                    report.lost
-                );
+                let ctx = format!("{ctx}: host crash kept {}, lost {}", report.kept, report.lost);
+                reopen_converges(&engine, &pool, &clean, &ctx);
                 let _ = std::fs::remove_file(&pool);
             }
             assert!(fired > 0, "{label} [{backend:?}]: no crash fired");
@@ -614,40 +329,19 @@ fn host_crash_at_sampled_points_converges_on_both_durable_backends() {
 #[test]
 fn acknowledged_runs_survive_a_total_host_crash() {
     let comp = corpus();
-    let task = Task::WordCount;
-    for (cfg, label) in
-        [(EngineConfig::ntadoc(), "ack-phase"), (EngineConfig::ntadoc_oplevel(), "ack-op")]
-    {
-        let mut clean_engine = Engine::builder(comp.clone()).config(cfg.clone()).build().unwrap();
-        let clean = clean_engine.run(task).unwrap();
-        for backend in [Backend::File, Backend::Mmap] {
+    for (cfg, label, clean, _) in strategies(&comp, "ack") {
+        for backend in [SweepBackend::File, SweepBackend::Mmap] {
+            let ctx = format!("{label} [{backend:?}]");
             let pool = tmp_pool(&format!("{label}-{backend:?}"));
-            let _ = std::fs::remove_file(&pool);
-            let engine = engine_on(&comp, &cfg, backend);
-            let mut session = engine.open_pool(&pool, task).unwrap();
-            let out = session.traverse().unwrap();
-            assert_eq!(out, clean);
-            let published = session.backend().published_snapshot();
-            assert_ne!(published, 0, "{label}: a completed run must publish its snapshot");
+            let (engine, mut session) = backend.open(&comp, &cfg, &pool).unwrap();
+            assert_eq!(session.traverse_rows().unwrap(), clean);
+            let published = session.sim_device().published_snapshot();
+            assert_ne!(published, 0, "{ctx}: a completed run must publish its snapshot");
             // Worst-case host crash: every unsynced write is lost.
             session.pool_file().expect("durable session").host_crash_lose_all();
             drop(session);
-            let fsck = ntadoc_repro::fsck_pool(&pool).unwrap_or_else(|e| {
-                panic!("{label} [{backend:?}]: fsck after total host crash: {e}")
-            });
-            assert_eq!(
-                fsck.header.snapshot, published,
-                "{label} [{backend:?}]: the acknowledged publish was lost by the host crash"
-            );
-            let engine = engine_on(&comp, &cfg, backend);
-            let mut reopened = engine.open_pool(&pool, task).unwrap_or_else(|e| {
-                panic!("{label} [{backend:?}]: reopen after total host crash: {e}")
-            });
-            assert_eq!(
-                reopened.traverse().unwrap(),
-                clean,
-                "{label} [{backend:?}]: acknowledged state diverged after a total host crash"
-            );
+            let fsck = reopen_converges(&engine, &pool, &clean, &ctx);
+            assert_eq!(fsck.header.snapshot, published, "{ctx}: the acknowledged publish was lost");
             let _ = std::fs::remove_file(&pool);
         }
     }

@@ -3,9 +3,7 @@
 //! phase-level recovery — re-running the traversal against the persisted
 //! init-phase checkpoint — always converges to the crash-free result.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
-
-use ntadoc_repro::{compress_corpus, Engine, EngineConfig, Task, TokenizerConfig};
+use ntadoc_repro::{compress_corpus, CrashPoint, Engine, EngineConfig, Task, TokenizerConfig};
 
 fn corpus() -> ntadoc_grammar::Compressed {
     let files = vec![
@@ -20,31 +18,29 @@ fn crash_at_many_points_inside_traversal_recovers() {
     let comp = corpus();
     let mut clean_engine =
         Engine::builder(comp.clone()).config(EngineConfig::ntadoc()).build().unwrap();
-    let clean = clean_engine.run(Task::WordCount).unwrap();
+    let clean = clean_engine.run_rows(Task::WordCount).unwrap();
 
     for &trip in &[1u64, 5, 23, 100, 400, 1500] {
         let engine = Engine::builder(comp.clone()).config(EngineConfig::ntadoc()).build().unwrap();
         let mut session = engine.session(Task::WordCount).unwrap();
-        // Arm the fault: the Nth write during traversal panics.
-        session.sim_device().trip_after_writes(trip);
-        let attempt = catch_unwind(AssertUnwindSafe(|| session.traverse()));
-        session.sim_device().clear_trip();
-        match attempt {
-            Ok(Ok(out)) => {
+        // The Nth write during traversal crashes the device: a torn power
+        // failure at the fault point, where the interrupted store lands as
+        // an arbitrary subset of its 8-byte words.
+        let crash = CrashPoint::Write(trip);
+        match session.crash_at(crash, trip.wrapping_mul(0x9E37_79B9)) {
+            Ok(Some(out)) => {
                 // Fault landed after traversal finished writing; the
                 // completed run must already be correct.
                 assert_eq!(out, clean, "trip={trip}: completed run differs");
                 continue;
             }
-            Ok(Err(e)) => panic!("trip={trip}: unexpected engine error {e}"),
-            Err(_) => { /* the injected fault fired mid-run */ }
+            Ok(None) => {}
+            Err(e) => panic!("trip={trip}: unexpected engine error {e}"),
         }
-        // Torn power failure at the fault point — the interrupted store
-        // lands as an arbitrary subset of its 8-byte words — then §IV-E
-        // recovery: the init checkpoint survives, the traversal re-runs.
-        session.crash_torn(trip.wrapping_mul(0x9E37_79B9));
+        // §IV-E recovery: the init checkpoint survives, the traversal
+        // re-runs.
         session.recover().unwrap();
-        let recovered = session.traverse().unwrap();
+        let recovered = session.traverse_rows().unwrap();
         assert_eq!(recovered, clean, "trip={trip}: recovered result differs");
     }
 }
@@ -54,21 +50,18 @@ fn crash_inside_file_task_traversal_recovers() {
     let comp = corpus();
     let mut clean_engine =
         Engine::builder(comp.clone()).config(EngineConfig::ntadoc()).build().unwrap();
-    let clean = clean_engine.run(Task::InvertedIndex).unwrap();
+    let clean = clean_engine.run_rows(Task::InvertedIndex).unwrap();
 
     for &trip in &[3u64, 50, 700] {
         let engine = Engine::builder(comp.clone()).config(EngineConfig::ntadoc()).build().unwrap();
         let mut session = engine.session(Task::InvertedIndex).unwrap();
-        session.sim_device().trip_after_writes(trip);
-        let attempt = catch_unwind(AssertUnwindSafe(|| session.traverse()));
-        session.sim_device().clear_trip();
-        if let Ok(Ok(out)) = attempt {
+        let crashed = session.crash_at(CrashPoint::Write(trip), trip);
+        if let Some(out) = crashed.unwrap_or_else(|e| panic!("trip={trip}: {e}")) {
             assert_eq!(out, clean);
             continue;
         }
-        session.crash_torn(trip);
         session.recover().unwrap();
-        assert_eq!(session.traverse().unwrap(), clean, "trip={trip}");
+        assert_eq!(session.traverse_rows().unwrap(), clean, "trip={trip}");
     }
 }
 

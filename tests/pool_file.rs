@@ -6,13 +6,11 @@
 //! tests then corrupt, truncate, or tear those files and assert the
 //! reopen path behaves exactly as §IV-E recovery promises.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 
 use ntadoc_repro::{
-    compress_corpus, fsck_pool, panic_is_injected_crash, Compressed, DeviceProfile, Engine,
-    EngineConfig, PmemError, PoolBackend, PoolHeader, PoolLayout, Task, TokenizerConfig,
-    POOL_DATA_AT,
+    compress_corpus, fsck_pool, Compressed, CrashPoint, DeviceProfile, Engine, EngineConfig,
+    PmemError, PoolBackend, PoolHeader, PoolLayout, Task, TokenizerConfig, POOL_DATA_AT,
 };
 
 fn corpus() -> Compressed {
@@ -91,18 +89,14 @@ fn reopen_after_torn_commit_rolls_back_and_converges() {
     let _ = std::fs::remove_file(&pool);
     let eng = engine(EngineConfig::ntadoc_oplevel());
     let mut clean_engine = engine(EngineConfig::ntadoc_oplevel());
-    let clean = clean_engine.run(Task::WordCount).unwrap();
+    let clean = clean_engine.run_rows(Task::WordCount).unwrap();
 
     // Crash mid-traversal with an open undo-log transaction, tear the
-    // on-disk bytes, and abandon the session entirely.
+    // on-disk bytes (checked against the twin), and abandon the session
+    // entirely.
     let mut session = eng.open_pool(&pool, Task::WordCount).unwrap();
-    session.sim_device().trip_after_persists(40);
-    let attempt = catch_unwind(AssertUnwindSafe(|| session.traverse()));
-    session.sim_device().clear_trip();
-    let payload = attempt.expect_err("the armed crash must fire");
-    assert!(panic_is_injected_crash(&*payload));
-    session.crash_torn(0xDEADD0C);
-    session.pool_file().unwrap().verify_file_matches_device().unwrap();
+    let crashed = session.crash_at(CrashPoint::Persist(40), 0xDEADD0C).unwrap();
+    assert!(crashed.is_none(), "the armed crash must fire");
     drop(session);
     drop(eng);
 
@@ -115,7 +109,7 @@ fn reopen_after_torn_commit_rolls_back_and_converges() {
     // output converges to the crash-free result.
     let eng = engine(EngineConfig::ntadoc_oplevel());
     let mut session = eng.open_pool(&pool, Task::WordCount).unwrap();
-    assert_eq!(session.traverse().unwrap(), clean, "torn-commit recovery diverged");
+    assert_eq!(session.traverse_rows().unwrap(), clean, "torn-commit recovery diverged");
 
     // After the clean re-run the log is quiescent again.
     drop(session);
@@ -331,7 +325,7 @@ fn host_crash_after_acknowledged_run_preserves_the_published_snapshot() {
             let eng = engine_on(cfg.clone(), backend);
             let mut session = eng.open_pool(&pool, Task::WordCount).unwrap();
             let out = session.traverse().unwrap();
-            let published = session.backend().published_snapshot();
+            let published = session.sim_device().published_snapshot();
             assert_ne!(published, 0, "{label} [{backend:?}]: run must publish a snapshot");
 
             // Worst case: *every* unsynced write dies with the host.
@@ -369,16 +363,12 @@ fn host_crash_mid_run_with_partial_loss_still_recovers() {
         let pool = tmp_pool(&format!("hostcrash-mid-{backend:?}"));
         let _ = std::fs::remove_file(&pool);
         let mut clean_engine = engine(EngineConfig::ntadoc_oplevel());
-        let clean = clean_engine.run(Task::WordCount).unwrap();
+        let clean = clean_engine.run_rows(Task::WordCount).unwrap();
 
         let eng = engine_on(EngineConfig::ntadoc_oplevel(), backend);
         let mut session = eng.open_pool(&pool, Task::WordCount).unwrap();
-        session.sim_device().trip_after_persists(40);
-        let attempt = catch_unwind(AssertUnwindSafe(|| session.traverse()));
-        session.sim_device().clear_trip();
-        let payload = attempt.expect_err("the armed crash must fire");
-        assert!(panic_is_injected_crash(&*payload));
-        session.crash_torn(seed);
+        let crashed = session.crash_at(CrashPoint::Persist(40), seed).unwrap();
+        assert!(crashed.is_none(), "the armed crash must fire");
         let report = session.pool_file().unwrap().host_crash(seed);
         drop(session);
         drop(eng);
@@ -395,7 +385,7 @@ fn host_crash_mid_run_with_partial_loss_still_recovers() {
         let eng = engine_on(EngineConfig::ntadoc_oplevel(), backend);
         let mut session = eng.open_pool(&pool, Task::WordCount).unwrap();
         assert_eq!(
-            session.traverse().unwrap(),
+            session.traverse_rows().unwrap(),
             clean,
             "[{backend:?}] mid-run host crash recovery diverged (kept {}, lost {})",
             report.kept,

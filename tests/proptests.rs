@@ -14,7 +14,7 @@ use common::{check_corpora, vec_of, CorpusShape};
 use ntadoc_nstruct::PHashTable;
 use ntadoc_pmem::{DeviceProfile, PmemPool, SimDevice};
 use ntadoc_repro::{
-    compress_corpus, for_each_case, Engine, EngineConfig, Grammar, Prng, Symbol, Task,
+    compress_corpus, for_each_case, CrashPoint, Engine, EngineConfig, Grammar, Prng, Symbol, Task,
     TokenizerConfig,
 };
 
@@ -546,8 +546,6 @@ fn file_pools_round_trip_and_recover_on_arbitrary_corpora() {
         CORPORA,
         |rng| (rng.next_below(200), rng.next_below(10000)),
         |files, &(point, seed)| {
-            use ntadoc_repro::panic_is_injected_crash;
-            use std::panic::{catch_unwind, AssertUnwindSafe};
             let comp = compress_corpus(files, &TokenizerConfig::default());
             if comp.grammar.stats().expanded_words == 0 {
                 return;
@@ -558,35 +556,29 @@ fn file_pools_round_trip_and_recover_on_arbitrary_corpora() {
             let cfg = EngineConfig::ntadoc_oplevel();
             let mut clean_engine =
                 Engine::builder(comp.clone()).config(cfg.clone()).build().unwrap();
-            let clean = clean_engine.run(Task::WordCount).unwrap();
+            let clean = clean_engine.run_rows(Task::WordCount).unwrap();
             let engine = Engine::builder(comp.clone()).config(cfg.clone()).build().unwrap();
 
             // Create + run + clean shutdown.
             let mut session = engine.open_pool(&path, Task::WordCount).unwrap();
-            assert_eq!(&session.traverse().unwrap(), &clean);
+            assert_eq!(session.traverse_rows().unwrap(), clean);
             drop(session);
 
             // Reopen after clean shutdown: the checksummed header validates
             // and the deterministic re-init converges.
             let mut session = engine.open_pool(&path, Task::WordCount).unwrap();
-            assert_eq!(&session.traverse().unwrap(), &clean);
+            assert_eq!(session.traverse_rows().unwrap(), clean);
 
             // Tear an arbitrary persist point (if the workload reaches it)
             // and recover from nothing but the on-disk bytes.
-            session.sim_device().trip_after_persists(point);
-            let attempt = catch_unwind(AssertUnwindSafe(|| session.traverse()));
-            session.sim_device().clear_trip();
-            if let Err(payload) = attempt {
-                assert!(
-                    panic_is_injected_crash(&*payload),
-                    "a non-injected panic escaped (torn seed {})",
-                    seed
-                );
-                session.crash_torn(seed);
-                session.pool_file().unwrap().verify_file_matches_device().unwrap();
-                drop(session);
-                let mut session = engine.open_pool(&path, Task::WordCount).unwrap();
-                assert_eq!(&session.traverse().unwrap(), &clean);
+            let crashed = session.crash_at(CrashPoint::Persist(point), seed);
+            match crashed.unwrap_or_else(|e| panic!("torn seed {seed}: {e}")) {
+                Some(rows) => assert_eq!(rows, clean, "torn seed {seed}: completed run differs"),
+                None => {
+                    drop(session);
+                    let mut session = engine.open_pool(&path, Task::WordCount).unwrap();
+                    assert_eq!(session.traverse_rows().unwrap(), clean);
+                }
             }
             let _ = std::fs::remove_file(&path);
         },
