@@ -100,8 +100,15 @@ pub struct PoolBuf {
 impl PoolBuf {
     /// One device read of `len` bytes at `addr` into the byte buffer.
     fn fill(&mut self, dev: &SimDevice, addr: Addr, len: usize) {
+        if let Err(e) = self.try_fill(dev, addr, len) {
+            panic!("{e}");
+        }
+    }
+
+    /// [`fill`](Self::fill), a media error returned rather than raised.
+    fn try_fill(&mut self, dev: &SimDevice, addr: Addr, len: usize) -> Result<()> {
         self.bytes.resize(len, 0);
-        dev.read_bytes(addr, &mut self.bytes);
+        dev.try_read_bytes(addr, &mut self.bytes)
     }
 }
 
@@ -531,22 +538,31 @@ impl DagPool {
         Ok((addr, bytes.len()))
     }
 
-    /// Read back rule `r`'s cached word list, decoded into `buf`.
-    pub fn wordlist<'b>(&self, r: u32, buf: &'b mut PoolBuf) -> &'b [(u32, u64)] {
+    /// Where rule `r`'s cached word list lives: its address and encoded
+    /// length in bytes.
+    pub fn wordlist_region(&self, r: u32) -> (Addr, usize) {
         let addr = self.dev.read_u64(self.meta.wl_off + r as u64 * 8);
         let len = self.dev.read_u32(self.meta.wl_len + r as u64 * 4) as usize;
+        let nbytes = match self.layout {
+            PoolLayoutConfig::Fixed => len * 12,
+            PoolLayoutConfig::Varint => len,
+        };
+        (addr, nbytes)
+    }
+
+    /// Read back rule `r`'s cached word list, decoded into `buf`. A media
+    /// error on the list's lines is returned, not raised: a served query
+    /// that meets one fails, and the daemon answers the next.
+    pub fn wordlist<'b>(&self, r: u32, buf: &'b mut PoolBuf) -> Result<&'b [(u32, u64)]> {
+        let (addr, nbytes) = self.wordlist_region(r);
         buf.counts.clear();
-        if len > 0 {
-            let nbytes = match self.layout {
-                PoolLayoutConfig::Fixed => len * 12,
-                PoolLayoutConfig::Varint => len,
-            };
-            buf.fill(&self.dev, addr, nbytes);
+        if nbytes > 0 {
+            buf.try_fill(&self.dev, addr, nbytes)?;
             decode_wordlist(self.layout, &buf.bytes, &mut buf.counts)
                 .expect("pool-resident word list");
             self.charge_decode(buf.counts.len() * 2, nbytes);
         }
-        &buf.counts
+        Ok(&buf.counts)
     }
 
     // ---- dictionary ------------------------------------------------------
@@ -609,7 +625,7 @@ mod tests {
     }
 
     fn wordlist(dag: &DagPool, r: u32) -> Vec<(u32, u64)> {
-        dag.wordlist(r, &mut PoolBuf::default()).to_vec()
+        dag.wordlist(r, &mut PoolBuf::default()).unwrap().to_vec()
     }
 
     fn build(comp: &Compressed, pruned: bool, adjacent: bool) -> DagPool {

@@ -152,6 +152,13 @@ impl RunScaffold {
         self.ledger.on_alloc(DeviceKind::Dram, bytes);
     }
 
+    /// Record a host-side DRAM buffer that comes and goes within one step
+    /// (a merge's cursors): it can raise the peak, and buffers of steps
+    /// running side by side do not stack ([`AllocLedger::on_transient`]).
+    pub(crate) fn note_transient_dram(&self, bytes: u64) {
+        self.ledger.on_transient(DeviceKind::Dram, bytes);
+    }
+
     /// Record host-side DRAM release.
     pub(crate) fn drop_dram(&self, bytes: u64) {
         self.ledger.on_free(DeviceKind::Dram, bytes);

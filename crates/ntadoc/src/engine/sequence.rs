@@ -258,7 +258,7 @@ impl Session {
                     junctions.extend(tally(&mut w.ids));
                     let (addr, len) = dag.store_wordlist(r, &junctions)?; // junction list
                     self.op_guard(addr, len)?;
-                    w.merge.list(dag.wordlist(r, &mut w.list), weight);
+                    w.merge.list(dag.wordlist(r, &mut w.list)?, weight);
                 }
             }
         }

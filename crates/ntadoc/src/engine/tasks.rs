@@ -195,7 +195,7 @@ impl Session {
     /// Rule `r`'s cached word (or sequence) list, read sequentially from
     /// the pool into `buf`.
     pub(crate) fn cached_list<'b>(&self, r: u32, buf: &'b mut PoolBuf) -> Result<&'b [(u32, u64)]> {
-        let list = self.dag()?.wordlist(r, buf);
+        let list = self.dag()?.wordlist(r, buf)?;
         self.sc.charge_items(list.len() as u64);
         Ok(list)
     }
@@ -295,13 +295,13 @@ impl Session {
     /// modeled CPU cost and DRAM footprint are a streaming k-way merge's,
     /// one cursor per input list; the host sums each list as it is read
     /// into [`Merge`]'s array and sorts the distinct ids — the same list.
+    /// The merge's cursors are a transient DRAM buffer, so merges run side
+    /// by side (a cache level, a query's files) reach the peak one merge
+    /// after another would.
     pub(crate) fn merged(&self, merge: &mut Merge) -> Counts {
-        let transient = (merge.lists + 1) * 64;
-        self.sc.note_dram(transient);
+        self.sc.note_transient_dram((merge.lists + 1) * 64);
         self.sc.charge_items(merge.entries * 2);
-        let out = merge.drain();
-        self.sc.drop_dram(transient);
-        out
+        merge.drain()
     }
 
     /// The engine's bottom-up dependency levels without the root, whose
@@ -451,25 +451,14 @@ impl Session {
     /// session selected (§VI-E).
     fn per_file_word_tables(&self) -> Result<Vec<Counts>> {
         let strategy = self.strategy();
-        let (mut r0, mut w) = (PoolBuf::default(), Work::default());
+        let mut r0 = PoolBuf::default();
+        let body = self.r0_body(&mut r0)?;
+        if strategy == Traversal::BottomUp && self.sc.cfg.pruned {
+            return self.per_file_merges(body);
+        }
+        let mut w = Work::default();
         let mut out = Vec::new();
-        for seg in self.r0_body(&mut r0)?.split(|s| s.is_sep()) {
-            if strategy == Traversal::BottomUp && self.sc.cfg.pruned {
-                // N-TADOC bottom-up: merge the cached, id-sorted word
-                // lists of the segment's subrules (sequential pool reads).
-                w.ids.clear();
-                self.sc.charge_items(seg.len() as u64);
-                for s in seg {
-                    if s.is_word() {
-                        w.ids.push(s.payload());
-                    } else if s.is_rule() {
-                        w.merge.list(self.cached_list(s.payload(), &mut w.list)?, 1);
-                    }
-                }
-                w.merge.tally(&mut w.ids);
-                out.push(self.merged(&mut w.merge));
-                continue;
-            }
+        for seg in body.split(|s| s.is_sep()) {
             let presize = self.sc.cfg.presize;
             let expected = if presize { self.file_bound(seg)? } else { 8 };
             let table = self.sc.scratch_table(self.sized(expected), presize)?;
@@ -506,6 +495,36 @@ impl Session {
             out.push(counts_of(&table));
         }
         Ok(out)
+    }
+
+    /// N-TADOC bottom-up per-file tables: each file's list merges the
+    /// cached, id-sorted word lists of its segment's subrules (sequential
+    /// pool reads) with the segment's own words.
+    ///
+    /// The files are independent, so they go through
+    /// [`par::par_map_absorbed`]: a served query, which runs under a
+    /// deferred sink of its own, merges them on every worker and is
+    /// charged the serial sum; a batch run has no sink here and merges
+    /// them in order on the line-cache model.
+    fn per_file_merges(&self, r0: &[Symbol]) -> Result<Vec<Counts>> {
+        let segs: Vec<&[Symbol]> = r0.split(|s| s.is_sep()).collect();
+        let merged = par::par_map_absorbed(&segs, |_, &seg| {
+            with_work(|w| {
+                w.ids.clear();
+                self.sc.charge_items(seg.len() as u64);
+                for s in seg {
+                    if s.is_word() {
+                        w.ids.push(s.payload());
+                    } else if s.is_rule() {
+                        w.merge.list(self.cached_list(s.payload(), &mut w.list)?, 1);
+                    }
+                }
+                w.merge.tally(&mut w.ids);
+                Ok(self.merged(&mut w.merge))
+            })
+        });
+        release_work();
+        merged
     }
 }
 
@@ -611,6 +630,59 @@ mod tests {
         }
         release_work();
         assert_eq!(with_work(|w| Ok(w.merge.slots.len())).unwrap(), 0, "released with the rest");
+    }
+
+    /// A media error on a cached list that file `k` is the first to read
+    /// fails a served term vector with that error; the error and the
+    /// device's counts afterwards come out the same at one worker and at
+    /// four.
+    #[test]
+    fn a_faulted_file_list_fails_a_served_query_alike_at_any_worker_count() {
+        use crate::query::{Query, TenantId};
+        use ntadoc_grammar::{compress_corpus, TokenizerConfig};
+        let files: Vec<(String, String)> = (0..16)
+            .map(|i| (format!("f{i}"), format!("shared words own{i} phrase{i} again ").repeat(6)))
+            .collect();
+        let comp = compress_corpus(&files, &TokenizerConfig::default());
+        let k = 9;
+        let served = |threads: usize| {
+            par::with_threads(threads, || {
+                let engine = crate::Engine::builder(comp.clone())
+                    .config(crate::EngineConfig::ntadoc())
+                    .build()
+                    .unwrap();
+                let serve = engine.serve().unwrap();
+                let session = &serve.session;
+                let mut r0 = PoolBuf::default();
+                let segs: Vec<Vec<Symbol>> = session
+                    .r0_body(&mut r0)
+                    .unwrap()
+                    .split(|s| s.is_sep())
+                    .map(<[Symbol]>::to_vec)
+                    .collect();
+                let reads =
+                    |seg: &[Symbol], r: u32| seg.iter().any(|s| s.is_rule() && s.payload() == r);
+                let r = segs[k]
+                    .iter()
+                    .filter(|s| s.is_rule())
+                    .map(|s| s.payload())
+                    .find(|&r| segs[..k].iter().all(|seg| !reads(seg, r)))
+                    .expect("file k reads a list no earlier file does");
+                let (addr, nbytes) = session.dag().unwrap().wordlist_region(r);
+                assert!(nbytes > 0);
+                let dev = serve.sim_device();
+                dev.inject_read_fault(addr);
+                let before = dev.stats();
+                let query = Query::new(TenantId(1), Task::TermVector);
+                let err = serve.run_queries(&[query]).expect_err("the faulted list fails it");
+                let line = addr & !(dev.profile().line_size as u64 - 1);
+                assert!(matches!(err, PmemError::MediaError { addr } if addr == line), "{err:?}");
+                let after = dev.stats();
+                assert!(after.reads > before.reads, "the files before the fault were charged");
+                (format!("{err:?}"), before, after)
+            })
+        };
+        assert_eq!(served(4), served(1));
     }
 
     #[test]

@@ -244,6 +244,22 @@ impl DeferredCharges {
         self.line_misses.iter().map(|c| c.load(Ordering::Relaxed)).sum()
     }
 
+    /// Add everything `item` captured — its cost and its per-shard read,
+    /// byte, line-fetch and retry counters — to this sink, as if this
+    /// sink's thread had issued those accesses itself. Call it from the
+    /// thread that has this sink installed (or while no thread has), once
+    /// `item` is no longer installed anywhere: the runner that made `item`
+    /// reads it on the caller after joining the worker that wrote it.
+    pub fn absorb(&self, item: &DeferredCharges) {
+        bump(&self.ns, item.ns());
+        for s in 0..READ_SHARDS {
+            bump(&self.reads[s], item.reads[s].load(Ordering::Relaxed));
+            bump(&self.bytes_read[s], item.bytes_read[s].load(Ordering::Relaxed));
+            bump(&self.line_misses[s], item.line_misses[s].load(Ordering::Relaxed));
+            bump(&self.retries[s], item.retries[s].load(Ordering::Relaxed));
+        }
+    }
+
     /// Add `ns` to the item's cost.
     pub(super) fn charge(&self, ns: u64) {
         bump(&self.ns, ns);
@@ -323,7 +339,7 @@ pub fn with_deferred_charges<R>(sink: &DeferredCharges, f: impl FnOnce() -> R) -
 /// Run `f` on this thread's deferred sink, if it is inside a
 /// [`with_deferred_charges`] region.
 #[inline]
-pub(super) fn with_sink<R>(f: impl FnOnce(Option<&DeferredCharges>) -> R) -> R {
+pub(crate) fn with_sink<R>(f: impl FnOnce(Option<&DeferredCharges>) -> R) -> R {
     DEFERRED_SINK.with(|c| {
         let p = c.get();
         // SAFETY: a non-null pointer was installed by
@@ -434,5 +450,52 @@ impl SharedCounters {
                 retries: s.retries.load(Ordering::Relaxed),
             })
             .collect()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::device::SimDevice;
+
+    /// Every counter of a sink, shard by shard.
+    fn counters(c: &DeferredCharges) -> Vec<u64> {
+        let all = [&c.reads, &c.bytes_read, &c.line_misses, &c.retries];
+        let mut out = vec![c.ns()];
+        out.extend(all.iter().flat_map(|a| a.iter().map(|x| x.load(Ordering::Relaxed))));
+        out
+    }
+
+    /// Three reads of `64 × n` bytes at spread addresses, and some model
+    /// time.
+    fn work(dev: &SimDevice, from: u64, n: usize) {
+        let mut buf = vec![0u8; 64 * n];
+        for k in from..from + 3 {
+            dev.read_bytes(k * 4160, &mut buf);
+            dev.charge_ns(k);
+        }
+    }
+
+    /// Absorbing two items' sinks, each filled on a thread of its own,
+    /// gives the counts of one sink that saw both items' accesses.
+    #[test]
+    fn absorbing_item_sinks_adds_every_counter() {
+        let dev = SimDevice::new(DeviceProfile::nvm_optane(), 1 << 20);
+        let both = DeferredCharges::new();
+        with_deferred_charges(&both, || {
+            work(&dev, 0, 3);
+            work(&dev, 7, 18);
+        });
+        let items = [DeferredCharges::new(), DeferredCharges::new()];
+        std::thread::scope(|s| {
+            s.spawn(|| with_deferred_charges(&items[0], || work(&dev, 0, 3)));
+            s.spawn(|| with_deferred_charges(&items[1], || work(&dev, 7, 18)));
+        });
+        let caller = DeferredCharges::new();
+        with_deferred_charges(&caller, || items.iter().for_each(|c| caller.absorb(c)));
+        assert_eq!(counters(&caller), counters(&both));
+        assert!(caller.ns() > 0 && caller.reads() == 6 && caller.line_misses() > 6);
+        // The items are left as they were.
+        assert_eq!(items[0].reads(), 3);
     }
 }

@@ -68,7 +68,8 @@ pub use plane::READ_SHARDS;
 
 use durability::Durability;
 use faults::Faults;
-use meter::{with_sink, LineCosts, Meter, SharedCounters};
+pub(crate) use meter::with_sink;
+use meter::{LineCosts, Meter, SharedCounters};
 use plane::DataPlane;
 
 /// Byte offset on a device.

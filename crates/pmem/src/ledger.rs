@@ -44,6 +44,17 @@ impl AllocLedger {
         u.current = u.current.saturating_sub(bytes);
     }
 
+    /// Record a buffer of `bytes` on `kind` that is allocated and freed
+    /// with nothing else resident coming or going meanwhile: the peak
+    /// rises to `current + bytes` if that is higher, and `current` stays.
+    /// Buffers booked this way on several threads at once never stack, so
+    /// the peak is the one a single thread booking them in turn reaches.
+    pub fn on_transient(&self, kind: DeviceKind, bytes: u64) {
+        let mut usage = self.usage.lock().unwrap_or_else(|e| e.into_inner());
+        let u = usage.entry(kind).or_default();
+        u.peak = u.peak.max(u.current + bytes);
+    }
+
     /// Bytes currently resident on `kind`.
     pub fn current(&self, kind: DeviceKind) -> u64 {
         self.usage.lock().unwrap_or_else(|e| e.into_inner()).get(&kind).map_or(0, |u| u.current)
@@ -72,6 +83,23 @@ mod tests {
         l.on_free(DeviceKind::Dram, 120);
         assert_eq!(l.current(DeviceKind::Dram), 30);
         assert_eq!(l.peak(DeviceKind::Dram), 150);
+    }
+
+    #[test]
+    fn transients_raise_the_peak_and_hold_nothing() {
+        let l = AllocLedger::new();
+        l.on_alloc(DeviceKind::Dram, 100);
+        l.on_transient(DeviceKind::Dram, 30);
+        l.on_transient(DeviceKind::Dram, 20);
+        assert_eq!((l.current(DeviceKind::Dram), l.peak(DeviceKind::Dram)), (100, 130));
+        // The same as an allocation freed before the next one.
+        let m = AllocLedger::new();
+        m.on_alloc(DeviceKind::Dram, 100);
+        for b in [30, 20] {
+            m.on_alloc(DeviceKind::Dram, b);
+            m.on_free(DeviceKind::Dram, b);
+        }
+        assert_eq!((m.current(DeviceKind::Dram), m.peak(DeviceKind::Dram)), (100, 130));
     }
 
     #[test]

@@ -26,11 +26,19 @@
 //! so the join is identical for any `RAYON_NUM_THREADS`. The reported time
 //! models the workload running on that many parallel memory channels
 //! rather than serializing it.
+//!
+//! A fan-out *inside* one item of such a region — a served query merging
+//! its files — joins differently: [`par_map_absorbed`] adds its items'
+//! sinks to the enclosing item's sink, in item order, so the enclosing
+//! item is charged exactly what it would have been had it run them one
+//! after another itself. The workers are host execution; the model still
+//! prices one item's work as one serial stream.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
-use crate::device::{with_deferred_charges, DeferredCharges, SimDevice};
+use crate::device::{with_deferred_charges, with_sink, DeferredCharges, SimDevice};
 
 /// Virtual lanes used by the makespan join. Models the parallelism of the
 /// simulated hardware, decoupled from how many OS threads execute the
@@ -58,27 +66,30 @@ pub fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
 }
 
 /// Worker threads to use: the [`with_threads`] override if active, else
-/// `RAYON_NUM_THREADS`, else the machine's available parallelism.
+/// `RAYON_NUM_THREADS`, else the machine's available parallelism. The
+/// environment is read once per process (the first call decides): every
+/// served miss asks, and `available_parallelism` reads cgroup files.
 pub fn thread_count() -> usize {
     let over = THREADS_OVERRIDE.with(|c| c.get());
     if over > 0 {
         return over;
     }
-    if let Ok(v) = std::env::var("RAYON_NUM_THREADS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n > 0 {
-                return n;
-            }
-        }
-    }
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+    static FROM_ENV: OnceLock<usize> = OnceLock::new();
+    *FROM_ENV.get_or_init(|| {
+        std::env::var("RAYON_NUM_THREADS")
+            .ok()
+            .and_then(|v| v.trim().parse::<usize>().ok())
+            .filter(|&n| n > 0)
+            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+    })
 }
 
 /// Map `f` over `items` on [`thread_count`] workers, returning results in
-/// item order. Items are claimed from a shared atomic counter, so the
-/// *schedule* is nondeterministic — only use this for work whose
-/// side-effects commute (or none). A panicking item propagates its panic
-/// to the caller.
+/// item order. The calling thread is one of the workers: it spawns the
+/// others and claims items beside them. Items are claimed from a shared
+/// atomic counter, so the *schedule* is nondeterministic — only use this
+/// for work whose side-effects commute (or none). A panicking item
+/// propagates its panic to the caller.
 pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
@@ -90,29 +101,28 @@ where
         return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
     }
     let next = AtomicUsize::new(0);
-    let mut collected: Vec<(usize, R)> = Vec::with_capacity(items.len());
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                s.spawn(|| {
-                    let mut local = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= items.len() {
-                            break;
-                        }
-                        local.push((i, f(i, &items[i])));
-                    }
-                    local
-                })
-            })
-            .collect();
+    let claim = || {
+        let mut local = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= items.len() {
+                break;
+            }
+            local.push((i, f(i, &items[i])));
+        }
+        local
+    };
+    let mut collected: Vec<(usize, R)> = std::thread::scope(|s| {
+        let handles: Vec<_> = (1..workers).map(|_| s.spawn(claim)).collect();
+        let mut collected = Vec::with_capacity(items.len());
+        collected.extend(claim());
         for h in handles {
             match h.join() {
                 Ok(local) => collected.extend(local),
                 Err(payload) => std::panic::resume_unwind(payload),
             }
         }
+        collected
     });
     collected.sort_by_key(|(i, _)| *i);
     collected.into_iter().map(|(_, r)| r).collect()
@@ -133,6 +143,39 @@ where
     let sinks: Vec<DeferredCharges> = items.iter().map(|_| DeferredCharges::new()).collect();
     let results = par_map(items, |i, t| with_deferred_charges(&sinks[i], || f(i, t)));
     (results, sinks)
+}
+
+/// Map the fallible `f` over `items` as one item of an enclosing deferred
+/// region, charging the caller what a plain loop would have.
+///
+/// With a deferred sink installed on the calling thread and more than one
+/// worker, the items fan out over [`par_map_timed`] and their sinks are
+/// added to the caller's in item order ([`DeferredCharges::absorb`]):
+/// deferred accesses pay a streaming cost that no schedule changes, so the
+/// caller's virtual time, reads, bytes and per-shard line fetches come out
+/// as if this thread had run the items in turn. If an item fails, only
+/// items up to and including the first failure are absorbed and its error
+/// is returned — the charges of a loop that stops there. Items past it may
+/// have run; use this for items whose only device effect is what they
+/// charge (reads). Otherwise the items run in order on this thread, as the
+/// plain loop, under whatever cost model the caller has.
+pub fn par_map_absorbed<T, R, E, F>(items: &[T], f: F) -> Result<Vec<R>, E>
+where
+    T: Sync,
+    R: Send,
+    E: Send,
+    F: Fn(usize, &T) -> Result<R, E> + Sync,
+{
+    if with_sink(|sink| sink.is_none()) || thread_count().min(items.len()) <= 1 {
+        return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
+    }
+    let (results, charges) = par_map_timed(items, f);
+    let upto = results.iter().position(Result::is_err).map_or(results.len(), |k| k + 1);
+    with_sink(|sink| {
+        let sink = sink.expect("the caller's sink is still installed");
+        charges[..upto].iter().for_each(|c| sink.absorb(c));
+    });
+    results.into_iter().collect()
 }
 
 /// Barrier join for a [`par_map_timed`] batch: merge the per-item read
@@ -173,7 +216,7 @@ pub fn lanes_makespan(item_ns: &[u64], lanes: usize) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::device::SimDevice;
+    use crate::device::{ReadShardStats, SimDevice};
     use crate::profile::DeviceProfile;
 
     /// Items per test: Miri interprets every access, so it gets a few.
@@ -188,6 +231,30 @@ mod tests {
             let out = with_threads(threads, || par_map(&items, |_, &x| x * 2));
             assert_eq!(out, items.iter().map(|x| x * 2).collect::<Vec<_>>());
         }
+    }
+
+    /// One worker spawns nothing: the items run on the calling thread, in
+    /// order. More workers put the calling thread to work beside them.
+    #[test]
+    fn the_calling_thread_is_one_of_the_workers() {
+        let caller = std::thread::current().id();
+        let items = items(64);
+        let seen = std::sync::Mutex::new(Vec::new());
+        with_threads(1, || {
+            par_map(&items, |i, _| seen.lock().unwrap().push((i, std::thread::current().id())))
+        });
+        let seen = seen.into_inner().unwrap();
+        assert_eq!(seen, (0..items.len()).map(|i| (i, caller)).collect::<Vec<_>>());
+        // Two items that wait for each other: each holds one of the two
+        // workers, so one of them is this thread.
+        let both = std::sync::Barrier::new(2);
+        let ids = with_threads(2, || {
+            par_map(&[0, 1], |_, _| {
+                both.wait();
+                std::thread::current().id()
+            })
+        });
+        assert!(ids.contains(&caller) && ids[0] != ids[1], "{ids:?}");
     }
 
     #[test]
@@ -253,6 +320,119 @@ mod tests {
             assert_eq!(charges.iter().map(own).collect::<Vec<_>>(), expect, "{threads} workers");
             join_deferred(&dev, &charges);
             assert_eq!(totals(&dev), totals(&serial_dev), "{threads} workers");
+        }
+    }
+
+    /// Item `i` of the absorbed-fan-out tests: reads of a few lines at
+    /// spread addresses (some shared between items, so a line cache would
+    /// hit), and `i` ns of model time.
+    fn absorbed_item(dev: &SimDevice, i: u64) {
+        let mut buf = vec![0u8; 64 * (i as usize % 7 + 1)];
+        for k in 0..i % 4 + 1 {
+            dev.read_bytes((i * 5 + k) % 24 * 4096 + k * 64, &mut buf);
+        }
+        dev.charge_ns(i);
+    }
+
+    /// The device's view of everything charged so far: clock, reads,
+    /// bytes, line fetches and hits, and the per-shard read totals.
+    fn device_view(dev: &SimDevice) -> (u64, u64, u64, u64, u64, Vec<ReadShardStats>) {
+        let s = dev.stats();
+        (s.virtual_ns, s.reads, s.bytes_read, s.line_misses, s.line_hits, dev.read_shard_stats())
+    }
+
+    /// Under a caller's sink, an absorbed fan-out charges that sink what
+    /// the items run inline under it charge — at any worker count.
+    #[test]
+    fn absorbed_items_charge_the_caller_what_an_inline_loop_does() {
+        let items = items(40);
+        let inline_dev = SimDevice::new(DeviceProfile::nvm_optane(), 1 << 20);
+        let inline = DeferredCharges::new();
+        with_deferred_charges(&inline, || {
+            items.iter().for_each(|&i| absorbed_item(&inline_dev, i))
+        });
+        join_deferred(&inline_dev, std::slice::from_ref(&inline));
+        let expect = device_view(&inline_dev);
+        assert!(expect.0 > 0 && expect.3 > 0, "{expect:?}");
+        for threads in [1, 2, 8] {
+            let dev = SimDevice::new(DeviceProfile::nvm_optane(), 1 << 20);
+            let caller = DeferredCharges::new();
+            let out = with_threads(threads, || {
+                with_deferred_charges(&caller, || {
+                    par_map_absorbed(&items, |_, &i| {
+                        absorbed_item(&dev, i);
+                        Ok::<_, ()>(i * 3)
+                    })
+                })
+            });
+            assert_eq!(out, Ok(items.iter().map(|i| i * 3).collect()), "{threads} workers");
+            assert_eq!(dev.stats().virtual_ns, 0, "{threads} workers: all of it in the sink");
+            join_deferred(&dev, std::slice::from_ref(&caller));
+            assert_eq!(device_view(&dev), expect, "{threads} workers");
+        }
+    }
+
+    /// With no sink on the calling thread, an absorbed fan-out is the plain
+    /// loop: same order, same line-cache model, hits included.
+    #[test]
+    fn absorbed_items_without_a_sink_are_a_plain_loop() {
+        let items = items(40);
+        let plain_dev = SimDevice::new(DeviceProfile::nvm_optane(), 1 << 20);
+        items.iter().for_each(|&i| absorbed_item(&plain_dev, i));
+        let expect = device_view(&plain_dev);
+        assert!(expect.4 > 0, "the items share lines: {expect:?}");
+        for threads in [1, 4] {
+            let dev = SimDevice::new(DeviceProfile::nvm_optane(), 1 << 20);
+            let order = std::sync::Mutex::new(Vec::new());
+            let out = with_threads(threads, || {
+                par_map_absorbed(&items, |i, &x| {
+                    order.lock().unwrap().push(i);
+                    absorbed_item(&dev, x);
+                    Ok::<_, ()>(())
+                })
+            });
+            assert_eq!(out.map(|v| v.len()), Ok(items.len()));
+            assert_eq!(order.into_inner().unwrap(), (0..items.len()).collect::<Vec<_>>());
+            assert_eq!(device_view(&dev), expect, "{threads} workers");
+        }
+    }
+
+    /// An item that fails at `k`: the caller is charged items `0..=k`, as
+    /// a loop that stops at the failure is, and gets `k`'s error.
+    #[test]
+    fn a_failed_absorbed_item_charges_what_the_loop_did_up_to_it() {
+        let items = items(24);
+        let n = items.len() as u64;
+        for k in [0, n / 2, n - 1] {
+            // Items from `k` on fail every third one, each with its index.
+            let fails = |i: u64| i >= k && (i - k).is_multiple_of(3);
+            let expect = DeferredCharges::new();
+            let expect_dev = SimDevice::new(DeviceProfile::nvm_optane(), 1 << 20);
+            with_deferred_charges(&expect, || (0..=k).for_each(|i| absorbed_item(&expect_dev, i)));
+            join_deferred(&expect_dev, std::slice::from_ref(&expect));
+            for threads in [1, 2, 8] {
+                let dev = SimDevice::new(DeviceProfile::nvm_optane(), 1 << 20);
+                let caller = DeferredCharges::new();
+                let out = with_threads(threads, || {
+                    with_deferred_charges(&caller, || {
+                        par_map_absorbed(&items, |_, &i| {
+                            absorbed_item(&dev, i);
+                            if fails(i) {
+                                Err(i)
+                            } else {
+                                Ok(())
+                            }
+                        })
+                    })
+                });
+                assert_eq!(out, Err(k), "{threads} workers");
+                join_deferred(&dev, std::slice::from_ref(&caller));
+                assert_eq!(
+                    device_view(&dev),
+                    device_view(&expect_dev),
+                    "failure at {k}, {threads} workers"
+                );
+            }
         }
     }
 

@@ -315,6 +315,25 @@ const PINNED: &[(&str, &str, Pin)] = &[
     ("serve", "batch", [2371555, 3742833, 7913, 3139, 10917, 615, 0, 2, 36142, 158679]),
 ];
 
+/// The `serve` rows of [`PINNED`]: each servable task through a fresh
+/// serve session of its own, then all four as one batch.
+fn serve_rows(comp: &std::sync::Arc<Compressed>) -> Vec<(&'static str, &'static str, Pin)> {
+    let engine = Engine::builder(comp.clone()).config(EngineConfig::ntadoc()).build().unwrap();
+    let servable = [Task::WordCount, Task::Sort, Task::TermVector, Task::InvertedIndex];
+    let mut rows = Vec::new();
+    for task in servable {
+        let serve = engine.serve().unwrap();
+        serve.run_queries(&[Query::new(TenantId(1), task)]).unwrap();
+        rows.push(("serve", task.name(), pin_of(&serve.report())));
+    }
+    let serve = engine.serve().unwrap();
+    let batch: Vec<Query> =
+        servable.iter().zip(1..).map(|(&task, t)| Query::new(TenantId(t), task)).collect();
+    serve.run_queries(&batch).unwrap();
+    rows.push(("serve", "batch", pin_of(&serve.report())));
+    rows
+}
+
 /// What `ntadoc run <task>` prints on stderr for the paper's system: the
 /// `ntadoc` rows of [`PINNED`] as [`RunReport::summary_line`] words them.
 const SUMMARIES: [&str; 6] = [
@@ -369,18 +388,7 @@ fn run_summaries_are_pinned() {
                 rows.push((name, task.name(), pin_of(engine.last_report.as_ref().unwrap())));
             }
         }
-        let engine = Engine::builder(comp.clone()).config(EngineConfig::ntadoc()).build().unwrap();
-        let servable = [Task::WordCount, Task::Sort, Task::TermVector, Task::InvertedIndex];
-        for task in servable {
-            let serve = engine.serve().unwrap();
-            serve.run_queries(&[Query::new(TenantId(1), task)]).unwrap();
-            rows.push(("serve", task.name(), pin_of(&serve.report())));
-        }
-        let serve = engine.serve().unwrap();
-        let batch: Vec<Query> =
-            servable.iter().zip(1..).map(|(&task, t)| Query::new(TenantId(t), task)).collect();
-        serve.run_queries(&batch).unwrap();
-        rows.push(("serve", "batch", pin_of(&serve.report())));
+        rows.extend(serve_rows(&comp));
     });
     if rows != PINNED {
         let table: String =
@@ -388,4 +396,14 @@ fn run_summaries_are_pinned() {
         panic!("the model moved; this run's table:\n{table}");
     }
     assert_eq!(summaries, SUMMARIES);
+}
+
+/// A served query merges its files on every worker and is charged the
+/// serial sum: [`PINNED`]'s `serve` rows hold at four workers too.
+#[test]
+fn served_rows_are_pinned_at_four_workers() {
+    let comp = std::sync::Arc::new(fixed_compressed(100, 250));
+    let rows = par::with_threads(4, || serve_rows(&comp));
+    let pinned: Vec<_> = PINNED.iter().filter(|row| row.0 == "serve").copied().collect();
+    assert_eq!(rows, pinned);
 }

@@ -231,27 +231,23 @@ fn serve_session_reports_are_identical_for_any_worker_count() {
         .map(|i| [Task::WordCount, Task::Sort, Task::TermVector, Task::InvertedIndex][i % 4])
         .collect();
     // Engine build, session init and the batch all run at `threads`
-    // workers. The DRAM high-water mark is compared on its own: it is the
-    // one value that follows the schedule (transient merge buffers of
-    // concurrent items may overlap; DESIGN.md leaves it out of the
-    // guarantee).
+    // workers. The DRAM high-water mark is part of the report: a merge's
+    // transient buffer raises the peak without holding bytes, so merges
+    // run side by side — a cache level's rules, a batch's queries, a
+    // query's files — reach the peak one after another would.
     let serve_report = |threads: usize| {
         par::with_threads(threads, || {
             let engine =
                 Engine::builder(comp.clone()).config(EngineConfig::ntadoc()).build().unwrap();
             let serve = engine.serve().unwrap();
             serve.run_queries(&queries(&batch)).unwrap();
-            let mut report = serve.report();
-            let peak = report.metric_f64(METRIC_DRAM_PEAK).expect("DRAM peak is reported");
-            report.metrics.remove(METRIC_DRAM_PEAK);
-            (report, peak)
+            serve.report()
         })
     };
-    let (base, serial_peak) = serve_report(1);
-    // One worker has no schedule: its peak is exact.
-    assert_eq!(serve_report(1).1, serial_peak, "DRAM peak diverged between 1-thread runs");
+    let base = serve_report(1);
+    assert!(base.metric_f64(METRIC_DRAM_PEAK).is_some(), "DRAM peak is reported");
     for threads in [4, 8] {
-        let (rep, peak) = serve_report(threads);
+        let rep = serve_report(threads);
         assert_eq!(rep.spans, base.spans, "serve span tree diverged at {threads} threads");
         assert_eq!(rep.metrics, base.metrics, "serve metrics diverged at {threads} threads");
         assert_eq!(
@@ -259,11 +255,75 @@ fn serve_session_reports_are_identical_for_any_worker_count() {
             base.to_json().pretty(),
             "serve serialized report diverged at {threads} threads"
         );
-        // Concurrent items only ever add to what is resident, and at most
-        // `threads` of them hold their transients at once.
-        assert!(
-            serial_peak <= peak && peak <= serial_peak * threads as f64,
-            "DRAM peak {peak} at {threads} threads outside [{serial_peak}, {threads} x {serial_peak}]"
-        );
+    }
+    // A batch of one: a term vector or inverted index merges its files
+    // on every worker.
+    for task in [Task::TermVector, Task::InvertedIndex] {
+        let one = |threads: usize| {
+            par::with_threads(threads, || {
+                let engine =
+                    Engine::builder(comp.clone()).config(EngineConfig::ntadoc()).build().unwrap();
+                let serve = engine.serve().unwrap();
+                serve.run_queries(&queries(&[task])).unwrap();
+                serve.report()
+            })
+        };
+        let base = one(1);
+        for threads in [2, 4] {
+            let rep = one(threads);
+            assert_eq!(rep.spans, base.spans, "{task}: span tree diverged at {threads} threads");
+            assert_eq!(rep.metrics, base.metrics, "{task}: metrics diverged at {threads} threads");
+            assert_eq!(
+                rep.to_json().pretty(),
+                base.to_json().pretty(),
+                "{task}: serialized report diverged at {threads} threads"
+            );
+        }
+    }
+}
+
+/// 24 files named `doc-00` … `doc-23`, each a different mix of the
+/// three texts of [`raw_files`].
+fn many_files() -> Vec<(String, String)> {
+    let texts = raw_files();
+    (0..24)
+        .map(|i| {
+            let text =
+                (0..3 + i % 5).map(|k| texts[(i + k) % 3].1.as_str()).collect::<Vec<_>>().join(" ");
+            (format!("doc-{i:02}"), text)
+        })
+        .collect()
+}
+
+/// A served term vector or inverted index merges its files on every
+/// worker. What it answers, what its tenant is charged and the span tree
+/// do not depend on how many.
+#[test]
+fn served_per_file_queries_are_identical_for_any_worker_count() {
+    let comp = compress_corpus(&many_files(), &TokenizerConfig::default());
+    for task in [Task::TermVector, Task::InvertedIndex] {
+        let query = Query::new(TenantId(7), task).top_k(5).file_filter("doc-1");
+        let served = |threads: usize| {
+            par::with_threads(threads, || {
+                let engine =
+                    Engine::builder(comp.clone()).config(EngineConfig::ntadoc()).build().unwrap();
+                let serve = engine.serve().unwrap();
+                let reply = serve.run_queries(std::slice::from_ref(&query)).unwrap();
+                let mut json = String::new();
+                reply[0].rows().write_json(&mut json);
+                let spans = serve.report().spans;
+                let leaf = spans.find("tenant:7").expect("the tenant's leaf").stats;
+                (json, (leaf.virtual_ns, leaf.reads, leaf.line_misses), spans)
+            })
+        };
+        let base = served(1);
+        assert!(base.0.contains("doc-1") && !base.0.contains("doc-2"), "{task}: {}", base.0);
+        assert!(base.1 .1 > 24, "{task}: every file's lists are read: {:?}", base.1);
+        for threads in [2, 4] {
+            let (json, leaf, spans) = served(threads);
+            assert_eq!(json, base.0, "{task}: reply diverged at {threads} threads");
+            assert_eq!(leaf, base.1, "{task}: tenant charge diverged at {threads} threads");
+            assert_eq!(spans, base.2, "{task}: span tree diverged at {threads} threads");
+        }
     }
 }
