@@ -35,12 +35,13 @@ pub(crate) fn digram_key(a: Symbol, b: Symbol) -> u64 {
     ((a.raw() as u64) << 32) | b.raw() as u64
 }
 
-/// Hash of a digram key. Two multiplications with a fold between them:
+/// Hash of a `u64` key: the workspace's one integer hash (digram keys
+/// here, raw symbols in the DAG pool's pruning). Two multiplications with a fold between them:
 /// after the first, the high half depends on both symbols and the low half
 /// on the second only; the fold carries the high half down, and the second
 /// multiplication carries everything back up.
 #[inline]
-pub(crate) fn mix(key: u64) -> u64 {
+pub fn mix(key: u64) -> u64 {
     const K: u64 = 0x9E37_79B9_7F4A_7C15;
     let x = key.wrapping_mul(K);
     (x ^ (x >> 32)).wrapping_mul(K)
@@ -48,7 +49,7 @@ pub(crate) fn mix(key: u64) -> u64 {
 
 /// [`mix`] as a [`Hasher`], for the `u64`-keyed maps of the merge passes.
 #[derive(Default)]
-pub(crate) struct KeyHasher(u64);
+pub struct KeyHasher(u64);
 
 impl Hasher for KeyHasher {
     #[inline]
@@ -68,8 +69,9 @@ impl Hasher for KeyHasher {
     }
 }
 
-/// A map keyed by [`digram_key`]s, hashed by [`mix`].
-pub(crate) type KeyMap<V> = HashMap<u64, V, BuildHasherDefault<KeyHasher>>;
+/// A map keyed by `u64`s — digram keys here, raw symbols elsewhere in the
+/// workspace — hashed by [`mix`].
+pub type KeyMap<V> = HashMap<u64, V, BuildHasherDefault<KeyHasher>>;
 
 /// Open-addressed digram → node index; see the module docs.
 pub(crate) struct DigramIndex {

@@ -46,6 +46,7 @@ pub mod tokenizer;
 pub use cfg::{Grammar, GrammarStats, Rule};
 // (CorpusBuilder is defined below in this module.)
 pub use dict::Dictionary;
+pub use digram::{mix, KeyHasher, KeyMap};
 pub use merge::{
     append_chunk, build_chunk, build_chunk_at, build_chunk_of_files, merge_chunks, plan_chunks,
     AppendOutcome, ChunkGrammar, MergeOptions, Piece,

@@ -113,13 +113,19 @@ impl HeadTailStore {
         self.row(self.tail_lens, self.tails, r, buf)
     }
 
-    /// Row `r` of one matrix: its length, then its words in one read.
+    /// Row `r` of one matrix: its length, then its words in one read, both
+    /// under one device lock.
     fn row<'b>(&self, lens: Addr, rows: Addr, r: usize, buf: &'b mut WordBuf) -> &'b [u32] {
         assert!(r < self.rules);
-        let dev = self.pool.dev();
-        let len = dev.read_u32(lens + (r * 4) as u64) as usize;
-        buf.bytes.resize(len * 4, 0);
-        dev.read_bytes(rows + (r * self.width * 4) as u64, &mut buf.bytes);
+        let row = rows + (r * self.width * 4) as u64;
+        let read = self.pool.dev().with_reads(|reads| {
+            let len = reads.read_u32(lens + (r * 4) as u64)? as usize;
+            buf.bytes.resize(len * 4, 0);
+            reads.read_bytes(row, &mut buf.bytes)
+        });
+        if let Err(e) = read {
+            panic!("{e}");
+        }
         buf.words.clear();
         buf.words.extend(
             buf.bytes.chunks_exact(4).map(|c| u32::from_le_bytes(c.try_into().expect("4 bytes"))),

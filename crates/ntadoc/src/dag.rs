@@ -19,12 +19,11 @@
 //! pseudo-random order with line-sized gaps, reproducing what a
 //! general-purpose persistent allocator does to locality (§III-B).
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
-use ntadoc_grammar::{Compressed, Symbol};
+use ntadoc_grammar::{Compressed, KeyMap, Symbol};
 use ntadoc_nstruct::HeadTailStore;
-use ntadoc_pmem::{Addr, PmemError, PmemPool, SimDevice};
+use ntadoc_pmem::{Addr, PmemError, PmemPool, Reads, SimDevice};
 
 use crate::layout::{
     decode_pairs, decode_wordlist, encode_pairs, encode_wordlist, PoolLayoutConfig,
@@ -56,7 +55,7 @@ pub fn prune_rule(symbols: &[Symbol]) -> (FreqPairs, FreqPairs) {
     let mut subs: FreqPairs = Vec::new();
     let mut words: FreqPairs = Vec::new();
     // Raw symbol (kind + id) → its slot in the bucket of its kind.
-    let mut slot_of: HashMap<u32, u32> = HashMap::new();
+    let mut slot_of: KeyMap<u32> = KeyMap::default();
     let indexed = symbols.len() >= PRUNE_INDEX_FROM;
     if indexed {
         slot_of.reserve(symbols.len());
@@ -73,7 +72,7 @@ pub fn prune_rule(symbols: &[Symbol]) -> (FreqPairs, FreqPairs) {
         let slot = if indexed {
             // A body holds fewer than 2^32 symbols (`len_u32` on write).
             let next = list.len() as u32;
-            let slot = *slot_of.entry(s.raw()).or_insert(next);
+            let slot = *slot_of.entry(s.raw() as u64).or_insert(next);
             (slot != next).then_some(slot as usize)
         } else {
             list.iter().position(|&(i, _)| i == id)
@@ -98,18 +97,18 @@ pub struct PoolBuf {
 }
 
 impl PoolBuf {
-    /// One device read of `len` bytes at `addr` into the byte buffer.
-    fn fill(&mut self, dev: &SimDevice, addr: Addr, len: usize) {
-        if let Err(e) = self.try_fill(dev, addr, len) {
-            panic!("{e}");
-        }
-    }
-
-    /// [`fill`](Self::fill), a media error returned rather than raised.
-    fn try_fill(&mut self, dev: &SimDevice, addr: Addr, len: usize) -> Result<()> {
+    /// One read of `len` bytes at `addr`, through `reads`, into the byte
+    /// buffer.
+    fn fill(&mut self, reads: &mut Reads, addr: Addr, len: usize) -> ntadoc_pmem::Result<()> {
         self.bytes.resize(len, 0);
-        dev.try_read_bytes(addr, &mut self.bytes)
+        reads.read_bytes(addr, &mut self.bytes)
     }
+}
+
+/// Raise a media error read under [`SimDevice::with_reads`], now that the
+/// lock is released: the single reads it replaces panicked on one.
+fn raise<T>(read: ntadoc_pmem::Result<T>) -> T {
+    read.unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// The charged dictionary reader: an offsets array and the word text on
@@ -139,7 +138,33 @@ impl<'a> WordReader<'a> {
     /// The device reads of [`get`](Self::get) without the string: what a
     /// result that keeps ids owes the model for each word it names.
     pub fn touch(&mut self, id: u32) {
-        self.fetch(id);
+        self.touch_all([id]);
+    }
+
+    /// [`touch`](Self::touch) each of `ids` in turn, under one device lock.
+    /// The iterator runs while the lock is held: it must not call the
+    /// device or panic.
+    pub fn touch_all(&mut self, ids: impl IntoIterator<Item = u32>) {
+        if !self.bulk.is_empty() {
+            return;
+        }
+        let (offsets, text) = (self.offsets, self.text);
+        raise(self.dev.with_reads(|reads| {
+            ids.into_iter().try_for_each(|id| {
+                let (start, len) = Self::span(reads, offsets, id)?;
+                reads.touch(text.wrapping_add(start), len)
+            })
+        }));
+    }
+
+    /// Where word `id`'s text starts and how long it is: two offset loads.
+    /// Wrapping arithmetic, so that offsets a forged pool holds fail the
+    /// text read's bounds check instead of overflowing under the lock.
+    fn span(reads: &mut Reads, offsets: Addr, id: u32) -> ntadoc_pmem::Result<(u64, usize)> {
+        let at = offsets + id as u64 * 8;
+        let start = reads.read_u64(at)?;
+        let end = reads.read_u64(at + 8)?;
+        Ok((start, end.wrapping_sub(start) as usize))
     }
 
     /// Read word `id` unless a bulk read already has; where it is in `buf`.
@@ -148,10 +173,10 @@ impl<'a> WordReader<'a> {
         if !self.bulk.is_empty() {
             return self.bulk[at] as usize..self.bulk[at + 1] as usize;
         }
-        let start = self.dev.read_u64(self.offsets + at as u64 * 8);
-        let end = self.dev.read_u64(self.offsets + (at as u64 + 1) * 8);
-        self.buf.resize((end - start) as usize, 0);
-        self.dev.read_bytes(self.text + start, &mut self.buf);
+        let (start, len) = raise(self.dev.with_reads(|reads| Self::span(reads, self.offsets, id)));
+        // Sized outside the lock: a forged length fails here, not under it.
+        self.buf.resize(len, 0);
+        self.dev.read_bytes(self.text.wrapping_add(start), &mut self.buf);
         0..self.buf.len()
     }
 }
@@ -477,19 +502,25 @@ impl DagPool {
     /// Panics if the pool was built without pruned views.
     pub fn pruned_half<'b>(&self, r: u32, words: bool, buf: &'b mut PoolBuf) -> &'b [(u32, u32)] {
         assert!(self.has_pruned, "pool built without pruned views");
-        let off = self.dev.read_u64(self.meta.pruned_off + r as u64 * 8);
-        let a = self.dev.read_u32(self.meta.nsub + r as u64 * 4) as usize;
-        let (skip, len) = match words {
-            true => (a, self.dev.read_u32(self.meta.nwords + r as u64 * 4) as usize),
-            false => (0, a),
-        };
         // The length table counts pairs under the fixed encoding, bytes
         // under varint.
         let unit = match self.layout {
             PoolLayoutConfig::Fixed => 8,
             PoolLayoutConfig::Varint => 1,
         };
-        buf.fill(&self.dev, off + (skip * unit) as u64, len * unit);
+        let meta = &self.meta;
+        let len = raise(self.dev.with_reads(|reads| {
+            let off = reads.read_u64(meta.pruned_off + r as u64 * 8)?;
+            let a = reads.read_u32(meta.nsub + r as u64 * 4)? as usize;
+            let (skip, len) = match words {
+                true => (a, reads.read_u32(meta.nwords + r as u64 * 4)? as usize),
+                false => (0, a),
+            };
+            // Wrapping: a forged offset fails the read's bounds check
+            // rather than overflowing while the lock is held.
+            buf.fill(reads, off.wrapping_add((skip * unit) as u64), len * unit)?;
+            Ok(len)
+        }));
         decode_pairs(self.layout, &buf.bytes, &mut buf.pairs).expect("pool-resident pruned view");
         self.charge_decode(buf.pairs.len(), len * unit);
         &buf.pairs
@@ -497,9 +528,12 @@ impl DagPool {
 
     /// Ordered body symbols of rule `r`, decoded into `buf`.
     pub fn body<'b>(&self, r: u32, buf: &'b mut PoolBuf) -> &'b [Symbol] {
-        let off = self.dev.read_u64(self.meta.body_off + r as u64 * 8);
-        let len = self.dev.read_u32(self.meta.body_len + r as u64 * 4) as usize;
-        buf.fill(&self.dev, off, len * 4);
+        let meta = &self.meta;
+        raise(self.dev.with_reads(|reads| {
+            let off = reads.read_u64(meta.body_off + r as u64 * 8)?;
+            let len = reads.read_u32(meta.body_len + r as u64 * 4)? as usize;
+            buf.fill(reads, off, len * 4)
+        }));
         buf.syms.clear();
         buf.syms.extend(
             buf.bytes
@@ -541,23 +575,34 @@ impl DagPool {
     /// Where rule `r`'s cached word list lives: its address and encoded
     /// length in bytes.
     pub fn wordlist_region(&self, r: u32) -> (Addr, usize) {
-        let addr = self.dev.read_u64(self.meta.wl_off + r as u64 * 8);
-        let len = self.dev.read_u32(self.meta.wl_len + r as u64 * 4) as usize;
+        raise(self.dev.with_reads(|reads| self.region_of(reads, r)))
+    }
+
+    /// [`wordlist_region`](Self::wordlist_region), through `reads`.
+    fn region_of(&self, reads: &mut Reads, r: u32) -> ntadoc_pmem::Result<(Addr, usize)> {
+        let addr = reads.read_u64(self.meta.wl_off + r as u64 * 8)?;
+        let len = reads.read_u32(self.meta.wl_len + r as u64 * 4)? as usize;
         let nbytes = match self.layout {
             PoolLayoutConfig::Fixed => len * 12,
             PoolLayoutConfig::Varint => len,
         };
-        (addr, nbytes)
+        Ok((addr, nbytes))
     }
 
     /// Read back rule `r`'s cached word list, decoded into `buf`. A media
     /// error on the list's lines is returned, not raised: a served query
     /// that meets one fails, and the daemon answers the next.
     pub fn wordlist<'b>(&self, r: u32, buf: &'b mut PoolBuf) -> Result<&'b [(u32, u64)]> {
-        let (addr, nbytes) = self.wordlist_region(r);
         buf.counts.clear();
+        let read = self.dev.with_reads(|reads| {
+            let (addr, nbytes) = self.region_of(reads, r)?;
+            Ok((nbytes, buf.fill(reads, addr, nbytes)))
+        });
+        // A fault on the region's own loads is raised, as it always was;
+        // one on the list is the caller's error.
+        let (nbytes, list) = raise(read);
+        list?;
         if nbytes > 0 {
-            buf.try_fill(&self.dev, addr, nbytes)?;
             decode_wordlist(self.layout, &buf.bytes, &mut buf.counts)
                 .expect("pool-resident word list");
             self.charge_decode(buf.counts.len() * 2, nbytes);

@@ -129,6 +129,25 @@ impl Interner {
         Ok(((idx << SPACE_BITS) | s as u32, fresh))
     }
 
+    /// Intern the `n`-word grams laid back to back in `flat`, in order,
+    /// under one lock: `flat` ends holding their ids, one per gram, and
+    /// `fresh` counts the new ones. On an error `flat` is left part-way
+    /// and `fresh` counts the grams interned before it.
+    pub fn intern_flat(&self, flat: &mut Vec<u32>, n: usize, fresh: &mut u64) -> Result<()> {
+        let mut shards = lock(&self.shards);
+        for k in 0..flat.len() / n {
+            // Id `k` overwrites slot `k`, at or before gram `k`'s words.
+            let gram = &flat[k * n..][..n];
+            let hash = fnv(gram);
+            let s = (hash as usize) & (INTERN_SHARDS - 1);
+            let (idx, new) = shards[s].intern(hash, gram)?;
+            *fresh += new as u64;
+            flat[k] = (idx << SPACE_BITS) | s as u32;
+        }
+        flat.truncate(flat.len() / n);
+        Ok(())
+    }
+
     /// Read access to the interned n-grams: one lock for a whole pass over
     /// them, words handed out in place.
     pub fn grams(&self) -> Grams<'_> {

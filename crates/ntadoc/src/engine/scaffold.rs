@@ -201,6 +201,19 @@ impl RunScaffold {
         Ok(id)
     }
 
+    /// Intern the n-grams laid back to back in `flat`, replacing them with
+    /// their ids ([`Interner::intern_flat`]), and ledger the bytes the new
+    /// ones add in one booking. Controlling thread only, as
+    /// [`intern`](Self::intern).
+    pub(crate) fn intern_flat(&self, flat: &mut Vec<u32>) -> Result<()> {
+        let (n, mut fresh) = (self.cfg.ngram, 0);
+        let interned = self.interner.intern_flat(flat, n, &mut fresh);
+        if fresh > 0 {
+            self.note_dram(fresh * gram_dram(n));
+        }
+        interned
+    }
+
     /// The alphabetical rank of each id of `dict`, the run's dictionary
     /// ([`shape::ranks`]).
     pub(crate) fn ranks(&self, dict: &Dictionary) -> &[u32] {

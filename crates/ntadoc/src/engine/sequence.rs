@@ -92,9 +92,9 @@ impl Session {
         if stream.len() < n {
             return Ok(());
         }
-        let mut words = Vec::with_capacity(n);
-        for win in stream.windows(n) {
-            self.sc.charge_items(1);
+        let (mut words, mut windows) = (Vec::with_capacity(n), 0);
+        let scanned = stream.windows(n).try_for_each(|win| {
+            windows += 1;
             words.clear();
             let mut first_seg = None;
             let mut crosses = false;
@@ -118,8 +118,11 @@ impl Session {
             if valid && crosses {
                 f(&words)?;
             }
-        }
-        Ok(())
+            Ok(())
+        });
+        // Every window scanned, the one that failed included.
+        self.sc.charge_items(windows);
+        scanned
     }
 
     /// [`junction_windows`](Self::junction_windows) yielding interned ids.
@@ -133,13 +136,15 @@ impl Session {
         self.junction_windows(stream, |words| f(self.sc.intern(words)?))
     }
 
-    /// The ids of the stream's junction n-grams, one per window, in `ids`.
+    /// The ids of the stream's junction n-grams, one per window, in `ids`:
+    /// the windows' words gathered, then interned under one lock.
     fn junction_ids(&self, stream: &[Item], ids: &mut Vec<u32>) -> Result<()> {
         ids.clear();
-        self.scan_junction_windows(stream, |id| {
-            ids.push(id);
+        self.junction_windows(stream, |words| {
+            ids.extend_from_slice(words);
             Ok(())
-        })
+        })?;
+        self.sc.intern_flat(ids)
     }
 
     /// Build per-rule *sequence-list* caches (the bottom-up analogue of
@@ -176,17 +181,9 @@ impl Session {
                 // single worker's DRAM ledger reads as it always has.
                 let mut interned = Vec::with_capacity(level.len());
                 for grams in scanned {
-                    // Ids overwrite the words they name: window `k` starts
-                    // at `k * n`, at or past slot `k`.
-                    let mut ids = grams?;
-                    let mut fresh_bytes = 0u64;
-                    for k in 0..ids.len() / n {
-                        let (id, fresh) = self.sc.interner.intern(&ids[k * n..][..n])?;
-                        fresh_bytes += if fresh { gram_dram(n) } else { 0 };
-                        ids[k] = id;
-                    }
-                    ids.truncate(ids.len() / n);
-                    interned.push((ids, fresh_bytes));
+                    let (mut ids, mut fresh) = (grams?, 0);
+                    self.sc.interner.intern_flat(&mut ids, n, &mut fresh)?;
+                    interned.push((ids, fresh * gram_dram(n)));
                 }
                 let merged = par::par_map(&level, |i, &r| {
                     with_deferred_charges(&charges[i], || {

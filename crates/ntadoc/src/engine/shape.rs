@@ -66,7 +66,7 @@ fn by_word(
     comp: &Arc<Compressed>,
     mut words: WordReader,
 ) -> TaskRows {
-    counts.iter().for_each(|&(w, _)| words.touch(w));
+    words.touch_all(counts.iter().map(|&(w, _)| w));
     let rank = sc.ranks(&comp.dict);
     counts.sort_by_key(|&(w, _)| rank[w as usize]);
     if task == Task::WordCount {
@@ -111,8 +111,8 @@ pub(crate) fn term_vector(
         sc.charge_sort(entries.len() as u64);
         entries.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         entries.truncate(sc.cfg.top_k);
+        words.touch_all(entries.iter().map(|&(w, _)| w));
         for (w, c) in entries {
-            words.touch(w);
             items.push(w);
             counts.push(c);
         }
@@ -215,16 +215,29 @@ fn gram_order(
 ) -> Vec<u32> {
     let (n, rank, grams) = (sc.cfg.ngram, sc.ranks(dict), sc.interner.grams());
     let mut ranked: Vec<u32> = Vec::with_capacity(ids.size_hint().0 * n);
-    for id in ids {
-        for &w in grams.get(id) {
-            words.touch(w);
-            ranked.push(rank[w as usize]);
-        }
-    }
-    let key = |row: u32| &ranked[row as usize * n..][..n];
-    let mut order: Vec<u32> = (0..(ranked.len() / n) as u32).collect();
-    order.sort_by(|&a, &b| key(a).cmp(key(b)));
-    keep_last(&mut order, |&a, &b| key(a) == key(b));
+    ids.for_each(|id| ranked.extend_from_slice(grams.get(id)));
+    words.touch_all(ranked.iter().copied());
+    ranked.iter_mut().for_each(|w| *w = rank[*w as usize]);
+    rank_order(&ranked, n, rank.len().saturating_sub(1) as u32)
+}
+
+/// The rows of `ranked` — `n` ranks each, none above `top` — in the order
+/// of their rank tuples, of equal tuples the last row only: a stable sort
+/// by tuple and [`keep_last`]. Rows sort by as many leading ranks as fit
+/// into one `u64`, then by the rest of the tuple, then by row number.
+fn rank_order(ranked: &[u32], n: usize, top: u32) -> Vec<u32> {
+    let bits = (u32::BITS - top.leading_zeros()).max(1);
+    let packed = n.min((u64::BITS / bits) as usize);
+    let row = |at: u32| &ranked[at as usize * n..][..n];
+    let mut keyed: Vec<(u64, u32)> = (0..(ranked.len() / n) as u32)
+        .map(|at| (row(at)[..packed].iter().fold(0, |k, &r| k << bits | r as u64), at))
+        .collect();
+    keyed.sort_unstable_by(|a, b| {
+        let rest = |at: u32| &row(at)[packed..];
+        a.0.cmp(&b.0).then_with(|| rest(a.1).cmp(rest(b.1))).then(a.1.cmp(&b.1))
+    });
+    let mut order: Vec<u32> = keyed.into_iter().map(|(_, at)| at).collect();
+    keep_last(&mut order, |&a, &b| row(a) == row(b));
     order
 }
 
@@ -426,6 +439,33 @@ mod tests {
             }
         }
         assert!(ranks(&Dictionary::new()).is_empty());
+    }
+
+    /// The packed-prefix order is a stable sort by rank tuple with the
+    /// last of equal tuples kept, for every `n` and for tuples longer than
+    /// the prefix — many of them equal, as forged duplicate ranks make.
+    #[test]
+    fn rank_order_is_a_stable_sort_keeping_the_last() {
+        let mut rng = Rng(0x2545_F491_4F6C_DD1D);
+        for round in 0..600 {
+            let n = 2 + round % 5;
+            // From one rank to the full `u32` range: up to 64, 21, 4 and 2
+            // ranks fit in the prefix.
+            let top = [0, 1, 3, 5, 1 << 20, u32::MAX][round / 5 % 6];
+            // A small alphabet of ranks, so tuples often share a prefix or
+            // are equal outright.
+            let alphabet: Vec<u32> =
+                (0..1 + rng.below(4)).map(|_| rng.below(top as u64 + 1) as u32).collect();
+            let rows = rng.below(40) as usize;
+            let ranked: Vec<u32> = (0..rows * n)
+                .map(|_| alphabet[rng.below(alphabet.len() as u64) as usize])
+                .collect();
+            let key = |at: u32| &ranked[at as usize * n..][..n];
+            let mut want: Vec<u32> = (0..rows as u32).collect();
+            want.sort_by(|&a, &b| key(a).cmp(key(b)));
+            keep_last(&mut want, |&a, &b| key(a) == key(b));
+            assert_eq!(rank_order(&ranked, n, top), want, "round {round}: n = {n}, top {top}");
+        }
     }
 
     #[test]

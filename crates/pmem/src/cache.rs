@@ -19,90 +19,143 @@ pub enum AccessOutcome {
     },
 }
 
-/// Tag of an empty slot.
-const EMPTY: u64 = u64::MAX;
+/// Most ways a set can have: a set's recency order is one nibble per way.
+pub const MAX_WAYS: usize = 16;
+
+/// The recency order of a fresh set: way `i` in nibble `i`.
+const FRESH_ORDER: u64 = 0xFEDC_BA98_7654_3210;
+
+/// Every nibble's low bit (for the zero-nibble search).
+const NIBBLE_LOW: u64 = 0x1111_1111_1111_1111;
+
+/// One set, in one 64-byte-aligned row: its tags, which ways hold a line,
+/// which of those are dirty, and the ways from most to least recently used.
+#[repr(C, align(64))]
+#[derive(Debug, Clone, Copy)]
+struct Set {
+    /// Line index per way; meaningful where `valid` has the way's bit.
+    tags: [u32; MAX_WAYS],
+    /// Way numbers as nibbles, the most recently used in the low nibble.
+    /// Nibbles `0..ways` are a permutation of the set's ways; the ones
+    /// above hold the unused way numbers and never move.
+    order: u64,
+    valid: u16,
+    dirty: u16,
+}
+
+impl Set {
+    const FRESH: Set = Set { tags: [0; MAX_WAYS], order: FRESH_ORDER, valid: 0, dirty: 0 };
+
+    /// The way holding `tag`, if any. Compares all sixteen lanes without
+    /// a branch and masks off the ways that hold nothing.
+    #[inline]
+    fn way_of(&self, tag: u32) -> Option<usize> {
+        let mut hits = 0u16;
+        for (way, &t) in self.tags.iter().enumerate() {
+            hits |= ((t == tag) as u16) << way;
+        }
+        hits &= self.valid;
+        (hits != 0).then(|| hits.trailing_zeros() as usize)
+    }
+
+    /// Move `way` to the front of the recency order.
+    #[inline]
+    fn promote(&mut self, way: usize) {
+        // The lowest nibble equal to `way` is the lowest zero nibble of
+        // `x`; the classic zero-byte test, by nibbles, flags it exactly
+        // (its false positives only sit above a true zero).
+        let x = self.order ^ (way as u64 * NIBBLE_LOW);
+        let zero = x.wrapping_sub(NIBBLE_LOW) & !x & (NIBBLE_LOW << 3);
+        let at = zero.trailing_zeros() & !3; // bit offset of that nibble
+        let below = self.order & ((1u64 << at) - 1);
+        let above = self.order & (u64::MAX << at << 4);
+        self.order = above | below << 4 | way as u64;
+    }
+}
 
 /// Set-associative LRU over line indices (not bytes).
 ///
-/// Structure of arrays: a set's tags sit side by side, so the hit scan —
-/// the only thing most accesses do — reads `ways` consecutive words.
+/// One `Set` row per set: a hit compares the row's sixteen tags and
+/// rewrites its recency order, all in the same 128 bytes. The model is the one the array-of-structs form had: the
+/// victim of a miss is the set's first empty way, else its least recently
+/// used one.
 #[derive(Debug)]
 pub struct LineCache {
-    /// Line index per slot, or `EMPTY`; set `s` owns `s * ways..(s + 1) * ways`.
-    tags: Vec<u64>,
-    /// `last_used << 1 | dirty` per slot; zero while the slot is empty, so
-    /// an empty slot is always the least recently used of its set.
-    meta: Vec<u64>,
+    rows: Vec<Set>,
     ways: usize,
     sets: usize,
-    tick: u64,
 }
 
 impl LineCache {
     /// Build a cache holding up to `capacity_bytes / line_size` lines with
     /// the given associativity. The set count is rounded down to a power of
     /// two (minimum one set).
+    ///
+    /// # Panics
+    /// Panics above [`MAX_WAYS`] ways (every built-in profile has 16).
     pub fn new(capacity_bytes: usize, line_size: usize, ways: usize) -> Self {
+        assert!(ways <= MAX_WAYS, "a line cache has at most {MAX_WAYS} ways, not {ways}");
         let ways = ways.max(1);
         let total_lines = (capacity_bytes / line_size).max(ways);
         let sets = (total_lines / ways).next_power_of_two() / 2;
         let sets = sets.max(1);
-        LineCache {
-            tags: vec![EMPTY; sets * ways],
-            meta: vec![0; sets * ways],
-            ways,
-            sets,
-            tick: 0,
-        }
+        LineCache { rows: vec![Set::FRESH; sets], ways, sets }
     }
 
-    /// The slots of `line`'s set.
+    /// The row of `line`'s set.
     #[inline]
-    fn set_of(&self, line: u64) -> std::ops::Range<usize> {
+    fn set_of(&self, line: u64) -> usize {
         // Multiplicative hash spreads adjacent lines across sets while
         // keeping determinism.
-        let set = ((line.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize) & (self.sets - 1);
-        set * self.ways..(set + 1) * self.ways
+        ((line.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize) & (self.sets - 1)
     }
 
-    /// The slot holding `line`, if it is resident.
+    /// `line` as a tag. Line indices fit in a `u32`: a device refuses
+    /// more than `2^32 - 1` lines.
     #[inline]
-    fn slot_of(&self, line: u64) -> Option<usize> {
-        let set = self.set_of(line);
-        self.tags[set.clone()].iter().position(|&t| t == line).map(|way| set.start + way)
+    fn tag(line: u64) -> u32 {
+        debug_assert!(line <= u32::MAX as u64, "line {line} does not fit a cache tag");
+        line as u32
     }
 
     /// Touch `line`, optionally marking it dirty, and report hit/miss.
+    /// Line indices are tagged as `u32`s, so `line` must be below `2^32`
+    /// (a [`SimDevice`](crate::SimDevice) has fewer lines).
     #[inline]
     pub fn access(&mut self, line: u64, write: bool) -> AccessOutcome {
-        self.tick += 1;
-        let stamp = self.tick << 1;
-
-        if let Some(slot) = self.slot_of(line) {
-            self.meta[slot] = stamp | (self.meta[slot] & 1) | write as u64;
+        let (tag, ways) = (Self::tag(line), self.ways);
+        let set = self.set_of(line);
+        let row = &mut self.rows[set];
+        if let Some(way) = row.way_of(tag) {
+            row.dirty |= (write as u16) << way;
+            row.promote(way);
             return AccessOutcome::Hit;
         }
-
-        // Miss: the first empty slot, else the least recently used one.
-        // Stamps are unique and sit above the dirty bit, so the smallest
-        // `meta` is the oldest stamp; only empty slots (zero) tie, and the
-        // first of them wins.
-        let set = self.set_of(line);
-        let oldest = self.meta[set.clone()].iter().enumerate().min_by_key(|&(_, &m)| m);
-        let victim = set.start + oldest.expect("ways >= 1").0;
-        let evicted_dirty = (self.meta[victim] & 1 != 0).then_some(self.tags[victim]);
-        self.tags[victim] = line;
-        self.meta[victim] = stamp | write as u64;
+        // Miss: the first empty way, else the least recently used one.
+        let empty = !row.valid & ((1u32 << ways) - 1) as u16;
+        let victim = if empty != 0 {
+            empty.trailing_zeros() as usize
+        } else {
+            (row.order >> (4 * (ways - 1)) & 0xF) as usize
+        };
+        let bit = 1u16 << victim;
+        let evicted_dirty = (row.valid & row.dirty & bit != 0).then_some(row.tags[victim] as u64);
+        row.tags[victim] = tag;
+        row.valid |= bit;
+        row.dirty = (row.dirty & !bit) | (write as u16) << victim;
+        row.promote(victim);
         AccessOutcome::Miss { evicted_dirty }
     }
 
     /// Clear the dirty bit of `line` if resident; returns whether a
     /// write-back was needed.
     pub fn flush_line(&mut self, line: u64) -> bool {
-        match self.slot_of(line) {
-            Some(slot) => {
-                let was = self.meta[slot] & 1 != 0;
-                self.meta[slot] &= !1;
+        let set = self.set_of(line);
+        let row = &mut self.rows[set];
+        match row.way_of(Self::tag(line)) {
+            Some(way) => {
+                let was = row.dirty & 1 << way != 0;
+                row.dirty &= !(1 << way);
                 was
             }
             None => false,
@@ -112,16 +165,16 @@ impl LineCache {
     /// Clear every dirty bit, returning how many lines were written back.
     pub fn flush_all(&mut self) -> u64 {
         let mut n = 0;
-        for m in &mut self.meta {
-            n += *m & 1;
-            *m &= !1;
+        for row in &mut self.rows {
+            n += row.dirty.count_ones() as u64;
+            row.dirty = 0;
         }
         n
     }
 
     /// Number of resident lines (for tests and introspection).
     pub fn resident(&self) -> usize {
-        self.tags.iter().filter(|&&t| t != EMPTY).count()
+        self.rows.iter().map(|row| row.valid.count_ones() as usize).sum()
     }
 
     /// Total line capacity.
@@ -135,8 +188,11 @@ mod tests {
     use super::*;
     use crate::faultsim::Prng;
 
+    /// Tag of an empty slot in the reference model.
+    const EMPTY: u64 = u64::MAX;
+
     /// The array-of-structs cache this one replaced, kept as the model the
-    /// structure-of-arrays form is held to.
+    /// row-per-set form is held to.
     struct ReferenceCache {
         entries: Vec<(u64, bool, u64)>, // (line, dirty, last_used)
         ways: usize,
@@ -227,6 +283,32 @@ mod tests {
             let resident = old.entries.iter().filter(|e| e.0 != EMPTY).count();
             assert_eq!(new.resident(), resident);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 16 ways, not 17")]
+    fn more_than_sixteen_ways_are_refused() {
+        LineCache::new(1 << 16, 64, 17);
+    }
+
+    /// Tags are `u32`s: line indices up to `u32::MAX` stay apart, and a
+    /// dirty victim is reported as the index it came in as.
+    #[test]
+    fn sixteen_ways_take_line_indices_near_u32_max() {
+        let (mut new, mut old) =
+            (LineCache::new(1 << 12, 64, 16), ReferenceCache::new(1 << 12, 64, 16));
+        let mut rng = Prng::new(0xFFFF_FFFF);
+        let mut evicted = 0;
+        for call in 0..if cfg!(miri) { 2_000 } else { 20_000 } {
+            let line = u32::MAX as u64 - rng.next_below(80);
+            let write = rng.next_below(2) == 0;
+            let outcome = new.access(line, write);
+            assert_eq!(outcome, old.access(line, write), "call {call}");
+            evicted += matches!(outcome, AccessOutcome::Miss { evicted_dirty: Some(_) }) as u32;
+        }
+        assert!(evicted > 100);
+        assert!(new.flush_line(u32::MAX as u64) == old.flush_line(u32::MAX as u64));
+        assert_eq!(new.flush_all(), old.flush_all());
     }
 
     #[test]

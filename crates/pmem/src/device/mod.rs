@@ -20,7 +20,8 @@
 //!   resolution and the [`DeviceMirror`] hooks;
 //! * `faults` — scheduled crashes, media faults, wear counting;
 //! * this file — the device itself and the access path that drives the
-//!   other four in order.
+//!   other four in order, one access at a time or, through a [`Reads`]
+//!   handle ([`SimDevice::with_reads`]), several under one lock.
 //!
 //! # Crash models
 //!
@@ -49,6 +50,7 @@ mod durability;
 mod faults;
 mod meter;
 mod plane;
+mod reads;
 #[cfg(test)]
 mod tests;
 
@@ -65,12 +67,14 @@ pub use durability::{CrashMode, DeviceMirror};
 pub use faults::CRASH_PANIC;
 pub use meter::{with_deferred_charges, DeferredCharges, ReadShardStats};
 pub use plane::READ_SHARDS;
+pub use reads::Reads;
 
 use durability::Durability;
 use faults::Faults;
 pub(crate) use meter::with_sink;
 use meter::{LineCosts, Meter, SharedCounters};
 use plane::DataPlane;
+use reads::Via;
 
 /// Byte offset on a device.
 pub type Addr = u64;
@@ -122,9 +126,17 @@ impl SimDevice {
     /// as zeroes).
     ///
     /// # Panics
-    /// Panics when the profile's line size is not a power of two.
+    /// Panics when the profile's line size is not a power of two, and when
+    /// the device would hold `2^32` lines or more (the line cache tags
+    /// lines with a `u32`; the largest pool, 2^35 bytes in 64-byte lines,
+    /// has 2^29).
     pub fn new(profile: DeviceProfile, capacity: usize) -> Self {
         let costs = LineCosts::of(&profile);
+        assert!(
+            (capacity as u64) >> costs.line_shift <= u32::MAX as u64,
+            "{}: {capacity} bytes is 2^32 lines or more",
+            profile.name
+        );
         SimDevice {
             plane: DataPlane::new(capacity, costs.line_shift),
             shared: SharedCounters::default(),
@@ -151,6 +163,7 @@ impl SimDevice {
     /// writeback accounting is lost), rather than resurrecting a
     /// half-written entry.
     fn lock(&self) -> RwLockWriteGuard<'_, Inner> {
+        self.assert_not_holding();
         match self.inner.write() {
             Ok(g) => g,
             Err(poisoned) => {
@@ -167,6 +180,7 @@ impl SimDevice {
     /// needs the exclusive guard). Used by fault-path deferred reads,
     /// which never mutate device state.
     fn read_lock(&self) -> RwLockReadGuard<'_, Inner> {
+        self.assert_not_holding();
         loop {
             let acquired = self.inner.read();
             match acquired {
@@ -310,33 +324,11 @@ impl SimDevice {
         if buf.is_empty() {
             return Ok(());
         }
+        // Checked before the lock is taken: a failed read never waits.
         self.check_bounds(addr, buf.len())?;
-        let (first, last) = self.lines_of(addr, buf.len());
-        with_sink(|sink| {
-            let Some(sink) = sink else {
-                let mut inner = self.lock();
-                self.check_read_faults(&inner.faults, first, last)?;
-                inner.meter.touch(first, last, false);
-                inner.meter.stats.reads += 1;
-                inner.meter.stats.bytes_read += buf.len() as u64;
-                self.plane.read_locked(addr as usize, buf);
-                return Ok(());
-            };
-            // Lock-free fast path: deferred reads bypass the line cache,
-            // charge their cost to the thread's private sink, and copy from
-            // the data plane under the seqlock protocol — no lock, no
-            // shared-memory write, so concurrent serve tasks stream reads
-            // side by side instead of serialising on the device.
-            if self.fault_lines.load(Ordering::Relaxed) != 0 {
-                // Rare path: only consult the fault table (under the shared
-                // lock) when faults are actually injected.
-                self.check_read_faults(&self.read_lock().faults, first, last)?;
-            }
-            let retries = self.plane.read_optimistic(addr as usize, buf);
-            let nlines = last - first + 1;
-            sink.charge(self.costs.stream_read(nlines));
-            sink.note_read(first, nlines, buf.len() as u64, retries);
-            Ok(())
+        with_sink(|sink| match sink {
+            Some(sink) => self.read_checked(Via::Sink(sink), addr, buf.len(), Some(buf)),
+            None => self.read_checked(Via::Lock(&mut self.lock()), addr, buf.len(), Some(buf)),
         })
     }
 

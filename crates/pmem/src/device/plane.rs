@@ -9,10 +9,26 @@
 //! Words are atomic so optimistic readers may race a writer without
 //! undefined behaviour; a seqlock version per line shard lets a reader
 //! detect the race and retry with a consistent copy (the optimistic,
-//! copy-free read of Lersch et al.). All mutation happens under the
-//! device's exclusive state lock, so writers never race each other and the
-//! version protocol stays simple: bump the covered shards to odd before the
-//! stores, back to even after.
+//! copy-free read of Lersch et al.).
+//!
+//! # One writer, plain version stores
+//!
+//! All mutation happens under the device's exclusive state lock, so there
+//! is one writer at a time and the versions need no read-modify-write. A
+//! write marks each covered shard odd with a relaxed load and a plain
+//! store, issues a `Release` fence, copies, and publishes each shard even
+//! with a `Release` store. The lock orders one writer's stores before the
+//! next writer's loads, so a writer always reads the version it last
+//! published.
+//!
+//! A reader loads the versions (`SeqCst`), copies with relaxed loads,
+//! issues an `Acquire` fence and loads the versions again. Fence to fence:
+//! if the copy read any byte stored after the writer's release fence, that
+//! fence synchronises with the reader's acquire fence, so the re-validation
+//! sees the odd mark stored before it (or a later version) and retries. A
+//! copy whose first load saw an even version published by a release store
+//! also sees every byte stored before that store. A validated copy is
+//! therefore never torn.
 
 use std::sync::atomic::{fence, AtomicU64, Ordering};
 
@@ -127,11 +143,22 @@ impl DataPlane {
         shards(mask).all(|s| self.versions[s].version.load(Ordering::SeqCst) == snap[s])
     }
 
-    /// Step the version of every shard in `mask` (even → odd before a
-    /// mutation, odd → even after it).
-    fn bump(&self, mask: u32) {
+    /// Mark every shard in `mask` odd (a mutation starts), then fence so
+    /// that no store of the mutation is ordered before the marks. Single
+    /// writer: the caller holds the exclusive state lock.
+    fn begin_write(&self, mask: u32) {
         for s in shards(mask) {
-            self.versions[s].version.fetch_add(1, Ordering::SeqCst);
+            let v = &self.versions[s].version;
+            v.store(v.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
+        }
+        fence(Ordering::Release);
+    }
+
+    /// Publish every shard in `mask` even again: the mutation is complete.
+    fn end_write(&self, mask: u32) {
+        for s in shards(mask) {
+            let v = &self.versions[s].version;
+            v.store(v.load(Ordering::Relaxed) + 1, Ordering::Release);
         }
     }
 
@@ -228,12 +255,12 @@ impl DataPlane {
     /// number of retries taken (0 on the contention-free path).
     ///
     /// The data loads are relaxed; what orders them is the fence pair —
-    /// the writer's release fence after its first bump, and the acquire
-    /// fence here before re-validation. A copy that saw any byte of an
-    /// in-progress (or later) mutation therefore also sees that mutation's
-    /// odd (or later) version and is retried, and a copy that started on
-    /// an even version sees everything stored before that version was
-    /// published (the bumps themselves are `SeqCst`).
+    /// the writer's release fence after its odd marks, and the acquire
+    /// fence here before re-validation (see the module docs). A copy that
+    /// saw any byte of an in-progress (or later) mutation therefore also
+    /// sees that mutation's odd (or later) version and is retried, and a
+    /// copy that started on an even version sees everything stored before
+    /// that version was published.
     pub fn read_optimistic(&self, addr: usize, dst: &mut [u8]) -> u64 {
         if dst.is_empty() {
             return 0;
@@ -254,29 +281,27 @@ impl DataPlane {
     }
 
     /// Mutate `[addr, addr+src.len())`. Caller must hold the exclusive
-    /// state lock; the covered shard versions are bumped around the stores
-    /// so optimistic readers retry instead of observing a torn copy.
+    /// state lock; the covered shards are marked odd around the stores so
+    /// optimistic readers retry instead of observing a torn copy.
     #[inline]
     pub fn write(&self, addr: usize, src: &[u8]) {
         if src.is_empty() {
             return;
         }
         let mask = self.shard_mask(addr, src.len());
-        self.bump(mask);
-        fence(Ordering::Release);
+        self.begin_write(mask);
         self.copy_in(addr, src);
-        self.bump(mask);
+        self.end_write(mask);
     }
 
     /// Zero the whole store (volatile-device crash). Caller must hold the
     /// exclusive state lock.
     pub fn fill_zero(&self) {
-        self.bump(ALL_SHARDS);
-        fence(Ordering::Release);
+        self.begin_write(ALL_SHARDS);
         for w in self.words.iter() {
             w.store(0, Ordering::Relaxed);
         }
-        self.bump(ALL_SHARDS);
+        self.end_write(ALL_SHARDS);
     }
 }
 

@@ -37,6 +37,14 @@ fn concurrent_writers_see_consistent_data() {
 }
 
 #[test]
+#[should_panic(expected = "2^32 lines or more")]
+fn a_device_of_two_to_the_32_lines_is_refused() {
+    let profile = DeviceProfile::nvm_optane();
+    let capacity = profile.line_size << 32;
+    SimDevice::new(profile, capacity);
+}
+
+#[test]
 fn read_back_what_was_written() {
     let d = nvm(4096);
     d.write_u32(100, 0xABCD);

@@ -58,7 +58,7 @@ pub mod store;
 pub use alloc::PmemPool;
 pub use backend::PmemBackend;
 pub use device::{
-    with_deferred_charges, Addr, CrashMode, DeferredCharges, DeviceMirror, ReadShardStats,
+    with_deferred_charges, Addr, CrashMode, DeferredCharges, DeviceMirror, ReadShardStats, Reads,
     SimDevice, CRASH_PANIC, READ_SHARDS,
 };
 pub use error::PmemError;

@@ -413,7 +413,24 @@ fn load_twin<S: StableStore>(
     profile.line_size = header.line_size as usize;
     let twin = Arc::new(SimDevice::new(profile, header.layout.capacity as usize));
     for_each_chunk(store, header.layout.capacity, |at, chunk| {
-        twin.poke(at, chunk);
+        // The fresh twin reads zero everywhere: poke only the runs of
+        // 4 KiB pages that hold a non-zero byte.
+        const PAGE: usize = 4096;
+        let mut run = None;
+        for (i, page) in chunk.chunks(PAGE).enumerate() {
+            let nonzero = page.iter().fold(0u8, |acc, &b| acc | b) != 0;
+            match (nonzero, run) {
+                (true, None) => run = Some(i * PAGE),
+                (false, Some(start)) => {
+                    twin.poke(at + start as u64, &chunk[start..i * PAGE]);
+                    run = None;
+                }
+                _ => {}
+            }
+        }
+        if let Some(start) = run {
+            twin.poke(at + start as u64, &chunk[start..]);
+        }
         Ok(())
     })?;
     Ok(twin)
