@@ -26,8 +26,8 @@ pub const USAGE: &str = "usage:
   ntadoc extract <corpus.ntdc> <file#> <offset> <len>
   ntadoc decompress <corpus.ntdc> [-d <outdir>]
   ntadoc fsck <pool.ntdp>... [--backend file|mmap]
-  ntadoc serve <corpus.ntdc> --socket <path> [--quota N] [--cache N] [--max-batch N]
-               [--pool <pool.ntdp>] [--backend file|mmap]
+  ntadoc serve <corpus.ntdc> --socket <path> [--cache N] [--pool <pool.ntdp>]
+               [--backend file|mmap]
   ntadoc query --socket <path> <task> [--tenant N] [--top K] [--file F]
   ntadoc query --socket <path> --shutdown
 
@@ -894,7 +894,8 @@ mod tests {
             &["run", "wordcount", &image, "--backend", "tape"],
             &["run", "wordcount", &image, "--persistence", "sometimes"],
             &["run", "wordcount", &image, "--persistence"],
-            &["serve", &image, "--socket", "unbound.sock", "--max-batch", "0"],
+            &["serve", &image, "--socket", "unbound.sock", "--cache", "many"],
+            &["serve", &image, "--socket", "unbound.sock", "--max-batch", "1"],
             &["compress", &image],
             &["compress", "-o", &image, "--ingest-chunks", "0"],
             &["compress", "-o", &image, "--ingest-chunks", "4294967296"],
@@ -1002,7 +1003,7 @@ mod tests {
             .collect();
         let all_flags: Vec<(&str, &str)> = usage.iter().flat_map(|(_, f)| f.clone()).collect();
         assert!(usage.contains(&("decompress", vec![("-d", "<outdir>")])));
-        assert!(all_flags.contains(&("--max-batch", "N")));
+        assert!(all_flags.contains(&("--cache", "N")));
 
         fn pick<T: Clone>(rng: &mut Prng, pool: &[T]) -> T {
             pool[rng.next_below(pool.len() as u64) as usize].clone()

@@ -29,10 +29,12 @@
 //!
 //! This file is the socket: the protocol itself — request decoding, the
 //! reply writer — is [`ntadoc_serve::WireServer`]. The front-end serves
-//! interactively (each request dispatches immediately, batch of one,
-//! through the shared snapshot-keyed cache); cross-tenant batch formation
-//! is exercised by the `serve_load` harness and the daemon's trace API,
-//! which this command shares all state machinery with.
+//! interactively over the one snapshot it was started on (each request
+//! dispatches immediately, batch of one, through the shared result cache,
+//! so batch size and tenant quota are never reached and are not options);
+//! cross-tenant batch formation is exercised by the `serve_load` harness
+//! and the daemon's trace API, which this command shares all state
+//! machinery with.
 
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -46,12 +48,12 @@ use crate::cmd::{
     backend_operand, fail, load_corpus, number, operand, parse_task, usage, CliError, CmdResult,
 };
 
-/// `ntadoc serve <corpus.ntdc> --socket <path> [--quota N] [--cache N]
-/// [--max-batch N] [--pool <pool.ntdp>] [--backend file|mmap]`: build the
-/// engine once, then answer queries on the socket until a shutdown
-/// request arrives. With `--pool` the serve session's DAG and word-list
-/// caches live in (and persist to) the pool file through the chosen
-/// backend instead of an anonymous in-memory device.
+/// `ntadoc serve <corpus.ntdc> --socket <path> [--cache N] [--pool
+/// <pool.ntdp>] [--backend file|mmap]`: build the engine once, then answer
+/// queries on the socket until a shutdown request arrives. With `--pool`
+/// the serve session's DAG and word-list caches live in (and persist to)
+/// the pool file through the chosen backend instead of an anonymous
+/// in-memory device.
 pub fn serve(args: &[String]) -> CmdResult {
     let mut corpus = None;
     let mut socket = None;
@@ -73,19 +75,8 @@ pub fn serve(args: &[String]) -> CmdResult {
                 backend = backend_operand(args, i)?;
                 i += 2;
             }
-            "--quota" => {
-                cfg.tenant_quota = number(args, i)?;
-                i += 2;
-            }
             "--cache" => {
                 cfg.cache_capacity = number(args, i)?;
-                i += 2;
-            }
-            "--max-batch" => {
-                cfg.max_batch = number(args, i)?;
-                if cfg.max_batch == 0 {
-                    return Err(usage("--max-batch must be ≥ 1"));
-                }
                 i += 2;
             }
             p if corpus.is_none() => {

@@ -48,8 +48,8 @@
 //! [`engine::ServeSession::run_queries`] executes batches of read-only
 //! typed [`Query`]s concurrently (wall-clock parallel, virtual time
 //! deterministic). The multi-tenant front-end — batch formation across
-//! tenants, per-tenant admission control, and a snapshot-keyed result
-//! cache — is the `ntadoc-serve` crate, layered on top of this one.
+//! tenants, per-tenant admission control, and a result cache — is the
+//! `ntadoc-serve` crate, layered on top of this one.
 
 pub mod access;
 pub mod baseline;

@@ -4,8 +4,8 @@
 //! and a fence has been issued. Until then the device keeps the line's
 //! *pre-image* — its contents at the last durable point — in
 //! [`PreImages`], a dense `line → slot` table over one byte arena, and a
-//! crash puts the pre-images back (all of them under
-//! [`CrashMode::Rewind`], a seeded subset under [`CrashMode::Torn`]). A
+//! crash puts the pre-images back (all of them on [`SimDevice::crash`], a
+//! seeded subset on [`SimDevice::crash_torn`]). A
 //! [`DeviceMirror`] is told at each of the events that change the durable
 //! image.
 
@@ -15,10 +15,10 @@ use super::plane::DataPlane;
 use super::{Addr, SimDevice};
 use crate::faultsim::{torn_line_survives, torn_word_survives, Prng};
 
-/// Crash semantics applied by [`SimDevice::crash`]. See the module docs of
-/// [`crate::device`].
+/// Crash semantics: [`SimDevice::crash`] rewinds, [`SimDevice::crash_torn`]
+/// tears. See the module docs of [`crate::device`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CrashMode {
+pub(crate) enum CrashMode {
     /// Deterministic: every unfenced line reverts to its durable image.
     Rewind,
     /// Adversarial: flushed-but-unfenced lines independently survive or
@@ -209,10 +209,8 @@ pub(super) struct Durability {
     /// Lines flushed since the last fence; they become durable (pre-image
     /// dropped) only when the fence lands.
     pub flushed_pending_fence: Vec<u64>,
-    /// Crash semantics for the next [`SimDevice::crash`].
-    pub crash_mode: CrashMode,
     /// The store that was interrupted by a tripped fault (torn at 8-byte
-    /// granularity when a [`CrashMode::Torn`] crash lands).
+    /// granularity when a torn crash lands).
     pub inflight_write: Option<(Addr, Vec<u8>)>,
 }
 
@@ -221,7 +219,6 @@ impl Durability {
         Durability {
             pre: PreImages::new(capacity, line_size),
             flushed_pending_fence: Vec::new(),
-            crash_mode: CrashMode::Rewind,
             inflight_write: None,
         }
     }
@@ -372,16 +369,17 @@ impl SimDevice {
         self.fence_seal();
     }
 
-    /// Simulate a power failure under the configured [`CrashMode`], then
-    /// empty the cache. Volatile devices lose everything (the whole store
-    /// zeroes).
+    /// Simulate a power failure, then empty the cache: every line whose
+    /// latest flush has not been fenced reverts to its durable contents,
+    /// and an interrupted store is lost whole. Volatile devices lose
+    /// everything (the whole store zeroes).
     pub fn crash(&self) {
-        let mode = self.lock().durable.crash_mode;
-        self.crash_with(mode);
+        self.crash_with(CrashMode::Rewind);
     }
 
-    /// Simulate a torn-write power failure with an explicit seed,
-    /// regardless of the configured [`CrashMode`].
+    /// Simulate a torn-write power failure: flushed-but-unfenced lines
+    /// survive or revert as `seed` decides, and an interrupted store is
+    /// torn at 8-byte granularity.
     pub fn crash_torn(&self, seed: u64) {
         self.crash_with(CrashMode::Torn { seed });
     }
@@ -420,17 +418,6 @@ impl SimDevice {
                 mirror.on_crash(&self.mirror_line_snapshots(&touched));
             }
         }
-    }
-
-    /// Set the semantics applied by subsequent [`crash`](Self::crash)
-    /// calls.
-    pub fn set_crash_mode(&self, mode: CrashMode) {
-        self.lock().durable.crash_mode = mode;
-    }
-
-    /// The crash semantics currently configured.
-    pub fn crash_mode(&self) -> CrashMode {
-        self.lock().durable.crash_mode
     }
 }
 
@@ -618,8 +605,10 @@ mod tests {
                 0 => CrashMode::Rewind,
                 _ => CrashMode::Torn { seed: rng.next_u64() },
             };
-            dev.set_crash_mode(mode);
-            dev.crash();
+            match mode {
+                CrashMode::Rewind => dev.crash(),
+                CrashMode::Torn { seed } => dev.crash_torn(seed),
+            }
             model.crash(mode);
             assert_eq!(dev.peek(0, CAP), model.bytes, "round {round} under {mode:?}");
             assert_eq!(*recorder.0.lock().unwrap(), model.events, "round {round} under {mode:?}");

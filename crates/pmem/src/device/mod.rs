@@ -25,18 +25,18 @@
 //!
 //! # Crash models
 //!
-//! [`SimDevice::crash`] supports two failure semantics:
+//! The device supports two failure semantics:
 //!
-//! * [`CrashMode::Rewind`] (legacy): every line whose latest flush has not
+//! * [`SimDevice::crash`] rewinds: every line whose latest flush has not
 //!   yet been fenced reverts to its last durable contents — deterministic
 //!   and pessimistic.
-//! * [`CrashMode::Torn`] (default for recovery tests): lines that were
-//!   flushed but not yet fenced *independently* survive or revert under a
-//!   seeded RNG, and the store that was in flight when the crash fired is
-//!   torn at 8-byte granularity — an arbitrary subset of its 8-byte words
-//!   reaches media. This is the adversarial regime real NVM provides: at
-//!   most 8-byte atomicity, no ordering between unfenced lines (ALICE /
-//!   PMDK assumptions).
+//! * [`SimDevice::crash_torn`] tears (the recovery tests' model): lines
+//!   that were flushed but not yet fenced *independently* survive or
+//!   revert under a seeded RNG, and the store that was in flight when the
+//!   crash fired is torn at 8-byte granularity — an arbitrary subset of
+//!   its 8-byte words reaches media. This is the adversarial regime real
+//!   NVM provides: at most 8-byte atomicity, no ordering between unfenced
+//!   lines (ALICE / PMDK assumptions).
 //!
 //! # Media faults
 //!
@@ -63,7 +63,7 @@ use crate::profile::DeviceProfile;
 use crate::stats::AccessStats;
 use crate::Result;
 
-pub use durability::{CrashMode, DeviceMirror};
+pub use durability::DeviceMirror;
 pub use faults::CRASH_PANIC;
 pub use meter::{with_deferred_charges, DeferredCharges, ReadShardStats};
 pub use plane::READ_SHARDS;

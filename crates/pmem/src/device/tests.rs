@@ -324,7 +324,7 @@ fn rewind_mode_discards_inflight_write_entirely() {
     d.persist(0, 8);
     d.trip_after_writes(0);
     let _ = catch_unwind(AssertUnwindSafe(|| d.write_u64(0, 99)));
-    d.crash(); // default CrashMode::Rewind
+    d.crash(); // rewinds
     assert_eq!(d.read_u64(0), 7);
 }
 

@@ -16,7 +16,7 @@
 //!
 //! # Corruption safety
 //!
-//! Under the torn-write crash model ([`crate::CrashMode::Torn`]) a log
+//! Under the torn-write crash model ([`crate::SimDevice::crash_torn`]) a log
 //! entry that was being persisted when power failed may reach media
 //! partially, at 8-byte granularity. The log therefore seals every entry
 //! with a CRC bound to the owning transaction's id; recovery walks the

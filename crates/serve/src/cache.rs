@@ -1,34 +1,31 @@
-//! Snapshot-keyed task-output cache.
+//! Task-output cache.
 //!
-//! Entries are keyed by `(grammar snapshot fingerprint, QueryKey)`, so two
-//! tenants asking the same shaped question share one entry, and a newly
-//! installed snapshot can never serve stale bytes — its fingerprint differs,
-//! so old entries simply never match (and are swept on install).
+//! Entries are keyed by [`QueryKey`] alone, so two tenants asking the same
+//! shaped question share one entry. A daemon serves one snapshot for its
+//! whole life, so every entry answers for that snapshot.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 use ntadoc::{CachedOutput, QueryKey, TaskRows};
 
-/// FIFO-evicting map from `(snapshot, query key)` to a shared result, held
-/// as id rows, and, once the entry has been hit and sent, that result's
-/// encoding ([`CachedOutput`]).
+/// FIFO-evicting map from a query key to a shared result, held as id rows,
+/// and, once the entry has been hit and sent, that result's encoding
+/// ([`CachedOutput`]).
 ///
 /// FIFO rather than LRU keeps eviction order a pure function of the insert
 /// sequence — one less source of replay divergence, and the hot-entry reuse
 /// the daemon cares about (identical queries in one burst) is insensitive to
 /// the difference.
 ///
-/// Entries nest by snapshot (`snapshot → key → output`) so a lookup borrows
-/// the caller's [`QueryKey`]: the daemon hot path takes zero heap
-/// allocations on a hit — a `QueryKey` holds heap-owning fields, and the
-/// old flat `(u64, QueryKey)` key forced a clone per lookup just to probe.
+/// A lookup borrows the caller's [`QueryKey`]: the daemon hot path takes
+/// zero heap allocations on a hit, although a `QueryKey` holds heap-owning
+/// fields.
 #[derive(Debug, Default)]
 pub struct ResultCache {
     capacity: usize,
-    entries: HashMap<u64, HashMap<QueryKey, Arc<CachedOutput>>>,
-    order: VecDeque<(u64, QueryKey)>,
-    resident: usize,
+    entries: HashMap<QueryKey, Arc<CachedOutput>>,
+    order: VecDeque<QueryKey>,
     hits: u64,
     misses: u64,
 }
@@ -40,83 +37,53 @@ impl ResultCache {
         ResultCache { capacity, ..ResultCache::default() }
     }
 
-    /// Look up a query under a snapshot, counting the hit or miss. Borrows
-    /// the key — no allocation on either outcome.
-    pub fn get(&mut self, snapshot: u64, key: &QueryKey) -> Option<Arc<CachedOutput>> {
-        let found = self.entries.get(&snapshot).and_then(|m| m.get(key)).cloned();
+    /// Look up a query, counting the hit or miss. Borrows the key — no
+    /// allocation on either outcome.
+    pub fn get(&mut self, key: &QueryKey) -> Option<Arc<CachedOutput>> {
+        let found = self.entries.get(key).cloned();
         match found {
-            Some(out) => {
-                self.hits += 1;
-                Some(out)
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
+            Some(_) => self.hits += 1,
+            None => self.misses += 1,
         }
+        found
     }
 
     /// Insert a result, not encoded, evicting the oldest entry when at
     /// capacity.
-    pub fn insert(&mut self, snapshot: u64, key: QueryKey, rows: Arc<TaskRows>) {
+    pub fn insert(&mut self, key: QueryKey, rows: Arc<TaskRows>) {
         if self.capacity == 0 {
             return;
         }
-        let lane = self.entries.entry(snapshot).or_default();
-        if lane.insert(key.clone(), Arc::new(CachedOutput::new(rows))).is_some() {
+        if self.entries.insert(key.clone(), Arc::new(CachedOutput::new(rows))).is_some() {
             return; // refreshed in place; insertion order unchanged
         }
-        self.resident += 1;
-        self.order.push_back((snapshot, key));
-        while self.resident > self.capacity {
-            let Some((s, k)) = self.order.pop_front() else { break };
-            if let Some(lane) = self.entries.get_mut(&s) {
-                if lane.remove(&k).is_some() {
-                    self.resident -= 1;
-                }
-                if lane.is_empty() {
-                    self.entries.remove(&s);
-                }
-            }
+        self.order.push_back(key);
+        while self.entries.len() > self.capacity {
+            let Some(oldest) = self.order.pop_front() else { break };
+            self.entries.remove(&oldest);
         }
-    }
-
-    /// Drop every entry not belonging to `snapshot` — called when a new
-    /// grammar snapshot is installed, since old entries can never hit again.
-    pub fn retain_snapshot(&mut self, snapshot: u64) {
-        self.retain_snapshots(&[snapshot]);
-    }
-
-    /// Drop every entry whose snapshot is not in `snapshots`. The daemon
-    /// keeps {draining, current} alive while an old lane drains, then
-    /// narrows to {current} the moment the drain lane empties — so exactly
-    /// the superseded entries are invalidated, no sooner and no later.
-    pub fn retain_snapshots(&mut self, snapshots: &[u64]) {
-        self.entries.retain(|s, _| snapshots.contains(s));
-        self.order.retain(|(s, _)| snapshots.contains(s));
-        self.resident = self.entries.values().map(HashMap::len).sum();
     }
 
     /// Entries currently resident.
     pub fn len(&self) -> usize {
-        self.resident
+        self.entries.len()
     }
 
     /// True when nothing is cached.
     pub fn is_empty(&self) -> bool {
-        self.resident == 0
+        self.entries.is_empty()
     }
 
     /// Heap bytes of the resident entries' rows ([`TaskRows::heap_bytes`]);
     /// their encodings are counted by [`memoized`](Self::memoized).
     pub fn bytes(&self) -> usize {
-        self.entries.values().flat_map(HashMap::values).map(|e| e.rows().heap_bytes()).sum()
+        self.entries.values().map(|e| e.rows().heap_bytes()).sum()
     }
 
     /// `(entries, bytes)` of the encodings resident entries hold: one per
     /// entry that was hit and sent, none for an entry that never was.
     pub fn memoized(&self) -> (usize, usize) {
-        let lens = self.entries.values().flat_map(HashMap::values).filter_map(|e| e.encoded_len());
+        let lens = self.entries.values().filter_map(|e| e.encoded_len());
         lens.fold((0, 0), |(n, bytes), len| (n + 1, bytes + len))
     }
 
@@ -161,74 +128,45 @@ mod tests {
     #[test]
     fn fifo_eviction_and_counters() {
         let mut c = ResultCache::new(2);
-        c.insert(1, key(Task::WordCount, None), out("a", 1));
-        c.insert(1, key(Task::WordCount, Some(3)), out("b", 2));
-        c.insert(1, key(Task::Sort, None), out("c", 3)); // evicts the first
+        c.insert(key(Task::WordCount, None), out("a", 1));
+        c.insert(key(Task::WordCount, Some(3)), out("b", 2));
+        c.insert(key(Task::Sort, None), out("c", 3)); // evicts the first
         assert_eq!(c.len(), 2);
-        assert!(c.get(1, &key(Task::WordCount, None)).is_none());
-        assert!(c.get(1, &key(Task::Sort, None)).is_some());
-        assert_eq!(c.counters(), (1, 1));
-        assert!((c.hit_rate() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn snapshot_isolates_entries() {
-        let mut c = ResultCache::new(8);
-        c.insert(1, key(Task::WordCount, None), out("a", 1));
-        assert!(c.get(2, &key(Task::WordCount, None)).is_none());
-        c.retain_snapshot(2);
-        assert!(c.is_empty());
-    }
-
-    #[test]
-    fn retain_snapshots_keeps_exactly_the_named_generations() {
-        let mut c = ResultCache::new(8);
-        c.insert(1, key(Task::WordCount, None), out("a", 1));
-        c.insert(2, key(Task::WordCount, None), out("b", 2));
-        c.insert(3, key(Task::WordCount, None), out("c", 3));
-        c.retain_snapshots(&[2, 3]);
-        assert!(c.get(1, &key(Task::WordCount, None)).is_none());
-        assert!(c.get(2, &key(Task::WordCount, None)).is_some());
-        assert!(c.get(3, &key(Task::WordCount, None)).is_some());
-    }
-
-    #[test]
-    fn eviction_spans_snapshot_lanes_and_len_tracks_residency() {
-        let mut c = ResultCache::new(2);
-        c.insert(1, key(Task::WordCount, None), out("a", 1));
-        c.insert(2, key(Task::WordCount, None), out("b", 2));
-        c.insert(3, key(Task::WordCount, None), out("c", 3)); // evicts snapshot 1's
+        assert!(c.get(&key(Task::WordCount, None)).is_none());
+        assert!(c.get(&key(Task::WordCount, Some(3))).is_some());
+        assert!(c.get(&key(Task::Sort, None)).is_some());
+        assert_eq!(c.counters(), (2, 1));
+        c.insert(key(Task::Sort, None), out("d", 4)); // refreshed, not re-queued
         assert_eq!(c.len(), 2);
-        assert!(c.get(1, &key(Task::WordCount, None)).is_none());
-        assert!(c.get(2, &key(Task::WordCount, None)).is_some());
-        assert!(c.get(3, &key(Task::WordCount, None)).is_some());
-        c.retain_snapshots(&[3]);
-        assert_eq!(c.len(), 1);
-        assert!(!c.is_empty());
+        c.insert(key(Task::WordCount, None), out("e", 5)); // evicts `top` 3
+        assert_eq!(c.len(), 2);
+        assert!(c.get(&key(Task::WordCount, Some(3))).is_none());
+        assert!(c.get(&key(Task::Sort, None)).is_some());
+        assert!((c.hit_rate() - 0.6).abs() < 1e-12);
     }
 
     #[test]
     fn an_encoding_is_made_by_the_first_ask_and_leaves_with_its_entry() {
         let mut c = ResultCache::new(1);
-        c.insert(1, key(Task::WordCount, None), out("a", 1));
+        c.insert(key(Task::WordCount, None), out("a", 1));
         assert_eq!(c.memoized(), (0, 0), "an insert encodes nothing");
         assert_eq!(c.bytes(), 4 + 8, "one key and one count");
-        let hit = c.get(1, &key(Task::WordCount, None)).unwrap();
+        let hit = c.get(&key(Task::WordCount, None)).unwrap();
         assert_eq!(c.memoized(), (0, 0), "nor does a lookup");
         assert_eq!(hit.encoded(), r#"{"a":1}"#);
         assert_eq!(c.memoized(), (1, 7));
-        let again = c.get(1, &key(Task::WordCount, None)).unwrap();
+        let again = c.get(&key(Task::WordCount, None)).unwrap();
         assert!(std::ptr::eq(hit.encoded(), again.encoded()), "one encoding per entry");
         assert_eq!(c.bytes(), 4 + 8, "the encoding is not the rows'");
-        c.insert(1, key(Task::Sort, None), out("b", 2)); // evicts it
+        c.insert(key(Task::Sort, None), out("b", 2)); // evicts it
         assert_eq!(c.memoized(), (0, 0));
     }
 
     #[test]
     fn zero_capacity_disables() {
         let mut c = ResultCache::new(0);
-        c.insert(1, key(Task::WordCount, None), out("a", 1));
+        c.insert(key(Task::WordCount, None), out("a", 1));
         assert!(c.is_empty());
-        assert!(c.get(1, &key(Task::WordCount, None)).is_none());
+        assert!(c.get(&key(Task::WordCount, None)).is_none());
     }
 }

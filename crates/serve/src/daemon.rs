@@ -72,59 +72,20 @@ pub struct TraceOutcome {
     pub rejections: Vec<Rejection>,
 }
 
-/// One snapshot generation inside the daemon: its resident session, the
-/// snapshot handle it answers for, the queries admitted under it that
-/// have not dispatched yet, and its own device-occupancy horizon (each
-/// lane has its own simulated device, so an old lane draining never
-/// serializes against new-snapshot batches).
-struct Lane {
-    serve: ServeSession,
-    snapshot: Arc<Snapshot>,
-    pending: VecDeque<Pending>,
-    /// Virtual time this lane's device frees up after its last batch.
-    busy_until: u64,
-}
-
-impl Lane {
-    fn new(serve: ServeSession) -> Self {
-        let snapshot = serve.snapshot().clone();
-        Lane { serve, snapshot, pending: VecDeque::new(), busy_until: 0 }
-    }
-
-    fn fingerprint(&self) -> u64 {
-        self.snapshot.fingerprint()
-    }
-
-    /// Virtual time the oldest pending query's batch window expires.
-    fn deadline(&self, window_ns: u64) -> Option<u64> {
-        self.pending.front().map(|p| p.arrival_ns.saturating_add(window_ns))
-    }
-}
-
-/// Which lane a dispatch targets. The draining lane always wins deadline
-/// ties: its work was admitted first.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum LaneSel {
-    Draining,
-    Current,
-}
-
 /// Multi-tenant query daemon over one resident [`ServeSession`].
 ///
 /// See the [crate docs](crate) for the role split between this type, the
-/// [`ResultCache`], and the engine's `run_queries`.
-///
-/// [`QueryDaemon::install`] rotates in a new snapshot without stalling:
-/// queries admitted under the old snapshot move to a *drain lane* that
-/// keeps dispatching against the old session (and old pool) on its own
-/// deadlines, interleaved with new-snapshot admissions. The cache keeps
-/// both generations' entries until the drain lane empties, then sweeps
-/// exactly the superseded ones.
+/// [`ResultCache`], and the engine's `run_queries`. A daemon answers for
+/// one snapshot for its whole life; serving another corpus means building
+/// another daemon.
 pub struct QueryDaemon {
-    current: Lane,
-    /// The previous snapshot generation, while its admitted work drains.
-    /// At most one: a second `install` flushes this lane first.
-    draining: Option<Lane>,
+    serve: ServeSession,
+    /// The snapshot every response answers for.
+    snapshot: Arc<Snapshot>,
+    /// Admitted queries that have not dispatched yet, in arrival order.
+    pending: VecDeque<Pending>,
+    /// Virtual time the device frees up after the last batch.
+    busy_until: u64,
     cfg: DaemonConfig,
     cache: ResultCache,
     /// Min-heap of `(done_ns, tenant)` quota releases not yet applied.
@@ -141,10 +102,13 @@ pub struct QueryDaemon {
 impl QueryDaemon {
     /// Wrap a resident serve session with the given tuning knobs.
     pub fn new(serve: ServeSession, cfg: DaemonConfig) -> Self {
+        let snapshot = serve.snapshot().clone();
         let cache = ResultCache::new(cfg.cache_capacity);
         QueryDaemon {
-            current: Lane::new(serve),
-            draining: None,
+            serve,
+            snapshot,
+            pending: VecDeque::new(),
+            busy_until: 0,
             cfg,
             cache,
             releases: BinaryHeap::new(),
@@ -156,34 +120,24 @@ impl QueryDaemon {
         }
     }
 
-    /// Grammar snapshot version new admissions are keyed under.
+    /// Grammar snapshot version every response carries.
     pub fn snapshot_version(&self) -> u64 {
-        self.current.fingerprint()
+        self.snapshot.fingerprint()
     }
 
-    /// Snapshot handle new admissions answer for.
+    /// Snapshot handle every response answers for.
     pub fn snapshot(&self) -> &Arc<Snapshot> {
-        &self.current.snapshot
+        &self.snapshot
     }
 
-    /// The current serve session (device stats, obs, report plumbing).
+    /// The serve session (device stats, obs, report plumbing).
     pub fn serve_session(&self) -> &ServeSession {
-        &self.current.serve
+        &self.serve
     }
 
-    /// The superseded serve session while its admitted work drains.
-    pub fn draining_session(&self) -> Option<&ServeSession> {
-        self.draining.as_ref().map(|l| &l.serve)
-    }
-
-    /// Queries admitted but not yet dispatched, across both lanes.
+    /// Queries admitted but not yet dispatched.
     pub fn queue_depth(&self) -> usize {
-        self.current.pending.len() + self.draining.as_ref().map_or(0, |l| l.pending.len())
-    }
-
-    /// Old-snapshot queries still waiting to dispatch.
-    pub fn draining_depth(&self) -> usize {
-        self.draining.as_ref().map_or(0, |l| l.pending.len())
+        self.pending.len()
     }
 
     /// Lifetime `(hits, misses)` of the result cache.
@@ -207,44 +161,13 @@ impl QueryDaemon {
         self.batches
     }
 
-    /// Swap in a session over a new (e.g. appended or re-compressed)
-    /// corpus snapshot, without stalling in-flight work.
-    ///
-    /// Queries already admitted stay pinned to the old snapshot: the old
-    /// lane moves to *draining* and keeps dispatching against its own
-    /// session and device on its own batch deadlines, concurrently with
-    /// new-snapshot admissions. The cache retains both generations until
-    /// the drain lane empties, at which point exactly the superseded
-    /// entries are swept.
-    ///
-    /// At most one drain generation runs at a time: if a previous drain
-    /// lane still holds work, it is flushed to completion first and those
-    /// completions are returned.
-    pub fn install(&mut self, serve: ServeSession) -> Result<Vec<Completion>, ServeError> {
-        let mut flushed = Vec::new();
-        while self.draining.is_some() {
-            let (deadline, sel) = self.due_deadline().expect("draining lane has a deadline");
-            debug_assert!(sel == LaneSel::Draining, "drain deadlines precede current ones");
-            self.dispatch(sel, deadline.min(self.clock_ns), &mut flushed)?;
-        }
-        let old = std::mem::replace(&mut self.current, Lane::new(serve));
-        if old.pending.is_empty() {
-            // Nothing pinned to the old snapshot: sweep it immediately.
-            self.cache.retain_snapshots(&[self.current.fingerprint()]);
-        } else {
-            self.cache.retain_snapshots(&[old.fingerprint(), self.current.fingerprint()]);
-            self.draining = Some(old);
-        }
-        Ok(flushed)
-    }
-
     /// Serve one query right now (the interactive/CLI path): admit at the
     /// current virtual time, dispatch immediately as a batch of one —
     /// still consulting and filling the shared result cache.
     pub fn execute(&mut self, query: Query) -> Result<QueryResponse, ServeError> {
         // Interactive callers observe completions in order, so "now" is at
         // least the point where the previous batch finished.
-        let at = self.clock_ns.max(self.current.busy_until);
+        let at = self.clock_ns.max(self.busy_until);
         self.submit(at, query)?;
         let mut done = Vec::new();
         self.flush(&mut done)?;
@@ -252,55 +175,42 @@ impl QueryDaemon {
     }
 
     /// Replay an arrival trace through the full admission → batch → cache
-    /// pipeline. Deterministic: identical traces produce bit-identical
-    /// outcomes for any `RAYON_NUM_THREADS` / worker count.
+    /// pipeline, then flush what is still queued. Deterministic: identical
+    /// traces produce bit-identical outcomes for any `RAYON_NUM_THREADS` /
+    /// worker count.
     pub fn run_trace(&mut self, trace: &[TraceEvent]) -> Result<TraceOutcome, ServeError> {
-        let mut outcome = self.feed(trace)?;
-        self.flush(&mut outcome.completions)?;
-        Ok(outcome)
-    }
-
-    /// [`run_trace`](Self::run_trace) without the final flush: arrivals
-    /// are admitted and due batches dispatch, but whatever is still inside
-    /// its batch window stays queued. Lets a caller interleave traces with
-    /// [`install`](Self::install) mid-stream and keep the event loop
-    /// deterministic.
-    pub fn feed(&mut self, trace: &[TraceEvent]) -> Result<TraceOutcome, ServeError> {
         let mut events: Vec<&TraceEvent> = trace.iter().collect();
         events.sort_by_key(|e| e.at_ns); // stable: ties keep trace order
         let mut completions = Vec::new();
         let mut rejections = Vec::new();
         for ev in events {
             // Any batch whose window deadline elapsed before this arrival
-            // has already launched in virtual time — in either lane, in
-            // deadline order (the drain lane wins ties: admitted first).
-            while let Some((deadline, sel)) = self.due_deadline() {
-                if deadline <= ev.at_ns {
-                    self.dispatch(sel, deadline, &mut completions)?;
-                } else {
+            // has already launched in virtual time.
+            while let Some(deadline) = self.due_deadline() {
+                if deadline > ev.at_ns {
                     break;
                 }
+                self.dispatch(deadline, &mut completions)?;
             }
             if let Err(error) = self.submit(ev.at_ns, ev.query.clone()) {
                 rejections.push(Rejection { at_ns: ev.at_ns, tenant: ev.query.tenant, error });
                 continue;
             }
-            if self.current.pending.len() >= self.cfg.max_batch {
-                self.dispatch(LaneSel::Current, ev.at_ns, &mut completions)?;
+            if self.pending.len() >= self.cfg.max_batch {
+                self.dispatch(ev.at_ns, &mut completions)?;
             }
         }
+        self.flush(&mut completions)?;
         Ok(TraceOutcome { completions, rejections })
     }
 
     /// Admit a query arriving at `at_ns`, or bounce it with a typed error.
-    /// Arrival times are clamped monotone to the daemon clock. Admissions
-    /// always land in the *current* lane — the drain lane accepts no new
-    /// work.
+    /// Arrival times are clamped monotone to the daemon clock.
     pub fn submit(&mut self, at_ns: u64, query: Query) -> Result<(), ServeError> {
         self.clock_ns = self.clock_ns.max(at_ns);
         self.release_until(self.clock_ns);
         let depth = self.queue_depth();
-        let obs = self.current.serve.obs();
+        let obs = self.serve.obs();
         if depth >= self.cfg.queue_limit {
             self.rejected += 1;
             obs.metrics.counter_add(METRIC_ADMISSION_REJECTED, 1);
@@ -318,27 +228,27 @@ impl QueryDaemon {
             });
         }
         *self.tenant_load.entry(query.tenant.0).or_insert(0) += 1;
-        self.current.pending.push_back(Pending { arrival_ns: self.clock_ns, query });
+        self.pending.push_back(Pending { arrival_ns: self.clock_ns, query });
         self.queue_peak = self.queue_peak.max(self.queue_depth());
         Ok(())
     }
 
     /// Dispatch everything still pending (in `max_batch`-sized batches) and
-    /// append the completions. Draining means input has ended: a batch whose
+    /// append the completions. Flushing means input has ended: a batch whose
     /// window already expired launches at its deadline, anything else
     /// launches now (the daemon clock) instead of waiting out its window.
     pub fn flush(&mut self, completions: &mut Vec<Completion>) -> Result<(), ServeError> {
-        while let Some((deadline, sel)) = self.due_deadline() {
-            self.dispatch(sel, deadline.min(self.clock_ns), completions)?;
+        while let Some(deadline) = self.due_deadline() {
+            self.dispatch(deadline.min(self.clock_ns), completions)?;
         }
         Ok(())
     }
 
-    /// Fold daemon metrics (cache, queue, admission) into the current
-    /// serve session's observability and produce the combined run report.
+    /// Fold daemon metrics (cache, queue, admission) into the serve
+    /// session's observability and produce the combined run report.
     /// Idempotent: daemon totals fold via max/set, not repeated adds.
     pub fn report(&self) -> RunReport {
-        let metrics = &self.current.serve.obs().metrics;
+        let metrics = &self.serve.obs().metrics;
         let (hits, misses) = self.cache.counters();
         metrics.counter_max(METRIC_CACHE_HITS, hits);
         metrics.counter_max(METRIC_CACHE_MISSES, misses);
@@ -346,22 +256,12 @@ impl QueryDaemon {
         metrics.counter_max(METRIC_BATCHES, self.batches);
         metrics.counter_max(METRIC_ADMISSION_REJECTED, self.rejected);
         metrics.gauge_max(METRIC_QUEUE_DEPTH_PEAK, self.queue_peak as f64);
-        self.current.serve.report()
+        self.serve.report()
     }
 
-    /// Earliest batch-window expiry across the lanes, with the lane it
-    /// belongs to. The drain lane wins ties — its work was admitted first,
-    /// which keeps cross-lane dispatch order a pure function of the trace.
-    fn due_deadline(&self) -> Option<(u64, LaneSel)> {
-        let window = self.cfg.batch_window_ns;
-        let drain = self.draining.as_ref().and_then(|l| l.deadline(window));
-        let cur = self.current.deadline(window);
-        match (drain, cur) {
-            (Some(d), Some(c)) if c < d => Some((c, LaneSel::Current)),
-            (Some(d), _) => Some((d, LaneSel::Draining)),
-            (None, Some(c)) => Some((c, LaneSel::Current)),
-            (None, None) => None,
-        }
+    /// Virtual time the oldest pending query's batch window expires.
+    fn due_deadline(&self) -> Option<u64> {
+        self.pending.front().map(|p| p.arrival_ns.saturating_add(self.cfg.batch_window_ns))
     }
 
     /// Apply quota releases for batches done at or before `now_ns`.
@@ -380,30 +280,21 @@ impl QueryDaemon {
         }
     }
 
-    /// Launch one batch from the selected lane at virtual time `at_ns` (or
-    /// when that lane's device frees up, whichever is later): consult the
-    /// cache under the lane's snapshot, run the deduplicated miss set as
-    /// one `run_queries` call on the lane's session, and charge every query
-    /// in the batch the same completion time. When the drain lane runs dry
-    /// it is retired and the cache narrows to the current snapshot only.
+    /// Launch one batch at virtual time `at_ns` (or when the device frees
+    /// up, whichever is later): consult the cache, run the deduplicated
+    /// miss set as one `run_queries` call, and charge every query in the
+    /// batch the same completion time.
     fn dispatch(
         &mut self,
-        sel: LaneSel,
         at_ns: u64,
         completions: &mut Vec<Completion>,
     ) -> Result<(), ServeError> {
-        let lane = match sel {
-            LaneSel::Draining => self.draining.as_mut().expect("drain dispatch needs a lane"),
-            LaneSel::Current => &mut self.current,
-        };
-        let n = self.cfg.max_batch.max(1).min(lane.pending.len());
+        let n = self.cfg.max_batch.max(1).min(self.pending.len());
         if n == 0 {
             return Ok(());
         }
-        let snapshot = lane.snapshot.clone();
-        let fp = snapshot.fingerprint();
-        let start_ns = at_ns.max(lane.busy_until);
-        let taken: Vec<Pending> = lane.pending.drain(..n).collect();
+        let start_ns = at_ns.max(self.busy_until);
+        let taken: Vec<Pending> = self.pending.drain(..n).collect();
 
         // Cache phase: zero device lines touched for hits. Misses group by
         // QueryKey (BTreeMap ⇒ deterministic group order) so identical
@@ -412,23 +303,23 @@ impl QueryDaemon {
         let mut miss_groups: BTreeMap<ntadoc::QueryKey, Vec<usize>> = BTreeMap::new();
         for (i, p) in taken.iter().enumerate() {
             let key = p.query.key();
-            if let Some(cached) = self.cache.get(fp, &key) {
+            if let Some(cached) = self.cache.get(&key) {
                 responses[i] = Some(QueryResponse::from_cache(
                     p.query.tenant,
                     p.query.task,
                     cached,
-                    snapshot.clone(),
+                    self.snapshot.clone(),
                 ));
             } else {
                 miss_groups.entry(key).or_default().push(i);
             }
         }
 
-        let ns_before = lane.serve.sim_device().stats().virtual_ns;
+        let ns_before = self.serve.sim_device().stats().virtual_ns;
         if !miss_groups.is_empty() {
             let uniq: Vec<Query> =
                 miss_groups.values().map(|idxs| taken[idxs[0]].query.clone()).collect();
-            let served = match lane.serve.run_queries(&uniq) {
+            let served = match self.serve.run_queries(&uniq) {
                 Ok(served) => served,
                 Err(e) => {
                     // The batch ends here without completions, and so do
@@ -440,25 +331,25 @@ impl QueryDaemon {
                 }
             };
             for ((key, idxs), resp) in miss_groups.into_iter().zip(served) {
-                self.cache.insert(fp, key, resp.rows().clone());
+                self.cache.insert(key, resp.rows().clone());
                 for i in idxs {
                     responses[i] = Some(QueryResponse::computed(
                         taken[i].query.tenant,
                         resp.task,
                         resp.rows().clone(),
-                        snapshot.clone(),
+                        self.snapshot.clone(),
                     ));
                 }
             }
         }
-        let service_ns = lane.serve.sim_device().stats().virtual_ns - ns_before;
+        let service_ns = self.serve.sim_device().stats().virtual_ns - ns_before;
         let done_ns = start_ns + service_ns;
-        lane.busy_until = done_ns;
+        self.busy_until = done_ns;
         self.batches += 1;
 
         for (p, response) in taken.into_iter().zip(responses) {
             let response = response.expect("every batched query got a response");
-            lane.serve.obs().metrics.counter_add(&served_metric(p.query.tenant), 1);
+            self.serve.obs().metrics.counter_add(&served_metric(p.query.tenant), 1);
             self.releases.push(Reverse((done_ns, p.query.tenant.0)));
             completions.push(Completion {
                 arrival_ns: p.arrival_ns,
@@ -467,14 +358,6 @@ impl QueryDaemon {
                 query: p.query,
                 response,
             });
-        }
-
-        // The old generation's last pinned batch just left: retire the lane
-        // and invalidate exactly the superseded cache entries.
-        if sel == LaneSel::Draining && self.draining.as_ref().is_some_and(|l| l.pending.is_empty())
-        {
-            self.draining = None;
-            self.cache.retain_snapshots(&[self.current.fingerprint()]);
         }
         Ok(())
     }
@@ -599,60 +482,6 @@ mod tests {
         let first = done[0].response.rows();
         assert!(done.iter().all(|c| std::sync::Arc::ptr_eq(c.response.rows(), first)));
         assert_eq!(d.batches_dispatched(), 1);
-    }
-
-    #[test]
-    fn install_swaps_snapshot_and_invalidates_cache() {
-        let mut d = daemon(DaemonConfig::default());
-        let q = Query::new(TenantId(0), Task::WordCount);
-        let old = d.execute(q.clone()).unwrap();
-        assert!(d.execute(q.clone()).unwrap().cache_hit);
-
-        // Re-compress a *different* corpus and install it.
-        let files =
-            vec![("c.txt".to_string(), "entirely different words live here now".to_string())];
-        let comp = compress_corpus(&files, &TokenizerConfig::default());
-        let engine = Engine::builder(comp).config(EngineConfig::ntadoc()).build().unwrap();
-        let new_snapshot = engine.snapshot_version();
-        assert_ne!(old.snapshot.fingerprint(), new_snapshot);
-        d.install(engine.serve().unwrap()).unwrap();
-        assert_eq!(d.snapshot_version(), new_snapshot);
-
-        let fresh = d.execute(q).unwrap();
-        assert!(!fresh.cache_hit, "new snapshot must not serve stale bytes");
-        assert_eq!(fresh.snapshot.fingerprint(), new_snapshot);
-        assert_ne!(old.output(), fresh.output());
-    }
-
-    #[test]
-    fn install_with_pending_work_drains_against_old_snapshot() {
-        let cfg = DaemonConfig {
-            batch_window_ns: u64::MAX / 4, // nothing dispatches on its own
-            max_batch: 16,
-            ..DaemonConfig::default()
-        };
-        let mut d = daemon(cfg);
-        let old_fp = d.snapshot_version();
-        d.submit(10, Query::new(TenantId(0), Task::WordCount)).unwrap();
-        d.submit(20, Query::new(TenantId(1), Task::Sort)).unwrap();
-
-        let files =
-            vec![("c.txt".to_string(), "entirely different words live here now".to_string())];
-        let comp = compress_corpus(&files, &TokenizerConfig::default());
-        let engine = Engine::builder(comp).config(EngineConfig::ntadoc()).build().unwrap();
-        let flushed = d.install(engine.serve().unwrap()).unwrap();
-        assert!(flushed.is_empty(), "install must not flush in-window work");
-        assert_eq!(d.draining_depth(), 2, "old-snapshot work stays queued in the drain lane");
-
-        // New admissions land under the new snapshot while the old drains.
-        d.submit(30, Query::new(TenantId(2), Task::WordCount)).unwrap();
-        let mut done = Vec::new();
-        d.flush(&mut done).unwrap();
-        assert_eq!(done.len(), 3);
-        assert_eq!(done[0].response.snapshot.fingerprint(), old_fp);
-        assert_eq!(done[1].response.snapshot.fingerprint(), old_fp);
-        assert_eq!(done[2].response.snapshot.fingerprint(), d.snapshot_version());
-        assert!(d.draining_session().is_none(), "drain lane retires once empty");
     }
 
     #[test]

@@ -3,16 +3,16 @@
 //! The engine crate answers one batch of typed [`ntadoc::Query`]s at a time;
 //! this crate turns that into a *daemon*: queries from N tenants arrive over
 //! (virtual) time, are admission-controlled per tenant, coalesced into
-//! batches on the same grammar snapshot so one DAG traversal amortizes
-//! across tenants, and answered from a snapshot-keyed result cache when an
-//! identical query already ran — a cache hit touches **zero** device lines.
+//! batches so one DAG traversal amortizes across tenants, and answered from
+//! a result cache when an identical query already ran — a cache hit touches
+//! **zero** device lines. A daemon serves the one snapshot its session was
+//! opened on; serving another corpus means building another daemon.
 //!
 //! Four layers:
 //!
-//! * [`ResultCache`] — `(snapshot_version, QueryKey) → Arc<TaskRows>`
-//!   (dictionary ids, never strings) with FIFO eviction, plus the result's
-//!   encoding once a hit on the entry has been sent. Keyed on the grammar fingerprint, so installing a
-//!   re-compressed corpus invalidates every stale entry structurally.
+//! * [`ResultCache`] — `QueryKey → Arc<TaskRows>` (dictionary ids, never
+//!   strings) with FIFO eviction, plus the result's encoding once a hit on
+//!   the entry has been sent.
 //! * [`QueryDaemon`] — the event loop. [`QueryDaemon::run_trace`] replays an
 //!   arrival trace deterministically in virtual time (identical trace ⇒
 //!   bit-identical responses and latencies for any worker count);

@@ -20,11 +20,10 @@ pub use ntadoc_grammar::{
 };
 pub use ntadoc_pmem::{
     crc64, for_each_case, fsck_pool, sweep_ctx, torn_line_survives, torn_word_survives,
-    AllocLedger, CrashMode, CrashPoint, DeviceKind, DeviceMirror, DeviceProfile, FileDevice,
-    FsckReport, HostCrashReport, Json, JsonError, MetricRegistry, MetricValue, MetricsSnapshot,
-    MmapDevice, Obs, PmemBackend, PmemError, PmemPool, PoolDevice, PoolHeader, PoolLayout, Prng,
-    SimDevice, SpanNode, TxLog, TxLogInspection, CRASH_PANIC, POOL_DATA_AT, POOL_MAGIC,
-    POOL_VERSION,
+    AllocLedger, CrashPoint, DeviceKind, DeviceMirror, DeviceProfile, FileDevice, FsckReport,
+    HostCrashReport, Json, JsonError, MetricRegistry, MetricValue, MetricsSnapshot, MmapDevice,
+    Obs, PmemBackend, PmemError, PmemPool, PoolDevice, PoolHeader, PoolLayout, Prng, SimDevice,
+    SpanNode, TxLog, TxLogInspection, CRASH_PANIC, POOL_DATA_AT, POOL_MAGIC, POOL_VERSION,
 };
 pub use ntadoc_serve::{
     percentile_ns, shard_reads_total, Completion, DaemonConfig, QueryDaemon, Rejection,

@@ -381,7 +381,6 @@ fn torn_crash_always_preserves_fenced_data() {
         CASES,
         |rng| (vec_of(rng, 1..40, |rng| rng.range(1, 999)), rng.next_below(10000)),
         |&(ref vals, seed)| {
-            use ntadoc_repro::CrashMode;
             let dev = SimDevice::new(DeviceProfile::nvm_optane(), 1 << 16);
             for (i, v) in vals.iter().enumerate() {
                 dev.write_u64(i as u64 * 8, *v);
@@ -393,8 +392,7 @@ fn torn_crash_always_preserves_fenced_data() {
                 dev.flush((100 + i as u64) * 8, 8);
                 // …flushed but NOT fenced: each independently survives or not.
             }
-            dev.set_crash_mode(CrashMode::Torn { seed });
-            dev.crash();
+            dev.crash_torn(seed);
             // Whatever the seed did to the unfenced lines, fenced data is intact.
             for (i, v) in vals.iter().enumerate() {
                 assert_eq!(dev.read_u64(i as u64 * 8), *v, "fenced index {}", i);

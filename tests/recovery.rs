@@ -7,8 +7,7 @@
 //! ordering between unfenced lines).
 
 use ntadoc_repro::{
-    compress_corpus, Compressed, CrashMode, Engine, EngineConfig, RetryPolicy, Task,
-    TokenizerConfig,
+    compress_corpus, Compressed, Engine, EngineConfig, RetryPolicy, Task, TokenizerConfig,
 };
 
 fn corpus() -> Compressed {
@@ -80,22 +79,6 @@ fn multiple_torn_crashes_in_a_row_still_recover() {
     let mut clean_engine =
         Engine::builder(comp.clone()).config(EngineConfig::ntadoc()).build().unwrap();
     assert_eq!(out, clean_engine.run(Task::Sort).unwrap());
-}
-
-#[test]
-fn configured_torn_mode_applies_to_plain_crash() {
-    // Setting the mode once makes every subsequent `crash()` torn — the
-    // recovery contract must hold either way.
-    let comp = corpus();
-    let engine = Engine::builder(comp.clone()).config(EngineConfig::ntadoc()).build().unwrap();
-    let mut session = engine.session(Task::WordCount).unwrap();
-    session.sim_device().set_crash_mode(CrashMode::Torn { seed: 31337 });
-    session.crash();
-    session.recover().unwrap();
-    let out = session.traverse().unwrap();
-    let mut clean_engine =
-        Engine::builder(comp.clone()).config(EngineConfig::ntadoc()).build().unwrap();
-    assert_eq!(out, clean_engine.run(Task::WordCount).unwrap());
 }
 
 #[test]
