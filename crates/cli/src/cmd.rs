@@ -2,16 +2,14 @@
 
 use std::fs;
 use std::io::{self, Write};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use ntadoc::{
-    ingest_corpus, Accessor, Engine, EngineConfig, IngestOptions, Persistence, PoolBackend,
-    PoolLayoutConfig, RunReport, Task, TaskRows,
+    ingest_append, ingest_corpus, snapshot_fingerprint, Accessor, Engine, EngineConfig,
+    IngestOptions, Persistence, PoolBackend, PoolLayoutConfig, RunReport, Task, TaskRows,
 };
-use ntadoc_grammar::{
-    deserialize_compressed, serialize_compressed, Compressed, CorpusBuilder, TokenizerConfig,
-};
-use ntadoc_pmem::DeviceProfile;
+use ntadoc_grammar::{deserialize_compressed, serialize_compressed, Compressed, GrammarStats};
+use ntadoc_pmem::{DeviceProfile, PmemError};
 
 /// Top-level usage text.
 pub const USAGE: &str = "usage:
@@ -167,6 +165,13 @@ fn collect_inputs(paths: &[PathBuf]) -> Result<Vec<PathBuf>, CliError> {
     Ok(files)
 }
 
+/// An input file as `(name, text)`: its path as given, and its contents,
+/// which must be UTF-8.
+fn read_input(path: &Path) -> Result<(String, String), CliError> {
+    let text = fs::read_to_string(path).map_err(|e| fail(format!("{}: {e}", path.display())))?;
+    Ok((path.display().to_string(), text))
+}
+
 pub(crate) fn load_corpus(path: &str) -> Result<Compressed, CliError> {
     let bytes = fs::read(path).map_err(|e| fail(format!("{path}: {e}")))?;
     deserialize_compressed(&bytes).map_err(|e| fail(format!("{path}: {e}")))
@@ -214,12 +219,8 @@ fn compress(args: &[String]) -> CmdResult {
         // Chunk-parallel ingest: same grammar contract as the serial
         // builder (identical corpus, identical dictionary order), built
         // concurrently and merged through the shared dictionary.
-        let mut texts = Vec::with_capacity(files.len());
-        for f in &files {
-            let text = fs::read_to_string(f).map_err(|e| fail(format!("{}: {e}", f.display())))?;
-            raw_bytes += text.len() as u64;
-            texts.push((f.display().to_string(), text));
-        }
+        let texts = files.iter().map(|f| read_input(f)).collect::<Result<Vec<_>, _>>()?;
+        raw_bytes = texts.iter().map(|(_, text)| text.len() as u64).sum();
         let (c, report) = ingest_corpus(&texts, &IngestOptions { chunks, ..Default::default() });
         println!(
             "ingested in {} chunks (modeled {:.1}x parallel speedup)",
@@ -228,13 +229,11 @@ fn compress(args: &[String]) -> CmdResult {
         );
         comp = c;
     } else {
-        let mut builder = CorpusBuilder::new(TokenizerConfig::default());
-        for f in &files {
-            let text = fs::read_to_string(f).map_err(|e| fail(format!("{}: {e}", f.display())))?;
-            raw_bytes += text.len() as u64;
-            builder.add_file(f.display().to_string(), &text);
-        }
-        comp = builder.finish();
+        // The serial build, Sequitur on a helper thread from two workers
+        // on; files are read one at a time as the build takes them.
+        let texts =
+            files.iter().map(|f| read_input(f).inspect(|(_, text)| raw_bytes += text.len() as u64));
+        comp = crate::pipeline::build_corpus(texts)?;
     }
     comp.grammar = comp.grammar.coarsened(coarsen);
     let image = serialize_compressed(&comp).map_err(fail)?;
@@ -247,9 +246,18 @@ fn compress(args: &[String]) -> CmdResult {
         raw_bytes,
         out,
         image.len(),
-        comp.grammar.compression_ratio()
+        compression_ratio(&stats)
     );
     Ok(())
+}
+
+/// `Grammar::compression_ratio` from stats already taken: words per
+/// grammar symbol, 1 for a grammar with no symbols.
+fn compression_ratio(stats: &GrammarStats) -> f64 {
+    if stats.total_symbols == 0 {
+        return 1.0;
+    }
+    stats.expanded_words as f64 / stats.total_symbols as f64
 }
 
 // ---- append ---------------------------------------------------------------
@@ -260,6 +268,16 @@ fn compress(args: &[String]) -> CmdResult {
 /// resummed — no full rebuild. Writes back in place unless `-o` names a
 /// different output, and moves the image's snapshot fingerprint.
 fn append(args: &[String]) -> CmdResult {
+    for line in append_image(args)? {
+        println!("{line}");
+    }
+    Ok(())
+}
+
+/// The work of `ntadoc append`: the grown image written, and the lines the
+/// command prints returned. Only the image is built — no engine, whose
+/// facts and plan nothing here would read.
+fn append_image(args: &[String]) -> Result<[String; 3], CliError> {
     let corpus_path = args.first().ok_or_else(|| usage("append needs a corpus path"))?.clone();
     let mut inputs = Vec::new();
     let mut out = corpus_path.clone();
@@ -280,37 +298,40 @@ fn append(args: &[String]) -> CmdResult {
         return Err(usage("append needs at least one input file"));
     }
     let files = collect_inputs(&inputs)?;
-    let mut texts = Vec::with_capacity(files.len());
-    for f in &files {
-        let text = fs::read_to_string(f).map_err(|e| fail(format!("{}: {e}", f.display())))?;
-        texts.push((f.display().to_string(), text));
+    let texts = files.iter().map(|f| read_input(f)).collect::<Result<Vec<_>, _>>()?;
+    let base = load_corpus(&corpus_path)?;
+    // The refusals an engine over the base, then its append, would raise.
+    let refuse = |why: &str| fail(PmemError::Unsupported(why.into()));
+    if base.file_names.is_empty() {
+        return Err(refuse("engines need a corpus with at least one file"));
     }
-    let comp = load_corpus(&corpus_path)?;
-    let mut engine = Engine::builder(comp)
-        .config(EngineConfig::ntadoc())
-        .label("cli-append")
-        .build()
-        .map_err(fail)?;
-    let report = engine.append_files(texts).map_err(fail)?;
-    let image = serialize_compressed(engine.compressed()).map_err(fail)?;
+    if texts.is_empty() {
+        return Err(refuse("append_files needs at least one file"));
+    }
+    let step = ingest_append(&base, &texts, &IngestOptions::default());
+    let image = serialize_compressed(&step.comp).map_err(fail)?;
     fs::write(&out, &image).map_err(|e| fail(format!("{out}: {e}")))?;
-    println!(
-        "appended {} files / {} tokens ({} raw bytes) → {} ({} bytes)",
-        report.files_appended,
-        report.appended_tokens,
-        report.appended_bytes,
-        out,
-        image.len(),
-    );
-    println!(
-        "  {} new words, {} new rules, {} dirty rules resummed in {:.3} ms (virtual)",
-        report.new_words,
-        report.new_rules,
-        report.dirty_rules,
-        report.virtual_ns as f64 / 1e6,
-    );
-    println!("  snapshot {:016x} → {:016x}", report.old_fingerprint, report.snapshot.fingerprint());
-    Ok(())
+    Ok([
+        format!(
+            "appended {} files / {} tokens ({} raw bytes) → {out} ({} bytes)",
+            texts.len(),
+            step.appended_tokens,
+            step.appended_bytes,
+            image.len(),
+        ),
+        format!(
+            "  {} new words, {} new rules, {} dirty rules resummed in {:.3} ms (virtual)",
+            step.outcome.new_words,
+            step.outcome.new_rules.len(),
+            step.outcome.dirty_rules.len(),
+            step.virtual_ns as f64 / 1e6,
+        ),
+        format!(
+            "  snapshot {:016x} → {:016x}",
+            snapshot_fingerprint(&base),
+            snapshot_fingerprint(&step.comp)
+        ),
+    ])
 }
 
 // ---- stats ---------------------------------------------------------------
@@ -325,7 +346,7 @@ fn stats(args: &[String]) -> CmdResult {
     println!("vocabulary      {}", s.vocabulary);
     println!("words           {}", s.expanded_words);
     println!("symbols         {}", s.total_symbols);
-    println!("compression     {:.2}x (words per grammar symbol)", comp.grammar.compression_ratio());
+    println!("compression     {:.2}x (words per grammar symbol)", compression_ratio(&s));
     Ok(())
 }
 
@@ -737,6 +758,7 @@ fn fsck(args: &[String]) -> CmdResult {
 /// entry for embedding the CLI).
 #[cfg(test)]
 pub fn compress_texts(files: &[(String, String)], coarsen: u64) -> Vec<u8> {
+    use ntadoc_grammar::{CorpusBuilder, TokenizerConfig};
     let mut b = CorpusBuilder::new(TokenizerConfig::default());
     for (n, t) in files {
         b.add_file(n.clone(), t);
@@ -1273,12 +1295,21 @@ mod tests {
         .unwrap();
         let before = load_corpus(&out.display().to_string()).unwrap();
 
-        // In-place append: the image gains the file and stays queryable.
+        // In-place append: the image gains the file and stays queryable,
+        // and the printed fingerprints are those of the base and of the
+        // image written.
         let f2 = dir.join("two.txt");
         fs::write(&f2, "gamma delta epsilon delta").unwrap();
-        dispatch(&["append".into(), out.display().to_string(), f2.display().to_string()]).unwrap();
+        let said = append_image(&[out.display().to_string(), f2.display().to_string()]).unwrap();
         let after = load_corpus(&out.display().to_string()).unwrap();
         assert_eq!(after.file_count(), before.file_count() + 1);
+        let moved = format!(
+            "  snapshot {:016x} → {:016x}",
+            snapshot_fingerprint(&before),
+            snapshot_fingerprint(&after)
+        );
+        assert_eq!(said[2], moved);
+        assert!(said[0].starts_with("appended 1 files / 4 tokens (25 raw bytes) → "), "{said:?}");
         dispatch(&["search".into(), out.display().to_string(), "epsilon".into()]).unwrap();
         dispatch(&["run".into(), "wordcount".into(), out.display().to_string()]).unwrap();
 
@@ -1297,8 +1328,81 @@ mod tests {
         assert_eq!(load_corpus(&out.display().to_string()).unwrap().file_count(), 2);
         assert_eq!(load_corpus(&out2.display().to_string()).unwrap().file_count(), 3);
 
-        assert!(dispatch(&["append".into(), out.display().to_string()]).is_err());
+        // Refused: no input files, an input directory with no files in
+        // it, and a base image that holds no file.
+        let refused = |args: &[&Path]| {
+            let args: Vec<String> = args.iter().map(|p| p.display().to_string()).collect();
+            dispatch(&[&["append".to_string()][..], &args].concat()).unwrap_err()
+        };
+        assert!(matches!(refused(&[&out]), CliError::Usage(_)));
+        let none = dir.join("none");
+        fs::create_dir_all(&none).unwrap();
+        assert_eq!(
+            refused(&[&out, &none]).to_string(),
+            "unsupported operation: append_files needs at least one file"
+        );
+        let empty = dir.join("empty.ntdc");
+        fs::write(&empty, compress_texts(&[], 4)).unwrap();
+        assert_eq!(
+            refused(&[&empty, &f3]).to_string(),
+            "unsupported operation: engines need a corpus with at least one file"
+        );
         fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The serial `compress` writes, at one worker and at two, the image
+    /// the corpus builder writes; a file that is not UTF-8 after several
+    /// batches' worth of words is today's error, at either count.
+    #[test]
+    fn compress_writes_the_builders_image_at_any_worker_count() {
+        let dir = std::env::temp_dir().join(format!("ntadoc-cli-pipe-{}", std::process::id()));
+        let corpus = dir.join("corpus");
+        fs::create_dir_all(corpus.join("sub")).unwrap();
+        let texts = [
+            ("a.txt", "Alpha beta GAMMA alpha beta gamma ".repeat(3000)),
+            ("b.txt", String::new()),
+            ("sub/c.txt", "Über über straße ΣΊΣΥΦΟΣ alpha".repeat(50)),
+        ];
+        for (name, text) in &texts {
+            fs::write(corpus.join(name), text).unwrap();
+        }
+        let named: Vec<(String, String)> = texts
+            .iter()
+            .map(|(name, text)| (corpus.join(name).display().to_string(), text.clone()))
+            .collect();
+        let want = compress_texts(&named, 12);
+        let image = dir.join("corpus.ntdc");
+        let compress = |inputs: &[&Path], workers: usize| {
+            let mut args = vec!["compress".to_string(), "-o".into(), image.display().to_string()];
+            args.extend(inputs.iter().map(|p| p.display().to_string()));
+            ntadoc_pmem::par::with_threads(workers, || dispatch(&args))
+        };
+        let bad = dir.join("bad.txt");
+        fs::write(&bad, b"valid words then \xff\xfe not UTF-8").unwrap();
+        let err = fs::read_to_string(&bad).unwrap_err();
+        for workers in [1, 2] {
+            compress(&[&corpus], workers).unwrap();
+            assert_eq!(fs::read(&image).unwrap(), want, "{workers} worker(s)");
+            let got = compress(&[&corpus.join("a.txt"), &bad, &corpus.join("b.txt")], workers);
+            assert_eq!(got, Err(fail(format!("{}: {err}", bad.display()))), "{workers}");
+        }
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The ratio `compress` and `stats` print from the stats they took is
+    /// the one `Grammar::compression_ratio` computes, to the bit.
+    #[test]
+    fn the_printed_ratio_is_the_grammars() {
+        let corpora: [&[(String, String)]; 3] = [
+            &[],
+            &[("a".into(), String::new())],
+            &[("a".into(), "x y x y x y z".into()), ("b".into(), "x y z".into())],
+        ];
+        for files in corpora {
+            let comp = deserialize_compressed(&compress_texts(files, 4)).unwrap();
+            let ratio = compression_ratio(&comp.grammar.stats());
+            assert_eq!(ratio.to_bits(), comp.grammar.compression_ratio().to_bits(), "{files:?}");
+        }
     }
 
     #[test]

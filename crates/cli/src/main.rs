@@ -14,6 +14,7 @@
 //! tree, metric snapshot, access stats — as JSON).
 
 mod cmd;
+mod pipeline;
 mod serve;
 
 use std::process::ExitCode;
