@@ -8,6 +8,13 @@
 //! stays under [`POOL_DIR`] so CI can `ntadoc fsck` it. The headlines —
 //! crashes fired, converged and their ratio — are published unjudged;
 //! `report --gate crash_sweep` requires every fired crash to converge.
+//!
+//! **Why it stays** (ROADMAP 1(d)). Only this bench reads `GATES`'s
+//! `crash_sweep` rows, `recovery_rate == 1` and `crashes_fired > 0`, over
+//! the seeds and backends CI chooses (`NTADOC_SWEEP_SEEDS`,
+//! `NTADOC_SWEEP_BACKEND`), and it leaves the pools CI runs `ntadoc fsck`
+//! on. `tests/crash_sweep.rs` runs the same sweep at fixed seeds.
+//! `benchmark/` measures no crash or recovery on either clock.
 
 use std::path::Path;
 

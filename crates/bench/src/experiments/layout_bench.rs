@@ -16,6 +16,13 @@
 //! * `best_lines_ratio` — the winning layout's ratio,
 //! * `outputs_identical` — 1.0 once every cell matched the baseline
 //!   output byte for byte.
+//!
+//! **Why it stays** (ROADMAP 1(d)). Only this bench reads `GATES`'s
+//! `layout_bench.best_lines_ratio <= 0.85`, the line saving the `varint`
+//! layout is kept for, and `fixed_lines_ratio == 1`. `benchmark/` runs no
+//! pool under `varint` on either clock. Its `outputs_identical == 1` row
+//! is also held, per cell, by the layout axis of the differential matrix
+//! (`tests/common/matrix.rs`).
 
 use crate::{geomean, print_matrix, Emitter, Harness};
 use ntadoc::{Engine, EngineConfig, PoolLayoutConfig, RunReport, Task, TaskOutput};

@@ -8,6 +8,14 @@
 //! single-run result. Virtual time is deterministic across thread
 //! counts; only the wall clock changes. The headline is the word-count
 //! throughput speedup at 8 workers.
+//!
+//! **Why it stays** (ROADMAP 1(d)). Only this bench reads `GATES`'s
+//! `serve_bench.word_count_speedup_at_8 >= 2.0`: a batch of served queries
+//! on eight workers against one. `benchmark/` does not measure that on
+//! either clock: its `serve_hot` and `serve_cold` send one request at a
+//! time to the live daemon, and `ntadoc.run_queries_ms.*` times one batch
+//! at the host's worker count. The row is a wall-clock row and is skipped
+//! on hosts with fewer than eight cores.
 
 use std::time::Instant;
 

@@ -7,6 +7,15 @@
 //! count: the same trace always produces the same p50/p99/throughput. The
 //! experiment asserts that a warm cache hit touches zero device lines and
 //! that the replay is bit-identical at 1 and 4 workers.
+//!
+//! **Why it stays** (ROADMAP 1(d)). Only this bench reads `GATES`'s
+//! `serve_load` rows for the virtual p50 and p99 latency, the virtual
+//! throughput and `cache_hit_rate >= 0.3` of a multi-tenant trace.
+//! `benchmark/` replays a 48-query trace of its own batched and unbatched
+//! on both clocks (`serve.trace_replay_qps` on the wall clock, the exact
+//! `serve.batch_lines_ratio`, which is this bench's `lines_touched_ratio`
+//! inverted), so that row alone would not keep this bench; the latency,
+//! throughput and hit-rate rows do.
 
 use crate::{Emitter, Harness};
 use ntadoc::{Engine, EngineConfig, Query, Task, TenantId};

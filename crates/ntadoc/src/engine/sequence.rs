@@ -177,8 +177,11 @@ impl Session {
                     })
                 });
                 // Per rule: its junction n-gram ids and the interner bytes
-                // they added, ledgered by the rule's merge below so that a
-                // single worker's DRAM ledger reads as it always has.
+                // they added. Those bytes and each merge's cursors are
+                // ledgered after the merges, rule by rule, as one worker
+                // books them: booked from the workers, a cursor buffer
+                // would land on whichever rules' bytes were in by then, and
+                // the DRAM peak would follow the schedule.
                 let mut interned = Vec::with_capacity(level.len());
                 for grams in scanned {
                     let (mut ids, mut fresh) = (grams?, 0);
@@ -188,22 +191,26 @@ impl Session {
                 let merged = par::par_map(&level, |i, &r| {
                     with_deferred_charges(&charges[i], || {
                         with_work(|w| {
-                            let (ids, fresh_bytes) = &interned[i];
-                            self.sc.note_dram(*fresh_bytes);
                             // Junction windows tallied, children via
                             // sorted-list merge.
                             w.ids.clear();
-                            w.ids.extend_from_slice(ids);
+                            w.ids.extend_from_slice(&interned[i].0);
                             w.merge.tally(&mut w.ids);
                             // (Word-list storage, reused for sequence lists.)
                             self.add_sub_lists(r, w)?;
-                            Ok(self.merged(&mut w.merge))
+                            Ok(self.merged_unledgered(&mut w.merge))
                         })
                     })
                 });
                 par::join_deferred(&self.sc.dev, &charges);
-                for (&r, entries) in level.iter().zip(merged) {
-                    let (addr, len) = self.dag()?.store_wordlist(r, &entries?)?;
+                for (merge, (_, fresh_bytes)) in merged.iter().zip(&interned) {
+                    self.sc.note_dram(*fresh_bytes);
+                    if let Ok((_, cursors)) = merge {
+                        self.sc.note_transient_dram(*cursors);
+                    }
+                }
+                for (&r, merge) in level.iter().zip(merged) {
+                    let (addr, len) = self.dag()?.store_wordlist(r, &merge?.0)?;
                     self.op_guard(addr, len)?;
                 }
             }

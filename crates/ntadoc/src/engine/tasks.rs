@@ -299,9 +299,17 @@ impl Session {
     /// by side (a cache level, a query's files) reach the peak one merge
     /// after another would.
     pub(crate) fn merged(&self, merge: &mut Merge) -> Counts {
-        self.sc.note_transient_dram((merge.lists + 1) * 64);
+        let (counts, cursors) = self.merged_unledgered(merge);
+        self.sc.note_transient_dram(cursors);
+        counts
+    }
+
+    /// [`merged`](Self::merged), returning the cursors' DRAM bytes for the
+    /// caller to ledger instead.
+    pub(crate) fn merged_unledgered(&self, merge: &mut Merge) -> (Counts, u64) {
+        let cursors = (merge.lists + 1) * 64;
         self.sc.charge_items(merge.entries * 2);
-        merge.drain()
+        (merge.drain(), cursors)
     }
 
     /// The engine's bottom-up dependency levels without the root, whose

@@ -1,109 +1,28 @@
-//! The streaming-corpus contract: appending files one group at a time
-//! through `Engine::append_files` gives the same bytes — snapshot
-//! fingerprint, pool image, virtual time — for any worker count (and, in
-//! `ingest_golden.rs`, the pinned images), loses nothing a full rebuild
-//! would keep, and answers like one; sessions opened before an append keep
-//! serving the old snapshot; and file pools published under a superseded
-//! fingerprint are recreated on open.
+//! The streaming-corpus contract: sessions opened before an append keep
+//! serving the old snapshot, file pools published under a superseded
+//! fingerprint are recreated on open, and misuse is a typed error. That
+//! appending gives the same bytes for any worker count and answers like a
+//! full rebuild is a matrix route (`tests/common/matrix.rs`; the pinned
+//! images are in `ingest_golden.rs`).
 
 mod common;
 
-use common::{build_by_appends, check_corpora, CorpusShape};
-use ntadoc_pmem::par;
-use ntadoc_repro::{
-    compress_corpus, fsck_pool, Engine, EngineBuilder, EngineConfig, PmemError, Query, Task,
-    TenantId, TokenizerConfig,
-};
+use common::matrix::Path::Serve;
+use common::matrix::{cell, counts_turned, run_cells, Cell, Route};
 
-/// Arbitrary corpora: 2–6 files of small-alphabet words (some empty), so
-/// appends splice empty files, seam repeats, and fresh vocabulary.
-const CORPORA: CorpusShape = CorpusShape { files: 2..6, alphabet: 18, words: 0..120 };
-
-/// Deterministically partition `n` files into non-empty groups from a seed.
-fn plan_from_seed(n: usize, mut seed: u64) -> Vec<usize> {
-    let mut plan = Vec::new();
-    let mut left = n;
-    while left > 0 {
-        let take = 1 + (seed as usize) % left;
-        seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-        plan.push(take);
-        left -= take;
-    }
-    plan
-}
+use ntadoc_repro::{fsck_pool, EngineBuilder, EngineConfig, PmemError, Query, Task, TenantId};
 
 #[test]
 fn append_pipeline_is_identical_for_any_worker_count() {
-    let files = vec![
-        ("a".to_string(), "the quick brown fox jumps over the lazy dog the end".repeat(30)),
-        ("b".to_string(), "pack my box with five dozen liquor jugs the fox".repeat(30)),
-        ("c".to_string(), "sphinx of black quartz judge my vow the quick judge".repeat(30)),
-        ("d".to_string(), "new words arrive late and must intern cleanly here".repeat(30)),
-    ];
-    let build = |threads: usize| {
-        par::with_threads(threads, || {
-            let e = build_by_appends(&files, &[1, 1, 1, 1]);
-            let serve = e.serve().unwrap();
-            let dev = serve.sim_device();
-            (
-                e.snapshot_version(),
-                e.ingest_total_ns(),
-                dev.peek(0, dev.capacity() as usize),
-                dev.stats().virtual_ns,
-            )
-        })
-    };
-    let (base_fp, base_ns, base_pool, base_init) = build(1);
-    for threads in [4, 8] {
-        let (fp, ns, pool, init) = build(threads);
-        assert_eq!(fp, base_fp, "fingerprint diverged at {threads} threads");
-        assert_eq!(ns, base_ns, "append virtual time diverged at {threads} threads");
-        assert_eq!(pool, base_pool, "pool bytes diverged at {threads} threads");
-        assert_eq!(init, base_init, "init virtual time diverged at {threads} threads");
-    }
+    let plans = [1, 2, 3].map(|seed| Cell { route: Route::Appends(seed), ..cell("24 files") });
+    run_cells("append plans", counts_turned(plans));
 }
 
 #[test]
 fn appended_engines_answer_like_full_rebuilds() {
-    let files = vec![
-        ("a".to_string(), "one two three one two four five one".repeat(12)),
-        ("b".to_string(), "one two three six seven two".repeat(12)),
-        ("c".to_string(), "eight nine one seven ten ten".repeat(12)),
-    ];
-    let mut appended = build_by_appends(&files, &[1, 1, 1]);
-    let mut rebuilt = Engine::builder(compress_corpus(&files, &TokenizerConfig::default()))
-        .config(EngineConfig::ntadoc())
-        .build()
-        .unwrap();
-    for task in Task::ALL {
-        assert_eq!(
-            appended.run(task).unwrap(),
-            rebuilt.run(task).unwrap(),
-            "{task} diverged between append path and full rebuild"
-        );
-    }
-
-    // Over arbitrary corpora and plans the appended corpus expands to
-    // exactly the input files: the incremental path loses nothing a full
-    // rebuild would keep.
-    check_corpora(
-        "appended_engines_answer_like_full_rebuilds",
-        0xA99E_0D01,
-        16,
-        CORPORA,
-        |rng| rng.next_below(10_000),
-        |files, &seed| {
-            let plan = plan_from_seed(files.len(), seed);
-            let live = build_by_appends(files, &plan);
-            let full = compress_corpus(files, &TokenizerConfig::default());
-            assert_eq!(live.append_log().len(), plan.len() - 1, "plan {plan:?}");
-            assert_eq!(
-                live.compressed().grammar.expand_files(),
-                full.grammar.expand_files(),
-                "plan {plan:?}"
-            );
-        },
-    );
+    let appended = Cell { route: Route::Appends(9), ..cell("awkward words") };
+    let asked = [appended.clone(), Cell { path: Serve, ..appended }];
+    run_cells("appended", asked.into_iter().flat_map(Cell::every_task));
 }
 
 #[test]

@@ -1,16 +1,21 @@
 //! What the suites share: the one generator of small corpora, the two
 //! inputs proptest had shrunk and saved while these suites still ran under
-//! it, and the build-by-appends route. Every corpus-taking property goes
-//! through [`check_corpora`], so each sees both saved inputs before its
-//! seeded cases.
+//! it, the build-by-appends route, the decompress-and-count [`oracle`] and
+//! the differential [`matrix`] checked against it. Every corpus-taking
+//! property outside the matrix goes through [`check_corpora`], so each
+//! sees both saved inputs before its seeded cases; the matrix has them in
+//! its catalogue.
 
 // Each suite uses its own part of this module.
 #![allow(dead_code)]
 
+pub mod matrix;
+pub mod oracle;
+
 use std::fmt::Debug;
 use std::ops::Range;
 
-use ntadoc_repro::{for_each_case, Engine, EngineBuilder, EngineConfig, Prng};
+use ntadoc_repro::{for_each_case, Engine, EngineBuilder, PmemError, Prng};
 
 /// `(file name, text)` pairs, as `compress_corpus` takes them.
 pub type Files = Vec<(String, String)>;
@@ -46,22 +51,40 @@ pub fn corpus(rng: &mut Prng, shape: &CorpusShape) -> Files {
     named(texts)
 }
 
-fn named(texts: impl IntoIterator<Item = impl Into<String>>) -> Files {
+/// Files `f0`, `f1`, … holding `texts`.
+pub fn named(texts: impl IntoIterator<Item = impl Into<String>>) -> Files {
     texts.into_iter().enumerate().map(|(i, text)| (format!("f{i}"), text.into())).collect()
 }
 
 /// Build by live appends: the first `plan[0]` files as the base corpus,
-/// each later group of `plan` through `Engine::append_files`.
-pub fn build_by_appends(files: &[(String, String)], plan: &[usize]) -> Engine {
+/// built by `configure(EngineBuilder::from_files(..))`, each later group of
+/// `plan` through `Engine::append_files`.
+pub fn build_by_appends(
+    files: &[(String, String)],
+    plan: &[usize],
+    configure: impl FnOnce(EngineBuilder) -> EngineBuilder,
+) -> Result<Engine, PmemError> {
     let (base, mut rest) = files.split_at(plan[0]);
-    let mut engine =
-        EngineBuilder::from_files(base.to_vec()).config(EngineConfig::ntadoc()).build().unwrap();
+    let mut engine = configure(EngineBuilder::from_files(base.to_vec())).build()?;
     for &n in &plan[1..] {
         let (group, tail) = rest.split_at(n);
-        engine.append_files(group.to_vec()).unwrap();
+        engine.append_files(group.to_vec())?;
         rest = tail;
     }
-    engine
+    Ok(engine)
+}
+
+/// Deterministically partition `n` files into non-empty groups from a seed.
+pub fn plan_from_seed(n: usize, mut seed: u64) -> Vec<usize> {
+    let mut plan = Vec::new();
+    let mut left = n;
+    while left > 0 {
+        let take = 1 + (seed as usize) % left;
+        seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        plan.push(take);
+        left -= take;
+    }
+    plan
 }
 
 /// The inputs `tests/proptests.proptest-regressions` held (which property

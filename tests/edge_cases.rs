@@ -1,182 +1,95 @@
-//! Edge-case matrix: configuration extremes, degenerate corpora, and
-//! parameter sweeps that the main correctness suite doesn't reach.
+//! Degenerate corpora and parameter sweeps, each test the cells of its
+//! subject in the differential matrix (`tests/common/matrix.rs`), checked
+//! against the decompress-and-count oracle.
 
-use std::collections::BTreeMap;
+mod common;
 
-use ntadoc_repro::{
-    compress_corpus, Compressed, Engine, EngineConfig, Persistence, Task, TokenizerConfig,
-    UncompressedEngine,
-};
+use common::matrix::Path::*;
+use common::matrix::{cell, run_cells, Backend, Cell, EngineKind, Route, ENGINES, TOP_KS};
+use common::oracle::Shape;
+use ntadoc_repro::Task;
 
-fn small() -> Compressed {
-    compress_corpus(
-        &[
-            ("x".to_string(), "one two three one two three four five".repeat(8)),
-            ("y".to_string(), "one two six one two six".repeat(8)),
-        ],
-        &TokenizerConfig::default(),
-    )
-}
-
-#[test]
-fn ngram_width_sweep_matches_oracle() {
-    let comp = small();
-    let expanded = comp.grammar.expand_files();
-    for n in [2usize, 3, 4, 5, 7] {
-        let mut cfg = EngineConfig::ntadoc();
-        cfg.ngram = n;
-        let mut engine = Engine::builder(comp.clone()).config(cfg.clone()).build().unwrap();
-        let out = engine.run(Task::SequenceCount).unwrap();
-        let mut oracle: BTreeMap<Vec<String>, u64> = BTreeMap::new();
-        for f in &expanded {
-            for win in f.windows(n) {
-                let gram: Vec<String> =
-                    win.iter().map(|&w| comp.dict.word(w).to_string()).collect();
-                *oracle.entry(gram).or_insert(0) += 1;
-            }
-        }
-        assert_eq!(out.as_sequence_counts().unwrap(), &oracle, "n = {n}");
-        // Baseline agrees at every width too.
-        let mut base = UncompressedEngine::builder(comp.clone()).config(cfg).build();
-        assert_eq!(base.run(Task::SequenceCount).unwrap(), out, "baseline n = {n}");
-    }
-}
-
-#[test]
-fn top_k_sweep_truncates_consistently() {
-    let comp = small();
-    for k in [1usize, 2, 100] {
-        let mut cfg = EngineConfig::ntadoc();
-        cfg.top_k = k;
-        let mut engine = Engine::builder(comp.clone()).config(cfg).build().unwrap();
-        let out = engine.run(Task::TermVector).unwrap();
-        for (f, words) in out.as_term_vectors().unwrap() {
-            assert!(words.len() <= k, "{f} returned {} > {k} words", words.len());
-            // Counts must be non-increasing.
-            for pair in words.windows(2) {
-                assert!(pair[0].1 >= pair[1].1, "{f}: top-k not sorted by count");
-            }
-        }
-    }
-}
-
-#[test]
-fn persistence_none_on_nvm_still_correct() {
-    let comp = small();
-    let mut cfg = EngineConfig::ntadoc();
-    cfg.persistence = Persistence::None;
-    let mut engine = Engine::builder(comp.clone()).config(cfg).build().unwrap();
-    let out = engine.run(Task::WordCount).unwrap();
-    let mut reference =
-        Engine::builder(comp.clone()).config(EngineConfig::ntadoc()).build().unwrap();
-    assert_eq!(out, reference.run(Task::WordCount).unwrap());
-}
-
-#[test]
-fn zero_repetition_corpus_works() {
-    // Every word unique: the grammar cannot compress at all.
-    let text: String = (0..500).map(|i| format!("unique{i} ")).collect();
-    let comp = compress_corpus(&[("u".to_string(), text)], &TokenizerConfig::default());
-    assert_eq!(comp.grammar.stats().vocabulary, 500);
-    let mut engine = Engine::builder(comp.clone()).config(EngineConfig::ntadoc()).build().unwrap();
-    let out = engine.run(Task::WordCount).unwrap();
-    assert_eq!(out.as_word_counts().unwrap().len(), 500);
-    assert!(out.as_word_counts().unwrap().values().all(|&c| c == 1));
-}
-
-#[test]
-fn single_word_repeated_corpus_works() {
-    let comp =
-        compress_corpus(&[("m".to_string(), "echo ".repeat(5000))], &TokenizerConfig::default());
-    for task in Task::ALL {
-        let mut engine =
-            Engine::builder(comp.clone()).config(EngineConfig::ntadoc()).build().unwrap();
-        let out = engine.run(task).unwrap();
-        if let Ok(wc) = out.as_word_counts() {
-            assert_eq!(wc.get("echo"), Some(&5000));
-        }
-        if let Ok(sc) = out.as_sequence_counts() {
-            assert_eq!(sc.get(&vec!["echo".to_string(); 3]), Some(&4998));
-        }
-    }
-}
-
-#[test]
-fn unicode_words_survive_the_whole_pipeline() {
-    let comp = compress_corpus(
-        &[
-            ("zh".to_string(), "数据 压缩 分析 数据 压缩 分析 非易失 内存".to_string()),
-            ("mix".to_string(), "naïve café naïve データ 数据".to_string()),
-        ],
-        &TokenizerConfig::default(),
-    );
-    let mut engine = Engine::builder(comp.clone()).config(EngineConfig::ntadoc()).build().unwrap();
-    let out = engine.run(Task::WordCount).unwrap();
-    let wc = out.as_word_counts().unwrap();
-    assert_eq!(wc.get("数据"), Some(&3));
-    assert_eq!(wc.get("naïve"), Some(&2));
-    // Serialization keeps UTF-8 intact.
-    let img = ntadoc_repro::serialize_compressed(&comp).unwrap();
-    let back = ntadoc_repro::deserialize_compressed(&img).unwrap();
-    assert_eq!(back.dict.id_of("数据"), comp.dict.id_of("数据"));
-}
-
-#[test]
-fn very_long_words_round_trip() {
-    let long = "x".repeat(10_000);
-    let text = format!("{long} short {long} short");
-    let comp = compress_corpus(&[("l".to_string(), text)], &TokenizerConfig::default());
-    let mut engine = Engine::builder(comp.clone()).config(EngineConfig::ntadoc()).build().unwrap();
-    let out = engine.run(Task::WordCount).unwrap();
-    assert_eq!(out.as_word_counts().unwrap().get(&long), Some(&2));
+/// `name` through every task on one engine, a word count and an inverted
+/// index over the wire, and a term vector in a session built by appends.
+fn whole_pipeline(name: &str) -> Vec<Cell> {
+    let mut cells = cell(name).every_task();
+    cells.extend(Cell { path: Wire, ..cell(name) }.tasks(&[Task::WordCount, Task::InvertedIndex]));
+    let appended = Cell { route: Route::Appends(7), path: Session, ..cell(name) };
+    cells.push(Cell { task: Task::TermVector, ..appended });
+    cells
 }
 
 #[test]
 fn many_empty_files_between_content() {
-    let files: Vec<(String, String)> = (0..20)
-        .map(|i| {
-            let text = if i % 3 == 0 { "data point data".to_string() } else { String::new() };
-            (format!("f{i}"), text)
-        })
-        .collect();
-    let comp = compress_corpus(&files, &TokenizerConfig::default());
-    assert_eq!(comp.file_count(), 20);
-    let mut engine = Engine::builder(comp.clone()).config(EngineConfig::ntadoc()).build().unwrap();
-    let out = engine.run(Task::InvertedIndex).unwrap();
-    let idx = out.as_inverted_index().unwrap();
-    assert_eq!(idx.get("data").map(|f| f.len()), Some(7)); // files 0,3,6,9,12,15,18
+    let filtered = Cell {
+        path: Wire,
+        task: Task::InvertedIndex,
+        shape: Shape { top: None, file: Some("f1".into()) },
+        ..cell("empty files")
+    };
+    run_cells("empty files", whole_pipeline("empty files").into_iter().chain([filtered]));
+}
+
+#[test]
+fn ngram_width_sweep_matches_oracle() {
+    // The sweep runs 2, 3, 4, 5 and 7; here, the widths between and past.
+    let sequences = [Task::SequenceCount, Task::RankedInvertedIndex];
+    let widths = [6, 8, 12].map(|ngram| Cell { ngram, ..cell("24 files") });
+    let engines =
+        widths.into_iter().flat_map(|c| [c.clone(), Cell { engine: EngineKind::Scan, ..c }]);
+    run_cells("n-gram widths", engines.flat_map(|c| c.tasks(&sequences)));
+}
+
+#[test]
+fn persistence_none_on_nvm_still_correct() {
+    let unpersisted = Cell { engine: EngineKind::Unpersisted, ..cell("24 files") };
+    let pooled = Cell { path: ServePool, backend: Backend::File, ..unpersisted.clone() };
+    run_cells("no persistence", unpersisted.every_task().into_iter().chain([pooled]));
 }
 
 #[test]
 fn repeated_runs_on_one_engine_are_deterministic() {
-    let comp = small();
-    let mut engine = Engine::builder(comp.clone()).config(EngineConfig::ntadoc()).build().unwrap();
-    let a = engine.run(Task::Sort).unwrap();
-    let ra = engine.last_report.clone().unwrap();
-    let b = engine.run(Task::Sort).unwrap();
-    let rb = engine.last_report.clone().unwrap();
-    assert_eq!(a, b);
-    assert_eq!(ra.total_ns(), rb.total_ns(), "virtual time must be deterministic");
-    assert_eq!(ra.stats, rb.stats);
+    // `run_rows` runs twice on one engine and compares the reports.
+    let engines = ENGINES.map(|engine| Cell { engine, task: Task::Sort, ..cell("24 files") });
+    run_cells("repeated runs", engines);
 }
 
 #[test]
 fn run_report_serializes_to_json() {
-    use ntadoc_repro::Json;
-    let comp = small();
-    let mut engine = Engine::builder(comp.clone()).config(EngineConfig::ntadoc()).build().unwrap();
-    engine.run(Task::WordCount).unwrap();
-    let rep = engine.last_report.as_ref().unwrap();
-    let json = rep.to_json();
-    assert_eq!(json.get("version").and_then(Json::as_u64), Some(2));
-    assert_eq!(json.get("device").and_then(Json::as_str), Some("NVM"));
-    let stats_ns =
-        json.get("stats").and_then(|s| s.get("virtual_ns")).and_then(Json::as_u64).unwrap();
-    assert!(stats_ns > 0);
-    // Full text round trip through the hand-rolled parser.
-    let parsed = Json::parse(&json.pretty()).unwrap();
-    let round = ntadoc_repro::RunReport::from_json(&parsed).unwrap();
-    assert_eq!(round.stats, rep.stats);
-    assert_eq!(round.spans, rep.spans);
-    assert_eq!(round.metrics, rep.metrics);
+    // Every cell reads each report back from its JSON; here, one per path.
+    let paths = [RunRows, Session, Serve, Wire].map(|path| Cell { path, ..cell("tiny files") });
+    let pooled = Cell { path: ServePool, backend: Backend::Mmap, ..cell("tiny files") };
+    run_cells("reports", paths.into_iter().chain([pooled]));
+}
+
+#[test]
+fn single_word_repeated_corpus_works() {
+    run_cells("one repeated word", whole_pipeline("one repeated word"));
+}
+
+#[test]
+fn top_k_sweep_truncates_consistently() {
+    let vectors = Cell { task: Task::TermVector, ..cell("24 files") };
+    let engine_k = TOP_KS.map(|top_k| Cell { top_k, ..vectors.clone() });
+    let tops = [Some(0), Some(1), Some(3), Some(1 << 40)];
+    let served =
+        tops.map(|top| Cell { path: Serve, shape: Shape { top, file: None }, ..vectors.clone() });
+    let indexed = served.clone().map(|c| Cell { task: Task::InvertedIndex, ..c });
+    run_cells("top k", engine_k.into_iter().chain(served).chain(indexed));
+}
+
+#[test]
+fn unicode_words_survive_the_whole_pipeline() {
+    let pooled = Cell { path: Session, backend: Backend::File, ..cell("unicode") };
+    run_cells("unicode", whole_pipeline("unicode").into_iter().chain([pooled]));
+}
+
+#[test]
+fn very_long_words_round_trip() {
+    run_cells("long words", whole_pipeline("long words"));
+}
+
+#[test]
+fn zero_repetition_corpus_works() {
+    run_cells("no repetition", whole_pipeline("no repetition"));
 }

@@ -187,7 +187,7 @@ fn chunked(files: &[(String, String)], chunks: usize) -> Compressed {
 }
 
 fn appended(files: &[(String, String)], plan: &[usize]) -> Compressed {
-    (**build_by_appends(files, plan).compressed()).clone()
+    (**build_by_appends(files, plan, |b| b).unwrap().compressed()).clone()
 }
 
 /// Every route over `files`, in the order `GOLDEN` lists them.

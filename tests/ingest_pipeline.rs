@@ -1,20 +1,19 @@
-//! Property-based coverage of the chunk-parallel ingest pipeline: for any
-//! corpus and any chunk width, the merged grammar expands to the same
-//! corpus as the serial build, engines over it produce identical task
-//! outputs, virtual time is worker-count-independent, and the summation's
-//! upper bounds stay sound over the merged rule shapes.
+//! The chunk-parallel ingest pipeline: for any corpus and any chunk width,
+//! the summation's upper bounds stay sound over the merged rule shapes.
+//! That the merged grammar validates, numbers words as the serial build
+//! does and answers as the oracle does at any worker count is a matrix
+//! route (`tests/common/matrix.rs`).
 
 mod common;
 
 use std::collections::HashSet;
 
+use common::matrix::{cell, counts_turned, run_cells, run_drawn, Cell, Route};
 use common::{check_corpora, CorpusShape};
 
-use ntadoc::{ingest_corpus, upper_bounds, IngestOptions};
-use ntadoc_pmem::par;
+use ntadoc::upper_bounds;
 use ntadoc_repro::{
-    compress_corpus, compress_corpus_chunked, Engine, EngineBuilder, EngineConfig, Grammar,
-    MergeOptions, Task, TokenizerConfig,
+    compress_corpus, compress_corpus_chunked, Grammar, MergeOptions, TokenizerConfig,
 };
 
 /// Arbitrary corpora: 1–5 files of small-alphabet words (some empty), so
@@ -44,89 +43,20 @@ fn actual_word_lists(g: &Grammar) -> Vec<u64> {
 
 #[test]
 fn chunked_grammars_preserve_the_corpus() {
-    check_corpora(
-        "chunked_grammars_preserve_the_corpus",
-        0x1291_0001,
-        CASES,
-        CORPORA,
-        |_| (),
-        |files, ()| {
-            let cfg = TokenizerConfig::default();
-            let serial = compress_corpus(files, &cfg);
-            for w in [1usize, 2, 4, 8] {
-                let chunked = compress_corpus_chunked(files, &cfg, w, &MergeOptions::default());
-                chunked.grammar.validate().unwrap();
-                assert_eq!(
-                    chunked.grammar.expand_text(&chunked.dict),
-                    serial.grammar.expand_text(&serial.dict),
-                    "w={}",
-                    w
-                );
-                assert_eq!(
-                    chunked.dict.iter().collect::<Vec<_>>(),
-                    serial.dict.iter().collect::<Vec<_>>(),
-                    "w={}",
-                    w
-                );
-            }
-        },
-    );
+    let chunked = |c: &Cell| c.corpus == "generated" && c.route > Route::Chunks(1);
+    run_drawn("arbitrary corpora in chunks", 0x1291_0005, 16, chunked);
 }
 
 #[test]
 fn chunked_task_outputs_match_serial() {
-    check_corpora(
-        "chunked_task_outputs_match_serial",
-        0x1291_0002,
-        CASES,
-        CORPORA,
-        |_| (),
-        |files, ()| {
-            // Engines only make sense over non-empty corpora.
-            if files.iter().all(|(_, t)| t.is_empty()) {
-                return;
-            }
-            let serial = {
-                let comp = compress_corpus(files, &TokenizerConfig::default());
-                let mut e = Engine::builder(comp).config(EngineConfig::ntadoc()).build().unwrap();
-                (e.run(Task::WordCount).unwrap(), e.run(Task::TermVector).unwrap())
-            };
-            for w in [1usize, 2, 4, 8] {
-                let mut e = EngineBuilder::from_files(files.clone())
-                    .ingest_chunks(w)
-                    .config(EngineConfig::ntadoc())
-                    .build()
-                    .unwrap();
-                assert_eq!(e.run(Task::WordCount).unwrap(), serial.0.clone(), "w={}", w);
-                assert_eq!(e.run(Task::TermVector).unwrap(), serial.1.clone(), "w={}", w);
-            }
-        },
-    );
+    let chunked = [2, 4, 8].map(|n| Cell { route: Route::Chunks(n), ..cell("awkward words") });
+    run_cells("chunked", chunked.into_iter().flat_map(Cell::every_task));
 }
 
 #[test]
 fn ingest_virtual_time_is_worker_count_independent() {
-    check_corpora(
-        "ingest_virtual_time_is_worker_count_independent",
-        0x1291_0003,
-        CASES,
-        CORPORA,
-        |_| (),
-        |files, ()| {
-            for w in [2usize, 8] {
-                let opts = IngestOptions { chunks: w, ..IngestOptions::default() };
-                let run = |threads: usize| {
-                    par::with_threads(threads, || {
-                        let (comp, r) = ingest_corpus(files, &opts);
-                        (comp.grammar, r.virtual_ns, r.chunk_ns)
-                    })
-                };
-                let base = run(1);
-                assert_eq!(run(4), base.clone(), "w={} at 4 threads", w);
-                assert_eq!(run(8), base, "w={} at 8 threads", w);
-            }
-        },
-    );
+    let chunked = [2, 4, 8].map(|n| Cell { route: Route::Chunks(n), ..cell("dataset D") });
+    run_cells("chunked ingest", counts_turned(chunked));
 }
 
 #[test]

@@ -1,30 +1,41 @@
 //! The pool-layout contract: the id encoding changes *where bytes live
-//! and what they cost* — never what a task computes. Both layouts must
-//! produce byte-identical task outputs at any worker count, with a virtual
-//! clock that is a pure function of (corpus, task, layout). Persisted
+//! and what they cost* — never what a task computes. That both layouts
+//! answer alike at any worker count is a matrix axis
+//! (`tests/common/matrix.rs`); what stays here is the lifecycle. Persisted
 //! pools carry their layout in the sealed header: reopening adopts the
 //! on-media layout regardless of the engine's configured one, and an
 //! unknown or retired layout id refuses to open instead of misdecoding.
 
 mod common;
 
+use common::matrix::Path::Session;
+use common::matrix::{cell, run_cells, run_drawn, Backend, Cell, LAYOUTS};
+
 use std::path::PathBuf;
 
-use common::{check_corpora, CorpusShape};
 use ntadoc_pmem::par;
 use ntadoc_repro::{
     compress_corpus, crc64, Compressed, DeviceProfile, Engine, FileDevice, PoolLayout,
-    PoolLayoutConfig, Task, TaskOutput, TokenizerConfig,
+    PoolLayoutConfig, Task, TokenizerConfig,
 };
 
-/// The layouts that survived the ablation (EXPERIMENTS.md).
-const LAYOUT_NAMES: [&str; 2] = ["fixed", "varint"];
+#[test]
+fn every_layout_is_deterministic_and_output_identical() {
+    // Every task in memory under each layout; a session over a pool
+    // created under each layout and reopened under the other.
+    let laid = LAYOUTS.map(|layout| Cell { layout, ..cell("awkward words") });
+    let pooled = laid.clone().map(|c| Cell { path: Session, backend: Backend::File, ..c });
+    run_cells("layouts", laid.into_iter().flat_map(Cell::every_task).chain(pooled));
+}
 
-fn layouts() -> Vec<PoolLayoutConfig> {
-    LAYOUT_NAMES
-        .iter()
-        .map(|n| PoolLayoutConfig::parse(n).unwrap_or_else(|| panic!("layout name {n}")))
-        .collect()
+#[test]
+fn arbitrary_corpora_are_layout_invariant() {
+    let varint = |c: &Cell| {
+        c.corpus == "generated"
+            && c.layout == PoolLayoutConfig::Varint
+            && c.backend == Backend::Memory
+    };
+    run_drawn("arbitrary corpora, varint", 0x1A70_0001, 12, varint);
 }
 
 fn corpus() -> Compressed {
@@ -42,58 +53,6 @@ fn engine_with(comp: &Compressed, layout: PoolLayoutConfig) -> Engine {
         .pool_layout(layout)
         .build()
         .unwrap()
-}
-
-/// Run `task` under `layout` with `threads` workers: output + virtual_ns.
-fn run_with(
-    comp: &Compressed,
-    layout: PoolLayoutConfig,
-    task: Task,
-    threads: usize,
-) -> (TaskOutput, u64) {
-    par::with_threads(threads, || {
-        let mut e = engine_with(comp, layout);
-        let out = e.run(task).unwrap();
-        (out, e.last_report.as_ref().unwrap().total_ns())
-    })
-}
-
-#[test]
-fn every_layout_is_deterministic_and_output_identical() {
-    let comp = corpus();
-    for task in Task::ALL {
-        let mut reference: Option<TaskOutput> = None;
-        for layout in layouts() {
-            let (base_out, base_ns) = run_with(&comp, layout, task, 1);
-            // Worker count must not change the output or the virtual clock
-            // under any layout.
-            for threads in [4, 8] {
-                let (out, ns) = run_with(&comp, layout, task, threads);
-                assert_eq!(
-                    out,
-                    base_out,
-                    "{task} output diverged at {threads} threads under {}",
-                    layout.name()
-                );
-                assert_eq!(
-                    ns,
-                    base_ns,
-                    "{task} virtual time diverged at {threads} threads under {}",
-                    layout.name()
-                );
-            }
-            // Layout must not change the output either (only the cost).
-            match &reference {
-                None => reference = Some(base_out),
-                Some(r) => assert_eq!(
-                    &base_out,
-                    r,
-                    "{task} output under layout {} diverged from the fixed layout",
-                    layout.name()
-                ),
-            }
-        }
-    }
 }
 
 fn tmp_pool(name: &str) -> PathBuf {
@@ -233,38 +192,4 @@ fn surviving_layouts_cost_and_write_what_they_did_before_the_cull() {
             );
         }
     }
-}
-
-/// Arbitrary corpora: 1-2 files of small-alphabet words (the shape that
-/// makes grammars share rules and the pruned views non-trivial).
-const CORPORA: CorpusShape = CorpusShape { files: 1..3, alphabet: 15, words: 1..120 };
-
-/// Property form of the contract: for arbitrary corpora, the varint
-/// layout agrees with the fixed layout on every servable task shape,
-/// and parallelism does not perturb either.
-#[test]
-fn arbitrary_corpora_are_layout_invariant() {
-    check_corpora(
-        "arbitrary_corpora_are_layout_invariant",
-        0x1A70_0707,
-        12,
-        CORPORA,
-        |_| (),
-        |files, ()| {
-            let comp = compress_corpus(files, &TokenizerConfig::default());
-            if comp.grammar.rule_count() == 0 {
-                return;
-            }
-            for task in [Task::WordCount, Task::InvertedIndex, Task::SequenceCount] {
-                let (base_out, _) = run_with(&comp, PoolLayoutConfig::Fixed, task, 1);
-                for layout in layouts() {
-                    let (out, ns1) = run_with(&comp, layout, task, 1);
-                    assert_eq!(&out, &base_out, "{} output diverged under {}", task, layout.name());
-                    let (out4, ns4) = run_with(&comp, layout, task, 4);
-                    assert_eq!(&out4, &base_out);
-                    assert_eq!(ns1, ns4, "{} virtual time diverged under {}", task, layout.name());
-                }
-            }
-        },
-    );
 }

@@ -1,145 +1,35 @@
-//! Full-pipeline integration: datagen → Sequitur → coarsening →
-//! serialization → every engine on every device, agreeing on every task.
+//! Generated datasets through every build route, engine and device, each
+//! test the cells of its subject in the differential matrix
+//! (`tests/common/matrix.rs`). The paper-direction checks that lived here
+//! are in `tests/claims.rs`.
 
-use ntadoc_repro::{
-    deserialize_compressed, serialize_compressed, DatasetSpec, DeviceProfile, Engine, EngineConfig,
-    Task, UncompressedEngine,
-};
+mod common;
 
-#[test]
-fn generated_corpora_survive_serialization() {
-    for spec in DatasetSpec::all() {
-        let spec = spec.scaled(0.02);
-        let comp = ntadoc_repro::generate_compressed(&spec);
-        let img = serialize_compressed(&comp).unwrap();
-        let back = deserialize_compressed(&img).unwrap();
-        assert_eq!(back.grammar, comp.grammar, "dataset {}", spec.name);
-        assert_eq!(back.file_names, comp.file_names);
-        assert_eq!(
-            back.grammar.expand_text(&back.dict),
-            comp.grammar.expand_text(&comp.dict),
-            "dataset {}",
-            spec.name
-        );
-    }
-}
+use common::matrix::{cell, counts_turned, round_trip, run_cells, Cell, EngineKind, ENGINES};
+use ntadoc_repro::{generate_compressed, DatasetSpec, Task};
 
 #[test]
 fn all_engines_agree_on_dataset_a() {
-    let comp = ntadoc_repro::generate_compressed(&DatasetSpec::a().scaled(0.05));
-    for task in Task::ALL {
-        let mut nt = Engine::builder(comp.clone()).config(EngineConfig::ntadoc()).build().unwrap();
-        let reference = nt.run(task).unwrap();
-        for (label, cfg) in
-            [("op-level", EngineConfig::ntadoc_oplevel()), ("naive", EngineConfig::naive())]
-        {
-            let mut e = Engine::builder(comp.clone()).config(cfg).build().unwrap();
-            assert_eq!(e.run(task).unwrap(), reference, "{label}/{task}");
-        }
-        let mut dram = Engine::builder(comp.clone())
-            .config(EngineConfig::tadoc_dram())
-            .profile(DeviceProfile::dram())
-            .build()
-            .unwrap();
-        assert_eq!(dram.run(task).unwrap(), reference, "dram/{task}");
-        for hdd in [false, true] {
-            let b = Engine::builder(comp.clone()).config(EngineConfig::ntadoc());
-            let mut block = if hdd { b.hdd() } else { b.ssd() }.build().unwrap();
-            assert_eq!(block.run(task).unwrap(), reference, "block(hdd={hdd})/{task}");
-        }
-        let mut base =
-            UncompressedEngine::builder(comp.clone()).config(EngineConfig::ntadoc()).build();
-        assert_eq!(base.run(task).unwrap(), reference, "baseline/{task}");
+    // Each engine on one task, the tasks turned as the engines go.
+    let engines = ENGINES.iter().enumerate();
+    let cells =
+        engines.map(|(i, &engine)| Cell { engine, task: Task::ALL[i % 6], ..cell("dataset A") });
+    run_cells("dataset A", counts_turned(cells));
+}
+
+#[test]
+fn generated_corpora_survive_serialization() {
+    // Every cell round-trips its image; here, each preset at scale 0.02,
+    // D's full 1.28 M tokens among them.
+    for spec in DatasetSpec::all() {
+        round_trip(&generate_compressed(&spec.scaled(0.02)));
     }
 }
 
 #[test]
 fn many_files_dataset_b_agrees_across_strategies() {
-    use ntadoc_repro::Traversal;
-    let comp = ntadoc_repro::generate_compressed(&DatasetSpec::b().scaled(0.05));
-    for task in [Task::TermVector, Task::InvertedIndex, Task::RankedInvertedIndex] {
-        let mut bu_cfg = EngineConfig::ntadoc();
-        bu_cfg.traversal = Traversal::BottomUp;
-        let mut td_cfg = EngineConfig::ntadoc();
-        td_cfg.traversal = Traversal::TopDown;
-        let mut bu = Engine::builder(comp.clone()).config(bu_cfg).build().unwrap();
-        let mut td = Engine::builder(comp.clone()).config(td_cfg).build().unwrap();
-        assert_eq!(bu.run(task).unwrap(), td.run(task).unwrap(), "{task}");
-    }
-}
-
-#[test]
-fn reports_expose_phase_times_and_peaks() {
-    let comp = ntadoc_repro::generate_compressed(&DatasetSpec::a().scaled(0.03));
-    let mut engine = Engine::builder(comp.clone()).config(EngineConfig::ntadoc()).build().unwrap();
-    engine.run(Task::WordCount).unwrap();
-    let rep = engine.last_report.as_ref().unwrap();
-    assert!(rep.init_ns() > 0);
-    assert!(rep.traversal_ns() > 0);
-    let device_peak = rep.metric_f64(ntadoc_repro::METRIC_DEVICE_PEAK).unwrap();
-    let dram_peak = rep.metric_f64(ntadoc_repro::METRIC_DRAM_PEAK).unwrap();
-    assert!(device_peak > 0.0, "NVM allocations must be ledgered");
-    assert!(dram_peak > 0.0, "host staging must be ledgered");
-    assert!(dram_peak < device_peak, "N-TADOC keeps the bulk on the device");
-    assert_eq!(rep.device, "NVM");
-}
-
-#[test]
-fn dram_savings_direction_holds() {
-    // The headline §VI-C claim, as an invariant: N-TADOC's DRAM peak is
-    // well below TADOC-on-DRAM's for the same task.
-    let comp = ntadoc_repro::generate_compressed(&DatasetSpec::a().scaled(0.1));
-    let mut nt = Engine::builder(comp.clone()).config(EngineConfig::ntadoc()).build().unwrap();
-    nt.run(Task::WordCount).unwrap();
-    let mut dram = Engine::builder(comp.clone())
-        .config(EngineConfig::tadoc_dram())
-        .profile(DeviceProfile::dram())
-        .build()
-        .unwrap();
-    dram.run(Task::WordCount).unwrap();
-    let peak = |e: &Engine| {
-        e.last_report.as_ref().unwrap().metric_f64(ntadoc_repro::METRIC_DRAM_PEAK).unwrap()
-    };
-    let (nt_peak, dram_peak) = (peak(&nt), peak(&dram));
-    assert!(
-        nt_peak < 0.6 * dram_peak,
-        "expected ≥40% DRAM savings, got N-TADOC {nt_peak} vs TADOC {dram_peak}"
-    );
-}
-
-#[test]
-fn speedup_directions_hold_on_dataset_a() {
-    // Shape invariants of Figures 5-7 at test scale: N-TADOC beats the
-    // uncompressed baseline and the naive port; DRAM TADOC beats N-TADOC;
-    // NVM beats SSD beats HDD.
-    let comp = ntadoc_repro::generate_compressed(&DatasetSpec::a().scaled(0.2));
-    let task = Task::WordCount;
-    let run = |cfg: EngineConfig, dev: u8| -> f64 {
-        let mut e = match dev {
-            0 => Engine::builder(comp.clone()).config(cfg).build().unwrap(),
-            1 => Engine::builder(comp.clone())
-                .config(cfg)
-                .profile(DeviceProfile::dram())
-                .build()
-                .unwrap(),
-            2 => Engine::builder(comp.clone()).config(cfg).ssd().build().unwrap(),
-            _ => Engine::builder(comp.clone()).config(cfg).hdd().build().unwrap(),
-        };
-        e.run(task).unwrap();
-        e.last_report.unwrap().total_secs()
-    };
-    let nt = run(EngineConfig::ntadoc(), 0);
-    let naive = run(EngineConfig::naive(), 0);
-    let dram = run(EngineConfig::tadoc_dram(), 1);
-    let ssd = run(EngineConfig::ntadoc(), 2);
-    let hdd = run(EngineConfig::ntadoc(), 3);
-    let mut base = UncompressedEngine::builder(comp.clone()).config(EngineConfig::ntadoc()).build();
-    base.run(task).unwrap();
-    let base_t = base.last_report.unwrap().total_secs();
-
-    assert!(nt < base_t, "N-TADOC {nt} must beat uncompressed {base_t}");
-    assert!(nt < naive, "N-TADOC {nt} must beat the naive port {naive}");
-    assert!(dram < nt, "DRAM TADOC {dram} must beat N-TADOC {nt}");
-    assert!(nt < ssd, "NVM {nt} must beat SSD {ssd}");
-    assert!(ssd < hdd, "SSD {ssd} must beat HDD {hdd}");
+    let strategies = [EngineKind::TopDown, EngineKind::BottomUp];
+    let tasks = [Task::TermVector, Task::InvertedIndex, Task::RankedInvertedIndex];
+    let cells = strategies.map(|engine| Cell { engine, ..cell("dataset B") });
+    run_cells("dataset B", counts_turned(cells.into_iter().flat_map(|c| c.tasks(&tasks))));
 }

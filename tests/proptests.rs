@@ -7,9 +7,10 @@
 
 mod common;
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::Arc;
 
+use common::matrix::{run_drawn, Cell};
 use common::{check_corpora, vec_of, CorpusShape};
 use ntadoc_nstruct::PHashTable;
 use ntadoc_pmem::{DeviceProfile, PmemPool, SimDevice};
@@ -143,57 +144,14 @@ fn summation_bounds_are_sound() {
 
 #[test]
 fn word_count_matches_oracle_on_arbitrary_corpora() {
-    check_corpora(
-        "word_count_matches_oracle_on_arbitrary_corpora",
-        0x92070505,
-        CASES,
-        CORPORA,
-        |_| (),
-        |files, ()| {
-            let comp = compress_corpus(files, &TokenizerConfig::default());
-            if comp.grammar.stats().expanded_words == 0 {
-                return;
-            }
-            let mut oracle: BTreeMap<String, u64> = BTreeMap::new();
-            for (_, text) in files {
-                for w in text.split_whitespace() {
-                    *oracle.entry(w.to_string()).or_insert(0) += 1;
-                }
-            }
-            let mut engine =
-                Engine::builder(comp.clone()).config(EngineConfig::ntadoc()).build().unwrap();
-            let out = engine.run(Task::WordCount).unwrap();
-            assert_eq!(out.as_word_counts().unwrap(), &oracle);
-        },
-    );
+    let word_count = |c: &Cell| c.corpus == "generated" && c.task == Task::WordCount;
+    run_drawn("word count on arbitrary corpora", 0xC0_0001, 16, word_count);
 }
 
 #[test]
 fn sequence_count_matches_oracle() {
-    check_corpora(
-        "sequence_count_matches_oracle",
-        0x92070606,
-        CASES,
-        CORPORA,
-        |_| (),
-        |files, ()| {
-            let comp = compress_corpus(files, &TokenizerConfig::default());
-            let mut oracle: BTreeMap<Vec<String>, u64> = BTreeMap::new();
-            for (_, text) in files {
-                let toks: Vec<&str> = text.split_whitespace().collect();
-                for win in toks.windows(3) {
-                    *oracle.entry(win.iter().map(|s| s.to_string()).collect()).or_insert(0) += 1;
-                }
-            }
-            if comp.grammar.stats().expanded_words == 0 {
-                return;
-            }
-            let mut engine =
-                Engine::builder(comp.clone()).config(EngineConfig::ntadoc()).build().unwrap();
-            let out = engine.run(Task::SequenceCount).unwrap();
-            assert_eq!(out.as_sequence_counts().unwrap(), &oracle);
-        },
-    );
+    let sequences = |c: &Cell| c.corpus == "generated" && c.task.is_sequence();
+    run_drawn("sequences on arbitrary corpora", 0xC0_0002, 16, sequences);
 }
 
 #[test]
