@@ -17,8 +17,10 @@
 //!
 //! `tenant` (default 0), `top` and `file` are optional; one that is present
 //! with the wrong type or out of range is refused by name (`"kind":
-//! "bad_request"`), and admission rejections come back typed
-//! (`"quota_exceeded"` / `"queue_full"`), never as dropped connections.
+//! "bad_request"`), admission rejections come back typed
+//! (`"quota_exceeded"` / `"queue_full"`), never as dropped connections, a
+//! query the engine refuses by design is `"unsupported"` and any other
+//! engine failure `"engine"`.
 //! `stats` reads what the daemon keeps anyway: cache lookups that hit and
 //! missed, entries resident and the heap bytes of their results
 //! (`cache_bytes`: dictionary and file ids, four bytes each, and counts —

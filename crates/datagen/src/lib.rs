@@ -100,8 +100,12 @@ impl DatasetSpec {
         vec![Self::a(), Self::b(), Self::c(), Self::d()]
     }
 
-    /// Scale the corpus size (file count for many-file corpora, file
-    /// length otherwise) by `factor`, keeping the structure.
+    /// Scale the corpus size by `factor`, keeping the structure.
+    ///
+    /// A preset of 64 files or more scales by file count only, clamped at
+    /// 64 files, and never by file length: `d().scaled(0.02)` is 64 files
+    /// of 20 000 tokens, not 3 files. A preset of fewer files scales by
+    /// file length, clamped at 64 tokens.
     pub fn scaled(mut self, factor: f64) -> Self {
         if self.files >= 64 {
             self.files = ((self.files as f64 * factor) as usize).max(64);
@@ -234,6 +238,12 @@ mod tests {
         let a = DatasetSpec::a().scaled(0.1);
         assert_eq!(a.files, 1);
         assert!(a.tokens_per_file < DatasetSpec::a().tokens_per_file);
+    }
+
+    #[test]
+    fn a_many_file_preset_scales_by_file_count_clamped_at_64() {
+        let d = DatasetSpec::d().scaled(0.02);
+        assert_eq!((d.files, d.tokens_per_file), (64, 20_000));
     }
 
     #[test]

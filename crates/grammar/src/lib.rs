@@ -138,26 +138,6 @@ pub fn compress_corpus(files: &[(String, String)], cfg: &TokenizerConfig) -> Com
     b.finish()
 }
 
-/// Like [`compress_corpus`] but via the chunk-parallel construction path,
-/// executed serially: count tokens, split into `chunks` deterministic spans,
-/// compress each span independently, and merge the sub-grammars
-/// ([`merge_chunks`]). With `chunks == 1` the output is byte-identical to
-/// [`compress_corpus`]; the `ntadoc` ingest pipeline runs the same stage
-/// functions with the chunk stage fanned out over worker threads.
-pub fn compress_corpus_chunked(
-    files: &[(String, String)],
-    cfg: &TokenizerConfig,
-    chunks: usize,
-    opts: &merge::MergeOptions,
-) -> Compressed {
-    let counts: Vec<usize> = files.iter().map(|(_, text)| Tokens::new(text, cfg).count()).collect();
-    let plan = merge::plan_chunks(&counts, chunks);
-    let built: Vec<merge::ChunkGrammar> =
-        plan.iter().map(|pieces| merge::build_chunk_of_files(files, cfg, pieces, 0)).collect();
-    let (grammar, dict) = merge::merge_chunks(&built, opts);
-    Compressed { grammar, dict, file_names: files.iter().map(|(n, _)| n.clone()).collect() }
-}
-
 impl Compressed {
     /// Number of files in the corpus.
     pub fn file_count(&self) -> usize {

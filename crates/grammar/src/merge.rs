@@ -533,7 +533,7 @@ fn dedup_root_digrams(mut body: Vec<Symbol>, first_free: u32) -> (Vec<Symbol>, V
 mod tests {
     use super::*;
     use crate::tokenizer::tokenize;
-    use crate::{compress_corpus, compress_corpus_chunked};
+    use crate::{compress_corpus, Compressed, Tokens};
 
     fn corpus() -> Vec<(String, String)> {
         vec![
@@ -542,6 +542,24 @@ mod tests {
             ("c".into(), "pack my box with five dozen liquor jugs the quick brown fox".into()),
             ("d".into(), "the quick brown fox jumps over the lazy dog again and again".into()),
         ]
+    }
+
+    /// The chunk-parallel construction run serially: plan `chunks` spans,
+    /// build each, merge.
+    fn build_chunked(
+        files: &[(String, String)],
+        cfg: &TokenizerConfig,
+        chunks: usize,
+        opts: &MergeOptions,
+    ) -> Compressed {
+        let counts: Vec<usize> =
+            files.iter().map(|(_, text)| Tokens::new(text, cfg).count()).collect();
+        let built: Vec<ChunkGrammar> = plan_chunks(&counts, chunks)
+            .iter()
+            .map(|pieces| build_chunk_of_files(files, cfg, pieces, 0))
+            .collect();
+        let (grammar, dict) = merge_chunks(&built, opts);
+        Compressed { grammar, dict, file_names: files.iter().map(|(n, _)| n.clone()).collect() }
     }
 
     #[test]
@@ -579,7 +597,7 @@ mod tests {
         let files = corpus();
         let cfg = TokenizerConfig::default();
         let serial = compress_corpus(&files, &cfg);
-        let chunked = compress_corpus_chunked(&files, &cfg, 1, &MergeOptions::default());
+        let chunked = build_chunked(&files, &cfg, 1, &MergeOptions::default());
         assert_eq!(chunked.grammar, serial.grammar);
         assert_eq!(chunked.dict.iter().collect::<Vec<_>>(), serial.dict.iter().collect::<Vec<_>>());
         assert_eq!(chunked.file_names, serial.file_names);
@@ -591,7 +609,7 @@ mod tests {
         let cfg = TokenizerConfig::default();
         let serial = compress_corpus(&files, &cfg);
         for w in [2, 3, 4, 8, 17] {
-            let chunked = compress_corpus_chunked(&files, &cfg, w, &MergeOptions::default());
+            let chunked = build_chunked(&files, &cfg, w, &MergeOptions::default());
             chunked.grammar.validate().unwrap();
             assert_eq!(
                 chunked.grammar.expand_text(&chunked.dict),
@@ -615,8 +633,8 @@ mod tests {
         // root-level repeats that are left behind.
         let files = corpus();
         let cfg = TokenizerConfig::default();
-        let plain = compress_corpus_chunked(&files, &cfg, 4, &MergeOptions { seam_dedup: false });
-        let deduped = compress_corpus_chunked(&files, &cfg, 4, &MergeOptions { seam_dedup: true });
+        let plain = build_chunked(&files, &cfg, 4, &MergeOptions { seam_dedup: false });
+        let deduped = build_chunked(&files, &cfg, 4, &MergeOptions { seam_dedup: true });
         assert_eq!(
             plain.grammar.expand_text(&plain.dict),
             deduped.grammar.expand_text(&deduped.dict)
@@ -646,7 +664,7 @@ mod tests {
         let files = corpus();
         let cfg = TokenizerConfig::default();
         for w in [1, 2, 4, 8] {
-            let c = compress_corpus_chunked(&files, &cfg, w, &MergeOptions::default());
+            let c = build_chunked(&files, &cfg, w, &MergeOptions::default());
             let seps: Vec<u32> = c.grammar.rules[0]
                 .symbols
                 .iter()

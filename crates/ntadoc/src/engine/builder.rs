@@ -47,8 +47,6 @@ pub struct EngineBuilder {
     profile: ProfileChoice,
     label: Option<String>,
     retry: RetryPolicy,
-    /// Parallel ingest chunks for a raw-file source.
-    chunks: usize,
     /// Durable backend used by [`Engine::open_pool`].
     pool_backend: PoolBackend,
     /// Id encoding of the DAG pool ([`PoolLayoutConfig`]).
@@ -145,7 +143,6 @@ impl EngineBuilder {
             profile: ProfileChoice::Given(DeviceProfile::nvm_optane()),
             label: None,
             retry: RetryPolicy::Fail,
-            chunks: 1,
             pool_backend: PoolBackend::default(),
             pool_layout: PoolLayoutConfig::default(),
         }
@@ -153,7 +150,7 @@ impl EngineBuilder {
 
     /// Start building an engine from raw `(file name, contents)` pairs:
     /// `build` runs the ingest pipeline (tokenize → chunk → Sequitur →
-    /// merge) first, honouring [`EngineBuilder::ingest_chunks`], and the
+    /// merge) first, as one chunk with the default tokenizer, and the
     /// resulting engine exposes the build measurements via
     /// [`Engine::ingest_report`].
     ///
@@ -164,7 +161,7 @@ impl EngineBuilder {
     ///     ("a.txt".to_string(), "to be or not to be".to_string()),
     ///     ("b.txt".to_string(), "to be sure to be".to_string()),
     /// ];
-    /// let mut engine = EngineBuilder::from_files(files).ingest_chunks(4).build().unwrap();
+    /// let mut engine = EngineBuilder::from_files(files).build().unwrap();
     /// let out = engine.run(Task::WordCount).unwrap();
     /// assert_eq!(out.as_word_counts().unwrap().get("to"), Some(&4));
     /// assert!(engine.ingest_report().unwrap().virtual_ns > 0);
@@ -196,18 +193,6 @@ impl EngineBuilder {
     /// reopening engine was configured for.
     pub fn pool_layout(mut self, layout: PoolLayoutConfig) -> Self {
         self.pool_layout = layout;
-        self
-    }
-
-    /// Number of parallel ingest chunks when building from raw files
-    /// ([`EngineBuilder::from_files`]). Default 1: a serial build,
-    /// byte-identical to [`ntadoc_grammar::compress_corpus`]. With `n > 1`
-    /// the token stream is split into `n` deterministic spans compressed
-    /// concurrently and merged (`ntadoc_grammar::merge`); outputs and
-    /// virtual time are identical for any worker count. No effect when the
-    /// builder starts from an already-compressed corpus.
-    pub fn ingest_chunks(mut self, n: usize) -> Self {
-        self.chunks = n.max(1);
         self
     }
 
@@ -247,13 +232,11 @@ impl EngineBuilder {
     /// builder started from raw files ([`EngineBuilder::from_files`]).
     /// Fails on an empty corpus.
     pub fn build(self) -> Result<Engine> {
-        let EngineBuilder { source, cfg, profile, label, retry, chunks, pool_backend, pool_layout } =
-            self;
+        let EngineBuilder { source, cfg, profile, label, retry, pool_backend, pool_layout } = self;
         let (comp, ingest_report) = match source {
             BuildSource::Corpus(comp) => (comp, None),
             BuildSource::Files(files) => {
-                let (comp, report) =
-                    ingest_corpus(&files, &IngestOptions { chunks, ..Default::default() });
+                let (comp, report) = ingest_corpus(&files, &IngestOptions::default());
                 (Arc::new(comp), Some(report))
             }
         };

@@ -235,13 +235,6 @@ impl Engine {
         &self.append_log
     }
 
-    /// Total deterministic ingest cost of this engine's corpus: the base
-    /// build (when raw files were ingested) plus every append delta.
-    pub fn ingest_total_ns(&self) -> u64 {
-        self.ingest_report.as_ref().map_or(0, |r| r.virtual_ns)
-            + self.append_log.iter().map(|r| r.virtual_ns).sum::<u64>()
-    }
-
     /// Append `files` to the corpus without rebuilding it: the delta is
     /// compressed as one chunk, re-interned into the shared dictionary,
     /// spliced at the root, seam-deduplicated, and only the dirtied rules

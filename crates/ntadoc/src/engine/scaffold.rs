@@ -25,7 +25,8 @@ use super::txcounter::commit_open;
 use super::{shape, Interner, TxCounter};
 use crate::config::{EngineConfig, Persistence};
 use crate::report::{
-    RunReport, METRIC_DEVICE_PEAK, METRIC_DRAM_PEAK, METRIC_HIT_RATE, REPORT_VERSION,
+    RunReport, METRIC_DEFERRED_READS, METRIC_DEVICE_PEAK, METRIC_DRAM_PEAK, METRIC_HIT_RATE,
+    REPORT_VERSION,
 };
 use crate::result::{Task, TaskRows};
 use crate::Result;
@@ -242,11 +243,10 @@ impl RunScaffold {
     /// Measurement report for the run so far: the recorded span tree under
     /// a `"run"` root carrying the whole-run totals (so traffic outside any
     /// span still shows), and the metric registry plus the report-time
-    /// scalars — allocation peaks, cache hit rate, per-shard read
-    /// contention. Shard totals are sums of per-item deferred counters
-    /// attributed by line index, schedule-independent like the rest;
-    /// optimistic-read retries depend on writer interleaving and are
-    /// deliberately left out.
+    /// scalars — allocation peaks, cache hit rate, reads served by the
+    /// deferred path. That count is a sum of per-item deferred counters,
+    /// schedule-independent like the rest; optimistic-read retries depend
+    /// on writer interleaving and are deliberately left out.
     pub(crate) fn report(&self) -> RunReport {
         let stats = self.dev.stats();
         let profile = self.dev.profile();
@@ -255,13 +255,10 @@ impl RunScaffold {
         gauge(METRIC_DRAM_PEAK, self.ledger.peak(DeviceKind::Dram) as f64);
         gauge(METRIC_DEVICE_PEAK, self.ledger.peak(profile.kind) as f64);
         gauge(METRIC_HIT_RATE, stats.hit_rate());
-        for (i, s) in self.dev.read_shard_stats().iter().enumerate() {
-            metrics.insert(format!("contention.shard{i:02}.reads"), MetricValue::Counter(s.reads));
-            metrics.insert(
-                format!("contention.shard{i:02}.line_misses"),
-                MetricValue::Counter(s.line_misses),
-            );
-        }
+        metrics.insert(
+            METRIC_DEFERRED_READS.into(),
+            MetricValue::Counter(self.dev.deferred_reads().reads),
+        );
         let mut spans = self.obs.tree("run");
         spans.stats = stats;
         spans.virtual_ns = stats.virtual_ns;

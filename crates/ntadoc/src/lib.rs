@@ -76,10 +76,10 @@ pub use query::{
     snapshot_fingerprint, CachedOutput, Query, QueryKey, QueryResponse, Snapshot, TenantId,
 };
 pub use report::{
-    RunReport, METRIC_DEVICE_PEAK, METRIC_DRAM_PEAK, METRIC_HIT_RATE, METRIC_MEDIA_RETRIES,
-    METRIC_SERVE_RATE, METRIC_SERVE_TASKS, REPORT_VERSION,
+    RunReport, METRIC_DEFERRED_READS, METRIC_DEVICE_PEAK, METRIC_DRAM_PEAK, METRIC_HIT_RATE,
+    METRIC_MEDIA_RETRIES, METRIC_SERVE_RATE, METRIC_SERVE_TASKS, REPORT_VERSION,
 };
-pub use result::{OutputMismatch, Row, Task, TaskOutput, TaskRows, UnknownTask};
+pub use result::{Row, Task, TaskOutput, TaskRows, UnknownTask};
 pub use summation::{
     head_tail_incremental, head_tail_info, upper_bounds, upper_bounds_incremental, SummationResult,
 };

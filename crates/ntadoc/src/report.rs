@@ -30,6 +30,9 @@ pub const METRIC_DRAM_PEAK: &str = "mem.dram_peak_bytes";
 pub const METRIC_DEVICE_PEAK: &str = "mem.device_peak_bytes";
 /// Metric name for the front-cache hit-rate gauge.
 pub const METRIC_HIT_RATE: &str = "cache.hit_rate";
+/// Metric name for the counter of reads served by the deferred
+/// (parallel-region) path.
+pub const METRIC_DEFERRED_READS: &str = "deferred.reads";
 /// Metric name for the media-retry counter ([`crate::RetryPolicy`]).
 pub const METRIC_MEDIA_RETRIES: &str = "retry.media_attempts";
 /// Metric name for the tasks-served counter (serve mode).

@@ -114,24 +114,6 @@ impl std::fmt::Display for Task {
 /// `(file, top-k (word, count))` rows of a term-vector result.
 pub type FileTermVectors = [(String, Vec<(String, u64)>)];
 
-/// Error returned by [`TaskOutput`]'s typed accessors when the output
-/// belongs to a different task than the accessor asked for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OutputMismatch {
-    /// The task whose output the accessor expected.
-    pub expected: Task,
-    /// The task that actually produced this output.
-    pub got: Task,
-}
-
-impl std::fmt::Display for OutputMismatch {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "expected a '{}' output but this run produced '{}'", self.expected, self.got)
-    }
-}
-
-impl std::error::Error for OutputMismatch {}
-
 /// `n-gram → ranked (file, count)` postings of a ranked inverted index.
 pub type RankedPostings = BTreeMap<Vec<String>, Vec<(String, u64)>>;
 
@@ -166,55 +148,43 @@ impl TaskOutput {
         }
     }
 
-    fn mismatch(&self, expected: Task) -> OutputMismatch {
-        OutputMismatch { expected, got: self.task() }
-    }
-
-    /// Borrow as word counts; a descriptive [`OutputMismatch`] otherwise.
-    pub fn as_word_counts(&self) -> Result<&BTreeMap<String, u64>, OutputMismatch> {
+    /// Borrow as word counts; `None` for another task's output.
+    pub fn as_word_counts(&self) -> Option<&BTreeMap<String, u64>> {
         match self {
-            TaskOutput::WordCount(m) => Ok(m),
-            other => Err(other.mismatch(Task::WordCount)),
-        }
-    }
-
-    /// Borrow as sorted counts.
-    pub fn as_sorted(&self) -> Result<&[(String, u64)], OutputMismatch> {
-        match self {
-            TaskOutput::Sort(v) => Ok(v),
-            other => Err(other.mismatch(Task::Sort)),
+            TaskOutput::WordCount(m) => Some(m),
+            _ => None,
         }
     }
 
     /// Borrow as term vectors.
-    pub fn as_term_vectors(&self) -> Result<&FileTermVectors, OutputMismatch> {
+    pub fn as_term_vectors(&self) -> Option<&FileTermVectors> {
         match self {
-            TaskOutput::TermVector(v) => Ok(v),
-            other => Err(other.mismatch(Task::TermVector)),
+            TaskOutput::TermVector(v) => Some(v),
+            _ => None,
         }
     }
 
     /// Borrow as an inverted index.
-    pub fn as_inverted_index(&self) -> Result<&BTreeMap<String, Vec<String>>, OutputMismatch> {
+    pub fn as_inverted_index(&self) -> Option<&BTreeMap<String, Vec<String>>> {
         match self {
-            TaskOutput::InvertedIndex(m) => Ok(m),
-            other => Err(other.mismatch(Task::InvertedIndex)),
+            TaskOutput::InvertedIndex(m) => Some(m),
+            _ => None,
         }
     }
 
     /// Borrow as sequence counts.
-    pub fn as_sequence_counts(&self) -> Result<&BTreeMap<Vec<String>, u64>, OutputMismatch> {
+    pub fn as_sequence_counts(&self) -> Option<&BTreeMap<Vec<String>, u64>> {
         match self {
-            TaskOutput::SequenceCount(m) => Ok(m),
-            other => Err(other.mismatch(Task::SequenceCount)),
+            TaskOutput::SequenceCount(m) => Some(m),
+            _ => None,
         }
     }
 
     /// Borrow as a ranked inverted index.
-    pub fn as_ranked_inverted_index(&self) -> Result<&RankedPostings, OutputMismatch> {
+    pub fn as_ranked_inverted_index(&self) -> Option<&RankedPostings> {
         match self {
-            TaskOutput::RankedInvertedIndex(m) => Ok(m),
-            other => Err(other.mismatch(Task::RankedInvertedIndex)),
+            TaskOutput::RankedInvertedIndex(m) => Some(m),
+            _ => None,
         }
     }
 
@@ -796,10 +766,8 @@ mod tests {
     fn output_task_round_trips() {
         let out = TaskOutput::WordCount(BTreeMap::new());
         assert_eq!(out.task(), Task::WordCount);
-        assert!(out.as_word_counts().is_ok());
-        let err = out.as_sorted().unwrap_err();
-        assert_eq!(err, OutputMismatch { expected: Task::Sort, got: Task::WordCount });
-        assert_eq!(err.to_string(), "expected a 'sort' output but this run produced 'word count'");
+        assert!(out.as_word_counts().is_some());
+        assert!(out.as_inverted_index().is_none());
     }
 
     #[test]

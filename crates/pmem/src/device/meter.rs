@@ -15,7 +15,6 @@
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-use super::plane::{shard_of, READ_SHARDS};
 use crate::cache::{AccessOutcome, LineCache};
 use crate::profile::DeviceProfile;
 use crate::stats::AccessStats;
@@ -194,13 +193,13 @@ thread_local! {
 }
 
 /// Per-item accounting sink for a deferred (parallel) region: the item's
-/// virtual-time cost plus per-shard read counters.
+/// virtual-time cost plus its read counters.
 ///
 /// A parallel runner allocates one sink per work item (see
 /// [`crate::par::par_map_timed`]). Because each sink is private to its
 /// item, the read hot path performs no shared-memory writes at all — the
-/// counters reach the device's per-shard totals only when the runner
-/// merges them at the batch barrier via
+/// counters reach the device's totals only when the runner merges them at
+/// the batch barrier via
 /// [`SimDevice::absorb_deferred`](super::SimDevice::absorb_deferred),
 /// which is exactly the virtual-clock join point. Stats snapshots taken at
 /// span boundaries therefore see every read the span issued.
@@ -212,15 +211,21 @@ thread_local! {
 /// installing it again once the first installation has returned — on any
 /// thread, as a cache builder's second pass after its barrier does — is
 /// how a sink is meant to be resumed.
+///
+/// Sinks sit side by side in a runner's vector and are bumped on every
+/// read, so each is padded to a cache-line pair of its own: two workers
+/// on neighbouring items would otherwise share a line and bounce it
+/// between cores.
+#[repr(align(128))]
 #[derive(Default)]
 pub struct DeferredCharges {
     /// Set while some thread has the sink installed.
     installed: AtomicBool,
     ns: AtomicU64,
-    reads: [AtomicU64; READ_SHARDS],
-    bytes_read: [AtomicU64; READ_SHARDS],
-    line_misses: [AtomicU64; READ_SHARDS],
-    retries: [AtomicU64; READ_SHARDS],
+    reads: AtomicU64,
+    bytes_read: AtomicU64,
+    line_misses: AtomicU64,
+    retries: AtomicU64,
 }
 
 impl DeferredCharges {
@@ -234,30 +239,39 @@ impl DeferredCharges {
         self.ns.load(Ordering::Relaxed)
     }
 
-    /// Total reads captured, summed over shards.
+    /// Reads captured.
     pub fn reads(&self) -> u64 {
-        self.reads.iter().map(|c| c.load(Ordering::Relaxed)).sum()
+        self.reads.load(Ordering::Relaxed)
     }
 
-    /// Total line fetches captured, summed over shards.
+    /// Line fetches captured.
     pub fn line_misses(&self) -> u64 {
-        self.line_misses.iter().map(|c| c.load(Ordering::Relaxed)).sum()
+        self.line_misses.load(Ordering::Relaxed)
     }
 
-    /// Add everything `item` captured — its cost and its per-shard read,
-    /// byte, line-fetch and retry counters — to this sink, as if this
-    /// sink's thread had issued those accesses itself. Call it from the
-    /// thread that has this sink installed (or while no thread has), once
-    /// `item` is no longer installed anywhere: the runner that made `item`
-    /// reads it on the caller after joining the worker that wrote it.
+    /// The read counters captured.
+    fn read_totals(&self) -> DeferredReads {
+        DeferredReads {
+            reads: self.reads(),
+            bytes_read: self.bytes_read.load(Ordering::Relaxed),
+            line_misses: self.line_misses(),
+            retries: self.retries.load(Ordering::Relaxed),
+        }
+    }
+
+    /// Add everything `item` captured — its cost and its read, byte,
+    /// line-fetch and retry counters — to this sink, as if this sink's
+    /// thread had issued those accesses itself. Call it from the thread
+    /// that has this sink installed (or while no thread has), once `item`
+    /// is no longer installed anywhere: the runner that made `item` reads
+    /// it on the caller after joining the worker that wrote it.
     pub fn absorb(&self, item: &DeferredCharges) {
         bump(&self.ns, item.ns());
-        for s in 0..READ_SHARDS {
-            bump(&self.reads[s], item.reads[s].load(Ordering::Relaxed));
-            bump(&self.bytes_read[s], item.bytes_read[s].load(Ordering::Relaxed));
-            bump(&self.line_misses[s], item.line_misses[s].load(Ordering::Relaxed));
-            bump(&self.retries[s], item.retries[s].load(Ordering::Relaxed));
-        }
+        let r = item.read_totals();
+        bump(&self.reads, r.reads);
+        bump(&self.bytes_read, r.bytes_read);
+        bump(&self.line_misses, r.line_misses);
+        bump(&self.retries, r.retries);
     }
 
     /// Add `ns` to the item's cost.
@@ -265,29 +279,13 @@ impl DeferredCharges {
         bump(&self.ns, ns);
     }
 
-    /// Record one read of `len` bytes covering `nlines` lines from
-    /// `first_line`, attributing line fetches to the shard of each line.
-    pub(super) fn note_read(&self, first_line: u64, nlines: u64, len: u64, retries: u64) {
-        let s0 = shard_of(first_line);
-        bump(&self.reads[s0], 1);
-        bump(&self.bytes_read[s0], len);
-        if retries > 0 {
-            bump(&self.retries[s0], retries);
-        }
-        // Contiguous lines stripe round-robin over the shards: the first
-        // `nlines % READ_SHARDS` shards from `first_line` get one extra.
-        let base = nlines / READ_SHARDS as u64;
-        let rem = nlines % READ_SHARDS as u64;
-        if base == 0 {
-            for k in 0..rem {
-                bump(&self.line_misses[shard_of(first_line + k)], 1);
-            }
-        } else {
-            for k in 0..READ_SHARDS as u64 {
-                let n = base + u64::from(k < rem);
-                bump(&self.line_misses[shard_of(first_line + k)], n);
-            }
-        }
+    /// Record one read of `len` bytes covering `nlines` lines that took
+    /// `retries` optimistic retries.
+    pub(super) fn note_read(&self, nlines: u64, len: u64, retries: u64) {
+        bump(&self.reads, 1);
+        bump(&self.bytes_read, len);
+        bump(&self.line_misses, nlines);
+        bump(&self.retries, retries);
     }
 }
 
@@ -350,40 +348,31 @@ pub(crate) fn with_sink<R>(f: impl FnOnce(Option<&DeferredCharges>) -> R) -> R {
     })
 }
 
-/// Cache-line padded per-shard totals for reads served by the deferred
-/// path.
-#[repr(align(128))]
-#[derive(Default)]
-struct ReadShard {
-    reads: AtomicU64,
-    bytes_read: AtomicU64,
-    line_misses: AtomicU64,
-    retries: AtomicU64,
-}
-
-/// Snapshot of one read shard's counters
-/// ([`SimDevice::read_shard_stats`](super::SimDevice::read_shard_stats)).
+/// Totals of the reads served by the deferred path
+/// ([`SimDevice::deferred_reads`](super::SimDevice::deferred_reads)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ReadShardStats {
-    /// Read operations whose first covered line mapped to this shard.
+pub struct DeferredReads {
+    /// Read operations.
     pub reads: u64,
     /// Bytes read by those operations.
     pub bytes_read: u64,
-    /// Line fetches attributed to this shard (each covered line charges
-    /// its own shard).
+    /// Line fetches: every line an operation covers.
     pub line_misses: u64,
     /// Optimistic-read retries caused by a concurrent writer.
     pub retries: u64,
 }
 
 /// The device-wide counters that are updated without the state lock and
-/// summed into every [`AccessStats`] snapshot: per-shard totals for reads
-/// served by the deferred path (merged in from per-item
-/// [`DeferredCharges`] sinks at batch barriers), model time charged by
-/// higher layers, and undo-log traffic.
+/// summed into every [`AccessStats`] snapshot: totals for reads served by
+/// the deferred path (merged in from per-item [`DeferredCharges`] sinks at
+/// batch barriers), model time charged by higher layers, and undo-log
+/// traffic.
 #[derive(Default)]
 pub(super) struct SharedCounters {
-    read_shards: [ReadShard; READ_SHARDS],
+    reads: AtomicU64,
+    bytes_read: AtomicU64,
+    line_misses: AtomicU64,
+    retries: AtomicU64,
     charged_ns: AtomicU64,
     log_bytes: AtomicU64,
 }
@@ -402,54 +391,45 @@ impl SharedCounters {
     /// Add these counters into a snapshot of the locked stats (they are
     /// summed in, never drained).
     pub fn add_to(&self, stats: &mut AccessStats) {
-        for shard in &self.read_shards {
-            stats.reads += shard.reads.load(Ordering::Relaxed);
-            stats.bytes_read += shard.bytes_read.load(Ordering::Relaxed);
-            stats.line_misses += shard.line_misses.load(Ordering::Relaxed);
-        }
+        let r = self.deferred_reads();
+        stats.reads += r.reads;
+        stats.bytes_read += r.bytes_read;
+        stats.line_misses += r.line_misses;
         stats.virtual_ns += self.charged_ns.load(Ordering::Relaxed);
         stats.log_bytes += self.log_bytes.load(Ordering::Relaxed);
     }
 
     /// Zero every counter.
     pub fn reset(&self) {
-        for shard in &self.read_shards {
-            shard.reads.store(0, Ordering::Relaxed);
-            shard.bytes_read.store(0, Ordering::Relaxed);
-            shard.line_misses.store(0, Ordering::Relaxed);
-            shard.retries.store(0, Ordering::Relaxed);
+        for c in [
+            &self.reads,
+            &self.bytes_read,
+            &self.line_misses,
+            &self.retries,
+            &self.charged_ns,
+            &self.log_bytes,
+        ] {
+            c.store(0, Ordering::Relaxed);
         }
-        self.charged_ns.store(0, Ordering::Relaxed);
-        self.log_bytes.store(0, Ordering::Relaxed);
     }
 
-    /// Merge one item's deferred read counters into the per-shard totals.
+    /// Merge one item's deferred read counters into the totals.
     pub fn absorb(&self, c: &DeferredCharges) {
-        let add = |total: &AtomicU64, part: &AtomicU64| {
-            let n = part.load(Ordering::Relaxed);
-            if n > 0 {
-                total.fetch_add(n, Ordering::Relaxed);
-            }
-        };
-        for (s, shard) in self.read_shards.iter().enumerate() {
-            add(&shard.reads, &c.reads[s]);
-            add(&shard.bytes_read, &c.bytes_read[s]);
-            add(&shard.line_misses, &c.line_misses[s]);
-            add(&shard.retries, &c.retries[s]);
-        }
+        let r = c.read_totals();
+        self.reads.fetch_add(r.reads, Ordering::Relaxed);
+        self.bytes_read.fetch_add(r.bytes_read, Ordering::Relaxed);
+        self.line_misses.fetch_add(r.line_misses, Ordering::Relaxed);
+        self.retries.fetch_add(r.retries, Ordering::Relaxed);
     }
 
-    /// Per-shard totals for reads served by the deferred path.
-    pub fn read_shard_stats(&self) -> Vec<ReadShardStats> {
-        self.read_shards
-            .iter()
-            .map(|s| ReadShardStats {
-                reads: s.reads.load(Ordering::Relaxed),
-                bytes_read: s.bytes_read.load(Ordering::Relaxed),
-                line_misses: s.line_misses.load(Ordering::Relaxed),
-                retries: s.retries.load(Ordering::Relaxed),
-            })
-            .collect()
+    /// Totals for reads served by the deferred path.
+    pub fn deferred_reads(&self) -> DeferredReads {
+        DeferredReads {
+            reads: self.reads.load(Ordering::Relaxed),
+            bytes_read: self.bytes_read.load(Ordering::Relaxed),
+            line_misses: self.line_misses.load(Ordering::Relaxed),
+            retries: self.retries.load(Ordering::Relaxed),
+        }
     }
 }
 
@@ -458,12 +438,9 @@ mod tests {
     use super::*;
     use crate::device::SimDevice;
 
-    /// Every counter of a sink, shard by shard.
-    fn counters(c: &DeferredCharges) -> Vec<u64> {
-        let all = [&c.reads, &c.bytes_read, &c.line_misses, &c.retries];
-        let mut out = vec![c.ns()];
-        out.extend(all.iter().flat_map(|a| a.iter().map(|x| x.load(Ordering::Relaxed))));
-        out
+    /// Every counter of a sink.
+    fn counters(c: &DeferredCharges) -> (u64, DeferredReads) {
+        (c.ns(), c.read_totals())
     }
 
     /// Three reads of `64 × n` bytes at spread addresses, and some model

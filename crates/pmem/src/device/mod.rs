@@ -65,8 +65,7 @@ use crate::Result;
 
 pub use durability::DeviceMirror;
 pub use faults::CRASH_PANIC;
-pub use meter::{with_deferred_charges, DeferredCharges, ReadShardStats};
-pub use plane::READ_SHARDS;
+pub use meter::{with_deferred_charges, DeferredCharges, DeferredReads};
 pub use reads::Reads;
 
 use durability::Durability;
@@ -239,8 +238,8 @@ impl SimDevice {
     }
 
     /// Snapshot of the accumulated counters: the locked-path stats plus
-    /// the lock-free ones (per-shard deferred read totals, charged model
-    /// time, undo-log bytes). Those are summed in (never drained), so any
+    /// the lock-free ones (deferred read totals, charged model time,
+    /// undo-log bytes). Those are summed in (never drained), so any
     /// snapshot taken after an [`absorb_deferred`](Self::absorb_deferred)
     /// barrier — e.g. at span close — already attributes those reads to
     /// the issuing span.
@@ -257,26 +256,22 @@ impl SimDevice {
         self.shared.reset();
     }
 
-    /// Merge per-item deferred read counters into the device's per-shard
-    /// totals. Parallel runners call this once per batch, at the virtual-
-    /// clock join — the single point where the deferred read path touches
-    /// shared state — so a [`stats`](Self::stats) snapshot taken at a
-    /// batch or span boundary sees every read the batch issued.
+    /// Merge per-item deferred read counters into the device's totals.
+    /// Parallel runners call this once per batch, at the virtual-clock
+    /// join — the single point where the deferred read path touches shared
+    /// state — so a [`stats`](Self::stats) snapshot taken at a batch or
+    /// span boundary sees every read the batch issued.
     pub fn absorb_deferred(&self, charges: &[DeferredCharges]) {
         for c in charges {
             self.shared.absorb(c);
         }
     }
 
-    /// Per-shard totals for reads served by the deferred path.
-    pub fn read_shard_stats(&self) -> Vec<ReadShardStats> {
-        self.shared.read_shard_stats()
-    }
-
-    /// Total optimistic-read retries absorbed so far (a writer was
-    /// mid-mutation while a lock-free reader copied).
-    pub fn optimistic_retries(&self) -> u64 {
-        self.shared.read_shard_stats().iter().map(|s| s.retries).sum()
+    /// Totals for reads served by the deferred path, absorbed so far —
+    /// optimistic-read retries (a writer was mid-mutation while a
+    /// lock-free reader copied) included.
+    pub fn deferred_reads(&self) -> DeferredReads {
+        self.shared.deferred_reads()
     }
 
     /// Times the state lock was healed after poisoning.

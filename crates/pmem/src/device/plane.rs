@@ -32,18 +32,18 @@
 
 use std::sync::atomic::{fence, AtomicU64, Ordering};
 
-/// Number of line shards on the read path (a power of two). Deferred read
-/// counters and the data plane's seqlock versions are striped over this
-/// many shards by line index, so concurrent readers touching different
-/// lines never share a counter or a version word.
-pub const READ_SHARDS: usize = 16;
+/// Number of line shards of the seqlock (a power of two). The data plane's
+/// versions are striped over this many shards by line index, so a writer
+/// forces a retry only on readers whose lines share a shard with the lines
+/// it writes.
+const READ_SHARDS: usize = 16;
 
 /// Every shard.
 const ALL_SHARDS: u32 = (1 << READ_SHARDS) - 1;
 
 /// The shard a line index maps to.
 #[inline]
-pub(super) fn shard_of(line: u64) -> usize {
+fn shard_of(line: u64) -> usize {
     (line as usize) & (READ_SHARDS - 1)
 }
 

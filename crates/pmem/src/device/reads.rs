@@ -106,7 +106,7 @@ impl SimDevice {
                 let retries = dst.map_or(0, |dst| self.plane.read_optimistic(addr as usize, dst));
                 let nlines = last - first + 1;
                 sink.charge(self.costs.stream_read(nlines));
-                sink.note_read(first, nlines, len as u64, retries);
+                sink.note_read(nlines, len as u64, retries);
             }
         }
         Ok(())
@@ -348,7 +348,7 @@ mod tests {
             assert_eq!(sink_many.line_misses(), sink_one.line_misses());
             one.absorb_deferred(std::slice::from_ref(&sink_one));
             many.absorb_deferred(std::slice::from_ref(&sink_many));
-            assert_eq!(many.read_shard_stats(), one.read_shard_stats());
+            assert_eq!(many.deferred_reads(), one.deferred_reads());
             assert_eq!(model(&many), model(&one));
         });
     }

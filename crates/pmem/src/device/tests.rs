@@ -441,12 +441,12 @@ fn deferred_readers_never_see_a_torn_record() {
             });
         }
         let mut i = 0u64;
-        while i < 20_000 || (dev.optimistic_retries() == 0 && i < 200_000_000) {
+        while i < 20_000 || (dev.deferred_reads().retries == 0 && i < 200_000_000) {
             dev.write_bytes(at(i), &[i as u8; 64]);
             i += 1;
         }
         done.store(true, Ordering::Release);
     });
-    assert!(dev.optimistic_retries() > 0, "no reader ever raced the writer");
+    assert!(dev.deferred_reads().retries > 0, "no reader ever raced the writer");
     assert_eq!(dev.stats().reads % 256, 0);
 }

@@ -58,8 +58,8 @@ pub mod store;
 pub use alloc::PmemPool;
 pub use backend::PmemBackend;
 pub use device::{
-    with_deferred_charges, Addr, DeferredCharges, DeviceMirror, ReadShardStats, Reads, SimDevice,
-    CRASH_PANIC, READ_SHARDS,
+    with_deferred_charges, Addr, DeferredCharges, DeferredReads, DeviceMirror, Reads, SimDevice,
+    CRASH_PANIC,
 };
 pub use error::PmemError;
 pub use faultsim::{

@@ -130,7 +130,7 @@ where
 
 /// [`par_map`] with each item executed under [`with_deferred_charges`]:
 /// returns the results plus each item's captured accounting sink (its
-/// virtual-time cost and per-shard read counters). The single-worker path
+/// virtual-time cost and read counters). The single-worker path
 /// uses the same deferred accounting, so costs are identical for any
 /// worker count. Callers merge the sinks back into the device at the
 /// barrier with [`join_deferred`].
@@ -152,7 +152,7 @@ where
 /// worker, the items fan out over [`par_map_timed`] and their sinks are
 /// added to the caller's in item order ([`DeferredCharges::absorb`]):
 /// deferred accesses pay a streaming cost that no schedule changes, so the
-/// caller's virtual time, reads, bytes and per-shard line fetches come out
+/// caller's virtual time, reads, bytes and line fetches come out
 /// as if this thread had run the items in turn. If an item fails, only
 /// items up to and including the first failure are absorbed and its error
 /// is returned — the charges of a loop that stops there. Items past it may
@@ -179,7 +179,7 @@ where
 }
 
 /// Barrier join for a [`par_map_timed`] batch: merge the per-item read
-/// counters into the device's per-shard totals
+/// counters into the device's totals
 /// ([`SimDevice::absorb_deferred`]) and advance the virtual clock by the
 /// deterministic lane-folded makespan of the per-item costs. This is the
 /// single point where a parallel batch touches the device's shared state,
@@ -216,7 +216,7 @@ pub fn lanes_makespan(item_ns: &[u64], lanes: usize) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::device::{ReadShardStats, SimDevice};
+    use crate::device::{DeferredReads, SimDevice};
     use crate::profile::DeviceProfile;
 
     /// Items per test: Miri interprets every access, so it gets a few.
@@ -335,10 +335,10 @@ mod tests {
     }
 
     /// The device's view of everything charged so far: clock, reads,
-    /// bytes, line fetches and hits, and the per-shard read totals.
-    fn device_view(dev: &SimDevice) -> (u64, u64, u64, u64, u64, Vec<ReadShardStats>) {
+    /// bytes, line fetches and hits, and the deferred read totals.
+    fn device_view(dev: &SimDevice) -> (u64, u64, u64, u64, u64, DeferredReads) {
         let s = dev.stats();
-        (s.virtual_ns, s.reads, s.bytes_read, s.line_misses, s.line_hits, dev.read_shard_stats())
+        (s.virtual_ns, s.reads, s.bytes_read, s.line_misses, s.line_hits, dev.deferred_reads())
     }
 
     /// Under a caller's sink, an absorbed fan-out charges that sink what
@@ -484,8 +484,7 @@ mod tests {
         assert_eq!(stats.reads, 16);
         assert_eq!(stats.bytes_read, 16 * 512);
         assert!(stats.virtual_ns > 0);
-        let shard_total: u64 = dev.read_shard_stats().iter().map(|s| s.reads).sum();
-        assert_eq!(shard_total, 16);
+        assert_eq!(dev.deferred_reads().reads, 16);
     }
 
     #[test]

@@ -54,7 +54,7 @@ pub use daemon::{Completion, QueryDaemon, Rejection, TraceOutcome};
 pub use trace::{percentile_ns, TraceEvent, TraceSpec};
 pub use wire::{WireServer, MAX_REQUEST_BYTES};
 
-use ntadoc::{RunReport, TenantId};
+use ntadoc::{RunReport, TenantId, METRIC_DEFERRED_READS};
 use ntadoc_pmem::PmemError;
 
 /// Tuning knobs for a [`QueryDaemon`].
@@ -128,18 +128,10 @@ impl From<PmemError> for ServeError {
     }
 }
 
-/// Sum of per-shard device-line reads recorded in a [`RunReport`]'s
-/// `contention.shardNN.reads` counters. The serve-path figure of merit:
+/// Device reads served by the deferred path, as a [`RunReport`]'s
+/// `deferred.reads` counter records them. The serve-path figure of merit:
 /// batched serving must touch fewer lines than serving the same trace
 /// query-by-query, and a cache hit must add zero.
 pub fn shard_reads_total(report: &RunReport) -> u64 {
-    report
-        .metrics
-        .iter()
-        .filter(|(name, _)| name.starts_with("contention.shard") && name.ends_with(".reads"))
-        .filter_map(|(_, v)| match v {
-            ntadoc_pmem::obs::MetricValue::Counter(n) => Some(*n),
-            _ => None,
-        })
-        .sum()
+    report.metric_u64(METRIC_DEFERRED_READS).unwrap_or(0)
 }

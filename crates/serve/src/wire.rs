@@ -10,7 +10,9 @@
 //! that is present with another type or out of range is a `bad_request`
 //! naming it, never a default. Admission rejections come back typed too
 //! (`"kind":"quota_exceeded"` / `"queue_full"`), never as dropped
-//! connections.
+//! connections; a query the engine refuses by design (a `file` on a task
+//! that is not file-oriented) is `"kind":"unsupported"`, and any other
+//! engine failure `"kind":"engine"`.
 //!
 //! Members of every reply are in sorted order, as [`Json::compact`] writes
 //! an object. A served reply is the one line that is not made from a tree:
@@ -27,7 +29,7 @@ use std::io::{self, IoSlice, Read, Write};
 
 use ntadoc::{Query, QueryResponse, Task, TenantId};
 use ntadoc_pmem::json::{write_str, write_u64};
-use ntadoc_pmem::Json;
+use ntadoc_pmem::{Json, PmemError};
 
 use crate::{QueryDaemon, ServeError};
 
@@ -264,6 +266,7 @@ fn answer(
                 let kind = match &e {
                     ServeError::QuotaExceeded { .. } => "quota_exceeded",
                     ServeError::QueueFull { .. } => "queue_full",
+                    ServeError::Engine(PmemError::Unsupported(_)) => "unsupported",
                     ServeError::Engine(_) => "engine",
                 };
                 (error_reply(kind, &e.to_string()), false)

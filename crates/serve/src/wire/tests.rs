@@ -257,7 +257,7 @@ fn error_replies_are_the_lines_they_always_were() {
         ),
         (
             r#"{"op":"query","task":"sort","file":"a"}"#,
-            r#"{"error":"engine error: unsupported operation: file_filter applies to file-oriented tasks only, not 'sort'","kind":"engine","ok":false}"#,
+            r#"{"error":"engine error: unsupported operation: file_filter applies to file-oriented tasks only, not 'sort'","kind":"unsupported","ok":false}"#,
         ),
     ];
     for (request, want) in cases {

@@ -728,8 +728,9 @@ fn ask(
                 for (hit, reply) in [false, true].into_iter().zip(replies.lines()) {
                     let head = format!(r#"{{"cache_hit":{hit},"ok":true,"output":"#);
                     let Some(output) = reply.strip_prefix(&head) else {
-                        // A refused query comes back as the engine's error.
-                        assert!(reply.contains("unsupported operation"), "{reply}");
+                        // A refused query comes back typed as a refusal.
+                        let kind = Json::parse(reply).ok().and_then(|r| r.get("kind").cloned());
+                        assert_eq!(kind, Some(Json::from("unsupported")), "{reply}");
                         return Err(PmemError::Unsupported(reply.to_string()));
                     };
                     let end = output.rfind(r#","snapshot":"#).expect("the members after output");

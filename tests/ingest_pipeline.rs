@@ -12,9 +12,7 @@ use common::matrix::{cell, counts_turned, run_cells, run_drawn, Cell, Route};
 use common::{check_corpora, CorpusShape};
 
 use ntadoc::upper_bounds;
-use ntadoc_repro::{
-    compress_corpus, compress_corpus_chunked, Grammar, MergeOptions, TokenizerConfig,
-};
+use ntadoc_repro::{compress_corpus, ingest_corpus, Grammar, IngestOptions, TokenizerConfig};
 
 /// Arbitrary corpora: 1–5 files of small-alphabet words (some empty), so
 /// chunk boundaries land mid-file, on file edges, and past tiny files.
@@ -72,7 +70,8 @@ fn summation_bounds_stay_sound_over_merged_grammars() {
             let serial = compress_corpus(files, &cfg);
             let serial_actual = actual_word_lists(&serial.grammar);
             for w in [1usize, 2, 4, 8] {
-                let chunked = compress_corpus_chunked(files, &cfg, w, &MergeOptions::default());
+                let (chunked, _) =
+                    ingest_corpus(files, &IngestOptions { chunks: w, ..Default::default() });
                 let bounds = upper_bounds(&chunked.grammar).bounds;
                 let actual = actual_word_lists(&chunked.grammar);
                 for (r, (&b, &a)) in bounds.iter().zip(actual.iter()).enumerate() {

@@ -81,16 +81,20 @@ fn in_tree_producers_emit_only_reachable_rules() {
             let serial = compress_corpus(files, &cfg);
             serial.grammar.validate().unwrap();
             serial.grammar.coarsened(min_exp).validate().unwrap();
+            let counts: Vec<usize> = files
+                .iter()
+                .map(|(_, text)| ntadoc_grammar::Tokens::new(text, &cfg).count())
+                .collect();
             for chunks in [2usize, 3, 8] {
+                let built: Vec<_> = ntadoc_repro::plan_chunks(&counts, chunks)
+                    .iter()
+                    .map(|pieces| ntadoc_grammar::build_chunk_of_files(files, &cfg, pieces, 0))
+                    .collect();
                 for seam_dedup in [true, false] {
-                    let merged = ntadoc_repro::compress_corpus_chunked(
-                        files,
-                        &cfg,
-                        chunks,
-                        &ntadoc_repro::MergeOptions { seam_dedup },
-                    );
-                    merged.grammar.validate().unwrap();
-                    merged.grammar.coarsened(min_exp).validate().unwrap();
+                    let opts = ntadoc_repro::MergeOptions { seam_dedup };
+                    let (merged, _) = ntadoc_repro::merge_chunks(&built, &opts);
+                    merged.validate().unwrap();
+                    merged.coarsened(min_exp).validate().unwrap();
                 }
             }
             let at = 1 + split % files.len();
