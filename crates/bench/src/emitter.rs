@@ -6,7 +6,7 @@
 //! `target/experiments/<name>.json` in the versioned document schema
 //! below. `ntadoc-bench report` re-reads every emitted document,
 //! validates it against the same schema, fails on any violation, and
-//! folds the headlines into `BENCH_summary.json` at the repository root.
+//! renders the documents into one Markdown record.
 //!
 //! # Document schema (version 1)
 //!
@@ -22,7 +22,9 @@
 //! ```
 //!
 //! `rows` are free-form objects (each experiment's natural table shape);
-//! `headline` values must be numbers (they feed the summary file);
+//! a row field whose name ends in `wall_ms` is host wall-clock time, which
+//! the rendered record leaves out. `headline` values must be numbers
+//! (`report` renders them and `--gate` reads them);
 //! `reports` entries embed complete [`RunReport`] v2 documents — span
 //! tree, metric snapshot, and device [`AccessStats`] — and are deep-
 //! validated through [`RunReport::from_json`].
@@ -93,7 +95,7 @@ impl Emitter {
         self.rows.push(Json::object(fields));
     }
 
-    /// Set a headline number; these feed `BENCH_summary.json`.
+    /// Set a headline number; `report` renders it and its gates read it.
     pub fn headline(&mut self, key: &str, value: f64) {
         self.headline.insert(key.to_string(), Json::F64(value));
     }

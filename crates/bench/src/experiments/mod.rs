@@ -16,7 +16,6 @@ mod fig7;
 mod layout_bench;
 mod naive_overhead;
 mod nvm_archs;
-mod serve_bench;
 mod serve_load;
 mod table1;
 mod table2;
@@ -26,7 +25,7 @@ mod traversal_opt;
 pub struct Experiment {
     /// Command-line name, and the stem of the document it emits.
     pub name: &'static str,
-    /// One line for `ntadoc-bench list`.
+    /// One line for `ntadoc-bench list` and the rendered record.
     pub about: &'static str,
     /// Runs it: corpora come from the harness, results go to the emitter.
     /// Output-equality and determinism asserts live here; performance
@@ -56,7 +55,6 @@ pub const REGISTRY: &[Experiment] = &[
     exp("ablation", "the three §IV design points switched off one at a time (C)", ablation::run),
     exp("nvm_archs", "§VI-F vision: Optane vs ReRAM vs PCM (C)", nvm_archs::run),
     exp("endurance", "§I/§VII: NVM write-backs and bytes written vs baseline", endurance::run),
-    exp("serve_bench", "build-once/serve-many throughput at 1/2/4/8 workers", serve_bench::run),
     exp("build_bench", "chunk-parallel build at 1/2/4/8 workers, W=8 chunks", build_bench::run),
     exp("append_bench", "streaming append vs full rebuild at 10/25/50% growth", append_bench::run),
     exp(

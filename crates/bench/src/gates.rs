@@ -57,34 +57,15 @@ pub struct Gate {
     pub cmp: Cmp,
     /// The threshold.
     pub bound: f64,
-    /// `Some(n)` on wall-clock rows: a parallel speedup means nothing on
-    /// fewer than `n` hardware threads, so the row reports *skipped* when
-    /// the document's `meta.cores` is below it. Virtual-time and
-    /// device-counter rows are deterministic on any host and carry `None`:
-    /// they never skip.
-    pub min_cores: Option<u64>,
 }
 
 const fn gate(experiment: &'static str, key: &'static str, cmp: Cmp, bound: f64) -> Gate {
-    Gate { experiment, key, cmp, bound, min_cores: None }
+    Gate { experiment, key, cmp, bound }
 }
 
-const fn wall_gate(
-    experiment: &'static str,
-    key: &'static str,
-    cmp: Cmp,
-    bound: f64,
-    min_cores: u64,
-) -> Gate {
-    Gate { experiment, key, cmp, bound, min_cores: Some(min_cores) }
-}
-
-/// Every bound the repository enforces.
+/// Every bound the repository enforces. Each row reads a virtual-time
+/// number or a device counter, so each is decided the same on any host.
 pub const GATES: &[Gate] = &[
-    // Parallel serve and chunk-parallel build: 8 workers must at least
-    // halve the wall clock, where there are 8 cores to run them on.
-    wall_gate("serve_bench", "word_count_speedup_at_8", Cmp::Ge, 2.0, 8),
-    wall_gate("build_bench", "build_speedup", Cmp::Ge, 2.0, 8),
     // The modeled (virtual-lane) build speedup at W=8 chunks.
     gate("build_bench", "build_virtual_speedup", Cmp::Ge, 2.0),
     // A 10 % delta must append for less than two thirds of a rebuild.
@@ -113,8 +94,6 @@ pub const GATES: &[Gate] = &[
 pub enum Verdict {
     /// The bound holds.
     Ok(String),
-    /// A wall-clock row on a host with too few cores; not a failure.
-    Skipped(String),
     /// The bound is violated, or the document or headline it reads is
     /// missing.
     Fail(String),
@@ -131,7 +110,6 @@ impl fmt::Display for Verdict {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Verdict::Ok(m) => write!(f, "ok: {m}"),
-            Verdict::Skipped(m) => write!(f, "skipped: {m}"),
             Verdict::Fail(m) => write!(f, "FAIL: {m}"),
         }
     }
@@ -168,20 +146,11 @@ pub fn evaluate(gates: &[Gate], docs: &BTreeMap<String, Json>, named: &[String])
 }
 
 fn check(g: &Gate, doc: &Json) -> Verdict {
-    let Gate { experiment, key, cmp, bound, .. } = *g;
+    let Gate { experiment, key, cmp, bound } = *g;
     let Some(value) = doc.get("headline").and_then(|h| h.get(key)).and_then(Json::as_f64) else {
         return Verdict::Fail(format!("{experiment}: headline `{key}` is missing"));
     };
     let claim = format!("{experiment} {key} = {value} (bound: {cmp} {bound})");
-    if let Some(need) = g.min_cores {
-        match doc.get("meta").and_then(|m| m.get("cores")).and_then(Json::as_u64) {
-            None => return Verdict::Fail(format!("{claim}: wall-clock row needs `meta.cores`")),
-            Some(cores) if cores < need => {
-                return Verdict::Skipped(format!("{claim}: {cores} cores, needs {need}"))
-            }
-            Some(_) => {}
-        }
-    }
     if cmp.holds(value, bound) {
         Verdict::Ok(claim)
     } else {
@@ -194,15 +163,10 @@ mod tests {
     use super::*;
     use crate::experiments::REGISTRY;
 
-    const TABLE: [Gate; 2] =
-        [wall_gate("wall", "speedup", Cmp::Ge, 2.0, 8), gate("virt", "ratio", Cmp::Gt, 1.5)];
+    const TABLE: [Gate; 1] = [gate("virt", "ratio", Cmp::Gt, 1.5)];
 
-    fn doc(cores: Option<u64>, headline: &[(&str, f64)]) -> Json {
-        let meta: Vec<(&str, Json)> = cores.map(|c| ("cores", Json::U64(c))).into_iter().collect();
-        Json::object([
-            ("meta", Json::object(meta)),
-            ("headline", Json::object(headline.iter().map(|&(k, v)| (k, Json::F64(v))))),
-        ])
+    fn doc(headline: &[(&str, f64)]) -> Json {
+        Json::object([("headline", Json::object(headline.iter().map(|&(k, v)| (k, Json::F64(v)))))])
     }
 
     fn docs(entries: &[(&str, Json)]) -> BTreeMap<String, Json> {
@@ -211,13 +175,13 @@ mod tests {
 
     #[test]
     fn a_violated_bound_fails_naming_experiment_key_value_and_bound() {
-        let v = evaluate(&TABLE, &docs(&[("virt", doc(Some(2), &[("ratio", 1.25)]))]), &[]);
+        let v = evaluate(&TABLE, &docs(&[("virt", doc(&[("ratio", 1.25)]))]), &[]);
         assert_eq!(v.len(), 1);
         let Verdict::Fail(msg) = &v[0] else { panic!("expected a failure, got {:?}", v[0]) };
         for part in ["virt", "ratio", "1.25", "> 1.5"] {
             assert!(msg.contains(part), "`{msg}` does not name `{part}`");
         }
-        let ok = evaluate(&TABLE, &docs(&[("virt", doc(Some(2), &[("ratio", 1.75)]))]), &[]);
+        let ok = evaluate(&TABLE, &docs(&[("virt", doc(&[("ratio", 1.75)]))]), &[]);
         assert!(matches!(ok[..], [Verdict::Ok(_)]), "{ok:?}");
     }
 
@@ -226,32 +190,12 @@ mod tests {
         let named = ["virt".to_string()];
         let absent = evaluate(&TABLE, &BTreeMap::new(), &named);
         assert!(absent.iter().any(|v| v.is_fail() && v.to_string().contains("no document")));
-        let keyless = evaluate(&TABLE, &docs(&[("virt", doc(Some(2), &[]))]), &named);
+        let keyless = evaluate(&TABLE, &docs(&[("virt", doc(&[]))]), &named);
         assert!(keyless.iter().any(|v| v.is_fail() && v.to_string().contains("`ratio`")));
         let ungated = evaluate(&TABLE, &BTreeMap::new(), &["table1".to_string()]);
         assert!(ungated.iter().any(|v| v.is_fail() && v.to_string().contains("no gate")));
         // Nothing named and nothing on disk: the run checked nothing.
         assert!(evaluate(&TABLE, &BTreeMap::new(), &[]).iter().any(Verdict::is_fail));
-    }
-
-    #[test]
-    fn a_wall_clock_row_skips_below_its_core_count_and_only_there() {
-        let small = evaluate(&TABLE, &docs(&[("wall", doc(Some(2), &[("speedup", 0.9)]))]), &[]);
-        assert!(matches!(small[..], [Verdict::Skipped(_)]), "{small:?}");
-        assert!(!small.iter().any(Verdict::is_fail), "a skip must leave the exit code at 0");
-        let big = evaluate(&TABLE, &docs(&[("wall", doc(Some(8), &[("speedup", 0.9)]))]), &[]);
-        assert!(matches!(big[..], [Verdict::Fail(_)]), "{big:?}");
-        // No `meta.cores`, no decision: never a silent skip.
-        let blind = evaluate(&TABLE, &docs(&[("wall", doc(None, &[("speedup", 9.0)]))]), &[]);
-        assert!(matches!(blind[..], [Verdict::Fail(_)]), "{blind:?}");
-    }
-
-    #[test]
-    fn a_virtual_time_row_never_skips() {
-        for cores in [None, Some(1), Some(64)] {
-            let v = evaluate(&TABLE, &docs(&[("virt", doc(cores, &[("ratio", 1.0)]))]), &[]);
-            assert!(matches!(v[..], [Verdict::Fail(_)]), "cores {cores:?}: {v:?}");
-        }
     }
 
     #[test]

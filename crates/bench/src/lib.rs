@@ -7,9 +7,9 @@
 //! per invocation, so the experiments named together share its dataset
 //! cache, and one [`Emitter`] per experiment, which it finishes into a
 //! versioned JSON document under `target/experiments/`. [`report`]
-//! validates those documents, renders `REPORT.md`, is the only writer of
-//! `BENCH_summary.json`, and with `--gate` checks them against the one
-//! threshold table, [`gates::GATES`].
+//! checks that those documents form one record, renders it as `REPORT.md`
+//! (committed at scale 1 as `RESULTS.md`), and with `--gate` checks them
+//! against the one threshold table, [`gates::GATES`].
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -63,8 +63,7 @@ impl Harness {
     }
 
     /// Hardware threads of the host; stamped into every document as
-    /// `meta.cores`, which is what the wall-clock gate rows are decided
-    /// from.
+    /// `meta.cores` for the reader.
     pub fn cores(&self) -> usize {
         self.cores
     }

@@ -1,89 +1,156 @@
-//! `ntadoc-bench report [--gate [name…]]`: validate and aggregate the
-//! documents under `target/experiments/`. Every `*.json` there must
-//! satisfy the version-1 experiment schema (any violation fails the
-//! run — CI's schema gate); the rows are folded into one Markdown summary
-//! (`target/experiments/REPORT.md`); the headline numbers of the
-//! registered experiments are written to `BENCH_summary.json` at the
-//! repository root — this is that file's only writer; and with `--gate`
-//! the documents are checked against [`GATES`]. Run the experiments
-//! first, then this.
+//! `ntadoc-bench report [--gate [name…]]`: the one writer of the
+//! evaluation's record. Every `*.json` under `target/experiments/` must
+//! satisfy the version-1 experiment schema, name a registered experiment
+//! (no other document may name it too), and share one `meta.scale` with
+//! the rest; any violation fails the run, naming the files. The documents
+//! are rendered into `target/experiments/REPORT.md`, whose scale-1 form is
+//! committed as `RESULTS.md`; with `--gate` they are then checked against
+//! [`GATES`]. Run the experiments first, then this.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::iter::once;
 use std::path::Path;
 
 use ntadoc_pmem::Json;
 
 use crate::experiments::REGISTRY;
 use crate::gates::{evaluate, GATES};
-use crate::{geomean, validate_document, EXPERIMENTS_DIR, SCHEMA_VERSION};
+use crate::{geomean, mean, validate_document, EXPERIMENTS_DIR, SCHEMA_VERSION};
 
-/// Repo-root file holding every registered experiment's latest headline.
-pub const SUMMARY_PATH: &str = "BENCH_summary.json";
+/// The one experiment left out of the rendered record: its outcome
+/// (every fired crash recovered) is a gate, not a table.
+const UNRENDERED: &str = "crash_sweep";
 
-/// Load, parse, and schema-validate every emitted document.
-///
-/// Returns `experiment name → document`, or the list of violations.
-fn load_all() -> Result<BTreeMap<String, Json>, Vec<String>> {
-    let mut docs = BTreeMap::new();
-    let mut violations = Vec::new();
-    let entries = match std::fs::read_dir(EXPERIMENTS_DIR) {
-        Ok(e) => e,
-        Err(_) => return Ok(docs), // nothing emitted yet
-    };
+/// Row fields ending in this are host wall-clock time. They differ
+/// between any two runs, so the record never renders them.
+const WALL_SUFFIX: &str = "wall_ms";
+
+/// How a summary matrix folds the rows of one cell.
+#[derive(Clone, Copy)]
+enum Fold {
+    /// Geometric mean of ratios, printed as `2.20×`.
+    Geomean,
+    /// Arithmetic mean of fractions, printed as `57.2 %`.
+    MeanPercent,
+}
+
+/// The summary matrices: `(experiment, value field, group field, fold)`;
+/// see [`summary`].
+const SUMMARIES: &[(&str, &str, Option<&str>, Fold)] = &[
+    ("fig5", "speedup", Some("panel"), Fold::Geomean),
+    ("fig6", "slowdown", None, Fold::Geomean),
+    ("fig7", "speedup", Some("device"), Fold::Geomean),
+    ("table2", "init_speedup", None, Fold::Geomean),
+    ("table2", "traversal_speedup", None, Fold::Geomean),
+    ("dram_savings", "saving", None, Fold::MeanPercent),
+    ("naive_overhead", "overhead", None, Fold::Geomean),
+    ("cross_eval", "speedup", None, Fold::Geomean),
+];
+
+/// What the paper reports, for the experiments where it gives a figure.
+const PAPER: &[(&str, &str)] = &[
+    (
+        "table1",
+        "files / rules / vocabulary: A 1 / 36,882 / 240,552; B 134,631 / 2,771,880 / \
+        1,864,902; C 4 / 2,095,573 / 6,370,437; D 109 / 57,394,616 / 99,239,057",
+    ),
+    ("fig5", "(a) phase-level 2.04× average, (b) operation-level 1.40× average"),
+    (
+        "fig6",
+        "1.59× slower on average; word count worst at 2.26×; A the largest gap at 1.55×; \
+        the gap narrows as datasets grow",
+    ),
+    ("fig7", "1.87× average over SSD, 2.92× over HDD"),
+    ("table2", "phase speedups (init / traversal): C 1.96× / 2.53×, D 1.23× / 2.87×"),
+    (
+        "dram_savings",
+        "70.7 % average (A 65.6 %, B 70.7 %, C 72.2 %, D 74.3 %); word count \
+        saves the most (79.8 %), sequence count the least (60.7 %)",
+    ),
+    ("traversal_opt", "top-down ~1000× slower at 134,631 files"),
+    ("naive_overhead", "13.37×"),
+    ("cross_eval", "~5×"),
+];
+
+/// Every emitted document under `dir`, parsed and schema-checked, then
+/// checked as one record (see [`record`]). No directory means no
+/// documents.
+fn load(dir: &Path) -> Result<BTreeMap<String, Json>, String> {
+    let Ok(entries) = std::fs::read_dir(dir) else { return Ok(BTreeMap::new()) };
     let mut paths: Vec<_> = entries
         .filter_map(|e| e.ok().map(|e| e.path()))
         .filter(|p| p.extension().is_some_and(|x| x == "json"))
         .collect();
     paths.sort();
+    let mut found = Vec::new();
+    let mut violations = Vec::new();
     for path in paths {
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) => {
-                violations.push(format!("{}: unreadable: {e}", path.display()));
-                continue;
-            }
-        };
-        let doc = match Json::parse(&text) {
-            Ok(d) => d,
-            Err(e) => {
-                violations.push(format!("{}: not JSON: {e}", path.display()));
-                continue;
-            }
-        };
-        if let Err(e) = validate_document(&doc) {
-            violations.push(format!("{}: schema violation: {e}", path.display()));
-            continue;
+        let parsed = std::fs::read_to_string(&path)
+            .map_err(|e| format!("unreadable: {e}"))
+            .and_then(|text| Json::parse(&text).map_err(|e| format!("not JSON: {e}")))
+            .and_then(|doc| {
+                validate_document(&doc).map_err(|e| format!("schema violation: {e}"))?;
+                Ok(doc)
+            });
+        match parsed {
+            Ok(doc) => found.push((path.display().to_string(), doc)),
+            Err(e) => violations.push(format!("{}: {e}", path.display())),
         }
+    }
+    if !violations.is_empty() {
+        return Err(format!(
+            "[report] schema validation FAILED:\n  - {}",
+            violations.join("\n  - ")
+        ));
+    }
+    record(found)
+}
+
+/// Fold `(file, document)` pairs into one record, keyed by experiment
+/// name. Fails, naming the files, when a document names an experiment
+/// that is not registered (a leftover of a deleted one), when two
+/// documents name the same experiment, or when the documents disagree on
+/// `meta.scale` (a partial re-run at another scale).
+fn record(found: Vec<(String, Json)>) -> Result<BTreeMap<String, Json>, String> {
+    let mut problems = Vec::new();
+    let mut docs: BTreeMap<String, (String, Json)> = BTreeMap::new();
+    for (file, doc) in found {
         let name = doc.get("experiment").and_then(Json::as_str).unwrap_or_default().to_string();
-        docs.insert(name, doc);
+        if !REGISTRY.iter().any(|e| e.name == name) {
+            problems.push(format!("{file}: experiment `{name}` is not registered"));
+        } else if let Some((other, _)) = docs.get(&name) {
+            problems.push(format!("{other} and {file} both hold experiment `{name}`"));
+        } else {
+            docs.insert(name, (file, doc));
+        }
     }
-    if violations.is_empty() {
-        Ok(docs)
-    } else {
-        Err(violations)
+    let mut by_scale: BTreeMap<String, Vec<&str>> = BTreeMap::new();
+    for (file, doc) in docs.values() {
+        by_scale.entry(scale_of(doc)).or_default().push(file);
     }
+    if by_scale.len() > 1 {
+        let groups: Vec<String> = by_scale
+            .iter()
+            .map(|(scale, files)| format!("scale {scale} in {}", files.join(", ")))
+            .collect();
+        problems.push(format!("documents disagree on meta.scale: {}", groups.join("; ")));
+    }
+    if !problems.is_empty() {
+        return Err(format!(
+            "[report] the documents do not form one record:\n  - {}",
+            problems.join("\n  - ")
+        ));
+    }
+    Ok(docs.into_iter().map(|(name, (_, doc))| (name, doc)).collect())
+}
+
+fn scale_of(doc: &Json) -> String {
+    doc.get("meta").and_then(|m| m.get("scale")).map_or("(none)".to_string(), Json::compact)
 }
 
 fn rows(doc: &Json) -> &[Json] {
     doc.get("rows").and_then(Json::as_arr).unwrap_or_default()
-}
-
-/// Pull a named ratio column out of a row list and geomean it per task.
-fn per_task_geomean(rows: &[Json], field: &str) -> BTreeMap<String, f64> {
-    let mut by_task: BTreeMap<String, Vec<f64>> = BTreeMap::new();
-    for r in rows {
-        if let (Some(task), Some(v)) =
-            (r.get("task").and_then(Json::as_str), r.get(field).and_then(Json::as_f64))
-        {
-            by_task.entry(task.to_string()).or_default().push(v);
-        }
-    }
-    by_task.into_iter().map(|(t, v)| (t, geomean(&v))).collect()
-}
-
-fn all_ratios(rows: &[Json], field: &str) -> Vec<f64> {
-    rows.iter().filter_map(|r| r.get(field).and_then(Json::as_f64)).collect()
 }
 
 /// The whole `report` subcommand; `Err` carries what to print before
@@ -94,23 +161,16 @@ pub fn run(args: &[String]) -> Result<(), String> {
         Some((flag, names)) if flag == "--gate" => Some(names),
         Some((other, _)) => return Err(format!("report: unknown argument `{other}`")),
     };
-    let docs = load_all().map_err(|violations| {
-        format!("[report] schema validation FAILED:\n  - {}", violations.join("\n  - "))
-    })?;
+    let docs = load(Path::new(EXPERIMENTS_DIR))?;
     println!(
         "[report] {} document(s) under {EXPERIMENTS_DIR} validate against schema v{SCHEMA_VERSION}",
         docs.len()
     );
 
-    let md = render_markdown(&docs);
     std::fs::create_dir_all(EXPERIMENTS_DIR).expect("experiments dir");
-    std::fs::write(format!("{EXPERIMENTS_DIR}/REPORT.md"), &md).expect("write report");
-    println!("{md}");
-    eprintln!("[report] wrote {EXPERIMENTS_DIR}/REPORT.md");
-
-    let registered: Vec<&str> = REGISTRY.iter().map(|e| e.name).collect();
-    write_summary(Path::new(SUMMARY_PATH), &docs, &registered);
-    eprintln!("[report] wrote {SUMMARY_PATH}");
+    std::fs::write(format!("{EXPERIMENTS_DIR}/REPORT.md"), render_markdown(&docs))
+        .expect("write report");
+    println!("[report] wrote {EXPERIMENTS_DIR}/REPORT.md");
 
     let Some(gate_names) = gate_names else { return Ok(()) };
     let verdicts = evaluate(GATES, &docs, gate_names);
@@ -123,208 +183,274 @@ pub fn run(args: &[String]) -> Result<(), String> {
     }
 }
 
-/// Fold the documents' rows into the Markdown summary.
+/// Render the record: for every registered experiment but
+/// [`UNRENDERED`] that has a document, in registry order, its `about`
+/// line, the paper's figure, every headline, its task × dataset summary
+/// if it has one, and every row without its wall-clock fields. The bytes depend
+/// only on the documents' contents.
 fn render_markdown(docs: &BTreeMap<String, Json>) -> String {
     let mut md = String::new();
-    let _ = writeln!(md, "# Experiment report (auto-generated)\n");
-    let _ = writeln!(md, "Regenerate with `ntadoc-bench all`, then `ntadoc-bench report`.\n");
-
-    if let Some(doc) = docs.get("table1") {
-        let _ = writeln!(md, "## Table I — datasets\n");
-        let _ = writeln!(md, "| dataset | files | rules | vocabulary | words | ratio |");
-        let _ = writeln!(md, "|---|---|---|---|---|---|");
-        for r in rows(doc) {
-            let cell = |k: &str| r.get(k).map(|v| v.compact()).unwrap_or_else(|| "?".to_string());
-            let _ = writeln!(
-                md,
-                "| {} | {} | {} | {} | {} | {:.2}x |",
-                r.get("dataset").and_then(Json::as_str).unwrap_or("?"),
-                cell("files"),
-                cell("rules"),
-                cell("vocabulary"),
-                cell("words"),
-                r.get("compression_ratio").and_then(Json::as_f64).unwrap_or(0.0)
-            );
+    let scale = docs.values().next().map_or("(none)".to_string(), scale_of);
+    let _ = writeln!(md, "# Results — the paper's evaluation, regenerated\n");
+    let _ = writeln!(
+        md,
+        "Generated by `ntadoc-bench report` from the experiment documents of one run at \
+         `NTADOC_SCALE={scale}`; do not edit by hand. Every number is virtual time or a \
+         device counter, so the file reads the same at any worker count. EXPERIMENTS.md \
+         says how to regenerate it and what the numbers mean.\n"
+    );
+    for e in REGISTRY.iter().filter(|e| e.name != UNRENDERED) {
+        let Some(doc) = docs.get(e.name) else { continue };
+        let _ = writeln!(md, "## `{}` — {}\n", e.name, e.about);
+        if let Some((_, paper)) = PAPER.iter().find(|p| p.0 == e.name) {
+            let _ = writeln!(md, "Paper: {paper}.\n");
         }
-        let _ = writeln!(md);
-    }
-
-    for (name, field, title, paper) in [
-        ("fig5", "speedup", "Figure 5 — speedup over uncompressed on NVM", "2.04x (a) / 1.40x (b)"),
-        ("fig6", "slowdown", "Figure 6 — slowdown vs TADOC on DRAM", "1.59x"),
-        ("fig7", "speedup", "Figure 7 — NVM speedup over SSD/HDD", "1.87x / 2.92x"),
-        ("naive_overhead", "overhead", "§III-B — naive port overhead", "13.37x"),
-        ("cross_eval", "speedup", "§VI-F — N-TADOC over TADOC on NVM", "~5x"),
-    ] {
-        if let Some(doc) = docs.get(name) {
-            let rows = rows(doc);
-            let _ = writeln!(md, "## {title}\n");
-            let _ = writeln!(md, "Paper: {paper}. Measured per task (geomean over datasets):\n");
-            let _ = writeln!(md, "| task | measured |");
-            let _ = writeln!(md, "|---|---|");
-            for (task, v) in per_task_geomean(rows, field) {
-                let _ = writeln!(md, "| {task} | {v:.2}x |");
+        let headline = doc.get("headline").and_then(Json::as_obj).cloned().unwrap_or_default();
+        if !headline.is_empty() {
+            let _ = writeln!(md, "| headline | value |\n|---|---:|");
+            for (key, value) in &headline {
+                line(&mut md, [format!("`{}.{key}`", e.name), cell(value)]);
             }
-            let _ =
-                writeln!(md, "| **overall** | **{:.2}x** |\n", geomean(&all_ratios(rows, field)));
+            md.push('\n');
         }
+        for &(_, field, group, fold) in SUMMARIES.iter().filter(|s| s.0 == e.name) {
+            summary(&mut md, rows(doc), field, group, fold);
+        }
+        row_table(&mut md, rows(doc));
     }
-
-    if let Some(doc) = docs.get("dram_savings") {
-        let _ = writeln!(md, "## §VI-C — DRAM savings (paper: 70.7% avg)\n");
-        let _ = writeln!(md, "| task | measured saving |");
-        let _ = writeln!(md, "|---|---|");
-        let mut by_task: BTreeMap<String, Vec<f64>> = BTreeMap::new();
-        for r in rows(doc) {
-            if let (Some(t), Some(s)) =
-                (r.get("task").and_then(Json::as_str), r.get("saving").and_then(Json::as_f64))
-            {
-                by_task.entry(t.to_string()).or_default().push(s);
-            }
-        }
-        let mut all = Vec::new();
-        for (t, v) in by_task {
-            let m = v.iter().sum::<f64>() / v.len() as f64;
-            all.extend(v);
-            let _ = writeln!(md, "| {t} | {:.1}% |", m * 100.0);
-        }
-        let _ = writeln!(
-            md,
-            "| **overall** | **{:.1}%** |\n",
-            all.iter().sum::<f64>() / all.len().max(1) as f64 * 100.0
-        );
-    }
-
-    if let Some(doc) = docs.get("traversal_opt") {
-        let _ =
-            writeln!(md, "## §VI-E — top-down vs bottom-up on B (paper: ~1000x at 134k files)\n");
-        let _ = writeln!(md, "| files | task | ratio |");
-        let _ = writeln!(md, "|---|---|---|");
-        for r in rows(doc) {
-            let _ = writeln!(
-                md,
-                "| {} | {} | {:.1}x |",
-                r.get("files").and_then(Json::as_u64).unwrap_or(0),
-                r.get("task").and_then(Json::as_str).unwrap_or("?"),
-                r.get("ratio").and_then(Json::as_f64).unwrap_or(0.0)
-            );
-        }
-        let _ = writeln!(md);
-    }
-
     md
 }
 
-/// The summary entry a validated experiment document contributes: its
-/// headline members plus the run scale.
-fn summary_entry(doc: &Json) -> Json {
-    let mut entry = doc.get("headline").and_then(Json::as_obj).cloned().unwrap_or_default();
-    if let Some(scale) = doc.get("meta").and_then(|m| m.get("scale")) {
-        entry.insert("scale".to_string(), scale.clone());
+/// One task × dataset matrix of `field` per value of the `group` field
+/// (one matrix when there is none): each cell folds the rows it holds, the
+/// `all` column folds a task over the datasets and the `all` row a dataset
+/// over the tasks. Groups, tasks and datasets keep the order of their
+/// first row.
+fn summary(md: &mut String, rows: &[Json], field: &str, group: Option<&str>, fold: Fold) {
+    let label = |r: &Json, key: &str| r.get(key).and_then(Json::as_str).unwrap_or("").to_string();
+    let (mut groups, mut tasks, mut datasets) = (Vec::new(), Vec::new(), Vec::new());
+    let mut cells = Vec::new();
+    for r in rows {
+        let Some(v) = r.get(field).and_then(Json::as_f64) else { continue };
+        let at =
+            (group.map_or(String::new(), |g| label(r, g)), label(r, "task"), label(r, "dataset"));
+        for (seen, name) in [(&mut groups, &at.0), (&mut tasks, &at.1), (&mut datasets, &at.2)] {
+            if !seen.contains(name) {
+                seen.push(name.clone());
+            }
+        }
+        cells.push((at, v));
     }
-    Json::Obj(entry)
+    let folded = |g: &str, task: Option<&str>, dataset: Option<&str>| {
+        let vs: Vec<f64> = cells
+            .iter()
+            .filter(|((cg, ct, cd), _)| {
+                cg == g && task.is_none_or(|t| ct == t) && dataset.is_none_or(|d| cd == d)
+            })
+            .map(|(_, v)| *v)
+            .collect();
+        match fold {
+            _ if vs.is_empty() => String::new(),
+            Fold::Geomean => format!("{:.2}×", geomean(&vs)),
+            Fold::MeanPercent => format!("{:.1} %", mean(&vs) * 100.0),
+        }
+    };
+    for g in &groups {
+        let title = if g.is_empty() { format!("`{field}`") } else { format!("`{field}`, {g}") };
+        line(md, once(title).chain(datasets.iter().cloned()).chain(once("all".to_string())));
+        let _ = writeln!(md, "|---|{}", "---:|".repeat(datasets.len() + 1));
+        for t in &tasks {
+            let by_dataset = datasets.iter().map(|d| folded(g, Some(t), Some(d)));
+            line(md, once(t.clone()).chain(by_dataset).chain(once(folded(g, Some(t), None))));
+        }
+        let by_dataset = datasets.iter().map(|d| folded(g, None, Some(d)));
+        let all = format!("**{}**", folded(g, None, None));
+        line(md, once("**all**".to_string()).chain(by_dataset).chain(once(all)));
+        md.push('\n');
+    }
 }
 
-/// Write the summary file at `path` — `{ "schema_version": 1,
-/// "experiments": { <name>: { "scale": …, <headline…> } } }` — and return
-/// the written document.
-///
-/// Entries of experiments in `docs` are replaced; entries the file already
-/// holds for other experiments are kept, so a partial re-run (one
-/// experiment, then `report`) does not erase the headlines of experiments
-/// whose documents were cleaned away. Either way only names in
-/// `registered` survive: an entry — or a stale document — left behind by
-/// a deleted experiment is dropped. A missing or unreadable existing file
-/// starts fresh rather than failing the run.
-fn write_summary(path: &Path, docs: &BTreeMap<String, Json>, registered: &[&str]) -> Json {
-    let mut summary = std::fs::read_to_string(path)
-        .ok()
-        .and_then(|s| Json::parse(&s).ok())
-        .and_then(|j| j.as_obj().cloned())
-        .unwrap_or_default();
-    summary.insert("schema_version".to_string(), Json::U64(SCHEMA_VERSION as u64));
-    let mut experiments =
-        summary.get("experiments").and_then(Json::as_obj).cloned().unwrap_or_default();
-    for (name, doc) in docs {
-        experiments.insert(name.clone(), summary_entry(doc));
+/// Every row as one Markdown table: label columns (those holding a
+/// string) first, then numbers, each group in name order; wall-clock
+/// fields are left out.
+fn row_table(md: &mut String, rows: &[Json]) {
+    let mut labels = Vec::new();
+    let mut numbers = Vec::new();
+    for r in rows {
+        for (k, v) in r.as_obj().into_iter().flatten() {
+            if k.ends_with(WALL_SUFFIX) || labels.contains(k) || numbers.contains(k) {
+                continue;
+            }
+            if matches!(v, Json::Str(_)) { &mut labels } else { &mut numbers }.push(k.clone());
+        }
     }
-    experiments.retain(|name, _| registered.contains(&name.as_str()));
-    summary.insert("experiments".to_string(), Json::Obj(experiments));
-    let doc = Json::Obj(summary);
-    std::fs::write(path, doc.pretty()).expect("write bench summary");
-    doc
+    if rows.is_empty() {
+        return;
+    }
+    labels.sort();
+    numbers.sort();
+    let columns: Vec<&String> = labels.iter().chain(&numbers).collect();
+    line(md, columns.iter().map(|c| c.to_string()));
+    let _ = writeln!(md, "|{}{}", "---|".repeat(labels.len()), "---:|".repeat(numbers.len()));
+    for r in rows {
+        line(md, columns.iter().map(|c| r.get(c).map_or(String::new(), cell)));
+    }
+    md.push('\n');
+}
+
+/// One Markdown table line.
+fn line(md: &mut String, cells: impl IntoIterator<Item = String>) {
+    md.push('|');
+    for c in cells {
+        let _ = write!(md, " {c} |");
+    }
+    md.push('\n');
+}
+
+/// A value as the record prints it: integers exactly, other numbers to
+/// four significant digits, strings as they are.
+fn cell(v: &Json) -> String {
+    match v {
+        Json::Str(s) => s.clone(),
+        Json::F64(x) if *x != 0.0 && x.is_finite() => {
+            let magnitude = x.abs().log10().floor() as i32;
+            let decimals = (3 - magnitude).max(0) as usize;
+            format!("{x:.decimals$}")
+        }
+        other => other.compact(),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn doc(headline: &[(&str, f64)], scale: f64) -> Json {
+    fn doc(experiment: &str, scale: f64, headline: &[(&str, f64)], rows: Vec<Json>) -> Json {
         Json::object([
-            ("headline", Json::object(headline.iter().map(|&(k, v)| (k, Json::F64(v))))),
+            ("schema_version", Json::U64(SCHEMA_VERSION as u64)),
+            ("experiment", Json::from(experiment)),
             ("meta", Json::object([("scale", Json::F64(scale))])),
+            ("rows", Json::Arr(rows)),
+            ("headline", Json::object(headline.iter().map(|&(k, v)| (k, Json::F64(v))))),
+            ("reports", Json::Arr(Vec::new())),
         ])
     }
 
-    fn docs(entries: &[(&str, Json)]) -> BTreeMap<String, Json> {
-        entries.iter().map(|(n, d)| (n.to_string(), d.clone())).collect()
+    fn row(fields: &[(&str, Json)]) -> Json {
+        Json::object(fields.iter().cloned())
     }
 
-    /// Two behaviours at once: a partial re-run (one experiment, then
-    /// `report`) keeps the other registered experiments' headlines, and
-    /// an entry for a name that is no longer registered is dropped,
-    /// whether it comes from the old file or from a stale document.
+    /// Four documents of one scale-1 run, one of them with a wall-clock
+    /// field and one the renderer leaves out.
+    fn run_of_four() -> Vec<(String, Json)> {
+        let fig5_rows = ["a: phase-level", "b: operation-level"]
+            .iter()
+            .flat_map(|panel| {
+                ["A", "B"].iter().map(move |ds| {
+                    row(&[
+                        ("dataset", Json::from(*ds)),
+                        ("task", Json::from("word count")),
+                        ("panel", Json::from(*panel)),
+                        ("speedup", Json::F64(2.0)),
+                    ])
+                })
+            })
+            .collect();
+        let append_rows = vec![row(&[
+            ("growth_pct", Json::U64(10)),
+            ("ratio", Json::F64(3.25)),
+            ("append_wall_ms", Json::F64(12.5)),
+        ])];
+        [
+            (
+                "fig5",
+                doc(
+                    "fig5",
+                    1.0,
+                    &[("speedup_geomean_phase", 2.0), ("speedup_geomean_op", 2.5)],
+                    fig5_rows,
+                ),
+            ),
+            ("table1", doc("table1", 1.0, &[("compression_ratio_geomean", 7.125)], Vec::new())),
+            (
+                "append_bench",
+                doc("append_bench", 1.0, &[("append_speedup_at_10pct", 3.25)], append_rows),
+            ),
+            ("crash_sweep", doc("crash_sweep", 1.0, &[("recovery_rate", 1.0)], Vec::new())),
+        ]
+        .into_iter()
+        .map(|(name, d)| (format!("target/experiments/{name}.json"), d))
+        .collect()
+    }
+
     #[test]
-    fn summary_keeps_registered_entries_and_drops_unregistered_ones() {
-        let dir = std::env::temp_dir().join(format!("ntadoc-summary-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("BENCH_summary.json");
-        let registered = ["fig5", "fig6", "layout_bench"];
+    fn every_headline_renders_once_and_the_bytes_ignore_directory_order() {
+        let found = run_of_four();
+        let md = render_markdown(&record(found.clone()).unwrap());
+        for (_, d) in
+            found.iter().filter(|(_, d)| d.get("experiment") != Some(&Json::from(UNRENDERED)))
+        {
+            let name = d.get("experiment").and_then(Json::as_str).unwrap();
+            for (key, value) in d.get("headline").and_then(Json::as_obj).unwrap() {
+                let label = format!("`{name}.{key}`");
+                assert_eq!(md.matches(&label).count(), 1, "{label} in:\n{md}");
+                let line = md.lines().find(|l| l.contains(&label)).unwrap();
+                assert!(line.ends_with(&format!("| {} |", cell(value))), "{line}");
+            }
+        }
+        assert!(!md.contains(UNRENDERED), "{UNRENDERED} is rendered:\n{md}");
+        assert!(!md.contains("wall_ms") && !md.contains("12.50"), "a wall field leaked:\n{md}");
+        for panel in ["a: phase-level", "b: operation-level"] {
+            let header = format!("| `speedup`, {panel} | A | B | all |");
+            assert_eq!(md.matches(&header).count(), 1, "{header} in:\n{md}");
+        }
 
-        // A summary left over from before `bufmgr_bench` was deleted...
-        let stale = r#"{"schema_version":1,"experiments":{"bufmgr_bench":{"dram_hit_rate":0.86}}}"#;
-        std::fs::write(&path, stale).unwrap();
+        let mut reversed = found;
+        reversed.reverse();
+        assert_eq!(render_markdown(&record(reversed).unwrap()), md);
+    }
 
-        // ...gains two experiments' headlines.
-        write_summary(
-            &path,
-            &docs(&[
-                ("fig5", doc(&[("speedup_geomean", 2.0)], 1.0)),
-                ("fig6", doc(&[("slowdown_geomean", 1.5)], 1.0)),
-            ]),
-            &registered,
-        );
+    #[test]
+    fn paper_figures_and_summaries_name_registered_experiments() {
+        let names = PAPER.iter().map(|p| p.0).chain(SUMMARIES.iter().map(|s| s.0));
+        for name in names {
+            assert!(REGISTRY.iter().any(|e| e.name == name), "`{name}` is not registered");
+        }
+    }
 
-        // A later partial run re-records only fig5 (new value) plus a
-        // brand-new experiment and a stale document of a deleted one;
-        // fig6's document was not regenerated.
-        let merged = write_summary(
-            &path,
-            &docs(&[
-                ("fig5", doc(&[("speedup_geomean", 2.2)], 0.5)),
-                ("layout_bench", doc(&[("lines_saved", 0.2)], 0.5)),
-                ("file_crash_sweep", doc(&[("recovery_rate", 1.0)], 0.5)),
-            ]),
-            &registered,
-        );
+    #[test]
+    fn documents_at_two_scales_fail_naming_the_files() {
+        let mut found = run_of_four();
+        found[1].1 = doc("table1", 0.05, &[("compression_ratio_geomean", 6.0)], Vec::new());
+        let err = record(found).unwrap_err();
+        for part in ["meta.scale", "scale 0.05 in target/experiments/table1.json", "fig5.json"] {
+            assert!(err.contains(part), "`{err}` does not name `{part}`");
+        }
+    }
 
-        let exps = merged.get("experiments").and_then(Json::as_obj).unwrap();
-        assert_eq!(exps.len(), 3, "fig6 must survive the partial regeneration");
-        assert!(!exps.contains_key("bufmgr_bench"), "an unregistered entry must not survive");
-        assert!(!exps.contains_key("file_crash_sweep"), "a stale document must not resurrect");
-        assert_eq!(
-            exps["fig5"].get("speedup_geomean").and_then(Json::as_f64),
-            Some(2.2),
-            "re-run experiments take the fresh value"
-        );
-        assert_eq!(exps["fig5"].get("scale").and_then(Json::as_f64), Some(0.5));
-        assert_eq!(exps["fig6"].get("slowdown_geomean").and_then(Json::as_f64), Some(1.5));
-        assert!(exps.contains_key("layout_bench"));
-        assert_eq!(merged.get("schema_version").and_then(Json::as_u64), Some(1));
+    #[test]
+    fn a_leftover_document_fails_naming_its_file() {
+        let mut found = run_of_four();
+        found.push((
+            "target/experiments/serve_bench.json".to_string(),
+            doc("serve_bench", 1.0, &[("word_count_speedup_at_8", 1.0)], Vec::new()),
+        ));
+        found.push(("target/experiments/fig5 copy.json".to_string(), found[0].1.clone()));
+        let err = record(found).unwrap_err();
+        for part in [
+            "target/experiments/serve_bench.json: experiment `serve_bench` is not registered",
+            "target/experiments/fig5.json and target/experiments/fig5 copy.json both hold",
+        ] {
+            assert!(err.contains(part), "`{err}` does not say `{part}`");
+        }
+    }
 
-        // The on-disk file matches what was returned.
-        let reread = Json::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
-        assert_eq!(reread, merged);
-        let _ = std::fs::remove_dir_all(&dir);
+    #[test]
+    fn numbers_print_integers_exactly_and_floats_to_four_digits() {
+        assert_eq!(cell(&Json::U64(1_234_567)), "1234567");
+        assert_eq!(cell(&Json::F64(2.203_456)), "2.203");
+        assert_eq!(cell(&Json::F64(0.000_123_4)), "0.0001234");
+        assert_eq!(cell(&Json::F64(98_765.4)), "98765");
+        assert_eq!(cell(&Json::F64(0.0)), "0.0");
     }
 }

@@ -13,7 +13,7 @@ use ntadoc_pmem::{DeviceProfile, PmemError};
 
 /// Top-level usage text.
 pub const USAGE: &str = "usage:
-  ntadoc compress <file|dir>... -o <corpus.ntdc> [--coarsen N] [--ingest-chunks W]
+  ntadoc compress <file|dir>... -o <corpus.ntdc> [--ingest-chunks W]
   ntadoc append <corpus.ntdc> <file|dir>... [-o <out.ntdc>]
   ntadoc stats <corpus.ntdc>
   ntadoc run <task> <corpus.ntdc> [--device nvm|dram|ssd|hdd|reram|pcm]
@@ -179,20 +179,19 @@ pub(crate) fn load_corpus(path: &str) -> Result<Compressed, CliError> {
 
 // ---- compress -----------------------------------------------------------
 
+/// Rules expanding to fewer words than this are inlined into their users
+/// before an image is written (`Grammar::coarsened`).
+const COARSEN: u64 = 12;
+
 fn compress(args: &[String]) -> CmdResult {
     let mut inputs = Vec::new();
     let mut out = None;
-    let mut coarsen = 12u64;
     let mut chunks = 1usize;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
             "-o" | "--output" => {
                 out = Some(operand(args, i, "a path")?.clone());
-                i += 2;
-            }
-            "--coarsen" => {
-                coarsen = number(args, i)?;
                 i += 2;
             }
             "--ingest-chunks" => {
@@ -235,7 +234,7 @@ fn compress(args: &[String]) -> CmdResult {
             files.iter().map(|f| read_input(f).inspect(|(_, text)| raw_bytes += text.len() as u64));
         comp = crate::pipeline::build_corpus(texts)?;
     }
-    comp.grammar = comp.grammar.coarsened(coarsen);
+    comp.grammar = comp.grammar.coarsened(COARSEN);
     let image = serialize_compressed(&comp).map_err(fail)?;
     fs::write(&out, &image).map_err(|e| fail(format!("{out}: {e}")))?;
     let stats = comp.grammar.stats();
@@ -1370,7 +1369,7 @@ mod tests {
             .iter()
             .map(|(name, text)| (corpus.join(name).display().to_string(), text.clone()))
             .collect();
-        let want = compress_texts(&named, 12);
+        let want = compress_texts(&named, COARSEN);
         let image = dir.join("corpus.ntdc");
         let compress = |inputs: &[&Path], workers: usize| {
             let mut args = vec!["compress".to_string(), "-o".into(), image.display().to_string()];
