@@ -3,8 +3,9 @@
 //! A store becomes crash-safe only once the covering line has been flushed
 //! and a fence has been issued. Until then the device keeps the line's
 //! *pre-image* — its contents at the last durable point — in
-//! [`PreImages`], a dense `line → slot` table over one byte arena, and a
-//! crash puts the pre-images back (all of them on [`SimDevice::crash`], a
+//! [`PreImages`], a dense `line → slot` table over one byte arena that
+//! holds only the pre-images with a non-zero byte, and a crash puts the
+//! pre-images back (all of them on [`SimDevice::crash`], a
 //! seeded subset on [`SimDevice::crash_torn`]). A
 //! [`DeviceMirror`] is told at each of the events that change the durable
 //! image.
@@ -82,13 +83,18 @@ pub trait DeviceMirror: Send + Sync {
 
 /// Pre-images of the lines modified since they were last made durable.
 ///
-/// `slot_of[line]` is the line's slot in `arena` plus one, or zero while
-/// the line is durable; slot `s` holds `line_size` bytes at `s * line_size`
-/// and belongs to `owner[s]`. Freed slots are reused, and the arena empties
-/// (and gives back all but a small reserve) when the last pre-image is
-/// dropped. The table is allocated zeroed and
-/// only written for lines that are stored to, so an untouched device pays
-/// no resident memory for it.
+/// `slot_of[line]` is the line's slot plus one, or zero while the line is
+/// durable. `owner[s]` holds the slot's line in its low 32 bits
+/// ([`FREE`] once the slot is freed) and, in its high 32 bits, the slot's
+/// line of `arena` plus one, or zero while the slot has none. A slot gets
+/// an arena line the first time it captures a line holding a non-zero
+/// byte and keeps it while it is free and reused; an all-zero pre-image
+/// needs none, so a slot without one restores [`ZERO_LINE`]. A slot with an
+/// arena line copies every pre-image it captures, zero or not. Freed slots
+/// are reused, and the arena empties (and gives back all but a small
+/// reserve) when the last pre-image is dropped. The table is allocated
+/// zeroed and only written for lines that are stored to, so an untouched
+/// device pays no resident memory for it.
 pub(super) struct PreImages {
     line_size: usize,
     slot_of: Vec<u32>,
@@ -97,8 +103,18 @@ pub(super) struct PreImages {
     free: Vec<u32>,
 }
 
-/// `owner` entry of a freed slot.
-const NO_OWNER: u64 = u64::MAX;
+/// The line half of a freed slot's `owner` entry; no device has this many
+/// lines.
+const FREE: u64 = u32::MAX as u64;
+
+/// The line of each live slot of `owner`, in slot order.
+fn live(owner: &[u64]) -> impl Iterator<Item = u64> + '_ {
+    owner.iter().map(|&owner| owner & FREE).filter(|&line| line != FREE)
+}
+
+/// What an all-zero pre-image restores, a chunk at a time for lines
+/// longer than this.
+static ZERO_LINE: [u8; 4096] = [0; 4096];
 
 impl PreImages {
     /// An empty table for a device of `capacity` bytes.
@@ -139,16 +155,22 @@ impl PreImages {
         let slot = match self.free.pop() {
             Some(slot) => slot as usize,
             None => {
-                self.owner.push(NO_OWNER);
-                self.arena.resize(self.arena.len() + self.line_size, 0);
+                self.owner.push(FREE);
                 self.owner.len() - 1
             }
         };
-        self.owner[slot] = line;
-        self.slot_of[line as usize] = slot as u32 + 1;
         let span = plane.line_span(line);
-        let at = slot * self.line_size;
-        plane.read_locked(span.start, &mut self.arena[at..at + span.len()]);
+        let mut image = self.owner[slot] >> 32;
+        if image == 0 && !plane.is_zero(span.clone()) {
+            self.arena.resize(self.arena.len() + self.line_size, 0);
+            image = (self.arena.len() / self.line_size) as u64;
+        }
+        if image != 0 {
+            let at = (image as usize - 1) * self.line_size;
+            plane.read_locked(span.start, &mut self.arena[at..at + span.len()]);
+        }
+        self.owner[slot] = image << 32 | line;
+        self.slot_of[line as usize] = slot as u32 + 1;
     }
 
     /// Drop `line`'s pre-image, if it has one: the line is durable again.
@@ -157,7 +179,7 @@ impl PreImages {
         if entry == 0 {
             return;
         }
-        self.owner[entry as usize - 1] = NO_OWNER;
+        self.owner[entry as usize - 1] |= FREE;
         self.free.push(entry - 1);
         if self.free.len() == self.owner.len() {
             self.release_slots();
@@ -166,23 +188,32 @@ impl PreImages {
 
     /// The lines holding a pre-image, ascending.
     pub fn lines(&self) -> Vec<u64> {
-        let mut lines: Vec<u64> = self.owner.iter().copied().filter(|&l| l != NO_OWNER).collect();
+        let mut lines: Vec<u64> = live(&self.owner).collect();
         lines.sort_unstable();
         lines
     }
 
-    /// `line`'s pre-image (the last line of the device may be short).
-    fn image(&self, plane: &DataPlane, line: u64) -> &[u8] {
-        let at = (self.slot_of[line as usize] as usize - 1) * self.line_size;
-        &self.arena[at..at + plane.line_span(line).len()]
+    /// Put `line`'s pre-image back (the last line of the device may be
+    /// short).
+    fn restore(&self, plane: &DataPlane, line: u64) {
+        let span = plane.line_span(line);
+        match self.owner[self.slot_of[line as usize] as usize - 1] >> 32 {
+            0 => {
+                for at in span.clone().step_by(ZERO_LINE.len()) {
+                    plane.write(at, &ZERO_LINE[..(span.end - at).min(ZERO_LINE.len())]);
+                }
+            }
+            image => {
+                let at = (image as usize - 1) * self.line_size;
+                plane.write(span.start, &self.arena[at..at + span.len()]);
+            }
+        }
     }
 
     /// Forget every pre-image.
     pub fn clear(&mut self) {
-        for &line in &self.owner {
-            if line != NO_OWNER {
-                self.slot_of[line as usize] = 0;
-            }
+        for line in live(&self.owner) {
+            self.slot_of[line as usize] = 0;
         }
         self.release_slots();
     }
@@ -198,6 +229,12 @@ impl PreImages {
         self.arena.shrink_to(RETAIN_SLOTS * self.line_size);
         self.free.clear();
         self.free.shrink_to(RETAIN_SLOTS);
+    }
+
+    /// Bytes the arena has allocated.
+    #[cfg(test)]
+    pub(crate) fn arena_capacity(&self) -> usize {
+        self.arena.capacity()
     }
 }
 
@@ -232,7 +269,7 @@ impl Durability {
         match mode {
             CrashMode::Rewind => {
                 for line in lines {
-                    plane.write(plane.line_span(line).start, self.pre.image(plane, line));
+                    self.pre.restore(plane, line);
                 }
             }
             CrashMode::Torn { seed } => {
@@ -244,7 +281,7 @@ impl Durability {
                     // decision (and its RNG consumption order) is shared
                     // with every backend via `faultsim`.
                     if !torn_line_survives(&mut rng, pending.contains(&line)) {
-                        plane.write(plane.line_span(line).start, self.pre.image(plane, line));
+                        self.pre.restore(plane, line);
                     }
                 }
                 // The store interrupted by the crash reaches media as an
@@ -466,6 +503,9 @@ mod tests {
         pending: Vec<u64>,
         inflight: Option<(usize, Vec<u8>)>,
         events: Vec<Event>,
+        /// Stores to a captured line, by whether its pre-image and its
+        /// bytes after the store are zero: `[neither, now, before, both]`.
+        cases: [u32; 4],
     }
 
     impl Reference {
@@ -479,13 +519,21 @@ mod tests {
         }
 
         fn write(&mut self, addr: usize, src: &[u8]) {
-            for line in (addr / LINE) as u64..=((addr + src.len() - 1) / LINE) as u64 {
+            let lines = (addr / LINE) as u64..=((addr + src.len() - 1) / LINE) as u64;
+            for line in lines.clone() {
                 if !self.undurable.contains_key(&line) {
                     let pre = self.line_bytes(line).into_boxed_slice();
                     self.undurable.insert(line, pre);
                 }
             }
             self.bytes[addr..addr + src.len()].copy_from_slice(src);
+            // Which of the four cases each captured line is in now: zero or
+            // not before its first store, and zero or not after this one.
+            for line in lines {
+                let was_zero = self.undurable[&line].iter().all(|&b| b == 0);
+                let is_zero = self.line_bytes(line).iter().all(|&b| b == 0);
+                self.cases[usize::from(was_zero) * 2 + usize::from(is_zero)] += 1;
+            }
         }
 
         fn flush(&mut self, addr: usize, len: usize) {
@@ -551,7 +599,9 @@ mod tests {
     /// Random write / flush / fence / seal sequences ending in a crash —
     /// `Rewind` or seeded `Torn`, half of them with a store in flight —
     /// leave the same bytes and tell the mirror the same things as the
-    /// reference, round after round on one device.
+    /// reference, round after round on one device. A third of the stores
+    /// write zeros, so lines with zero and non-zero pre-images are written
+    /// both zero and non-zero, and the arena holds only the non-zero ones.
     #[test]
     fn crash_outcomes_match_the_hash_map_reference() {
         let rounds: u64 = if cfg!(miri) { 6 } else { 300 };
@@ -564,18 +614,25 @@ mod tests {
             pending: Vec::new(),
             inflight: None,
             events: Vec::new(),
+            cases: [0; 4],
         };
         let mut rng = Prng::new(0xD07AB1E);
         let range = |rng: &mut Prng| {
             let len = 1 + rng.next_below(3 * LINE as u64) as usize;
             (rng.next_below((CAP - len + 1) as u64) as usize, len)
         };
+        let bytes = |rng: &mut Prng, len: usize| -> Vec<u8> {
+            match rng.next_below(3) {
+                0 => vec![0; len],
+                _ => (0..len).map(|_| rng.next_u64() as u8).collect(),
+            }
+        };
         for round in 0..rounds {
             for _ in 0..rng.next_below(40) {
                 let (addr, len) = range(&mut rng);
                 match rng.next_below(10) {
                     0..=5 => {
-                        let src: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+                        let src = bytes(&mut rng, len);
                         dev.write_bytes(addr as u64, &src);
                         model.write(addr, &src);
                     }
@@ -595,11 +652,18 @@ mod tests {
             }
             if rng.next_u64() & 1 == 0 {
                 let (addr, len) = range(&mut rng);
-                let src: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+                let src = bytes(&mut rng, len);
                 dev.trip_after_writes(0);
                 let unwound = catch_unwind(AssertUnwindSafe(|| dev.write_bytes(addr as u64, &src)));
                 assert!(unwound.is_err(), "the armed store must not return");
                 model.inflight = Some((addr, src));
+            }
+            {
+                let inner = dev.lock();
+                let pre = &inner.durable.pre;
+                let images = model.undurable.values().filter(|pre| pre.iter().any(|&b| b != 0));
+                assert!(pre.arena.len() >= images.count() * LINE, "round {round}");
+                assert!(pre.arena.len() <= pre.owner.len() * LINE, "round {round}");
             }
             let mode = match rng.next_below(3) {
                 0 => CrashMode::Rewind,
@@ -615,6 +679,21 @@ mod tests {
             let inner = dev.lock();
             assert!(inner.durable.pre.lines().is_empty() && inner.durable.pre.arena.is_empty());
         }
+        assert!(model.cases.iter().all(|&n| n > 0), "stores by case: {:?}", model.cases);
+    }
+
+    /// Overwrite every line of `plane`, put the pre-images of `lines` back,
+    /// and return those lines' bytes.
+    fn restored(plane: &DataPlane, pre: &PreImages, lines: &[u64]) -> Vec<Vec<u8>> {
+        plane.write(0, &[0xEE; CAP]);
+        lines
+            .iter()
+            .map(|&line| {
+                pre.restore(plane, line);
+                let span = plane.line_span(line);
+                plane.snapshot(span.start, span.len())
+            })
+            .collect()
     }
 
     #[test]
@@ -628,14 +707,50 @@ mod tests {
         pre.remove(1);
         pre.remove(1); // idempotent
         assert!(!pre.contains(1) && !pre.contains(u64::MAX));
-        pre.capture(&plane, 24, 24); // the short last line takes the freed slot
+        // The short last line takes the freed slot, and with it the slot's
+        // arena line, zero as the line is.
+        pre.capture(&plane, 24, 24);
         assert_eq!(pre.arena.len(), 3 * LINE);
         assert_eq!(pre.lines(), [0, 2, 24]);
-        assert_eq!(pre.image(&plane, 24), [0u8; 100]);
-        assert_eq!(pre.image(&plane, 2), [7u8; LINE]);
+        let bytes = restored(&plane, &pre, &[24, 2]);
+        assert_eq!(bytes, [vec![0u8; 100], vec![7u8; LINE]]);
         for line in [0, 2, 24] {
             pre.remove(line);
         }
         assert!(pre.arena.is_empty() && pre.owner.is_empty() && pre.free.is_empty());
+    }
+
+    /// Zero pre-images take slots but no arena bytes, restore zeros, and
+    /// leave the arena to the non-zero ones, which still empty it when
+    /// the last of them goes.
+    #[test]
+    fn zero_pre_images_allocate_no_arena_bytes() {
+        let plane = DataPlane::new(CAP, LINE.trailing_zeros());
+        let mut pre = PreImages::new(CAP, LINE);
+        pre.capture(&plane, 0, 24);
+        assert_eq!(pre.lines(), (0..=24).collect::<Vec<u64>>());
+        assert_eq!(pre.arena_capacity(), 0, "zero lines allocated arena bytes");
+        let bytes = restored(&plane, &pre, &[3, 24]);
+        assert_eq!(bytes, [vec![0u8; LINE], vec![0u8; 100]]);
+        for line in 0..=24 {
+            pre.remove(line);
+        }
+        assert_eq!(pre.arena_capacity(), 0);
+        assert!(pre.owner.is_empty() && pre.free.is_empty());
+
+        // One non-zero line among zero ones costs one arena line.
+        plane.write(0, &[0; CAP]);
+        plane.write(5 * LINE + 9, &[1]);
+        pre.capture(&plane, 4, 6);
+        assert_eq!(pre.arena.len(), LINE);
+        let bytes = restored(&plane, &pre, &[4, 5, 6]);
+        let mut five = vec![0u8; LINE];
+        five[9] = 1;
+        assert_eq!(bytes, [vec![0u8; LINE], five, vec![0u8; LINE]]);
+        pre.remove(4);
+        pre.remove(6);
+        assert_eq!(pre.arena.len(), LINE, "the non-zero pre-image is still live");
+        pre.remove(5);
+        assert!(pre.arena.is_empty() && pre.owner.is_empty());
     }
 }

@@ -201,6 +201,23 @@ impl DataPlane {
         }
     }
 
+    /// Whether every byte of `range` is zero; no protocol, as
+    /// [`read_locked`](Self::read_locked).
+    pub fn is_zero(&self, range: std::ops::Range<usize>) -> bool {
+        debug_assert!(range.end <= self.len, "plane read out of range");
+        if range.is_empty() {
+            return true;
+        }
+        let (first, last) = (range.start >> 3, (range.end - 1) >> 3);
+        let head = !0u64 << ((range.start & 7) * 8);
+        let tail = !0u64 >> ((7 - ((range.end - 1) & 7)) * 8);
+        let word = |i: usize| self.words[i].load(Ordering::Relaxed);
+        if first == last {
+            return word(first) & head & tail == 0;
+        }
+        word(first) & head == 0 && (first + 1..last).all(|i| word(i) == 0) && word(last) & tail == 0
+    }
+
     /// Replace bytes `[off, off + src.len())` of one word. Not an atomic
     /// read-modify-write: writers are serialised by the state lock.
     #[inline]
@@ -328,10 +345,15 @@ mod tests {
             let len = 1 + rng.next_below(3 * LINE as u64) as usize;
             let addr = rng.next_below((CAP - len + 1) as u64) as usize;
             if rng.next_u64() & 1 == 0 {
-                let src: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+                // Every other write stores zeros, so some reads see zero runs.
+                let zeros = rng.next_u64() & 1 == 0;
+                let src: Vec<u8> =
+                    (0..len).map(|_| if zeros { 0 } else { rng.next_u64() as u8 }).collect();
                 plane.write(addr, &src);
                 model[addr..addr + len].copy_from_slice(&src);
             } else {
+                let zero = model[addr..addr + len].iter().all(|&b| b == 0);
+                assert_eq!(plane.is_zero(addr..addr + len), zero, "round {round}: {addr}+{len}");
                 let mut locked = vec![0xAAu8; len];
                 plane.read_locked(addr, &mut locked);
                 assert_eq!(locked, model[addr..addr + len], "round {round}: {addr}+{len}");
@@ -361,6 +383,27 @@ mod tests {
                 assert_eq!(after[..off], before[..off], "write at {off}+{len} leaked left");
                 assert_eq!(after[off + len..], before[off + len..], "{off}+{len} leaked right");
             }
+        }
+    }
+
+    /// A lone non-zero byte anywhere in three words is seen by every range
+    /// that covers it and by no other.
+    #[test]
+    fn is_zero_sees_exactly_its_range() {
+        let plane = DataPlane::new(24, 3);
+        for byte in 0..24 {
+            plane.write(byte, &[0x80]);
+            for start in 0..=24 {
+                for end in start..=24 {
+                    let covered = (start..end).contains(&byte);
+                    assert_eq!(
+                        plane.is_zero(start..end),
+                        !covered,
+                        "byte {byte} in {start}..{end}"
+                    );
+                }
+            }
+            plane.write(byte, &[0]);
         }
     }
 

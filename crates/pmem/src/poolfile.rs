@@ -48,6 +48,7 @@
 
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
+use std::ops::Range;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -59,7 +60,7 @@ use crate::faultsim::Prng;
 use crate::persist::{crc64, TxLog, TxLogInspection};
 use crate::profile::DeviceProfile;
 use crate::stats::AccessStats;
-use crate::store::{read_or_zero, MmapStore, PwriteStore, StableStore};
+use crate::store::{data_extents, read_or_zero, MmapStore, PwriteStore, StableStore};
 use crate::Result;
 
 /// Magic bytes opening every pool file.
@@ -382,57 +383,72 @@ impl<S: StableStore> DeviceMirror for Mutex<Durable<S>> {
     }
 }
 
-/// Walk the data region of a pool of `capacity` bytes in 1 MiB chunks,
-/// handing each `(pool address, bytes)` to `visit`.
-fn for_each_chunk<S: StableStore>(
-    store: &S,
-    capacity: u64,
+/// Read `range` of `file` (file offsets) in chunks of `buf`'s length,
+/// handing each `(pool address, bytes)` to `visit`; bytes past EOF read as
+/// zeros.
+fn for_each_chunk(
+    file: &File,
+    range: Range<u64>,
+    buf: &mut [u8],
     mut visit: impl FnMut(u64, &[u8]) -> Result<()>,
 ) -> Result<()> {
-    let mut buf = vec![0u8; (1 << 20).min(capacity as usize)];
-    let mut at = 0u64;
-    while at < capacity {
-        let n = ((capacity - at) as usize).min(buf.len());
-        store.read_at(POOL_DATA_AT + at, &mut buf[..n])?;
-        visit(at, &buf[..n])?;
-        at += n as u64;
+    let mut at = range.start;
+    while at < range.end {
+        let n = ((range.end - at) as usize).min(buf.len());
+        let chunk = &mut buf[..n];
+        read_or_zero(file, at, chunk)?;
+        visit(at - POOL_DATA_AT, chunk)?;
+        at += chunk.len() as u64;
     }
     Ok(())
 }
 
-/// A fresh twin for `header`, loaded with the image `store` holds.
+/// A buffer for [`for_each_chunk`] over a pool of `capacity` bytes.
+fn chunk_buffer(capacity: u64) -> Vec<u8> {
+    vec![0u8; (1 << 20).min(capacity as usize)]
+}
+
+/// A fresh twin for `header`, loaded with the image `file` holds.
+///
+/// Only the file's data extents are read, through the descriptor: holes
+/// read as zeros, which the fresh twin already holds. A shared mapping of
+/// the file is never touched, so a reopen does not fault it in.
 ///
 /// The header's recorded line size and capacity override the caller's
 /// profile — the on-disk image was torn at *its* line granularity and
 /// must keep being interpreted that way.
-fn load_twin<S: StableStore>(
-    store: &S,
+fn load_twin(
+    file: &File,
     header: &PoolHeader,
     mut profile: DeviceProfile,
 ) -> Result<Arc<SimDevice>> {
     profile.line_size = header.line_size as usize;
-    let twin = Arc::new(SimDevice::new(profile, header.layout.capacity as usize));
-    for_each_chunk(store, header.layout.capacity, |at, chunk| {
-        // The fresh twin reads zero everywhere: poke only the runs of
-        // 4 KiB pages that hold a non-zero byte.
-        const PAGE: usize = 4096;
-        let mut run = None;
-        for (i, page) in chunk.chunks(PAGE).enumerate() {
-            let nonzero = page.iter().fold(0u8, |acc, &b| acc | b) != 0;
-            match (nonzero, run) {
-                (true, None) => run = Some(i * PAGE),
-                (false, Some(start)) => {
-                    twin.poke(at + start as u64, &chunk[start..i * PAGE]);
-                    run = None;
+    let capacity = header.layout.capacity;
+    let twin = Arc::new(SimDevice::new(profile, capacity as usize));
+    let mut buf = chunk_buffer(capacity);
+    for extent in data_extents(file, POOL_DATA_AT..POOL_DATA_AT + capacity) {
+        for_each_chunk(file, extent, &mut buf, |at, chunk| {
+            // An extent may still hold zero pages: poke only the runs of
+            // 4 KiB pages that hold a non-zero byte.
+            const PAGE: usize = 4096;
+            let mut run = None;
+            for (i, page) in chunk.chunks(PAGE).enumerate() {
+                let nonzero = page.iter().fold(0u8, |acc, &b| acc | b) != 0;
+                match (nonzero, run) {
+                    (true, None) => run = Some(i * PAGE),
+                    (false, Some(start)) => {
+                        twin.poke(at + start as u64, &chunk[start..i * PAGE]);
+                        run = None;
+                    }
+                    _ => {}
                 }
-                _ => {}
             }
-        }
-        if let Some(start) = run {
-            twin.poke(at + start as u64, &chunk[start..]);
-        }
-        Ok(())
-    })?;
+            if let Some(start) = run {
+                twin.poke(at + start as u64, &chunk[start..]);
+            }
+            Ok(())
+        })?;
+    }
     Ok(twin)
 }
 
@@ -506,8 +522,8 @@ impl<S: StableStore> PoolFile<S> {
         require_persistent(&profile)?;
         let file = OpenOptions::new().read(true).write(true).open(path)?;
         let header = PoolHeader::read(&file)?;
+        let twin = load_twin(&file, &header, profile)?;
         let store = S::attach(file, POOL_DATA_AT + header.layout.capacity)?;
-        let twin = load_twin(&store, &header, profile)?;
         // A reopened pool resumes at the snapshot its header sealed.
         twin.publish_snapshot(header.snapshot);
         Ok(Self::assemble(path, header, twin, store))
@@ -654,8 +670,10 @@ impl<S: StableStore> PoolDevice for PoolFile<S> {
         // A second, read-only descriptor: the file is checked by a path
         // the write-through never used (a shared mapping and `read` see
         // the same page cache), and no store lock is held across `peek`.
-        let file = PwriteStore::attach(File::open(&self.path)?, 0)?;
-        for_each_chunk(&file, self.header.layout.capacity, |at, disk| {
+        let file = File::open(&self.path)?;
+        let capacity = self.header.layout.capacity;
+        let mut buf = chunk_buffer(capacity);
+        for_each_chunk(&file, POOL_DATA_AT..POOL_DATA_AT + capacity, &mut buf, |at, disk| {
             let mem = self.twin.peek(at, disk.len());
             if disk == mem.as_slice() {
                 return Ok(());
@@ -719,10 +737,9 @@ pub fn fsck_pool(path: &Path) -> Result<FsckReport> {
     let header = PoolHeader::read(&file)?;
     let layout = header.layout;
     let truncated = file_len < POOL_DATA_AT + layout.capacity;
-    // A plain twin (no mirror: fsck never writes) over the pwrite store,
-    // the one that reads a short file without extending it.
-    let store = PwriteStore::attach(file, file_len)?;
-    let twin = load_twin(&store, &header, DeviceProfile::nvm_optane())?;
+    // A plain twin (no mirror: fsck never writes), read from the file as
+    // it is: a short file is not extended.
+    let twin = load_twin(&file, &header, DeviceProfile::nvm_optane())?;
     let mut log = TxLogInspection { active_tx: 0, last_tx_id: 0, valid_entries: 0, undo_bytes: 0 };
     let mut unrecoverable = None;
     if layout.log_len != 0 {
@@ -794,7 +811,59 @@ mod tests {
         refused_creates_leave_no_file,
         host_crash_loses_plain_fences_but_never_sealed_ones,
         host_crash_coin_flips_are_seed_deterministic,
+        sparse_pools_reopen_to_their_file_bytes,
     );
+
+    /// A 4 MiB pool whose data region is written straight into the file
+    /// (`writes` at pool addresses) after it was created, then reopened
+    /// through `S`: the twin must equal the file's data region.
+    fn reopen_written<S: StableStore>(name: &str, writes: &[(u64, Vec<u8>)]) {
+        const MIB: u64 = 1 << 20;
+        let layout = PoolLayout {
+            capacity: 4 * MIB,
+            main_len: 4 * MIB - (1 << 16) - 4096,
+            scratch_len: 4096,
+            log_len: 1 << 16,
+        };
+        let path = tmp(name);
+        drop(PoolFile::<S>::create(&path, nvm(), layout).unwrap());
+        let file = OpenOptions::new().write(true).open(&path).unwrap();
+        for (addr, bytes) in writes {
+            file.write_all_at(bytes, POOL_DATA_AT + addr).unwrap();
+        }
+        drop(file);
+        let dev = PoolFile::<S>::open(&path, nvm()).unwrap();
+        let mut disk = vec![0u8; layout.capacity as usize];
+        read_or_zero(&File::open(&path).unwrap(), POOL_DATA_AT, &mut disk).unwrap();
+        let twin = dev.twin().peek(0, disk.len());
+        let diverged = twin.iter().zip(&disk).position(|(a, b)| a != b);
+        assert_eq!(diverged, None, "{name}: twin and file differ at this pool address");
+        dev.verify_file_matches_device().unwrap();
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// A reopen reads only the file's data extents: whatever holes the
+    /// file system keeps, every byte written reaches the twin.
+    fn sparse_pools_reopen_to_their_file_bytes<S: StableStore>() {
+        const MIB: u64 = 1 << 20;
+        // The first and last byte of every 1 MiB chunk, counted from the
+        // data region and from the file's start alike.
+        let edges: Vec<(u64, Vec<u8>)> = (0..4 * MIB)
+            .step_by(MIB as usize)
+            .flat_map(|chunk| [chunk, chunk + MIB - 1, chunk + MIB - POOL_DATA_AT - 1])
+            .map(|addr| (addr, vec![addr as u8 | 1]))
+            .chain([(4 * MIB - POOL_DATA_AT, vec![0xFF])])
+            .collect();
+        reopen_written::<S>("chunk-edges", &edges);
+        // A non-zero page right after a hole: the file's bytes below 2 MiB
+        // hold only the header.
+        reopen_written::<S>("after-hole", &[(2 * MIB - POOL_DATA_AT, vec![0x5A; 4096])]);
+        // Explicit zeros: a data region with no hole at all.
+        reopen_written::<S>(
+            "no-holes",
+            &[(0, vec![0; 4 * MIB as usize]), (3 * MIB + 17, vec![9; 100]), (4 * MIB - 1, vec![1])],
+        );
+    }
 
     fn unfenced_stores_stay_out_of_the_file<S: StableStore>() {
         let (path, dev) = create::<S>("unfenced");

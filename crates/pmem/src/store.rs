@@ -15,9 +15,14 @@
 //! links), or when `mmap` fails, [`MmapStore`] transparently falls back
 //! to the pwrite path with identical semantics;
 //! [`MmapStore::is_mapped`] reports which path is live.
+//!
+//! A pool file is sparse. `data_extents` finds the runs of it that hold
+//! data with `lseek`'s `SEEK_DATA` and `SEEK_HOLE`, so a reopen reads only
+//! those, through the descriptor.
 
 use std::fs::File;
 use std::io;
+use std::ops::Range;
 use std::os::unix::fs::FileExt;
 
 /// Byte access to an open pool file plus the barrier that makes earlier
@@ -58,6 +63,56 @@ pub(crate) fn read_or_zero(file: &File, offset: u64, buf: &mut [u8]) -> io::Resu
     Ok(())
 }
 
+/// The runs of `range` (file offsets) that may hold data, ascending; the
+/// rest of it reads as zeros. Where the file system cannot tell data from
+/// holes, the rest of the range is one run.
+pub(crate) fn data_extents(
+    file: &File,
+    range: Range<u64>,
+) -> impl Iterator<Item = Range<u64>> + '_ {
+    let mut at = range.start;
+    std::iter::from_fn(move || {
+        if at >= range.end {
+            return None;
+        }
+        let extent = match seek(file, at, false) {
+            Ok(None) => None,
+            Ok(Some(start)) => {
+                let end = seek(file, start, true).ok().flatten().unwrap_or(range.end);
+                Some(start..end.min(range.end))
+            }
+            Err(_) => Some(at..range.end),
+        }
+        .filter(|extent| extent.start < extent.end);
+        at = extent.as_ref().map_or(range.end, |extent| extent.end);
+        extent
+    })
+}
+
+/// `lseek` with `SEEK_HOLE` or `SEEK_DATA`: the first hole or data at or
+/// past `offset`, or `None` when no data lies there (`ENXIO`).
+#[cfg(target_os = "linux")]
+fn seek(file: &File, offset: u64, hole: bool) -> io::Result<Option<u64>> {
+    use std::os::unix::io::AsRawFd;
+    let offset = i64::try_from(offset).map_err(io::Error::other)?;
+    let whence = if hole { sys::SEEK_HOLE } else { sys::SEEK_DATA };
+    // SAFETY: a plain syscall on an fd we hold open. It moves only the
+    // descriptor's file position, which the positional reads and writes
+    // here never use.
+    match unsafe { sys::lseek(file.as_raw_fd(), offset, whence) } {
+        at if at >= 0 => Ok(Some(at as u64)),
+        _ => match io::Error::last_os_error() {
+            e if e.raw_os_error() == Some(sys::ENXIO) => Ok(None),
+            e => Err(e),
+        },
+    }
+}
+
+#[cfg(not(target_os = "linux"))]
+fn seek(_file: &File, _offset: u64, _hole: bool) -> io::Result<Option<u64>> {
+    Err(io::ErrorKind::Unsupported.into())
+}
+
 /// `pwrite` write-through with `fdatasync` barriers. Leaves a short file
 /// short: the missing tail reads as zeros without being materialised.
 pub struct PwriteStore(File);
@@ -89,6 +144,9 @@ mod sys {
     pub const MAP_SHARED: i32 = 1;
     pub const MS_SYNC: i32 = 4;
     pub const MAP_FAILED: *mut c_void = usize::MAX as *mut c_void;
+    pub const SEEK_DATA: i32 = 3;
+    pub const SEEK_HOLE: i32 = 4;
+    pub const ENXIO: i32 = 6;
 
     // Declared locally instead of via a libc crate: std already links the
     // C runtime, so these resolve at link time with no new dependency.
@@ -103,6 +161,7 @@ mod sys {
         ) -> *mut c_void;
         pub fn munmap(addr: *mut c_void, len: usize) -> i32;
         pub fn msync(addr: *mut c_void, len: usize, flags: i32) -> i32;
+        pub fn lseek(fd: i32, offset: i64, whence: i32) -> i64;
     }
 }
 
