@@ -725,11 +725,14 @@ fn fsck(args: &[String]) -> CmdResult {
                         bad += 1;
                     }
                 }
-                if let (Some(kind), None) = (backend, &rep.unrecoverable) {
-                    // Deep check: open through the requested device and
-                    // compare the file byte-for-byte against the image
-                    // the device reconstructed from it.
-                    let opened = kind.open(std::path::Path::new(path), DeviceProfile::nvm_optane());
+                if let (Some(kind), None, Some(profile)) =
+                    (backend, &rep.unrecoverable, rep.profile.clone())
+                {
+                    // Deep check: open through the requested device, with
+                    // a profile of the pool's line size, and compare the
+                    // file byte-for-byte against the image the device
+                    // reconstructed from it.
+                    let opened = kind.open(std::path::Path::new(path), profile);
                     match opened.and_then(|d| d.verify_file_matches_device().map(|()| d)) {
                         Ok(_) => println!("  {}: open + byte-verify OK", kind.name()),
                         Err(e) => {
@@ -1422,6 +1425,24 @@ mod tests {
         file.persist(128, 8);
         drop(file);
         dispatch(&["fsck".into(), pool.display().to_string()]).unwrap();
+        let deep = |backend: &str| {
+            let args = [&["fsck", "--backend", backend][..], &[pool.to_str().unwrap()]].concat();
+            dispatch(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+        };
+        deep("mmap").unwrap();
+
+        // Resealed at 4 KiB lines: the SSD profile's, which the deep check
+        // then opens it with; at 1-byte lines no profile opens it.
+        let mut header = ntadoc_pmem::fsck_pool(&pool).unwrap().header;
+        for (lines, verdict) in [(4096, true), (1, false)] {
+            header.line_size = lines;
+            std::fs::OpenOptions::new()
+                .write(true)
+                .open(&pool)
+                .and_then(|f| std::os::unix::fs::FileExt::write_all_at(&f, &header.to_bytes(), 0))
+                .unwrap();
+            assert_eq!(deep("file").is_ok(), verdict, "{lines}-byte lines");
+        }
 
         let junk = dir.join("junk.ntdp");
         fs::write(&junk, b"definitely not a pool header").unwrap();

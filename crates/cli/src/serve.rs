@@ -8,7 +8,8 @@
 //! → {"op":"query","task":"wordcount","tenant":3,"top":10}
 //! ← {"cache_hit":false,"ok":true,"output":{…},"snapshot":…,"task":"word count","tenant":3}
 //! → {"op":"stats"}
-//! ← {"batches_dispatched":…,"cache_bytes":…,"cache_entries":…,"cache_hits":…,
+//! ← {"batches_dispatched":…,"cache_answers":…,"cache_bytes":…,"cache_entries":…,
+//!    "cache_hits":…,
 //!    "cache_misses":…,"memoized_bytes":…,"memoized_entries":…,"ok":true,
 //!    "queue_depth":…,"snapshot":…}
 //! → {"op":"shutdown"}
@@ -22,12 +23,14 @@
 //! query the engine refuses by design is `"unsupported"` and any other
 //! engine failure `"engine"`.
 //! `stats` reads what the daemon keeps anyway: cache lookups that hit and
-//! missed, entries resident and the heap bytes of their results
-//! (`cache_bytes`: dictionary and file ids, four bytes each, and counts —
-//! a cached result holds no string), how many entries hold their `output`
-//! encoded (the first hit on an entry encodes it, later hits copy the
-//! bytes) and in how many bytes, batches dispatched, queries admitted and not yet
-//! dispatched, and the fingerprint of the snapshot being served.
+//! missed, entries (keys) resident, the distinct answers they hold
+//! (`cache_answers`: keys whose results are equal share one stored answer)
+//! and those answers' heap bytes (`cache_bytes`, each stored answer counted
+//! once: dictionary and file ids, four bytes each, and counts — a cached
+//! result holds no string), how many answers hold their `output` encoded
+//! (the first hit encodes it, later hits under any key sharing it copy the
+//! bytes) and in how many bytes, batches dispatched, queries admitted and
+//! not yet dispatched, and the fingerprint of the snapshot being served.
 //!
 //! This file is the socket: the protocol itself — request decoding, the
 //! reply writer — is [`ntadoc_serve::WireServer`]. The front-end serves

@@ -56,6 +56,10 @@ pub enum GrammarError {
     /// in-degrees over every rule but start from `R0` alone, so a dead
     /// rule's references would keep live rules from ever draining.
     UnreachableRule { rule: u32 },
+    /// `R0`'s `index`-th file separator carries `payload`. Every build
+    /// numbers them 0, 1, 2, … in order; nothing reads the payload, so only
+    /// this check can tell a mis-numbered one.
+    MisnumberedSeparator { index: u32, payload: u32 },
 }
 
 impl std::fmt::Display for GrammarError {
@@ -67,6 +71,9 @@ impl std::fmt::Display for GrammarError {
             GrammarError::Cycle { rule } => write!(f, "rule {rule} participates in a cycle"),
             GrammarError::UnreachableRule { rule } => {
                 write!(f, "rule {rule} is unreachable from the root")
+            }
+            GrammarError::MisnumberedSeparator { index, payload } => {
+                write!(f, "file separator {index} of the root carries payload {payload}")
             }
         }
     }
@@ -93,9 +100,16 @@ impl Grammar {
         self.rules.len()
     }
 
-    /// Check structural invariants: all rule references resolve, the rule
-    /// graph is acyclic, and every rule is reachable from `R0`.
+    /// Check structural invariants: `R0`'s file separators are numbered
+    /// in order from 0, all rule references resolve, the rule graph is
+    /// acyclic, and every rule is reachable from `R0`.
     pub fn validate(&self) -> Result<(), GrammarError> {
+        let separators = self.rules[0].symbols.iter().filter(|s| s.is_sep());
+        for (index, s) in (0u32..).zip(separators) {
+            if s.payload() != index {
+                return Err(GrammarError::MisnumberedSeparator { index, payload: s.payload() });
+            }
+        }
         let n = self.rules.len() as u32;
         for (i, r) in self.rules.iter().enumerate() {
             for s in r.subrules() {
@@ -443,6 +457,22 @@ mod tests {
             Rule { symbols: vec![Symbol::rule(1)] },
         ]);
         assert_eq!(g.validate(), Err(GrammarError::UnreachableRule { rule: 1 }));
+    }
+
+    #[test]
+    fn validate_rejects_a_misnumbered_separator() {
+        let root = |payloads: &[u32]| {
+            let mut symbols = vec![Symbol::word(0)];
+            for &p in payloads {
+                symbols.extend([Symbol::file_sep(p), Symbol::word(1)]);
+            }
+            Grammar::new(vec![Rule { symbols }])
+        };
+        root(&[0, 1, 2]).validate().unwrap();
+        let err = root(&[0, 2, 1]).validate();
+        assert_eq!(err, Err(GrammarError::MisnumberedSeparator { index: 1, payload: 2 }));
+        let err = root(&[1]).validate();
+        assert_eq!(err, Err(GrammarError::MisnumberedSeparator { index: 0, payload: 1 }));
     }
 
     #[test]

@@ -14,7 +14,7 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use ntadoc_grammar::Compressed;
-use ntadoc_pmem::json::{write_str, write_u64};
+use ntadoc_pmem::json::{write_str, write_u64, JsonOut};
 
 /// The six text-analytics benchmarks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -234,45 +234,49 @@ impl TaskOutput {
 // ---- the wire encoding's pieces --------------------------------------------
 
 /// `open`, the items separated by commas, `close`.
-fn seq<T>(
-    out: &mut String,
-    (open, close): (char, char),
+fn seq<O: JsonOut, T>(
+    out: &mut O,
+    (open, close): (&str, &str),
     items: impl IntoIterator<Item = T>,
-    mut item: impl FnMut(&mut String, T),
+    mut item: impl FnMut(&mut O, T),
 ) {
-    out.push(open);
+    out.push_str(open);
     for (i, it) in items.into_iter().enumerate() {
         if i > 0 {
-            out.push(',');
+            out.push_str(",");
         }
         item(out, it);
     }
-    out.push(close);
+    out.push_str(close);
 }
 
-fn member(out: &mut String, key: &str) {
+fn member(out: &mut impl JsonOut, key: &str) {
     write_str(out, key);
-    out.push(':');
+    out.push_str(":");
 }
 
 /// `[[name,count],…]`.
-fn pairs<'a>(out: &mut String, ws: impl IntoIterator<Item = (&'a str, u64)>) {
-    seq(out, ('[', ']'), ws, |out, (w, c)| {
-        out.push('[');
+fn pairs<'a>(out: &mut impl JsonOut, ws: impl IntoIterator<Item = (&'a str, u64)>) {
+    seq(out, ("[", "]"), ws, |out, (w, c)| {
+        out.push_str("[");
         write_str(out, w);
-        out.push(',');
+        out.push_str(",");
         write_u64(out, c);
-        out.push(']');
+        out.push_str("]");
     });
 }
 
 /// One term-vector row: `{"file":…,"terms":[[word,count],…]}`.
-fn file_terms<'a>(out: &mut String, file: &str, terms: impl IntoIterator<Item = (&'a str, u64)>) {
+fn file_terms<'a>(
+    out: &mut impl JsonOut,
+    file: &str,
+    terms: impl IntoIterator<Item = (&'a str, u64)>,
+) {
     out.push_str("{\"file\":");
     write_str(out, file);
     out.push_str(",\"terms\":");
     pairs(out, terms);
-    out.push('}');
+    out.push_str("}");
 }
 
 /// Append `words` to `key`, a space between two.
@@ -462,40 +466,42 @@ impl TaskRows {
     /// `self.clone().into_strings().to_json().compact()`, written in one
     /// pass over the rows with no [`ntadoc_pmem::Json`] tree in between,
     /// words and file names looked up as they are written.
-    pub fn write_json(&self, out: &mut String) {
+    ///
+    /// Word count, sort, term vector and inverted index reach `out` in
+    /// pieces no longer than one name, so a writer that passes them on
+    /// holds none of the rest. An n-gram task's object is made whole first:
+    /// its keys may have to be rewritten from a tree.
+    pub fn write_json(&self, out: &mut impl JsonOut) {
         fn key_of<'a>(row: Row<'a>) -> &'a str {
             row.key().next().expect("a key has an id")
         }
         fn join(key: &mut String, row: &Row<'_>) {
             join_words(key, row.key());
         }
-        let start = out.len();
-        let tree_instead = |out: &mut String| {
-            out.truncate(start);
-            out.push_str(&self.clone().into_strings().to_json().compact());
-        };
         match self.task {
-            Task::WordCount => seq(out, ('{', '}'), self.rows(), |out, row| {
+            Task::WordCount => seq(out, ("{", "}"), self.rows(), |out, row| {
                 member(out, key_of(row));
                 write_u64(out, row.count());
             }),
             Task::Sort => pairs(out, self.rows().map(|row| (key_of(row), row.count()))),
-            Task::TermVector => seq(out, ('[', ']'), self.rows(), |out, row| {
+            Task::TermVector => seq(out, ("[", "]"), self.rows(), |out, row| {
                 file_terms(out, key_of(row), row.pairs())
             }),
-            Task::InvertedIndex => seq(out, ('{', '}'), self.rows(), |out, row| {
+            Task::InvertedIndex => seq(out, ("{", "}"), self.rows(), |out, row| {
                 member(out, key_of(row));
-                seq(out, ('[', ']'), row.names(), write_str);
+                seq(out, ("[", "]"), row.names(), |out, name| write_str(out, name));
             }),
-            Task::SequenceCount => {
-                if !grams(out, self.rows(), join, |out, row| write_u64(out, row.count())) {
-                    tree_instead(out);
+            Task::SequenceCount | Task::RankedInvertedIndex => {
+                let mut text = String::new();
+                let written = if self.task == Task::SequenceCount {
+                    grams(&mut text, self.rows(), join, |out, row| write_u64(out, row.count()))
+                } else {
+                    grams(&mut text, self.rows(), join, |out, row| pairs(out, row.pairs()))
+                };
+                if !written {
+                    text = self.clone().into_strings().to_json().compact();
                 }
-            }
-            Task::RankedInvertedIndex => {
-                if !grams(out, self.rows(), join, |out, row| pairs(out, row.pairs())) {
-                    tree_instead(out);
-                }
+                out.push_str(&text);
             }
         }
     }
@@ -712,18 +718,24 @@ impl<'a> Row<'a> {
 
 /// Rows are equal when their string forms would be: the same task, the same
 /// shape, and ids that read as the same text — the same ids, when both sides
-/// look them up in one corpus.
+/// look them up in one corpus. Equal rows have equal wire encodings, which
+/// is what lets a result cache keep one copy of an answer for several keys.
+///
+/// The task and the four arena lengths are compared first, so rows of a
+/// different shape are told apart without reading an arena.
 impl PartialEq for TaskRows {
     fn eq(&self, other: &Self) -> bool {
         let same_corpus = Arc::ptr_eq(&self.comp, &other.comp);
         let same_names = |file: bool, a: &[u32], b: &[u32]| {
-            a.len() == b.len()
-                && a.iter().zip(b).all(|(&x, &y)| {
+            (same_corpus && a == b)
+                || a.iter().zip(b).all(|(&x, &y)| {
                     (same_corpus && x == y) || self.name(file, x) == other.name(file, y)
                 })
         };
+        let lengths = |r: &TaskRows| (r.keys.len(), r.ends.len(), r.items.len(), r.counts.len());
         self.task == other.task
             && self.width == other.width
+            && lengths(self) == lengths(other)
             && self.ends == other.ends
             && self.counts == other.counts
             && same_names(self.keyed_by_file(), &self.keys, &other.keys)

@@ -67,6 +67,16 @@ pub enum PmemError {
     /// configuration (the message says what was asked and why it cannot
     /// be served).
     Unsupported(String),
+    /// A pool file was written at one media line size and opened with a
+    /// device profile of another. Torn writes and every cost are charged
+    /// per line, so the file's image and the run's cost model would
+    /// disagree; the pool is refused rather than either being rewritten.
+    LineSizeMismatch {
+        /// Line size the pool file's header records.
+        pool: u64,
+        /// Line size of the profile the run opened it with.
+        profile: u64,
+    },
     /// A file-backed operation failed at the OS level (open, read, write,
     /// sync). Carries the stringified `std::io::Error` so the error type
     /// stays `Clone + Eq` across the substrate.
@@ -111,6 +121,11 @@ impl fmt::Display for PmemError {
             PmemError::TooLarge { what, len, max } => {
                 write!(f, "{what} {len} does not fit its on-pool field (max {max})")
             }
+            PmemError::LineSizeMismatch { pool, profile } => write!(
+                f,
+                "pool file was written at {pool}-byte lines but the device profile has \
+                 {profile}-byte lines"
+            ),
             PmemError::Unsupported(msg) => write!(f, "unsupported operation: {msg}"),
             PmemError::Io(msg) => write!(f, "pool file I/O failed: {msg}"),
         }

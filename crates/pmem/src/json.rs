@@ -266,14 +266,29 @@ fn newline_indent(out: &mut String, depth: usize, pretty: bool) {
     }
 }
 
+/// Where [`write_str`] and [`write_u64`] append text: a `String`, or a
+/// writer that passes it on in pieces (a bounded buffer in front of a
+/// socket), so an encoding need not be held whole to be sent.
+pub trait JsonOut {
+    /// Append `s`.
+    fn push_str(&mut self, s: &str);
+}
+
+impl JsonOut for String {
+    #[inline]
+    fn push_str(&mut self, s: &str) {
+        String::push_str(self, s);
+    }
+}
+
 /// Append `s` as a JSON string literal, quotes included: the writer every
 /// encoder in the workspace shares, so a value written without a [`Json`]
 /// tree has the bytes [`Json::compact`] would give it. `"`, `\` and the
 /// controls below U+0020 are escaped (`\n`, `\t` and `\r` by name, the rest
 /// as `\u00xx`); everything between two escapes is copied as one run.
-pub fn write_str(out: &mut String, s: &str) {
+pub fn write_str(out: &mut (impl JsonOut + ?Sized), s: &str) {
     const HEX: &[u8; 16] = b"0123456789abcdef";
-    out.push('"');
+    out.push_str("\"");
     // Start of the run not copied yet. Every byte that ends a run is
     // ASCII, so both ends of a run are character boundaries.
     let mut clean = 0;
@@ -290,19 +305,19 @@ pub fn write_str(out: &mut String, s: &str) {
             b'\t' => out.push_str("\\t"),
             b'\r' => out.push_str("\\r"),
             _ => {
-                out.push_str("\\u00");
-                out.push(HEX[(b >> 4) as usize] as char);
-                out.push(HEX[(b & 0xf) as usize] as char);
+                let escape =
+                    [b'\\', b'u', b'0', b'0', HEX[(b >> 4) as usize], HEX[(b & 0xf) as usize]];
+                out.push_str(std::str::from_utf8(&escape).expect("ASCII escape"));
             }
         }
     }
     out.push_str(&s[clean..]);
-    out.push('"');
+    out.push_str("\"");
 }
 
 /// Append `n` in decimal, as [`Json::U64`] is written, without the
 /// `String` that `n.to_string()` allocates.
-pub fn write_u64(out: &mut String, mut n: u64) {
+pub fn write_u64(out: &mut (impl JsonOut + ?Sized), mut n: u64) {
     let mut digits = [0u8; 20]; // u64::MAX has twenty
     let mut at = digits.len();
     loop {

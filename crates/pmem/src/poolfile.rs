@@ -414,15 +414,17 @@ fn chunk_buffer(capacity: u64) -> Vec<u8> {
 /// read as zeros, which the fresh twin already holds. A shared mapping of
 /// the file is never touched, so a reopen does not fault it in.
 ///
-/// The header's recorded line size and capacity override the caller's
-/// profile — the on-disk image was torn at *its* line granularity and
-/// must keep being interpreted that way.
-fn load_twin(
-    file: &File,
-    header: &PoolHeader,
-    mut profile: DeviceProfile,
-) -> Result<Arc<SimDevice>> {
-    profile.line_size = header.line_size as usize;
+/// The header's line size must be the profile's
+/// ([`PmemError::LineSizeMismatch`] otherwise): the on-disk image was torn
+/// at *its* line granularity, and a profile that took the header's instead
+/// would charge the run another device's costs.
+fn load_twin(file: &File, header: &PoolHeader, profile: DeviceProfile) -> Result<Arc<SimDevice>> {
+    if header.line_size as usize != profile.line_size {
+        return Err(PmemError::LineSizeMismatch {
+            pool: header.line_size.into(),
+            profile: profile.line_size as u64,
+        });
+    }
     let capacity = header.layout.capacity;
     let twin = Arc::new(SimDevice::new(profile, capacity as usize));
     let mut buf = chunk_buffer(capacity);
@@ -715,6 +717,10 @@ pub struct FsckReport {
     pub truncated: bool,
     /// Undo-log state as left on media.
     pub log: TxLogInspection,
+    /// The first persistent preset whose line size is the pool's: what a
+    /// deep check opens it with. `None` when no preset has that line
+    /// size, so no run can open the pool (and `unrecoverable` says so).
+    pub profile: Option<DeviceProfile>,
     /// `None` when the pool is recoverable; otherwise why it is not.
     pub unrecoverable: Option<String>,
 }
@@ -737,18 +743,37 @@ pub fn fsck_pool(path: &Path) -> Result<FsckReport> {
     let header = PoolHeader::read(&file)?;
     let layout = header.layout;
     let truncated = file_len < POOL_DATA_AT + layout.capacity;
+    let presets = [
+        DeviceProfile::nvm_optane(),
+        DeviceProfile::reram(),
+        DeviceProfile::pcm(),
+        DeviceProfile::ssd_optane(0),
+        DeviceProfile::hdd_sas(0),
+    ];
+    let line_size = header.line_size as usize;
+    let profile = presets.iter().find(|p| p.line_size == line_size).cloned();
+    let mut unrecoverable = profile.is_none().then(|| {
+        let mut sizes: Vec<String> = presets.iter().map(|p| p.line_size.to_string()).collect();
+        sizes.dedup();
+        format!(
+            "pool file was written at {line_size}-byte lines and no device profile has them \
+             (their lines are {} bytes), so every open refuses it",
+            sizes.join(", ")
+        )
+    });
     // A plain twin (no mirror: fsck never writes), read from the file as
-    // it is: a short file is not extended.
-    let twin = load_twin(&file, &header, DeviceProfile::nvm_optane())?;
+    // it is: a short file is not extended. The log walk reads bytes, not
+    // costs, so a pool no preset opens is still inspected.
+    let inspect = || DeviceProfile { line_size, ..DeviceProfile::nvm_optane() };
+    let twin = load_twin(&file, &header, profile.clone().unwrap_or_else(inspect))?;
     let mut log = TxLogInspection { active_tx: 0, last_tx_id: 0, valid_entries: 0, undo_bytes: 0 };
-    let mut unrecoverable = None;
     if layout.log_len != 0 {
         match TxLog::new(twin, layout.log_base(), layout.log_len as usize).inspect() {
             Ok(found) => log = found,
-            Err(e) => unrecoverable = Some(e.to_string()),
+            Err(e) => unrecoverable = unrecoverable.or(Some(e.to_string())),
         }
     }
-    Ok(FsckReport { header, file_len, truncated, log, unrecoverable })
+    Ok(FsckReport { header, file_len, truncated, log, profile, unrecoverable })
 }
 
 #[cfg(test)]
@@ -812,6 +837,7 @@ mod tests {
         host_crash_loses_plain_fences_but_never_sealed_ones,
         host_crash_coin_flips_are_seed_deterministic,
         sparse_pools_reopen_to_their_file_bytes,
+        a_header_cannot_change_the_line_size_of_the_run,
     );
 
     /// A 4 MiB pool whose data region is written straight into the file
@@ -931,6 +957,39 @@ mod tests {
         assert!(report.recoverable());
         assert!(report.log.needs_rollback(), "active tx must be visible in the file");
         assert_eq!(report.log.valid_entries, 1);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    fn a_header_cannot_change_the_line_size_of_the_run<S: StableStore>() {
+        let (path, dev) = create::<S>("lines");
+        let header = *dev.header();
+        drop(dev);
+        let reseal = |line_size| {
+            let bytes = PoolHeader { line_size, ..header }.to_bytes();
+            let file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+            file.write_all_at(&bytes, 0).unwrap();
+        };
+        // Sealed with a valid CRC at 1-byte lines: a header that would
+        // charge every byte as a media line if the run took its word.
+        reseal(1);
+        let refused = PoolFile::<S>::open(&path, nvm()).map(drop);
+        assert_eq!(refused, Err(PmemError::LineSizeMismatch { pool: 1, profile: 256 }));
+        let message = refused.unwrap_err().to_string();
+        assert!(message.contains("1-byte") && message.contains("256-byte"), "{message}");
+        let report = fsck_pool(&path).unwrap();
+        assert!(report.profile.is_none());
+        let why = report.unrecoverable.expect("no profile opens 1-byte lines");
+        assert!(why.contains("1-byte lines") && why.contains("256"), "{why}");
+
+        // A line size some profile has opens with that profile only.
+        let ssd = DeviceProfile::ssd_optane(0);
+        reseal(ssd.line_size as u32);
+        let report = fsck_pool(&path).unwrap();
+        assert!(report.recoverable());
+        assert_eq!(report.profile.map(|p| p.line_size), Some(4096));
+        assert!(PoolFile::<S>::open(&path, ssd).is_ok());
+        let refused = PoolFile::<S>::open(&path, nvm()).map(drop);
+        assert_eq!(refused, Err(PmemError::LineSizeMismatch { pool: 4096, profile: 256 }));
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -3,6 +3,13 @@
 //! Entries are keyed by [`QueryKey`] alone, so two tenants asking the same
 //! shaped question share one entry. A daemon serves one snapshot for its
 //! whole life, so every entry answers for that snapshot.
+//!
+//! Keys whose answers are equal share one stored answer: an inverted index
+//! asked for a `top` at or above its longest posting list is the whole
+//! index, whatever the `top`. Sharing happens only when an answer is
+//! inserted, after the miss that computed it, and never in a lookup, so it
+//! cannot turn a miss into a hit: which keys hit, the counters and the
+//! eviction order are those of a cache that stored every answer apart.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -10,8 +17,8 @@ use std::sync::Arc;
 use ntadoc::{CachedOutput, QueryKey, TaskRows};
 
 /// FIFO-evicting map from a query key to a shared result, held as id rows,
-/// and, once the entry has been hit and sent, that result's encoding
-/// ([`CachedOutput`]).
+/// and, once the result has been hit and sent, its encoding
+/// ([`CachedOutput`]). Keys with equal results hold one `Arc` of it.
 ///
 /// FIFO rather than LRU keeps eviction order a pure function of the insert
 /// sequence — one less source of replay divergence, and the hot-entry reuse
@@ -48,13 +55,18 @@ impl ResultCache {
         found
     }
 
-    /// Insert a result, not encoded, evicting the oldest entry when at
-    /// capacity.
+    /// Insert a result, evicting the oldest entry when at capacity. A
+    /// resident answer equal to `rows` is shared, with its encoding if it
+    /// has one; otherwise the result is stored, not encoded. Finding it is a
+    /// scan of at most `capacity` entries, each told apart by its task and
+    /// arena lengths before its arenas are read.
     pub fn insert(&mut self, key: QueryKey, rows: Arc<TaskRows>) {
         if self.capacity == 0 {
             return;
         }
-        if self.entries.insert(key.clone(), Arc::new(CachedOutput::new(rows))).is_some() {
+        let resident = self.entries.values().find(|e| **e.rows() == *rows).cloned();
+        let answer = resident.unwrap_or_else(|| Arc::new(CachedOutput::new(rows)));
+        if self.entries.insert(key.clone(), answer).is_some() {
             return; // refreshed in place; insertion order unchanged
         }
         self.order.push_back(key);
@@ -64,9 +76,27 @@ impl ResultCache {
         }
     }
 
-    /// Entries currently resident.
+    /// Entries (keys) currently resident.
     pub fn len(&self) -> usize {
         self.entries.len()
+    }
+
+    /// The distinct answers the resident entries hold, each once.
+    fn answers(&self) -> impl Iterator<Item = &CachedOutput> {
+        let mut seen: Vec<*const CachedOutput> = Vec::with_capacity(self.entries.len());
+        self.entries.values().filter_map(move |e| {
+            let at = Arc::as_ptr(e);
+            (!seen.contains(&at)).then(|| {
+                seen.push(at);
+                &**e
+            })
+        })
+    }
+
+    /// Distinct answers resident: [`len`](Self::len) less the entries that
+    /// share another key's answer.
+    pub fn answer_count(&self) -> usize {
+        self.answers().count()
     }
 
     /// True when nothing is cached.
@@ -74,16 +104,18 @@ impl ResultCache {
         self.entries.is_empty()
     }
 
-    /// Heap bytes of the resident entries' rows ([`TaskRows::heap_bytes`]);
-    /// their encodings are counted by [`memoized`](Self::memoized).
+    /// Heap bytes of the resident answers' rows ([`TaskRows::heap_bytes`]),
+    /// each answer counted once however many keys share it; their
+    /// encodings are counted by [`memoized`](Self::memoized).
     pub fn bytes(&self) -> usize {
-        self.entries.values().map(|e| e.rows().heap_bytes()).sum()
+        self.answers().map(|e| e.rows().heap_bytes()).sum()
     }
 
-    /// `(entries, bytes)` of the encodings resident entries hold: one per
-    /// entry that was hit and sent, none for an entry that never was.
+    /// `(answers, bytes)` of the encodings resident answers hold: one per
+    /// answer that was hit and sent, under whichever key, none for an
+    /// answer that never was.
     pub fn memoized(&self) -> (usize, usize) {
-        let lens = self.entries.values().filter_map(|e| e.encoded_len());
+        let lens = self.answers().filter_map(|e| e.encoded_len());
         lens.fold((0, 0), |(n, bytes), len| (n + 1, bytes + len))
     }
 

@@ -17,18 +17,20 @@
 //! Members of every reply are in sorted order, as [`Json::compact`] writes
 //! an object. A served reply is the one line that is not made from a tree:
 //! its six members — `cache_hit`, `ok`, `output`, `snapshot`, `task`,
-//! `tenant` — are written straight into the outgoing bytes, `output` by
-//! [`TaskRows::write_json`](ntadoc::TaskRows::write_json) for a miss — words
-//! and file names looked up as they are written, no string form of the
-//! result in between — and from the cache entry's encoding for a hit
-//! ([`QueryResponse::encoded_output`]), which the first hit on an entry
-//! makes and every later one copies. `tenant` and `cache_hit` differ between
-//! askers and sit outside it.
+//! `tenant` — are written straight into the outgoing bytes. A miss's
+//! `output` is streamed by
+//! [`TaskRows::write_json`](ntadoc::TaskRows::write_json) — words and file
+//! names looked up as they are written, no string form of the result in
+//! between — through a buffer of at most `STREAM_BUFFER` (64 KiB), so a
+//! 2 MB inverted index is never held whole. A hit's comes from the cache
+//! entry's encoding ([`QueryResponse::encoded_output`]), which the first hit
+//! on an entry makes and every later one copies. `tenant` and `cache_hit`
+//! differ between askers and sit outside it.
 
 use std::io::{self, IoSlice, Read, Write};
 
 use ntadoc::{Query, QueryResponse, Task, TenantId};
-use ntadoc_pmem::json::{write_str, write_u64};
+use ntadoc_pmem::json::{write_str, write_u64, JsonOut};
 use ntadoc_pmem::{Json, PmemError};
 
 use crate::{QueryDaemon, ServeError};
@@ -42,10 +44,11 @@ pub const MAX_REQUEST_BYTES: usize = 64 * 1024;
 /// the stream where the cache keeps it, between the two.
 const COPY_LIMIT: usize = 16 * 1024;
 
-/// The reply buffer is kept between requests up to this capacity. A miss
-/// with a larger `output` has the buffer to itself and gives it back: held
-/// on, it would sit beside the next traversal's working memory.
-const REPLY_KEEP: usize = 256 * 1024;
+/// The reply buffer's size: a miss's reply leaves through it in pieces of
+/// at most this many bytes, a hit's is assembled in it, and a piece too long
+/// to fit (a name longer than the buffer) goes to the stream directly, so
+/// the buffer never grows.
+const STREAM_BUFFER: usize = 64 * 1024;
 
 /// What one request line asks for.
 enum Request {
@@ -205,15 +208,16 @@ fn write_all_parts(stream: &mut impl Write, parts: &mut [IoSlice<'_>]) -> io::Re
 pub struct WireServer {
     daemon: QueryDaemon,
     lines: LineBuffer,
-    /// The served reply being assembled; kept, so a reply allocates only
-    /// when it is longer than every reply before it.
+    /// The served reply being assembled or streamed: `STREAM_BUFFER`
+    /// bytes, made once and kept.
     reply: String,
 }
 
 impl WireServer {
     /// Serve `daemon`.
     pub fn new(daemon: QueryDaemon) -> Self {
-        WireServer { daemon, lines: LineBuffer::new(), reply: String::new() }
+        let reply = String::with_capacity(STREAM_BUFFER);
+        WireServer { daemon, lines: LineBuffer::new(), reply }
     }
 
     /// The daemon behind the protocol.
@@ -286,6 +290,7 @@ fn stats_reply(daemon: &QueryDaemon) -> Json {
         ("cache_hits", Json::U64(hits)),
         ("cache_misses", Json::U64(misses)),
         ("cache_entries", Json::from(daemon.cache().len())),
+        ("cache_answers", Json::from(daemon.cache().answer_count())),
         ("cache_bytes", Json::from(daemon.cache().bytes())),
         ("memoized_entries", Json::from(memoized_entries)),
         ("memoized_bytes", Json::from(memoized_bytes)),
@@ -310,37 +315,82 @@ fn send_served(
     stream: &mut impl Write,
 ) -> io::Result<()> {
     reply.clear();
-    reply.push_str(if resp.cache_hit { "{\"cache_hit\":true" } else { "{\"cache_hit\":false" });
-    reply.push_str(",\"ok\":true,\"output\":");
-    let memo = match resp.encoded_output() {
-        Some(memo) if memo.len() > COPY_LIMIT => Some((memo, reply.len())),
-        Some(memo) => {
-            reply.push_str(memo);
-            None
-        }
-        None => {
-            resp.rows().write_json(reply);
-            None
-        }
+    let head = if resp.cache_hit {
+        "{\"cache_hit\":true,\"ok\":true,\"output\":"
+    } else {
+        "{\"cache_hit\":false,\"ok\":true,\"output\":"
     };
-    reply.push_str(",\"snapshot\":");
-    write_u64(reply, resp.snapshot.fingerprint());
-    reply.push_str(",\"task\":");
-    write_str(reply, resp.task.name());
-    reply.push_str(",\"tenant\":");
-    write_u64(reply, resp.tenant.0.into());
-    reply.push_str("}\n");
-    let sent = match memo {
-        None => stream.write_all(reply.as_bytes()),
-        Some((memo, at)) => {
-            let (head, tail) = reply.as_bytes().split_at(at);
-            write_all_parts(stream, &mut [head, memo.as_bytes(), tail].map(IoSlice::new))
-        }
+    let Some(memo) = resp.encoded_output() else {
+        let mut line = Streamed { buffer: reply, stream, failed: None };
+        line.push_str(head);
+        resp.rows().write_json(&mut line);
+        served_tail(&mut line, resp);
+        return line.finish();
     };
-    if reply.capacity() > REPLY_KEEP {
-        *reply = String::new();
+    reply.push_str(head);
+    if memo.len() <= COPY_LIMIT {
+        reply.push_str(memo);
+        served_tail(reply, resp);
+        return stream.write_all(reply.as_bytes());
     }
-    sent
+    let at = reply.len();
+    served_tail(reply, resp);
+    let (head, tail) = reply.as_bytes().split_at(at);
+    write_all_parts(stream, &mut [head, memo.as_bytes(), tail].map(IoSlice::new))
+}
+
+/// The members after `output`, and the line's end.
+fn served_tail(out: &mut impl JsonOut, resp: &QueryResponse) {
+    out.push_str(",\"snapshot\":");
+    write_u64(out, resp.snapshot.fingerprint());
+    out.push_str(",\"task\":");
+    write_str(out, resp.task.name());
+    out.push_str(",\"tenant\":");
+    write_u64(out, resp.tenant.0.into());
+    out.push_str("}\n");
+}
+
+/// A reply line on its way to `stream` through `buffer`, which is written
+/// out whenever the next piece would take it past `STREAM_BUFFER` bytes.
+/// A write that fails is kept and ends the sending: the rest of the line is
+/// dropped, and [`finish`](Self::finish) returns the error.
+struct Streamed<'a, W: Write> {
+    buffer: &'a mut String,
+    stream: &'a mut W,
+    failed: Option<io::Error>,
+}
+
+impl<W: Write> Streamed<'_, W> {
+    /// Send what the buffer holds and empty it.
+    fn drain(&mut self) {
+        let sent = self.stream.write_all(self.buffer.as_bytes());
+        self.buffer.clear();
+        self.failed = sent.err();
+    }
+
+    /// Send the rest of the line.
+    fn finish(mut self) -> io::Result<()> {
+        if self.failed.is_none() {
+            self.drain();
+        }
+        self.failed.map_or(Ok(()), Err)
+    }
+}
+
+impl<W: Write> JsonOut for Streamed<'_, W> {
+    fn push_str(&mut self, s: &str) {
+        if self.failed.is_none() && self.buffer.len() + s.len() > STREAM_BUFFER {
+            self.drain();
+        }
+        if self.failed.is_some() {
+            return;
+        }
+        if s.len() > STREAM_BUFFER {
+            self.failed = self.stream.write_all(s.as_bytes()).err();
+        } else {
+            self.buffer.push_str(s);
+        }
+    }
 }
 
 #[cfg(test)]

@@ -203,6 +203,52 @@ fn a_large_hit_leaves_in_parts_and_survives_short_writes() {
 }
 
 #[test]
+fn a_miss_past_the_stream_buffer_leaves_as_one_line_of_the_tree_bytes() {
+    // 8 000 distinct words: the full word count is ≈ 112 KB encoded, and
+    // leaves the buffer in pieces whatever the stream takes per write.
+    let words: Vec<String> = (0..8000).map(|i| format!("w{i:05}")).collect();
+    let files = vec![("wide.txt".to_string(), words.join(" "))];
+    let mut direct = server_over(files.clone(), DaemonConfig::default());
+    let want = tree_line(&direct.daemon.execute(Query::new(TenantId(0), Task::WordCount)).unwrap());
+    assert!(want.len() > STREAM_BUFFER);
+    let request = "{\"op\":\"query\",\"task\":\"wordcount\"}\n";
+    for write_max in [usize::MAX, 1, 7, 4096, STREAM_BUFFER + 1] {
+        // A fresh daemon each time, so every ask is a miss.
+        let mut s =
+            server_over(files.clone(), DaemonConfig { cache_capacity: 0, ..Default::default() });
+        let mut script = Script::new(request);
+        script.write_max = write_max;
+        s.serve_connection(&mut script).unwrap();
+        assert_eq!(String::from_utf8(script.received).unwrap(), format!("{want}\n"), "{write_max}");
+        assert_eq!(s.reply.capacity(), STREAM_BUFFER, "the buffer never grows");
+    }
+
+    // A peer that goes away after the first piece: the error comes back,
+    // and the next connection's reply is whole.
+    struct Hangup(Script);
+    impl Read for Hangup {
+        fn read(&mut self, into: &mut [u8]) -> io::Result<usize> {
+            self.0.read(into)
+        }
+    }
+    impl Write for Hangup {
+        fn write(&mut self, bytes: &[u8]) -> io::Result<usize> {
+            if !self.0.received.is_empty() {
+                return Err(io::ErrorKind::BrokenPipe.into());
+            }
+            self.0.write(bytes)
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+    let mut s = server_over(files, DaemonConfig { cache_capacity: 0, ..Default::default() });
+    let err = s.serve_connection(&mut Hangup(Script::new(request))).unwrap_err();
+    assert_eq!(err.kind(), io::ErrorKind::BrokenPipe);
+    assert_eq!(converse(&mut s, request).0, [want]);
+}
+
+#[test]
 fn wrong_typed_members_are_refused_by_name() {
     let mut s = server();
     let refused = |s: &mut WireServer, request: &str, member: &str| {
@@ -291,6 +337,7 @@ fn stats_reads_the_daemon_as_it_stands() {
     };
     let all = [
         "batches_dispatched",
+        "cache_answers",
         "cache_bytes",
         "cache_entries",
         "cache_hits",
@@ -312,11 +359,11 @@ fn stats_reads_the_daemon_as_it_stands() {
     // A word id and a count per row: one row of sort, the corpus's twelve
     // words of word count. Hits add an encoding, which is counted apart.
     let rows = (1 + 12) * (4 + 8);
-    assert_eq!(after_misses, [2, rows, 2, 0, 2, 0, 0, 0]);
+    assert_eq!(after_misses, [2, 2, rows, 2, 0, 2, 0, 0, 0]);
     ask(&mut s, sort);
     ask(&mut s, sort);
     let after_hits = all.map(|name| stat(&mut s, name));
-    assert_eq!(after_hits, [4, rows, 2, 2, 2, encoded, 1, 0]);
+    assert_eq!(after_hits, [4, 2, rows, 2, 2, 2, encoded, 1, 0]);
 }
 
 #[test]

@@ -160,9 +160,23 @@ fn sealed_images_of_invalid_grammars_are_rejected_with_a_typed_error() {
     dead.push(rule(vec![Symbol::rule(1), Symbol::word(3)]));
     let mut cyclic = live.clone();
     cyclic[1].symbols.push(Symbol::rule(0));
+    // Every build writes the root's k-th file separator with payload k.
+    let separated = |payload| {
+        let mut rules = live.clone();
+        rules[0].symbols.insert(1, Symbol::file_sep(payload));
+        rules
+    };
+    assert!(deserialize_compressed(&seal(separated(0))).is_ok());
+    let misnumbered = separated(1);
     let mut dangling = live;
     dangling[1].symbols.push(Symbol::rule(9));
-    for (what, rules) in [("unreachable", dead), ("cycle", cyclic), ("nonexistent", dangling)] {
+    let cases = [
+        ("unreachable", dead),
+        ("cycle", cyclic),
+        ("nonexistent", dangling),
+        ("file separator 0 of the root carries payload 1", misnumbered),
+    ];
+    for (what, rules) in cases {
         let image = seal(rules);
         let err = deserialize_compressed(&image).unwrap_err();
         assert!(

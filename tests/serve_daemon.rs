@@ -10,6 +10,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::io::{Read, Write};
 use std::os::unix::net::UnixStream;
+use std::sync::Arc;
 
 use ntadoc_pmem::par;
 use ntadoc_repro::{
@@ -198,31 +199,73 @@ fn a_hit_through_the_reply_writer_costs_the_same_whatever_its_rows() {
 #[test]
 fn cached_results_are_ids_an_eighth_the_size_of_their_strings() {
     // A full cache of inverted indexes, the largest servable result: 64
-    // keys, `top` 1 to 64 (three files, so all but two hold every posting).
+    // keys, `top` 1 to 64. Three files, so every `top` from 3 up is the
+    // whole index and the 64 keys hold three distinct answers.
     let comp = corpus();
     let mut d = daemon_over(&comp, DaemonConfig { cache_capacity: 64, ..DaemonConfig::default() });
     let rows: Vec<_> = (1..=64)
         .map(|k| d.execute(Query::new(TenantId(0), Task::InvertedIndex).top_k(k)).unwrap())
         .map(|resp| resp.into_rows())
         .collect();
-    assert_eq!(d.cache().len(), 64);
+    assert!(rows[2..].iter().all(|r| *r == rows[2]), "`top` 3 and up is the whole index");
+    let answers = &rows[..3];
+    assert!(answers[0] != answers[1] && answers[1] != answers[2]);
+    assert_eq!((d.cache().len(), d.cache().answer_count()), (64, 3));
     let cached = d.cache().bytes();
-    assert_eq!(cached, rows.iter().map(|r| r.heap_bytes()).sum::<usize>(), "the entries' rows");
+    let stored: usize = answers.iter().map(|r| r.heap_bytes()).sum();
+    assert_eq!(cached, stored, "each distinct answer's rows, once");
     assert_eq!(d.cache().memoized(), (0, 0), "and no encoding: nothing was hit");
 
-    // The same 64 results as the strings a cache entry used to be.
+    // The same three answers as the strings a cache entry used to be.
     let before = THREAD_LIVE.with(Cell::get);
-    let strings: Vec<_> = rows.iter().map(|r| TaskRows::clone(r).into_strings()).collect();
+    let strings: Vec<_> = answers.iter().map(|r| TaskRows::clone(r).into_strings()).collect();
     let as_strings = (THREAD_LIVE.with(Cell::get) - before) as usize;
-    assert_eq!(strings.len(), 64);
+    assert_eq!(strings.len(), 3);
     assert!(
         cached * 8 < as_strings,
-        "64 cached inverted indexes hold {cached} bytes as ids, {as_strings} as strings"
+        "3 cached inverted indexes hold {cached} bytes as ids, {as_strings} as strings"
     );
 
     // A live daemon says so itself.
     let mut server = WireServer::new(d);
-    assert_eq!(wire_stats(&mut server, ["cache_entries", "cache_bytes"]), [64, cached as u64]);
+    let counters = ["cache_entries", "cache_answers", "cache_bytes"];
+    assert_eq!(wire_stats(&mut server, counters), [64, 3, cached as u64]);
+}
+
+#[test]
+fn keys_with_equal_answers_share_one_stored_answer() {
+    // `top` 50 and `top` 60 over three files are both the whole index.
+    let comp = corpus();
+    let cfg = DaemonConfig { cache_capacity: 3, ..DaemonConfig::default() };
+    let index = |k| Query::new(TenantId(0), Task::InvertedIndex).top_k(k);
+    let mut d = daemon_over(&comp, cfg.clone());
+    let (first, second) = (d.execute(index(50)).unwrap(), d.execute(index(60)).unwrap());
+    assert!(!first.cache_hit && !second.cache_hit, "sharing turns no miss into a hit");
+    assert_eq!(d.cache_counters(), (0, 2));
+    let (hit50, hit60) = (d.execute(index(50)).unwrap(), d.execute(index(60)).unwrap());
+    assert!(hit50.cache_hit && hit60.cache_hit);
+    assert!(Arc::ptr_eq(hit50.rows(), hit60.rows()), "one stored answer for both keys");
+    assert_eq!(hit50.encoded_output(), Some(first.output().to_json().compact().as_str()));
+    assert!(std::ptr::eq(hit50.encoded_output().unwrap(), hit60.encoded_output().unwrap()));
+    assert_eq!((d.cache().len(), d.cache().answer_count()), (2, 1));
+    assert_eq!(d.cache().bytes(), first.rows().heap_bytes(), "counted once");
+
+    // FIFO by key: two more keys evict `top` 50 and leave `top` 60 a hit.
+    d.execute(index(1)).unwrap();
+    d.execute(index(2)).unwrap();
+    assert_eq!((d.cache().len(), d.cache().answer_count()), (3, 3));
+    assert!(d.execute(index(60)).unwrap().cache_hit, "the second key outlives the first");
+    assert!(!d.execute(index(50)).unwrap().cache_hit, "the first key was evicted");
+
+    // On the wire: both misses are the same line, and `stats` counts one answer.
+    let mut server = WireServer::new(daemon_over(&comp, cfg));
+    let ask = r#"{"op":"query","task":"invertedindex","top":50}"#;
+    let (replies, _) = wire_exchange(&mut server, &[ask, &ask.replace("50", "60")]);
+    assert_eq!(replies[0].get("cache_hit").and_then(Json::as_bool), Some(false));
+    assert_eq!(replies[0].compact(), replies[1].compact(), "byte-identical replies");
+    let counters = ["cache_misses", "cache_entries", "cache_answers", "cache_bytes"];
+    let stats = wire_stats(&mut server, counters);
+    assert_eq!(stats, [2, 2, 1, first.rows().heap_bytes() as u64]);
 }
 
 #[test]
