@@ -16,7 +16,7 @@
 //!   "experiment": "fig5",
 //!   "meta":     { "scale": 1.0, "cores": 8, "threads": 4, "report_version": 2 },
 //!   "rows":     [ { "dataset": "A", "task": "word count", "speedup": 2.1 } ],
-//!   "headline": { "speedup_geomean": 2.04 },
+//!   "headline": { "speedup_geomean": 2.2 },
 //!   "reports":  [ { "label": "ntadoc/word count", "report": { … } } ]
 //! }
 //! ```
@@ -77,11 +77,6 @@ impl Emitter {
         }
     }
 
-    /// Experiment name this emitter writes under.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// Add or override a metadata member.
     pub fn meta(&mut self, key: &str, value: impl Into<Json>) {
         self.meta.insert(key.to_string(), value.into());
@@ -104,6 +99,11 @@ impl Emitter {
     /// `f64`).
     pub fn headline_u64(&mut self, key: &str, value: u64) {
         self.headline.insert(key.to_string(), Json::U64(value));
+    }
+
+    /// The headline numbers set so far, by name.
+    pub fn headlines(&self) -> &BTreeMap<String, Json> {
+        &self.headline
     }
 
     /// Embed a full run report — span tree, metric snapshot, and device
@@ -139,7 +139,6 @@ impl Emitter {
         std::fs::create_dir_all(dir).expect("create experiments dir");
         let path = dir.join(format!("{}.json", self.name));
         std::fs::write(&path, doc.pretty()).expect("write experiment json");
-        eprintln!("[json] wrote {}", path.display());
         path
     }
 }

@@ -9,7 +9,7 @@
 //! This experiment is not in the paper as a figure; it quantifies the
 //! DESIGN.md design-choice claims individually.
 
-use crate::{geomean, print_matrix, Device, Emitter, Harness};
+use crate::{geomean, Device, Emitter, Harness};
 use ntadoc::{EngineConfig, Task};
 use ntadoc_pmem::Json;
 
@@ -25,13 +25,11 @@ pub fn run(h: &Harness, em: &mut Emitter) {
     ];
 
     let tasks = [Task::WordCount, Task::TermVector, Task::SequenceCount, Task::RankedInvertedIndex];
-    let task_names: Vec<&str> = tasks.iter().map(|t| t.name()).collect();
     let full: Vec<f64> = tasks
         .iter()
         .map(|&t| h.run_engine(&comp, EngineConfig::ntadoc(), Device::Nvm, t).total_secs())
         .collect();
 
-    let mut rows = Vec::new();
     for (name, cfg) in &variants {
         let mut vals = Vec::new();
         for (i, &task) in tasks.iter().enumerate() {
@@ -46,11 +44,5 @@ pub fn run(h: &Harness, em: &mut Emitter) {
             vals.push(slowdown);
         }
         em.headline(&format!("{}_slowdown_geomean", name.replace(' ', "_")), geomean(&vals));
-        rows.push((*name, vals));
     }
-    print_matrix(
-        "Ablation on dataset C — slowdown vs full N-TADOC (1.00 = full system)",
-        &task_names,
-        &rows,
-    );
 }

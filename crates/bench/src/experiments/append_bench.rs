@@ -32,26 +32,12 @@ pub fn run(h: &Harness, em: &mut Emitter) {
 
     // The oracle and the baseline: one full from-scratch ingest of the
     // grown corpus, its virtual cost being what an appender avoids.
-    let t0 = Instant::now();
     let (full_comp, full_report) = ingest_corpus(&files, &IngestOptions::default());
-    let rebuild_wall = t0.elapsed();
     let full_words = {
         let mut e =
             Engine::builder(full_comp.clone()).config(EngineConfig::ntadoc()).build().unwrap();
         e.run(Task::WordCount).unwrap()
     };
-    eprintln!(
-        "[rebuild] {} rules in {:.1} ms wall, {} ns virtual",
-        full_comp.grammar.rules.len(),
-        rebuild_wall.as_secs_f64() * 1e3,
-        full_report.virtual_ns
-    );
-
-    println!("\n== streaming append vs full rebuild ==");
-    println!(
-        "{:>7} {:>7} {:>14} {:>14} {:>8} {:>10}",
-        "growth", "delta", "append_ns", "rebuild_ns", "ratio", "wall ms"
-    );
     let mut ratio_at_10 = 0.0f64;
     for &pct in &GROWTH_PCTS {
         let delta_n = (files.len() * pct / 100).max(1);
@@ -83,15 +69,6 @@ pub fn run(h: &Harness, em: &mut Emitter) {
         if pct == 10 {
             ratio_at_10 = ratio;
         }
-        println!(
-            "{:>6}% {:>7} {:>14} {:>14} {:>7.2}x {:>10.1}",
-            pct,
-            delta_n,
-            report.virtual_ns,
-            full_report.virtual_ns,
-            ratio,
-            append_wall.as_secs_f64() * 1e3
-        );
         em.row([
             ("growth_pct", Json::U64(pct as u64)),
             ("delta_files", Json::U64(delta_n as u64)),
@@ -105,7 +82,6 @@ pub fn run(h: &Harness, em: &mut Emitter) {
         ]);
     }
 
-    println!("\nall appended engines matched the full-rebuild corpus and word counts");
     em.headline("append_speedup_at_10pct", ratio_at_10);
     em.headline_u64("rebuild_virtual_ns", full_report.virtual_ns);
 }

@@ -1,10 +1,10 @@
 //! Chunk-parallel build: grammar construction split into W deterministic
 //! chunks, built concurrently, and merged through the shared dictionary.
 //!
-//! Prints build wall time for 1/2/4/8 worker threads at W=8 chunks,
-//! cross-checks that every chunked grammar spells the same corpus and
-//! drives an engine to the same word counts as the serial build, and
-//! asserts the virtual build time is bit-identical for every thread count.
+//! Builds at 1/2/4/8 worker threads with W=8 chunks, cross-checks that
+//! every chunked grammar spells the same corpus and drives an engine to
+//! the same word counts as the serial build, and asserts the virtual build
+//! time is bit-identical for every thread count.
 //! The headline is the modeled (virtual-lane) speedup at 8 workers, which
 //! `GATES`'s `build_bench.build_virtual_speedup >= 2.0` reads. The rows'
 //! `wall_ms` is host time: `report` never renders it.
@@ -29,11 +29,6 @@ pub fn run(h: &Harness, em: &mut Emitter) {
     let (serial_comp, serial_report) =
         par::with_threads(1, || ingest_corpus(&files, &IngestOptions::default()));
     let serial_wall = t0.elapsed();
-    eprintln!(
-        "[serial] built {} rules in {:.1} ms",
-        serial_comp.grammar.rules.len(),
-        serial_wall.as_secs_f64() * 1e3
-    );
     let serial_words = {
         let mut e =
             Engine::builder(serial_comp.clone()).config(EngineConfig::ntadoc()).build().unwrap();
@@ -46,13 +41,8 @@ pub fn run(h: &Harness, em: &mut Emitter) {
         ("virtual_ns", Json::U64(serial_report.virtual_ns)),
     ]);
 
-    println!("\n== chunk-parallel build: W={CHUNKS} chunks ==");
-    println!(
-        "{:>8} {:>10} {:>10} {:>14} {:>10}",
-        "threads", "wall ms", "wall spd", "virtual_ns", "virtual"
-    );
     let opts = IngestOptions { chunks: CHUNKS, ..IngestOptions::default() };
-    let mut base_virtual = 0u64;
+    let mut base_virtual = None;
     let mut virtual_speedup = 0.0f64;
     for &threads in &THREAD_COUNTS {
         let t = Instant::now();
@@ -73,27 +63,16 @@ pub fn run(h: &Harness, em: &mut Emitter) {
 
         // Determinism: the virtual build time must not depend on the
         // worker count, only on the chunk plan.
-        if threads == 1 {
-            base_virtual = report.virtual_ns;
-        } else {
-            assert_eq!(
-                report.virtual_ns, base_virtual,
-                "virtual build time must not depend on the worker count"
-            );
-        }
+        let base = *base_virtual.get_or_insert(report.virtual_ns);
+        assert_eq!(
+            report.virtual_ns, base,
+            "virtual build time must not depend on the worker count"
+        );
 
-        let speedup = serial_wall.as_secs_f64() / wall.as_secs_f64();
         let vspeed = report.virtual_speedup();
         if threads == 8 {
             virtual_speedup = vspeed;
         }
-        println!(
-            "{threads:>8} {:>10.1} {:>9.2}x {:>14} {:>9.2}x",
-            wall.as_secs_f64() * 1e3,
-            speedup,
-            report.virtual_ns,
-            vspeed
-        );
         em.row([
             ("threads", Json::U64(threads as u64)),
             ("chunks", Json::U64(CHUNKS as u64)),
@@ -103,6 +82,5 @@ pub fn run(h: &Harness, em: &mut Emitter) {
         ]);
     }
 
-    println!("\nall chunked builds matched the serial grammar and word counts");
     em.headline("build_virtual_speedup", virtual_speedup);
 }

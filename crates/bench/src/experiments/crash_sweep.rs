@@ -51,53 +51,26 @@ fn emit(sweep: &CrashSweep, em: &mut Emitter) -> (u64, u64) {
     let reopens = persist_fired.iter().filter_map(|r| r.reopen_ns);
     let (reopen_virtual_ns, reopen_wall_ns): (Vec<f64>, Vec<f64>) =
         reopens.map(|(v, w)| (v as f64, w as f64)).unzip();
-    let stride = report.stride.expect("the bench sweeps persist points");
-    let clean_ns = report.clean_ns;
-
-    println!(
-        "{backend:5} {label:16} {:>5} persist points (stride {stride}) × {} seeds: \
-         {fired} fired, {converged} converged, {completed_early} completed early",
-        report.persist_points,
-        sweep.seeds.len(),
-    );
-    println!(
-        "{:22} mid-write sample: {mid_write_fired} crashes fired, {mid_write_converged} converged",
-        ""
-    );
-    println!(
-        "{:22} clean run {:.3} ms | mean crash+recover+rerun {:.3} ms ({:.2}x)",
-        "",
-        clean_ns as f64 / 1e6,
-        mean(&recovery_ns) / 1e6,
-        mean(&recovery_ns) / clean_ns as f64,
-    );
     let mut fields = vec![
         ("backend", Json::from(backend)),
         ("strategy", Json::from(label)),
         ("persist_points", Json::U64(report.persist_points)),
-        ("stride", Json::U64(stride)),
+        ("stride", Json::U64(report.stride.expect("the bench sweeps persist points"))),
         ("seeds", Json::Arr(sweep.seeds.iter().copied().map(Json::U64).collect())),
         ("fired", Json::U64(fired)),
         ("converged", Json::U64(converged)),
         ("completed_early", Json::U64(completed_early)),
         ("mid_write_fired", Json::U64(mid_write_fired)),
         ("mid_write_converged", Json::U64(mid_write_converged)),
-        ("clean_ns", Json::U64(clean_ns)),
+        ("clean_ns", Json::U64(report.clean_ns)),
         ("mean_recovery_ns", Json::F64(mean(&recovery_ns))),
     ];
     if sweep.reopen {
-        println!(
-            "{:22} mean reopen {:.3} ms virtual / {:.3} ms wall",
-            "",
-            mean(&reopen_virtual_ns) / 1e6,
-            mean(&reopen_wall_ns) / 1e6,
-        );
         fields.push(("mean_reopen_virtual_ns", Json::F64(mean(&reopen_virtual_ns))));
         fields.push(("mean_reopen_wall_ns", Json::F64(mean(&reopen_wall_ns))));
         let pools = report.pools.iter().map(|p| Json::from(p.display().to_string())).collect();
         fields.push(("survivor_pools", Json::Arr(pools)));
     }
-    println!();
     em.row(fields);
     (fired + mid_write_fired, converged + mid_write_converged)
 }
@@ -111,8 +84,6 @@ pub fn run(h: &Harness, em: &mut Emitter) {
     let comp = h.dataset(&spec);
     std::fs::create_dir_all(POOL_DIR).expect("create sweep pool dir");
 
-    println!("== Crash-point sweep: sampled persist points, torn-write model ==");
-    println!("corpus: {} | seeds: {:?} | durable pools: {POOL_DIR}\n", spec.name, knobs.seeds);
     let (mut fired, mut converged) = (0u64, 0u64);
     for backend in knobs.backends {
         // Operation-level persistence emits one persist per transaction,
@@ -141,7 +112,6 @@ pub fn run(h: &Harness, em: &mut Emitter) {
             converged += c;
         }
     }
-    println!("{converged} of {fired} fired crashes recovered to the crash-free result");
     em.headline_u64("crashes_fired", fired);
     em.headline_u64("crashes_converged", converged);
     em.headline("recovery_rate", if fired == 0 { 0.0 } else { converged as f64 / fired as f64 });

@@ -24,7 +24,7 @@
 //! is also held, per cell, by the layout axis of the differential matrix
 //! (`tests/common/matrix.rs`).
 
-use crate::{geomean, print_matrix, Emitter, Harness};
+use crate::{geomean, Emitter, Harness};
 use ntadoc::{Engine, EngineConfig, PoolLayoutConfig, RunReport, Task, TaskOutput};
 use ntadoc_grammar::Compressed;
 use ntadoc_pmem::Json;
@@ -67,7 +67,6 @@ pub fn run(h: &Harness, em: &mut Emitter) {
         }
     }
 
-    let mut matrix = Vec::new();
     let mut best: Option<(&'static str, f64)> = None;
     for &layout in &layouts {
         let mut ratios = Vec::new();
@@ -107,29 +106,13 @@ pub fn run(h: &Harness, em: &mut Emitter) {
         }
         let g = geomean(&ratios);
         em.headline(&format!("{}_lines_ratio", layout.name()), g);
-        matrix.push((layout.name(), ratios));
         if layout != baseline && best.is_none_or(|(_, b)| g < b) {
             best = Some((layout.name(), g));
         }
     }
 
-    let names: Vec<String> = specs
-        .iter()
-        .flat_map(|s| tasks.iter().map(|t| format!("{}/{}", s.name, t.name())))
-        .collect();
-    let name_refs: Vec<&str> = names.iter().map(String::as_str).collect();
-    print_matrix(
-        "Layout ablation — traversal lines touched, relative to fixed (1.00 = fixed)",
-        &name_refs,
-        &matrix,
-    );
-
     let (best_name, best_ratio) = best.expect("at least one non-baseline layout");
     em.meta("best_layout", Json::from(best_name));
     em.headline("best_lines_ratio", best_ratio);
     em.headline("outputs_identical", 1.0);
-    println!(
-        "\nbest layout: {best_name} touches {:.1}% fewer lines per task than fixed",
-        (1.0 - best_ratio) * 100.0
-    );
 }

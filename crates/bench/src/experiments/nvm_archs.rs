@@ -15,11 +15,6 @@ use ntadoc_pmem::{DeviceProfile, Json};
 pub fn run(h: &Harness, em: &mut Emitter) {
     let comp = h.dataset(&h.spec("C"));
     let archs = [DeviceProfile::nvm_optane(), DeviceProfile::reram(), DeviceProfile::pcm()];
-    println!("== §VI-F — N-TADOC across NVM architectures (dataset C) ==");
-    println!(
-        "{:>8} {:>24} {:>14} {:>14} {:>10}",
-        "device", "task", "N-TADOC s", "uncompressed s", "speedup"
-    );
     for profile in archs {
         let mut speedups = Vec::new();
         for task in Task::ALL {
@@ -38,14 +33,6 @@ pub fn run(h: &Harness, em: &mut Emitter) {
             base.run(task).expect("baseline");
             let base_rep = base.last_report.unwrap();
             let speedup = base_rep.total_secs() / nt_rep.total_secs();
-            println!(
-                "{:>8} {:>24} {:>14.4} {:>14.4} {:>9.2}x",
-                profile.name,
-                task.name(),
-                nt_rep.total_secs(),
-                base_rep.total_secs(),
-                speedup
-            );
             em.row([
                 ("device", Json::from(profile.name)),
                 ("task", Json::from(task.name())),
@@ -55,7 +42,6 @@ pub fn run(h: &Harness, em: &mut Emitter) {
             ]);
             speedups.push(speedup);
         }
-        println!("{:>8} {:>24} {:>44.2}x\n", profile.name, "geomean", geomean(&speedups));
         em.headline(
             &format!("{}_speedup_geomean", profile.name.to_lowercase()),
             geomean(&speedups),

@@ -52,12 +52,6 @@ pub fn run(h: &Harness, em: &mut Emitter) {
     em.meta("trace_tenants", Json::U64(trace_spec.tenants as u64));
     em.meta("trace_hot_percent", Json::U64(trace_spec.hot_percent as u64));
 
-    println!("== serve_load: {} queries, {} tenants ==", trace.len(), trace_spec.tenants);
-    println!(
-        "{:>10} {:>12} {:>12} {:>12} {:>10} {:>12} {:>8}",
-        "mode", "p50_ns", "p99_ns", "qps(virt)", "hit_rate", "lines", "batches"
-    );
-
     // Quotas are lifted for the A/B comparison so both modes admit every
     // query — otherwise the slower unbatched mode would reject more under
     // quota pressure and serve fewer queries, skewing the lines-touched
@@ -68,29 +62,15 @@ pub fn run(h: &Harness, em: &mut Emitter) {
         ..DaemonConfig::default()
     };
     let ab_unbatched = DaemonConfig { max_batch: 1, cache_capacity: 0, ..ab.clone() };
-    let mut lines_by_mode = [0u64; 2];
-    let mut batched_digest = (0u64, 0u64, 0.0f64);
-    let mut batched_hit_rate = 0.0f64;
-    let mut rejected = 0usize;
-    for (mode_idx, (mode, cfg)) in
-        [("batched", ab.clone()), ("unbatched", ab_unbatched)].into_iter().enumerate()
-    {
+    // Per mode: the latency digest, the hit rate, lines touched, rejections.
+    let mut modes = Vec::new();
+    for (mode, cfg) in [("batched", ab.clone()), ("unbatched", ab_unbatched)] {
         let mut daemon = build_daemon(&comp, cfg);
         let outcome = daemon.run_trace(&trace).unwrap();
         let (p50, p99, qps) = digest(&outcome);
         let report = daemon.report();
         let lines = shard_reads_total(&report);
         let hit_rate = daemon.cache_hit_rate();
-        lines_by_mode[mode_idx] = lines;
-        if mode == "batched" {
-            batched_digest = (p50, p99, qps);
-            batched_hit_rate = hit_rate;
-            rejected = outcome.rejections.len();
-        }
-        println!(
-            "{mode:>10} {p50:>12} {p99:>12} {qps:>12.1} {hit_rate:>10.3} {lines:>12} {:>8}",
-            daemon.batches_dispatched()
-        );
         em.row([
             ("mode", Json::from(mode)),
             ("p50_virtual_ns", Json::U64(p50)),
@@ -103,9 +83,12 @@ pub fn run(h: &Harness, em: &mut Emitter) {
             ("rejections", Json::U64(outcome.rejections.len() as u64)),
         ]);
         em.attach_report(mode, &report);
+        modes.push(((p50, p99, qps), hit_rate, lines, outcome.rejections.len()));
     }
-
-    let (batched, unbatched) = (lines_by_mode[0], lines_by_mode[1]);
+    let [(batched_digest, batched_hit_rate, batched, rejected), (.., unbatched, _)] = modes[..]
+    else {
+        unreachable!("two modes replayed")
+    };
 
     // A warm cache hit must touch zero device lines.
     {
@@ -118,7 +101,6 @@ pub fn run(h: &Harness, em: &mut Emitter) {
         assert!(warm.cache_hit, "second identical query must hit");
         assert_eq!(delta.reads, 0, "cache hit issued device reads");
         assert_eq!(delta.line_misses, 0, "cache hit fetched media lines");
-        println!("cache-hit read check: 0 device reads, 0 line misses ✔");
     }
 
     // Determinism: the identical trace replays bit-identically at any
@@ -135,7 +117,6 @@ pub fn run(h: &Harness, em: &mut Emitter) {
             assert_eq!(a.done_ns, b.done_ns, "virtual completion time diverged across threads");
             assert_eq!(a.response, b.response, "response bytes diverged across threads");
         }
-        println!("determinism check: 1-thread and 4-thread replays identical ✔");
     }
 
     let (p50, p99, qps) = batched_digest;
@@ -145,9 +126,4 @@ pub fn run(h: &Harness, em: &mut Emitter) {
     em.headline("cache_hit_rate", batched_hit_rate);
     em.headline("lines_touched_ratio", unbatched as f64 / batched.max(1) as f64);
     em.headline_u64("admission_rejections", rejected as u64);
-    println!(
-        "\nbatched vs unbatched device lines: {batched} vs {unbatched} ({:.2}x saved), \
-         cache hit rate {batched_hit_rate:.3}",
-        unbatched as f64 / batched.max(1) as f64
-    );
 }

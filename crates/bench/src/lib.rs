@@ -126,26 +126,22 @@ impl Harness {
     }
 
     /// The shared tasks × datasets experiment shape: compute one
-    /// [`Cell`] per `(dataset, task)` pair, print the matrix with
-    /// per-row/column geomeans, record one [`Emitter`] row per cell, set
-    /// the headline geomean under `headline_key`, and return it.
+    /// [`Cell`] per `(dataset, task)` pair, record one [`Emitter`] row per
+    /// cell, set the headline geomean under `headline_key`, and return it.
     ///
     /// `value_name` is the cell ratio's field name in the emitted rows
     /// (`"speedup"`, `"slowdown"`, …).
     pub fn run_and_emit(
         &self,
         em: &mut Emitter,
-        title: &str,
         value_name: &str,
         headline_key: &str,
         tasks: &[Task],
         mut cell: impl FnMut(&DatasetSpec, Task) -> Cell,
     ) -> f64 {
         let specs = self.specs();
-        let names: Vec<&str> = specs.iter().map(|s| s.name).collect();
-        let mut rows = Vec::new();
+        let mut all = Vec::new();
         for &task in tasks {
-            let mut vals = Vec::new();
             for spec in &specs {
                 let c = cell(spec, task);
                 let mut fields: Vec<(String, Json)> = vec![
@@ -155,12 +151,9 @@ impl Harness {
                 ];
                 fields.extend(c.fields.into_iter().map(|(k, v)| (k.to_string(), v)));
                 em.row(fields);
-                vals.push(c.value);
+                all.push(c.value);
             }
-            rows.push((task.name(), vals));
         }
-        print_matrix(title, &names, &rows);
-        let all: Vec<f64> = rows.iter().flat_map(|(_, v)| v.iter().copied()).collect();
         let g = geomean(&all);
         em.headline(headline_key, g);
         g
@@ -175,9 +168,9 @@ fn announce(spec: &DatasetSpec) {
 }
 
 /// One matrix cell produced by a [`Harness::run_and_emit`] closure: the
-/// ratio that lands in the printed table plus any extra row fields.
+/// ratio the headline geomean folds plus any extra row fields.
 pub struct Cell {
-    /// The printed/aggregated ratio.
+    /// The aggregated ratio.
     pub value: f64,
     /// Additional fields for the emitted row (raw timings, labels, …).
     pub fields: Vec<(&'static str, Json)>,
@@ -210,33 +203,6 @@ pub fn mean(xs: &[f64]) -> f64 {
         return 0.0;
     }
     xs.iter().sum::<f64>() / xs.len() as f64
-}
-
-/// Print a speedup matrix: rows = tasks, columns = datasets, plus a
-/// geomean row and column.
-pub fn print_matrix(title: &str, datasets: &[&str], rows: &[(&str, Vec<f64>)]) {
-    println!("\n== {title} ==");
-    print!("{:24}", "");
-    for d in datasets {
-        print!("{d:>10}");
-    }
-    println!("{:>10}", "geomean");
-    let mut cols: Vec<Vec<f64>> = vec![Vec::new(); datasets.len()];
-    for (name, vals) in rows {
-        print!("{name:24}");
-        for (i, v) in vals.iter().enumerate() {
-            print!("{v:>10.2}");
-            cols[i].push(*v);
-        }
-        println!("{:>10.2}", geomean(vals));
-    }
-    print!("{:24}", "geomean");
-    let mut all = Vec::new();
-    for c in &cols {
-        print!("{:>10.2}", geomean(c));
-        all.extend_from_slice(c);
-    }
-    println!("{:>10.2}", geomean(&all));
 }
 
 #[cfg(test)]

@@ -3,8 +3,10 @@
 //! The driver owns everything that is the same for every experiment: the
 //! corpus scale (read once, an unparseable value is an error), core
 //! detection, the injected-crash panic hook, and each document's
-//! [`Emitter`] from creation to `finish`. Experiments named in one
-//! invocation share one [`Harness`] and so one dataset cache.
+//! [`Emitter`] from creation to `finish`, after which it prints the
+//! document's path and headlines: the one line an experiment prints.
+//! Experiments named in one invocation share one [`Harness`] and so one
+//! dataset cache.
 
 use std::process::ExitCode;
 
@@ -44,7 +46,9 @@ fn run_experiments(names: &[String]) -> Result<(), String> {
         eprintln!("\n[run] {} — {}", e.name, e.about);
         let mut em = Emitter::new(e.name, &harness);
         (e.run)(&harness, &mut em);
-        em.finish();
+        let headlines: Vec<String> =
+            em.headlines().iter().map(|(k, v)| format!("{k}={}", v.compact())).collect();
+        println!("{}: {}", em.finish().display(), headlines.join(" "));
     }
     Ok(())
 }

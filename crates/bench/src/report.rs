@@ -4,8 +4,10 @@
 //! (no other document may name it too), and share one `meta.scale` with
 //! the rest; any violation fails the run, naming the files. The documents
 //! are rendered into `target/experiments/REPORT.md`, whose scale-1 form is
-//! committed as `RESULTS.md`; with `--gate` they are then checked against
-//! [`GATES`]. Run the experiments first, then this.
+//! committed as `RESULTS.md`, under a verdict table that holds each of the
+//! paper's numbers (`PAPER`, the only place they are written) against its
+//! headline; with `--gate` they are then checked against [`GATES`]. Run the
+//! experiments first, then this.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -26,52 +28,170 @@ const UNRENDERED: &str = "crash_sweep";
 /// between any two runs, so the record never renders them.
 const WALL_SUFFIX: &str = "wall_ms";
 
-/// How a summary matrix folds the rows of one cell.
+/// What a number is: how a summary folds it, how it prints, and where a
+/// measurement of no effect lies.
 #[derive(Clone, Copy)]
-enum Fold {
-    /// Geometric mean of ratios, printed as `2.20×`.
-    Geomean,
-    /// Arithmetic mean of fractions, printed as `57.2 %`.
-    MeanPercent,
+enum Unit {
+    /// A ratio (speedup, slowdown, overhead): geomean, `2.20×`, no effect 1.
+    Times,
+    /// A fraction (a saving): arithmetic mean, `57.2 %`, no effect 0.
+    Percent,
 }
 
-/// The summary matrices: `(experiment, value field, group field, fold)`;
+impl Unit {
+    fn fold(self, xs: &[f64]) -> f64 {
+        match self {
+            Unit::Times => geomean(xs),
+            Unit::Percent => mean(xs),
+        }
+    }
+
+    fn show(self, x: f64) -> String {
+        match self {
+            Unit::Times => format!("{x:.2}×"),
+            Unit::Percent => format!("{:.1} %", x * 100.0),
+        }
+    }
+
+    fn no_effect(self) -> f64 {
+        match self {
+            Unit::Times => 1.0,
+            Unit::Percent => 0.0,
+        }
+    }
+}
+
+/// The summary matrices: `(experiment, value field, group field, unit)`;
 /// see [`summary`].
-const SUMMARIES: &[(&str, &str, Option<&str>, Fold)] = &[
-    ("fig5", "speedup", Some("panel"), Fold::Geomean),
-    ("fig6", "slowdown", None, Fold::Geomean),
-    ("fig7", "speedup", Some("device"), Fold::Geomean),
-    ("table2", "init_speedup", None, Fold::Geomean),
-    ("table2", "traversal_speedup", None, Fold::Geomean),
-    ("dram_savings", "saving", None, Fold::MeanPercent),
-    ("naive_overhead", "overhead", None, Fold::Geomean),
-    ("cross_eval", "speedup", None, Fold::Geomean),
+const SUMMARIES: &[(&str, &str, Option<&str>, Unit)] = &[
+    ("fig5", "speedup", Some("panel"), Unit::Times),
+    ("fig6", "slowdown", None, Unit::Times),
+    ("fig7", "speedup", Some("device"), Unit::Times),
+    ("table2", "init_speedup", None, Unit::Times),
+    ("table2", "traversal_speedup", None, Unit::Times),
+    ("dram_savings", "saving", None, Unit::Percent),
+    ("naive_overhead", "overhead", None, Unit::Times),
+    ("cross_eval", "speedup", None, Unit::Times),
 ];
 
-/// What the paper reports, for the experiments where it gives a figure.
-const PAPER: &[(&str, &str)] = &[
-    (
-        "table1",
-        "files / rules / vocabulary: A 1 / 36,882 / 240,552; B 134,631 / 2,771,880 / \
+/// The paper's dataset B file count (Table I), where `traversal_opt` reads
+/// its fit of the top-down/bottom-up ratio.
+pub const PAPER_B_FILES: f64 = 134_631.0;
+
+/// What the paper reports, for the experiments where it gives a figure:
+/// the figure in words, and each number the verdict table compares with a
+/// headline of the experiment's document.
+const PAPER: &[Paper] = &[
+    Paper {
+        experiment: "table1",
+        says: "files / rules / vocabulary: A 1 / 36,882 / 240,552; B 134,631 / 2,771,880 / \
         1,864,902; C 4 / 2,095,573 / 6,370,437; D 109 / 57,394,616 / 99,239,057",
-    ),
-    ("fig5", "(a) phase-level 2.04× average, (b) operation-level 1.40× average"),
-    (
-        "fig6",
-        "1.59× slower on average; word count worst at 2.26×; A the largest gap at 1.55×; \
+        numbers: &[],
+    },
+    Paper {
+        experiment: "fig5",
+        says: "(a) phase-level 2.04× average, (b) operation-level 1.40× average",
+        numbers: &[
+            times("Fig. 5(a)", "speedup_geomean_phase", 2.04),
+            times("Fig. 5(b)", "speedup_geomean_op", 1.40),
+            times("Fig. 5(b) over 5(a)", "op_over_phase_speedup", 1.40 / 2.04),
+        ],
+    },
+    Paper {
+        experiment: "fig6",
+        says: "1.59× slower on average; word count worst at 2.26×; A the largest gap at 1.55×; \
         the gap narrows as datasets grow",
-    ),
-    ("fig7", "1.87× average over SSD, 2.92× over HDD"),
-    ("table2", "phase speedups (init / traversal): C 1.96× / 2.53×, D 1.23× / 2.87×"),
-    (
-        "dram_savings",
-        "70.7 % average (A 65.6 %, B 70.7 %, C 72.2 %, D 74.3 %); word count \
+        numbers: &[times("Fig. 6", "slowdown_geomean", 1.59)],
+    },
+    Paper {
+        experiment: "fig7",
+        says: "1.87× average over SSD, 2.92× over HDD",
+        numbers: &[
+            times("Fig. 7, SSD", "ssd_speedup_geomean", 1.87),
+            times("Fig. 7, HDD", "hdd_speedup_geomean", 2.92),
+        ],
+    },
+    Paper {
+        experiment: "table2",
+        says: "phase speedups (init / traversal): C 1.96× / 2.53×, D 1.23× / 2.87×",
+        numbers: &[
+            times("Table II C, init", "init_speedup_C", 1.96),
+            times("Table II C, traversal", "traversal_speedup_C", 2.53),
+            times("Table II D, init", "init_speedup_D", 1.23),
+            times("Table II D, traversal", "traversal_speedup_D", 2.87),
+        ],
+    },
+    Paper {
+        experiment: "dram_savings",
+        says: "70.7 % average (A 65.6 %, B 70.7 %, C 72.2 %, D 74.3 %); word count \
         saves the most (79.8 %), sequence count the least (60.7 %)",
-    ),
-    ("traversal_opt", "top-down ~1000× slower at 134,631 files"),
-    ("naive_overhead", "13.37×"),
-    ("cross_eval", "~5×"),
+        numbers: &[percent("§VI-C", "saving_mean", 0.707)],
+    },
+    Paper {
+        experiment: "traversal_opt",
+        says: "top-down ~1000× slower at 134,631 files",
+        numbers: &[times("§VI-E, extrapolated to 134,631 files", "ratio_at_paper_files", 1000.0)],
+    },
+    Paper {
+        experiment: "naive_overhead",
+        says: "13.37×",
+        numbers: &[times("§III-B", "overhead_geomean", 13.37)],
+    },
+    Paper {
+        experiment: "cross_eval",
+        says: "~5×",
+        numbers: &[times("§VI-F", "speedup_geomean", 5.0)],
+    },
 ];
+
+/// What the paper reports for one experiment.
+struct Paper {
+    experiment: &'static str,
+    /// The figure in words, rendered under the experiment's heading.
+    says: &'static str,
+    /// The numbers the verdict table compares with headlines.
+    numbers: &'static [Number],
+}
+
+/// One of the paper's numbers and the headline it is compared with.
+struct Number {
+    /// Where the paper gives it: the verdict table's first column.
+    claim: &'static str,
+    /// Member of the experiment document's `headline` object.
+    headline: &'static str,
+    paper: f64,
+    unit: Unit,
+}
+
+const fn times(claim: &'static str, headline: &'static str, paper: f64) -> Number {
+    Number { claim, headline, paper, unit: Unit::Times }
+}
+
+const fn percent(claim: &'static str, headline: &'static str, paper: f64) -> Number {
+    Number { claim, headline, paper, unit: Unit::Percent }
+}
+
+/// The verdict rule's one constant: a measurement within this factor of
+/// the paper's number agrees with it.
+const BAND: f64 = 1.5;
+
+/// The verdict on `measured` against the paper's `paper`, r being their
+/// quotient: ✅ when r is within a factor of [`BAND`] of 1; ↗ (↘) when r
+/// is above (below) that but within a factor of `BAND²`, and `measured`
+/// lies on the paper's side of `no_effect`; ⚠️ otherwise.
+fn verdict(paper: f64, measured: f64, no_effect: f64) -> &'static str {
+    let r = measured / paper;
+    let same_side = (measured - no_effect) * (paper - no_effect) > 0.0;
+    if (1.0 / BAND..=BAND).contains(&r) {
+        "✅"
+    } else if same_side && r > BAND && r <= BAND * BAND {
+        "↗"
+    } else if same_side && (1.0 / (BAND * BAND)..1.0 / BAND).contains(&r) {
+        "↘"
+    } else {
+        "⚠️"
+    }
+}
 
 /// Every emitted document under `dir`, parsed and schema-checked, then
 /// checked as one record (see [`record`]). No directory means no
@@ -167,9 +287,9 @@ pub fn run(args: &[String]) -> Result<(), String> {
         docs.len()
     );
 
+    let md = render_markdown(&docs)?;
     std::fs::create_dir_all(EXPERIMENTS_DIR).expect("experiments dir");
-    std::fs::write(format!("{EXPERIMENTS_DIR}/REPORT.md"), render_markdown(&docs))
-        .expect("write report");
+    std::fs::write(format!("{EXPERIMENTS_DIR}/REPORT.md"), md).expect("write report");
     println!("[report] wrote {EXPERIMENTS_DIR}/REPORT.md");
 
     let Some(gate_names) = gate_names else { return Ok(()) };
@@ -183,12 +303,12 @@ pub fn run(args: &[String]) -> Result<(), String> {
     }
 }
 
-/// Render the record: for every registered experiment but
-/// [`UNRENDERED`] that has a document, in registry order, its `about`
-/// line, the paper's figure, every headline, its task × dataset summary
-/// if it has one, and every row without its wall-clock fields. The bytes depend
-/// only on the documents' contents.
-fn render_markdown(docs: &BTreeMap<String, Json>) -> String {
+/// Render the record: the verdict table (see [`verdicts`]), then for
+/// every registered experiment but [`UNRENDERED`] that has a document, in
+/// registry order, its `about` line, the paper's figure, every headline,
+/// its task × dataset summary if it has one, and every row without its
+/// wall-clock fields. The bytes depend only on the documents' contents.
+fn render_markdown(docs: &BTreeMap<String, Json>) -> Result<String, String> {
     let mut md = String::new();
     let scale = docs.values().next().map_or("(none)".to_string(), scale_of);
     let _ = writeln!(md, "# Results — the paper's evaluation, regenerated\n");
@@ -199,11 +319,12 @@ fn render_markdown(docs: &BTreeMap<String, Json>) -> String {
          device counter, so the file reads the same at any worker count. EXPERIMENTS.md \
          says how to regenerate it and what the numbers mean.\n"
     );
+    verdicts(&mut md, docs)?;
     for e in REGISTRY.iter().filter(|e| e.name != UNRENDERED) {
         let Some(doc) = docs.get(e.name) else { continue };
         let _ = writeln!(md, "## `{}` — {}\n", e.name, e.about);
-        if let Some((_, paper)) = PAPER.iter().find(|p| p.0 == e.name) {
-            let _ = writeln!(md, "Paper: {paper}.\n");
+        if let Some(paper) = PAPER.iter().find(|p| p.experiment == e.name) {
+            let _ = writeln!(md, "Paper: {}.\n", paper.says);
         }
         let headline = doc.get("headline").and_then(Json::as_obj).cloned().unwrap_or_default();
         if !headline.is_empty() {
@@ -213,12 +334,61 @@ fn render_markdown(docs: &BTreeMap<String, Json>) -> String {
             }
             md.push('\n');
         }
-        for &(_, field, group, fold) in SUMMARIES.iter().filter(|s| s.0 == e.name) {
-            summary(&mut md, rows(doc), field, group, fold);
+        for &(_, field, group, unit) in SUMMARIES.iter().filter(|s| s.0 == e.name) {
+            summary(&mut md, rows(doc), field, group, unit);
         }
         row_table(&mut md, rows(doc));
     }
-    md
+    Ok(md)
+}
+
+/// The verdict table: each of [`PAPER`]'s numbers whose experiment has a
+/// document, in `PAPER` order, against its headline. A number whose
+/// document lacks the headline fails the report, as a missing gated
+/// headline fails the gate.
+fn verdicts(md: &mut String, docs: &BTreeMap<String, Json>) -> Result<(), String> {
+    let mut table = String::new();
+    for p in PAPER {
+        let Some(doc) = docs.get(p.experiment) else { continue };
+        for n in p.numbers {
+            let measured = doc
+                .get("headline")
+                .and_then(|h| h.get(n.headline))
+                .and_then(Json::as_f64)
+                .ok_or_else(|| {
+                    format!("[report] headline `{}.{}` is missing", p.experiment, n.headline)
+                })?;
+            line(
+                &mut table,
+                [
+                    n.claim.to_string(),
+                    format!("`{}` · `{}`", p.experiment, n.headline),
+                    n.unit.show(n.paper),
+                    n.unit.show(measured),
+                    cell(&Json::F64(measured / n.paper)),
+                    verdict(n.paper, measured, n.unit.no_effect()).to_string(),
+                ],
+            );
+        }
+    }
+    if table.is_empty() {
+        return Ok(());
+    }
+    let _ = writeln!(
+        md,
+        "## Verdicts\n\nEach of the paper's numbers against the headline it is compared with, \
+         r = measured / paper: ✅ when r is within a factor of {BAND} of 1; ↗ (↘) when r is above \
+         (below) that but within a factor of {}, and the measured value is on the paper's side of \
+         no effect (1× for a ratio, 0 for a saving); ⚠️ otherwise.\n",
+        BAND * BAND
+    );
+    let _ = writeln!(
+        md,
+        "| claim | headline | paper | measured | r | verdict |\n|---|---|---:|---:|---:|---|"
+    );
+    md.push_str(&table);
+    md.push('\n');
+    Ok(())
 }
 
 /// One task × dataset matrix of `field` per value of the `group` field
@@ -226,7 +396,7 @@ fn render_markdown(docs: &BTreeMap<String, Json>) -> String {
 /// `all` column folds a task over the datasets and the `all` row a dataset
 /// over the tasks. Groups, tasks and datasets keep the order of their
 /// first row.
-fn summary(md: &mut String, rows: &[Json], field: &str, group: Option<&str>, fold: Fold) {
+fn summary(md: &mut String, rows: &[Json], field: &str, group: Option<&str>, unit: Unit) {
     let label = |r: &Json, key: &str| r.get(key).and_then(Json::as_str).unwrap_or("").to_string();
     let (mut groups, mut tasks, mut datasets) = (Vec::new(), Vec::new(), Vec::new());
     let mut cells = Vec::new();
@@ -249,10 +419,10 @@ fn summary(md: &mut String, rows: &[Json], field: &str, group: Option<&str>, fol
             })
             .map(|(_, v)| *v)
             .collect();
-        match fold {
-            _ if vs.is_empty() => String::new(),
-            Fold::Geomean => format!("{:.2}×", geomean(&vs)),
-            Fold::MeanPercent => format!("{:.1} %", mean(&vs) * 100.0),
+        if vs.is_empty() {
+            String::new()
+        } else {
+            unit.show(unit.fold(&vs))
         }
     };
     for g in &groups {
@@ -367,7 +537,11 @@ mod tests {
                 doc(
                     "fig5",
                     1.0,
-                    &[("speedup_geomean_phase", 2.0), ("speedup_geomean_op", 2.5)],
+                    &[
+                        ("speedup_geomean_phase", 2.0),
+                        ("speedup_geomean_op", 2.5),
+                        ("op_over_phase_speedup", 1.25),
+                    ],
                     fig5_rows,
                 ),
             ),
@@ -386,7 +560,7 @@ mod tests {
     #[test]
     fn every_headline_renders_once_and_the_bytes_ignore_directory_order() {
         let found = run_of_four();
-        let md = render_markdown(&record(found.clone()).unwrap());
+        let md = render_markdown(&record(found.clone()).unwrap()).unwrap();
         for (_, d) in
             found.iter().filter(|(_, d)| d.get("experiment") != Some(&Json::from(UNRENDERED)))
         {
@@ -407,14 +581,71 @@ mod tests {
 
         let mut reversed = found;
         reversed.reverse();
-        assert_eq!(render_markdown(&record(reversed).unwrap()), md);
+        assert_eq!(render_markdown(&record(reversed).unwrap()).unwrap(), md);
+    }
+
+    #[test]
+    fn the_verdict_table_renders_once_at_the_top() {
+        let md = render_markdown(&record(run_of_four()).unwrap()).unwrap();
+        assert_eq!(md.matches("## Verdicts").count(), 1, "{md}");
+        assert!(md.find("## Verdicts") < md.find("## `"), "{md}");
+        for (claim, v) in [("Fig. 5(a)", "✅"), ("Fig. 5(b)", "↗"), ("Fig. 5(b) over 5(a)", "⚠️")]
+        {
+            let row = md.lines().find(|l| l.starts_with(&format!("| {claim} |"))).unwrap();
+            assert!(row.ends_with(&format!("| {v} |")), "{row}");
+        }
+    }
+
+    #[test]
+    fn a_paper_number_without_its_headline_fails_the_report() {
+        let mut found = run_of_four();
+        found[0].1 = doc("fig5", 1.0, &[("speedup_geomean_phase", 2.0)], Vec::new());
+        let err = render_markdown(&record(found).unwrap()).unwrap_err();
+        assert!(err.contains("`fig5.speedup_geomean_op` is missing"), "{err}");
+    }
+
+    #[test]
+    fn the_band_edges_belong_to_the_inner_verdict() {
+        assert_eq!(verdict(2.0, 3.0, 1.0), "✅"); // r = 3/2
+        assert_eq!(verdict(3.0, 2.0, 1.0), "✅"); // r = 2/3
+        assert_eq!(verdict(4.0, 9.0, 1.0), "↗"); // r = 9/4
+        assert_eq!(verdict(9.0, 4.0, 1.0), "↘"); // r = 4/9
+        assert_eq!(verdict(2.0, 3.001, 1.0), "↗");
+        assert_eq!(verdict(3.0, 1.999, 1.0), "↘");
+        assert_eq!(verdict(4.0, 9.001, 1.0), "⚠️");
+        assert_eq!(verdict(9.0, 3.999, 1.0), "⚠️");
+    }
+
+    #[test]
+    fn a_measurement_past_no_effect_is_a_warning_even_inside_the_outer_band() {
+        // A paper slowdown measured as a speedup (r 1.78), a paper speedup
+        // measured as a slowdown (r 0.58), a paper saving measured as a loss.
+        assert_eq!(verdict(0.9, 1.6, 1.0), "⚠️");
+        assert_eq!(verdict(1.2, 0.7, 1.0), "⚠️");
+        assert_eq!(verdict(0.5, -0.4, 0.0), "⚠️");
+        // The same quotients on the paper's side lean instead.
+        assert_eq!(verdict(1.8, 3.2, 1.0), "↗");
+        assert_eq!(verdict(0.5, 0.3, 0.0), "↘");
     }
 
     #[test]
     fn paper_figures_and_summaries_name_registered_experiments() {
-        let names = PAPER.iter().map(|p| p.0).chain(SUMMARIES.iter().map(|s| s.0));
+        let names = PAPER.iter().map(|p| p.experiment).chain(SUMMARIES.iter().map(|s| s.0));
         for name in names {
             assert!(REGISTRY.iter().any(|e| e.name == name), "`{name}` is not registered");
+        }
+    }
+
+    /// Mirrors `gates::every_gate_names_a_registered_experiment`, and reads
+    /// the committed record for the headlines each experiment emits.
+    #[test]
+    fn every_paper_number_names_a_headline_its_experiment_emits() {
+        const RECORD: &str = include_str!("../../../RESULTS.md");
+        for p in PAPER {
+            for n in p.numbers {
+                let label = format!("| `{}.{}` |", p.experiment, n.headline);
+                assert!(RECORD.contains(&label), "RESULTS.md has no headline {label}");
+            }
         }
     }
 

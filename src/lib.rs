@@ -5,27 +5,22 @@
 
 pub use ntadoc::sweep;
 pub use ntadoc::{
-    ingest_append, ingest_corpus, snapshot_fingerprint, AppendIngest, AppendReport, Engine,
-    EngineBuilder, EngineConfig, IngestOptions, IngestReport, Persistence, PoolBackend,
-    PoolLayoutConfig, Query, QueryKey, QueryResponse, RetryPolicy, Row, RunReport, ServeSession,
-    Session, Snapshot, Task, TaskOutput, TaskRows, TenantId, Traversal, UncompressedEngine,
-    UncompressedEngineBuilder, METRIC_DEFERRED_READS, METRIC_DEVICE_PEAK, METRIC_DRAM_PEAK,
-    METRIC_HIT_RATE, METRIC_MEDIA_RETRIES, METRIC_SERVE_RATE, METRIC_SERVE_TASKS, REPORT_VERSION,
+    ingest_append, ingest_corpus, snapshot_fingerprint, Engine, EngineBuilder, EngineConfig,
+    IngestOptions, Persistence, PoolBackend, PoolLayoutConfig, Query, QueryKey, RetryPolicy,
+    RunReport, ServeSession, Session, Task, TaskOutput, TaskRows, TenantId, Traversal,
+    UncompressedEngine, METRIC_DEFERRED_READS, METRIC_DEVICE_PEAK, METRIC_DRAM_PEAK,
+    METRIC_HIT_RATE, REPORT_VERSION,
 };
 pub use ntadoc_datagen::{generate, generate_compressed, DatasetSpec};
 pub use ntadoc_grammar::{
-    append_chunk, build_chunk_at, compress_corpus, deserialize_compressed, merge_chunks,
-    plan_chunks, serialize_compressed, serialized_len, AppendOutcome, ChunkGrammar, Compressed,
-    Dictionary, Grammar, MergeOptions, Symbol, TokenizerConfig,
+    compress_corpus, deserialize_compressed, merge_chunks, plan_chunks, serialize_compressed,
+    Compressed, Dictionary, Grammar, MergeOptions, Symbol, TokenizerConfig,
 };
 pub use ntadoc_pmem::{
-    crc64, for_each_case, fsck_pool, sweep_ctx, torn_line_survives, torn_word_survives,
-    AllocLedger, CrashPoint, DeviceKind, DeviceMirror, DeviceProfile, FileDevice, FsckReport,
-    HostCrashReport, Json, JsonError, MetricRegistry, MetricValue, MetricsSnapshot, MmapDevice,
-    Obs, PmemBackend, PmemError, PmemPool, PoolDevice, PoolHeader, PoolLayout, Prng, SimDevice,
-    SpanNode, TxLog, TxLogInspection, CRASH_PANIC, POOL_DATA_AT, POOL_MAGIC, POOL_VERSION,
+    crc64, for_each_case, fsck_pool, sweep_ctx, CrashPoint, DeviceProfile, FileDevice, FsckReport,
+    Json, PmemBackend, PmemError, PmemPool, PoolDevice, PoolHeader, PoolLayout, Prng, SimDevice,
+    SpanNode, TxLog, POOL_DATA_AT,
 };
 pub use ntadoc_serve::{
-    percentile_ns, shard_reads_total, Completion, DaemonConfig, QueryDaemon, Rejection,
-    ResultCache, ServeError, TraceEvent, TraceOutcome, TraceSpec, WireServer,
+    shard_reads_total, DaemonConfig, QueryDaemon, ResultCache, ServeError, TraceSpec, WireServer,
 };

@@ -10,18 +10,18 @@
 //! taken on the calling thread only (one worker runs everything there) and
 //! repeat exactly for one corpus — and the corpus is one sequence of bytes
 //! on every host (`generated_corpora_and_the_default_trace_are_pinned`
-//! below), so the budgets are the counts. EXPERIMENTS.md ("Where a run's
-//! wall time goes, after PR 18") has the counts before and after the
-//! change that introduced the budgets, and "Ids until the wire (PR 23)"
-//! those of the change that took the strings out of the result.
+//! below), so the budgets are the counts. CHANGES.md's PR 18 entry has the
+//! counts before and after the change that introduced the budgets, and
+//! its PR 23 entry those of the change that took the strings out of the
+//! result.
 //!
 //! A serving daemon is held to its heap rather than its calls: after
 //! set-up, what it keeps live must not grow with the requests it answers.
 //!
 //! Ingest reads its tokens borrowed from the text and interns them by
 //! `&str`, so it allocates for words, rules and files and for nothing per
-//! token; its budget is stated in those units (EXPERIMENTS.md "Where
-//! ingest's wall time goes (PR 19)" has the counts). These are deterministic
+//! token; its budget is stated in those units (CHANGES.md's PR 19 entry has
+//! the counts). These are deterministic
 //! guards that run on a one-core host, where every wall-clock gate is
 //! skipped.
 
@@ -240,7 +240,7 @@ fn corpus_crc(files: &[(String, String)]) -> u64 {
     crc64(&bytes)
 }
 
-/// Every table in EXPERIMENTS.md is a function of `ntadoc-datagen`'s
+/// Every table in RESULTS.md is a function of `ntadoc-datagen`'s
 /// corpora and `serve_load`'s of the default trace; both draw from
 /// `ntadoc_pmem::Prng` and from nothing else, so they are the same bytes on
 /// every host. A change to the generator, to one of its draws or to a preset

@@ -1,6 +1,6 @@
 //! The paper's qualitative claims as test invariants, checked at test
-//! scale (direction, not magnitude — magnitudes live in the bench
-//! harnesses and EXPERIMENTS.md), and the device-counter evidence that
+//! scale (direction, not magnitude — magnitudes and their verdicts against
+//! the paper live in RESULTS.md), and the device-counter evidence that
 //! each §IV design point does what the paper says it does.
 
 use ntadoc_repro::{
