@@ -17,7 +17,7 @@
 use std::time::Instant;
 
 use crate::{Emitter, Harness};
-use ntadoc::{ingest_corpus, Engine, EngineBuilder, EngineConfig, IngestOptions, Task};
+use ntadoc::{ingest_corpus, Engine, EngineConfig, IngestOptions, Task};
 use ntadoc_pmem::Json;
 
 const GROWTH_PCTS: [usize; 3] = [10, 25, 50];
@@ -44,10 +44,8 @@ pub fn run(h: &Harness, em: &mut Emitter) {
         let base_n = files.len() - delta_n;
         let (base, delta) = files.split_at(base_n);
 
-        let mut engine = EngineBuilder::from_files(base.to_vec())
-            .config(EngineConfig::ntadoc())
-            .build()
-            .unwrap();
+        let (base_comp, _) = ingest_corpus(base, &IngestOptions::default());
+        let mut engine = Engine::builder(base_comp).config(EngineConfig::ntadoc()).build().unwrap();
         let t = Instant::now();
         let report = engine.append_files(delta.to_vec()).unwrap();
         let append_wall = t.elapsed();

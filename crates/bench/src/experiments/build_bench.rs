@@ -41,7 +41,7 @@ pub fn run(h: &Harness, em: &mut Emitter) {
         ("virtual_ns", Json::U64(serial_report.virtual_ns)),
     ]);
 
-    let opts = IngestOptions { chunks: CHUNKS, ..IngestOptions::default() };
+    let opts = IngestOptions { chunks: CHUNKS };
     let mut base_virtual = None;
     let mut virtual_speedup = 0.0f64;
     for &threads in &THREAD_COUNTS {

@@ -220,7 +220,7 @@ fn compress(args: &[String]) -> CmdResult {
         // concurrently and merged through the shared dictionary.
         let texts = files.iter().map(|f| read_input(f)).collect::<Result<Vec<_>, _>>()?;
         raw_bytes = texts.iter().map(|(_, text)| text.len() as u64).sum();
-        let (c, report) = ingest_corpus(&texts, &IngestOptions { chunks, ..Default::default() });
+        let (c, report) = ingest_corpus(&texts, &IngestOptions { chunks });
         println!(
             "ingested in {} chunks (modeled {:.1}x parallel speedup)",
             report.chunks,
@@ -307,7 +307,7 @@ fn append_image(args: &[String]) -> Result<[String; 3], CliError> {
     if texts.is_empty() {
         return Err(refuse("append_files needs at least one file"));
     }
-    let step = ingest_append(&base, &texts, &IngestOptions::default());
+    let step = ingest_append(&base, &texts);
     let image = serialize_compressed(&step.comp).map_err(fail)?;
     fs::write(&out, &image).map_err(|e| fail(format!("{out}: {e}")))?;
     Ok([

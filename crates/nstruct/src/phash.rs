@@ -399,6 +399,13 @@ mod tests {
     use super::*;
     use ntadoc_pmem::{DeviceProfile, SimDevice};
 
+    /// Keys a table test inserts; Miri runs a tenth of them.
+    const KEYS: u64 = if cfg!(miri) { 50 } else { 500 };
+    /// Keys of the two growth-cost tests, over a pool of `GROWTH_POOL`
+    /// bytes.
+    const GROWTH_KEYS: u64 = if cfg!(miri) { 200 } else { 2000 };
+    const GROWTH_POOL: usize = if cfg!(miri) { 1 << 20 } else { 1 << 24 };
+
     fn pool(bytes: usize) -> Arc<PmemPool> {
         Arc::new(PmemPool::over_whole(Arc::new(SimDevice::new(DeviceProfile::nvm_optane(), bytes))))
     }
@@ -440,20 +447,20 @@ mod tests {
     #[test]
     fn growth_rehashes_and_preserves() {
         let t = PHashTable::with_expected(pool(1 << 22), 2, false).unwrap();
-        for k in 0..500u64 {
+        for k in 0..KEYS {
             t.insert(k, k * 2).unwrap();
         }
         assert!(t.reconstructions() > 0);
-        for k in 0..500u64 {
+        for k in 0..KEYS {
             assert_eq!(t.get(k), Some(k * 2), "key {k}");
         }
-        assert_eq!(t.len(), 500);
+        assert_eq!(t.len(), KEYS as usize);
     }
 
     #[test]
     fn presized_table_never_rehashes() {
-        let t = PHashTable::with_expected(pool(1 << 22), 500, true).unwrap();
-        for k in 0..500u64 {
+        let t = PHashTable::with_expected(pool(1 << 22), KEYS as usize, true).unwrap();
+        for k in 0..KEYS {
             t.insert(k, k).unwrap();
         }
         assert_eq!(t.reconstructions(), 0);
@@ -483,16 +490,16 @@ mod tests {
 
     #[test]
     fn presizing_is_cheaper_than_growing() {
-        let p1 = pool(1 << 24);
+        let p1 = pool(GROWTH_POOL);
         let grown = PHashTable::with_expected(p1.clone(), 2, false).unwrap();
-        for k in 0..2000u64 {
+        for k in 0..GROWTH_KEYS {
             grown.insert(k, k).unwrap();
         }
         let grown_ns = p1.dev().stats().virtual_ns;
 
-        let p2 = pool(1 << 24);
-        let sized = PHashTable::with_expected(p2.clone(), 2000, true).unwrap();
-        for k in 0..2000u64 {
+        let p2 = pool(GROWTH_POOL);
+        let sized = PHashTable::with_expected(p2.clone(), GROWTH_KEYS as usize, true).unwrap();
+        for k in 0..GROWTH_KEYS {
             sized.insert(k, k).unwrap();
         }
         let sized_ns = p2.dev().stats().virtual_ns;
@@ -615,8 +622,8 @@ mod tests {
     #[test]
     fn fixed_tables_never_leak_bytes() {
         let reg = ntadoc_pmem::MetricRegistry::new();
-        let t = PHashTable::with_expected(pool(1 << 22), 500, true).unwrap();
-        for k in 0..500u64 {
+        let t = PHashTable::with_expected(pool(1 << 22), KEYS as usize, true).unwrap();
+        for k in 0..KEYS {
             t.add(k, 1).unwrap();
         }
         assert_eq!(t.leaked_bytes(), 0, "the fixed-capacity path must never abandon buffers");
@@ -628,9 +635,9 @@ mod tests {
     #[test]
     fn reconstruction_leak_is_accounted() {
         let reg = ntadoc_pmem::MetricRegistry::new();
-        let t = PHashTable::with_expected(pool(1 << 24), 2, false).unwrap();
+        let t = PHashTable::with_expected(pool(GROWTH_POOL), 2, false).unwrap();
         let cap0 = t.capacity();
-        for k in 0..2000u64 {
+        for k in 0..GROWTH_KEYS {
             t.insert(k, k).unwrap();
         }
         assert!(t.reconstructions() > 0);

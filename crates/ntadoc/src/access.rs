@@ -14,7 +14,7 @@ use std::sync::Arc;
 use ntadoc_grammar::{Compressed, Symbol};
 use ntadoc_pmem::{AllocLedger, DeviceProfile, PmemPool, SimDevice};
 
-use crate::config::CostModel;
+use crate::config::PER_ITEM_NS;
 use crate::dag::{DagBuildOptions, DagPool, PoolBuf};
 use crate::summation::head_tail_info;
 use crate::Result;
@@ -41,7 +41,6 @@ pub struct Accessor {
     /// Per file: prefix word counts over its segment symbols
     /// (`prefix[i]` = words before symbol `i`).
     prefixes: Vec<Vec<u64>>,
-    cost: CostModel,
 }
 
 impl Accessor {
@@ -72,7 +71,6 @@ impl Accessor {
         )?;
         // Read R0 once (charged) and build per-file prefix sums.
         let mut buf = PoolBuf::default();
-        let cost = CostModel::default();
         let segments: Vec<Vec<Symbol>> =
             dag.body(0, &mut buf).split(|s| s.is_sep()).map(<[Symbol]>::to_vec).collect();
         let mut prefixes = Vec::with_capacity(segments.len());
@@ -84,10 +82,10 @@ impl Accessor {
                 acc += if s.is_rule() { dag.exp_len(s.payload()) } else { 1 };
                 prefix.push(acc);
             }
-            dev.charge_ns(seg.len() as u64 * cost.per_item_ns);
+            dev.charge_ns(seg.len() as u64 * PER_ITEM_NS);
             prefixes.push(prefix);
         }
-        Ok(Accessor { dev, dag, segments, prefixes, cost })
+        Ok(Accessor { dev, dag, segments, prefixes })
     }
 
     /// Number of files.
@@ -120,8 +118,7 @@ impl Accessor {
             Ok(i) => i,
             Err(i) => i - 1,
         };
-        self.dev
-            .charge_ns((64 - (seg.len() as u64).leading_zeros() as u64) * self.cost.per_item_ns);
+        self.dev.charge_ns((64 - (seg.len() as u64).leading_zeros() as u64) * PER_ITEM_NS);
         while i < seg.len() && prefix[i] < end {
             let sym_start = prefix[i];
             let s = seg[i];
@@ -154,7 +151,7 @@ impl Accessor {
         // is entered.
         let mut buf = PoolBuf::default();
         let body = self.dag.body(rule, &mut buf);
-        self.dev.charge_ns(body.len() as u64 * self.cost.per_item_ns);
+        self.dev.charge_ns(body.len() as u64 * PER_ITEM_NS);
         let mut at = 0u64;
         for s in body {
             if at >= to {

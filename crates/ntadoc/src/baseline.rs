@@ -14,7 +14,7 @@ use ntadoc_grammar::Compressed;
 use ntadoc_nstruct::PHashTable;
 use ntadoc_pmem::{Addr, DeviceProfile, PoolLayout};
 
-use crate::config::EngineConfig;
+use crate::config::{disk_read_ns, EngineConfig, POOL_OPEN_NS};
 use crate::dag::WordReader;
 use crate::engine::shape::{self, counts_of, Counts, Postings};
 use crate::engine::{with_doubling_capacity, Engine, RunScaffold, LOG_BYTES};
@@ -140,19 +140,18 @@ impl UncompressedEngine {
             BASE_TX_BATCH,
         )?;
         let (obs, dev, pool) = (&sc.obs, &sc.dev, &sc.pool);
-        let cost = self.cfg.cost;
 
         // ---- initialization phase (recorded as the "init" span) -----
         let (stream, dict_offsets, dict_bytes) =
             obs.span("init", dev, || -> Result<(Addr, Addr, Addr)> {
                 if self.profile.kind.is_persistent() {
-                    obs.span("pool-open", dev, || dev.charge_ns(cost.pool_open_ns));
+                    obs.span("pool-open", dev, || dev.charge_ns(POOL_OPEN_NS));
                 }
                 // Dictionary-conversion staging buffer (DRAM for the init
                 // phase).
                 let staging = self.tokens.len() as u64 * 4 * 3 / 2;
                 obs.span("image-stream", dev, || {
-                    dev.charge_ns(cost.disk_read_ns(self.raw_bytes));
+                    dev.charge_ns(disk_read_ns(self.raw_bytes));
                     // Dictionary conversion of the raw text.
                     sc.charge_items(self.tokens.len() as u64);
                     sc.note_dram(staging);

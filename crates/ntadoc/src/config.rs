@@ -1,5 +1,5 @@
-//! Engine configuration: the design knobs of §IV plus the calibrated cost
-//! model for CPU-side work.
+//! Engine configuration: the design knobs of §IV, plus the calibrated
+//! cost constants for CPU-side and disk work.
 
 /// DAG traversal strategy (§VI-E).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -26,50 +26,33 @@ pub enum Persistence {
     OperationLevel,
 }
 
-/// Modeled CPU costs in nanoseconds, charged onto the engine's device
-/// clock so total virtual time includes compute, not just memory traffic.
-/// Values approximate a ~3 GHz core doing hash-and-add work per item.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CostModel {
-    /// Per token / symbol visited by an analytics loop.
-    pub per_item_ns: u64,
-    /// Per comparison during host-side sorting of results.
-    pub per_compare_ns: u64,
-    /// Fixed cost of opening/mapping a persistent pool at init (namespace
-    /// lookup, mmap, header validation). Paid once per run on persistent
-    /// devices; this is why small datasets benefit least from NVM
-    /// (paper §VI-B, §VI-F limitations).
-    pub pool_open_ns: u64,
-    /// Per-object cost of a PMDK-style persistent allocator (paid by the
-    /// scattered/naive layout on persistent devices; §III-B).
-    pub pmdk_alloc_ns: u64,
-    /// Per-object cost of `malloc` (paid by the scattered layout on DRAM).
-    pub malloc_ns: u64,
-    /// Disk the corpus image is loaded from at init: latency per file.
-    pub disk_latency_ns: u64,
-    /// Disk streaming bandwidth in bytes per microsecond (~2 GB/s NVMe).
-    pub disk_bw_bytes_per_us: u64,
-}
+// Modeled CPU and disk costs in nanoseconds, charged onto the engine's
+// device clock so total virtual time includes compute, not just memory
+// traffic. Values approximate a ~3 GHz core doing hash-and-add work per
+// item.
 
-impl Default for CostModel {
-    fn default() -> Self {
-        CostModel {
-            per_item_ns: 3,
-            per_compare_ns: 12,
-            pool_open_ns: 2_000_000,
-            pmdk_alloc_ns: 3_000,
-            malloc_ns: 80,
-            disk_latency_ns: 50_000,
-            disk_bw_bytes_per_us: 2_000,
-        }
-    }
-}
+/// Per token / symbol visited by an analytics loop.
+pub(crate) const PER_ITEM_NS: u64 = 3;
+/// Per comparison during host-side sorting of results.
+pub(crate) const PER_COMPARE_NS: u64 = 12;
+/// Fixed cost of opening/mapping a persistent pool at init (namespace
+/// lookup, mmap, header validation). Paid once per run on persistent
+/// devices; this is why small datasets benefit least from NVM (paper
+/// §VI-B, §VI-F limitations).
+pub(crate) const POOL_OPEN_NS: u64 = 2_000_000;
+/// Per-object cost of a PMDK-style persistent allocator (paid by the
+/// scattered/naive layout on persistent devices; §III-B).
+pub(crate) const PMDK_ALLOC_NS: u64 = 3_000;
+/// Per-object cost of `malloc` (paid by the scattered layout on DRAM).
+pub(crate) const MALLOC_NS: u64 = 80;
+/// Disk the corpus image is loaded from at init: latency per file.
+const DISK_LATENCY_NS: u64 = 50_000;
+/// Disk streaming bandwidth in bytes per microsecond (~2 GB/s NVMe).
+const DISK_BW_BYTES_PER_US: u64 = 2_000;
 
-impl CostModel {
-    /// Cost of streaming `bytes` from the source disk.
-    pub fn disk_read_ns(&self, bytes: u64) -> u64 {
-        self.disk_latency_ns + bytes * 1000 / (self.disk_bw_bytes_per_us * 1000)
-    }
+/// Cost of streaming `bytes` from the source disk.
+pub(crate) fn disk_read_ns(bytes: u64) -> u64 {
+    DISK_LATENCY_NS + bytes * 1000 / (DISK_BW_BYTES_PER_US * 1000)
 }
 
 /// Full engine configuration. The three boolean knobs are exactly the
@@ -94,10 +77,6 @@ pub struct EngineConfig {
     pub persistence: Persistence,
     /// `n` for sequence count / ranked inverted index (n-grams).
     pub ngram: usize,
-    /// `k` for term vector (top-k most frequent words per file).
-    pub top_k: usize,
-    /// CPU/disk cost model.
-    pub cost: CostModel,
 }
 
 impl EngineConfig {
@@ -110,8 +89,6 @@ impl EngineConfig {
             traversal: Traversal::Auto,
             persistence: Persistence::PhaseLevel,
             ngram: 3,
-            top_k: 10,
-            cost: CostModel::default(),
         }
     }
 
@@ -131,8 +108,6 @@ impl EngineConfig {
             traversal: Traversal::Auto,
             persistence: Persistence::PhaseLevel,
             ngram: 3,
-            top_k: 10,
-            cost: CostModel::default(),
         }
     }
 
@@ -170,8 +145,7 @@ mod tests {
 
     #[test]
     fn disk_read_cost_scales_with_bytes() {
-        let c = CostModel::default();
-        assert!(c.disk_read_ns(1 << 20) > c.disk_read_ns(1 << 10));
-        assert_eq!(c.disk_read_ns(0), c.disk_latency_ns);
+        assert!(disk_read_ns(1 << 20) > disk_read_ns(1 << 10));
+        assert_eq!(disk_read_ns(0), DISK_LATENCY_NS);
     }
 }

@@ -10,7 +10,6 @@ use ntadoc_pmem::{
 
 use super::{CapacityPlan, Engine};
 use crate::config::EngineConfig;
-use crate::ingest::{ingest_corpus, IngestOptions};
 use crate::layout::PoolLayoutConfig;
 use crate::query::snapshot_fingerprint;
 use crate::summation::{bounds_over, head_tail_over, GrammarFacts};
@@ -42,7 +41,7 @@ pub enum RetryPolicy {
 /// assert_eq!(engine.label(), "N-TADOC");
 /// ```
 pub struct EngineBuilder {
-    source: BuildSource,
+    comp: Arc<Compressed>,
     cfg: EngineConfig,
     profile: ProfileChoice,
     label: Option<String>,
@@ -58,17 +57,10 @@ enum ProfileChoice {
     Given(DeviceProfile),
     /// An SSD (or, `hdd`, a disk) with the paper's memory budget: the page
     /// cache capped at 20% of the uncompressed dataset size, resolved at
-    /// `build` once the corpus exists (raw files are only compressed there).
+    /// `build`.
     Block {
         hdd: bool,
     },
-}
-
-/// What the builder starts from: an existing compressed corpus, or raw
-/// files to be ingested (serially or chunk-parallel) at `build`.
-pub(super) enum BuildSource {
-    Corpus(Arc<Compressed>),
-    Files(Vec<(String, String)>),
 }
 
 /// Which [`StableStore`](ntadoc_pmem::StableStore) keeps the pool file
@@ -136,9 +128,9 @@ impl PoolBackend {
 }
 
 impl EngineBuilder {
-    pub(super) fn new(source: BuildSource) -> EngineBuilder {
+    pub(super) fn new(comp: Arc<Compressed>) -> EngineBuilder {
         EngineBuilder {
-            source,
+            comp,
             cfg: EngineConfig::ntadoc(),
             profile: ProfileChoice::Given(DeviceProfile::nvm_optane()),
             label: None,
@@ -146,28 +138,6 @@ impl EngineBuilder {
             pool_backend: PoolBackend::default(),
             pool_layout: PoolLayoutConfig::default(),
         }
-    }
-
-    /// Start building an engine from raw `(file name, contents)` pairs:
-    /// `build` runs the ingest pipeline (tokenize → chunk → Sequitur →
-    /// merge) first, as one chunk with the default tokenizer, and the
-    /// resulting engine exposes the build measurements via
-    /// [`Engine::ingest_report`].
-    ///
-    /// ```
-    /// use ntadoc::{EngineBuilder, Task};
-    ///
-    /// let files = vec![
-    ///     ("a.txt".to_string(), "to be or not to be".to_string()),
-    ///     ("b.txt".to_string(), "to be sure to be".to_string()),
-    /// ];
-    /// let mut engine = EngineBuilder::from_files(files).build().unwrap();
-    /// let out = engine.run(Task::WordCount).unwrap();
-    /// assert_eq!(out.as_word_counts().unwrap().get("to"), Some(&4));
-    /// assert!(engine.ingest_report().unwrap().virtual_ns > 0);
-    /// ```
-    pub fn from_files(files: Vec<(String, String)>) -> EngineBuilder {
-        EngineBuilder::new(BuildSource::Files(files))
     }
 
     /// Device profile to simulate. Defaults to Optane NVM.
@@ -228,18 +198,9 @@ impl EngineBuilder {
         self
     }
 
-    /// Finish construction. Runs the ingest pipeline first when the
-    /// builder started from raw files ([`EngineBuilder::from_files`]).
-    /// Fails on an empty corpus.
+    /// Finish construction. Fails on an empty corpus.
     pub fn build(self) -> Result<Engine> {
-        let EngineBuilder { source, cfg, profile, label, retry, pool_backend, pool_layout } = self;
-        let (comp, ingest_report) = match source {
-            BuildSource::Corpus(comp) => (comp, None),
-            BuildSource::Files(files) => {
-                let (comp, report) = ingest_corpus(&files, &IngestOptions::default());
-                (Arc::new(comp), Some(report))
-            }
-        };
+        let EngineBuilder { comp, cfg, profile, label, retry, pool_backend, pool_layout } = self;
         if comp.file_names.is_empty() {
             return Err(PmemError::Unsupported(
                 "engines need a corpus with at least one file".into(),
@@ -273,7 +234,7 @@ impl EngineBuilder {
         });
         let facts = Arc::new(GrammarFacts::derive(&comp.grammar));
         let bounds = bounds_over(&comp.grammar, &facts.topo).bounds;
-        let info = head_tail_over(&comp.grammar, &facts.topo, 1);
+        let info = head_tail_over(&comp.grammar, &facts.topo, 0);
         let plan = CapacityPlan::from_facts(&comp, &bounds, &info);
         // Accounted without materializing the image (it is streamed from
         // disk at init; the engine only needs its size).
@@ -291,7 +252,6 @@ impl EngineBuilder {
             bounds,
             info,
             snapshot,
-            ingest_report,
             append_log: Vec::new(),
             pool_backend,
             pool_layout,

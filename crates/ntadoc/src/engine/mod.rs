@@ -48,20 +48,19 @@ mod txcounter;
 use std::path::Path;
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use ntadoc_grammar::{deserialize_compressed, serialized_len, Compressed};
+use ntadoc_grammar::{serialized_len, Compressed};
 use ntadoc_pmem::{DeviceProfile, PmemError, PoolHeader, PoolLayout, SpanNode, TxLog};
 
 pub use builder::{EngineBuilder, PoolBackend, RetryPolicy};
 pub use serve::ServeSession;
 pub use session::Session;
 
-use builder::BuildSource;
 pub(crate) use interner::Interner;
 pub(crate) use scaffold::{with_doubling_capacity, RunScaffold, LOG_BYTES};
 pub(crate) use txcounter::TxCounter;
 
 use crate::config::{EngineConfig, Persistence};
-use crate::ingest::{ingest_append, AppendIngest, IngestOptions, IngestReport};
+use crate::ingest::{ingest_append, AppendIngest};
 use crate::layout::PoolLayoutConfig;
 use crate::query::{snapshot_fingerprint, Query, Snapshot, TenantId};
 use crate::report::RunReport;
@@ -96,15 +95,12 @@ pub struct Engine {
     /// re-derive only the dirty rules ([`upper_bounds_incremental`]);
     /// always equal to a full recompute, so sessions take theirs from here.
     bounds: Vec<u64>,
-    /// Width-1 head/tail facts, maintained incrementally across appends
-    /// for the same reason.
+    /// Per-rule expansion lengths (head/tail facts of width 0),
+    /// maintained incrementally across appends for the same reason.
     info: HeadTailInfo,
     /// Deterministic corpus fingerprint ([`snapshot_fingerprint`]) — the
     /// grammar snapshot version that keys serve-layer result caches.
     snapshot: u64,
-    /// Measurement record of the ingest pipeline, when this engine was
-    /// built from raw files.
-    ingest_report: Option<IngestReport>,
     /// One record per completed [`Engine::append_files`] call, oldest
     /// first.
     append_log: Vec<AppendReport>,
@@ -159,7 +155,7 @@ struct CapacityPlan {
 
 impl CapacityPlan {
     /// Derive the plan from the corpus plus the maintained summation
-    /// facts (unclamped bounds, width-1 head/tail info). Shared between
+    /// facts (unclamped bounds, expansion lengths). Shared between
     /// the base build and the incremental append path so both produce
     /// identical plans for identical corpora.
     fn from_facts(comp: &Compressed, bounds: &[u64], info: &HeadTailInfo) -> CapacityPlan {
@@ -180,17 +176,7 @@ impl Engine {
     /// Start building an engine for `comp` (an owned corpus or a shared
     /// `Arc<Compressed>` — engines never clone the corpus).
     pub fn builder(comp: impl Into<Arc<Compressed>>) -> EngineBuilder {
-        EngineBuilder::new(BuildSource::Corpus(comp.into()))
-    }
-
-    /// Start building an engine straight from a serialized corpus image,
-    /// as a restart after a crash would do. A torn, truncated or
-    /// bit-flipped image is rejected with [`PmemError::CorruptImage`] —
-    /// the engine never comes up over garbage.
-    pub fn builder_from_image(image: &[u8]) -> Result<EngineBuilder> {
-        let comp =
-            deserialize_compressed(image).map_err(|e| PmemError::CorruptImage(e.to_string()))?;
-        Ok(Self::builder(comp))
+        EngineBuilder::new(comp.into())
     }
 
     /// Size of the corpus as uncompressed dictionary-encoded text.
@@ -221,14 +207,6 @@ impl Engine {
         self.snapshot
     }
 
-    /// Measurement record of the ingest pipeline ([`IngestReport`]), when
-    /// this engine was built from raw files via
-    /// [`EngineBuilder::from_files`]; `None` for engines built from an
-    /// already-compressed corpus.
-    pub fn ingest_report(&self) -> Option<&IngestReport> {
-        self.ingest_report.as_ref()
-    }
-
     /// One [`AppendReport`] per completed [`Engine::append_files`] call,
     /// oldest first.
     pub fn append_log(&self) -> &[AppendReport] {
@@ -242,14 +220,12 @@ impl Engine {
     /// snapshot fingerprint moves; sessions and pools opened before the
     /// append keep serving the old snapshot until re-opened.
     ///
-    /// The delta is tokenized and seam-deduplicated with the default
-    /// [`IngestOptions`], like every corpus an [`EngineBuilder`] ingests; a
-    /// corpus built with other options appends through [`ingest_append`].
+    /// The delta goes through [`ingest_append`].
     pub fn append_files(&mut self, files: Vec<(String, String)>) -> Result<AppendReport> {
         if files.is_empty() {
             return Err(PmemError::Unsupported("append_files needs at least one file".into()));
         }
-        let step = ingest_append(&self.comp, &files, &IngestOptions::default());
+        let step = ingest_append(&self.comp, &files);
         let AppendIngest {
             comp,
             outcome,
@@ -265,7 +241,7 @@ impl Engine {
         // `append.resum` span in the ingest cost model.
         let prev = SummationResult { bounds: std::mem::take(&mut self.bounds) };
         self.bounds = upper_bounds_incremental(&comp.grammar, &prev, &outcome.dirty_rules).bounds;
-        self.info = head_tail_incremental(&comp.grammar, &self.info, 1, &outcome.dirty_rules);
+        self.info = head_tail_incremental(&comp.grammar, &self.info, 0, &outcome.dirty_rules);
         self.facts = Arc::new(GrammarFacts::derive(&comp.grammar));
         self.plan = CapacityPlan::from_facts(&comp, &self.bounds, &self.info);
         self.image_bytes = serialized_len(&comp) as u64;
@@ -281,7 +257,7 @@ impl Engine {
             virtual_ns,
             spans,
             old_fingerprint,
-            snapshot: Snapshot::stamped(self.snapshot, &self.comp),
+            snapshot: Snapshot::stamped(self.snapshot),
         };
         self.append_log.push(report.clone());
         Ok(report)
@@ -500,6 +476,7 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ingest::{ingest_corpus, IngestOptions};
     use crate::summation::upper_bounds;
 
     fn files(range: std::ops::Range<usize>) -> Vec<(String, String)> {
@@ -518,7 +495,8 @@ mod tests {
     /// pools they write).
     #[test]
     fn engine_held_bounds_equal_a_full_recompute() {
-        let mut engine = EngineBuilder::from_files(files(0..5)).build().unwrap();
+        let (comp, _) = ingest_corpus(&files(0..5), &IngestOptions::default());
+        let mut engine = Engine::builder(comp).build().unwrap();
         assert_eq!(engine.bounds, upper_bounds(&engine.comp.grammar).bounds, "fresh");
         engine.append_files(files(5..8)).unwrap();
         engine.append_files(files(8..9)).unwrap();

@@ -23,7 +23,7 @@ use ntadoc_pmem::{
 
 use super::txcounter::commit_open;
 use super::{shape, Interner, TxCounter};
-use crate::config::{EngineConfig, Persistence};
+use crate::config::{disk_read_ns, EngineConfig, Persistence, PER_COMPARE_NS, PER_ITEM_NS};
 use crate::report::{
     RunReport, METRIC_DEFERRED_READS, METRIC_DEVICE_PEAK, METRIC_DRAM_PEAK, METRIC_HIT_RATE,
     REPORT_VERSION,
@@ -137,14 +137,14 @@ impl RunScaffold {
 
     /// Charge modeled CPU work for `n` items.
     pub(crate) fn charge_items(&self, n: u64) {
-        self.dev.charge_ns(n * self.cfg.cost.per_item_ns);
+        self.dev.charge_ns(n * PER_ITEM_NS);
     }
 
     /// Charge modeled CPU work for sorting `n` elements.
     pub(crate) fn charge_sort(&self, n: u64) {
         if n > 1 {
             let log = 64 - n.leading_zeros() as u64;
-            self.dev.charge_ns(n * log * self.cfg.cost.per_compare_ns);
+            self.dev.charge_ns(n * log * PER_COMPARE_NS);
         }
     }
 
@@ -233,7 +233,7 @@ impl RunScaffold {
                 if self.persists() {
                     self.pool.persist_used();
                 }
-                self.dev.charge_ns(self.cfg.cost.disk_read_ns(out.approx_bytes()));
+                self.dev.charge_ns(disk_read_ns(out.approx_bytes()));
                 Ok(())
             })?;
             Ok(out)

@@ -8,7 +8,7 @@ use ntadoc_pmem::{
 };
 
 use super::{lock, Engine, RetryPolicy, RunScaffold};
-use crate::config::Traversal;
+use crate::config::{disk_read_ns, Traversal, MALLOC_NS, PMDK_ALLOC_NS, POOL_OPEN_NS};
 use crate::dag::{DagBuildOptions, DagPool};
 use crate::layout::PoolLayoutConfig;
 use crate::query::{snapshot_fingerprint, Query, QueryResponse, Snapshot};
@@ -93,7 +93,7 @@ impl Session {
         // The session's snapshot handle pins the corpus identity; responses
         // hand it out so callers can tell exactly which published state
         // answered them.
-        let snapshot = Snapshot::stamped(engine.snapshot, &engine.comp);
+        let snapshot = Snapshot::stamped(engine.snapshot);
         debug_assert_eq!(engine.snapshot, snapshot_fingerprint(&engine.comp));
         let mut session = Session {
             sc,
@@ -159,14 +159,13 @@ impl Session {
     /// but walk the grammar only to write it to the device.
     fn init_steps(&mut self, obs: &Obs, dev: &SimDevice, engine_bounds: &[u64]) -> Result<()> {
         let cfg = self.sc.cfg.clone();
-        let cost = cfg.cost;
         let task = self.sc.task;
         let persistent = dev.profile().kind.is_persistent();
         // 0. Open/map the persistent pool (fixed cost; volatile DRAM runs
         // skip it — this is part of why the smallest dataset shows the
         // largest gap to DRAM TADOC in Figure 6).
         if persistent {
-            obs.span("pool-open", dev, || dev.charge_ns(cost.pool_open_ns));
+            obs.span("pool-open", dev, || dev.charge_ns(POOL_OPEN_NS));
         }
         // 1. Stream the compressed image from disk. The staging buffer the
         // image is parsed out of is DRAM-resident for the duration of the
@@ -174,7 +173,7 @@ impl Session {
         // footprint (§VI-C).
         let staging = self.image_bytes * 3 / 2; // raw image + parse cursor state
         obs.span("image-stream", dev, || {
-            dev.charge_ns(cost.disk_read_ns(self.image_bytes));
+            dev.charge_ns(disk_read_ns(self.image_bytes));
             self.sc.note_dram(staging);
         });
         // 2. Parse (host CPU).
@@ -209,7 +208,7 @@ impl Session {
                 adjacent: cfg.adjacent_layout,
                 bounds,
                 head_tail,
-                alloc_overhead_ns: if persistent { cost.pmdk_alloc_ns } else { cost.malloc_ns },
+                alloc_overhead_ns: if persistent { PMDK_ALLOC_NS } else { MALLOC_NS },
                 layout: self.pool_layout,
             };
             self.dag =

@@ -98,7 +98,10 @@ pub(crate) fn sort(
     rows
 }
 
-/// Term vector: each file's `top_k` words, count descending with the
+/// Words a term-vector row keeps per file.
+pub(crate) const TOP_K: usize = 10;
+
+/// Term vector: each file's [`TOP_K`] words, count descending with the
 /// dictionary id as the deterministic tiebreak.
 pub(crate) fn term_vector(
     sc: &RunScaffold,
@@ -110,7 +113,7 @@ pub(crate) fn term_vector(
     for mut entries in tables {
         sc.charge_sort(entries.len() as u64);
         entries.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        entries.truncate(sc.cfg.top_k);
+        entries.truncate(TOP_K);
         words.touch_all(entries.iter().map(|&(w, _)| w));
         for (w, c) in entries {
             items.push(w);

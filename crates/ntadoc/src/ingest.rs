@@ -13,9 +13,12 @@
 //! byte tokenized, per symbol pushed through Sequitur, per symbol merged):
 //! ingest is CPU work over host memory, not device traffic, so the model
 //! prices the computation rather than simulated NVM accesses. The absolute
-//! constants are calibrated to the same order as the engines'
-//! [`CostModel::per_item_ns`](crate::config::CostModel); what matters for
-//! the experiments is that they are pure functions of the input.
+//! constants are calibrated to the same order as the engines' per-item
+//! charge; what matters for the experiments is that they are pure
+//! functions of the input.
+//!
+//! Both pipelines tokenize with [`TokenizerConfig::default`], as
+//! `ntadoc compress` always has.
 //!
 //! Observability: the build records an `ingest` span with `ingest.tokenize`
 //! and `ingest.merge` child spans plus one pre-measured `ingest.chunk{N}`
@@ -32,7 +35,7 @@ const SEQUITUR_NS_PER_TOKEN: u64 = 40;
 const MERGE_NS_PER_SYMBOL: u64 = 6;
 const INTERN_NS_PER_WORD: u64 = 20;
 /// Re-summation of a dirty rule's body, per symbol — same order as the
-/// engines' `CostModel::per_item_ns`.
+/// engines' per-item charge.
 const RESUM_NS_PER_SYMBOL: u64 = 3;
 
 /// Knobs for the chunk-parallel ingest pipeline.
@@ -41,13 +44,11 @@ pub struct IngestOptions {
     /// Number of deterministic input chunks (`1` = serial build,
     /// byte-identical to [`ntadoc_grammar::compress_corpus`]).
     pub chunks: usize,
-    /// Tokenizer configuration.
-    pub tokenizer: TokenizerConfig,
 }
 
 impl Default for IngestOptions {
     fn default() -> Self {
-        IngestOptions { chunks: 1, tokenizer: TokenizerConfig::default() }
+        IngestOptions { chunks: 1 }
     }
 }
 
@@ -88,9 +89,10 @@ impl IngestReport {
 /// ([`merge::build_chunk_of_files`]); a second scan costs less than holding
 /// a `String` per token between the stages did. The model charges one
 /// tokenization, here.
-fn token_counts(dev: &SimDevice, files: &[(String, String)], opts: &IngestOptions) -> Vec<usize> {
+fn token_counts(dev: &SimDevice, files: &[(String, String)]) -> Vec<usize> {
+    let cfg = TokenizerConfig::default();
     let (counts, charges) = par::par_map_timed(files, |_, (_, text)| {
-        let n = Tokens::new(text, &opts.tokenizer).count();
+        let n = Tokens::new(text, &cfg).count();
         dev.charge_ns(text.len() as u64 * TOKENIZE_NS_PER_BYTE);
         n
     });
@@ -104,13 +106,13 @@ fn token_counts(dev: &SimDevice, files: &[(String, String)], opts: &IngestOption
 fn build_chunks(
     dev: &SimDevice,
     files: &[(String, String)],
-    opts: &IngestOptions,
     plan: &[Vec<merge::Piece>],
     file_base: usize,
 ) -> (Vec<merge::ChunkGrammar>, Vec<DeferredCharges>) {
+    let cfg = TokenizerConfig::default();
     par::par_map_timed(plan, |_, pieces| {
         let tokens: u64 = pieces.iter().map(|p| (p.end - p.start) as u64).sum();
-        let cg = merge::build_chunk_of_files(files, &opts.tokenizer, pieces, file_base);
+        let cg = merge::build_chunk_of_files(files, &cfg, pieces, file_base);
         dev.charge_ns(tokens * SEQUITUR_NS_PER_TOKEN);
         cg
     })
@@ -145,9 +147,9 @@ pub fn ingest_corpus(
     let mut chunk_ns: Vec<u64> = Vec::new();
 
     let comp = obs.span("ingest", &dev, || {
-        let counts = obs.span("ingest.tokenize", &dev, || token_counts(&dev, files, opts));
+        let counts = obs.span("ingest.tokenize", &dev, || token_counts(&dev, files));
         let plan = merge::plan_chunks(&counts, opts.chunks);
-        let (built, charges) = build_chunks(&dev, files, opts, &plan, 0);
+        let (built, charges) = build_chunks(&dev, files, &plan, 0);
         // Chunk spans are recorded post-join from the captured sinks: the
         // chunks ran concurrently, so they appear as pre-measured leaves
         // rather than nested (serialized) spans.
@@ -217,14 +219,10 @@ pub struct AppendIngest {
 /// rules) is charged — the whole step's cost scales with the *delta*, not
 /// the corpus, which is exactly what a full rebuild cannot do.
 ///
-/// Pure function of `(base, files, opts.tokenizer)`:
+/// Pure function of `(base, files)`:
 /// both the grown corpus and `virtual_ns` are bit-identical for any
 /// `RAYON_NUM_THREADS`, so a fold of appends is replayable byte for byte.
-pub fn ingest_append(
-    base: &Compressed,
-    files: &[(String, String)],
-    opts: &IngestOptions,
-) -> AppendIngest {
+pub fn ingest_append(base: &Compressed, files: &[(String, String)]) -> AppendIngest {
     let obs = Obs::new();
     // Same pure virtual timebase as `ingest_corpus`.
     let dev = SimDevice::new(DeviceProfile::dram(), 4096);
@@ -232,13 +230,13 @@ pub fn ingest_append(
     let appended_bytes: u64 = files.iter().map(|(_, t)| t.len() as u64).sum();
 
     let (comp, outcome, dirty_symbols) = obs.span("append", &dev, || {
-        let counts = obs.span("append.tokenize", &dev, || token_counts(&dev, files, opts));
+        let counts = obs.span("append.tokenize", &dev, || token_counts(&dev, files));
         appended_tokens = counts.iter().map(|&c| c as u64).sum();
         // One chunk spanning every appended file, at global file indices
         // past the existing corpus.
         let plan = merge::plan_chunks(&counts, 1);
         let file_base = base.file_names.len();
-        let (built, charges) = build_chunks(&dev, files, opts, &plan, file_base);
+        let (built, charges) = build_chunks(&dev, files, &plan, file_base);
         let delta = AccessStats { virtual_ns: charges[0].ns(), ..AccessStats::default() };
         obs.record_leaf("append.chunk0", delta);
         par::join_deferred(&dev, &charges);
@@ -322,7 +320,7 @@ mod tests {
     #[test]
     fn virtual_time_is_identical_for_any_worker_count() {
         let files = corpus();
-        let opts = IngestOptions { chunks: 8, ..IngestOptions::default() };
+        let opts = IngestOptions { chunks: 8 };
         let runs: Vec<(u64, Vec<u64>, String)> = [1usize, 4, 8]
             .into_iter()
             .map(|threads| {
@@ -340,8 +338,7 @@ mod tests {
     #[test]
     fn spans_cover_all_stages() {
         let files = corpus();
-        let (_, report) =
-            ingest_corpus(&files, &IngestOptions { chunks: 4, ..IngestOptions::default() });
+        let (_, report) = ingest_corpus(&files, &IngestOptions { chunks: 4 });
         assert_eq!(report.spans.name, "ingest");
         assert!(report.spans.find("ingest.tokenize").is_some());
         assert!(report.spans.find("ingest.merge").is_some());
@@ -362,7 +359,7 @@ mod tests {
             let (mut comp, base) = ingest_corpus(&files[..1], &IngestOptions::default());
             let mut total_ns = base.virtual_ns;
             for f in &files[1..] {
-                let step = ingest_append(&comp, std::slice::from_ref(f), &IngestOptions::default());
+                let step = ingest_append(&comp, std::slice::from_ref(f));
                 comp = step.comp;
                 total_ns += step.virtual_ns;
             }
@@ -385,7 +382,7 @@ mod tests {
         let files = corpus();
         let (comp, full) = ingest_corpus(&files, &IngestOptions::default());
         let one_more = vec![("fresh.txt".to_string(), files[0].1.clone())];
-        let step = ingest_append(&comp, &one_more, &IngestOptions::default());
+        let step = ingest_append(&comp, &one_more);
         assert!(
             step.virtual_ns * 3 < full.virtual_ns,
             "append of one file ({} ns) should cost a small fraction of the full build ({} ns)",
@@ -403,8 +400,7 @@ mod tests {
     fn chunked_build_models_parallel_speedup() {
         let files = corpus();
         let (_, serial) = ingest_corpus(&files, &IngestOptions::default());
-        let (_, chunked) =
-            ingest_corpus(&files, &IngestOptions { chunks: 8, ..IngestOptions::default() });
+        let (_, chunked) = ingest_corpus(&files, &IngestOptions { chunks: 8 });
         // Eight near-equal chunks on eight virtual lanes: the chunk stage
         // folds nearly 8x; tokenize and merge dilute it, but the modeled
         // build must still come out well over 2x faster.

@@ -1,9 +1,9 @@
-//! DAG-pool layouts (ROADMAP item 4).
+//! DAG-pool layouts.
 //!
 //! The cost model charges per distinct 256 B media line touched, so the
 //! representation of the per-rule pruned views and word-list caches is a
 //! first-order term in traversal cost. This module defines the two layouts
-//! an ablation defends (EXPERIMENTS.md, "Layout ablation"):
+//! an ablation kept (EXPERIMENTS.md, "Retired and ablated"):
 //!
 //! * **fixed** ([`PoolLayoutConfig::Fixed`], the default): every
 //!   id/frequency is a little-endian `u32`, decode is a copy — wins the

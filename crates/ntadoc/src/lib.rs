@@ -66,7 +66,7 @@ pub mod sweep;
 
 pub use access::Accessor;
 pub use baseline::{UncompressedEngine, UncompressedEngineBuilder};
-pub use config::{CostModel, EngineConfig, Persistence, Traversal};
+pub use config::{EngineConfig, Persistence, Traversal};
 pub use engine::{
     AppendReport, Engine, EngineBuilder, PoolBackend, RetryPolicy, ServeSession, Session,
 };

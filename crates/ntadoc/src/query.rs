@@ -21,57 +21,30 @@ use ntadoc_grammar::Compressed;
 use crate::result::{Task, TaskOutput, TaskRows};
 
 /// First-class handle to one published grammar snapshot: the corpus
-/// fingerprint and its size.
+/// fingerprint.
 ///
 /// A `Snapshot` is minted when a session opens over a pool
 /// ([`crate::Engine::serve`]) or when an append publishes a grown corpus
 /// ([`crate::Engine::append_files`]); responses reference it so a caller
 /// can always tell *which* corpus state produced an answer, and caches can
-/// key on [`Snapshot::fingerprint`]. Identity (equality, hashing,
-/// ordering) is the fingerprint alone — two handles over the same corpus
+/// key on [`Snapshot::fingerprint`]. Two handles over the same corpus
 /// compare equal whatever pools serve them (e.g. the Sim and File
 /// backends of one corpus).
-#[derive(Clone)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct Snapshot {
     fingerprint: u64,
-    files: usize,
-    rules: usize,
 }
 
 impl Snapshot {
-    /// Mint a handle for `comp`, whose fingerprint the caller already holds
-    /// (an engine computes it once per corpus, not per session).
-    pub(crate) fn stamped(fingerprint: u64, comp: &Compressed) -> Self {
-        Snapshot { fingerprint, files: comp.file_names.len(), rules: comp.grammar.rule_count() }
+    /// Mint the handle of the corpus whose fingerprint the caller already
+    /// holds (an engine computes it once per corpus, not per session).
+    pub(crate) fn stamped(fingerprint: u64) -> Self {
+        Snapshot { fingerprint }
     }
 
     /// The deterministic corpus fingerprint ([`snapshot_fingerprint`]).
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
-    }
-
-    /// Files in the snapshot's corpus.
-    pub fn files(&self) -> usize {
-        self.files
-    }
-
-    /// Rules in the snapshot's grammar.
-    pub fn rules(&self) -> usize {
-        self.rules
-    }
-}
-
-impl PartialEq for Snapshot {
-    fn eq(&self, other: &Self) -> bool {
-        self.fingerprint == other.fingerprint
-    }
-}
-
-impl Eq for Snapshot {}
-
-impl std::hash::Hash for Snapshot {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.fingerprint.hash(state);
     }
 }
 
@@ -79,8 +52,6 @@ impl std::fmt::Debug for Snapshot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Snapshot")
             .field("fingerprint", &format_args!("{:016x}", self.fingerprint))
-            .field("files", &self.files)
-            .field("rules", &self.rules)
             .finish()
     }
 }

@@ -38,19 +38,6 @@ use crate::device::SimDevice;
 use crate::json::Json;
 use crate::stats::AccessStats;
 
-/// Metric name for the peak pending-queue depth gauge of a serve daemon.
-pub const METRIC_QUEUE_DEPTH_PEAK: &str = "serve.queue_depth_peak";
-/// Metric name for the result-cache hit counter of a serve daemon.
-pub const METRIC_CACHE_HITS: &str = "serve.cache.hits";
-/// Metric name for the result-cache miss counter of a serve daemon.
-pub const METRIC_CACHE_MISSES: &str = "serve.cache.misses";
-/// Metric name for the result-cache hit-rate gauge of a serve daemon.
-pub const METRIC_CACHE_HIT_RATE: &str = "serve.cache.hit_rate";
-/// Metric name for the admission-control rejection counter.
-pub const METRIC_ADMISSION_REJECTED: &str = "serve.admission.rejected";
-/// Metric name for the batches-dispatched counter of a serve daemon.
-pub const METRIC_BATCHES: &str = "serve.batches";
-
 /// Compose a labeled span or metric name as `kind:label` — the naming
 /// convention for dynamically keyed series (per-tenant serve spans,
 /// per-tenant counters). Keeping the separator in one place lets report

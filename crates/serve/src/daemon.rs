@@ -15,12 +15,22 @@ use std::sync::Arc;
 
 use ntadoc::engine::ServeSession;
 use ntadoc::{Query, QueryResponse, RunReport, Snapshot, TenantId};
-use ntadoc_pmem::obs::{
-    labeled, METRIC_ADMISSION_REJECTED, METRIC_BATCHES, METRIC_CACHE_HITS, METRIC_CACHE_HIT_RATE,
-    METRIC_CACHE_MISSES, METRIC_QUEUE_DEPTH_PEAK,
-};
+use ntadoc_pmem::obs::labeled;
 
 use crate::{DaemonConfig, ResultCache, ServeError, TraceEvent};
+
+/// Metric name for the peak pending-queue depth gauge of a serve daemon.
+pub const METRIC_QUEUE_DEPTH_PEAK: &str = "serve.queue_depth_peak";
+/// Metric name for the result-cache hit counter of a serve daemon.
+pub const METRIC_CACHE_HITS: &str = "serve.cache.hits";
+/// Metric name for the result-cache miss counter of a serve daemon.
+pub const METRIC_CACHE_MISSES: &str = "serve.cache.misses";
+/// Metric name for the result-cache hit-rate gauge of a serve daemon.
+pub const METRIC_CACHE_HIT_RATE: &str = "serve.cache.hit_rate";
+/// Metric name for the admission-control rejection counter.
+pub const METRIC_ADMISSION_REJECTED: &str = "serve.admission.rejected";
+/// Metric name for the batches-dispatched counter of a serve daemon.
+pub const METRIC_BATCHES: &str = "serve.batches";
 
 /// One admitted-but-not-yet-dispatched query.
 #[derive(Debug)]
@@ -510,13 +520,9 @@ mod tests {
         d.execute(q).unwrap();
         let r1 = d.report();
         let r2 = d.report();
-        assert_eq!(r1.metric_u64(ntadoc_pmem::obs::METRIC_CACHE_HITS), Some(1));
-        assert_eq!(
-            r2.metric_u64(ntadoc_pmem::obs::METRIC_CACHE_HITS),
-            Some(1),
-            "re-reporting must not double-count"
-        );
-        assert_eq!(r1.metric_u64(ntadoc_pmem::obs::METRIC_BATCHES), Some(2));
-        assert!(r1.metric_f64(ntadoc_pmem::obs::METRIC_CACHE_HIT_RATE).unwrap() > 0.0);
+        assert_eq!(r1.metric_u64(METRIC_CACHE_HITS), Some(1));
+        assert_eq!(r2.metric_u64(METRIC_CACHE_HITS), Some(1), "re-reporting must not double-count");
+        assert_eq!(r1.metric_u64(METRIC_BATCHES), Some(2));
+        assert!(r1.metric_f64(METRIC_CACHE_HIT_RATE).unwrap() > 0.0);
     }
 }

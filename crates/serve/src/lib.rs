@@ -50,7 +50,10 @@ mod trace;
 mod wire;
 
 pub use cache::ResultCache;
-pub use daemon::{Completion, QueryDaemon, Rejection, TraceOutcome};
+pub use daemon::{
+    Completion, QueryDaemon, Rejection, TraceOutcome, METRIC_ADMISSION_REJECTED, METRIC_BATCHES,
+    METRIC_CACHE_HITS, METRIC_CACHE_HIT_RATE, METRIC_CACHE_MISSES, METRIC_QUEUE_DEPTH_PEAK,
+};
 pub use trace::{percentile_ns, TraceEvent, TraceSpec};
 pub use wire::{WireServer, MAX_REQUEST_BYTES};
 

@@ -207,7 +207,7 @@ fn ingest_allocates_per_word_rule_and_file_not_per_token() {
         let tokens: u64 = files.iter().map(|(_, t)| t.split_whitespace().count() as u64).sum();
 
         let (serial, serial_calls) = calls_during(|| compress_corpus(&files, &cfg));
-        let chunked_opts = IngestOptions { chunks: 2, ..IngestOptions::default() };
+        let chunked_opts = IngestOptions { chunks: 2 };
         let ((chunked, _), chunked_calls) = calls_during(|| ingest_corpus(&files, &chunked_opts));
         let rows = [
             ("compress_corpus", ingest_units(&serial), serial_calls, 3),

@@ -7,10 +7,11 @@
 
 mod common;
 
+use common::ingest_engine;
 use common::matrix::Path::Serve;
 use common::matrix::{cell, counts_turned, run_cells, Cell, Route};
 
-use ntadoc_repro::{fsck_pool, EngineBuilder, EngineConfig, PmemError, Query, Task, TenantId};
+use ntadoc_repro::{fsck_pool, EngineConfig, PmemError, Query, Task, TenantId};
 
 #[test]
 fn append_pipeline_is_identical_for_any_worker_count() {
@@ -31,8 +32,7 @@ fn sessions_opened_before_an_append_keep_serving_the_old_snapshot() {
         ("a".to_string(), "alpha beta gamma alpha beta".repeat(10)),
         ("b".to_string(), "gamma delta alpha beta gamma".repeat(10)),
     ];
-    let mut engine =
-        EngineBuilder::from_files(files).config(EngineConfig::ntadoc()).build().unwrap();
+    let (mut engine, _) = ingest_engine(&files, |b| b.config(EngineConfig::ntadoc())).unwrap();
     let old_fp = engine.snapshot_version();
     let old_serve = engine.serve().unwrap();
     let q = vec![Query::new(TenantId(0), Task::WordCount)];
@@ -75,8 +75,7 @@ fn stale_published_pools_are_recreated_on_open() {
         ("a".to_string(), "one two three one two".repeat(10)),
         ("b".to_string(), "three four one five".repeat(10)),
     ];
-    let mut engine =
-        EngineBuilder::from_files(files).config(EngineConfig::ntadoc()).build().unwrap();
+    let (mut engine, _) = ingest_engine(&files, |b| b.config(EngineConfig::ntadoc())).unwrap();
     let old_fp = engine.snapshot_version();
     {
         let mut s = engine.open_pool(&pool, Task::WordCount).unwrap();
@@ -105,7 +104,6 @@ fn stale_published_pools_are_recreated_on_open() {
 #[test]
 fn append_misuse_is_rejected_with_typed_errors() {
     let files = vec![("a".to_string(), "one two three".to_string())];
-    let mut engine =
-        EngineBuilder::from_files(files).config(EngineConfig::ntadoc()).build().unwrap();
+    let (mut engine, _) = ingest_engine(&files, |b| b.config(EngineConfig::ntadoc())).unwrap();
     assert!(matches!(engine.append_files(Vec::new()), Err(PmemError::Unsupported(_))));
 }

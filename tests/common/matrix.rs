@@ -99,7 +99,6 @@ pub const BACKENDS: [Backend; 3] = [Memory, File, Mmap];
 pub const PATHS: [Path; 5] = [RunRows, Session, Serve, ServePool, Wire];
 pub const WORKERS: [usize; 3] = [2, 4, 8];
 pub const NGRAMS: [usize; 5] = [2, 3, 4, 5, 7];
-pub const TOP_KS: [usize; 4] = [1, 2, 10, 100];
 const SERVABLE: [Task; 4] = [Task::WordCount, Task::Sort, Task::TermVector, Task::InvertedIndex];
 
 /// A corpus's files, printed in full only when they are short.
@@ -129,7 +128,6 @@ pub struct Cell {
     pub workers: usize,
     pub task: Task,
     pub ngram: usize,
-    pub top_k: usize,
     /// The query's shaping, on the serving paths.
     pub shape: Shape,
 }
@@ -167,7 +165,7 @@ impl Cell {
             BottomUp => EngineConfig { traversal: Traversal::BottomUp, ..nt },
             _ => nt,
         };
-        EngineConfig { ngram: self.ngram, top_k: self.top_k, ..cfg }
+        EngineConfig { ngram: self.ngram, ..cfg }
     }
 
     /// `builder` set up as the cell says, but for the pool `layout`.
@@ -253,7 +251,7 @@ fn awkward_words() -> Files {
 
 /// A cell of the catalogued corpus `name` with every other axis at its
 /// plainest: the serial build, phase-level N-TADOC, the fixed layout in
-/// memory, `run_rows` at one worker and at two, word count, trigrams, top 10.
+/// memory, `run_rows` at one worker and at two, word count, trigrams.
 pub fn cell(name: &str) -> Cell {
     let (corpus, files) = catalog().iter().find(|(n, _)| *n == name).expect("a catalogued corpus");
     Cell {
@@ -267,7 +265,6 @@ pub fn cell(name: &str) -> Cell {
         workers: 2,
         task: Task::WordCount,
         ngram: 3,
-        top_k: 10,
         shape: Shape::default(),
     }
 }
@@ -377,7 +374,6 @@ fn draw(rng: &mut Prng) -> Cell {
         workers: pick(rng, &WORKERS),
         task,
         ngram: pick(rng, &NGRAMS),
-        top_k: pick(rng, &TOP_KS),
         shape,
     }
 }
@@ -415,7 +411,6 @@ pub fn sweep_pairs() -> Vec<Cell> {
                 workers: WORKERS[k % 3],
                 task,
                 ngram: NGRAMS[k / 3 % NGRAMS.len()],
-                top_k: TOP_KS[k % 4],
                 shape: Shape {
                     top: [None, Some(2)][k % 2].filter(|_| serves),
                     file: Some(file.clone()).filter(|_| serves && task.is_file_oriented()),
@@ -558,7 +553,7 @@ pub fn run(cell: &Cell) {
     let oracle = Oracle::new(&cell.files.0);
     let one = par::with_threads(1, || attempt(cell)).unwrap();
     for (i, (task, shape, reply)) in one.replies.iter().enumerate() {
-        let want = oracle.reply(*task, cell.ngram, cell.top_k, shape);
+        let want = oracle.reply(*task, cell.ngram, shape);
         assert_eq!(reply, &want, "reply {i}, {task} shaped {shape:?}, against the oracle");
     }
     assert_eq!(one.words, oracle.words, "the dictionary numbers words as they first occur");
@@ -591,17 +586,16 @@ fn attempt(cell: &Cell) -> Result<Outcome, PmemError> {
     let files = &cell.files.0;
     let (comp, appended) = match cell.route {
         Route::Chunks(chunks) => {
-            let opts = IngestOptions { chunks, ..IngestOptions::default() };
-            let (comp, report) = ingest_corpus(files, &opts);
+            let (comp, report) = ingest_corpus(files, &IngestOptions { chunks });
             out.ingest.push((report.virtual_ns, report.chunk_ns, report.spans));
             (comp, None)
         }
         Route::Appends(seed) => {
             let plan = plan_from_seed(files.len(), seed);
-            let engine = build_by_appends(files, &plan, |b| cell.configure(b, cell.layout))?;
+            let (engine, base) =
+                build_by_appends(files, &plan, |b| cell.configure(b, cell.layout))?;
             assert_eq!(engine.append_log().len(), plan.len() - 1, "an append per group");
-            let base = engine.ingest_report().unwrap();
-            out.ingest.push((base.virtual_ns, base.chunk_ns.clone(), base.spans.clone()));
+            out.ingest.push((base.virtual_ns, base.chunk_ns, base.spans));
             for step in engine.append_log() {
                 out.ingest.push((step.virtual_ns, Vec::new(), step.spans.clone()));
             }

@@ -15,7 +15,10 @@ pub mod oracle;
 use std::fmt::Debug;
 use std::ops::Range;
 
-use ntadoc_repro::{for_each_case, Engine, EngineBuilder, PmemError, Prng};
+use ntadoc::IngestReport;
+use ntadoc_repro::{
+    for_each_case, ingest_corpus, Engine, EngineBuilder, IngestOptions, PmemError, Prng,
+};
 
 /// `(file name, text)` pairs, as `compress_corpus` takes them.
 pub type Files = Vec<(String, String)>;
@@ -56,22 +59,32 @@ pub fn named(texts: impl IntoIterator<Item = impl Into<String>>) -> Files {
     texts.into_iter().enumerate().map(|(i, text)| (format!("f{i}"), text.into())).collect()
 }
 
-/// Build by live appends: the first `plan[0]` files as the base corpus,
-/// built by `configure(EngineBuilder::from_files(..))`, each later group of
-/// `plan` through `Engine::append_files`.
+/// An engine over `files`, ingested serially and built by
+/// `configure(Engine::builder(..))`, and the ingest's report.
+pub fn ingest_engine(
+    files: &[(String, String)],
+    configure: impl FnOnce(EngineBuilder) -> EngineBuilder,
+) -> Result<(Engine, IngestReport), PmemError> {
+    let (comp, report) = ingest_corpus(files, &IngestOptions::default());
+    Ok((configure(Engine::builder(comp)).build()?, report))
+}
+
+/// Build by live appends: the first `plan[0]` files as the base corpus
+/// ([`ingest_engine`], whose report comes back with the engine), each
+/// later group of `plan` through `Engine::append_files`.
 pub fn build_by_appends(
     files: &[(String, String)],
     plan: &[usize],
     configure: impl FnOnce(EngineBuilder) -> EngineBuilder,
-) -> Result<Engine, PmemError> {
+) -> Result<(Engine, IngestReport), PmemError> {
     let (base, mut rest) = files.split_at(plan[0]);
-    let mut engine = configure(EngineBuilder::from_files(base.to_vec())).build()?;
+    let (mut engine, report) = ingest_engine(base, configure)?;
     for &n in &plan[1..] {
         let (group, tail) = rest.split_at(n);
         engine.append_files(group.to_vec())?;
         rest = tail;
     }
-    Ok(engine)
+    Ok((engine, report))
 }
 
 /// Deterministically partition `n` files into non-empty groups from a seed.

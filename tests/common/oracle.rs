@@ -15,6 +15,9 @@ use ntadoc_repro::{Json, Task, TokenizerConfig};
 
 use super::Files;
 
+/// Words a term-vector row keeps per file, on every engine.
+const TERM_VECTOR_WORDS: usize = 10;
+
 /// A served query's shaping: keep the top `top` rows, and of a
 /// file-oriented result only the files whose name holds `file`.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -52,9 +55,9 @@ impl Oracle {
         Oracle { words, names: files.iter().map(|(n, _)| n.clone()).collect(), files: tokens }
     }
 
-    /// The reply `task` must give, as compact JSON: `ngram` and `top_k`
-    /// are the engine's, `shape` the query's.
-    pub fn reply(&self, task: Task, ngram: usize, top_k: usize, shape: &Shape) -> String {
+    /// The reply `task` must give, as compact JSON: `ngram` is the
+    /// engine's, `shape` the query's.
+    pub fn reply(&self, task: Task, ngram: usize, shape: &Shape) -> String {
         let word = |id: &u32| self.words[*id as usize].clone();
         let gram = |g: &[u32]| g.iter().map(word).collect::<Vec<_>>().join(" ");
         let pairs = |rows: Vec<(String, u64)>| {
@@ -82,7 +85,7 @@ impl Oracle {
                 let rows = files.map(|(f, ids)| {
                     let mut terms: Vec<(u32, u64)> = tally(ids.iter().map(|&id| (id, 1)));
                     terms.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-                    terms.truncate(top_k.min(top));
+                    terms.truncate(TERM_VECTOR_WORDS.min(top));
                     let terms = terms.into_iter().map(|(id, c)| (word(&id), c)).collect();
                     Json::object([
                         ("file", Json::from(self.names[f].as_str())),

@@ -10,6 +10,7 @@ use std::io::{Read, Write};
 use std::os::unix::net::UnixStream;
 use std::sync::Arc;
 
+use ntadoc_grammar::serialize::ImageError;
 use ntadoc_pmem::json::MAX_DEPTH;
 use ntadoc_repro::{
     compress_corpus, deserialize_compressed, for_each_case, serialize_compressed, DaemonConfig,
@@ -180,15 +181,9 @@ fn sealed_images_of_invalid_grammars_are_rejected_with_a_typed_error() {
         let image = seal(rules);
         let err = deserialize_compressed(&image).unwrap_err();
         assert!(
-            matches!(err, ntadoc_grammar::serialize::ImageError::BadGrammar(_))
-                && err.to_string().contains(what),
+            matches!(err, ImageError::BadGrammar(_)) && err.to_string().contains(what),
             "{what}: {err}"
         );
-        match Engine::builder_from_image(&image) {
-            Err(PmemError::CorruptImage(msg)) => assert!(msg.contains(what), "{msg}"),
-            Err(e) => panic!("{what}: wrong error class {e}"),
-            Ok(_) => panic!("{what}: invalid grammar accepted"),
-        }
     }
 }
 
@@ -198,24 +193,21 @@ fn engine_rejects_corrupt_images_with_a_typed_error() {
     let clean = serialize_compressed(&comp).unwrap();
 
     // The pristine image round-trips into a working engine.
-    let mut engine = Engine::builder_from_image(&clean)
-        .and_then(|b| b.config(EngineConfig::ntadoc()).build())
-        .unwrap();
+    let back = deserialize_compressed(&clean).unwrap();
+    let mut engine = Engine::builder(back).config(EngineConfig::ntadoc()).build().unwrap();
     let mut ref_engine =
         Engine::builder(comp.clone()).config(EngineConfig::ntadoc()).build().unwrap();
     assert_eq!(engine.run(Task::WordCount).unwrap(), ref_engine.run(Task::WordCount).unwrap());
 
-    // Any payload bit flip must be caught by the checksum before the
-    // engine touches the contents.
+    // Any payload bit flip must be caught by the checksum before an
+    // engine can be built over the contents.
     let mut rng = Prng::new(2024);
     for _ in 0..32 {
         let mut image = clean.clone();
         let at = 24 + rng.next_below((image.len() - 24) as u64) as usize;
         image[at] ^= 0x40;
-        match Engine::builder_from_image(&image)
-            .and_then(|b| b.config(EngineConfig::ntadoc()).build())
-        {
-            Err(PmemError::CorruptImage(_)) => {}
+        match deserialize_compressed(&image) {
+            Err(ImageError::BadChecksum) => {}
             Err(e) => panic!("flip at {at}: wrong error class {e}"),
             Ok(_) => panic!("flip at {at}: corrupt image accepted"),
         }

@@ -14,8 +14,8 @@ use std::path::{Path, PathBuf};
 
 use ntadoc_repro::sweep::{CrashSweep, Stride, SweepBackend, SweepKnobs};
 use ntadoc_repro::{
-    compress_corpus, fsck_pool, sweep_ctx, Compressed, CrashPoint, Engine, EngineBuilder,
-    EngineConfig, FsckReport, Session, Task, TaskRows, TokenizerConfig,
+    compress_corpus, fsck_pool, ingest_corpus, sweep_ctx, Compressed, CrashPoint, Engine,
+    EngineConfig, FsckReport, IngestOptions, Session, Task, TaskRows, TokenizerConfig,
 };
 
 /// Fresh per-process pool path; callers remove it when done.
@@ -142,8 +142,8 @@ fn every_persist_point_converges_after_an_append() {
         ("a".to_string(), "one two three one two four five one".repeat(12)),
         ("b".to_string(), "one two three six seven two".repeat(12)),
     ];
-    let mut engine =
-        EngineBuilder::from_files(base).config(EngineConfig::ntadoc()).build().unwrap();
+    let (comp, _) = ingest_corpus(&base, &IngestOptions::default());
+    let mut engine = Engine::builder(comp).config(EngineConfig::ntadoc()).build().unwrap();
     engine
         .append_files(vec![("c".to_string(), "eight nine one seven two eight".repeat(12))])
         .unwrap();

@@ -5,7 +5,7 @@
 mod common;
 
 use common::matrix::Path::*;
-use common::matrix::{cell, run_cells, Backend, Cell, EngineKind, Route, ENGINES, TOP_KS};
+use common::matrix::{cell, run_cells, Backend, Cell, EngineKind, Route, ENGINES};
 use common::oracle::Shape;
 use ntadoc_repro::Task;
 
@@ -70,12 +70,11 @@ fn single_word_repeated_corpus_works() {
 #[test]
 fn top_k_sweep_truncates_consistently() {
     let vectors = Cell { task: Task::TermVector, ..cell("24 files") };
-    let engine_k = TOP_KS.map(|top_k| Cell { top_k, ..vectors.clone() });
     let tops = [Some(0), Some(1), Some(3), Some(1 << 40)];
     let served =
         tops.map(|top| Cell { path: Serve, shape: Shape { top, file: None }, ..vectors.clone() });
     let indexed = served.clone().map(|c| Cell { task: Task::InvertedIndex, ..c });
-    run_cells("top k", engine_k.into_iter().chain(served).chain(indexed));
+    run_cells("top k", [vectors].into_iter().chain(served).chain(indexed));
 }
 
 #[test]

@@ -183,11 +183,11 @@ fn serial(files: &[(String, String)]) -> Compressed {
 }
 
 fn chunked(files: &[(String, String)], chunks: usize) -> Compressed {
-    ingest_corpus(files, &IngestOptions { chunks, ..IngestOptions::default() }).0
+    ingest_corpus(files, &IngestOptions { chunks }).0
 }
 
 fn appended(files: &[(String, String)], plan: &[usize]) -> Compressed {
-    (**build_by_appends(files, plan, |b| b).unwrap().compressed()).clone()
+    (**build_by_appends(files, plan, |b| b).unwrap().0.compressed()).clone()
 }
 
 /// Every route over `files`, in the order `GOLDEN` lists them.

@@ -70,8 +70,7 @@ fn summation_bounds_stay_sound_over_merged_grammars() {
             let serial = compress_corpus(files, &cfg);
             let serial_actual = actual_word_lists(&serial.grammar);
             for w in [1usize, 2, 4, 8] {
-                let (chunked, _) =
-                    ingest_corpus(files, &IngestOptions { chunks: w, ..Default::default() });
+                let (chunked, _) = ingest_corpus(files, &IngestOptions { chunks: w });
                 let bounds = upper_bounds(&chunked.grammar).bounds;
                 let actual = actual_word_lists(&chunked.grammar);
                 for (r, (&b, &a)) in bounds.iter().zip(actual.iter()).enumerate() {

@@ -8,12 +8,12 @@
 
 mod common;
 
-use common::{check_corpora, vec_of, CorpusShape};
+use common::{check_corpora, ingest_engine, vec_of, CorpusShape};
 use ntadoc::dag::{prune_rule, FreqPairs};
 use ntadoc_pmem::par;
 use ntadoc_repro::{
-    compress_corpus, for_each_case, Compressed, DeviceProfile, Engine, EngineBuilder, EngineConfig,
-    Grammar, Query, RunReport, Symbol, Task, TenantId, TokenizerConfig, UncompressedEngine,
+    compress_corpus, for_each_case, Compressed, DeviceProfile, Engine, EngineConfig, Grammar,
+    Query, RunReport, Symbol, Task, TenantId, TokenizerConfig, UncompressedEngine,
     METRIC_DEVICE_PEAK, METRIC_DRAM_PEAK,
 };
 
@@ -200,9 +200,8 @@ fn init_image(engine: &Engine, task: Task) -> (u64, Vec<u8>) {
 fn sessions_from_maintained_bounds_write_the_pool_a_recompute_writes() {
     let files = fixed_corpus(12, 80);
     let cfg = EngineConfig::ntadoc;
-    let fresh = EngineBuilder::from_files(files[..6].to_vec()).config(cfg()).build().unwrap();
-    let mut appended =
-        EngineBuilder::from_files(files[..6].to_vec()).config(cfg()).build().unwrap();
+    let (fresh, _) = ingest_engine(&files[..6], |b| b.config(cfg())).unwrap();
+    let (mut appended, _) = ingest_engine(&files[..6], |b| b.config(cfg())).unwrap();
     let check = |engine: &Engine, what: &str| {
         let rebuilt = Engine::builder(engine.compressed().clone()).config(cfg()).build().unwrap();
         for task in [Task::WordCount, Task::InvertedIndex, Task::RankedInvertedIndex] {

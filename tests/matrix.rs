@@ -10,7 +10,7 @@ use std::collections::BTreeSet;
 use common::matrix::{catalog, Cell};
 use common::matrix::{
     each_drawn, run_cells, run_drawn, sweep_edges, sweep_pairs, tasks_for, Backend, Route,
-    BACKENDS, ENGINES, LAYOUTS, NGRAMS, PATHS, ROUTES, TOP_KS, WORKERS,
+    BACKENDS, ENGINES, LAYOUTS, NGRAMS, PATHS, ROUTES, WORKERS,
 };
 use ntadoc_repro::Task;
 
@@ -53,7 +53,6 @@ fn the_matrix_reaches_every_axis_value_and_every_task_path_pair() {
             format!("workers: {}", cell.workers),
             format!("task: {}", cell.task),
             format!("ngram: {}", cell.ngram),
-            format!("top_k: {}", cell.top_k),
             format!("pair: {} × {:?}", cell.task, cell.path),
             format!("pair: {} × {:?}", cell.task, cell.engine),
         ] {
@@ -72,7 +71,6 @@ fn the_matrix_reaches_every_axis_value_and_every_task_path_pair() {
     want.extend(WORKERS.iter().map(|w| format!("workers: {w}")));
     want.extend(Task::ALL.iter().map(|t| format!("task: {t}")));
     want.extend(NGRAMS.iter().map(|n| format!("ngram: {n}")));
-    want.extend(TOP_KS.iter().map(|k| format!("top_k: {k}")));
     for path in PATHS {
         want.extend(tasks_for(path).iter().map(|t| format!("pair: {t} × {path:?}")));
     }

@@ -100,9 +100,9 @@ fn in_tree_producers_emit_only_reachable_rules() {
             let at = 1 + split % files.len();
             if at < files.len() {
                 for chunks in [1usize, 3] {
-                    let opts = ntadoc_repro::IngestOptions { chunks, ..Default::default() };
+                    let opts = ntadoc_repro::IngestOptions { chunks };
                     let (base, _) = ntadoc_repro::ingest_corpus(&files[..at], &opts);
-                    let step = ntadoc_repro::ingest_append(&base, &files[at..], &opts);
+                    let step = ntadoc_repro::ingest_append(&base, &files[at..]);
                     step.comp.grammar.validate().unwrap();
                 }
             }

@@ -6,8 +6,10 @@
 //! rewind model (real NVM guarantees only 8-byte atomicity and no
 //! ordering between unfenced lines).
 
+use ntadoc::METRIC_MEDIA_RETRIES;
 use ntadoc_repro::{
-    compress_corpus, Compressed, Engine, EngineConfig, RetryPolicy, Task, TokenizerConfig,
+    compress_corpus, Compressed, Engine, EngineConfig, PmemError, Query, RetryPolicy, Task,
+    TenantId, TokenizerConfig, Traversal, METRIC_DEVICE_PEAK,
 };
 
 fn corpus() -> Compressed {
@@ -118,6 +120,60 @@ fn retrying_engine_matches_run_when_healthy() {
 }
 
 #[test]
+fn a_write_fault_past_the_device_budget_is_retried_by_the_engine() {
+    // Under operation-level persistence the traversal writes undo-log
+    // entries through the fallible path. The log's first line also holds
+    // its header, which opening a transaction writes infallibly, so the
+    // fault goes on the line after it, which only entries reach. Five
+    // failures are more than the device's per-write budget of three: the
+    // first attempt fails with a media error, and the retry's write heals
+    // the line.
+    let comp = corpus();
+    let query = Query::new(TenantId::default(), Task::WordCount);
+    let mut clean_engine =
+        Engine::builder(comp.clone()).config(EngineConfig::ntadoc_oplevel()).build().unwrap();
+    let clean = clean_engine.run(Task::WordCount).unwrap();
+    let engine = Engine::builder(comp)
+        .config(EngineConfig::ntadoc_oplevel())
+        .retry(RetryPolicy::MediaRetries(3))
+        .build()
+        .unwrap();
+    let pool = std::env::temp_dir().join(format!("ntadoc-retry-{}.ntdp", std::process::id()));
+    let _ = std::fs::remove_file(&pool);
+    let mut session = engine.open_pool(&pool, Task::WordCount).unwrap();
+    let dev = session.sim_device().clone();
+    let log_base = session.pool_file().unwrap().layout().log_base();
+    dev.inject_transient_write_fault(log_base + dev.profile().line_size as u64, 5);
+    let out = session.run_query(&query);
+    let _ = std::fs::remove_file(&pool);
+    assert_eq!(out.unwrap().output(), &clean);
+    let attempts = session.report().metric_u64(METRIC_MEDIA_RETRIES).unwrap_or(0);
+    assert!(attempts >= 1, "the first attempt must have failed: {attempts} retries");
+}
+
+#[test]
+fn a_read_fault_on_a_read_only_line_exhausts_the_retries() {
+    // Init lays the word-list caches out last, so the last byte it
+    // allocates (the device peak) sits in a word list. A bottom-up term
+    // vector reads that list through the fallible path and never writes
+    // it: the fault outlives every phase re-run.
+    const RETRIES: u32 = 2;
+    let cfg = EngineConfig { traversal: Traversal::BottomUp, ..EngineConfig::ntadoc() };
+    let engine = Engine::builder(corpus())
+        .config(cfg)
+        .retry(RetryPolicy::MediaRetries(RETRIES))
+        .build()
+        .unwrap();
+    let mut session = engine.session(Task::TermVector).unwrap();
+    let peak = session.report().metric_f64(METRIC_DEVICE_PEAK).unwrap() as u64;
+    session.sim_device().inject_read_fault(peak - 1);
+    let out = session.run_query(&Query::new(TenantId::default(), Task::TermVector));
+    assert!(matches!(out, Err(PmemError::MediaError { .. })), "{out:?}");
+    let attempts = session.report().metric_u64(METRIC_MEDIA_RETRIES);
+    assert_eq!(attempts, Some(u64::from(RETRIES)), "every retry ran and failed");
+}
+
+#[test]
 fn uncorrectable_faults_recover_by_phase_rerun_or_fail_cleanly() {
     // An uncorrectable read fault heals when the line is rewritten, so the
     // engine-level fallback (recover + phase re-run) must converge when the
@@ -148,7 +204,7 @@ fn uncorrectable_faults_recover_by_phase_rerun_or_fail_cleanly() {
         // A fault may sit on a line the traversal reads but never
         // rewrites (e.g. scratch metadata); then the error must be a
         // clean MediaError, never a panic or a wrong result.
-        Err(e) => assert!(matches!(e, ntadoc_repro::PmemError::MediaError { .. }), "{e}"),
+        Err(e) => assert!(matches!(e, PmemError::MediaError { .. }), "{e}"),
     }
 }
 

@@ -353,7 +353,7 @@ fn trace_rejections_are_reported_and_counted() {
     }
     let report = d.report();
     assert_eq!(
-        report.metric_u64(ntadoc_pmem::obs::METRIC_ADMISSION_REJECTED),
+        report.metric_u64(ntadoc_serve::METRIC_ADMISSION_REJECTED),
         Some(outcome.rejections.len() as u64),
         "rejections must surface in the metric snapshot"
     );
@@ -422,11 +422,8 @@ fn trace_replay_is_bit_identical_across_worker_counts() {
     let metric = |name: &str| base_report.metric_u64(name).expect(name);
     let pinned = (
         base.completions.len(),
-        metric(ntadoc_pmem::obs::METRIC_BATCHES),
-        (
-            metric(ntadoc_pmem::obs::METRIC_CACHE_HITS),
-            metric(ntadoc_pmem::obs::METRIC_CACHE_MISSES),
-        ),
+        metric(ntadoc_serve::METRIC_BATCHES),
+        (metric(ntadoc_serve::METRIC_CACHE_HITS), metric(ntadoc_serve::METRIC_CACHE_MISSES)),
         base.completions.iter().map(|c| c.start_ns).sum::<u64>(),
         base.completions.iter().map(|c| c.done_ns).sum::<u64>(),
         shard_reads_total(&base_report),
