@@ -9,7 +9,7 @@
 //! the grammar spells the same corpus and word counts agree. The
 //! headline is the rebuild-to-append virtual-ns ratio at 10% growth.
 //!
-//! **Why it stays** (ROADMAP 1(d)). Only this bench reads `GATES`'s
+//! **Why it stays** (ROADMAP item 11). Only this bench reads `GATES`'s
 //! `append_bench.append_speedup_at_10pct > 1.5`, a virtual-time ratio.
 //! `benchmark/`'s `ingest` workload runs `ntadoc append` (and times
 //! `cli.append`) on the wall clock only, against no rebuild.

@@ -17,7 +17,7 @@
 //! * `outputs_identical` — 1.0 once every cell matched the baseline
 //!   output byte for byte.
 //!
-//! **Why it stays** (ROADMAP 1(d)). Only this bench reads `GATES`'s
+//! **Why it stays** (ROADMAP item 2, step 3). Only this bench reads `GATES`'s
 //! `layout_bench.best_lines_ratio <= 0.85`, the line saving the `varint`
 //! layout is kept for, and `fixed_lines_ratio == 1`. `benchmark/` runs no
 //! pool under `varint` on either clock. Its `outputs_identical == 1` row

@@ -6,7 +6,6 @@ use crate::{Emitter, Harness};
 mod ablation;
 mod append_bench;
 mod build_bench;
-mod crash_sweep;
 mod cross_eval;
 mod dram_savings;
 mod endurance;
@@ -63,11 +62,6 @@ pub const REGISTRY: &[Experiment] = &[
         serve_load::run,
     ),
     exp("layout_bench", "pool layouts fixed vs varint: traversal lines touched", layout_bench::run),
-    exp(
-        "crash_sweep",
-        "crash at every persist point on sim|file|mmap, recover, compare",
-        crash_sweep::run,
-    ),
 ];
 
 /// Resolve command-line names against the registry (`all` alone means
@@ -138,7 +132,7 @@ mod tests {
         let picked = resolve(&["fig6".to_string(), "table1".to_string()]).unwrap();
         assert_eq!(picked.iter().map(|e| e.name).collect::<Vec<_>>(), ["fig6", "table1"]);
         assert_eq!(resolve(&["all".to_string()]).unwrap().len(), REGISTRY.len());
-        let err = resolve(&["table1".to_string(), "file_crash_sweep".to_string()]).err().unwrap();
-        assert!(err.contains("`file_crash_sweep`") && err.contains("crash_sweep"), "{err}");
+        let err = resolve(&["table1".to_string(), "fig55".to_string()]).err().unwrap();
+        assert!(err.contains("`fig55`") && err.contains("layout_bench"), "{err}");
     }
 }

@@ -8,7 +8,7 @@
 //! experiment asserts that a warm cache hit touches zero device lines and
 //! that the replay is bit-identical at 1 and 4 workers.
 //!
-//! **Why it stays** (ROADMAP 1(d)). Only this bench reads `GATES`'s
+//! **Why it stays** (ROADMAP item 4, which deletes it). Only this bench reads `GATES`'s
 //! `serve_load` rows for the virtual p50 and p99 latency, the virtual
 //! throughput and `cache_hit_rate >= 0.3` of a multi-tenant trace.
 //! `benchmark/` replays a 48-query trace of its own batched and unbatched

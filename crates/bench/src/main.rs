@@ -2,9 +2,9 @@
 //!
 //! The driver owns everything that is the same for every experiment: the
 //! corpus scale (read once, an unparseable value is an error), core
-//! detection, the injected-crash panic hook, and each document's
-//! [`Emitter`] from creation to `finish`, after which it prints the
-//! document's path and headlines: the one line an experiment prints.
+//! detection, and each document's [`Emitter`] from creation to `finish`,
+//! after which it prints the document's path and headlines: the one line
+//! an experiment prints.
 //! Experiments named in one invocation share one [`Harness`] and so one
 //! dataset cache.
 
@@ -41,7 +41,6 @@ fn run_experiments(names: &[String]) -> Result<(), String> {
     let experiments = resolve(names)?;
     let harness = Harness::from_env()?;
     eprintln!("[env] scale {}, {} hardware thread(s)", harness.scale(), harness.cores());
-    silence_injected_crash_panics();
     for e in experiments {
         eprintln!("\n[run] {} — {}", e.name, e.about);
         let mut em = Emitter::new(e.name, &harness);
@@ -51,16 +50,4 @@ fn run_experiments(names: &[String]) -> Result<(), String> {
         println!("{}: {}", em.finish().display(), headlines.join(" "));
     }
     Ok(())
-}
-
-/// The crash sweeps fire hundreds of injected-crash panics on purpose;
-/// keep the default hook quiet for those (and only those) so genuine
-/// failures still print.
-fn silence_injected_crash_panics() {
-    let default_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(move |info| {
-        if !ntadoc_pmem::panic_is_injected_crash(info.payload()) {
-            default_hook(info);
-        }
-    }));
 }

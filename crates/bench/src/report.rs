@@ -20,10 +20,6 @@ use crate::experiments::REGISTRY;
 use crate::gates::{evaluate, GATES};
 use crate::{geomean, mean, validate_document, EXPERIMENTS_DIR, SCHEMA_VERSION};
 
-/// The one experiment left out of the rendered record: its outcome
-/// (every fired crash recovered) is a gate, not a table.
-const UNRENDERED: &str = "crash_sweep";
-
 /// Row fields ending in this are host wall-clock time. They differ
 /// between any two runs, so the record never renders them.
 const WALL_SUFFIX: &str = "wall_ms";
@@ -304,10 +300,10 @@ pub fn run(args: &[String]) -> Result<(), String> {
 }
 
 /// Render the record: the verdict table (see [`verdicts`]), then for
-/// every registered experiment but [`UNRENDERED`] that has a document, in
-/// registry order, its `about` line, the paper's figure, every headline,
-/// its task × dataset summary if it has one, and every row without its
-/// wall-clock fields. The bytes depend only on the documents' contents.
+/// every registered experiment that has a document, in registry order,
+/// its `about` line, the paper's figure, every headline, its task ×
+/// dataset summary if it has one, and every row without its wall-clock
+/// fields. The bytes depend only on the documents' contents.
 fn render_markdown(docs: &BTreeMap<String, Json>) -> Result<String, String> {
     let mut md = String::new();
     let scale = docs.values().next().map_or("(none)".to_string(), scale_of);
@@ -320,7 +316,7 @@ fn render_markdown(docs: &BTreeMap<String, Json>) -> Result<String, String> {
          says how to regenerate it and what the numbers mean.\n"
     );
     verdicts(&mut md, docs)?;
-    for e in REGISTRY.iter().filter(|e| e.name != UNRENDERED) {
+    for e in REGISTRY {
         let Some(doc) = docs.get(e.name) else { continue };
         let _ = writeln!(md, "## `{}` — {}\n", e.name, e.about);
         if let Some(paper) = PAPER.iter().find(|p| p.experiment == e.name) {
@@ -511,7 +507,7 @@ mod tests {
     }
 
     /// Four documents of one scale-1 run, one of them with a wall-clock
-    /// field and one the renderer leaves out.
+    /// field.
     fn run_of_four() -> Vec<(String, Json)> {
         let fig5_rows = ["a: phase-level", "b: operation-level"]
             .iter()
@@ -550,7 +546,7 @@ mod tests {
                 "append_bench",
                 doc("append_bench", 1.0, &[("append_speedup_at_10pct", 3.25)], append_rows),
             ),
-            ("crash_sweep", doc("crash_sweep", 1.0, &[("recovery_rate", 1.0)], Vec::new())),
+            ("layout_bench", doc("layout_bench", 1.0, &[("best_lines_ratio", 0.75)], Vec::new())),
         ]
         .into_iter()
         .map(|(name, d)| (format!("target/experiments/{name}.json"), d))
@@ -561,9 +557,7 @@ mod tests {
     fn every_headline_renders_once_and_the_bytes_ignore_directory_order() {
         let found = run_of_four();
         let md = render_markdown(&record(found.clone()).unwrap()).unwrap();
-        for (_, d) in
-            found.iter().filter(|(_, d)| d.get("experiment") != Some(&Json::from(UNRENDERED)))
-        {
+        for (_, d) in &found {
             let name = d.get("experiment").and_then(Json::as_str).unwrap();
             for (key, value) in d.get("headline").and_then(Json::as_obj).unwrap() {
                 let label = format!("`{name}.{key}`");
@@ -572,7 +566,6 @@ mod tests {
                 assert!(line.ends_with(&format!("| {} |", cell(value))), "{line}");
             }
         }
-        assert!(!md.contains(UNRENDERED), "{UNRENDERED} is rendered:\n{md}");
         assert!(!md.contains("wall_ms") && !md.contains("12.50"), "a wall field leaked:\n{md}");
         for panel in ["a: phase-level", "b: operation-level"] {
             let header = format!("| `speedup`, {panel} | A | B | all |");

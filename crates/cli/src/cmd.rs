@@ -8,8 +8,8 @@ use ntadoc::{
     ingest_append, ingest_corpus, snapshot_fingerprint, Accessor, Engine, EngineConfig,
     IngestOptions, Persistence, PoolBackend, PoolLayoutConfig, RunReport, Task, TaskRows,
 };
-use ntadoc_grammar::{deserialize_compressed, serialize_compressed, Compressed, GrammarStats};
-use ntadoc_pmem::{DeviceProfile, PmemError};
+use ntadoc_grammar::{deserialize_compressed, serialize_compressed, Compressed, COARSEN_MIN_EXP};
+use ntadoc_pmem::DeviceProfile;
 
 /// Top-level usage text.
 pub const USAGE: &str = "usage:
@@ -179,10 +179,6 @@ pub(crate) fn load_corpus(path: &str) -> Result<Compressed, CliError> {
 
 // ---- compress -----------------------------------------------------------
 
-/// Rules expanding to fewer words than this are inlined into their users
-/// before an image is written (`Grammar::coarsened`).
-const COARSEN: u64 = 12;
-
 fn compress(args: &[String]) -> CmdResult {
     let mut inputs = Vec::new();
     let mut out = None;
@@ -234,7 +230,7 @@ fn compress(args: &[String]) -> CmdResult {
             files.iter().map(|f| read_input(f).inspect(|(_, text)| raw_bytes += text.len() as u64));
         comp = crate::pipeline::build_corpus(texts)?;
     }
-    comp.grammar = comp.grammar.coarsened(COARSEN);
+    comp.grammar = comp.grammar.coarsened(COARSEN_MIN_EXP);
     let image = serialize_compressed(&comp).map_err(fail)?;
     fs::write(&out, &image).map_err(|e| fail(format!("{out}: {e}")))?;
     let stats = comp.grammar.stats();
@@ -245,18 +241,9 @@ fn compress(args: &[String]) -> CmdResult {
         raw_bytes,
         out,
         image.len(),
-        compression_ratio(&stats)
+        stats.compression_ratio()
     );
     Ok(())
-}
-
-/// `Grammar::compression_ratio` from stats already taken: words per
-/// grammar symbol, 1 for a grammar with no symbols.
-fn compression_ratio(stats: &GrammarStats) -> f64 {
-    if stats.total_symbols == 0 {
-        return 1.0;
-    }
-    stats.expanded_words as f64 / stats.total_symbols as f64
 }
 
 // ---- append ---------------------------------------------------------------
@@ -299,15 +286,7 @@ fn append_image(args: &[String]) -> Result<[String; 3], CliError> {
     let files = collect_inputs(&inputs)?;
     let texts = files.iter().map(|f| read_input(f)).collect::<Result<Vec<_>, _>>()?;
     let base = load_corpus(&corpus_path)?;
-    // The refusals an engine over the base, then its append, would raise.
-    let refuse = |why: &str| fail(PmemError::Unsupported(why.into()));
-    if base.file_names.is_empty() {
-        return Err(refuse("engines need a corpus with at least one file"));
-    }
-    if texts.is_empty() {
-        return Err(refuse("append_files needs at least one file"));
-    }
-    let step = ingest_append(&base, &texts);
+    let step = ingest_append(&base, &texts).map_err(fail)?;
     let image = serialize_compressed(&step.comp).map_err(fail)?;
     fs::write(&out, &image).map_err(|e| fail(format!("{out}: {e}")))?;
     Ok([
@@ -345,7 +324,7 @@ fn stats(args: &[String]) -> CmdResult {
     println!("vocabulary      {}", s.vocabulary);
     println!("words           {}", s.expanded_words);
     println!("symbols         {}", s.total_symbols);
-    println!("compression     {:.2}x (words per grammar symbol)", compression_ratio(&s));
+    println!("compression     {:.2}x (words per grammar symbol)", s.compression_ratio());
     Ok(())
 }
 
@@ -1372,7 +1351,7 @@ mod tests {
             .iter()
             .map(|(name, text)| (corpus.join(name).display().to_string(), text.clone()))
             .collect();
-        let want = compress_texts(&named, COARSEN);
+        let want = compress_texts(&named, COARSEN_MIN_EXP);
         let image = dir.join("corpus.ntdc");
         let compress = |inputs: &[&Path], workers: usize| {
             let mut args = vec!["compress".to_string(), "-o".into(), image.display().to_string()];
@@ -1389,22 +1368,6 @@ mod tests {
             assert_eq!(got, Err(fail(format!("{}: {err}", bad.display()))), "{workers}");
         }
         fs::remove_dir_all(&dir).ok();
-    }
-
-    /// The ratio `compress` and `stats` print from the stats they took is
-    /// the one `Grammar::compression_ratio` computes, to the bit.
-    #[test]
-    fn the_printed_ratio_is_the_grammars() {
-        let corpora: [&[(String, String)]; 3] = [
-            &[],
-            &[("a".into(), String::new())],
-            &[("a".into(), "x y x y x y z".into()), ("b".into(), "x y z".into())],
-        ];
-        for files in corpora {
-            let comp = deserialize_compressed(&compress_texts(files, 4)).unwrap();
-            let ratio = compression_ratio(&comp.grammar.stats());
-            assert_eq!(ratio.to_bits(), comp.grammar.compression_ratio().to_bits(), "{files:?}");
-        }
     }
 
     #[test]

@@ -188,18 +188,12 @@ pub fn generate(spec: &DatasetSpec) -> Vec<(String, String)> {
     files
 }
 
-/// Rule-granularity threshold applied after Sequitur: rules expanding to
-/// fewer words are inlined, matching the coarser rule structure TADOC
-/// operates on (Table I shows ~1 rule per 25 expanded words, vs raw
-/// Sequitur's ~1 per 3).
-pub const COARSEN_MIN_EXP: u64 = 12;
-
 /// Convenience: generate, compress and coarsen in one step.
 pub fn generate_compressed(spec: &DatasetSpec) -> ntadoc_grammar::Compressed {
     let files = generate(spec);
     let mut comp =
         ntadoc_grammar::compress_corpus(&files, &ntadoc_grammar::TokenizerConfig::default());
-    comp.grammar = comp.grammar.coarsened(COARSEN_MIN_EXP);
+    comp.grammar = comp.grammar.coarsened(ntadoc_grammar::COARSEN_MIN_EXP);
     comp
 }
 

@@ -45,6 +45,17 @@ pub struct GrammarStats {
     pub expanded_words: u64,
 }
 
+impl GrammarStats {
+    /// Compression ratio: expanded words per grammar symbol, 1 for a
+    /// grammar with no symbols.
+    pub fn compression_ratio(&self) -> f64 {
+        if self.total_symbols == 0 {
+            return 1.0;
+        }
+        self.expanded_words as f64 / self.total_symbols as f64
+    }
+}
+
 /// Errors found by [`Grammar::validate`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum GrammarError {
@@ -80,6 +91,13 @@ impl std::fmt::Display for GrammarError {
 }
 
 impl std::error::Error for GrammarError {}
+
+/// Rule-granularity threshold of [`Grammar::coarsened`] for every image
+/// `ntadoc compress` writes and every generated dataset: rules expanding
+/// to fewer words are inlined, matching the coarser rule structure TADOC
+/// operates on (Table I shows ~1 rule per 25 expanded words, vs raw
+/// Sequitur's ~1 per 3).
+pub const COARSEN_MIN_EXP: u64 = 12;
 
 /// A Sequitur-produced CFG. Rule 0 is the root.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -298,7 +316,8 @@ impl Grammar {
     }
 
     /// Coarsen the grammar by inlining every rule whose expansion is
-    /// shorter than `min_exp` words.
+    /// shorter than `min_exp` words ([`COARSEN_MIN_EXP`] for every image
+    /// and generated dataset).
     ///
     /// Raw Sequitur output consists mostly of length-2 rules (each digram
     /// replacement creates one), which is far finer-grained than the rule
@@ -356,13 +375,9 @@ impl Grammar {
         Grammar::new(rules)
     }
 
-    /// Compression ratio: expanded word count / total grammar symbols.
+    /// Compression ratio: [`GrammarStats::compression_ratio`].
     pub fn compression_ratio(&self) -> f64 {
-        let s = self.stats();
-        if s.total_symbols == 0 {
-            return 1.0;
-        }
-        s.expanded_words as f64 / s.total_symbols as f64
+        self.stats().compression_ratio()
     }
 }
 
@@ -499,6 +514,8 @@ mod tests {
     fn compression_ratio_reflects_reuse() {
         let g = fig1();
         assert!((g.compression_ratio() - 1.3).abs() < 1e-9);
+        let empty = Grammar::new(vec![Rule { symbols: Vec::new() }]);
+        assert_eq!(empty.compression_ratio(), 1.0);
     }
 
     #[test]

@@ -43,7 +43,7 @@ pub mod serialize;
 pub mod symbol;
 pub mod tokenizer;
 
-pub use cfg::{Grammar, GrammarStats, Rule};
+pub use cfg::{Grammar, GrammarStats, Rule, COARSEN_MIN_EXP};
 // (CorpusBuilder is defined below in this module.)
 pub use dict::Dictionary;
 pub use digram::{mix, KeyHasher, KeyMap};

@@ -3,16 +3,14 @@
 use std::path::Path;
 use std::sync::Arc;
 
-use ntadoc_grammar::{serialized_len, Compressed};
+use ntadoc_grammar::Compressed;
 use ntadoc_pmem::{
     DeviceKind, DeviceProfile, FileDevice, MmapDevice, PmemError, PoolDevice, PoolLayout,
 };
 
-use super::{CapacityPlan, Engine};
+use super::{Derived, Engine};
 use crate::config::EngineConfig;
 use crate::layout::PoolLayoutConfig;
-use crate::query::snapshot_fingerprint;
-use crate::summation::{bounds_over, head_tail_over, GrammarFacts};
 use crate::Result;
 
 /// What [`Engine::run`] does when a traversal fails with an unabsorbed
@@ -232,26 +230,13 @@ impl EngineBuilder {
             }
             .to_string()
         });
-        let facts = Arc::new(GrammarFacts::derive(&comp.grammar));
-        let bounds = bounds_over(&comp.grammar, &facts.topo).bounds;
-        let info = head_tail_over(&comp.grammar, &facts.topo, 0);
-        let plan = CapacityPlan::from_facts(&comp, &bounds, &info);
-        // Accounted without materializing the image (it is streamed from
-        // disk at init; the engine only needs its size).
-        let image_bytes = serialized_len(&comp) as u64;
-        let snapshot = snapshot_fingerprint(&comp);
         Ok(Engine {
+            derived: Derived::of(&comp),
             comp,
             cfg,
             profile,
             label,
             retry,
-            image_bytes,
-            plan,
-            facts,
-            bounds,
-            info,
-            snapshot,
             append_log: Vec::new(),
             pool_backend,
             pool_layout,

@@ -65,9 +65,7 @@ use crate::layout::PoolLayoutConfig;
 use crate::query::{snapshot_fingerprint, Query, Snapshot, TenantId};
 use crate::report::RunReport;
 use crate::result::{Task, TaskOutput, TaskRows};
-use crate::summation::{
-    head_tail_incremental, upper_bounds_incremental, GrammarFacts, HeadTailInfo, SummationResult,
-};
+use crate::summation::{bounds_over, head_tail_over, GrammarFacts};
 use crate::Result;
 
 /// Lock a mutex, riding through poisoning: engine state is guarded by the
@@ -84,23 +82,8 @@ pub struct Engine {
     profile: DeviceProfile,
     label: String,
     retry: RetryPolicy,
-    /// Serialized image size (charged as the init disk read).
-    image_bytes: u64,
-    /// Host-side grammar statistics used for capacity planning only.
-    plan: CapacityPlan,
-    /// Topological order and level split of `comp`'s grammar, derived once
-    /// per snapshot and shared with every session.
-    facts: Arc<GrammarFacts>,
-    /// Per-rule expansion upper bounds, kept unclamped so appends can
-    /// re-derive only the dirty rules ([`upper_bounds_incremental`]);
-    /// always equal to a full recompute, so sessions take theirs from here.
-    bounds: Vec<u64>,
-    /// Per-rule expansion lengths (head/tail facts of width 0),
-    /// maintained incrementally across appends for the same reason.
-    info: HeadTailInfo,
-    /// Deterministic corpus fingerprint ([`snapshot_fingerprint`]) — the
-    /// grammar snapshot version that keys serve-layer result caches.
-    snapshot: u64,
+    /// What the engine derived from `comp`.
+    derived: Derived,
     /// One record per completed [`Engine::append_files`] call, oldest
     /// first.
     append_log: Vec<AppendReport>,
@@ -127,7 +110,8 @@ pub struct AppendReport {
     pub new_words: usize,
     /// Grammar rules created by the splice + seam dedup.
     pub new_rules: usize,
-    /// Rules whose summation facts had to be recomputed (root + new).
+    /// Rules the append dirtied: the root, the rules it reused and the
+    /// rules it created (what the modeled re-summation walks).
     pub dirty_rules: usize,
     /// Deterministic virtual cost of the append pipeline.
     pub virtual_ns: u64,
@@ -154,21 +138,51 @@ struct CapacityPlan {
 }
 
 impl CapacityPlan {
-    /// Derive the plan from the corpus plus the maintained summation
-    /// facts (unclamped bounds, expansion lengths). Shared between
-    /// the base build and the incremental append path so both produce
-    /// identical plans for identical corpora.
-    fn from_facts(comp: &Compressed, bounds: &[u64], info: &HeadTailInfo) -> CapacityPlan {
+    /// Derive the plan from the corpus plus its summation facts:
+    /// unclamped bounds and per-rule expansion lengths.
+    fn from_facts(comp: &Compressed, bounds: &[u64], exp_len: &[u64]) -> CapacityPlan {
         let vocab = comp.dict.len();
         CapacityPlan {
             nrules: comp.grammar.rule_count(),
             total_symbols: comp.grammar.total_symbols(),
             vocab,
-            expanded_words: info.exp_len[0],
+            expanded_words: exp_len[0],
             dict_text: comp.dict.text_bytes(),
             sum_bounds: bounds.iter().map(|&b| b.min(vocab as u64)).sum(),
-            max_exp_nonroot: info.exp_len.iter().skip(1).copied().max().unwrap_or(0),
+            max_exp_nonroot: exp_len.iter().skip(1).copied().max().unwrap_or(0),
         }
+    }
+}
+
+/// What an engine derives from its corpus, once per snapshot: at
+/// [`EngineBuilder::build`] and again after every
+/// [`Engine::append_files`].
+struct Derived {
+    /// Topological order and level split of the grammar, shared with every
+    /// session.
+    facts: Arc<GrammarFacts>,
+    /// Per-rule expansion upper bounds, unclamped; sessions take theirs
+    /// from here.
+    bounds: Vec<u64>,
+    /// Host-side grammar statistics used for capacity planning only.
+    plan: CapacityPlan,
+    /// Serialized image size (charged as the init disk read).
+    image_bytes: u64,
+    /// Deterministic corpus fingerprint ([`snapshot_fingerprint`]) — the
+    /// grammar snapshot version that keys serve-layer result caches.
+    snapshot: u64,
+}
+
+impl Derived {
+    fn of(comp: &Compressed) -> Derived {
+        let facts = Arc::new(GrammarFacts::derive(&comp.grammar));
+        let bounds = bounds_over(&comp.grammar, &facts.topo).bounds;
+        let exp_len = head_tail_over(&comp.grammar, &facts.topo, 0).exp_len;
+        let plan = CapacityPlan::from_facts(comp, &bounds, &exp_len);
+        // Accounted without materializing the image (it is streamed from
+        // disk at init; the engine only needs its size).
+        let image_bytes = serialized_len(comp) as u64;
+        Derived { facts, bounds, plan, image_bytes, snapshot: snapshot_fingerprint(comp) }
     }
 }
 
@@ -204,7 +218,7 @@ impl Engine {
     /// `(snapshot version, query)`; two engines over the same corpus
     /// agree on it, and any corpus change moves it.
     pub fn snapshot_version(&self) -> u64 {
-        self.snapshot
+        self.derived.snapshot
     }
 
     /// One [`AppendReport`] per completed [`Engine::append_files`] call,
@@ -213,39 +227,17 @@ impl Engine {
         &self.append_log
     }
 
-    /// Append `files` to the corpus without rebuilding it: the delta is
+    /// Append `files` to the corpus without recompressing it: the delta is
     /// compressed as one chunk, re-interned into the shared dictionary,
-    /// spliced at the root, seam-deduplicated, and only the dirtied rules
-    /// (root + new) have their summation facts recomputed. The engine's
-    /// snapshot fingerprint moves; sessions and pools opened before the
-    /// append keep serving the old snapshot until re-opened.
-    ///
-    /// The delta goes through [`ingest_append`].
+    /// spliced at the root and seam-deduplicated ([`ingest_append`]). The
+    /// engine then derives its facts from the grown corpus as a build
+    /// does, so its snapshot fingerprint moves; sessions and pools opened
+    /// before the append keep serving the old snapshot until re-opened.
     pub fn append_files(&mut self, files: Vec<(String, String)>) -> Result<AppendReport> {
-        if files.is_empty() {
-            return Err(PmemError::Unsupported("append_files needs at least one file".into()));
-        }
-        let step = ingest_append(&self.comp, &files);
-        let AppendIngest {
-            comp,
-            outcome,
-            appended_tokens,
-            appended_bytes,
-            dirty_symbols: _,
-            virtual_ns,
-            spans,
-        } = step;
-        let old_fingerprint = self.snapshot;
-        // Host-side capacity facts are maintained incrementally: only the
-        // dirty rules (root + new) are re-derived, mirroring the charged
-        // `append.resum` span in the ingest cost model.
-        let prev = SummationResult { bounds: std::mem::take(&mut self.bounds) };
-        self.bounds = upper_bounds_incremental(&comp.grammar, &prev, &outcome.dirty_rules).bounds;
-        self.info = head_tail_incremental(&comp.grammar, &self.info, 0, &outcome.dirty_rules);
-        self.facts = Arc::new(GrammarFacts::derive(&comp.grammar));
-        self.plan = CapacityPlan::from_facts(&comp, &self.bounds, &self.info);
-        self.image_bytes = serialized_len(&comp) as u64;
-        self.snapshot = snapshot_fingerprint(&comp);
+        let AppendIngest { comp, outcome, appended_tokens, appended_bytes, virtual_ns, spans } =
+            ingest_append(&self.comp, &files)?;
+        let old_fingerprint = self.derived.snapshot;
+        self.derived = Derived::of(&comp);
         self.comp = Arc::new(comp);
         let report = AppendReport {
             files_appended: files.len(),
@@ -257,7 +249,7 @@ impl Engine {
             virtual_ns,
             spans,
             old_fingerprint,
-            snapshot: Snapshot::stamped(self.snapshot),
+            snapshot: Snapshot::stamped(self.derived.snapshot),
         };
         self.append_log.push(report.clone());
         Ok(report)
@@ -324,20 +316,21 @@ impl Engine {
     /// reallocation-generation factor for growable tables.
     fn scratch_bytes(&self, task: Task) -> u64 {
         let per_entry = 17u64; // status 1 + key 8 + value 8
-        let mut need = self.plan.vocab as u64 + 16;
+        let plan = &self.derived.plan;
+        let mut need = plan.vocab as u64 + 16;
         if task.is_sequence() {
             // Per-rule sequence lists / per-file n-gram tables can reach
             // the expansion length of the largest non-root rule or file.
             need = need
-                .max(self.plan.max_exp_nonroot * self.cfg.ngram as u64)
-                .max(self.plan.expanded_words / self.comp.file_count().max(1) as u64 * 2);
+                .max(plan.max_exp_nonroot * self.cfg.ngram as u64)
+                .max(plan.expanded_words / self.comp.file_count().max(1) as u64 * 2);
         }
         let slots = (need * 8 / 7 + 16).next_power_of_two();
         per_entry * slots * 6 + (1 << 16)
     }
 
     fn estimate_capacity(&self, task: Task) -> usize {
-        let p = &self.plan;
+        let p = &self.derived.plan;
         let line = self.profile.line_size as u64;
         let mut bytes = 0u64;
         bytes += p.total_symbols as u64 * 12 + p.nrules as u64 * 24; // bodies + pruned views
@@ -413,7 +406,7 @@ impl Engine {
                 .map_err(PmemError::from)
                 .and_then(|file| PoolHeader::read(&file))
                 .map_or(0, |header| header.snapshot);
-            if published != 0 && published != self.snapshot {
+            if published != 0 && published != self.derived.snapshot {
                 let _ = std::fs::remove_file(path);
                 return self.create_pool(path, task, serve_mode);
             }
@@ -497,9 +490,13 @@ mod tests {
     fn engine_held_bounds_equal_a_full_recompute() {
         let (comp, _) = ingest_corpus(&files(0..5), &IngestOptions::default());
         let mut engine = Engine::builder(comp).build().unwrap();
-        assert_eq!(engine.bounds, upper_bounds(&engine.comp.grammar).bounds, "fresh");
+        assert_eq!(engine.derived.bounds, upper_bounds(&engine.comp.grammar).bounds, "fresh");
         engine.append_files(files(5..8)).unwrap();
         engine.append_files(files(8..9)).unwrap();
-        assert_eq!(engine.bounds, upper_bounds(&engine.comp.grammar).bounds, "after two appends");
+        assert_eq!(
+            engine.derived.bounds,
+            upper_bounds(&engine.comp.grammar).bounds,
+            "after two appends"
+        );
     }
 }

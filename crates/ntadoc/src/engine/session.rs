@@ -93,17 +93,17 @@ impl Session {
         // The session's snapshot handle pins the corpus identity; responses
         // hand it out so callers can tell exactly which published state
         // answered them.
-        let snapshot = Snapshot::stamped(engine.snapshot);
-        debug_assert_eq!(engine.snapshot, snapshot_fingerprint(&engine.comp));
+        let snapshot = Snapshot::stamped(engine.derived.snapshot);
+        debug_assert_eq!(engine.derived.snapshot, snapshot_fingerprint(&engine.comp));
         let mut session = Session {
             sc,
             comp: engine.comp.clone(),
-            facts: engine.facts.clone(),
+            facts: engine.derived.facts.clone(),
             pool_file: file,
             snapshot: Arc::new(snapshot),
             dag: None,
             init_ns: 0,
-            image_bytes: engine.image_bytes,
+            image_bytes: engine.derived.image_bytes,
             retry: engine.retry,
             serve_mode,
             pool_layout,
@@ -111,7 +111,7 @@ impl Session {
         // The initialization phase, recorded as the `"init"` span with one
         // child span per numbered step.
         let (obs, dev) = (session.sc.obs.clone(), session.sc.dev.clone());
-        obs.span("init", &dev, || session.init_steps(&obs, &dev, &engine.bounds))?;
+        obs.span("init", &dev, || session.init_steps(&obs, &dev, &engine.derived.bounds))?;
         session.init_ns = dev.stats().virtual_ns;
         Ok(session)
     }

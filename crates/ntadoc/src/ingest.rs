@@ -27,7 +27,7 @@
 
 use ntadoc_grammar::{merge, Compressed, TokenizerConfig, Tokens};
 use ntadoc_pmem::obs::SpanNode;
-use ntadoc_pmem::{par, AccessStats, DeferredCharges, DeviceProfile, Obs, SimDevice};
+use ntadoc_pmem::{par, AccessStats, DeferredCharges, DeviceProfile, Obs, PmemError, SimDevice};
 
 /// Host-work cost model for ingest (ns per unit, schedule-independent).
 const TOKENIZE_NS_PER_BYTE: u64 = 1;
@@ -198,9 +198,6 @@ pub struct AppendIngest {
     pub appended_tokens: u64,
     /// Bytes of appended text.
     pub appended_bytes: u64,
-    /// Symbols across the dirty rules' bodies after the absorb (the
-    /// incremental re-summation workload).
-    pub dirty_symbols: u64,
     /// Total deterministic virtual time of the append step.
     pub virtual_ns: u64,
     /// Span tree rooted at `append`.
@@ -215,21 +212,30 @@ pub struct AppendIngest {
 /// the new files only, each with its leading file separator), then
 /// absorbed via [`merge::append_chunk`]: re-intern into the shared
 /// dictionary, remap rule ids, splice at the root, batched seam dedup.
-/// Finally the incremental re-summation of the dirty rules ({root} ∪ new
-/// rules) is charged — the whole step's cost scales with the *delta*, not
-/// the corpus, which is exactly what a full rebuild cannot do.
+/// Finally a re-summation of the dirty rules ({root} ∪ reused ∪ new
+/// rules) alone is charged — the whole step's modeled cost scales with
+/// the *delta*, not the corpus, which is exactly what a full rebuild
+/// cannot do.
 ///
-/// Pure function of `(base, files)`:
+/// Refuses a `base` without files, which no engine serves, and an empty
+/// `files`. Pure function of `(base, files)`:
 /// both the grown corpus and `virtual_ns` are bit-identical for any
 /// `RAYON_NUM_THREADS`, so a fold of appends is replayable byte for byte.
-pub fn ingest_append(base: &Compressed, files: &[(String, String)]) -> AppendIngest {
+pub fn ingest_append(base: &Compressed, files: &[(String, String)]) -> crate::Result<AppendIngest> {
+    let refuse = |why: &str| Err(PmemError::Unsupported(why.into()));
+    if base.file_names.is_empty() {
+        return refuse("engines need a corpus with at least one file");
+    }
+    if files.is_empty() {
+        return refuse("append_files needs at least one file");
+    }
     let obs = Obs::new();
     // Same pure virtual timebase as `ingest_corpus`.
     let dev = SimDevice::new(DeviceProfile::dram(), 4096);
     let mut appended_tokens = 0u64;
     let appended_bytes: u64 = files.iter().map(|(_, t)| t.len() as u64).sum();
 
-    let (comp, outcome, dirty_symbols) = obs.span("append", &dev, || {
+    let (comp, outcome) = obs.span("append", &dev, || {
         let counts = obs.span("append.tokenize", &dev, || token_counts(&dev, files));
         appended_tokens = counts.iter().map(|&c| c as u64).sum();
         // One chunk spanning every appended file, at global file indices
@@ -259,7 +265,7 @@ pub fn ingest_append(base: &Compressed, files: &[(String, String)]) -> AppendIng
             (Compressed { grammar, dict, file_names }, outcome)
         });
 
-        // Charge the incremental re-summation: only the dirty rules'
+        // Charge a re-summation of the dirty rules alone: only their
         // bodies are re-walked (vs. every symbol in the grammar on a
         // full build).
         let dirty: u64 = outcome
@@ -270,23 +276,22 @@ pub fn ingest_append(base: &Compressed, files: &[(String, String)]) -> AppendIng
         obs.span("append.resum", &dev, || {
             dev.charge_ns(dirty * RESUM_NS_PER_SYMBOL);
         });
-        (comp, outcome, dirty)
+        (comp, outcome)
     });
 
     let spans = obs.tree("append-root");
-    AppendIngest {
+    Ok(AppendIngest {
         comp,
         outcome,
         appended_tokens,
         appended_bytes,
-        dirty_symbols,
         virtual_ns: dev.stats().virtual_ns,
         spans: spans
             .children
             .into_iter()
             .next()
             .unwrap_or_else(|| SpanNode::leaf("append", AccessStats::default())),
-    }
+    })
 }
 
 #[cfg(test)]
@@ -359,7 +364,7 @@ mod tests {
             let (mut comp, base) = ingest_corpus(&files[..1], &IngestOptions::default());
             let mut total_ns = base.virtual_ns;
             for f in &files[1..] {
-                let step = ingest_append(&comp, std::slice::from_ref(f));
+                let step = ingest_append(&comp, std::slice::from_ref(f)).unwrap();
                 comp = step.comp;
                 total_ns += step.virtual_ns;
             }
@@ -382,7 +387,7 @@ mod tests {
         let files = corpus();
         let (comp, full) = ingest_corpus(&files, &IngestOptions::default());
         let one_more = vec![("fresh.txt".to_string(), files[0].1.clone())];
-        let step = ingest_append(&comp, &one_more);
+        let step = ingest_append(&comp, &one_more).unwrap();
         assert!(
             step.virtual_ns * 3 < full.virtual_ns,
             "append of one file ({} ns) should cost a small fraction of the full build ({} ns)",
@@ -393,7 +398,7 @@ mod tests {
         assert!(step.spans.find("append.chunk0").is_some());
         assert!(step.spans.find("append.absorb").is_some());
         assert!(step.spans.find("append.resum").is_some());
-        assert!(step.dirty_symbols > 0 && step.appended_tokens > 0);
+        assert!(step.appended_tokens > 0);
     }
 
     #[test]

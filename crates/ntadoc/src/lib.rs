@@ -62,7 +62,6 @@ pub mod query;
 pub mod report;
 pub mod result;
 pub mod summation;
-pub mod sweep;
 
 pub use access::Accessor;
 pub use baseline::{UncompressedEngine, UncompressedEngineBuilder};
@@ -80,9 +79,7 @@ pub use report::{
     METRIC_MEDIA_RETRIES, METRIC_SERVE_RATE, METRIC_SERVE_TASKS, REPORT_VERSION,
 };
 pub use result::{Row, Task, TaskOutput, TaskRows, UnknownTask};
-pub use summation::{
-    head_tail_incremental, head_tail_info, upper_bounds, upper_bounds_incremental, SummationResult,
-};
+pub use summation::{head_tail_info, upper_bounds, SummationResult};
 
 /// Crate-level result alias; all fallible paths surface `ntadoc-pmem`
 /// errors (pool exhaustion, transaction misuse).

@@ -124,86 +124,6 @@ impl DistinctWords {
     }
 }
 
-/// Bottom-up ordering of the `dirty` rules only: every dirty rule comes
-/// after all dirty rules its body references (clean subrules need no
-/// ordering — their facts are already final). Iterative post-order, so
-/// deep appended chains cannot overflow the stack.
-fn dirty_bottom_up(grammar: &Grammar, dirty: &[u32]) -> Vec<u32> {
-    let dirty_set: std::collections::HashSet<u32> = dirty.iter().copied().collect();
-    let mut done: std::collections::HashSet<u32> = std::collections::HashSet::new();
-    let mut order = Vec::with_capacity(dirty.len());
-    for &start in dirty {
-        if done.contains(&start) {
-            continue;
-        }
-        let mut stack = vec![(start, false)];
-        while let Some((r, expanded)) = stack.pop() {
-            if expanded {
-                if done.insert(r) {
-                    order.push(r);
-                }
-                continue;
-            }
-            if done.contains(&r) {
-                continue;
-            }
-            stack.push((r, true));
-            for s in grammar.rules[r as usize].subrules() {
-                if dirty_set.contains(&s) && !done.contains(&s) {
-                    stack.push((s, false));
-                }
-            }
-        }
-    }
-    order
-}
-
-/// Incremental [`upper_bounds`]: recompute the bound of only the `dirty`
-/// rules (an append's root + freshly minted rules), reusing `prev` for
-/// every clean rule. Sound because a rule's bound depends only on its own
-/// body and its subrules' bounds, and the append path never rewrites a
-/// clean rule's body. Equals a full recompute on the grown grammar.
-pub fn upper_bounds_incremental(
-    grammar: &Grammar,
-    prev: &SummationResult,
-    dirty: &[u32],
-) -> SummationResult {
-    let mut bounds = prev.bounds.clone();
-    bounds.resize(grammar.rule_count(), 0);
-    let mut distinct = DistinctWords::default();
-    for r in dirty_bottom_up(grammar, dirty) {
-        let rule = &grammar.rules[r as usize];
-        let subs: u64 = rule.subrules().map(|s| bounds[s as usize]).sum();
-        bounds[r as usize] = subs + distinct.count(&rule.symbols) as u64;
-    }
-    SummationResult { bounds }
-}
-
-/// Incremental [`head_tail_info`]: recompute expansion length and head/tail
-/// buffers for only the `dirty` rules, reusing `prev` elsewhere. Same
-/// soundness argument as [`upper_bounds_incremental`].
-pub fn head_tail_incremental(
-    grammar: &Grammar,
-    prev: &HeadTailInfo,
-    width: usize,
-    dirty: &[u32],
-) -> HeadTailInfo {
-    let n = grammar.rule_count();
-    let mut exp_len = prev.exp_len.clone();
-    let mut heads = prev.heads.clone();
-    let mut tails = prev.tails.clone();
-    exp_len.resize(n, 0);
-    heads.resize(n, Vec::new());
-    tails.resize(n, Vec::new());
-    for r in dirty_bottom_up(grammar, dirty) {
-        let (len, head, tail) = head_tail_rule(grammar, r, width, &exp_len, &heads, &tails);
-        exp_len[r as usize] = len;
-        heads[r as usize] = head;
-        tails[r as usize] = tail;
-    }
-    HeadTailInfo { exp_len, heads, tails }
-}
-
 /// Per-rule expansion metadata used by sequence tasks.
 #[derive(Debug, Clone)]
 pub struct HeadTailInfo {
@@ -439,36 +359,6 @@ mod tests {
                 assert_eq!(i.tails, base_i.tails);
             });
         }
-    }
-
-    #[test]
-    fn incremental_matches_full_recompute_after_append() {
-        use ntadoc_grammar::{
-            append_chunk, build_chunk_at, compress_corpus, plan_chunks, tokenize, MergeOptions,
-            Piece, TokenizerConfig,
-        };
-        let files: Vec<(String, String)> = vec![
-            ("a".into(), "the quick brown fox jumps over the lazy dog the quick brown fox".into()),
-            ("b".into(), "pack my box with five dozen liquor jugs the quick brown fox".into()),
-            ("c".into(), "the quick brown fox jumps over the lazy dog again and again".into()),
-        ];
-        let cfg = TokenizerConfig::default();
-        let mut comp = compress_corpus(&files[..1], &cfg);
-        let prev_b = upper_bounds(&comp.grammar);
-        let prev_ht = head_tail_info(&comp.grammar, 1);
-        let toks: Vec<Vec<String>> = files[1..].iter().map(|(_, t)| tokenize(t, &cfg)).collect();
-        let lens: Vec<usize> = toks.iter().map(Vec::len).collect();
-        let pieces: Vec<Piece> = plan_chunks(&lens, 1).remove(0);
-        let chunk = build_chunk_at(&toks, &pieces, 1);
-        let out = append_chunk(&mut comp.grammar, &mut comp.dict, &chunk, &MergeOptions::default());
-
-        let inc_b = upper_bounds_incremental(&comp.grammar, &prev_b, &out.dirty_rules);
-        assert_eq!(inc_b.bounds, upper_bounds(&comp.grammar).bounds);
-        let inc_ht = head_tail_incremental(&comp.grammar, &prev_ht, 1, &out.dirty_rules);
-        let full_ht = head_tail_info(&comp.grammar, 1);
-        assert_eq!(inc_ht.exp_len, full_ht.exp_len);
-        assert_eq!(inc_ht.heads, full_ht.heads);
-        assert_eq!(inc_ht.tails, full_ht.tails);
     }
 
     #[test]

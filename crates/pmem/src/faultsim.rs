@@ -189,7 +189,7 @@ pub fn run_with_crash_at<W: FnOnce()>(
 
 /// True when a caught panic payload is the device's injected-crash marker
 /// rather than a real failure.
-pub fn panic_is_injected_crash(payload: &(dyn std::any::Any + Send)) -> bool {
+fn panic_is_injected_crash(payload: &(dyn std::any::Any + Send)) -> bool {
     let msg = payload
         .downcast_ref::<String>()
         .map(String::as_str)

@@ -63,8 +63,8 @@ pub use device::{
 };
 pub use error::PmemError;
 pub use faultsim::{
-    for_each_case, panic_is_injected_crash, run_with_crash_at, sweep_ctx, torn_line_survives,
-    torn_word_survives, CrashPoint, CrashRun, Prng,
+    for_each_case, run_with_crash_at, sweep_ctx, torn_line_survives, torn_word_survives,
+    CrashPoint, CrashRun, Prng,
 };
 pub use json::{Json, JsonError};
 pub use ledger::AllocLedger;

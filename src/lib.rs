@@ -3,7 +3,6 @@
 //! single import root. Library users should depend on the individual
 //! crates (`ntadoc`, `ntadoc-grammar`, `ntadoc-pmem`, …) directly.
 
-pub use ntadoc::sweep;
 pub use ntadoc::{
     ingest_append, ingest_corpus, snapshot_fingerprint, Engine, EngineBuilder, EngineConfig,
     IngestOptions, Persistence, PoolBackend, PoolLayoutConfig, Query, QueryKey, RetryPolicy,

@@ -3,20 +3,286 @@
 //! at random raw-write points that also tear the interrupted store, under
 //! the torn-write model; recover; and assert the result converges to the
 //! crash-free run, for both §IV-E persistence strategies. The sweeps are
-//! `ntadoc::sweep::CrashSweep`; every crash goes through `Session::crash_at`.
+//! [`CrashSweep`]s; every crash goes through `Session::crash_at`.
 //!
 //! `NTADOC_SWEEP_SEEDS` (default `1,7,42`) and
 //! `NTADOC_SWEEP_BACKEND=sim|file|mmap|all` are read by `SweepKnobs`. A
 //! chosen backend is swept at every persist point; left unset, all three
-//! are, and the file and mmap passes sample every 8th point.
+//! are, and the file and mmap passes sample every 8th point. A chosen file
+//! or mmap backend also sweeps the reopen route, on a generated corpus for
+//! the two strategies' tests: each crash is recovered by reopening the
+//! torn pool file, which must retire the interrupted transaction on disk,
+//! and every pool a seed leaves is deep-checked as `ntadoc fsck --backend`
+//! checks it.
 
 use std::path::{Path, PathBuf};
+use std::sync::OnceLock;
 
-use ntadoc_repro::sweep::{CrashSweep, Stride, SweepBackend, SweepKnobs};
 use ntadoc_repro::{
-    compress_corpus, fsck_pool, ingest_corpus, sweep_ctx, Compressed, CrashPoint, Engine,
-    EngineConfig, FsckReport, IngestOptions, Session, Task, TaskRows, TokenizerConfig,
+    compress_corpus, fsck_pool, generate_compressed, ingest_corpus, sweep_ctx, Compressed,
+    CrashPoint, DatasetSpec, Engine, EngineConfig, FsckReport, IngestOptions, PmemError,
+    PoolBackend, Prng, Session, Task, TaskRows, TokenizerConfig,
 };
+use CrashPoint::{Persist, Write};
+
+/// The task every sweep crashes.
+const TASK: Task = Task::WordCount;
+
+/// Where a sweep enumerates crash states.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum SweepBackend {
+    /// The in-memory simulator.
+    Sim,
+    /// A pool file kept by `pwrite`: the injected crash tears bytes on disk.
+    File,
+    /// A memory-mapped pool file: stores land in the mapping, fences msync.
+    Mmap,
+}
+
+impl SweepBackend {
+    /// Every backend, in the order `all` sweeps them.
+    const ALL: [SweepBackend; 3] = [SweepBackend::Sim, SweepBackend::File, SweepBackend::Mmap];
+
+    /// The `NTADOC_SWEEP_BACKEND` spelling.
+    fn name(self) -> &'static str {
+        match self {
+            SweepBackend::Sim => "sim",
+            SweepBackend::File => "file",
+            SweepBackend::Mmap => "mmap",
+        }
+    }
+
+    /// A fresh WordCount session on this backend — in memory on the
+    /// simulator, otherwise on a pool file newly created at `pool` — and
+    /// the engine that opened it, whose [`Engine::open_pool`] reopens it.
+    fn open(
+        self,
+        comp: &Compressed,
+        cfg: &EngineConfig,
+        pool: &Path,
+    ) -> Result<(Engine, Session), PmemError> {
+        let builder = Engine::builder(comp.clone()).config(cfg.clone());
+        let engine = match self {
+            SweepBackend::Sim => builder,
+            SweepBackend::File => builder.pool_backend(PoolBackend::File),
+            SweepBackend::Mmap => builder.pool_backend(PoolBackend::Mmap),
+        }
+        .build()?;
+        let session = if self == SweepBackend::Sim {
+            engine.session(TASK)?
+        } else {
+            let _ = std::fs::remove_file(pool);
+            engine.open_pool(pool, TASK)?
+        };
+        Ok((engine, session))
+    }
+}
+
+/// The sweep's two environment knobs.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct SweepKnobs {
+    /// `NTADOC_SWEEP_SEEDS`: the comma-separated torn seeds that parse, or
+    /// `1, 7, 42` when none does or it is unset — an override never sweeps
+    /// nothing.
+    seeds: Vec<u64>,
+    /// `NTADOC_SWEEP_BACKEND`: `sim`, `file` or `mmap` alone, or `all` —
+    /// also when unset. Any other value is an error.
+    backends: Vec<SweepBackend>,
+    /// Whether `NTADOC_SWEEP_BACKEND` was set at all.
+    backend_chosen: bool,
+}
+
+impl SweepKnobs {
+    /// Read both knobs from the environment.
+    fn from_env() -> SweepKnobs {
+        let var = |name| std::env::var(name).ok();
+        SweepKnobs::parse(
+            var("NTADOC_SWEEP_SEEDS").as_deref(),
+            var("NTADOC_SWEEP_BACKEND").as_deref(),
+        )
+        .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// The knobs the two variables' values (`None` when unset) select.
+    fn parse(seeds: Option<&str>, backend: Option<&str>) -> Result<SweepKnobs, String> {
+        let seeds: Vec<u64> =
+            seeds.unwrap_or("").split(',').filter_map(|t| t.trim().parse().ok()).collect();
+        let picked =
+            |b: &SweepBackend| backend.is_none_or(|name| [b.name(), "all"].contains(&name));
+        let backends: Vec<SweepBackend> = SweepBackend::ALL.into_iter().filter(picked).collect();
+        if backends.is_empty() {
+            let name = backend.unwrap_or_default();
+            return Err(format!("NTADOC_SWEEP_BACKEND=`{name}`: expected sim, file, mmap or all"));
+        }
+        Ok(SweepKnobs {
+            seeds: if seeds.is_empty() { vec![1, 7, 42] } else { seeds },
+            backends,
+            backend_chosen: backend.is_some(),
+        })
+    }
+}
+
+/// Which persist points a sweep crashes at, per seed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Stride {
+    /// Every `n`-th point from the first.
+    Every(u64),
+    /// Every `max(points / n, 1)`-th point: about `n` of them (fewer than
+    /// `2n`), however many the traversal issues.
+    About(u64),
+}
+
+/// One sweep: a strategy's WordCount traversal on one backend, crashed at
+/// the persist points `persist` picks and at `mid_write` seeded raw-write
+/// points, under each torn seed.
+#[derive(Debug)]
+struct CrashSweep<'a> {
+    /// Names the sweep in messages and pool files.
+    label: &'a str,
+    comp: &'a Compressed,
+    cfg: &'a EngineConfig,
+    backend: SweepBackend,
+    /// Where the per-seed pool files of a durable backend are made.
+    pool_dir: &'a Path,
+    seeds: &'a [u64],
+    /// Persist points crashed at per seed; `None` for none.
+    persist: Option<Stride>,
+    /// Raw write points drawn per seed (after the persist points); a
+    /// crash there also tears the interrupted store at 8-byte granularity.
+    mid_write: u64,
+    /// Recover a fired crash by dropping the session and reopening its
+    /// pool file, so recovery sees nothing but the torn bytes on disk
+    /// (durable backends only); otherwise by [`Session::recover`].
+    reopen: bool,
+}
+
+/// What one crash point did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct CrashRecord {
+    seed: u64,
+    point: CrashPoint,
+    /// The armed crash fired; otherwise the run finished before the point.
+    fired: bool,
+    /// The rows after recovery and re-run, or of the run that finished
+    /// first, equal the crash-free run's.
+    converged: bool,
+    /// Reopening left no transaction open on disk: recovery retired the
+    /// one the crash interrupted before the re-run began. True off the
+    /// reopen route.
+    retired: bool,
+}
+
+/// A finished sweep.
+#[derive(Debug)]
+struct SweepReport {
+    /// One per crash point, seed by seed, persist points first.
+    records: Vec<CrashRecord>,
+    /// The pool file each seed left on disk (durable backends).
+    pools: Vec<PathBuf>,
+}
+
+impl CrashSweep<'_> {
+    /// Run the sweep: one crash-free run on the simulator gives the rows,
+    /// the persist points and the writes; then each point gets a fresh
+    /// session, [`Session::crash_at`], recovery and a re-run. Differing
+    /// rows are a record with `converged` false; an engine error, a torn
+    /// file unlike its twin or a failed reopen is an error naming the point.
+    fn run(&self) -> Result<SweepReport, String> {
+        let name = format!("{}-{}", self.backend.name(), self.label);
+        if self.reopen && self.backend == SweepBackend::Sim {
+            return Err(format!("{name}: the simulator has no pool file to reopen"));
+        }
+        let fail = |e| format!("{name}: crash-free run: {e}");
+        let (_, mut session) =
+            SweepBackend::Sim.open(self.comp, self.cfg, Path::new("")).map_err(fail)?;
+        let before = session.sim_device().stats();
+        let clean = session.traverse_rows().map_err(fail)?;
+        let traversal = session.sim_device().stats().since(&before);
+        let persist_points = traversal.persist_points();
+        let stride = self.persist.map(|stride| match stride {
+            Stride::Every(n) => n.max(1),
+            Stride::About(n) => (persist_points / n.max(1)).max(1),
+        });
+
+        let (mut records, mut pools) = (Vec::new(), Vec::new());
+        for &seed in self.seeds {
+            let pool = self.pool_dir.join(format!("{name}-seed{seed}.ntdp"));
+            let persist = stride.into_iter().flat_map(|step| {
+                (0..persist_points).step_by(step as usize).map(move |n| (Persist(n), seed ^ n))
+            });
+            let mut rng = Prng::new(seed);
+            let mid_write: Vec<_> = (0..self.mid_write)
+                .map(|_| rng.next_below(traversal.writes))
+                .map(|n| (Write(n), seed.wrapping_add(n)))
+                .collect();
+            for (point, tear_seed) in persist.chain(mid_write) {
+                let record = self.crash(&pool, &clean, seed, point, tear_seed).map_err(|e| {
+                    let (Persist(n) | Write(n)) = point;
+                    format!("{}: {e}", sweep_ctx(&format!("{name} {point:?}"), seed, n))
+                })?;
+                records.push(record);
+            }
+            if pool.exists() {
+                pools.push(pool);
+            }
+        }
+        Ok(SweepReport { records, pools })
+    }
+
+    /// Crash a fresh session at `point`, recover, re-run and compare with
+    /// `clean`.
+    fn crash(
+        &self,
+        pool: &Path,
+        clean: &TaskRows,
+        seed: u64,
+        point: CrashPoint,
+        tear_seed: u64,
+    ) -> Result<CrashRecord, PmemError> {
+        let (engine, mut session) = self.backend.open(self.comp, self.cfg, pool)?;
+        let completed = session.crash_at(point, tear_seed)?;
+        let fired = completed.is_none();
+        let mut retired = true;
+        let rows = match completed {
+            Some(rows) => rows,
+            None if !self.reopen => {
+                session.recover()?;
+                session.traverse_rows()?
+            }
+            None => {
+                drop(session);
+                let mut reopened = engine.open_pool(pool, TASK)?;
+                retired = !fsck_pool(pool)?.log.needs_rollback();
+                reopened.traverse_rows()?
+            }
+        };
+        Ok(CrashRecord { seed, point, fired, converged: &rows == clean, retired })
+    }
+}
+
+#[test]
+fn seeds_default_when_unset_or_unparseable() {
+    let seeds = |value| SweepKnobs::parse(value, None).unwrap().seeds;
+    assert_eq!(seeds(None), [1, 7, 42]);
+    assert_eq!(seeds(Some("")), [1, 7, 42]);
+    assert_eq!(seeds(Some("x, ,-3")), [1, 7, 42]);
+    assert_eq!(seeds(Some("3, 5,x,8")), [3, 5, 8]);
+}
+
+#[test]
+fn backends_select_as_documented_and_reject_anything_else() {
+    use SweepBackend::*;
+    let backends = |value| SweepKnobs::parse(None, value).map(|k| (k.backends, k.backend_chosen));
+    assert_eq!(backends(None), Ok((vec![Sim, File, Mmap], false)));
+    assert_eq!(backends(Some("all")), Ok((vec![Sim, File, Mmap], true)));
+    assert_eq!(backends(Some("sim")), Ok((vec![Sim], true)));
+    assert_eq!(backends(Some("file")), Ok((vec![File], true)));
+    assert_eq!(backends(Some("mmap")), Ok((vec![Mmap], true)));
+    let err = backends(Some("flie")).unwrap_err();
+    for accepted in ["`flie`", "sim", "file", "mmap", "all"] {
+        assert!(err.contains(accepted), "{err}");
+    }
+}
 
 /// Fresh per-process pool path; callers remove it when done.
 fn tmp_pool(name: &str) -> PathBuf {
@@ -49,9 +315,8 @@ fn strategies(comp: &Compressed, prefix: &str) -> [(EngineConfig, String, TaskRo
 fn reopen_converges(engine: &Engine, pool: &Path, clean: &TaskRows, ctx: &str) -> FsckReport {
     let fsck = fsck_pool(pool).unwrap_or_else(|e| panic!("{ctx}: fsck rejected: {e}"));
     assert!(fsck.recoverable(), "{ctx}: left an unrecoverable pool");
-    let mut reopened = engine
-        .open_pool(pool, Task::WordCount)
-        .unwrap_or_else(|e| panic!("{ctx}: reopen failed: {e}"));
+    let mut reopened =
+        engine.open_pool(pool, TASK).unwrap_or_else(|e| panic!("{ctx}: reopen failed: {e}"));
     let rows = reopened.traverse_rows().unwrap_or_else(|e| panic!("{ctx}: re-run failed: {e}"));
     assert_eq!(rows, *clean, "{ctx}: reopened pool diverged");
     fsck
@@ -59,30 +324,57 @@ fn reopen_converges(engine: &Engine, pool: &Path, clean: &TaskRows, ctx: &str) -
 
 /// Run `sweep` and assert that every point converged and that a crash
 /// fired under every seed.
-fn assert_sweep_converges(sweep: CrashSweep) {
+fn assert_sweep_converges(sweep: &CrashSweep) -> SweepReport {
     let report = sweep.run().unwrap_or_else(|e| panic!("{e}"));
     for r in &report.records {
         let (CrashPoint::Persist(n) | CrashPoint::Write(n)) = r.point;
         let ctx = sweep_ctx(&format!("{} {:?}", sweep.label, r.point), r.seed, n);
         assert!(r.converged, "{ctx}: diverged on {:?} (fired: {})", sweep.backend, r.fired);
+        assert!(r.retired, "{ctx}: a reopen on {:?} left the transaction open", sweep.backend);
     }
     for &seed in sweep.seeds {
         let fired = report.records.iter().any(|r| r.seed == seed && r.fired);
         assert!(fired, "{} [{:?}]: seed {seed}: no crash fired", sweep.label, sweep.backend);
     }
+    report
 }
 
-/// Every persist point under one persistence strategy, on every backend
-/// `NTADOC_SWEEP_BACKEND` selects, recovering in place.
-fn sweep_strategy_over(comp: &Compressed, cfg: &EngineConfig, label: &str) {
-    let knobs = SweepKnobs::from_env().unwrap();
+/// A generated corpus, larger and deeper than [`corpus`], for the reopen
+/// route of the two strategies' sweeps.
+fn generated_corpus() -> &'static Compressed {
+    static CORPUS: OnceLock<Compressed> = OnceLock::new();
+    CORPUS.get_or_init(|| generate_compressed(&DatasetSpec::a().scaled(0.05)))
+}
+
+/// Check a pool a sweep left as `ntadoc fsck --backend file|mmap` does:
+/// fsck finds it recoverable, and it opens through both stores, with the
+/// profile its header names, into an image equal to the file's bytes.
+fn deep_check(pool: &Path, ctx: &str) {
+    let ctx = format!("{ctx}: {}", pool.display());
+    let fsck = fsck_pool(pool).unwrap_or_else(|e| panic!("{ctx}: fsck rejected: {e}"));
+    assert!(fsck.recoverable(), "{ctx}: unrecoverable: {:?}", fsck.unrecoverable);
+    let profile = fsck.profile.unwrap_or_else(|| panic!("{ctx}: no profile opens it"));
+    for store in [PoolBackend::File, PoolBackend::Mmap] {
+        let device = store.open(pool, profile.clone());
+        let verified = device.and_then(|device| device.verify_file_matches_device());
+        verified.unwrap_or_else(|e| panic!("{ctx}: {} open + byte-verify: {e}", store.name()));
+    }
+}
+
+/// Every persist point of `comp` under one persistence strategy, on every
+/// backend `NTADOC_SWEEP_BACKEND` selects, recovering in place. A chosen
+/// durable backend then sweeps the reopen route over `reopened` — about 64
+/// persist points and 25 mid-write points per seed — and deep-checks
+/// every pool a seed leaves.
+fn sweep_strategy_over(comp: &Compressed, reopened: &Compressed, cfg: &EngineConfig, label: &str) {
+    let knobs = SweepKnobs::from_env();
     let pool_dir = tmp_pool(label).with_extension("d");
     std::fs::create_dir_all(&pool_dir).unwrap();
     for backend in knobs.backends {
         // Durable sessions replay the whole trace per point against a real
         // file; with no backend chosen, sample those passes.
         let every = if backend != SweepBackend::Sim && !knobs.backend_chosen { 8 } else { 1 };
-        assert_sweep_converges(CrashSweep {
+        assert_sweep_converges(&CrashSweep {
             label,
             comp,
             cfg,
@@ -93,18 +385,45 @@ fn sweep_strategy_over(comp: &Compressed, cfg: &EngineConfig, label: &str) {
             mid_write: 0,
             reopen: false,
         });
+        if !knobs.backend_chosen || backend == SweepBackend::Sim {
+            continue;
+        }
+        let sweep = CrashSweep {
+            label: &format!("{label}-reopen"),
+            comp: reopened,
+            cfg,
+            backend,
+            pool_dir: &pool_dir,
+            seeds: &knobs.seeds,
+            persist: Some(Stride::About(64)),
+            mid_write: 25,
+            reopen: true,
+        };
+        let report = assert_sweep_converges(&sweep);
+        assert_eq!(report.pools.len(), knobs.seeds.len(), "{label}: a seed left no pool");
+        for pool in &report.pools {
+            deep_check(pool, label);
+        }
+        let fired = report.records.iter().filter(|r| r.fired).count();
+        eprintln!(
+            "{} [{backend:?}]: {} reopen-route points ({fired} fired), {} pools deep-checked",
+            sweep.label,
+            report.records.len(),
+            report.pools.len()
+        );
     }
     let _ = std::fs::remove_dir_all(&pool_dir);
 }
 
 #[test]
 fn every_persist_point_converges_phase_level() {
-    sweep_strategy_over(&corpus(), &EngineConfig::ntadoc(), "phase-level");
+    sweep_strategy_over(&corpus(), generated_corpus(), &EngineConfig::ntadoc(), "phase-level");
 }
 
 #[test]
 fn every_persist_point_converges_operation_level() {
-    sweep_strategy_over(&corpus(), &EngineConfig::ntadoc_oplevel(), "operation-level");
+    let cfg = EngineConfig::ntadoc_oplevel();
+    sweep_strategy_over(&corpus(), generated_corpus(), &cfg, "operation-level");
 }
 
 #[test]
@@ -127,7 +446,7 @@ fn every_persist_point_converges_operation_level_with_growable_tables() {
     ];
     let comp = compress_corpus(&files, &TokenizerConfig::default());
     let cfg = EngineConfig { presize: false, ..EngineConfig::ntadoc_oplevel() };
-    sweep_strategy_over(&comp, &cfg, "operation-level-growable");
+    sweep_strategy_over(&comp, &comp, &cfg, "operation-level-growable");
 }
 
 #[test]
@@ -148,8 +467,9 @@ fn every_persist_point_converges_after_an_append() {
         .append_files(vec![("c".to_string(), "eight nine one seven two eight".repeat(12))])
         .unwrap();
     let comp = (**engine.compressed()).clone();
-    sweep_strategy_over(&comp, &EngineConfig::ntadoc(), "append-phase-level");
-    sweep_strategy_over(&comp, &EngineConfig::ntadoc_oplevel(), "append-operation-level");
+    sweep_strategy_over(&comp, &comp, &EngineConfig::ntadoc(), "append-phase-level");
+    let cfg = EngineConfig::ntadoc_oplevel();
+    sweep_strategy_over(&comp, &comp, &cfg, "append-operation-level");
 }
 
 #[test]
@@ -157,9 +477,9 @@ fn random_mid_write_crash_points_converge_with_torn_stores() {
     // Persist points never interrupt a store; raw write points do, and the
     // torn model then applies an arbitrary subset of the store's 8-byte
     // words. Sample write points across the whole traversal.
-    let (comp, seeds) = (corpus(), SweepKnobs::from_env().unwrap().seeds);
+    let (comp, seeds) = (corpus(), SweepKnobs::from_env().seeds);
     for (cfg, label, _, _) in strategies(&comp, "mid-write") {
-        assert_sweep_converges(CrashSweep {
+        assert_sweep_converges(&CrashSweep {
             label: &label,
             comp: &comp,
             cfg: &cfg,
@@ -223,7 +543,7 @@ fn same<T: PartialEq>(xs: &[T; 3]) -> bool {
 fn sim_file_and_mmap_backends_agree_at_every_crash_point() {
     use SweepBackend::{File, Mmap, Sim};
     let comp = corpus();
-    let seed = SweepKnobs::from_env().unwrap().seeds[0];
+    let seed = SweepKnobs::from_env().seeds[0];
     for (cfg, label, clean, total) in strategies(&comp, "xcheck") {
         assert!(total > 0, "{label}: traversal must issue persist points");
         let (file_pool, mmap_pool) =
@@ -274,7 +594,7 @@ fn sim_file_and_mmap_backends_agree_at_every_crash_point() {
                 let refired = doomed.crash_at(crash, seed ^ point);
                 assert!(refired.unwrap().is_none(), "{ctx}: crash did not refire");
                 drop(doomed);
-                let mut reopened = engine.open_pool(pool, Task::WordCount).unwrap();
+                let mut reopened = engine.open_pool(pool, TASK).unwrap();
                 assert_eq!(
                     reopened.traverse_rows().unwrap(),
                     clean,
@@ -296,7 +616,7 @@ fn sim_file_and_mmap_backends_agree_at_every_crash_point() {
 #[test]
 fn host_crash_at_sampled_points_converges_on_both_durable_backends() {
     let comp = corpus();
-    let seed = SweepKnobs::from_env().unwrap().seeds[0];
+    let seed = SweepKnobs::from_env().seeds[0];
     for (cfg, label, clean, total) in strategies(&comp, "host-crash") {
         for backend in [SweepBackend::File, SweepBackend::Mmap] {
             let pool = tmp_pool(&format!("{label}-{backend:?}"));

@@ -192,10 +192,10 @@ fn init_image(engine: &Engine, task: Task) -> (u64, Vec<u8>) {
     (dev.stats().virtual_ns, dev.peek(0, dev.capacity() as usize))
 }
 
-/// Sessions take their §IV-C bounds from the engine, which maintains them
-/// incrementally across appends. An engine built from scratch over the
-/// same corpus recomputes them in full; both must write the same pool
-/// (the bounds are a metadata array in it) at the same virtual cost.
+/// Sessions take their §IV-C bounds from the engine, which derives them
+/// again after every append. An engine built from scratch over the same
+/// corpus derives them at build; both must write the same pool (the
+/// bounds are a metadata array in it) at the same virtual cost.
 #[test]
 fn sessions_from_maintained_bounds_write_the_pool_a_recompute_writes() {
     let files = fixed_corpus(12, 80);

@@ -102,7 +102,7 @@ fn in_tree_producers_emit_only_reachable_rules() {
                 for chunks in [1usize, 3] {
                     let opts = ntadoc_repro::IngestOptions { chunks };
                     let (base, _) = ntadoc_repro::ingest_corpus(&files[..at], &opts);
-                    let step = ntadoc_repro::ingest_append(&base, &files[at..]);
+                    let step = ntadoc_repro::ingest_append(&base, &files[at..]).unwrap();
                     step.comp.grammar.validate().unwrap();
                 }
             }
