@@ -10,7 +10,7 @@
 //! DESIGN.md design-choice claims individually.
 
 use crate::{geomean, Device, Emitter, Harness};
-use ntadoc::{EngineConfig, Task};
+use ntadoc::{EngineConfig, Task, METRIC_DEVICE_PEAK};
 use ntadoc_pmem::Json;
 
 pub fn run(h: &Harness, em: &mut Emitter) {
@@ -35,11 +35,22 @@ pub fn run(h: &Harness, em: &mut Emitter) {
         for (i, &task) in tasks.iter().enumerate() {
             let rep = h.run_engine(&comp, cfg.clone(), Device::Nvm, task);
             let slowdown = rep.total_secs() / full[i];
+            // What the growable containers cost: their rebuilds, and the
+            // device space the abandoned regions hold.
+            let reconstructions: u64 = rep
+                .metrics
+                .iter()
+                .filter(|(metric, _)| metric.ends_with(".reconstructions"))
+                .filter_map(|(_, value)| value.as_counter())
+                .sum();
+            let device_peak = rep.metric_f64(METRIC_DEVICE_PEAK).expect("device peak gauge");
             em.row([
                 ("variant", Json::from(*name)),
                 ("task", Json::from(task.name())),
                 ("secs", Json::F64(rep.total_secs())),
                 ("slowdown_vs_full", Json::F64(slowdown)),
+                ("reconstructions", Json::from(reconstructions)),
+                ("device_peak_kb", Json::F64(device_peak / 1024.0)),
             ]);
             vals.push(slowdown);
         }

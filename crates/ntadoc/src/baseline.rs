@@ -305,7 +305,7 @@ impl Scan<'_> {
         Ok(counts_of(&counter.table))
     }
 
-    /// Every `(n-gram id, (file id, count))` posting, file after file,
+    /// Every file's `(n-gram id, count)` postings, file after file,
     /// from per-file n-gram tables filled in one scan. The tables must
     /// coexist (one per file), so they live on the main pool rather than
     /// the shared scratch region.
@@ -317,10 +317,9 @@ impl Scan<'_> {
             }
             per_file[fid].add(id as u64, 1)
         })?;
-        let mut postings = Postings::new();
-        for (fid, table) in per_file.iter().enumerate() {
-            postings
-                .extend(table.entries().into_iter().map(|(id, c)| (id as u32, (fid as u32, c))));
+        let mut postings = Postings::with_capacity(per_file.iter().map(|t| t.len()).sum());
+        for table in &per_file {
+            postings.push_file(&counts_of(table))?;
         }
         Ok(postings)
     }

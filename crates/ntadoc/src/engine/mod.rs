@@ -48,7 +48,7 @@ mod txcounter;
 use std::path::Path;
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use ntadoc_grammar::{serialized_len, Compressed};
+use ntadoc_grammar::{serialized_len, Compressed, Symbol};
 use ntadoc_pmem::{DeviceProfile, PmemError, PoolHeader, PoolLayout, SpanNode, TxLog};
 
 pub use builder::{EngineBuilder, PoolBackend, RetryPolicy};
@@ -132,6 +132,8 @@ struct CapacityPlan {
     total_symbols: usize,
     vocab: usize,
     expanded_words: u64,
+    /// Words per file, separators excluded; they sum to `expanded_words`.
+    file_words: Vec<u64>,
     dict_text: usize,
     sum_bounds: u64,
     max_exp_nonroot: u64,
@@ -142,15 +144,28 @@ impl CapacityPlan {
     /// unclamped bounds and per-rule expansion lengths.
     fn from_facts(comp: &Compressed, bounds: &[u64], exp_len: &[u64]) -> CapacityPlan {
         let vocab = comp.dict.len();
+        let words = |s: &Symbol| if s.is_rule() { exp_len[s.payload() as usize] } else { 1 };
+        let root = &comp.grammar.rules[0].symbols;
+        let file_words = root.split(|s| s.is_sep()).map(|f| f.iter().map(words).sum()).collect();
         CapacityPlan {
             nrules: comp.grammar.rule_count(),
             total_symbols: comp.grammar.total_symbols(),
             vocab,
             expanded_words: exp_len[0],
+            file_words,
             dict_text: comp.dict.text_bytes(),
             sum_bounds: bounds.iter().map(|&b| b.min(vocab as u64)).sum(),
             max_exp_nonroot: exp_len.iter().skip(1).copied().max().unwrap_or(0),
         }
+    }
+
+    /// The corpus's `n`-word windows that lie inside one file: Σ over files
+    /// of max(0, words − n + 1). A file has at most one ranked-index
+    /// posting per window, so this bounds the postings; it is at most
+    /// `expanded_words`.
+    fn ngram_windows(&self, n: usize) -> u64 {
+        let n = n.max(1) as u64 - 1;
+        self.file_words.iter().map(|&words| words.saturating_sub(n)).sum()
     }
 }
 
@@ -468,6 +483,10 @@ impl Engine {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
+    use ntadoc_grammar::{compress_corpus, TokenizerConfig};
+
     use super::*;
     use crate::ingest::{ingest_corpus, IngestOptions};
     use crate::summation::upper_bounds;
@@ -498,5 +517,65 @@ mod tests {
             upper_bounds(&engine.comp.grammar).bounds,
             "after two appends"
         );
+    }
+
+    /// §IV-C for the ranked index's result. With the summation on, its
+    /// triples are allocated once, from the corpus's n-gram windows: those
+    /// bound the postings, stay within the expanded words, and fit the
+    /// planned capacity (the session opens at the estimate, which is never
+    /// doubled here). With it off, they start at one per file (at least 16)
+    /// and double as each file's postings arrive, as they always did.
+    #[test]
+    fn ranked_results_are_sized_once_from_the_ngram_windows() {
+        let named = |texts: &[&str]| -> Vec<(String, String)> {
+            texts.iter().enumerate().map(|(i, t)| (format!("f{i}"), t.to_string())).collect()
+        };
+        let corpora = [
+            // Files shorter than any n, an empty one, and one that is not.
+            named(&["a b", "", "c", "a b c d e f g h a b c d e f g h i j", "b c"]),
+            named(&[&"x y x y z x y z z x ".repeat(9)]),
+            files(0..5),
+        ];
+        for texts in corpora {
+            let comp = Arc::new(compress_corpus(&texts, &TokenizerConfig::default()));
+            for n in 2..=7 {
+                let windows: u64 = texts
+                    .iter()
+                    .map(|(_, t)| {
+                        (t.split_whitespace().count() as u64).saturating_sub(n as u64 - 1)
+                    })
+                    .sum();
+                for presize in [true, false] {
+                    let cfg = EngineConfig { ngram: n, presize, ..EngineConfig::ntadoc() };
+                    let engine = Engine::builder(comp.clone()).config(cfg).build().unwrap();
+                    let mut session = engine.session(Task::RankedInvertedIndex).unwrap();
+                    let rows = session.traverse_rows().unwrap();
+                    let mut per_file: BTreeMap<&str, usize> = BTreeMap::new();
+                    for name in rows.rows().flat_map(|row| row.names()) {
+                        *per_file.entry(name).or_default() += 1;
+                    }
+                    let postings: usize = per_file.values().sum();
+                    let at = format!("{} files, n = {n}, presize {presize}", texts.len());
+                    assert_eq!(session.ngram_windows, windows, "{at}");
+                    assert!(windows as usize >= postings, "{at}: {postings} postings");
+                    assert!(windows <= engine.derived.plan.expanded_words, "{at}");
+                    // What growing from one per file costs, file by file.
+                    let (mut cap, mut len, mut grown) = (texts.len().max(16), 0, 0);
+                    for (name, _) in &texts {
+                        len += per_file.get(name.as_str()).copied().unwrap_or(0);
+                        if len > cap {
+                            cap *= 2;
+                            while cap < len {
+                                cap *= 2;
+                            }
+                            grown += 1;
+                        }
+                    }
+                    let report = session.report();
+                    let rebuilt = report.metric_u64("ranked-triples.reconstructions");
+                    assert_eq!(rebuilt, Some(if presize { 0 } else { grown }), "{at}");
+                }
+            }
+        }
     }
 }

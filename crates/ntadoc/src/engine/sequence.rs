@@ -269,6 +269,7 @@ impl Session {
         let totals = match counter {
             Some(counter) => {
                 counter.finish()?;
+                counter.table.observe(&self.sc.obs.metrics, "result-table");
                 counts_of(&counter.table)
             }
             None => self.merged(&mut w.merge),
@@ -284,17 +285,21 @@ impl Session {
         Ok(totals)
     }
 
-    /// Every `(n-gram id, (file id, count))` posting, file after file: per
+    /// Every file's `(n-gram id, count)` postings, file after file: per
     /// file, its junction n-grams plus the cached sequence lists of its
-    /// subrules.
+    /// subrules. The device result holds them as `(n-gram id, (file id,
+    /// count))` triples, allocated once from the corpus's n-gram windows
+    /// when the summation is on (§IV-C) and grown from one per file when
+    /// it is off.
     pub(super) fn ranked_postings(&self) -> Result<Postings> {
         let (mut r0, mut w) = (PoolBuf::default(), Work::default());
         let body = self.r0_body(&mut r0)?;
         let segs = || body.split(|s| s.is_sep());
-        // Result triples on the device, and their host copy.
-        let triples: PVec<(u32, (u32, u64))> =
-            PVec::with_capacity(self.sc.pool.clone(), segs().count().max(16))?;
-        let mut postings: Postings = Vec::new();
+        let windows = self.ngram_windows as usize;
+        let start = if self.sc.cfg.presize { windows } else { segs().count().max(16) };
+        // Result triples on the device, one file's at a time on the host.
+        let triples: PVec<(u32, (u32, u64))> = PVec::with_capacity(self.sc.pool.clone(), start)?;
+        let (mut postings, mut file_triples) = (Postings::with_capacity(windows), Vec::new());
         for (fid, seg) in segs().enumerate() {
             self.junction_stream(seg, &mut w.ht, &mut w.stream)?;
             let rules = seg.iter().filter(|s| s.is_rule()).map(|s| s.payload());
@@ -315,14 +320,18 @@ impl Session {
                 }
                 counts_of(&table)
             };
-            let before = postings.len();
-            postings.extend(entries.into_iter().map(|(sid, c)| (sid, (fid as u32, c))));
-            triples.extend_from_slice(&postings[before..])?;
-            self.op_guard(triples.addr_of(before), (postings.len() - before) * 16)?;
+            postings.push_file(&entries)?;
+            file_triples.clear();
+            file_triples.extend(entries.iter().map(|&(sid, c)| (sid, (fid as u32, c))));
+            let before = triples.len() as u64;
+            triples.extend_from_slice(&file_triples)?;
+            // Where this file's triples landed (the vector may have moved).
+            self.op_guard(triples.base_addr() + before * 16, entries.len() * 16)?;
         }
         if self.sc.persists() {
             triples.persist();
         }
+        triples.observe(&self.sc.obs.metrics, "ranked-triples");
         Ok(postings)
     }
 }

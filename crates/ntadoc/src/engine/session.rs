@@ -57,6 +57,9 @@ pub struct Session {
     /// fingerprint. Shared into every response.
     snapshot: Arc<Snapshot>,
     pub(crate) dag: Option<DagPool>,
+    /// The corpus's n-gram windows, from the engine's host-side plan: what
+    /// the ranked index's postings are sized from (§IV-C).
+    pub(crate) ngram_windows: u64,
     /// The virtual clock when init finished.
     pub(super) init_ns: u64,
     image_bytes: u64,
@@ -102,6 +105,7 @@ impl Session {
             pool_file: file,
             snapshot: Arc::new(snapshot),
             dag: None,
+            ngram_windows: engine.derived.plan.ngram_windows(engine.cfg.ngram),
             init_ns: 0,
             image_bytes: engine.derived.image_bytes,
             retry: engine.retry,

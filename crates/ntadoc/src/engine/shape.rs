@@ -3,12 +3,13 @@
 //! Every engine computes a task in two steps. The first is its own —
 //! a DAG traversal, a merge over cached word lists, a scan of the token
 //! stream — and ends in dictionary ids: `(word, count)` lists, per-file
-//! tables, `(n-gram, count)` lists, `(n-gram, file, count)` postings. The
-//! second is the same for all of them and lives here, one function per
+//! tables, `(n-gram, count)` lists, per-file `(n-gram, count)` postings.
+//! The second is the same for all of them and lives here, one function per
 //! task: order, rank and cut the id-level result, charge the modeled sort,
 //! read every word the result names through the caller's [`WordReader`] —
 //! the model pays for a dictionary read per word written, in the order the
-//! words are produced — and lay the ids out as [`TaskRows`]. Rows keyed by
+//! words are produced, and for an n-gram keyed result once per distinct
+//! word, in id order — and lay the ids out as [`TaskRows`]. Rows keyed by
 //! words are ordered by integer rank ([`ranks`], once per run scaffold);
 //! no string is built. Batch, serve and the uncompressed baseline therefore
 //! shape results with the same code in the same device-access order.
@@ -27,8 +28,42 @@ use crate::Result;
 /// An id-level result: `(word or n-gram id, count)` pairs.
 pub(crate) type Counts = Vec<(u32, u64)>;
 
-/// The id-level ranked index: `(n-gram id, (file id, count))`, any order.
-pub(crate) type Postings = Vec<(u32, (u32, u64))>;
+/// The id-level ranked index: each file's `(n-gram id, count)` postings,
+/// file after file, in one arena.
+#[derive(Debug, Default)]
+pub(crate) struct Postings {
+    /// Each posting's n-gram id.
+    ids: Vec<u32>,
+    /// Each posting's count, beside its id.
+    counts: Vec<u64>,
+    /// Where each file's postings end.
+    ends: Vec<u32>,
+}
+
+impl Postings {
+    /// An empty arena with room for `postings` postings.
+    pub fn with_capacity(postings: usize) -> Postings {
+        let (ids, counts) = (Vec::with_capacity(postings), Vec::with_capacity(postings));
+        Postings { ids, counts, ends: Vec::new() }
+    }
+
+    /// Append the next file's postings.
+    pub fn push_file(&mut self, entries: &[(u32, u64)]) -> Result<()> {
+        self.ids.extend(entries.iter().map(|e| e.0));
+        self.counts.extend(entries.iter().map(|e| e.1));
+        self.ends.push(end_of(self.ids.len())?);
+        Ok(())
+    }
+
+    /// Each file's id as a `u32` and its postings' ids and counts.
+    fn files(&self) -> impl Iterator<Item = (u32, &[u32], &[u64])> {
+        let starts = std::iter::once(0).chain(self.ends.iter().copied());
+        self.ends.iter().zip(starts).zip(0..).map(|((&end, start), file)| {
+            let at = start as usize..end as usize;
+            (file, &self.ids[at.clone()], &self.counts[at])
+        })
+    }
+}
 
 /// A counter table's `(key, count)` entries, keys narrowed back to ids.
 pub(crate) fn counts_of(table: &PHashTable) -> Counts {
@@ -205,23 +240,35 @@ pub(super) fn ranks(dict: &Dictionary) -> Vec<u32> {
     rank
 }
 
-/// Rows keyed by n-gram id → the order to lay them out in, keyed by the
-/// n-grams' words. The dictionary is read row by row as `ids` yields them,
-/// once per word of each n-gram. The answer lists row numbers by rank tuple
+/// `rows` rows keyed by n-gram id (row `r` by `id_of(r)`) → the order to
+/// lay them out in, keyed by the n-grams' words, and those words in that
+/// order: the `keys` arena. The dictionary is read once per distinct word
+/// the rows name, in id order. The order lists row numbers by rank tuple
 /// — the order of a map keyed by the words — and, of rows whose n-grams
 /// read the same, holds the last.
 fn gram_order(
     sc: &RunScaffold,
-    ids: impl Iterator<Item = u32>,
+    rows: usize,
+    id_of: impl Fn(u32) -> u32,
     dict: &Dictionary,
     mut words: WordReader,
-) -> Vec<u32> {
+) -> (Vec<u32>, Vec<u32>) {
     let (n, rank, grams) = (sc.cfg.ngram, sc.ranks(dict), sc.interner.grams());
-    let mut ranked: Vec<u32> = Vec::with_capacity(ids.size_hint().0 * n);
-    ids.for_each(|id| ranked.extend_from_slice(grams.get(id)));
-    words.touch_all(ranked.iter().copied());
-    ranked.iter_mut().for_each(|w| *w = rank[*w as usize]);
-    rank_order(&ranked, n, rank.len().saturating_sub(1) as u32)
+    let gram = |row: u32| grams.get(id_of(row));
+    // One bit per dictionary word: whether a row names it.
+    let mut named = vec![0u64; rank.len().div_ceil(64)];
+    let mut ranked: Vec<u32> = Vec::with_capacity(rows * n);
+    for &w in (0..rows as u32).flat_map(gram) {
+        named[w as usize / 64] |= 1 << (w % 64);
+        ranked.push(rank[w as usize]);
+    }
+    let is_named = |w: &u32| named[*w as usize / 64] >> (w % 64) & 1 == 1;
+    words.touch_all((0..rank.len() as u32).filter(is_named));
+    let order = rank_order(&ranked, n, rank.len().saturating_sub(1) as u32);
+    // The kept rows' words, where their ranks were.
+    ranked.clear();
+    order.iter().for_each(|&row| ranked.extend_from_slice(gram(row)));
+    (order, ranked)
 }
 
 /// The rows of `ranked` — `n` ranks each, none above `top` — in the order
@@ -244,14 +291,6 @@ fn rank_order(ranked: &[u32], n: usize, top: u32) -> Vec<u32> {
     order
 }
 
-/// The words of the n-grams `ids` names, back to back: the `keys` arena.
-fn gram_keys(sc: &RunScaffold, ids: impl ExactSizeIterator<Item = u32>) -> Vec<u32> {
-    let grams = sc.interner.grams();
-    let mut keys = Vec::with_capacity(ids.len() * sc.cfg.ngram);
-    ids.for_each(|id| keys.extend_from_slice(grams.get(id)));
-    keys
-}
-
 /// Sequence count: `(n-gram id, count)` keyed by the n-gram's words.
 pub(crate) fn sequence_count(
     sc: &RunScaffold,
@@ -259,47 +298,66 @@ pub(crate) fn sequence_count(
     comp: &Arc<Compressed>,
     words: WordReader,
 ) -> TaskRows {
-    let order = gram_order(sc, counts.iter().map(|c| c.0), &comp.dict, words);
-    let row = |&at: &u32| counts[at as usize];
-    let keys = gram_keys(sc, order.iter().map(|at| row(at).0));
-    let counts = order.iter().map(|at| row(at).1).collect();
+    let (order, keys) =
+        gram_order(sc, counts.len(), |row| counts[row as usize].0, &comp.dict, words);
+    let counts = order.iter().map(|&row| counts[row as usize].1).collect();
     TaskRows::new(Task::SequenceCount, comp.clone(), sc.cfg.ngram, keys, vec![], vec![], counts)
 }
 
 /// Ranked inverted index: n-gram → `(file, count)`, count descending with
-/// the file id as the tiebreak.
+/// the file id as the tiebreak. The postings are counted per n-gram, the
+/// n-grams laid out in `gram_order`, and each file's postings scattered
+/// to where its n-gram's run stands; a run then holds its files in file
+/// order and is ranked in place.
 pub(crate) fn ranked_index(
     sc: &RunScaffold,
-    mut postings: Postings,
+    postings: Postings,
     comp: &Arc<Compressed>,
     words: WordReader,
 ) -> Result<TaskRows> {
-    // Every list end below is at most this one.
-    end_of(postings.len())?;
-    // One sort by n-gram id: n-grams are taken in id order — the order the
-    // dictionary is read in — each a run of the vector, ranked in place as
-    // `gram_order` comes to it.
-    postings.sort_unstable_by_key(|&(sid, _)| sid);
-    let mut groups: Vec<(u32, u32)> = Vec::new(); // (n-gram id, where its run ends)
-    let ids = postings.chunk_by_mut(|a, b| a.0 == b.0).map(|run| {
-        sc.charge_sort(run.len() as u64);
-        run.sort_unstable_by(|(_, a), (_, b)| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        let start = groups.last().map_or(0, |g| g.1);
-        groups.push((run[0].0, start + run.len() as u32));
-        run[0].0
-    });
-    let order = gram_order(sc, ids, &comp.dict, words);
-    let keys = gram_keys(sc, order.iter().map(|&at| groups[at as usize].0));
-    let mut ends = Vec::with_capacity(order.len());
-    let (mut items, mut counts) =
-        (Vec::with_capacity(postings.len()), Vec::with_capacity(postings.len()));
-    for &at in &order {
-        let from = if at == 0 { 0 } else { groups[at as usize - 1].1 as usize };
-        for &(_, (file, count)) in &postings[from..groups[at as usize].1 as usize] {
-            items.push(file);
-            counts.push(count);
+    // Postings per n-gram id; every list end below is at most their sum,
+    // which `Postings` holds in a `u32`.
+    let top = postings.ids.iter().max().map_or(0, |&id| id as usize + 1);
+    let mut at = vec![0u32; top];
+    postings.ids.iter().for_each(|&id| at[id as usize] += 1);
+    // The n-grams with postings, `(id, postings)` in id order.
+    let runs: Vec<(u32, u32)> =
+        (0..top as u32).map(|id| (id, at[id as usize])).filter(|run| run.1 > 0).collect();
+    runs.iter().for_each(|run| sc.charge_sort(run.1 as u64));
+    let (order, keys) = gram_order(sc, runs.len(), |row| runs[row as usize].0, &comp.dict, words);
+    // `at` turns into each n-gram's cursor: where its next posting goes,
+    // none for the rows `gram_order` dropped.
+    runs.iter().for_each(|&(id, _)| at[id as usize] = u32::MAX);
+    let (mut ends, mut total) = (Vec::with_capacity(order.len()), 0);
+    for &row in &order {
+        let (id, len) = runs[row as usize];
+        at[id as usize] = total;
+        total += len;
+        ends.push(total);
+    }
+    let (mut items, mut counts) = (vec![0u32; total as usize], vec![0u64; total as usize]);
+    for (file, ids, file_counts) in postings.files() {
+        for (&id, &count) in ids.iter().zip(file_counts) {
+            let cursor = &mut at[id as usize];
+            if *cursor != u32::MAX {
+                items[*cursor as usize] = file;
+                counts[*cursor as usize] = count;
+                *cursor += 1;
+            }
         }
-        ends.push(items.len() as u32);
+    }
+    // Each run ranked in place: count descending, then file.
+    let (mut run_rows, mut start): (Vec<(u64, u32)>, _) = (Vec::new(), 0);
+    for &end in &ends {
+        let run = start as usize..end as usize;
+        run_rows.clear();
+        run_rows
+            .extend(counts[run.clone()].iter().copied().zip(items[run.clone()].iter().copied()));
+        run_rows.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
+        for (i, (count, file)) in run.zip(run_rows.iter().copied()) {
+            (counts[i], items[i]) = (count, file);
+        }
+        start = end;
     }
     let n = sc.cfg.ngram;
     Ok(TaskRows::new(Task::RankedInvertedIndex, comp.clone(), n, keys, ends, items, counts))
@@ -307,7 +365,7 @@ pub(crate) fn ranked_index(
 
 #[cfg(test)]
 mod tests {
-    use std::collections::BTreeMap;
+    use std::collections::{BTreeMap, BTreeSet};
 
     use ntadoc_grammar::{compress_corpus, TokenizerConfig};
     use ntadoc_pmem::{DeviceProfile, PoolLayout};
@@ -400,10 +458,13 @@ mod tests {
         TaskOutput::SequenceCount(out)
     }
 
-    fn ranked_index_ref(sc: &RunScaffold, postings: &Postings, comp: &Compressed) -> TaskOutput {
+    /// Each file's `(n-gram id, count)` postings, as the arena holds them.
+    fn ranked_index_ref(sc: &RunScaffold, files: &[Counts], comp: &Compressed) -> TaskOutput {
         let mut by_gram: BTreeMap<u32, Vec<(u32, u64)>> = BTreeMap::new();
-        for &(sid, posting) in postings {
-            by_gram.entry(sid).or_default().push(posting);
+        for (fid, entries) in files.iter().enumerate() {
+            for &(sid, c) in entries {
+                by_gram.entry(sid).or_default().push((fid as u32, c));
+            }
         }
         let mut out = BTreeMap::new();
         for (sid, mut files) in by_gram {
@@ -486,18 +547,56 @@ mod tests {
             let got = sequence_count(&sc, counts, &comp, reader(&sc, &comp.dict));
             assert_eq!(got.into_strings(), expect, "round {round}: n = {n}, forged {forged}");
 
-            // Postings file after file; files 1 and 4 are empty, counts tie.
-            let mut postings = Postings::new();
-            for fid in [0, 2, 3, 5] {
+            // Postings file after file, in interning order; files 1 and 4
+            // are empty, counts tie.
+            let mut files = vec![Counts::new(); FILES as usize];
+            for (_, entries) in files.iter_mut().enumerate().filter(|(fid, _)| fid % 3 != 1) {
                 for &id in &ids {
                     if rng.below(3) > 0 {
-                        postings.push((id, (fid, 1 + rng.below(3))));
+                        entries.push((id, 1 + rng.below(3)));
                     }
                 }
             }
-            let expect = ranked_index_ref(&sc, &postings, &comp);
+            let mut postings = Postings::default();
+            files.iter().for_each(|entries| postings.push_file(entries).unwrap());
+            let expect = ranked_index_ref(&sc, &files, &comp);
             let got = ranked_index(&sc, postings, &comp, reader(&sc, &comp.dict)).unwrap();
             assert_eq!(got.into_strings(), expect, "round {round}: n = {n}, forged {forged}");
+        }
+    }
+
+    /// Shaping reads the dictionary once per distinct word the result
+    /// names, however many n-grams name it: two offset loads and one text
+    /// read each.
+    #[test]
+    fn gram_keyed_shapers_read_each_named_word_once() {
+        let mut rng = Rng(0xBF58_476D_1CE4_E5B9);
+        for round in 0..20 {
+            let (n, forged) = (2 + round % 6, round % 4 == 3);
+            let (sc, comp) = (scaffold(n), corpus(forged));
+            let count = 1 + rng.below(30) as usize;
+            let ids = grams(&sc, &comp.dict, &mut rng, count);
+            let named: BTreeSet<u32> =
+                ids.iter().flat_map(|&id| sc.interner.grams().get(id).to_vec()).collect();
+            let text: usize = named.iter().map(|&w| comp.dict.word(w).len()).sum();
+            let want = (3 * named.len() as u64, (16 * named.len() + text) as u64);
+            let reads = |shape: &dyn Fn(WordReader)| {
+                let words = reader(&sc, &comp.dict);
+                let before = sc.dev.stats();
+                shape(words);
+                let after = sc.dev.stats();
+                (after.reads - before.reads, after.bytes_read - before.bytes_read)
+            };
+            let counts: Counts = ids.iter().map(|&id| (id, 1)).collect();
+            let got = reads(&|words| drop(sequence_count(&sc, counts.clone(), &comp, words)));
+            assert_eq!(got, want, "round {round}: sequence count, n = {n}");
+            let got = reads(&|words| {
+                let mut postings = Postings::default();
+                postings.push_file(&counts).unwrap();
+                postings.push_file(&counts[..counts.len() / 2]).unwrap();
+                drop(ranked_index(&sc, postings, &comp, words).unwrap());
+            });
+            assert_eq!(got, want, "round {round}: ranked index, n = {n}");
         }
     }
 
@@ -508,8 +607,12 @@ mod tests {
         let empty = TaskOutput::SequenceCount(BTreeMap::new());
         assert_eq!(sequence_count(&sc, Counts::new(), &comp, words()).into_strings(), empty);
         let empty = TaskOutput::RankedInvertedIndex(BTreeMap::new());
-        let got = ranked_index(&sc, Postings::new(), &comp, words()).unwrap();
-        assert_eq!(got.into_strings(), empty);
+        for files in [0, 3] {
+            let mut postings = Postings::default();
+            (0..files).for_each(|_| postings.push_file(&[]).unwrap());
+            let got = ranked_index(&sc, postings, &comp, words()).unwrap();
+            assert_eq!(got.into_strings(), empty);
+        }
     }
 
     #[test]

@@ -781,13 +781,39 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
+    /// A pool path in a directory of its own, both removed when it drops.
+    struct Tmp(PathBuf);
+
+    impl std::ops::Deref for Tmp {
+        type Target = Path;
+        fn deref(&self) -> &Path {
+            &self.0
+        }
+    }
+
+    impl AsRef<Path> for Tmp {
+        fn as_ref(&self) -> &Path {
+            &self.0
+        }
+    }
+
+    impl Drop for Tmp {
+        fn drop(&mut self) {
+            if let Some(dir) = self.0.parent() {
+                let _ = std::fs::remove_dir_all(dir);
+            }
+        }
+    }
+
     /// A fresh path per call: every test body runs once per store, and
     /// tests run in parallel.
-    fn tmp(name: &str) -> PathBuf {
+    fn tmp(name: &str) -> Tmp {
         static NEXT: AtomicUsize = AtomicUsize::new(0);
-        let dir = std::env::temp_dir().join(format!("ntadoc-poolfile-{}", std::process::id()));
+        let at = NEXT.fetch_add(1, Ordering::Relaxed);
+        let dir = std::env::temp_dir()
+            .join(format!("ntadoc-poolfile-{}-{name}-{at}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        dir.join(format!("{name}-{}.pool", NEXT.fetch_add(1, Ordering::Relaxed)))
+        Tmp(dir.join(format!("{name}.pool")))
     }
 
     fn small_layout() -> PoolLayout {
@@ -803,7 +829,7 @@ mod tests {
         DeviceProfile::nvm_optane()
     }
 
-    fn create<S: StableStore>(name: &str) -> (PathBuf, Arc<PoolFile<S>>) {
+    fn create<S: StableStore>(name: &str) -> (Tmp, Arc<PoolFile<S>>) {
         let path = tmp(name);
         let dev = PoolFile::<S>::create(&path, nvm(), small_layout()).unwrap();
         (path, dev)
@@ -865,7 +891,6 @@ mod tests {
         let diverged = twin.iter().zip(&disk).position(|(a, b)| a != b);
         assert_eq!(diverged, None, "{name}: twin and file differ at this pool address");
         dev.verify_file_matches_device().unwrap();
-        std::fs::remove_file(&path).unwrap();
     }
 
     /// A reopen reads only the file's data extents: whatever holes the
@@ -904,7 +929,6 @@ mod tests {
         file.read_exact_at(&mut buf, POOL_DATA_AT).unwrap();
         assert_eq!(u64::from_le_bytes(buf), 0xAA);
         dev.verify_file_matches_device().unwrap();
-        std::fs::remove_file(&path).unwrap();
     }
 
     fn reopen_after_clean_shutdown_restores_the_image<S: StableStore>() {
@@ -917,7 +941,6 @@ mod tests {
         assert_eq!(dev.twin().read_u64(4096), 123);
         assert_eq!(dev.twin().read_u64(4104), 456);
         dev.verify_file_matches_device().unwrap();
-        std::fs::remove_file(&path).unwrap();
     }
 
     fn injected_crash_tears_the_on_disk_bytes<S: StableStore>() {
@@ -934,7 +957,6 @@ mod tests {
         drop(dev);
         let dev = PoolFile::<S>::open(&path, nvm()).unwrap();
         assert_eq!(dev.twin().read_u64(0), 7);
-        std::fs::remove_file(&path).unwrap();
     }
 
     fn fsck_reports_clean_and_interrupted_pools<S: StableStore>() {
@@ -957,7 +979,6 @@ mod tests {
         assert!(report.recoverable());
         assert!(report.log.needs_rollback(), "active tx must be visible in the file");
         assert_eq!(report.log.valid_entries, 1);
-        std::fs::remove_file(&path).unwrap();
     }
 
     fn a_header_cannot_change_the_line_size_of_the_run<S: StableStore>() {
@@ -990,7 +1011,6 @@ mod tests {
         assert!(PoolFile::<S>::open(&path, ssd).is_ok());
         let refused = PoolFile::<S>::open(&path, nvm()).map(drop);
         assert_eq!(refused, Err(PmemError::LineSizeMismatch { pool: 4096, profile: 256 }));
-        std::fs::remove_file(&path).unwrap();
     }
 
     fn publish_snapshot_seals_the_header_and_hardens_prior_writes<S: StableStore>() {
@@ -1012,7 +1032,6 @@ mod tests {
         assert_eq!(dev.twin().read_u64(1024), 77);
         assert_eq!(dev.published_snapshot(), FP);
         assert_eq!(dev.header().snapshot, FP);
-        std::fs::remove_file(&path).unwrap();
     }
 
     fn refused_creates_leave_no_file<S: StableStore>() {
@@ -1061,7 +1080,6 @@ mod tests {
             rejected(FileDevice::open(&path, nvm()).map(drop));
             rejected(MmapDevice::open(&path, nvm()).map(drop));
             assert_eq!(std::fs::read(&path).unwrap(), head, "a refused open changed the file");
-            std::fs::remove_file(&path).unwrap();
         }
     }
 
@@ -1083,7 +1101,6 @@ mod tests {
         assert_eq!(dev.twin().read_u64(0), 11, "the seal barrier hardened the earlier fence");
         assert_eq!(dev.twin().read_u64(256), 22, "sealed write survives the host crash");
         assert_eq!(dev.twin().read_u64(512), 0, "unsynced fenced write is lost");
-        std::fs::remove_file(&path).unwrap();
     }
 
     fn host_crash_coin_flips_are_seed_deterministic<S: StableStore>() {
@@ -1097,9 +1114,7 @@ mod tests {
                 let report = dev.host_crash(1337);
                 assert_eq!(report.kept + report.lost, 8);
                 drop(dev);
-                let image = std::fs::read(&path).unwrap();
-                std::fs::remove_file(&path).unwrap();
-                image
+                std::fs::read(&path).unwrap()
             })
             .collect();
         assert_eq!(images[0], images[1], "same seed must resolve the same survivors");
@@ -1124,9 +1139,7 @@ mod tests {
         assert_eq!(dev.twin().read_u64(0), 5, "pre-truncation data survives");
         assert_eq!(dev.twin().read_u64(layout.capacity - 8), 0, "chopped tail reads as zeros");
         dev.verify_file_matches_device().unwrap();
-        let len = std::fs::metadata(&path).unwrap().len();
-        std::fs::remove_file(&path).unwrap();
-        len
+        std::fs::metadata(&path).unwrap().len()
     }
 
     #[test]
@@ -1141,11 +1154,10 @@ mod tests {
 
     #[test]
     fn maps_for_real_on_linux() {
-        let (path, dev) = create::<MmapStore>("mapped");
+        let (_path, dev) = create::<MmapStore>("mapped");
         if cfg!(target_os = "linux") {
             assert!(dev.is_mapped(), "mmap must succeed on Linux");
         }
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
@@ -1179,7 +1191,6 @@ mod tests {
         assert_eq!(md.twin().read_u64(8192), 888);
         assert_eq!(md.published_snapshot(), 0xBEE0);
         md.verify_file_matches_device().unwrap();
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
@@ -1190,8 +1201,8 @@ mod tests {
         let layout = small_layout();
         for seed in [1u64, 7, 42, 1337] {
             let sim = Arc::new(SimDevice::new(nvm(), layout.capacity as usize));
-            let (fpath, fd) = create::<PwriteStore>("xchk-file");
-            let (mpath, md) = create::<MmapStore>("xchk-mmap");
+            let (_fpath, fd) = create::<PwriteStore>("xchk-file");
+            let (_mpath, md) = create::<MmapStore>("xchk-mmap");
             for dev in [&sim, fd.twin(), md.twin()] {
                 for i in 0..16u64 {
                     dev.write_u64(i * 256, i + 1); // one store per line
@@ -1214,8 +1225,6 @@ mod tests {
             }
             fd.verify_file_matches_device().unwrap_or_else(|e| panic!("seed {seed}: {e}"));
             md.verify_file_matches_device().unwrap_or_else(|e| panic!("seed {seed}: {e}"));
-            std::fs::remove_file(&fpath).unwrap();
-            std::fs::remove_file(&mpath).unwrap();
         }
     }
 
@@ -1237,7 +1246,5 @@ mod tests {
         let fbytes = std::fs::read(&fpath).unwrap();
         let mbytes = std::fs::read(&mpath).unwrap();
         assert_eq!(fbytes, mbytes, "host-crashed pools must be byte-identical");
-        std::fs::remove_file(&fpath).unwrap();
-        std::fs::remove_file(&mpath).unwrap();
     }
 }

@@ -639,6 +639,16 @@ fn attempt(cell: &Cell) -> Result<Outcome, PmemError> {
     Ok(out)
 }
 
+/// Under the summation a ranked index's result is allocated once (§IV-C):
+/// the corpus's n-gram windows it is sized from bound its postings, so it
+/// never reconstructs.
+fn check_sized_once(cell: &Cell, report: &RunReport) {
+    if cell.task == Task::RankedInvertedIndex && cell.config().presize {
+        let rebuilt = report.metric_u64("ranked-triples.reconstructions");
+        assert_eq!(rebuilt, Some(0), "a pre-sized ranked result reconstructed");
+    }
+}
+
 /// Ask `engine` the cell's question through the cell's path, over the pool
 /// file at `pool` if there is one.
 fn ask(
@@ -660,6 +670,7 @@ fn ask(
                 let report = engine.last_report.as_ref().unwrap();
                 assert!(report.init_ns() > 0 && report.traversal_ns() > 0, "both phases timed");
                 assert!(report.spans.span_count() > 3, "a nested span tree");
+                check_sized_once(cell, report);
                 out.report(report);
             }
             assert_eq!(out.reports[0], out.reports[1], "a second run on one engine");
@@ -672,6 +683,7 @@ fn ask(
             out.rows(&session.traverse_rows()?, &cell.shape);
             let report = session.report();
             assert!(report.spans.span_count() > 3, "a nested span tree");
+            check_sized_once(cell, &report);
             out.report(&report);
         }
         Serve | ServePool | Wire => {

@@ -275,38 +275,38 @@ const PINNED: &[(&str, &str, Pin)] = &[
     ("ntadoc", "sort", [2123281, 2293955, 10258, 7383, 290, 291, 0, 4, 34862, 76163]),
     ("ntadoc", "term vector", [2371555, 3385105, 8308, 3139, 5079, 615, 0, 4, 36142, 158679]),
     ("ntadoc", "inverted index", [2371555, 3494886, 34588, 12899, 5384, 921, 0, 6, 36142, 236759]),
-    ("ntadoc", "sequence count", [2146314, 2495835, 61281, 6632, 744, 746, 0, 6, 469656, 188115]),
-    ("ntadoc", "ranked inverted index", [2768407, 4438652, 61584, 4366, 16188, 3752, 0, 6, 455576, 1054903]),
+    ("ntadoc", "sequence count", [2146314, 2405649, 16257, 6632, 744, 746, 0, 6, 469656, 188115]),
+    ("ntadoc", "ranked inverted index", [2768407, 3976696, 16553, 4359, 14561, 2172, 0, 6, 455576, 636647]),
     ("ntadoc-op", "word count", [2123281, 5849803, 13664, 21000, 375, 4349, 100837, 10250, 34862, 76163]),
     ("ntadoc-op", "sort", [2123281, 5898511, 13664, 21000, 375, 4349, 100837, 10250, 34862, 76163]),
     ("ntadoc-op", "term vector", [3466815, 4480365, 8754, 4700, 5084, 2052, 105276, 2234, 36142, 158679]),
     ("ntadoc-op", "inverted index", [3466815, 4590146, 35034, 14460, 5389, 2358, 105276, 2236, 36142, 236759]),
-    ("ntadoc-op", "sequence count", [2146314, 3615381, 61731, 8207, 986, 2301, 129384, 2256, 469656, 188115]),
-    ("ntadoc-op", "ranked inverted index", [3892087, 6080268, 62230, 6627, 16203, 7176, 498812, 3236, 455576, 1054903]),
+    ("ntadoc-op", "sequence count", [2146314, 3525195, 16707, 8207, 986, 2301, 129384, 2256, 469656, 188115]),
+    ("ntadoc-op", "ranked inverted index", [3892087, 5689090, 17199, 6620, 14574, 5595, 498812, 3236, 455576, 636647]),
     ("naive", "word count", [3652372, 3841584, 19064, 11121, 464, 465, 0, 4, 34862, 185731]),
     ("naive", "sort", [3652372, 3890292, 19064, 11121, 464, 465, 0, 4, 34862, 185731]),
     ("naive", "term vector", [4049990, 5268796, 158045, 116730, 740, 724, 0, 4, 34862, 251111]),
     ("naive", "inverted index", [4049990, 5378709, 184325, 126490, 1045, 1030, 0, 6, 34862, 329191]),
-    ("naive", "sequence count", [3676503, 4540257, 101011, 43865, 1686, 1687, 0, 6, 455256, 496655]),
-    ("naive", "ranked inverted index", [4322914, 6460605, 315852, 221934, 3962, 3860, 0, 6, 455256, 1147335]),
+    ("naive", "sequence count", [3676503, 4449751, 55987, 43865, 1686, 1687, 0, 6, 455256, 496655]),
+    ("naive", "ranked inverted index", [4322914, 6370099, 270828, 221934, 3962, 3860, 0, 6, 455256, 1147335]),
     ("tadoc-dram", "word count", [85896, 236660, 15908, 9811, 1395, 0, 0, 0, 95091, 95091]),
     ("tadoc-dram", "sort", [85896, 285368, 15908, 9811, 1395, 0, 0, 0, 95091, 95091]),
     ("tadoc-dram", "term vector", [165179, 1182115, 8308, 2915, 8129, 0, 0, 0, 193541, 193541]),
     ("tadoc-dram", "inverted index", [165179, 1262252, 34588, 12675, 9349, 0, 0, 0, 238551, 238551]),
-    ("tadoc-dram", "sequence count", [107123, 411224, 61281, 6408, 2946, 0, 0, 0, 643371, 643371]),
-    ("tadoc-dram", "ranked inverted index", [288462, 1544181, 61584, 4142, 28961, 0, 0, 0, 1510479, 1510479]),
+    ("tadoc-dram", "sequence count", [107123, 320056, 16257, 6408, 2946, 0, 0, 0, 643371, 643371]),
+    ("tadoc-dram", "ranked inverted index", [288462, 1453013, 16560, 4142, 28961, 0, 0, 0, 1510479, 1510479]),
     ("uncompressed", "word count", [2178742, 2603392, 93466, 29168, 552, 553, 0, 4, 151548, 141143]),
     ("uncompressed", "sort", [2178742, 2652100, 93466, 29168, 552, 553, 0, 4, 151548, 141143]),
     ("uncompressed", "term vector", [2178742, 3545026, 131760, 74933, 433, 417, 0, 4, 151548, 106599]),
     ("uncompressed", "inverted index", [2178742, 3655319, 158040, 84693, 738, 723, 0, 6, 151548, 184679]),
-    ("uncompressed", "sequence count", [2178742, 3162761, 157742, 57191, 1504, 1505, 0, 4, 453464, 384855]),
-    ("uncompressed", "ranked inverted index", [2178742, 5245108, 202835, 128649, 3822, 3712, 0, 4, 453464, 949799]),
+    ("uncompressed", "sequence count", [2178742, 3072017, 112718, 57191, 1504, 1505, 0, 4, 453464, 384855]),
+    ("uncompressed", "ranked inverted index", [2178742, 5154364, 157811, 128649, 3822, 3712, 0, 4, 453464, 949799]),
     ("uncompressed-op", "word count", [2178742, 8919248, 99694, 54068, 646, 7671, 184408, 18736, 151548, 141143]),
     ("uncompressed-op", "sort", [2178742, 8967956, 99694, 54068, 646, 7671, 184408, 18736, 151548, 141143]),
     ("uncompressed-op", "term vector", [2178742, 3545026, 131760, 74933, 433, 417, 0, 4, 151548, 106599]),
     ("uncompressed-op", "inverted index", [2178742, 3655319, 158040, 84693, 738, 723, 0, 6, 151548, 184679]),
-    ("uncompressed-op", "sequence count", [2178742, 58232815, 212161, 274853, 2534, 63708, 1614015, 163317, 453464, 384855]),
-    ("uncompressed-op", "ranked inverted index", [2178742, 5245108, 202835, 128649, 3822, 3712, 0, 4, 453464, 949799]),
+    ("uncompressed-op", "sequence count", [2178742, 58142071, 167137, 274853, 2534, 63708, 1614015, 163317, 453464, 384855]),
+    ("uncompressed-op", "ranked inverted index", [2178742, 5154364, 157811, 128649, 3822, 3712, 0, 4, 453464, 949799]),
     ("serve", "word count", [2371555, 2696546, 4741, 3139, 6178, 615, 0, 2, 36142, 158679]),
     ("serve", "sort", [2371555, 2745254, 4741, 3139, 6178, 615, 0, 2, 36142, 158679]),
     ("serve", "term vector", [2371555, 3742833, 5310, 3139, 6899, 615, 0, 2, 36142, 158679]),
@@ -340,8 +340,8 @@ const SUMMARIES: [&str; 6] = [
     "[NVM] init 2.123 ms + traversal 0.171 ms = 2.294 ms (virtual); DRAM peak 34 KB, NVM peak 74 KB",
     "[NVM] init 2.372 ms + traversal 1.014 ms = 3.385 ms (virtual); DRAM peak 35 KB, NVM peak 154 KB",
     "[NVM] init 2.372 ms + traversal 1.123 ms = 3.495 ms (virtual); DRAM peak 35 KB, NVM peak 231 KB",
-    "[NVM] init 2.146 ms + traversal 0.350 ms = 2.496 ms (virtual); DRAM peak 458 KB, NVM peak 183 KB",
-    "[NVM] init 2.768 ms + traversal 1.670 ms = 4.439 ms (virtual); DRAM peak 444 KB, NVM peak 1030 KB",
+    "[NVM] init 2.146 ms + traversal 0.259 ms = 2.406 ms (virtual); DRAM peak 458 KB, NVM peak 183 KB",
+    "[NVM] init 2.768 ms + traversal 1.208 ms = 3.977 ms (virtual); DRAM peak 444 KB, NVM peak 621 KB",
 ];
 
 /// A change that is meant to move only the wall clock or the shape of the

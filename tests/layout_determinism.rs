@@ -160,12 +160,14 @@ fn unknown_layout_ids_refuse_to_open() {
 /// virtual_ns, line_misses, crc64 of the pool file)` for a fresh
 /// `open_pool` + traversal on [`corpus`], at any worker count. Retiring
 /// the other layouts must not move the survivors (`fixed` is also pinned
-/// by `tests/init_one_pass.rs` and `tests/claims.rs`).
+/// by `tests/init_one_pass.rs` and `tests/claims.rs`). The sequence-count
+/// rows' time fell by 456 ns since, when the shaper began to read each
+/// distinct word once; their misses and pool bytes did not move.
 const PINNED: [(&str, Task, u64, u64, u64); 4] = [
     ("fixed", Task::WordCount, 2108200, 12, 0x58431877db5a9bf3),
-    ("fixed", Task::SequenceCount, 2112447, 16, 0x20432ea480f0400c),
+    ("fixed", Task::SequenceCount, 2111991, 16, 0x20432ea480f0400c),
     ("varint", Task::WordCount, 2108245, 11, 0xad3b7e7ae57a7a74),
-    ("varint", Task::SequenceCount, 2111451, 13, 0xed91c55918126ee1),
+    ("varint", Task::SequenceCount, 2110995, 13, 0xed91c55918126ee1),
 ];
 
 #[test]
